@@ -16,7 +16,10 @@
 
    The machine is a 4-node shepard cluster: distributed machines are
    the paper's setting, and the communication floors that make the
-   pruning bounds tight only exist with more than one node.
+   pruning bounds tight only exist with more than one node.  The
+   symmetry leg runs Maestro on a 4-node lassen instead, since no
+   Maestro mapping fits shepard, and it fails unless both of its
+   searches simulate candidates and reach a finite best.
 
    Results go to stdout and to BENCH_searchrate.json.
 
@@ -298,6 +301,16 @@ let symmetry_check (app : App.t) machine ~input ~rotations ~max_trials =
   in
   let base = run ~symmetry:false ~dominance:false in
   let red = run ~symmetry:true ~dominance:true in
+  (* never compare inf with inf: both legs must have simulated real
+     candidates and found a finite best *)
+  if base.st.Evaluator.s_evaluated = 0 || red.st.Evaluator.s_evaluated = 0 then
+    failwith
+      (Printf.sprintf "%s: symmetry leg evaluated no candidate (base %d, reduced %d)"
+         app.App.app_name base.st.Evaluator.s_evaluated red.st.Evaluator.s_evaluated);
+  if not (Float.is_finite base.perf && Float.is_finite red.perf) then
+    failwith
+      (Printf.sprintf "%s: symmetry leg found no finite best (base %g, reduced %g)"
+         app.App.app_name base.perf red.perf);
   if red.perf > base.perf then
     failwith
       (Printf.sprintf
@@ -436,7 +449,10 @@ let () =
   let sym_trials = if !smoke then 120 else 400 in
   let sym_rows =
     List.map
-      (fun (app, input) ->
+      (fun ((app : App.t), input) ->
+        (* every Maestro mapping is infeasible on shepard (its
+           high-fidelity arrays need Lassen's 64 GB frame buffers) *)
+        let machine = if app == App.maestro then Presets.lassen ~nodes else machine in
         symmetry_check app machine ~input ~rotations ~max_trials:sym_trials)
       sym_apps
   in

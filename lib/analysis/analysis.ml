@@ -536,36 +536,65 @@ let machine_lint (machine : Machine.t) =
     (mem_kinds_present machine);
   (* channel lint over representative memory pairs: every channel class
      in use must have positive finite cost structure, and the channel
-     relation must be symmetric *)
+     relation must be symmetric.  A pair on two different nodes is
+     always Network both ways, so it can only matter as the first
+     Network pair the scan meets: each row visits its same-node
+     partners plus its first cross-node partner, at its index position.
+     That emits what the full ordered-pair scan emits, in the same
+     order, in O(sum of memories-per-node^2) pairs (DESIGN.md §9). *)
   let mems = machine.Machine.memories in
   let seen = Hashtbl.create 16 in
+  let visit (a : Machine.memory) (b : Machine.memory) =
+    let ch = Machine.channel_between machine a b in
+    let rev = Machine.channel_between machine b a in
+    if rev <> ch && not (Hashtbl.mem seen (`Asym (a.Machine.mkind, b.Machine.mkind)))
+    then begin
+      Hashtbl.add seen (`Asym (a.Machine.mkind, b.Machine.mkind)) ();
+      add Warning "asymmetric-channel" "machine"
+        "%s->%s and %s->%s use different channels"
+        (Kinds.mem_kind_to_string a.Machine.mkind)
+        (Kinds.mem_kind_to_string b.Machine.mkind)
+        (Kinds.mem_kind_to_string b.Machine.mkind)
+        (Kinds.mem_kind_to_string a.Machine.mkind)
+    end;
+    if ch <> Machine.Same_memory && not (Hashtbl.mem seen (`Chan ch)) then begin
+      Hashtbl.add seen (`Chan ch) ();
+      let bw = Machine.channel_bandwidth machine ch in
+      if not (bw > 0.0) then
+        add Error "dead-channel" "machine"
+          "channel %s->%s has non-positive bandwidth %g"
+          (Kinds.mem_kind_to_string a.Machine.mkind)
+          (Kinds.mem_kind_to_string b.Machine.mkind)
+          bw
+    end
+  in
+  let node_mems = Array.make machine.Machine.nodes [] in
+  for i = Array.length mems - 1 downto 0 do
+    let n = mems.(i).Machine.mnode in
+    node_mems.(n) <- i :: node_mems.(n)
+  done;
+  (* first index off node [mems.(0)]'s node; any other node's first
+     cross-node partner is index 0 *)
+  let off_first =
+    let rec go i =
+      if i >= Array.length mems then -1
+      else if mems.(i).Machine.mnode <> mems.(0).Machine.mnode then i
+      else go (i + 1)
+    in
+    go 1
+  in
   Array.iter
     (fun (a : Machine.memory) ->
-      Array.iter
-        (fun (b : Machine.memory) ->
-          let ch = Machine.channel_between machine a b in
-          let rev = Machine.channel_between machine b a in
-          if rev <> ch && not (Hashtbl.mem seen (`Asym (a.Machine.mkind, b.Machine.mkind)))
-          then begin
-            Hashtbl.add seen (`Asym (a.Machine.mkind, b.Machine.mkind)) ();
-            add Warning "asymmetric-channel" "machine"
-              "%s->%s and %s->%s use different channels"
-              (Kinds.mem_kind_to_string a.Machine.mkind)
-              (Kinds.mem_kind_to_string b.Machine.mkind)
-              (Kinds.mem_kind_to_string b.Machine.mkind)
-              (Kinds.mem_kind_to_string a.Machine.mkind)
-          end;
-          if ch <> Machine.Same_memory && not (Hashtbl.mem seen (`Chan ch)) then begin
-            Hashtbl.add seen (`Chan ch) ();
-            let bw = Machine.channel_bandwidth machine ch in
-            if not (bw > 0.0) then
-              add Error "dead-channel" "machine"
-                "channel %s->%s has non-positive bandwidth %g"
-                (Kinds.mem_kind_to_string a.Machine.mkind)
-                (Kinds.mem_kind_to_string b.Machine.mkind)
-                bw
-          end)
-        mems)
+      let cross = if a.Machine.mnode = mems.(0).Machine.mnode then off_first else 0 in
+      let rec row = function
+        | j :: rest when cross < 0 || j < cross ->
+            visit a mems.(j);
+            row rest
+        | rest ->
+            if cross >= 0 then visit a mems.(cross);
+            List.iter (fun j -> visit a mems.(j)) rest
+      in
+      row node_mems.(a.Machine.mnode))
     mems;
   (* interconnect lint: a disconnected topology silently falls back to
      the kind-level Network charge for the unreachable pairs, and a

@@ -49,6 +49,14 @@ type diagnostic = {
   message : string;
 }
 
+val machine_lint : Machine.t -> diagnostic list
+(** The machine-only diagnostics of {!analyze}, in report order
+    (before the severity sort): absent processor kinds, unreachable and
+    zero-capacity memory kinds, the channel lint, the interconnect
+    lint.  The channel lint visits each memory's same-node partners
+    plus one cross-node representative, so it is linear in the number
+    of nodes. *)
+
 (** {1 Coordinate domains} *)
 
 type domains

@@ -212,22 +212,20 @@ let node_classes (m : Machine.t) =
   let n = m.Machine.nodes in
   if n = 0 then [||]
   else begin
-    let sigs = Array.make n [] in
+    let procs = Array.make n [] and mems = Array.make n [] in
     Array.iter
       (fun (p : Machine.processor) ->
-        sigs.(p.Machine.pnode) <-
-          ("p" ^ Kinds.proc_kind_to_string p.Machine.pkind)
-          :: sigs.(p.Machine.pnode))
+        procs.(p.Machine.pnode) <-
+          Kinds.rank_proc p.Machine.pkind :: procs.(p.Machine.pnode))
       m.Machine.processors;
     Array.iter
       (fun (mem : Machine.memory) ->
-        sigs.(mem.Machine.mnode) <-
-          Printf.sprintf "m%s:%s"
-            (Kinds.mem_kind_to_string mem.Machine.mkind)
-            (fb mem.Machine.capacity)
-          :: sigs.(mem.Machine.mnode))
+        mems.(mem.Machine.mnode) <-
+          (Kinds.rank_mem mem.Machine.mkind, Int64.bits_of_float mem.Machine.capacity)
+          :: mems.(mem.Machine.mnode))
       m.Machine.memories;
-    let key node = String.concat ";" (List.sort compare sigs.(node)) in
+    (* sorted multisets, compared structurally *)
+    let key node = (List.sort compare procs.(node), List.sort compare mems.(node)) in
     let tbl = Hashtbl.create 8 in
     let classes = ref [] in
     for node = n - 1 downto 0 do

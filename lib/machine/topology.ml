@@ -471,11 +471,6 @@ let route t ~src ~dst =
   route_iter t ~src ~dst ~f:(fun l -> acc := l :: !acc);
   List.rev !acc
 
-let max_hops t =
-  match t.family with
-  | Direct -> 1
-  | _ -> max t.diameter 1
-
 (* ------------------------------------------------------------------ *)
 (* Lint queries                                                        *)
 (* ------------------------------------------------------------------ *)

@@ -92,10 +92,6 @@ val contended : t -> bool
 val diameter : t -> int
 (** Max routing distance over connected node pairs (hops). *)
 
-val max_hops : t -> int
-(** Static bound on any route's length ([>= diameter]); sizes the
-    simulator's per-dependence hop arrays. *)
-
 val bisection_bw : t -> float
 (** Total bandwidth of the links crossing the canonical bisection cut
     (mid-column / mid-row for meshes and tori, the top-level subtree

@@ -48,8 +48,8 @@ let channel_class_index = function
    encodes three regimes: -1 = same memory (no copy); >= 0 = the
    pre-topology kind-level channel slot, kept byte-identical for every
    machine without a topology; <= -2 = routed, with (-2 - dep_chan)
-   hops in the fixed-stride hop tables.  Per-link busy-until clocks
-   live after the kind-level plane of [chan_free]:
+   hops in the dep's row of the scratch's hop pool.  Per-link
+   busy-until clocks live after the kind-level plane of [chan_free]:
    slot = nodes * n_channel_classes + link id. *)
 let link_slot_base ~nodes = nodes * n_channel_classes
 
@@ -58,14 +58,6 @@ let n_chan_slots machine =
   +
   match machine.Machine.topology with
   | Some topo -> Topology.n_links topo
-  | None -> 0
-
-(* Fixed stride of the per-dep hop tables: the longest route plus one
-   PCIe staging hop per FB endpoint.  Fixed-width rows keep
-   [bind_delta]'s in-place dep rebinding sound. *)
-let dep_hop_stride machine =
-  match machine.Machine.topology with
-  | Some topo -> Topology.max_hops topo + 2
   | None -> 0
 
 (* Does the machine serialize copies on busy-until clocks?  True for
@@ -514,12 +506,17 @@ type scratch = {
                                   | <= -2 routed with (-2 - v) hops *)
   dep_class : int array;
   dep_cost : float array;
-  (* routed-copy hop tables: dep [k]'s hops live at [k * hop_stride];
-     each hop is a (busy-until slot, seconds) pair.  Empty (stride 0)
-     on machines without a topology. *)
-  hop_stride : int;
-  hop_slot : int array;
-  hop_cost : float array;
+  (* routed-copy hop pool: dep [k]'s hops live at [hop_off.(k)] in a
+     row of [hop_cap.(k)] entries; each hop is a (busy-until slot,
+     seconds) pair.  Rows are sized by the routes actually bound; a
+     rebind that outgrows its row moves it to [hop_end], and a full
+     bind lays the pool out afresh (DESIGN.md §15).  [hop_off] and
+     [hop_cap] are empty on machines without a topology. *)
+  hop_off : int array;
+  hop_cap : int array;
+  mutable hop_slot : int array;
+  mutable hop_cost : float array;
+  mutable hop_end : int;       (* first unused pool entry *)
   dep_cross : bool array;      (* routed dep crosses the bisection cut *)
   (* false only for [:free] (uncontended) topologies: copies still pay
      full path cost but never serialize on the busy-until clocks *)
@@ -615,60 +612,61 @@ let compile machine (g : Graph.t) =
       slot_shard.(offset.(tid) + s) <- s
     done
   done;
-  (* Build the per-producer-slot dependence lists exactly as the
-     reference interpreter does, then flatten in the same traversal
-     order (list head first). *)
-  let out : (int * int * int * float * bool) list array = Array.make spi [] in
+  (* Enumerate the dependences in the reference interpreter's
+     generation order: [f producer_slot edge consumer_slot bytes]. *)
+  let owner cid = (Graph.collection g cid).owner in
+  let iter_deps f =
+    List.iter
+      (fun (e : Graph.edge) ->
+        let ts = owner e.src and td = owner e.dst in
+        let ss = (Graph.task g ts).group_size and sd = (Graph.task g td).group_size in
+        for s = 0 to sd - 1 do
+          let main = if ss = sd then s else s * ss / sd in
+          let add src_shard bytes =
+            if src_shard >= 0 && src_shard < ss && bytes > 0.0 then
+              f (offset.(ts) + src_shard) e (offset.(td) + s) bytes
+          in
+          add main e.bytes;
+          match e.pattern with
+          | Pattern.Same_shard -> ()
+          | Pattern.Halo { frac } ->
+              add (main - 1) (e.bytes *. frac);
+              add (main + 1) (e.bytes *. frac)
+        done)
+      g.edges
+  in
+  (* Two counting passes build the CSR.  Pass 1 sizes each producer
+     slot's range and counts consumer indegrees. *)
   let indeg_base = Array.make spi 0 in
   let indeg_carried = Array.make spi 0 in
-  let owner cid = (Graph.collection g cid).owner in
-  let n_deps = ref 0 in
-  List.iter
-    (fun (e : Graph.edge) ->
-      let ts = owner e.src and td = owner e.dst in
-      let ss = (Graph.task g ts).group_size and sd = (Graph.task g td).group_size in
-      for s = 0 to sd - 1 do
-        let main = if ss = sd then s else s * ss / sd in
-        let add src_shard bytes =
-          if src_shard >= 0 && src_shard < ss && bytes > 0.0 then begin
-            let slot = offset.(ts) + src_shard in
-            out.(slot) <- (e.src, e.dst, offset.(td) + s, bytes, e.carried) :: out.(slot);
-            incr n_deps;
-            let counter = if e.carried then indeg_carried else indeg_base in
-            counter.(offset.(td) + s) <- counter.(offset.(td) + s) + 1
-          end
-        in
-        add main e.bytes;
-        match e.pattern with
-        | Pattern.Same_shard -> ()
-        | Pattern.Halo { frac } ->
-            add (main - 1) (e.bytes *. frac);
-            add (main + 1) (e.bytes *. frac)
-      done)
-    g.edges;
-  let n_deps = !n_deps in
   let dep_off = Array.make (spi + 1) 0 in
+  iter_deps (fun slot (e : Graph.edge) dst_slot _ ->
+      dep_off.(slot + 1) <- dep_off.(slot + 1) + 1;
+      let counter = if e.carried then indeg_carried else indeg_base in
+      counter.(dst_slot) <- counter.(dst_slot) + 1);
+  for slot = 0 to spi - 1 do
+    dep_off.(slot + 1) <- dep_off.(slot + 1) + dep_off.(slot)
+  done;
+  let n_deps = dep_off.(spi) in
   let dep_src_slot = Array.make n_deps 0 in
   let dep_src_cid = Array.make n_deps 0 in
   let dep_dst_cid = Array.make n_deps 0 in
   let dep_dst_slot = Array.make n_deps 0 in
   let dep_bytes = Array.make n_deps 0.0 in
   let dep_carried = Array.make n_deps false in
-  let k = ref 0 in
-  for slot = 0 to spi - 1 do
-    dep_off.(slot) <- !k;
-    List.iter
-      (fun (src_cid, dst_cid, dst_slot, bytes, carried) ->
-        dep_src_slot.(!k) <- slot;
-        dep_src_cid.(!k) <- src_cid;
-        dep_dst_cid.(!k) <- dst_cid;
-        dep_dst_slot.(!k) <- dst_slot;
-        dep_bytes.(!k) <- bytes;
-        dep_carried.(!k) <- carried;
-        incr k)
-      out.(slot)
-  done;
-  dep_off.(spi) <- !k;
+  (* Pass 2 fills each range back to front: the reference interpreter
+     prepends to per-slot lists, so it visits a slot's deps newest
+     first. *)
+  let cursor = Array.sub dep_off 1 spi in
+  iter_deps (fun slot (e : Graph.edge) dst_slot bytes ->
+      let k = cursor.(slot) - 1 in
+      cursor.(slot) <- k;
+      dep_src_slot.(k) <- slot;
+      dep_src_cid.(k) <- e.src;
+      dep_dst_cid.(k) <- e.dst;
+      dep_dst_slot.(k) <- dst_slot;
+      dep_bytes.(k) <- bytes;
+      dep_carried.(k) <- e.carried);
   let n_cols = Graph.n_collections g in
   let col_owner = Array.make (max n_cols 1) 0 in
   List.iter
@@ -730,7 +728,7 @@ let compile machine (g : Graph.t) =
 let scratch prob =
   let machine = prob.cmachine in
   let n_deps = Array.length prob.dep_bytes in
-  let stride = dep_hop_stride machine in
+  let n_rows = match machine.Machine.topology with Some _ -> n_deps | None -> 0 in
   let dummy_noise = { nbuf = [||]; nfilled = 0; nrng = Rng.create 0; nsigma = 0.0 } in
   {
     prob;
@@ -750,9 +748,11 @@ let scratch prob =
     dep_chan = Array.make (max n_deps 1) 0;
     dep_class = Array.make (max n_deps 1) 0;
     dep_cost = Array.make (max n_deps 1) 0.0;
-    hop_stride = stride;
-    hop_slot = Array.make (max (n_deps * stride) 1) 0;
-    hop_cost = Array.make (max (n_deps * stride) 1) 0.0;
+    hop_off = Array.make n_rows 0;
+    hop_cap = Array.make n_rows 0;
+    hop_slot = [||];
+    hop_cost = [||];
+    hop_end = 0;
     dep_cross = Array.make (max n_deps 1) false;
     contended = clocks_contended machine;
     hop_t = 0.0;
@@ -1004,6 +1004,42 @@ let bind_task sc pl mapping tid =
             Placement.effective_mem_kind pl ~cid:c.Graph.cid ~shard:s)
     done
 
+(* Copy the live hop rows, in dep order and without gaps, into fresh
+   pool arrays with room for twice the live entries plus [extra]. *)
+let hop_compact sc ~extra =
+  let live = Array.fold_left ( + ) 0 sc.hop_cap in
+  let len = max 64 (2 * (live + extra)) in
+  let slots = Array.make len 0 and costs = Array.make len 0.0 in
+  let pos = ref 0 in
+  Array.iteri
+    (fun k cap ->
+      if cap > 0 then begin
+        Array.blit sc.hop_slot sc.hop_off.(k) slots !pos cap;
+        Array.blit sc.hop_cost sc.hop_off.(k) costs !pos cap;
+        sc.hop_off.(k) <- !pos;
+        pos := !pos + cap
+      end)
+    sc.hop_cap;
+  sc.hop_slot <- slots;
+  sc.hop_cost <- costs;
+  sc.hop_end <- !pos
+
+(* Offset of dep [k]'s hop row, with room for [nh] hops.  A row that
+   fits is rewritten in place; one that does not moves to the pool's
+   end, its old entries dead until the pool next overflows and is
+   compacted to twice its live size. *)
+let hop_row sc k nh =
+  let cap = sc.hop_cap.(k) in
+  if nh <= cap then sc.hop_off.(k)
+  else begin
+    if sc.hop_end + nh > Array.length sc.hop_slot then hop_compact sc ~extra:nh;
+    let base = sc.hop_end in
+    sc.hop_off.(k) <- base;
+    sc.hop_cap.(k) <- nh;
+    sc.hop_end <- base + nh;
+    base
+  end
+
 let bind_dep sc pl k =
   let prob = sc.prob in
   let machine = prob.cmachine in
@@ -1046,13 +1082,25 @@ let bind_dep sc pl k =
            node's single link, a slot bijection with the pre-topology
            Network plane. *)
         let bytes = prob.dep_bytes.(k) in
-        let base = k * sc.hop_stride in
+        let staged (m : Machine.memory) =
+          if m.Machine.mkind = Kinds.Frame_buffer then 1 else 0
+        in
+        let nh =
+          match Topology.family topo with
+          | Topology.Direct -> 1
+          | _ ->
+              staged src_mem
+              + Topology.distance topo ~src:src_mem.Machine.mnode
+                  ~dst:dst_mem.Machine.mnode
+              + staged dst_mem
+        in
+        let base = hop_row sc k nh in
         let link_base = link_slot_base ~nodes:machine.Machine.nodes in
-        let nh = ref 0 in
+        let h = ref base in
         let add slot cost =
-          sc.hop_slot.(base + !nh) <- slot;
-          sc.hop_cost.(base + !nh) <- cost;
-          incr nh
+          sc.hop_slot.(!h) <- slot;
+          sc.hop_cost.(!h) <- cost;
+          incr h
         in
         let total = Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes in
         (match Topology.family topo with
@@ -1070,7 +1118,8 @@ let bind_dep sc pl k =
                   (l.Topology.llat +. (bytes /. l.Topology.lbw)));
             if dst_mem.Machine.mkind = Kinds.Frame_buffer then
               add ((dst_mem.Machine.mnode * n_channel_classes) + 2) staging);
-        sc.dep_chan.(k) <- -2 - !nh;
+        assert (!h - base = nh);
+        sc.dep_chan.(k) <- -2 - nh;
         sc.dep_class.(k) <- channel_class_index ch;
         sc.dep_cost.(k) <- total;
         sc.dep_cross.(k) <-
@@ -1083,6 +1132,9 @@ let bind sc pl mapping =
   for tid = 0 to Graph.n_tasks prob.cgraph - 1 do
     bind_task sc pl mapping tid
   done;
+  (* every row is rebound: lay the hop pool out afresh, densely *)
+  Array.fill sc.hop_cap 0 (Array.length sc.hop_cap) 0;
+  sc.hop_end <- 0;
   for k = 0 to Array.length prob.dep_bytes - 1 do
     bind_dep sc pl k
   done
@@ -1355,7 +1407,7 @@ let[@inline] do_done sc i t_done =
           if not sc.contended then t_done +. sc.dep_cost.(k)
           else begin
             let nh = -2 - chan in
-            let base = k * sc.hop_stride in
+            let base = sc.hop_off.(k) in
             sc.hop_t <- t_done;
             for h = 0 to nh - 1 do
               let hslot = sc.hop_slot.(base + h) in
@@ -1736,7 +1788,7 @@ let static_floors sc iterations =
           let times = if prob.dep_carried.(k) then iterations - 1 else iterations in
           let tf = float_of_int times in
           let nh = -2 - chan in
-          let base = k * sc.hop_stride in
+          let base = sc.hop_off.(k) in
           for h = 0 to nh - 1 do
             let hslot = sc.hop_slot.(base + h) in
             chan_busy.(hslot) <- chan_busy.(hslot) +. (sc.hop_cost.(base + h) *. tf)

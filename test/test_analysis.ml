@@ -363,9 +363,151 @@ let prop_dominance_sound =
         [ Presets.shepard ~nodes:2; tight_shepard ~nodes:2 ];
       true)
 
+(* ---- channel lint -------------------------------------------------- *)
+
+(* The quadratic channel scan the linear lint replaced, kept as its
+   oracle: every ordered memory pair, reporting the first pair of each
+   asymmetric kind pair and the first pair of each channel class. *)
+let channel_lint_oracle (machine : Machine.t) =
+  let diags = ref [] in
+  let add severity code message =
+    diags := { Analysis.severity; code; subject = "machine"; message } :: !diags
+  in
+  let mems = machine.Machine.memories in
+  let seen = Hashtbl.create 16 in
+  let name (m : Machine.memory) = Kinds.mem_kind_to_string m.Machine.mkind in
+  Array.iter
+    (fun (a : Machine.memory) ->
+      Array.iter
+        (fun (b : Machine.memory) ->
+          let ch = Machine.channel_between machine a b in
+          let rev = Machine.channel_between machine b a in
+          if rev <> ch && not (Hashtbl.mem seen (`Asym (a.Machine.mkind, b.Machine.mkind)))
+          then begin
+            Hashtbl.add seen (`Asym (a.Machine.mkind, b.Machine.mkind)) ();
+            add Analysis.Warning "asymmetric-channel"
+              (Printf.sprintf "%s->%s and %s->%s use different channels" (name a)
+                 (name b) (name b) (name a))
+          end;
+          if ch <> Machine.Same_memory && not (Hashtbl.mem seen (`Chan ch)) then begin
+            Hashtbl.add seen (`Chan ch) ();
+            let bw = Machine.channel_bandwidth machine ch in
+            if not (bw > 0.0) then
+              add Analysis.Error "dead-channel"
+                (Printf.sprintf "channel %s->%s has non-positive bandwidth %g" (name a)
+                   (name b) bw)
+          end)
+        mems)
+    mems;
+  List.rev !diags
+
+let channel_diags machine =
+  List.filter
+    (fun (d : Analysis.diagnostic) ->
+      d.Analysis.code = "asymmetric-channel" || d.Analysis.code = "dead-channel")
+    (Analysis.machine_lint machine)
+
+let with_copy (m : Machine.t) copy =
+  Machine.make ~name:m.Machine.name ~nodes:m.Machine.nodes ~node:m.Machine.node
+    ~exec_bw:m.Machine.exec_bw ~compute:m.Machine.compute ~copy
+    ?topology:m.Machine.topology ()
+
+let dead msg = [ { Analysis.severity = Analysis.Error; code = "dead-channel";
+                   subject = "machine"; message = msg } ]
+
+let test_dead_channels () =
+  let s = Presets.shepard ~nodes:2 in
+  (* Machine.make rejects a zero or negative bandwidth outright, so the
+     only non-positive rate the lint can meet is NaN, which slips past
+     make's [v <= 0] checks (and parses from codec text) *)
+  Alcotest.check_raises "zero net bandwidth rejected"
+    (Invalid_argument "Machine.make: net_bandwidth must be positive") (fun () ->
+      ignore (with_copy s { s.Machine.copy with Machine.net_bandwidth = 0.0 }));
+  Alcotest.check_raises "zero pcie bandwidth rejected on a GPU node"
+    (Invalid_argument "Machine.make: pcie_bw must be positive") (fun () ->
+      ignore (with_copy s { s.Machine.copy with Machine.pcie_bw = 0.0 }));
+  Alcotest.(check int) "shepard nodes carry a GPU" 1 s.Machine.node.Machine.gpus;
+  let check label machine expected =
+    let got = channel_diags machine in
+    Alcotest.(check (list string)) label
+      (List.map (fun d -> d.Analysis.message) expected)
+      (List.map (fun d -> d.Analysis.message) got);
+    Alcotest.(check bool) (label ^ " (records)") true (got = expected);
+    Alcotest.(check bool) (label ^ " (infeasible)") false
+      (Analysis.feasible (Analysis.analyze machine (App.stencil.App.graph ~nodes:2 ~input:"500x500")))
+  in
+  (* the first Network pair the scan meets is node 0's SYS(socket 0)
+     against node 1's SYS(socket 0) *)
+  check "NaN network bandwidth"
+    (with_copy s { s.Machine.copy with Machine.net_bandwidth = Float.nan })
+    (dead "channel SYS->SYS has non-positive bandwidth nan");
+  (* and the first PCIe pair is SYS(socket 0) against the node's FB *)
+  check "NaN PCIe bandwidth"
+    (with_copy s { s.Machine.copy with Machine.pcie_bw = Float.nan })
+    (dead "channel SYS->FB has non-positive bandwidth nan");
+  Alcotest.(check int) "healthy preset has no channel diagnostics" 0
+    (List.length (channel_diags s))
+
+(* Machines over presets, node counts 1-64, topology specs, NaN-poisoned
+   copy rates and codec round trips. *)
+let gen_lint_machine =
+  let open QCheck.Gen in
+  let base =
+    oneof
+      [
+        (let* mk =
+           oneofl
+             [ Presets.shepard; Presets.lassen; Presets.testbed; Presets.cpu_only;
+               Presets.headless ]
+         in
+         let* nodes = int_range 1 64 in
+         return (mk ~nodes));
+        (let* spec =
+           oneof
+             [
+               map2 (Printf.sprintf "grid:%dx%d") (int_range 1 8) (int_range 1 8);
+               map2 (Printf.sprintf "torus:%dx%d") (int_range 2 8) (int_range 2 8);
+               map (Printf.sprintf "direct:%d") (int_range 1 64);
+               oneofl [ "fattree:1:4"; "fattree:2:4"; "fattree:3:4"; "fattree:2:8"; "fattree:6:2" ];
+             ]
+         in
+         let* free = bool in
+         let spec = if free then spec ^ ":free" else spec in
+         match Presets.of_spec spec ~nodes:1 with
+         | Ok m -> return m
+         | Error e -> failwith e);
+      ]
+  in
+  let* m = base in
+  let* poison = list_repeat 5 (frequencyl [ (4, false); (1, true) ]) in
+  let* codec = bool in
+  let rate i v = if List.nth poison i then Float.nan else v in
+  let c = m.Machine.copy in
+  let m =
+    with_copy m
+      { c with
+        Machine.memcpy_bw = rate 0 c.Machine.memcpy_bw;
+        cross_socket_bw = rate 1 c.Machine.cross_socket_bw;
+        pcie_bw = rate 2 c.Machine.pcie_bw;
+        gpu_peer_bw = rate 3 c.Machine.gpu_peer_bw;
+        net_bandwidth = rate 4 c.Machine.net_bandwidth }
+  in
+  return (if codec then Machine_codec.round_trip_exn m else m)
+
+let prop_channel_lint_oracle =
+  QCheck.Test.make ~count:150
+    ~name:"linear channel lint equals the quadratic oracle"
+    (QCheck.make
+       ~print:(fun m ->
+         Printf.sprintf "%s (%d nodes)" m.Machine.name m.Machine.nodes)
+       gen_lint_machine)
+    (fun m -> channel_diags m = channel_lint_oracle m)
+
 let suite =
   [
     Alcotest.test_case "headless unreachable memory" `Quick test_headless_error;
+    Alcotest.test_case "dead channels are flagged" `Quick test_dead_channels;
+    QCheck_alcotest.to_alcotest prop_channel_lint_oracle;
     Alcotest.test_case "presets analyze clean" `Quick test_presets_clean;
     Alcotest.test_case "api refuses infeasible" `Quick test_api_gate;
     Alcotest.test_case "tight machine prunes" `Quick test_tight_machine_prunes;

@@ -35,17 +35,19 @@ let first_diff a b =
   in
   go 1 (la, lb)
 
-(* Topology presets: text and strict-JSON reports for a mesh and a
+(* Topology presets: text and strict-JSON reports for two meshes and a
    fat-tree, pinning the topology summary line / object and the routed
-   machine stanza.  Regenerate with:
-     for c in grid:8x8 fattree:3:4; do
+   machine stanza.  The 1024-node mesh pins the machine lint at scale.
+   Regenerate with:
+     for c in grid:8x8 grid:32x32 fattree:3:4; do
        f=$(echo $c | tr -d ':' | sed 's/fattree34/fattree3_4/'); \
        dune exec bin/automap_cli.exe -- analyze -a stencil -i 500x500 \
          -c $c -o test/golden/analyze_stencil_${f}.txt; \
        dune exec bin/automap_cli.exe -- analyze -a stencil -i 500x500 \
          -c $c --json -o test/golden/analyze_stencil_${f}.json; done
-   (grid:8x8 -> grid8x8, fattree:3:4 -> fattree3_4) *)
-let topo_cases = [ ("grid:8x8", "grid8x8"); ("fattree:3:4", "fattree3_4") ]
+   (grid:8x8 -> grid8x8, grid:32x32 -> grid32x32, fattree:3:4 -> fattree3_4) *)
+let topo_cases =
+  [ ("grid:8x8", "grid8x8"); ("grid:32x32", "grid32x32"); ("fattree:3:4", "fattree3_4") ]
 
 let test_golden_topology () =
   List.iter

@@ -215,9 +215,46 @@ let prop_random_graphs =
       done;
       !ok)
 
+(* Routed machines: a scratch that delta-rebinds along a neighbour
+   chain must match a fresh scratch's full bind at every step.  Memory
+   moves onto or off a GPU's frame buffer add or drop PCIe staging
+   hops and distribution flips change route lengths, so hop rows
+   outgrow their capacity and move within the pool. *)
+let test_routed_delta_rebind () =
+  List.iter
+    (fun spec ->
+      let machine =
+        match Presets.of_spec spec ~nodes:1 with Ok m -> m | Error e -> Alcotest.fail e
+      in
+      let nodes = machine.Machine.nodes in
+      List.iter
+        (fun (app : App.t) ->
+          let g = app.App.graph ~nodes ~input:(List.hd (app.App.inputs ~nodes)) in
+          let c = Exec.compile machine g in
+          let sc = Exec.scratch c in
+          let space = Space.make g machine in
+          let rng = Rng.create 11 in
+          let m = ref (Mapping.default_start g machine) in
+          for step = 0 to 39 do
+            let tag = Printf.sprintf "%s %s step %d" spec app.App.app_name step in
+            (match
+               ( Exec.simulate ~noise_sigma:0.0 sc !m,
+                 Exec.simulate ~noise_sigma:0.0 (Exec.scratch c) !m )
+             with
+            | Ok a, Ok b -> check_result tag a b
+            | Error _, Error _ -> ()
+            | _ -> Alcotest.failf "%s: outcomes diverge" tag);
+            m := mutate g space rng !m
+          done;
+          Alcotest.(check bool) (spec ^ " delta binds exercised") true
+            (Exec.delta_binds sc > 0))
+        [ App.stencil; App.circuit ])
+    [ "fattree:2:4"; "grid:4x4" ]
+
 let suite =
   List.map (fun (a : App.t) -> Alcotest.test_case a.App.app_name `Quick (test_app a)) App.all
   @ [
+      Alcotest.test_case "routed delta rebind = full bind" `Quick test_routed_delta_rebind;
       Alcotest.test_case "cone counters" `Quick test_cone_counters;
       Alcotest.test_case "ccd decision identity" `Slow test_ccd_decision_identity;
       QCheck_alcotest.to_alcotest prop_random_graphs;
