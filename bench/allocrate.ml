@@ -4,10 +4,9 @@
 
    For Stencil and Circuit it runs one full CCD search per leg —
 
-     full         prune off, full replay (the PR 2 baseline protocol)
-     pruned       bound-aware pruning on
-     incremental  pruning + incremental cone replay
-     batched      the above + whole-neighbour-set batch evaluation
+     reference    reference mode: no pruning, full simulation
+     default      the default evaluator (pruning + incremental cone replay)
+     batched      the default + whole-neighbour-set batch evaluation
 
    — and reports Gc.minor_words per suggested candidate alongside
    candidates/sec.  Allocation counts are deterministic for a fixed
@@ -61,9 +60,9 @@ type leg = {
   perf : float;
 }
 
-let run_leg ~name ~batch ~prune ~incremental ~rotations machine g =
+let run_leg ~name ~batch ~reference ~rotations machine g =
   let search () =
-    let ev = Evaluator.create ~prune ~incremental ~seed:3 machine g in
+    let ev = Evaluator.create ~reference ~seed:3 machine g in
     let t0 = now () in
     let w0 = Gc.minor_words () in
     let o =
@@ -88,11 +87,9 @@ let bench_app (app : App.t) machine ~input ~rotations =
   let g = app.App.graph ~nodes:machine.Machine.nodes ~input in
   let legs =
     [
-      run_leg ~name:"full" ~batch:false ~prune:false ~incremental:false ~rotations machine g;
-      run_leg ~name:"pruned" ~batch:false ~prune:true ~incremental:false ~rotations machine g;
-      run_leg ~name:"incremental" ~batch:false ~prune:true ~incremental:true ~rotations
-        machine g;
-      run_leg ~name:"batched" ~batch:true ~prune:true ~incremental:true ~rotations machine g;
+      run_leg ~name:"reference" ~batch:false ~reference:true ~rotations machine g;
+      run_leg ~name:"default" ~batch:false ~reference:false ~rotations machine g;
+      run_leg ~name:"batched" ~batch:true ~reference:false ~rotations machine g;
     ]
   in
   (* allocation discipline must never trade away decisions *)

@@ -4,7 +4,7 @@
    For Stencil and Circuit (the two ends of the app spectrum: few big
    group tasks vs. many smaller ones) it measures
 
-     - the reference interpreter (Exec.run_reference: re-derives all
+     - the reference interpreter (Oracle.run: re-derives all
        structure per run — the pre-compile simulator), and
      - the compiled path (Exec.compile once + Exec.simulate per
        candidate against a reused scratch — what Evaluator does),
@@ -117,7 +117,7 @@ let bench_app (app : App.t) machine ~input ~count ~runs ~min_time =
   in
   let reference =
     measure_rate ~runs ~min_time ~instances_per_sim
-      (fun ~seed m -> expect_ok (Exec.run_reference ~fallback:true ~seed machine g m))
+      (fun ~seed m -> expect_ok (Oracle.run ~fallback:true ~seed machine g m))
       mappings
   in
   let sc = Exec.scratch (Exec.compile machine g) in

@@ -1,14 +1,15 @@
-(* End-to-end search-throughput benchmark for bound-and-prune
-   candidate evaluation and incremental delta re-simulation.
+(* End-to-end search-throughput benchmark for the evaluator's
+   decision-neutral speed-ups (bound-and-prune evaluation and
+   incremental dirty-cone re-simulation) and batch evaluation.
 
-   For Stencil and Circuit it runs the same CCD search four times on
-   fresh evaluators — pruning off, pruning on (the PR 2 baseline),
-   pruning on with incremental cone replay, and incremental with
-   whole-neighbour-set batch evaluation — and checks the four
+   For Stencil and Circuit it runs the same CCD search three times on
+   fresh evaluators — reference mode (full simulation, no pruning, no
+   cone replay), the default evaluator, and the default evaluator with
+   whole-neighbour-set batch evaluation — and checks the three
    searches are *decision-identical* (same best mapping, same best
    perf bit-for-bit, same suggestion count) before reporting the
-   wall-clock speedups and candidates-per-second gains each layer
-   buys.  The pruning counters (cut runs/sims, delta vs. full
+   wall-clock speedups and candidates-per-second gains.  The pruning
+   counters (cut runs/sims, delta vs. full
    placement binds) and the replay counters (cone vs. full replays,
    instances re-executed in cones, retained timeline bytes) are
    reported alongside so regressions in any one layer of the
@@ -76,9 +77,9 @@ type leg = {
    must not leak between repeats); only the engine run is timed —
    Evaluator.create (the one-time compile, identical for all legs)
    stays outside. *)
-let search_once ?(batch = false) ?(surrogate = false) ~prune ~incremental ~rotations
+let search_once ?(batch = false) ?(surrogate = false) ?(reference = false) ~rotations
     machine g =
-  let ev = Evaluator.create ~prune ~incremental ~seed:3 machine g in
+  let ev = Evaluator.create ~reference ~seed:3 machine g in
   let sg = if surrogate then Some (Surrogate.create (Evaluator.space ev)) else None in
   Option.iter (Evaluator.attach_surrogate ev) sg;
   let t0 = now () in
@@ -91,58 +92,41 @@ let search_once ?(batch = false) ?(surrogate = false) ~prune ~incremental ~rotat
 type app_row = {
   row_app : string;
   row_input : string;
-  off : leg;
-  on_ : leg;
-  inc : leg;
+  ref_ : leg;                  (* reference mode *)
+  def : leg;                   (* default evaluator *)
   bat : leg;
   sur : leg option;            (* surrogate-ranked batches; None when disabled *)
-  speedup : float;             (* prune on vs. off, both full-replay *)
-  incremental_speedup : float; (* incremental vs. the PR 2 baseline  *)
-  batched_speedup : float;     (* batched vs. incremental            *)
+  speedup : float;             (* default vs. reference, wall *)
+  batched_speedup : float;     (* batched vs. default, cand/s *)
 }
 
 let bench_app (app : App.t) machine ~input ~rotations ~min_time =
   let g = app.App.graph ~nodes:machine.Machine.nodes ~input in
   (* A single CCD run is milliseconds: repeat whole searches until
-     [min_time] of measured wall accumulated, interleaving the four
-     legs so any slow drift in machine load skews all equally and the
-     reported ratios stay honest.  Each leg reports its fastest repeat
-     (steady state): scheduler preemption and first-touch page faults
-     only ever add time, so the minimum is the run least polluted by
-     the machine, and every leg gets the same treatment. *)
-  let t_off = ref infinity and t_on = ref infinity in
-  let t_inc = ref infinity and t_bat = ref infinity and t_sur = ref infinity in
+     [min_time] of measured wall accumulated, interleaving the legs so
+     any slow drift in machine load skews all equally and the reported
+     ratios stay honest.  Each leg reports its fastest repeat (steady
+     state): scheduler preemption and first-touch page faults only ever
+     add time, so the minimum is the run least polluted by the machine,
+     and every leg gets the same treatment. *)
+  let t_ref = ref infinity and t_def = ref infinity in
+  let t_bat = ref infinity and t_sur = ref infinity in
   let spent = ref 0.0 in
-  let last_off = ref None and last_on = ref None and last_inc = ref None in
+  let last_ref = ref None and last_def = ref None in
   let last_bat = ref None and last_sur = ref None in
+  let timed t last f =
+    let d, b, p, k, s = f () in
+    t := Float.min !t d;
+    spent := !spent +. d;
+    last := Some (b, p, k, s)
+  in
   let step () =
-    let d, b, p, k, s = search_once ~prune:false ~incremental:false ~rotations machine g in
-    t_off := Float.min !t_off d;
-    spent := !spent +. d;
-    last_off := Some (b, p, k, s);
-    let d, b, p, k, s = search_once ~prune:true ~incremental:false ~rotations machine g in
-    t_on := Float.min !t_on d;
-    spent := !spent +. d;
-    last_on := Some (b, p, k, s);
-    let d, b, p, k, s = search_once ~prune:true ~incremental:true ~rotations machine g in
-    t_inc := Float.min !t_inc d;
-    spent := !spent +. d;
-    last_inc := Some (b, p, k, s);
-    let d, b, p, k, s =
-      search_once ~batch:true ~prune:true ~incremental:true ~rotations machine g
-    in
-    t_bat := Float.min !t_bat d;
-    spent := !spent +. d;
-    last_bat := Some (b, p, k, s);
-    if not no_surrogate then begin
-      let d, b, p, k, s =
-        search_once ~batch:true ~surrogate:true ~prune:true ~incremental:true
-          ~rotations machine g
-      in
-      t_sur := Float.min !t_sur d;
-      spent := !spent +. d;
-      last_sur := Some (b, p, k, s)
-    end
+    timed t_ref last_ref (fun () -> search_once ~reference:true ~rotations machine g);
+    timed t_def last_def (fun () -> search_once ~rotations machine g);
+    timed t_bat last_bat (fun () -> search_once ~batch:true ~rotations machine g);
+    if not no_surrogate then
+      timed t_sur last_sur (fun () ->
+          search_once ~batch:true ~surrogate:true ~rotations machine g)
   in
   step ();
   while !spent < min_time do
@@ -159,13 +143,12 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
       st = s;
     }
   in
-  let off = leg_of !t_off !last_off
-  and on_ = leg_of !t_on !last_on
-  and inc = leg_of !t_inc !last_inc
+  let ref_ = leg_of !t_ref !last_ref
+  and def = leg_of !t_def !last_def
   and bat = leg_of !t_bat !last_bat in
   let sur = if no_surrogate then None else Some (leg_of !t_sur !last_sur) in
-  (* neither pruning, incremental replay, nor batching may be visible
-     to the search's decisions.  Batching folds each neighbour set into
+  (* neither the evaluator's speed-ups nor batching may be visible to
+     the search's decisions.  Batching folds each neighbour set into
      one engine step, so engine-step counts are only compared between
      the sequential legs. *)
   let check ?(steps = true) name a b =
@@ -180,29 +163,32 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
       failwith
         (app.App.app_name ^ ": " ^ name ^ " search took a different number of engine steps")
   in
-  check "pruned" off on_;
-  check "incremental" on_ inc;
-  check ~steps:false "batched" inc bat;
-  let speedup = off.wall /. on_.wall in
-  let incremental_speedup = inc.cands_per_sec /. on_.cands_per_sec in
-  let batched_speedup = bat.cands_per_sec /. inc.cands_per_sec in
+  check "default" ref_ def;
+  check ~steps:false "batched" def bat;
+  (* non-vacuous: the reference leg must really run full simulations
+     and the default leg must really prune and replay *)
+  if ref_.st.Evaluator.s_cut_sims <> 0 || ref_.st.Evaluator.s_cone_replays <> 0 then
+    failwith (app.App.app_name ^ ": reference leg pruned or replayed cones");
+  if def.st.Evaluator.s_cut_evals = 0 && def.st.Evaluator.s_cone_replays = 0 then
+    failwith (app.App.app_name ^ ": default leg neither pruned nor replayed a cone");
+  let speedup = ref_.wall /. def.wall in
+  let batched_speedup = bat.cands_per_sec /. def.cands_per_sec in
   Printf.printf
-    "%-8s %-10s off %6.2fms (%7.1f cand/s) | on %6.2fms (%7.1f cand/s, %5.2fx) | inc \
-     %6.2fms (%7.1f cand/s, %5.2fx) | batch %6.2fms (%7.1f cand/s, %5.2fx)\n\
+    "%-8s %-10s reference %6.2fms (%7.1f cand/s) | default %6.2fms (%7.1f cand/s, \
+     %5.2fx) | batch %6.2fms (%7.1f cand/s, %5.2fx)\n\
     \         cut %d/%d evals, %d runs, %d sims | binds %d delta / %d full | %d noop \
      skips | %d dead-coord skips\n\
     \         replays %d cone / %d full | %d cone instances | %.1f KiB timelines\n\
     \         batches %d, %d short-circuited | bind hits %d shared / %d private\n%!"
-    app.App.app_name input (1e3 *. off.wall) off.cands_per_sec (1e3 *. on_.wall)
-    on_.cands_per_sec speedup (1e3 *. inc.wall) inc.cands_per_sec incremental_speedup
-    (1e3 *. bat.wall) bat.cands_per_sec batched_speedup
-    inc.st.Evaluator.s_cut_evals inc.st.Evaluator.s_suggested
-    inc.st.Evaluator.s_cut_runs inc.st.Evaluator.s_cut_sims
-    inc.st.Evaluator.s_delta_binds inc.st.Evaluator.s_full_binds
-    inc.st.Evaluator.s_noop_skips inc.st.Evaluator.s_dead_coord_skips
-    inc.st.Evaluator.s_cone_replays
-    inc.st.Evaluator.s_full_replays inc.st.Evaluator.s_cone_instances
-    (float_of_int inc.st.Evaluator.s_timeline_bytes /. 1024.0)
+    app.App.app_name input (1e3 *. ref_.wall) ref_.cands_per_sec (1e3 *. def.wall)
+    def.cands_per_sec speedup (1e3 *. bat.wall) bat.cands_per_sec batched_speedup
+    def.st.Evaluator.s_cut_evals def.st.Evaluator.s_suggested
+    def.st.Evaluator.s_cut_runs def.st.Evaluator.s_cut_sims
+    def.st.Evaluator.s_delta_binds def.st.Evaluator.s_full_binds
+    def.st.Evaluator.s_noop_skips def.st.Evaluator.s_dead_coord_skips
+    def.st.Evaluator.s_cone_replays
+    def.st.Evaluator.s_full_replays def.st.Evaluator.s_cone_instances
+    (float_of_int def.st.Evaluator.s_timeline_bytes /. 1024.0)
     bat.st.Evaluator.s_batch_calls bat.st.Evaluator.s_batch_short_circuits
     bat.st.Evaluator.s_bind_hits_shared bat.st.Evaluator.s_bind_hits_private;
   Option.iter
@@ -217,12 +203,12 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
          else "n/a")
         l.perf bat.perf)
     sur;
-  { row_app = app.App.app_name; row_input = input; off; on_; inc; bat; sur; speedup;
-    incremental_speedup; batched_speedup }
+  { row_app = app.App.app_name; row_input = input; ref_; def; bat; sur; speedup;
+    batched_speedup }
 
 let json_leg l =
   Printf.sprintf
-    {|{"wall": %.5f, "cands_per_sec": %.2f, "perf": %.6e, "engine_steps": %d, "suggested": %d, "evaluated": %d, "cache_hits": %d, "cut_evals": %d, "cut_runs": %d, "cut_sims": %d, "noop_skips": %d, "dead_coord_skips": %d, "delta_binds": %d, "full_binds": %d, "cone_replays": %d, "cone_instances": %d, "full_replays": %d, "timeline_bytes": %d, "batch_calls": %d, "batch_short_circuits": %d, "bind_hits_shared": %d, "bind_hits_private": %d, "compile_cache_hits": %d, "compile_cache_misses": %d, "result_cache_hits": %d, "warm_starts": %d}|}
+    {|{"wall": %.5f, "cands_per_sec": %.2f, "perf": %.6e, "engine_steps": %d, "suggested": %d, "evaluated": %d, "cache_hits": %d, "cut_evals": %d, "cut_runs": %d, "cut_sims": %d, "noop_skips": %d, "dead_coord_skips": %d, "delta_binds": %d, "full_binds": %d, "cone_replays": %d, "cone_instances": %d, "full_replays": %d, "timeline_bytes": %d, "batch_calls": %d, "batch_short_circuits": %d, "bind_hits_shared": %d, "bind_hits_private": %d}|}
     l.wall l.cands_per_sec l.perf l.steps l.st.Evaluator.s_suggested l.st.Evaluator.s_evaluated
     l.st.Evaluator.s_cache_hits l.st.Evaluator.s_cut_evals l.st.Evaluator.s_cut_runs
     l.st.Evaluator.s_cut_sims l.st.Evaluator.s_noop_skips
@@ -231,9 +217,7 @@ let json_leg l =
     l.st.Evaluator.s_cone_instances l.st.Evaluator.s_full_replays
     l.st.Evaluator.s_timeline_bytes l.st.Evaluator.s_batch_calls
     l.st.Evaluator.s_batch_short_circuits l.st.Evaluator.s_bind_hits_shared
-    l.st.Evaluator.s_bind_hits_private l.st.Evaluator.s_compile_cache_hits
-    l.st.Evaluator.s_compile_cache_misses l.st.Evaluator.s_result_cache_hits
-    l.st.Evaluator.s_warm_starts
+    l.st.Evaluator.s_bind_hits_private
 
 (* the surrogate leg reranks batches, so it is reported — counters,
    rank quality, final best — but excluded from the identity check;
@@ -416,8 +400,7 @@ let () =
       (App.circuit, if !smoke then "n100w400" else "n200w800") ]
   in
   Printf.printf
-    "searchrate: %s mode, shepard x%d, CCD(%d), prune off vs on vs +incremental vs \
-     +batched\n%!"
+    "searchrate: %s mode, shepard x%d, CCD(%d), reference vs default vs batched\n%!"
     (if !smoke then "smoke" else "bench")
     nodes rotations;
   let min_time = if !smoke then 0.0 else 4.0 in
@@ -429,13 +412,11 @@ let () =
       (List.fold_left (fun acc r -> acc +. log (f r)) 0.0 rows
       /. float_of_int (List.length rows))
   in
-  let geo_prune = geomean (fun r -> r.speedup) in
-  let geo_inc = geomean (fun r -> r.incremental_speedup) in
+  let geo_def = geomean (fun r -> r.speedup) in
   let geo_bat = geomean (fun r -> r.batched_speedup) in
   Printf.printf
-    "geomean search speedup: prune %.2fx, incremental %.2fx over prune-on, batched \
-     %.2fx over incremental\n%!"
-    geo_prune geo_inc geo_bat;
+    "geomean search speedup: default %.2fx over reference, batched %.2fx over default\n%!"
+    geo_def geo_bat;
   (* symmetry leg over all five bundled apps — the reduction's
      never-worse guarantee is about search structure, so every graph
      shape is exercised, not just the two throughput apps *)
@@ -478,24 +459,21 @@ let () =
     (fun i row ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"app\": %S, \"input\": %S,\n     \"prune_off\": %s,\n     \
-            \"prune_on\": %s,\n     \"incremental\": %s,\n     \"batched\": %s,\n     \
-            \"surrogate\": %s,\n     \
-            \"speedup\": %.3f, \"incremental_speedup\": %.3f, \
-            \"batched_speedup\": %.3f, \"decision_identical\": true}%s\n"
-           row.row_app row.row_input (json_leg row.off) (json_leg row.on_)
-           (json_leg row.inc) (json_leg row.bat) (json_surrogate row.sur) row.speedup
-           row.incremental_speedup row.batched_speedup
+           "    {\"app\": %S, \"input\": %S,\n     \"reference\": %s,\n     \
+            \"default\": %s,\n     \"batched\": %s,\n     \"surrogate\": %s,\n     \
+            \"speedup\": %.3f, \"batched_speedup\": %.3f, \
+            \"decision_identical\": true}%s\n"
+           row.row_app row.row_input (json_leg row.ref_) (json_leg row.def)
+           (json_leg row.bat) (json_surrogate row.sur) row.speedup row.batched_speedup
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf
     (Printf.sprintf
-       "  ],\n  \"geomean_speedup\": %.3f,\n  \"geomean_incremental_speedup\": %.3f,\n  \
-        \"geomean_batched_speedup\": %.3f,\n  \"symmetry\": [\n%s\n  ],\n  \
+       "  ],\n  \"geomean_speedup\": %.3f,\n  \"geomean_batched_speedup\": %.3f,\n  \"symmetry\": [\n%s\n  ],\n  \
         \"symmetry_apps_with_skips\": %d,\n  \
         \"resume\": {\"checkpoints_written\": %d, \"resumed_trials\": %d, \
         \"decision_identical\": true}\n}\n"
-       geo_prune geo_inc geo_bat
+       geo_def geo_bat
        (String.concat ",\n" (List.map (fun r -> "    " ^ json_sym r) sym_rows))
        sym_apps_with_skips checkpoints_written resumed_trials);
   let oc = open_out !out_file in

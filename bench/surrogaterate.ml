@@ -72,7 +72,7 @@ type mode = Exact | Rerank | Skim of int
 let skim_window = 8
 
 let run_leg mode machine g ~max_trials =
-  let ev = Evaluator.create ~prune:true ~incremental:true ~seed:3 machine g in
+  let ev = Evaluator.create ~seed:3 machine g in
   let sg =
     match mode with
     | Exact -> None

@@ -80,10 +80,7 @@ let simulated_per_sec l = float_of_int l.evaluated /. l.wall
    each one — and it is the same setting the decision-identity gates
    compare under. *)
 let search_once ~rotations machine g =
-  let ev =
-    Evaluator.create ~runs:1 ~noise_sigma:0.0 ~prune:true ~incremental:true
-      ~seed:3 machine g
-  in
+  let ev = Evaluator.create ~runs:1 ~noise_sigma:0.0 ~seed:3 machine g in
   let t0 = now () in
   let o =
     Engine.run ~start:(Mapping.default_start g machine) ev

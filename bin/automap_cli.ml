@@ -167,12 +167,8 @@ let tune_cmd =
   let db_arg =
     Arg.(value & opt (some string) None & info [ "db" ] ~docv:"FILE" ~doc:"Profiles-database checkpoint: reloaded before the search if it exists, rewritten afterwards (warm restart across sessions).")
   in
-  let no_incremental_arg =
-    Arg.(value & flag & info [ "no-incremental" ] ~doc:"Force full re-simulation of every candidate (disable timeline capture and dirty-cone replay). Results are bit-identical either way; this is a debugging/measurement switch. The AUTOMAP_NO_INCREMENTAL environment variable has the same effect.")
-  in
   let run app input nodes cluster graph_file machine_file seed algo objective runs
-      final_runs budget output extended db_file no_incremental no_symmetry
-      no_dominance =
+      final_runs budget output extended db_file no_symmetry no_dominance =
     let machine, g, custom =
       resolve_workload ~app ~input ~nodes ~cluster ~graph_file ~machine_file
     in
@@ -188,13 +184,9 @@ let tune_cmd =
           | Error e -> failwith (Printf.sprintf "%s: %s" f e))
       | _ -> None
     in
-    let incremental =
-      (not no_incremental) && Sys.getenv_opt "AUTOMAP_NO_INCREMENTAL" = None
-    in
     let r =
-      Driver.run ~runs ~final_runs ~seed ?budget ?objective ~extended ~incremental
-        ~symmetry:(symmetry_enabled no_symmetry)
-        ~dominance:(dominance_enabled no_dominance) ?db (algo_of algo) machine g
+      Driver.run ~runs ~final_runs ~seed ?budget ?objective ~extended
+        ~symmetry:(symmetry_enabled no_symmetry) ~dominance:(dominance_enabled no_dominance) ?db (algo_of algo) machine g
     in
     Option.iter
       (fun f ->
@@ -229,7 +221,7 @@ let tune_cmd =
       const run $ app_arg $ input_arg $ nodes_arg $ cluster_arg $ graph_file_arg
       $ machine_file_arg $ seed_arg $ algo_arg $ objective_arg $ runs_arg
       $ final_runs_arg $ budget_arg $ out_arg $ extended_arg $ db_arg
-      $ no_incremental_arg $ no_symmetry_arg $ no_dominance_arg)
+      $ no_symmetry_arg $ no_dominance_arg)
 
 (* minimal JSON string escaping for the --events stream *)
 let json_escape s =

@@ -248,13 +248,6 @@ let pool_merge t key fresh =
   in
   Hashtbl.replace t.pool key merged
 
-let cache_counters t =
-  let c = Cache.stats t.compile_cache and r = Cache.stats t.result_memo in
-  ( c.Cache.hits,
-    c.Cache.misses,
-    c.Cache.evictions + r.Cache.evictions,
-    c.Cache.resident_bytes + r.Cache.resident_bytes )
-
 (* ---- running one slice ------------------------------------------------ *)
 
 let payload_done j (f : Slice.finished) =
@@ -327,9 +320,6 @@ let run_slice t j =
       Mutex.unlock t.mu;
       clean_state_files t j
   | Ok (status, ev) -> (
-      (* surface the shared-cache state through the slice's stats *)
-      let ch, cm, ce, cb = (Mutex.lock t.mu; let v = cache_counters t in Mutex.unlock t.mu; v) in
-      Evaluator.note_cache_state ev ~hits:ch ~misses:cm ~evictions:ce ~resident_bytes:cb;
       let db_text = Profiles_db.save (Evaluator.db ev) in
       match status with
       | Slice.Finished f ->

@@ -61,8 +61,7 @@ let strategy_of st =
                       st.sweep <- None;
                       advance st inc
                   | `Batch cands ->
-                      Engine.Propose_batch
-                        (cands, { Engine.bound = Some p; overhead = 0.0 })
+                      Engine.Propose_batch (cands, p)
                   | `Seq cand ->
                       Engine.Propose (cand, { Engine.bound = Some p; overhead = 0.0 })
                 end

@@ -47,7 +47,7 @@ let strategy_of st =
               match Descent.next_gated cur ~incumbent:f ~min_batch:st.min_batch with
               | `Done -> Engine.Stop
               | `Batch cands ->
-                  Engine.Propose_batch (cands, { Engine.bound = Some p; overhead = 0.0 })
+                  Engine.Propose_batch (cands, p)
               | `Seq cand ->
                   Engine.Propose (cand, { Engine.bound = Some p; overhead = 0.0 })
             end

@@ -15,9 +15,10 @@ val make :
 (** CD as an engine strategy (name ["cd"]).  [batch] (default false)
     emits each task's whole neighbour set as one {!Engine.Propose_batch}
     — decision-identical to sequential proposals (CD's acceptance test
-    is exactly [perf < incumbent], the batch contract) but faster:
-    {!Evaluator.evaluate_batch} orders evaluations for cache locality
-    and skips candidates past the first improvement.  [min_batch]
+    is exactly [perf < incumbent], the batch contract) with the
+    per-step engine work amortized over the set;
+    {!Evaluator.evaluate_batch} skips candidates past the first
+    improvement.  [min_batch]
     (default 1: always batch) gates each round through
     {!Descent.next_gated}: rounds below the threshold are proposed
     sequentially, past the amortization point as batches — still

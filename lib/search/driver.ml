@@ -123,7 +123,7 @@ let final_protocol ?(final_top = 5) ?(final_runs = 30) ev ~search_best ~search_p
 
 let run ?runs ?(final_top = 5) ?(final_runs = 30) ?noise_sigma ?iterations
     ?(seed = 0) ?budget ?max_trials ?max_wall ?start ?(heft_seed = false)
-    ?objective ?extended ?incremental ?domain_prune ?(batch = false)
+    ?objective ?extended ?(batch = false)
     ?(min_batch = Descent.default_min_batch) ?(surrogate = true) ?surrogate_skim
     ?(symmetry = true) ?(dominance = true)
     ?db ?on_event ?checkpoint ?(checkpoint_every = 25) ?resume_from algo machine
@@ -151,7 +151,7 @@ let run ?runs ?(final_top = 5) ?(final_runs = 30) ?noise_sigma ?iterations
   in
   let ev =
     Evaluator.create ?runs ?noise_sigma ?iterations ~seed ?objective ?extended
-      ?incremental ?domain_prune ~symmetry ~dominance ?db machine graph
+      ~symmetry ~dominance ?db machine graph
   in
   (* The seen-set memoizes evaluated orbits so symmetric duplicates are
      skipped; keyed by the space's canonicalizer, it exists exactly when

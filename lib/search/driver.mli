@@ -111,8 +111,6 @@ val run :
   ?heft_seed:bool ->
   ?objective:(Machine.t -> Exec.result -> float) ->
   ?extended:bool ->
-  ?incremental:bool ->
-  ?domain_prune:bool ->
   ?batch:bool ->
   ?min_batch:int ->
   ?surrogate:bool ->
@@ -136,7 +134,6 @@ val run :
     [final_top] = 5, [final_runs] = 30.  [objective] selects the
     metric the search minimizes (default: per-iteration time),
     [extended] opens the distribution-strategy dimension,
-    [incremental] (default true) toggles incremental re-simulation,
     [batch] (default false) runs CD/CCD through
     {!Engine.Propose_batch} whole-neighbour-set evaluation
     (decision-identical, faster — see {!Evaluator.evaluate_batch};
@@ -163,8 +160,7 @@ val run :
     and an engine seen-set rejects symmetric duplicates of evaluated
     orbits without re-simulating ([symmetry_skips] counts them;
     checkpoints carry the seen-set so resume stays
-    decision-identical).  [dominance] (default true; requires
-    [domain_prune]) drops values {!Analysis.compute_dominance} proves
+    decision-identical).  [dominance] (default true) drops values {!Analysis.compute_dominance} proves
     dominated from the choice lists.  Both change the search
     trajectory, so they are part of the evaluator fingerprint — a
     checkpoint resumes only under the same flags.

@@ -4,7 +4,7 @@ let unbounded = { bound = None; overhead = 0.0 }
 
 type step =
   | Propose of Mapping.t * hint
-  | Propose_batch of Mapping.t array * hint
+  | Propose_batch of Mapping.t array * float
   | Phase of string
   | Stop
 
@@ -365,14 +365,14 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
             on_event (Eval { trial = !trials; mapping = candidate; perf; vt; accepted });
             if improved then on_event (Improve { trial = !trials; mapping = candidate; perf; vt });
             maybe_checkpoint ())
-    | Propose_batch (cands, hint) -> (
+    | Propose_batch (cands, b) ->
         let before = !trials in
         (* Verdict delivery in original order — the trial counter,
            receive sequence, incumbent pinning and events match the
            sequential loop exactly; returns whether the strategy
            accepted (the batch contract: it accepts exactly when
-           perf < hint bound, so everything past an acceptance was
-           skipped or rolled back by the evaluator). *)
+           perf < b, so everything past an acceptance was skipped by
+           the evaluator). *)
         let deliver candidate perf =
           incr trials;
           let accepted = strat.receive candidate perf in
@@ -385,102 +385,67 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
             on_event (Improve { trial = !trials; mapping = candidate; perf; vt });
           accepted
         in
+        (* Memo-interleaved delivery: candidates the seen-set can answer
+           are delivered inline (no trial, no clock charge), maximal
+           runs of the rest are batch-evaluated.  Without a seen-set
+           nothing is skippable, so the whole batch is one run.  Stops
+           at the first acceptance, and never evaluates past the trial
+           cap: the sequential loop would have stopped there, and extra
+           evaluations would leak into the db/partials/clocks and change
+           later decisions. *)
+        let n = Array.length cands in
+        let keys = match seen with Some sn -> Array.map (seen_key sn) cands | None -> [||] in
+        let skippable i =
+          match seen with Some sn -> seen_skippable sn keys.(i) b | None -> None
+        in
+        let cap_left () =
+          match budget.Budget.max_trials with
+          | Some cap -> cap - !trials
+          | None -> max_int
+        in
+        let stop_batch = ref false in
+        let i = ref 0 in
+        while (not !stop_batch) && !i < n && cap_left () > 0 do
+          match skippable !i with
+          | Some v ->
+              Evaluator.note_symmetry_skip ev;
+              if strat.receive cands.(!i) v then begin
+                Evaluator.note_incumbent ev cands.(!i);
+                stop_batch := true
+              end;
+              incr i
+          | None ->
+              let j = ref (!i + 1) in
+              while !j < n && skippable !j = None do
+                incr j
+              done;
+              let seg_len = min (!j - !i) (cap_left ()) in
+              let seg = if seg_len = n then cands else Array.sub cands !i seg_len in
+              let outcomes = Evaluator.evaluate_batch ~bound:b ev seg in
+              (try
+                 for k = 0 to seg_len - 1 do
+                   match outcomes.(k) with
+                   | Evaluator.Skipped -> raise Exit
+                   | Evaluator.Evaluated perf ->
+                       (match seen with
+                       | Some sn -> seen_record sn keys.(!i + k) perf b
+                       | None -> ());
+                       if deliver seg.(k) perf then raise Exit
+                 done
+               with Exit -> stop_batch := true);
+              i := !i + seg_len
+        done;
         (* at most one checkpoint per batch, at the first interval
            boundary the batch crossed — mid-batch writes would pair a
            mid-batch trial count with post-batch evaluator state *)
-        let batch_checkpoint () =
-          match checkpoint with
-          | Some { every; path } when !trials / every > before / every ->
-              write_file path
-                (checkpoint_string ?surrogate ?seen ev strat ~trials:!trials
-                   ~steps:!steps ~wall:(wall ()) ~best:!best);
-              incr checkpoints;
-              on_event (Checkpointed { trial = !trials; path })
-          | _ -> ()
-        in
-        match (seen, hint.bound) with
-        | Some sn, Some b ->
-            (* Memo-interleaved delivery: skippable candidates are
-               answered inline from the seen-set (no trial, no clock
-               charge), maximal runs of the rest are batch-evaluated.
-               Stops at the first acceptance, and never evaluates past
-               the trial cap: the sequential loop would have stopped
-               there, and extra evaluations would leak into the
-               db/partials/clocks and change later decisions. *)
-            let n = Array.length cands in
-            let keys = Array.map (fun c -> seen_key sn c) cands in
-            let cap_left () =
-              match budget.Budget.max_trials with
-              | Some cap -> cap - !trials
-              | None -> max_int
-            in
-            let stop_batch = ref false in
-            let i = ref 0 in
-            while (not !stop_batch) && !i < n && cap_left () > 0 do
-              match seen_skippable sn keys.(!i) b with
-              | Some v ->
-                  Evaluator.note_symmetry_skip ev;
-                  if strat.receive cands.(!i) v then begin
-                    Evaluator.note_incumbent ev cands.(!i);
-                    stop_batch := true
-                  end;
-                  incr i
-              | None ->
-                  let j = ref (!i + 1) in
-                  while !j < n && seen_skippable sn keys.(!j) b = None do
-                    incr j
-                  done;
-                  let seg_len = min (!j - !i) (cap_left ()) in
-                  let seg = Array.sub cands !i seg_len in
-                  let outcomes =
-                    Evaluator.evaluate_batch ~bound:b ~overhead:hint.overhead ev
-                      seg
-                  in
-                  (try
-                     for k = 0 to seg_len - 1 do
-                       match outcomes.(k) with
-                       | Evaluator.Skipped -> raise Exit
-                       | Evaluator.Evaluated perf ->
-                           seen_record sn keys.(!i + k) perf b;
-                           if deliver seg.(k) perf then raise Exit
-                     done
-                   with Exit -> stop_batch := true);
-                  i := !i + seg_len
-            done;
-            batch_checkpoint ()
-        | _ ->
-            (* Never evaluate past the trial cap (see above). *)
-            let cands =
-              match budget.Budget.max_trials with
-              | Some cap when Array.length cands > cap - !trials ->
-                  Array.sub cands 0 (max 0 (cap - !trials))
-              | _ -> cands
-            in
-            if Array.length cands > 0 then begin
-              let keys =
-                Option.map
-                  (fun sn -> Array.map (fun c -> seen_key sn c) cands)
-                  seen
-              in
-              let outcomes =
-                Evaluator.evaluate_batch ?bound:hint.bound ~overhead:hint.overhead
-                  ev cands
-              in
-              (try
-                 for i = 0 to Array.length cands - 1 do
-                   match outcomes.(i) with
-                   | Evaluator.Skipped -> raise Exit
-                   | Evaluator.Evaluated perf ->
-                       (match (seen, keys) with
-                       | Some sn, Some ks ->
-                           seen_record sn ks.(i) perf
-                             (match hint.bound with Some b -> b | None -> infinity)
-                       | _ -> ());
-                       if deliver cands.(i) perf then raise Exit
-                 done
-               with Exit -> ());
-              batch_checkpoint ()
-            end)
+        (match checkpoint with
+        | Some { every; path } when !trials / every > before / every ->
+            write_file path
+              (checkpoint_string ?surrogate ?seen ev strat ~trials:!trials
+                 ~steps:!steps ~wall:(wall ()) ~best:!best);
+            incr checkpoints;
+            on_event (Checkpointed { trial = !trials; path })
+        | _ -> ())
   done;
   let bm, bp = !best in
   {

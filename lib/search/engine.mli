@@ -41,15 +41,16 @@ val unbounded : hint
 
 type step =
   | Propose of Mapping.t * hint  (** evaluate this candidate next *)
-  | Propose_batch of Mapping.t array * hint
+  | Propose_batch of Mapping.t array * float
       (** evaluate a whole candidate set against one bound
-          ({!Evaluator.evaluate_batch}).  Contract: the strategy's
-          [receive] must accept exactly when [perf < hint.bound] (and
-          [hint.bound] must be its current acceptance threshold) —
-          first-improvement descent.  The engine evaluates the batch,
-          delivers verdicts through [receive] in array order, and stops
-          delivering at the first acceptance; candidates after it were
-          skipped or rolled back by the evaluator, so the trial count,
+          ({!Evaluator.evaluate_batch}), with no proposal overhead.
+          Contract: the strategy's [receive] must accept exactly when
+          [perf < bound] (and [bound] must be its current acceptance
+          threshold) — first-improvement descent.  The engine evaluates
+          the batch, delivers verdicts through [receive] in array
+          order, and stops delivering at the first acceptance;
+          candidates after it were skipped by the evaluator, so the
+          trial count,
           receive sequence, clocks and incumbent pinning are
           bit-identical to proposing the same candidates one
           {!Propose} at a time.  Batches are truncated at the trial

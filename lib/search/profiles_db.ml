@@ -16,8 +16,6 @@ let record_key t ~key m runs =
 
 let record t m runs = record_key t ~key:(Mapping.canonical_key m) m runs
 
-let remove_key t key = Hashtbl.remove t.tbl key
-
 let size t = Hashtbl.length t.tbl
 
 let top t k =

@@ -28,17 +28,10 @@ val record : t -> Mapping.t -> float list -> entry
 val find_key : t -> string -> entry option
 (** {!find} for a caller that already computed
     {!Mapping.canonical_key} — the evaluator computes it once per
-    evaluation and reuses it for the db, the partials table and batch
-    rollback. *)
+    evaluation and reuses it for the db and the partials table. *)
 
 val record_key : t -> key:string -> Mapping.t -> float list -> entry
 (** {!record} with a precomputed canonical key. *)
-
-val remove_key : t -> string -> unit
-(** Drops the entry for a canonical key (no-op when absent).  Batch
-    evaluation uses this to unwind entries recorded by candidates a
-    short-circuit proves the sequential protocol would never have
-    evaluated. *)
 
 val size : t -> int
 

@@ -52,9 +52,10 @@ type error = Placement.error
 
     Determinism invariant: for the same (noise_sigma, seed, fallback,
     iterations), [simulate] returns bit-identical results to
-    {!run_reference} — the dependence traversal order, the RNG draw
-    order (instance-ascending, before any event is processed) and the
-    event queue's FIFO tie-breaking are all preserved exactly.
+    the original single-pass interpreter, kept as the golden oracle in
+    [test/oracle/] — the dependence traversal order, the RNG draw order
+    (instance-ascending, before any event is processed) and the event
+    queue's FIFO tie-breaking are all preserved exactly.
     [test/test_compile.ml] enforces this. *)
 
 type compiled
@@ -230,17 +231,11 @@ val set_incremental : scratch -> bool -> unit
     restores the plain event loop exactly — a scratch with incremental
     off is observationally identical to one predating the machinery. *)
 
-val incremental : scratch -> bool
-
 val prefer_timeline : scratch -> Mapping.t -> unit
 (** Mark the search's current incumbent: its committed timelines are
     not evicted by candidate commits (so every neighbour diffs against
     a 1–2 coordinate-away timeline) until a different mapping is
     preferred.  Physical equality identifies the incumbent's runs. *)
-
-val preferred_mapping : scratch -> Mapping.t option
-(** The mapping last passed to {!prefer_timeline} — the replay anchor
-    batch evaluation orders candidates against. *)
 
 val cone_replays : scratch -> int
 (** Runs that admitted a nonempty clean prefix from a committed
@@ -283,11 +278,6 @@ val bind_cache_hits : scratch -> int * int
     served without touching placement or the bind tables, split by the
     {!set_shared} label at hit time. *)
 
-val bound_mapping : scratch -> Mapping.t option
-(** The mapping of the currently cached bind, if any.  Batch evaluation
-    sorts candidates by diff distance to this mapping so consecutive
-    runs maximize patch locality and cone replay. *)
-
 val run :
   ?noise_sigma:float ->
   ?seed:int ->
@@ -306,21 +296,6 @@ val run :
 
     Compatibility wrapper: compiles and simulates once.  Hot callers
     should {!compile} once and reuse a {!scratch}. *)
-
-val run_reference :
-  ?noise_sigma:float ->
-  ?seed:int ->
-  ?fallback:bool ->
-  ?iterations:int ->
-  ?trace:Trace.t ->
-  Machine.t ->
-  Graph.t ->
-  Mapping.t ->
-  (result, error) Stdlib.result
-(** The original single-pass interpreter, kept as the golden semantics
-    {!simulate} must reproduce bit-for-bit, and as the baseline the
-    evalrate benchmark measures against.  Same behaviour as {!run},
-    derived from scratch on every call. *)
 
 val profile :
   ?iterations:int -> Machine.t -> Graph.t -> Mapping.t -> (int * float) list

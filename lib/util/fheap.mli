@@ -3,10 +3,10 @@
     The allocation-free event queue of the compiled simulator
     ({!Exec.simulate}).  Entries live in three parallel flat arrays
     (priority, insertion sequence, payload), so pushing and popping
-    never allocates — unlike the polymorphic {!Heap}, which boxes an
-    entry record per push.  Ties on priority pop in insertion order,
-    exactly like {!Heap}, which is what makes a compiled simulation
-    bit-identical to the legacy interpreter.
+    never allocates — unlike the polymorphic heap of the test oracle,
+    which boxes an entry record per push.  Ties on priority pop in
+    insertion order, exactly like that heap, which is what makes a
+    compiled simulation bit-identical to the legacy interpreter.
 
     The inspection API is split ([top_prio] / [top] / [drop]) instead
     of returning an option pair so the hot loop touches no boxed

@@ -82,7 +82,7 @@ let read_budget () =
 
 let search_words_per_candidate () =
   let machine, g = problem () in
-  let ev = Evaluator.create ~prune:true ~incremental:true ~seed:3 machine g in
+  let ev = Evaluator.create ~seed:3 machine g in
   let out =
     Engine.run
       ~start:(Mapping.default_start g machine)
@@ -91,7 +91,7 @@ let search_words_per_candidate () =
   in
   let suggested = (Evaluator.stats ev).Evaluator.s_suggested in
   Alcotest.(check bool) "searched" true (suggested > 0 && out.Engine.trials > 0);
-  let ev2 = Evaluator.create ~prune:true ~incremental:true ~seed:3 machine g in
+  let ev2 = Evaluator.create ~seed:3 machine g in
   let words =
     minor_words_during (fun () ->
         ignore

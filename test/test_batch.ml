@@ -1,13 +1,25 @@
-(* Order-independence of batch evaluation (qcheck).
+(* Bounded batch evaluation is the sequential first-improvement loop.
 
-   For a random candidate set and a random permutation of it,
-   [Evaluator.evaluate_batch] (unbounded — the path free to reorder
-   evaluation by diff locality) must yield, per index, exactly the
-   value sequential [Evaluator.evaluate] calls produce in that same
-   order, leave the evaluator in an identical state (clocks, RNG
-   cursors, profile db — everything {!Evaluator.save_state} captures),
-   and the permuted values must be the base-order values modulo the
-   permutation.  Exercised across all five benchmark apps. *)
+   For a random candidate set (with occasional duplicates, so cache
+   hits and partial-evaluation answers come up) and for the order the
+   surrogate would rank it in, [Evaluator.evaluate_batch ~bound] must
+   return exactly what the loop
+
+     for each candidate in order: v = evaluate ~bound; stop if v < bound
+
+   returns — the same [Evaluated] values bit for bit and the same
+   [Skipped] suffix — and leave the evaluator in an identical state
+   (clocks, counters, seed cursor, best, trace, partials: everything
+   {!Evaluator.save_state} captures).  Exercised across all five
+   benchmark apps.
+
+   The bound is taken from the candidates' own values, measured on a
+   separate evaluator: either just above one of the first n-1 values
+   (some candidate beats it before the end, so the batch
+   short-circuits) or the smallest value (nothing beats it, so every
+   candidate is evaluated).  Both cases are counted, and the last test
+   runs a fixed sweep that fails unless each occurred, so the contract
+   cannot pass vacuously. *)
 
 let cases =
   [
@@ -22,83 +34,109 @@ let machine_for (app : App.t) ~nodes =
   (* Maestro's HF sample is sized for a Lassen node's frame buffer *)
   if app.App.app_name = "Maestro" then Presets.lassen ~nodes else Presets.shepard ~nodes
 
-let shuffle rng n =
-  let a = Array.init n (fun i -> i) in
-  for i = n - 1 downto 1 do
-    let j = Rng.int rng (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  done;
-  a
+let short_circuits = ref 0
+let no_improvements = ref 0
 
-let fresh_evaluator machine g = Evaluator.create ~prune:true ~incremental:true ~seed:3 machine g
+let fresh_evaluator machine g = Evaluator.create ~seed:3 machine g
+
+let bit_equal a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* The contract's reference: the sequential loop on its own evaluator. *)
+let sequential ev ~bound cands =
+  let n = Array.length cands in
+  let out = Array.make n Evaluator.Skipped in
+  let rec go i =
+    if i < n then begin
+      let v = Evaluator.evaluate ~bound ev cands.(i) in
+      out.(i) <- Evaluator.Evaluated v;
+      if not (v < bound) then go (i + 1)
+    end
+  in
+  go 0;
+  out
+
+let same_outcome a b =
+  match (a, b) with
+  | Evaluator.Evaluated x, Evaluator.Evaluated y -> bit_equal x y
+  | Evaluator.Skipped, Evaluator.Skipped -> true
+  | _ -> false
+
+(* Pick the bound from values measured on a throwaway evaluator
+   (common random numbers make them the values the tested evaluators
+   see), then compare batch against sequential. *)
+let check_against_sequential machine g rng cands =
+  let n = Array.length cands in
+  let probe = fresh_evaluator machine g in
+  let values = Array.map (fun m -> Evaluator.evaluate probe m) cands in
+  let finite_prefix =
+    List.filter (fun i -> Float.is_finite values.(i)) (List.init (n - 1) Fun.id)
+  in
+  let bound =
+    if finite_prefix <> [] && Rng.bool rng then
+      Float.succ values.(List.nth finite_prefix (Rng.int rng (List.length finite_prefix)))
+    else Array.fold_left Float.min infinity values
+  in
+  let ev_seq = fresh_evaluator machine g in
+  let expected = sequential ev_seq ~bound cands in
+  let ev_bat = fresh_evaluator machine g in
+  let got = Evaluator.evaluate_batch ~bound ev_bat cands in
+  let ok =
+    Array.length got = n
+    && Array.for_all2 same_outcome got expected
+    && Evaluator.save_state ev_bat = Evaluator.save_state ev_seq
+  in
+  if ok then begin
+    if n > 0 && got.(n - 1) = Evaluator.Skipped then incr short_circuits;
+    if
+      Array.for_all
+        (function Evaluator.Evaluated v -> not (v < bound) | Evaluator.Skipped -> false)
+        got
+    then incr no_improvements
+  end;
+  ok
+
+let random_candidates space rng n =
+  let cands = Array.make n (Space.random_unconstrained space rng) in
+  for i = 1 to n - 1 do
+    cands.(i) <-
+      (if Rng.int rng 5 = 0 then cands.(Rng.int rng i)
+       else Space.random_unconstrained space rng)
+  done;
+  cands
+
+let problem (app : App.t) input =
+  let nodes = 2 in
+  let machine = machine_for app ~nodes in
+  (machine, app.App.graph ~nodes ~input)
 
 let batch_matches_sequential (app : App.t) input seed =
-  let nodes = 2 in
-  let machine = machine_for app ~nodes in
-  let g = app.App.graph ~nodes ~input in
+  let machine, g = problem app input in
   let space = Space.make g machine in
   let rng = Rng.create seed in
-  let n = 1 + Rng.int rng 7 in
-  let cands = Array.init n (fun _ -> Space.random_unconstrained space rng) in
-  let perm = shuffle rng n in
-  let permuted = Array.map (fun i -> cands.(i)) perm in
-  let seq ev ms = Array.map (fun m -> Evaluator.evaluate ev m) ms in
-  let ev_base = fresh_evaluator machine g in
-  let vals_base = seq ev_base cands in
-  let ev_seq = fresh_evaluator machine g in
-  let vals_seq = seq ev_seq permuted in
-  let state_seq = Evaluator.save_state ev_seq in
-  let ev_bat = fresh_evaluator machine g in
-  let outcomes = Evaluator.evaluate_batch ev_bat permuted in
-  let state_bat = Evaluator.save_state ev_bat in
-  Array.length outcomes = n
-  && Array.for_all2
-       (fun o v -> match o with Evaluator.Evaluated v' -> v' = v | Evaluator.Skipped -> false)
-       outcomes vals_seq
-  && state_bat = state_seq
-  && Array.for_all (fun j -> vals_seq.(j) = vals_base.(perm.(j))) (Array.init n Fun.id)
+  let cands = random_candidates space rng (2 + Rng.int rng 7) in
+  check_against_sequential machine g rng cands
 
-(* Same property, but the permutation is the one the surrogate would
-   actually apply: train a model on a few observations, rank the
-   candidate set, and check batch evaluation of the model's order
-   against sequential evaluation of that same order.  Reranking only
-   ever permutes — so this is exactly the order-independence the ranked
-   batch mode (Descent) leans on. *)
+(* Same contract in the order the surrogate actually proposes: train a
+   model on a few observations and rank the candidate set with it —
+   the order Descent's ranked batches hand the engine. *)
 let batch_matches_surrogate_order (app : App.t) input seed =
-  let nodes = 2 in
-  let machine = machine_for app ~nodes in
-  let g = app.App.graph ~nodes ~input in
+  let machine, g = problem app input in
   let space = Space.make g machine in
   let rng = Rng.create (seed + 100) in
-  let n = 2 + Rng.int rng 6 in
-  let cands = Array.init n (fun _ -> Space.random_unconstrained space rng) in
+  let cands = random_candidates space rng (2 + Rng.int rng 6) in
   let sg = Surrogate.create space in
   Surrogate.note_incumbent sg (Mapping.default_start g machine);
   for _ = 1 to 12 do
-    Surrogate.observe sg
-      (Space.random_unconstrained space rng)
-      (0.001 +. Rng.float rng 0.01)
+    Surrogate.observe sg (Space.random_unconstrained space rng) (0.001 +. Rng.float rng 0.01)
   done;
-  let perm = Surrogate.rank sg cands in
-  let ranked = Array.map (fun i -> cands.(i)) perm in
-  let ev_seq = fresh_evaluator machine g in
-  let vals_seq = Array.map (fun m -> Evaluator.evaluate ev_seq m) ranked in
-  let state_seq = Evaluator.save_state ev_seq in
-  let ev_bat = fresh_evaluator machine g in
-  let outcomes = Evaluator.evaluate_batch ev_bat ranked in
-  Array.for_all2
-    (fun o v -> match o with Evaluator.Evaluated v' -> v' = v | Evaluator.Skipped -> false)
-    outcomes vals_seq
-  && Evaluator.save_state ev_bat = state_seq
+  let ranked = Array.map (fun i -> cands.(i)) (Surrogate.rank sg cands) in
+  check_against_sequential machine g rng ranked
 
 let props =
   List.map
     (fun ((app : App.t), input) ->
       QCheck.Test.make ~count:8
-        ~name:
-          (Printf.sprintf "batch = sequential under permutation (%s)" app.App.app_name)
+        ~name:(Printf.sprintf "bounded batch = sequential loop (%s)" app.App.app_name)
         QCheck.small_nat
         (fun seed -> batch_matches_sequential app input seed))
     cases
@@ -106,10 +144,29 @@ let props =
       (fun ((app : App.t), input) ->
         QCheck.Test.make ~count:4
           ~name:
-            (Printf.sprintf "batch = sequential under surrogate rank (%s)"
+            (Printf.sprintf "bounded batch = sequential loop, surrogate order (%s)"
                app.App.app_name)
           QCheck.small_nat
           (fun seed -> batch_matches_surrogate_order app input seed))
       cases
 
-let suite = List.map QCheck_alcotest.to_alcotest props
+(* A fixed sweep, independent of the qcheck seed: the two bound cases
+   the properties rely on must both come up. *)
+let test_both_cases_seen () =
+  short_circuits := 0;
+  no_improvements := 0;
+  List.iter
+    (fun ((app : App.t), input) ->
+      for seed = 0 to 11 do
+        if not (batch_matches_sequential app input seed) then
+          Alcotest.failf "%s seed %d: batch differs from the sequential loop"
+            app.App.app_name seed
+      done)
+    [ List.nth cases 0; List.nth cases 1 ];
+  Alcotest.(check bool) "some batch short-circuited" true (!short_circuits > 0);
+  Alcotest.(check bool) "some batch had no improvement" true (!no_improvements > 0)
+
+let suite =
+  List.map QCheck_alcotest.to_alcotest props
+  @ [ Alcotest.test_case "short-circuit and no-improvement both exercised" `Quick
+        test_both_cases_seen ]

@@ -1,6 +1,6 @@
 (* Golden determinism of the compiled simulator (Exec.compile /
-   Exec.simulate): for the same seed it must reproduce the reference
-   interpreter bit-for-bit, across all five apps; and the parallel
+   Exec.simulate): for the same seed it must reproduce the golden
+   oracle (test/oracle) bit-for-bit, across all five apps; and the parallel
    portfolio must return exactly the sequential portfolio's results. *)
 
 let exact = Alcotest.float 0.0
@@ -46,7 +46,7 @@ let check_app machine (app : App.t) =
                   noise_sigma
               in
               match
-                ( Exec.run_reference ~noise_sigma ~seed ~fallback:true machine g mapping,
+                ( Oracle.run ~noise_sigma ~seed ~fallback:true machine g mapping,
                   Exec.simulate ~noise_sigma ~seed ~fallback:true sc mapping )
               with
               | Ok a, Ok b -> check_results name a b
@@ -75,7 +75,7 @@ let test_fixture_golden_iterations () =
   List.iter
     (fun iterations ->
       let name = Printf.sprintf "shared_halo iters=%d" iterations in
-      let a = ok name (Exec.run_reference ~seed:7 ~iterations machine g m) in
+      let a = ok name (Oracle.run ~seed:7 ~iterations machine g m) in
       let b = ok name (Exec.simulate ~seed:7 ~iterations sc m) in
       check_results name a b)
     [ 2; 7; 1; 4 ]
@@ -86,7 +86,7 @@ let test_run_matches_reference () =
   let g, _, _, _, inp = Fixtures.pipeline ~iterations:3 () in
   let m = Mapping.set_mem (Mapping.default_start g machine) inp Kinds.Zero_copy in
   let a = ok "run" (Exec.run ~seed:5 machine g m) in
-  let b = ok "reference" (Exec.run_reference ~seed:5 machine g m) in
+  let b = ok "reference" (Oracle.run ~seed:5 machine g m) in
   check_results "wrapper" a b
 
 let test_result_arrays_fresh () =
@@ -102,7 +102,7 @@ let test_result_arrays_fresh () =
 
 let test_evaluator_unchanged () =
   (* the compiled evaluator must score candidates exactly as the
-     reference protocol (run_reference with the evaluator's seed
+     reference protocol (Oracle.run with the evaluator's seed
      schedule: seed * 1_000_003 + k for the k-th execution) *)
   let machine = Fixtures.default_machine () in
   let g, _, _ = Fixtures.shared_halo () in
@@ -114,7 +114,7 @@ let test_evaluator_unchanged () =
     let times =
       List.init runs (fun k ->
           let seed = (seed * 1_000_003) + k + 1 in
-          match Exec.run_reference ~noise_sigma:0.03 ~seed machine g m with
+          match Oracle.run ~noise_sigma:0.03 ~seed machine g m with
           | Ok r -> r.Exec.per_iteration
           | Error e -> Alcotest.fail (Placement.error_to_string e))
     in

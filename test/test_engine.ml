@@ -364,6 +364,29 @@ let test_driver_fingerprint_mismatch () =
             (String.length msg > 0
             && Str_helpers.contains msg "fingerprint"))
 
+(* Checkpoints written by earlier releases carry the evaluator
+   fingerprint as it was then: a default evaluator must still produce
+   exactly that string, or every old checkpoint is refused on resume.
+   Reference mode fingerprints like the old prune-off evaluator. *)
+let test_fingerprint_pinned () =
+  let m = Presets.shepard ~nodes:1 in
+  let g = App.stencil.App.graph ~nodes:1 ~input:"500x500" in
+  Alcotest.(check string) "default evaluator"
+    "Shepard|Stencil-500x500|r7|n0x1.eb851eb851eb8p-6|ffalse|i-|pinfinity|\
+     o0x1.a36e2eb1c432dp-13|prtrue|c0|syfalse|dofalse"
+    (Evaluator.fingerprint (Evaluator.create m g));
+  let m = Presets.lassen ~nodes:2 in
+  let g = App.circuit.App.graph ~nodes:2 ~input:"n50w200" in
+  Alcotest.(check string) "driver-style evaluator"
+    "Lassen|Circuit-n50w200|r3|n0x1.eb851eb851eb8p-6|ffalse|i-|pinfinity|\
+     o0x1.a36e2eb1c432dp-13|prtrue|c5000015|sytrue|dotrue"
+    (Evaluator.fingerprint
+       (Evaluator.create ~runs:3 ~seed:5 ~symmetry:true ~dominance:true m g));
+  Alcotest.(check string) "reference mode"
+    "Lassen|Circuit-n50w200|r3|n0x1.eb851eb851eb8p-6|ffalse|i-|pinfinity|\
+     o0x1.a36e2eb1c432dp-13|prfalse|c5000015|syfalse|dofalse"
+    (Evaluator.fingerprint (Evaluator.create ~runs:3 ~seed:5 ~reference:true m g))
+
 (* ---- heft through the engine --------------------------------------- *)
 
 let test_driver_heft () =
@@ -399,5 +422,6 @@ let suite =
     Alcotest.test_case "resume matrix" `Quick test_resume_matrix;
     Alcotest.test_case "driver resume" `Quick test_driver_resume;
     Alcotest.test_case "driver fingerprint mismatch" `Quick test_driver_fingerprint_mismatch;
+    Alcotest.test_case "fingerprint pinned" `Quick test_fingerprint_pinned;
     Alcotest.test_case "driver heft" `Quick test_driver_heft;
   ]

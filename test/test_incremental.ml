@@ -160,25 +160,27 @@ let test_cone_counters () =
 
 (* End-to-end decision identity: a full CCD search must make the same
    accept/reject sequence, visit the same candidates and return the
-   same best with incremental on and off. *)
+   same best in the default evaluator (pruning + cone replay) and in
+   reference mode (full simulation of every candidate). *)
 let test_ccd_decision_identity () =
   let machine = Presets.shepard ~nodes:4 in
   let g = App.circuit.App.graph ~nodes:4 ~input:(List.hd (App.circuit.App.inputs ~nodes:4)) in
-  let run incremental =
-    let ev = Evaluator.create ~prune:true ~incremental ~seed:3 machine g in
+  let run reference =
+    let ev = Evaluator.create ~reference ~seed:3 machine g in
     let best, perf = Ccd.search ~rotations:3 ev in
-    (best, perf, Evaluator.stats ev)
+    (best, perf, List.map snd (Evaluator.trace ev), Evaluator.stats ev)
   in
-  let bi, pi, si = run true in
-  let bf, pf, sf = run false in
+  let bi, pi, ti, si = run false in
+  let bf, pf, tf, sf = run true in
   Alcotest.(check string) "best mapping" (Mapping.canonical_key bf) (Mapping.canonical_key bi);
   check_float "best perf" pi pf;
+  Alcotest.(check (list (float 0.0))) "improvement trace" tf ti;
   Alcotest.(check int) "suggested" sf.Evaluator.s_suggested si.Evaluator.s_suggested;
-  Alcotest.(check int) "evaluated" sf.Evaluator.s_evaluated si.Evaluator.s_evaluated;
-  Alcotest.(check int) "cut evals" sf.Evaluator.s_cut_evals si.Evaluator.s_cut_evals;
-  Alcotest.(check int) "cut sims" sf.Evaluator.s_cut_sims si.Evaluator.s_cut_sims;
-  Alcotest.(check bool) "incremental leg replayed cones" true (si.Evaluator.s_cone_replays > 0);
-  Alcotest.(check int) "full leg kept no timelines" 0 sf.Evaluator.s_timeline_bytes
+  Alcotest.(check bool) "default leg replayed cones" true (si.Evaluator.s_cone_replays > 0);
+  Alcotest.(check bool) "default leg pruned" true (si.Evaluator.s_cut_evals > 0);
+  Alcotest.(check int) "reference leg cut nothing" 0 sf.Evaluator.s_cut_evals;
+  Alcotest.(check int) "reference leg replayed no cone" 0 sf.Evaluator.s_cone_replays;
+  Alcotest.(check int) "reference leg kept no timelines" 0 sf.Evaluator.s_timeline_bytes
 
 (* Random graphs x random <=8-coordinate neighbor chains: the property
    the golden tests spot-check, over the whole builder space. *)

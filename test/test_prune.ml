@@ -5,7 +5,7 @@
 let machine_for (app : App.t) =
   if app.App.app_name = "Maestro" then Presets.lassen ~nodes:1 else Presets.shepard ~nodes:1
 
-(* -------- golden decision identity: prune on == prune off -------- *)
+(* -------- golden decision identity: default == reference mode -------- *)
 
 let algos =
   [
@@ -14,10 +14,10 @@ let algos =
     ("annealing", fun ev -> Annealing.search ~max_evals:150 ev);
   ]
 
-let run_leg ~prune (app : App.t) algo =
+let run_leg ~reference (app : App.t) algo =
   let machine = machine_for app in
   let g = app.App.graph ~nodes:1 ~input:(List.hd (app.App.inputs ~nodes:1)) in
-  let ev = Evaluator.create ~runs:3 ~prune ~seed:5 machine g in
+  let ev = Evaluator.create ~runs:3 ~reference ~seed:5 machine g in
   let best, perf = algo ev in
   (best, perf, List.map snd (Evaluator.trace ev), Evaluator.stats ev)
 
@@ -27,8 +27,8 @@ let test_golden_identity () =
       List.iter
         (fun (algo_name, algo) ->
           let label = Printf.sprintf "%s/%s" app.App.app_name algo_name in
-          let b_off, p_off, tr_off, st_off = run_leg ~prune:false app algo in
-          let b_on, p_on, tr_on, st_on = run_leg ~prune:true app algo in
+          let b_off, p_off, tr_off, st_off = run_leg ~reference:true app algo in
+          let b_on, p_on, tr_on, st_on = run_leg ~reference:false app algo in
           Alcotest.(check bool) (label ^ " same best mapping") true
             (Mapping.equal b_off b_on);
           Alcotest.(check (float 0.0)) (label ^ " same best perf") p_off p_on;
@@ -36,14 +36,14 @@ let test_golden_identity () =
             tr_off tr_on;
           Alcotest.(check int) (label ^ " same suggestions")
             st_off.Evaluator.s_suggested st_on.Evaluator.s_suggested;
-          Alcotest.(check int) (label ^ " pruning off cuts nothing") 0
+          Alcotest.(check int) (label ^ " reference mode cuts nothing") 0
             st_off.Evaluator.s_cut_sims)
         algos)
     App.all
 
 let test_pruning_actually_cuts () =
   (* the identity above would hold trivially if pruning never fired *)
-  let _, _, _, st = run_leg ~prune:true App.stencil (fun ev -> Ccd.search ~rotations:2 ev) in
+  let _, _, _, st = run_leg ~reference:false App.stencil (fun ev -> Ccd.search ~rotations:2 ev) in
   Alcotest.(check bool) "some evaluations were cut" true (st.Evaluator.s_cut_evals > 0);
   Alcotest.(check bool) "some runs were skipped" true (st.Evaluator.s_cut_runs > 0);
   Alcotest.(check bool) "some sims were aborted" true (st.Evaluator.s_cut_sims > 0)
@@ -232,13 +232,13 @@ let test_partial_resume_exact () =
   let machine = Fixtures.default_machine () in
   let good = Mapping.default_start g machine in
   let bad = Mapping.set_mem good out Kinds.Zero_copy in
-  let mk prune = Evaluator.create ~runs:3 ~noise_sigma:0.01 ~prune ~seed:1 machine g in
-  (* reference: unpruned evaluator sees good then bad *)
-  let ev_ref = mk false in
+  let mk reference = Evaluator.create ~runs:3 ~noise_sigma:0.01 ~reference ~seed:1 machine g in
+  (* reference mode sees good then bad *)
+  let ev_ref = mk true in
   let p_good_ref = Evaluator.evaluate ev_ref good in
   let p_bad_ref = Evaluator.evaluate ev_ref bad in
-  (* pruned evaluator: bad is cut at the incumbent bound... *)
-  let ev = mk true in
+  (* default evaluator: bad is cut at the incumbent bound... *)
+  let ev = mk false in
   let p_good = Evaluator.evaluate ev good in
   Alcotest.(check (float 0.0)) "incumbent identical" p_good_ref p_good;
   let cut_value = Evaluator.evaluate ~bound:p_good ev bad in

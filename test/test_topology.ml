@@ -248,7 +248,7 @@ let test_routed_compile_identity () =
             (fun seed ->
               let name = Printf.sprintf "%s/%s seed=%d" spec mname seed in
               match
-                ( Exec.run_reference ~noise_sigma:0.03 ~seed ~fallback:true machine g
+                ( Oracle.run ~noise_sigma:0.03 ~seed ~fallback:true machine g
                     mapping,
                   Exec.simulate ~noise_sigma:0.03 ~seed ~fallback:true sc mapping )
               with
