@@ -172,7 +172,7 @@ let start ?scratch ?db ?warm_start ?on_event ~slice_trials cfg machine graph =
   let ev = make_evaluator ?scratch ?db cfg machine graph in
   let start_m =
     match warm_start with
-    | Some m -> Evaluator.note_warm_start ev; m
+    | Some m -> m
     | None ->
         if cfg.heft_seed || cfg.algo = Driver.Heft then Heft.mapping machine graph
         else Mapping.default_start graph machine

@@ -84,8 +84,7 @@ val start :
     when given — the compile-cache path), seed the profiles database
     from [db] (the shared pool), run at most [slice_trials] trials.
     [warm_start] seeds the search from a memoized incumbent instead of
-    the default/HEFT start (counted via {!Evaluator.note_warm_start});
-    warm-started searches explore a different — typically shorter —
+    the default/HEFT start; warm-started searches explore a different — typically shorter —
     trajectory, which is exactly their point.  The returned evaluator
     carries the slice's stats and profiles database. *)
 
