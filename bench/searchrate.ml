@@ -179,7 +179,7 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
     \         cut %d/%d evals, %d runs, %d sims | binds %d delta / %d full | %d noop \
      skips | %d dead-coord skips\n\
     \         replays %d cone / %d full | %d cone instances | %.1f KiB timelines\n\
-    \         batches %d, %d short-circuited | bind hits %d shared / %d private\n%!"
+    \         batches %d, %d short-circuited | bind hits %d\n%!"
     app.App.app_name input (1e3 *. ref_.wall) ref_.cands_per_sec (1e3 *. def.wall)
     def.cands_per_sec speedup (1e3 *. bat.wall) bat.cands_per_sec batched_speedup
     def.st.Evaluator.s_cut_evals def.st.Evaluator.s_suggested
@@ -190,7 +190,7 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
     def.st.Evaluator.s_full_replays def.st.Evaluator.s_cone_instances
     (float_of_int def.st.Evaluator.s_timeline_bytes /. 1024.0)
     bat.st.Evaluator.s_batch_calls bat.st.Evaluator.s_batch_short_circuits
-    bat.st.Evaluator.s_bind_hits_shared bat.st.Evaluator.s_bind_hits_private;
+    bat.st.Evaluator.s_bind_hits;
   Option.iter
     (fun (l : leg) ->
       Printf.printf
@@ -208,7 +208,7 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
 
 let json_leg l =
   Printf.sprintf
-    {|{"wall": %.5f, "cands_per_sec": %.2f, "perf": %.6e, "engine_steps": %d, "suggested": %d, "evaluated": %d, "cache_hits": %d, "cut_evals": %d, "cut_runs": %d, "cut_sims": %d, "noop_skips": %d, "dead_coord_skips": %d, "delta_binds": %d, "full_binds": %d, "cone_replays": %d, "cone_instances": %d, "full_replays": %d, "timeline_bytes": %d, "batch_calls": %d, "batch_short_circuits": %d, "bind_hits_shared": %d, "bind_hits_private": %d}|}
+    {|{"wall": %.5f, "cands_per_sec": %.2f, "perf": %.6e, "engine_steps": %d, "suggested": %d, "evaluated": %d, "cache_hits": %d, "cut_evals": %d, "cut_runs": %d, "cut_sims": %d, "noop_skips": %d, "dead_coord_skips": %d, "delta_binds": %d, "full_binds": %d, "cone_replays": %d, "cone_instances": %d, "full_replays": %d, "timeline_bytes": %d, "batch_calls": %d, "batch_short_circuits": %d, "bind_hits": %d}|}
     l.wall l.cands_per_sec l.perf l.steps l.st.Evaluator.s_suggested l.st.Evaluator.s_evaluated
     l.st.Evaluator.s_cache_hits l.st.Evaluator.s_cut_evals l.st.Evaluator.s_cut_runs
     l.st.Evaluator.s_cut_sims l.st.Evaluator.s_noop_skips
@@ -216,8 +216,7 @@ let json_leg l =
     l.st.Evaluator.s_full_binds l.st.Evaluator.s_cone_replays
     l.st.Evaluator.s_cone_instances l.st.Evaluator.s_full_replays
     l.st.Evaluator.s_timeline_bytes l.st.Evaluator.s_batch_calls
-    l.st.Evaluator.s_batch_short_circuits l.st.Evaluator.s_bind_hits_shared
-    l.st.Evaluator.s_bind_hits_private
+    l.st.Evaluator.s_batch_short_circuits l.st.Evaluator.s_bind_hits
 
 (* the surrogate leg reranks batches, so it is reported — counters,
    rank quality, final best — but excluded from the identity check;

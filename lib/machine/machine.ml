@@ -162,6 +162,16 @@ let make ~name ~nodes ~node ~exec_bw ~compute ~copy ?topology () =
   if node.gpus < 0 then invalid_arg "Machine.make: gpus must be non-negative";
   if node.cores_per_socket = 0 && node.gpus = 0 then
     invalid_arg "Machine.make: node needs at least one processor";
+  (* the slot arrays are sized by untrusted counts: bound each factor
+     first, so the products below cannot overflow *)
+  let cap = Topology.max_gen_nodes in
+  if
+    nodes > cap || node.sockets > cap || node.cores_per_socket > cap || node.gpus > cap
+    || nodes * ((node.sockets * node.cores_per_socket) + node.gpus) > cap
+    || nodes * (node.sockets + 1 + node.gpus) > cap
+  then
+    invalid_arg
+      (Printf.sprintf "Machine.make: more than %d processor or memory slots" cap);
   check_positive "sysmem_per_socket" node.sysmem_per_socket;
   check_positive "zc_capacity" node.zc_capacity;
   if node.gpus > 0 then check_positive "fb_capacity" node.fb_capacity;

@@ -100,8 +100,9 @@ val make :
   unit ->
   t
 (** Builds the explicit graph.  Raises [Invalid_argument] if any count
-    or rate is non-positive, or if [topology] disagrees with [nodes]
-    on the node count. *)
+    or rate is non-positive, if [topology] disagrees with [nodes] on
+    the node count, or if the machine would have more than
+    {!Topology.max_gen_nodes} processor or memory slots. *)
 
 (** {1 Graph queries} *)
 

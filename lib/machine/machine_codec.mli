@@ -34,7 +34,8 @@ val to_string : Machine.t -> string
 
 val of_string : string -> (Machine.t, string) result
 (** Parses and validates (via {!Machine.make}); returns a descriptive
-    error on malformed input. *)
+    error on malformed input, including counts that would allocate
+    past {!Topology.max_gen_nodes}.  Never raises. *)
 
 val round_trip_exn : Machine.t -> Machine.t
 (** Test helper. *)

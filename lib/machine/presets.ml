@@ -340,21 +340,24 @@ let of_topology topo =
 
 let of_spec spec ~nodes =
   let lower = String.lowercase_ascii (String.trim spec) in
-  match lower with
-  | "shepard" -> Ok (shepard ~nodes)
-  | "lassen" -> Ok (lassen ~nodes)
-  | "testbed" -> Ok (testbed ~nodes)
-  | "cpu_only" | "cpu-only" -> Ok (cpu_only ~nodes)
-  | "headless" -> Ok (headless ~nodes)
-  | _ -> (
-      let link_bw, link_latency = topo_link_rates lower in
-      match Topology.of_spec lower ~link_bw ~link_latency with
-      | Error e -> Error e
-      | Ok topo ->
-          let tn = Topology.n_nodes topo in
-          if nodes <> 1 && nodes <> tn then
-            Error
-              (Printf.sprintf
-                 "topology preset %s fixes the node count at %d (got -n %d)" lower tn
-                 nodes)
-          else Ok (of_topology topo))
+  (* a bad node count or an oversized machine is an [Error] too *)
+  try
+    match lower with
+    | "shepard" -> Ok (shepard ~nodes)
+    | "lassen" -> Ok (lassen ~nodes)
+    | "testbed" -> Ok (testbed ~nodes)
+    | "cpu_only" | "cpu-only" -> Ok (cpu_only ~nodes)
+    | "headless" -> Ok (headless ~nodes)
+    | _ -> (
+        let link_bw, link_latency = topo_link_rates lower in
+        match Topology.of_spec lower ~link_bw ~link_latency with
+        | Error e -> Error e
+        | Ok topo ->
+            let tn = Topology.n_nodes topo in
+            if nodes <> 1 && nodes <> tn then
+              Error
+                (Printf.sprintf
+                   "topology preset %s fixes the node count at %d (got -n %d)" lower tn
+                   nodes)
+            else Ok (of_topology topo))
+  with Invalid_argument e -> Error e

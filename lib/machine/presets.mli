@@ -55,4 +55,6 @@ val of_spec : string -> nodes:int -> (Machine.t, string) result
     [fattree:LEVELS:ARITY], [direct:N], each optionally suffixed
     [:free] for the contention-free counterfactual).  Topology specs
     fix their own node count: [nodes] must be 1 (the CLI default,
-    meaning "let the spec decide") or match it exactly. *)
+    meaning "let the spec decide") or match it exactly.  Never raises:
+    a bad node count or a machine past {!Topology.max_gen_nodes} slots
+    is an [Error]. *)

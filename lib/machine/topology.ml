@@ -57,7 +57,9 @@ let check_rates ~link_bw ~link_latency =
   if link_latency < 0.0 then invalid_arg "Topology: link_latency must be non-negative"
 
 (* hard cap on generated sizes: 10^6 nodes is already far past the
-   10^4-processor roadmap target, and guards the int arithmetic *)
+   10^4-processor roadmap target, and guards the int arithmetic.  Every
+   size check below divides instead of multiplying, so no product of
+   untrusted dimensions can overflow past it. *)
 let max_gen_nodes = 1_000_000
 
 (* ------------------------------------------------------------------ *)
@@ -76,7 +78,7 @@ let grid ~w ~h ?(wrap = false) ~link_bw ~link_latency () =
   if w < 1 || h < 1 then invalid_arg "Topology.grid: dimensions must be >= 1";
   if wrap && (w < 2 || h < 2) then
     invalid_arg "Topology.grid: torus dimensions must be >= 2";
-  if w * h > max_gen_nodes then invalid_arg "Topology.grid: too many nodes";
+  if w > max_gen_nodes / h then invalid_arg "Topology.grid: too many nodes";
   check_rates ~link_bw ~link_latency;
   let n = w * h in
   let node x y = (y * w) + x in
@@ -172,10 +174,14 @@ let fattree ~levels ~arity ~link_bw ~link_latency =
   if levels < 1 then invalid_arg "Topology.fattree: levels must be >= 1";
   if arity < 2 then invalid_arg "Topology.fattree: arity must be >= 2";
   check_rates ~link_bw ~link_latency;
+  (* checked before anything [levels]-sized is allocated *)
+  let rec fits j p =
+    j > levels || (p <= max_gen_nodes / arity && fits (j + 1) (p * arity))
+  in
+  if not (fits 1 1) then invalid_arg "Topology.fattree: too many nodes";
   let pow = Array.make (levels + 1) 1 in
   for j = 1 to levels do
-    pow.(j) <- pow.(j - 1) * arity;
-    if pow.(j) > max_gen_nodes then invalid_arg "Topology.fattree: too many nodes"
+    pow.(j) <- pow.(j - 1) * arity
   done;
   let n = pow.(levels) in
   (* vertex ids: leaves [0,n), then switch levels bottom-up *)
@@ -273,6 +279,9 @@ let custom ~name ~n_nodes ?n_vertices ~links:link_list () =
   let n_vertices = Option.value n_vertices ~default:n_nodes in
   if n_vertices < n_nodes then
     invalid_arg "Topology.custom: n_vertices must be >= n_nodes";
+  (* the next-hop table has n_vertices * n_nodes entries *)
+  if n_vertices > max_gen_nodes / n_nodes then
+    invalid_arg "Topology.custom: route table too large";
   let links =
     Array.of_list
       (List.mapi

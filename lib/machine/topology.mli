@@ -45,6 +45,12 @@ type t
 
 (** {1 Construction} *)
 
+val max_gen_nodes : int
+(** 10^6: the most nodes a generated family may have, the most entries
+    a custom topology's route table may hold, and the most processor
+    (and memory) slots {!Machine.make} allocates.  Oversized requests
+    raise [Invalid_argument] before allocating. *)
+
 val grid :
   w:int -> h:int -> ?wrap:bool -> link_bw:float -> link_latency:float -> unit -> t
 (** [w*h] nodes, bidirectional mesh links (two directed links per
@@ -68,7 +74,8 @@ val custom :
   t
 (** Arbitrary directed link list [(src, dst, bw, latency)].  Route
     tables are built by per-destination BFS (hop-count shortest paths,
-    smallest-link-id tie-break), so routes are deterministic.
+    smallest-link-id tie-break), so routes are deterministic; they hold
+    [n_vertices * n_nodes] entries, at most {!max_gen_nodes}.
     Disconnected node pairs are permitted at construction — the
     feasibility analyzer flags them; copies between them fall back to
     the kind-level network channel. *)

@@ -23,7 +23,6 @@ let make ?max_trials ?max_virtual ?max_wall () =
   }
 
 let of_virtual cap = make ~max_virtual:cap ()
-let of_trials n = make ~max_trials:n ()
 
 let is_unlimited b = b.max_trials = None && b.max_virtual = None && b.max_wall = None
 
@@ -31,16 +30,3 @@ let exhausted b ~trials ~vt ~wall =
   (match b.max_trials with Some n -> trials >= n | None -> false)
   || (match b.max_virtual with Some cap -> vt > cap | None -> false)
   || (match b.max_wall with Some cap -> wall > cap | None -> false)
-
-let pp ppf b =
-  let parts =
-    List.filter_map
-      (fun x -> x)
-      [
-        Option.map (Printf.sprintf "trials<=%d") b.max_trials;
-        Option.map (Printf.sprintf "virtual<=%gs") b.max_virtual;
-        Option.map (Printf.sprintf "wall<=%gs") b.max_wall;
-      ]
-  in
-  Format.pp_print_string ppf
-    (match parts with [] -> "unlimited" | ps -> String.concat " " ps)

@@ -40,13 +40,9 @@ val of_virtual : float -> t
 (** Virtual-time-only budget — the legacy [?budget:float] parameter of
     every [search] function maps to this. *)
 
-val of_trials : int -> t
-
 val is_unlimited : t -> bool
 
 val exhausted : t -> trials:int -> vt:float -> wall:float -> bool
 (** The one stopping test (semantics above).  [trials] counts evaluated
     proposals so far, [vt] is the evaluator's virtual clock, [wall] the
     real seconds consumed (including any consumed before a resume). *)
-
-val pp : Format.formatter -> t -> unit

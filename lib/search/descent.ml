@@ -142,7 +142,7 @@ let next_seq t ~incumbent =
   go ()
 
 (* ---- batch mode ---------------------------------------------------------
-   [next_batch] returns the current task's remaining non-no-op
+   [plain_batch] returns the current task's remaining non-no-op
    candidates all materialized against one incumbent — without consuming
    their specs — and [deliver] consumes one candidate's specs per
    verdict.  Equivalence with driving [next] one proposal at a time:
@@ -247,25 +247,6 @@ let ranked_batch t ~incumbent sg =
           Array.sub ranked 0 k
       | _ -> ranked)
 
-let next_batch t ~incumbent =
-  t.pending <- [];  (* any previous batch's unreached candidates are stale *)
-  match t.surrogate with
-  | Some sg -> (
-      (* a non-empty queue is the undelivered remainder of a ranked
-         batch the engine truncated at the trial budget — only a
-         resumed run can observe one here.  Propose it in its original
-         model order: re-ranking with the since-trained weights would
-         diverge from the uninterrupted run. *)
-      match t.queue with
-      | [] ->
-          let arr = ranked_batch t ~incumbent sg in
-          t.queue <- Array.to_list arr;
-          arr
-      | q -> Array.of_list q)
-  | None ->
-      t.queue <- [];
-      plain_batch t ~incumbent
-
 let next t ~incumbent =
   match t.surrogate with
   | None -> next_seq t ~incumbent
@@ -331,8 +312,10 @@ let next_gated t ~incumbent ~min_batch =
           t.queue <- rest;
           `Seq c
       | _ :: _ ->
-          (* undelivered remainder of a truncated ranked batch (resume);
-             propose verbatim, original model order — see [next_batch] *)
+          (* undelivered remainder of a truncated ranked batch — only a
+             resumed run can observe one here.  Propose it verbatim, in
+             its original model order: re-ranking with the since-trained
+             weights would diverge from the uninterrupted run. *)
           `Batch (Array.of_list t.queue)
       | [] ->
           let arr = ranked_batch t ~incumbent sg in

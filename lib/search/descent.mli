@@ -31,15 +31,15 @@ val start :
 (** Fresh sweep: task order is fixed now from [profile]
     (runtime-descending), candidates are generated lazily.
 
-    With [surrogate] the cursor runs in {e ranked mode}: {!next_batch}
-    returns the whole current task's candidates permuted
+    With [surrogate] the cursor runs in {e ranked mode}: a
+    {!next_gated} batch is the whole current task's candidates permuted
     best-predicted-first by {!Surrogate.rank} (truncated to the top-K
     when the surrogate carries a skim setting, dropped candidates
     counted as surrogate skips), and the task's specs are consumed
-    atomically at build time — {!deliver} must {e not} be called.
-    {!next} proposes the same ranked order one candidate at a time
-    from an internal queue ({!abandon} drops it on an accept), so
-    ranked-batched and ranked-sequential drives are bit-identical.
+    atomically at build time.  {!next} proposes the same ranked order
+    one candidate at a time from an internal queue ({!abandon} drops it
+    on an accept), so ranked-batched and ranked-sequential drives are
+    bit-identical.
     The queue {e is} serialized by {!encode}: the permutation depends
     on the model weights as they stood before the batch trained on its
     own results, so it cannot be re-derived at decode time — carrying
@@ -50,22 +50,6 @@ val next : t -> incumbent:Mapping.t -> Mapping.t option
 (** The next candidate to evaluate, built from [incumbent]; [None] when
     the sweep is complete.  Advancing may consume no-op specs (counted)
     and enter new tasks (dead-coordinate accounting). *)
-
-val next_batch : t -> incumbent:Mapping.t -> Mapping.t array
-(** Batch mode: the current task's remaining (non-no-op) candidates,
-    all built against [incumbent], {e without} consuming their specs —
-    leading no-ops and task-entry accounting are settled eagerly, gap
-    and trailing no-ops are not counted yet.  Empty iff the sweep is
-    complete.  Each candidate's verdict must be acknowledged with
-    {!deliver}; candidates past the last delivered one are forgotten
-    (the next call rebuilds them against the then-current incumbent),
-    which is exactly the state a sequential {!next} caller that stopped
-    at the same point would be in.  In ranked mode (see {!start}) the
-    contract changes: the array is the whole task permuted by predicted
-    makespan, its specs are already consumed, and each verdict is
-    acknowledged with {!deliver_ranked} instead — a resumed cursor
-    holding an undelivered remainder returns it verbatim, in its
-    original model order. *)
 
 val default_min_batch : int
 (** Default minimum round size below which {!next_gated} prefers the
@@ -78,36 +62,35 @@ val next_gated :
   incumbent:Mapping.t ->
   min_batch:int ->
   [ `Done | `Batch of Mapping.t array | `Seq of Mapping.t ]
-(** Size-gated proposal round: [`Batch] with the same array
-    {!next_batch} would return when it holds at least [min_batch]
-    candidates, [`Seq] with one candidate at a time (the same
-    candidates in the same order) below the gate, [`Done] when the
-    sweep is complete.  Every verdict — batched or sequential — is
-    acknowledged with {!deliver_verdict}.  Decision-identical to both
-    {!next_batch} and the sequential drive for any [min_batch]: the
-    gate only switches between two representations that are themselves
-    bit-identical, and it is re-decided each round from checkpointed
+(** Size-gated proposal round: [`Batch] with the current task's
+    remaining (non-no-op) candidates, all built against [incumbent],
+    when it holds at least [min_batch] of them; [`Seq] with one
+    candidate at a time (the same candidates in the same order) below
+    the gate; [`Done] when the sweep is complete.  Leading no-ops and
+    task-entry accounting are settled eagerly; the specs of a plain
+    batch are consumed only as verdicts arrive, so candidates past the
+    last delivered one are rebuilt by the next round against the
+    then-current incumbent — exactly the state a sequential {!next}
+    caller that stopped at the same point would be in.  In ranked mode
+    (see {!start}) a resumed cursor holding an undelivered remainder of
+    a truncated batch returns it verbatim, in its original model order.
+
+    Every verdict — batched or sequential — is acknowledged with
+    {!deliver_verdict}.  Decision-identical to the sequential drive for
+    any [min_batch]: the gate only switches between two bit-identical
+    representations, and it is re-decided each round from checkpointed
     cursor state, so resumed runs reproduce it.  [min_batch <= 1]
     always batches; [max_int] never does. *)
 
 val deliver_verdict : t -> unit
-(** Acknowledge one verdict after a {!next_gated} round: dispatches to
-    {!deliver} (plain) or {!deliver_ranked} (ranked) for batched
-    rounds, and is a no-op for gated sequential rounds, whose
-    candidates were already consumed at proposal time. *)
-
-val deliver : t -> unit
-(** Acknowledge the verdict of the next outstanding batch candidate:
-    consumes its spec plus the gap no-ops before it (counted now —
-    same totals as {!next}, which counts them on its way to the
-    candidate).  Plain batch mode only.
-    @raise Invalid_argument with no outstanding batch. *)
-
-val deliver_ranked : t -> unit
-(** Ranked batch mode: acknowledge one verdict by draining the queued
-    candidate it belongs to, so a budget-truncated batch leaves exactly
-    the undelivered remainder in the (serialized) queue.
-    @raise Invalid_argument with no outstanding ranked candidate. *)
+(** Acknowledge one verdict after a {!next_gated} round.  A plain batch
+    consumes the candidate's spec plus the gap no-ops before it
+    (counted now — same totals as {!next}, which counts them on its way
+    to the candidate); a ranked batch drains the queued candidate, so a
+    budget-truncated batch leaves exactly the undelivered remainder in
+    the (serialized) queue; a gated sequential round has nothing left
+    to consume.
+    @raise Invalid_argument with no outstanding batch candidate. *)
 
 val abandon : t -> unit
 (** Ranked mode, on an accept: drop the rest of the current ranked

@@ -29,14 +29,44 @@ let algo_of_string ?(max_evals = 1000) s =
   | "heft" -> Ok Heft
   | other -> Error (Printf.sprintf "unknown algorithm %S" other)
 
-let algo_to_string = function
-  | Cd -> "cd"
-  | Ccd _ -> "ccd"
-  | Ensemble_tuner -> "ensemble"
-  | Random_walk _ -> "random"
-  | Annealing _ -> "annealing"
-  | Portfolio -> "portfolio"
-  | Heft -> "heft"
+type cfg = {
+  algo : algo;
+  runs : int;
+  noise_sigma : float option;
+  iterations : int option;
+  seed : int;
+  budget : float option;
+  max_trials : int option;
+  batch : bool;
+  min_batch : int;
+  surrogate : bool;
+  surrogate_skim : int option;
+  symmetry : bool;
+  dominance : bool;
+  heft_seed : bool;
+  final_top : int;
+  final_runs : int;
+}
+
+let default_cfg =
+  {
+    algo = Ccd { rotations = 5 };
+    runs = 7;
+    noise_sigma = None;
+    iterations = None;
+    seed = 0;
+    budget = None;
+    max_trials = None;
+    batch = true;
+    min_batch = Descent.default_min_batch;
+    surrogate = true;
+    surrogate_skim = None;
+    symmetry = true;
+    dominance = true;
+    heft_seed = false;
+    final_top = 5;
+    final_runs = 30;
+  }
 
 type result = {
   algo : algo;
@@ -102,8 +132,7 @@ let decode_strategy ?(batch = false) ?(min_batch = 1) ?surrogate ev ~algo lines 
 
 (* Final protocol (§5): re-run the [final_top] best mappings of the
    profiles database [final_runs] times each; report the one with the
-   fastest average.  Shared by [run] and the serve daemon's slice
-   driver, which applies it when a sliced search finishes. *)
+   fastest average. *)
 let final_protocol ?(final_top = 5) ?(final_runs = 30) ev ~search_best ~search_perf
     =
   let candidates =
@@ -121,150 +150,166 @@ let final_protocol ?(final_top = 5) ?(final_runs = 30) ev ~search_best ~search_p
       if Stats.mean runs < Stats.mean bruns then cand else acc)
     (List.hd candidates) (List.tl candidates)
 
-let run ?runs ?(final_top = 5) ?(final_runs = 30) ?noise_sigma ?iterations
-    ?(seed = 0) ?budget ?max_trials ?max_wall ?start ?(heft_seed = false)
-    ?objective ?extended ?(batch = false)
-    ?(min_batch = Descent.default_min_batch) ?(surrogate = true) ?surrogate_skim
-    ?(symmetry = true) ?(dominance = true)
-    ?db ?on_event ?checkpoint ?(checkpoint_every = 25) ?resume_from algo machine
+type session = {
+  cfg : cfg;
+  ev : Evaluator.t;
+  seen : Engine.seen option;
+  sg : Surrogate.t option;
+  strat : Engine.strategy;
+  start : Mapping.t;
+  carry : Engine.carry option;
+}
+
+(* Every rule that turns a configuration into a running search lives
+   here, for fresh and resumed searches alike. *)
+let session ?scratch ?objective ?extended ?db ?start ?snapshot (cfg : cfg) machine
     graph =
-  let fail fmt = Printf.ksprintf failwith fmt in
-  (* skim only makes sense on ranked batches *)
-  let batch = batch || surrogate_skim <> None in
-  let snapshot =
-    match resume_from with
-    | None -> None
-    | Some path -> (
-        match Engine.load_snapshot path with
-        | Ok s -> Some (path, s)
-        | Error e -> fail "%s: %s" path e)
-  in
-  let db =
-    (* a checkpoint carries its own profiles database — it supersedes
-       any warm-start [?db] *)
+  let ( let* ) = Result.bind in
+  let* db =
+    (* a checkpoint carries its own profiles database; it supersedes
+       any warm-start [db] *)
     match snapshot with
-    | None -> db
-    | Some (path, s) -> (
-        match Profiles_db.load graph s.Engine.s_profiles with
-        | Ok db -> Some db
-        | Error e -> fail "%s: profiles section: %s" path e)
+    | None -> Ok db
+    | Some s ->
+        Result.map Option.some
+          (Result.map_error (( ^ ) "profiles section: ")
+             (Profiles_db.load graph s.Engine.s_profiles))
   in
   let ev =
-    Evaluator.create ?runs ?noise_sigma ?iterations ~seed ?objective ?extended
-      ~symmetry ~dominance ?db machine graph
+    Evaluator.create ~runs:cfg.runs ?noise_sigma:cfg.noise_sigma
+      ?iterations:cfg.iterations ~seed:cfg.seed ?objective ?extended
+      ~symmetry:cfg.symmetry ~dominance:cfg.dominance ?db ?scratch machine graph
   in
+  let space = Evaluator.space ev in
   (* The seen-set memoizes evaluated orbits so symmetric duplicates are
      skipped; keyed by the space's canonicalizer, it exists exactly when
-     the evaluator's space canonicalizes (symmetry is part of the
-     fingerprint, so resume cannot silently flip it). *)
+     the space canonicalizes (symmetry is part of the fingerprint, so a
+     resume cannot silently flip it). *)
   let seen =
-    if Space.symmetry (Evaluator.space ev) then
-      Some (Engine.seen_create (Space.canonicalize (Evaluator.space ev)))
+    if Space.symmetry space then Some (Engine.seen_create (Space.canonicalize space))
     else None
   in
-  let checkpoint =
-    Option.map (fun path -> { Engine.every = checkpoint_every; path }) checkpoint
+  let* () =
+    match snapshot with
+    | Some s when Evaluator.fingerprint ev <> s.Engine.s_fingerprint ->
+        Error
+          (Printf.sprintf
+             "fingerprint mismatch — checkpoint was written with a different \
+              machine, graph or evaluator configuration (%s vs %s)"
+             s.Engine.s_fingerprint (Evaluator.fingerprint ev))
+    | Some s -> Evaluator.restore_state ev s.Engine.s_evaluator
+    | None -> Ok ()
   in
-  let o =
+  (* A fresh search trains a surrogate when [cfg] asks for one; a
+     resumed one exactly when its snapshot carries one, since restoring
+     a model into a surrogate-free run (or dropping it from a surrogate
+     run) would change the decision sequence.  The model's own header
+     rejects a skim/config mismatch. *)
+  let* sg =
+    let wanted =
+      match snapshot with None -> cfg.surrogate | Some s -> s.Engine.s_surrogate <> []
+    in
+    if not wanted then Ok None
+    else
+      let m = Surrogate.create ?skim:cfg.surrogate_skim space in
+      match snapshot with
+      | Some s -> Result.map (fun () -> Some m) (Surrogate.restore m s.Engine.s_surrogate)
+      | None -> Ok (Some m)
+  in
+  Option.iter (Evaluator.attach_surrogate ev) sg;
+  let* () =
+    match (snapshot, seen) with
+    | Some s, Some sn ->
+        Result.map_error (( ^ ) "symmetry section: ")
+          (Engine.seen_restore sn s.Engine.s_symmetry)
+    | Some s, None when s.Engine.s_symmetry <> [] ->
+        Error "checkpoint has a symmetry section but symmetry is off"
+    | _ -> Ok ()
+  in
+  (* skim only makes sense on ranked batches; ranking needs batch
+     proposals (checkpoints then fall strictly between ranked batches —
+     see Descent), so without batch the model only trains, for
+     telemetry and a later batched run *)
+  let batch = cfg.batch || cfg.surrogate_skim <> None in
+  let rank_sg = if batch then sg else None in
+  let* strat, start, carry =
     match snapshot with
     | None ->
         let start =
           match start with
           | Some m -> m
           | None ->
-              if heft_seed || algo = Heft then Heft.mapping machine graph
+              if cfg.heft_seed || cfg.algo = Heft then Heft.mapping machine graph
               else Mapping.default_start graph machine
         in
-        let sg =
-          if not surrogate then None
-          else Some (Surrogate.create ?skim:surrogate_skim (Evaluator.space ev))
+        Ok
+          ( make_strategy ~seed:cfg.seed ?budget:cfg.budget ~batch
+              ~min_batch:cfg.min_batch ?surrogate:rank_sg cfg.algo ev,
+            start,
+            None )
+    | Some s ->
+        let* strat =
+          decode_strategy ~batch ~min_batch:cfg.min_batch ?surrogate:rank_sg ev
+            ~algo:s.Engine.s_algo s.Engine.s_strategy
         in
-        Option.iter (Evaluator.attach_surrogate ev) sg;
-        (* ranking needs batch proposals (checkpoints then fall strictly
-           between ranked batches — see Descent); without batch the
-           model still trains for telemetry and a later batched run *)
-        let rank_sg = if batch then sg else None in
-        let strat =
-          make_strategy ~seed ?budget ~batch ~min_batch ?surrogate:rank_sg algo ev
+        let* best =
+          Option.to_result ~none:"best-mapping key does not parse for this graph"
+            (Mapping.of_canonical_key graph s.Engine.s_best_key)
         in
-        let budget =
-          (* the portfolio shares [budget] across members through its own
-             absolute deadlines; every other algorithm gets it as the
-             engine's virtual-time cap *)
-          let max_virtual = if algo = Portfolio then None else budget in
-          Budget.make ?max_trials ?max_virtual ?max_wall ()
-        in
-        Engine.run ~budget ?on_event ?checkpoint ?surrogate:sg ?seen ~start ev
-          strat
-    | Some (path, s) ->
-        if Evaluator.fingerprint ev <> s.Engine.s_fingerprint then
-          fail
-            "%s: fingerprint mismatch — checkpoint was written with a different \
-             machine, graph or evaluator configuration (%s vs %s)"
-            path s.Engine.s_fingerprint (Evaluator.fingerprint ev);
-        (match Evaluator.restore_state ev s.Engine.s_evaluator with
-        | Ok () -> ()
-        | Error e -> fail "%s: %s" path e);
-        (* the snapshot decides whether a surrogate resumes: restoring
-           one into a surrogate-free run (or dropping it from a
-           surrogate run) would silently change the decision sequence.
-           The model's own header rejects a skim/config mismatch. *)
-        let sg =
-          if s.Engine.s_surrogate = [] then None
-          else begin
-            let m = Surrogate.create ?skim:surrogate_skim (Evaluator.space ev) in
-            (match Surrogate.restore m s.Engine.s_surrogate with
-            | Ok () -> ()
-            | Error e -> fail "%s: %s" path e);
-            Some m
-          end
-        in
-        Option.iter (Evaluator.attach_surrogate ev) sg;
-        (* the fingerprint check above guarantees the snapshot was
-           written with the same symmetry flag, so [seen] exists exactly
-           when the snapshot has entries to restore *)
-        (match seen with
-        | Some sn -> (
-            match Engine.seen_restore sn s.Engine.s_symmetry with
-            | Ok () -> ()
-            | Error e -> fail "%s: symmetry section: %s" path e)
-        | None ->
-            if s.Engine.s_symmetry <> [] then
-              fail "%s: checkpoint has a symmetry section but symmetry is off"
-                path);
-        let rank_sg = if batch then sg else None in
-        let strat =
-          match
-            decode_strategy ~batch ~min_batch ?surrogate:rank_sg ev
-              ~algo:s.Engine.s_algo s.Engine.s_strategy
-          with
-          | Ok strat -> strat
-          | Error e -> fail "%s: %s" path e
-        in
-        let best_m =
-          match Mapping.of_canonical_key graph s.Engine.s_best_key with
-          | Some m -> m
-          | None -> fail "%s: best-mapping key does not parse for this graph" path
-        in
-        let carry =
-          {
-            Engine.c_trials = s.Engine.s_trials;
-            c_steps = s.Engine.s_steps;
-            c_wall = s.Engine.s_wall;
-            c_best = (best_m, s.Engine.s_best_perf);
-          }
-        in
-        let budget =
-          let max_virtual = if s.Engine.s_algo = "portfolio" then None else budget in
-          Budget.make ?max_trials ?max_virtual ?max_wall ()
-        in
-        Engine.run ~budget ?on_event ?checkpoint ~carry ?surrogate:sg ?seen
-          ~start:best_m ev strat
+        Ok
+          ( strat,
+            best,
+            Some
+              {
+                Engine.c_trials = s.Engine.s_trials;
+                c_steps = s.Engine.s_steps;
+                c_wall = s.Engine.s_wall;
+                c_best = (best, s.Engine.s_best_perf);
+              } )
   in
-  let search_best, search_perf = (o.Engine.best, o.Engine.perf) in
-  let best, best_runs =
-    final_protocol ~final_top ~final_runs ev ~search_best ~search_perf
+  Ok { cfg; ev; seen; sg; strat; start; carry }
+
+(* The portfolio spends [cfg.budget] through its members' own
+   deadlines; every other strategy gets it as the engine's virtual-time
+   cap. *)
+let budget ?max_trials ?max_wall s =
+  let max_virtual = if s.strat.Engine.name = "portfolio" then None else s.cfg.budget in
+  Budget.make ?max_trials ?max_virtual ?max_wall ()
+
+let search ?on_event ?checkpoint ?max_trials ?max_wall s =
+  Engine.run
+    ~budget:(budget ?max_trials ?max_wall s)
+    ?on_event ?checkpoint ?carry:s.carry ?surrogate:s.sg ?seen:s.seen ~start:s.start
+    s.ev s.strat
+
+let conclude s (o : Engine.outcome) =
+  final_protocol ~final_top:s.cfg.final_top ~final_runs:s.cfg.final_runs s.ev
+    ~search_best:o.Engine.best ~search_perf:o.Engine.perf
+
+let run ?(runs = default_cfg.runs) ?(final_top = default_cfg.final_top)
+    ?(final_runs = default_cfg.final_runs) ?noise_sigma ?iterations
+    ?(seed = default_cfg.seed) ?budget ?max_trials ?max_wall ?start
+    ?(heft_seed = default_cfg.heft_seed) ?objective ?extended ?(batch = false)
+    ?(min_batch = default_cfg.min_batch) ?(surrogate = default_cfg.surrogate)
+    ?surrogate_skim ?(symmetry = default_cfg.symmetry)
+    ?(dominance = default_cfg.dominance) ?db ?on_event ?checkpoint
+    ?(checkpoint_every = 25) ?resume_from algo machine graph =
+  let cfg =
+    { algo; runs; noise_sigma; iterations; seed; budget; max_trials; batch; min_batch;
+      surrogate; surrogate_skim; symmetry; dominance; heft_seed; final_top; final_runs }
   in
+  let ok = function
+    | Ok v -> v
+    | Error e -> failwith (match resume_from with Some p -> p ^ ": " ^ e | None -> e)
+  in
+  let snapshot = Option.map (fun path -> ok (Engine.load_snapshot path)) resume_from in
+  let s = ok (session ?objective ?extended ?db ?start ?snapshot cfg machine graph) in
+  let checkpoint =
+    Option.map (fun path -> { Engine.every = checkpoint_every; path }) checkpoint
+  in
+  let o = search ?on_event ?checkpoint ?max_trials ?max_wall s in
+  let best, best_runs = conclude s o in
+  let ev = s.ev in
   let vt = Evaluator.virtual_time ev in
   let st = Evaluator.stats ev in
   {
@@ -273,7 +318,7 @@ let run ?runs ?(final_top = 5) ?(final_runs = 30) ?noise_sigma ?iterations
     best;
     perf = Stats.mean best_runs;
     final_stats = Stats.summarize best_runs;
-    search_perf;
+    search_perf = o.Engine.perf;
     trace = Evaluator.trace ev;
     virtual_search_time = vt;
     eval_time_fraction = (if vt > 0.0 then Evaluator.eval_time ev /. vt else 1.0);

@@ -23,9 +23,31 @@ val algo_of_string : ?max_evals:int -> string -> (algo, string) Stdlib.result
     [max_evals] (default 1000) parameterizes the stochastic
     algorithms. *)
 
-val algo_to_string : algo -> string
-(** Inverse spelling of {!algo_of_string} (parameters dropped:
-    [Ccd _] is ["ccd"]).  Matches {!Engine.snapshot.s_algo}. *)
+type cfg = {
+  algo : algo;
+  runs : int;                  (** per-candidate measurement runs (§5: 7) *)
+  noise_sigma : float option;  (** [None] = evaluator default *)
+  iterations : int option;
+  seed : int;
+  budget : float option;       (** virtual-time cap *)
+  max_trials : int option;     (** total evaluated-trial cap *)
+  batch : bool;
+  min_batch : int;
+  surrogate : bool;
+  surrogate_skim : int option;
+  symmetry : bool;   (** orbit canonicalization + seen-set skipping *)
+  dominance : bool;  (** dominance-pruned choice lists *)
+  heft_seed : bool;
+  final_top : int;
+  final_runs : int;
+}
+(** Everything that determines a search's decision stream (plus the
+    decision-neutral batching knobs); {!Slice.cfg} is this type. *)
+
+val default_cfg : cfg
+(** CCD(5), 7 runs, seed 0, no caps, gated batching with
+    {!Descent.default_min_batch}, surrogate, symmetry and dominance on,
+    final protocol 5 × 30 runs. *)
 
 type result = {
   algo : algo;
@@ -62,12 +84,12 @@ val make_strategy :
   algo ->
   Evaluator.t ->
   Engine.strategy
-(** A fresh strategy for [algo], exactly as {!run} builds one: [seed]
-    derives the stochastic algorithms' seeds, [budget] becomes the
-    portfolio's member shares, [batch]/[min_batch]/[surrogate]
+(** A fresh strategy for [algo], exactly as {!session} builds one:
+    [seed] derives the stochastic algorithms' seeds, [budget] becomes
+    the portfolio's member shares, [batch]/[min_batch]/[surrogate]
     configure CD/CCD proposal batching (gated — see
     {!Descent.next_gated} — and ranked).  Exposed for callers that
-    drive {!Engine.run} themselves (the serve daemon's slice driver). *)
+    drive {!Engine.run} themselves. *)
 
 val decode_strategy :
   ?batch:bool ->
@@ -94,8 +116,66 @@ val final_protocol :
     best mappings of the evaluator's profiles database [final_runs]
     (30) times each and return the fastest-on-average with its runs
     (falling back to [(search_best, [search_perf])] on an empty
-    database).  {!run} applies it automatically; the serve daemon's
-    slice driver calls it when a sliced search completes. *)
+    database).  {!conclude} applies it with a session's settings.
+    Ties on search perf rank by canonical key ({!Profiles_db.top}), so
+    a database rebuilt from a checkpoint picks the same candidates in
+    the same order. *)
+
+(** {2 Search sessions}
+
+    {!run} and the serve daemon's slices ({!Slice}) take the same three
+    steps: build a {!session}, {!search} it, then {!conclude} it (or
+    pause it into a checkpoint). *)
+
+type session = {
+  cfg : cfg;
+  ev : Evaluator.t;
+  seen : Engine.seen option;   (** exactly when the space canonicalizes *)
+  sg : Surrogate.t option;     (** the model the engine trains, if any *)
+  strat : Engine.strategy;
+  start : Mapping.t;           (** start point; the snapshot's best on resume *)
+  carry : Engine.carry option; (** engine counters restored from a snapshot *)
+}
+
+val session :
+  ?scratch:Exec.scratch ->
+  ?objective:(Machine.t -> Exec.result -> float) ->
+  ?extended:bool ->
+  ?db:Profiles_db.t ->
+  ?start:Mapping.t ->
+  ?snapshot:Engine.snapshot ->
+  cfg ->
+  Machine.t ->
+  Graph.t ->
+  (session, string) Stdlib.result
+(** A search's whole state, derived from [cfg].  Fresh: the evaluator
+    runs over [scratch]'s compiled problem when given and warm-starts
+    from [db]; the start is [start], else {!Heft.mapping} when
+    [cfg.heft_seed] is set or the algorithm is [Heft], else
+    {!Mapping.default_start}.  With [snapshot] the search resumes: the
+    snapshot's profiles database, strategy, evaluator state, seen-set
+    and surrogate (present exactly when the snapshot has one) replace
+    [db], [cfg.algo]'s strategy and the fresh state.  Errors on a
+    fingerprint mismatch or a section that does not restore; a fresh
+    session never errors. *)
+
+val budget : ?max_trials:int -> ?max_wall:float -> session -> Budget.t
+(** The one budget rule: the given caps, plus [cfg.budget] as the
+    virtual-time cap unless the portfolio is running — it spends the
+    budget through its members' own deadlines. *)
+
+val search :
+  ?on_event:(Engine.event -> unit) ->
+  ?checkpoint:Engine.checkpoint_cfg ->
+  ?max_trials:int ->
+  ?max_wall:float ->
+  session ->
+  Engine.outcome
+(** {!Engine.run} under {!budget}.  Mutates the session: call it once,
+    and continue a search cut short through a checkpoint. *)
+
+val conclude : session -> Engine.outcome -> Mapping.t * float list
+(** {!final_protocol} with the session's [final_top] and [final_runs]. *)
 
 val run :
   ?runs:int ->
@@ -175,6 +255,10 @@ val run :
     strategy, evaluator state and profiles database replace [algo]'s
     fresh strategy and [db], and the search continues
     decision-identically from where it stopped.
+
+    The arguments make a {!cfg} (defaults from {!default_cfg}, except
+    [batch]), run as one {!session} — the path the serve daemon's
+    slices take, so a sliced search returns the same answer.
     @raise Failure if the checkpoint is unreadable, fingerprint-
     mismatched, or names an unknown strategy. *)
 

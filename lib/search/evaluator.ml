@@ -76,8 +76,7 @@ type stats = {
   s_batch_short_circuits : int;
   s_delta_binds : int;
   s_full_binds : int;
-  s_bind_hits_shared : int;
-  s_bind_hits_private : int;
+  s_bind_hits : int;
   s_cone_replays : int;
   s_cone_instances : int;
   s_full_replays : int;
@@ -586,7 +585,6 @@ let batch_short_circuits t = t.batch_short_circuits
 let eval_time t = t.eval_time
 
 let stats t =
-  let hits_shared, hits_private = Exec.bind_cache_hits t.scratch in
   {
     s_suggested = t.suggested;
     s_evaluated = t.evaluated;
@@ -603,8 +601,7 @@ let stats t =
     s_batch_short_circuits = t.batch_short_circuits;
     s_delta_binds = Exec.delta_binds t.scratch;
     s_full_binds = Exec.full_binds t.scratch;
-    s_bind_hits_shared = hits_shared;
-    s_bind_hits_private = hits_private;
+    s_bind_hits = Exec.bind_cache_hits t.scratch;
     s_cone_replays = Exec.cone_replays t.scratch;
     s_cone_instances = Exec.cone_instances t.scratch;
     s_full_replays = Exec.full_replays t.scratch;

@@ -257,10 +257,7 @@ type stats = {
   s_batch_short_circuits : int;  (** {!batch_short_circuits} *)
   s_delta_binds : int;  (** {!Exec.delta_binds} of the evaluator's scratch *)
   s_full_binds : int;   (** {!Exec.full_binds} of the evaluator's scratch *)
-  s_bind_hits_shared : int;
-      (** {!Exec.bind_cache_hits} shared-label hits (portfolio members
-          reusing a sibling's bind) *)
-  s_bind_hits_private : int;  (** {!Exec.bind_cache_hits} private hits *)
+  s_bind_hits : int;     (** {!Exec.bind_cache_hits} *)
   s_cone_replays : int;   (** {!Exec.cone_replays} *)
   s_cone_instances : int; (** {!Exec.cone_instances} *)
   s_full_replays : int;   (** {!Exec.full_replays} *)

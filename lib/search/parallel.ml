@@ -93,12 +93,7 @@ let run_members ?domains ?(members = Portfolio.default_members) ?(budget = infin
      instead of being rebuilt per member.  Caches are decision-neutral
      (bit-identical replay), so results still match fully-private runs. *)
   let compiled = Exec.compile machine graph in
-  let scratch_key =
-    Domain.DLS.new_key (fun () ->
-        let sc = Exec.scratch compiled in
-        Exec.set_shared sc true;
-        sc)
-  in
+  let scratch_key = Domain.DLS.new_key (fun () -> Exec.scratch compiled) in
   let best_cell = Atomic.make infinity in
   let job index member () =
     let scratch = Domain.DLS.get scratch_key in
@@ -113,13 +108,7 @@ let run_members ?domains ?(members = Portfolio.default_members) ?(budget = infin
     let p0 = Evaluator.evaluate ev start in
     if share_bound then publish_best best_cell p0;
     let deadline = Evaluator.virtual_time ev +. budget in
-    let strat =
-      match member with
-      | Portfolio.Ccd rotations -> Ccd.make ~batch ~rotations ev
-      | Portfolio.Cd -> Cd.make ~batch ev
-      | Portfolio.Annealing -> Annealing.make ~seed:(seed + 13) ev
-      | Portfolio.Random -> Random_search.make ~seed:(seed + 29) ev
-    in
+    let strat = Portfolio.member_strategy ~batch ~seed member ev in
     let strat = if share_bound then tighten_bounds best_cell strat else strat in
     let on_event =
       if share_bound then fun ev ->
@@ -149,12 +138,3 @@ let run_members ?domains ?(members = Portfolio.default_members) ?(budget = infin
 let best = function
   | [] -> invalid_arg "Parallel.best: empty result list"
   | r :: rest -> List.fold_left (fun acc r -> if r.perf < acc.perf then r else acc) r rest
-
-let search ?domains ?members ?budget ?seed ?runs ?noise_sigma ?iterations ?batch
-    ?share_bound machine graph =
-  let r =
-    best
-      (run_members ?domains ?members ?budget ?seed ?runs ?noise_sigma ?iterations ?batch
-         ?share_bound machine graph)
-  in
-  (r.mapping, r.perf)

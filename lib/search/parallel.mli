@@ -74,18 +74,3 @@ val best : member_result list -> member_result
 (** Minimum-perf result; ties break to the earliest member, so the
     merge is deterministic regardless of completion order.
     @raise Invalid_argument on the empty list. *)
-
-val search :
-  ?domains:int ->
-  ?members:Portfolio.member list ->
-  ?budget:float ->
-  ?seed:int ->
-  ?runs:int ->
-  ?noise_sigma:float ->
-  ?iterations:int ->
-  ?batch:bool ->
-  ?share_bound:bool ->
-  Machine.t ->
-  Graph.t ->
-  Mapping.t * float
-(** [run_members] followed by {!best}: the parallel portfolio. *)

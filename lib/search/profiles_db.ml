@@ -18,10 +18,13 @@ let record t m runs = record_key t ~key:(Mapping.canonical_key m) m runs
 
 let size t = Hashtbl.length t.tbl
 
+(* Ties break by key: hash-table order does not survive save/load. *)
 let top t k =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl []
-  |> List.sort (fun a b -> compare a.perf b.perf)
+  Hashtbl.fold (fun key e acc -> (key, e) :: acc) t.tbl []
+  |> List.sort (fun (ka, a) (kb, b) ->
+         match compare a.perf b.perf with 0 -> compare ka kb | c -> c)
   |> List.filteri (fun i _ -> i < k)
+  |> List.map snd
 
 let best t = match top t 1 with [] -> None | e :: _ -> Some e
 

@@ -36,7 +36,9 @@ val record_key : t -> key:string -> Mapping.t -> float list -> entry
 val size : t -> int
 
 val top : t -> int -> entry list
-(** The [k] entries with the best (lowest) perf, best first. *)
+(** The [k] entries with the best (lowest) perf, best first; equal
+    perfs rank by canonical key, so a database rebuilt by {!load}
+    ranks exactly like the one {!save} wrote. *)
 
 val best : t -> entry option
 

@@ -1,25 +1,27 @@
 (* One scheduling quantum of a search, for the serve daemon: run the
    engine for at most [slice_trials] evaluated proposals, then either
    finish (strategy stopped or the request's own budget ran out) or
-   pause into a checkpoint envelope.  Because the pause/resume path is
-   the PR 5 checkpoint codec — proven decision-identical — a search
-   chopped into slices (possibly hopping between worker domains, each
-   slice on a fresh evaluator over the shared compiled problem) takes
-   exactly the trial sequence the unsliced run would.
+   pause into a checkpoint envelope.  Every slice is a Driver session —
+   the same build, budget rule and final protocol as Driver.run — and
+   pause/resume is the engine's decision-identical checkpoint codec, so
+   a search chopped into slices (possibly hopping between worker
+   domains, each slice on a fresh evaluator over the shared compiled
+   problem) takes exactly the trial sequence the unsliced run would and
+   returns the same answer.
 
    The only approximation is the wall clock: each slice accumulates its
    own elapsed time into the envelope's wall field.  Wall is not
    decision-relevant here (slice budgets are trial-counted and requests
    carry no max_wall), so the accumulated value is telemetry. *)
 
-type cfg = {
+type cfg = Driver.cfg = {
   algo : Driver.algo;
   runs : int;
   noise_sigma : float option;
   iterations : int option;
   seed : int;
-  budget : float option;      (* request's virtual-time cap *)
-  max_trials : int option;    (* request's total trial cap *)
+  budget : float option;
+  max_trials : int option;
   batch : bool;
   min_batch : int;
   surrogate : bool;
@@ -31,25 +33,7 @@ type cfg = {
   final_runs : int;
 }
 
-let default_cfg =
-  {
-    algo = Driver.Ccd { rotations = 5 };
-    runs = 7;
-    noise_sigma = None;
-    iterations = None;
-    seed = 0;
-    budget = None;
-    max_trials = None;
-    batch = true;
-    min_batch = Descent.default_min_batch;
-    surrogate = true;
-    surrogate_skim = None;
-    symmetry = true;
-    dominance = true;
-    heft_seed = false;
-    final_top = 5;
-    final_runs = 30;
-  }
+let default_cfg = Driver.default_cfg
 
 let algo_spec = function
   | Driver.Cd -> "cd"
@@ -100,167 +84,62 @@ type finished = {
 type progress = { ckpt : string; p_trials : int; p_best_perf : float }
 type status = Finished of finished | Paused of progress
 
-(* skim only makes sense on ranked batches (mirrors Driver.run) *)
-let eff_batch cfg = cfg.batch || cfg.surrogate_skim <> None
-
-let make_evaluator ?scratch ?db cfg machine graph =
-  Evaluator.create ~runs:cfg.runs ?noise_sigma:cfg.noise_sigma
-    ?iterations:cfg.iterations ~seed:cfg.seed ~symmetry:cfg.symmetry
-    ~dominance:cfg.dominance ?db ?scratch machine graph
-
-(* mirrors Driver.run: the seen-set exists exactly when the evaluator's
-   space canonicalizes; symmetry is part of the fingerprint so resumed
-   slices cannot silently flip it *)
-let make_seen ev =
-  if Space.symmetry (Evaluator.space ev) then
-    Some (Engine.seen_create (Space.canonicalize (Evaluator.space ev)))
-  else None
-
-let slice_budget cfg ~done_trials ~slice_trials =
+(* One slice of a session: at most [slice_trials] more trials, then the
+   answer or a pause.  Hitting the slice cap with the request's own
+   limits still open means "more work"; anything else — strategy stop,
+   request trial cap, virtual budget overrun — is final.  A strategy
+   that stops exactly on the cap is indistinguishable from a truncated
+   one; it costs one extra no-op slice that stops immediately,
+   evaluating nothing. *)
+let run_slice ?on_event ~slice_trials (s : Driver.session) =
+  let done_trials, wall =
+    match s.carry with Some c -> (c.Engine.c_trials, c.Engine.c_wall) | None -> (0, 0.0)
+  in
   let cap =
     let c = done_trials + slice_trials in
-    match cfg.max_trials with Some m -> min m c | None -> c
+    match s.cfg.max_trials with Some m -> min m c | None -> c
   in
-  (* the portfolio consumes [budget] through its own member deadlines;
-     every other algorithm gets it as the engine's virtual-time cap
-     (mirrors Driver.run) *)
-  let max_virtual = if cfg.algo = Driver.Portfolio then None else cfg.budget in
-  (cap, Budget.make ~max_trials:cap ?max_virtual ())
-
-(* Did the slice end because the search is over, or because the quantum
-   ran out?  Hitting the slice cap with the request's own limits still
-   open means "more work"; anything else — strategy stop, request trial
-   cap, virtual budget overrun — is final.  A strategy that stops
-   exactly on the cap is indistinguishable from a truncated one; it
-   costs one extra no-op slice that stops immediately, evaluating
-   nothing. *)
-let is_finished cfg ev (o : Engine.outcome) ~cap =
-  o.Engine.trials < cap
-  || (match cfg.max_trials with Some m -> o.Engine.trials >= m | None -> false)
-  ||
-  match cfg.budget with
-  | Some b when cfg.algo <> Driver.Portfolio -> Evaluator.virtual_time ev > b
-  | _ -> false
-
-let conclude cfg ev (o : Engine.outcome) =
-  let best, best_runs =
-    Driver.final_protocol ~final_top:cfg.final_top ~final_runs:cfg.final_runs ev
-      ~search_best:o.Engine.best ~search_perf:o.Engine.perf
+  let t0 = Unix.gettimeofday () in
+  let o = Driver.search ?on_event ~max_trials:cap s in
+  let finished =
+    o.Engine.trials < cap
+    || Budget.exhausted
+         (Driver.budget ?max_trials:s.cfg.max_trials s)
+         ~trials:o.Engine.trials ~vt:(Evaluator.virtual_time s.ev) ~wall:0.0
   in
-  Finished
-    {
-      best;
-      perf = Stats.mean best_runs;
-      best_runs;
-      search_best = o.Engine.best;
-      search_perf = o.Engine.perf;
-      trials = o.Engine.trials;
-    }
-
-let pause ?surrogate ?seen ev strat (o : Engine.outcome) ~wall =
-  Paused
-    {
-      ckpt =
-        Engine.checkpoint_string ?surrogate ?seen ev strat ~trials:o.Engine.trials
-          ~steps:o.Engine.steps ~wall ~best:(o.Engine.best, o.Engine.perf);
-      p_trials = o.Engine.trials;
-      p_best_perf = o.Engine.perf;
-    }
+  if finished then
+    let best, best_runs = Driver.conclude s o in
+    Finished
+      {
+        best;
+        perf = Stats.mean best_runs;
+        best_runs;
+        search_best = o.Engine.best;
+        search_perf = o.Engine.perf;
+        trials = o.Engine.trials;
+      }
+  else
+    Paused
+      {
+        ckpt =
+          Engine.checkpoint_string ?surrogate:s.sg ?seen:s.seen s.ev s.strat
+            ~trials:o.Engine.trials ~steps:o.Engine.steps
+            ~wall:(wall +. (Unix.gettimeofday () -. t0))
+            ~best:(o.Engine.best, o.Engine.perf);
+        p_trials = o.Engine.trials;
+        p_best_perf = o.Engine.perf;
+      }
 
 let start ?scratch ?db ?warm_start ?on_event ~slice_trials cfg machine graph =
-  let batch = eff_batch cfg in
-  let ev = make_evaluator ?scratch ?db cfg machine graph in
-  let start_m =
-    match warm_start with
-    | Some m -> m
-    | None ->
-        if cfg.heft_seed || cfg.algo = Driver.Heft then Heft.mapping machine graph
-        else Mapping.default_start graph machine
+  (* a fresh session restores nothing, so it cannot fail *)
+  let s =
+    Result.get_ok (Driver.session ?scratch ?db ?start:warm_start cfg machine graph)
   in
-  let sg =
-    if not cfg.surrogate then None
-    else Some (Surrogate.create ?skim:cfg.surrogate_skim (Evaluator.space ev))
-  in
-  Option.iter (Evaluator.attach_surrogate ev) sg;
-  let rank_sg = if batch then sg else None in
-  let strat =
-    Driver.make_strategy ~seed:cfg.seed ?budget:cfg.budget ~batch
-      ~min_batch:cfg.min_batch ?surrogate:rank_sg cfg.algo ev
-  in
-  let seen = make_seen ev in
-  let cap, budget = slice_budget cfg ~done_trials:0 ~slice_trials in
-  let t0 = Unix.gettimeofday () in
-  let o =
-    Engine.run ~budget ?on_event ?surrogate:sg ?seen ~start:start_m ev strat
-  in
-  let status =
-    if is_finished cfg ev o ~cap then conclude cfg ev o
-    else pause ?surrogate:sg ?seen ev strat o ~wall:(Unix.gettimeofday () -. t0)
-  in
-  (status, ev)
+  (run_slice ?on_event ~slice_trials s, s.ev)
 
 let resume ?scratch ?on_event ~slice_trials cfg machine graph ~ckpt =
   let ( let* ) = Result.bind in
-  let batch = eff_batch cfg in
-  let* s = Engine.snapshot_of_string ckpt in
-  let* db = Profiles_db.load graph s.Engine.s_profiles in
-  let ev = make_evaluator ?scratch ~db cfg machine graph in
-  let* () =
-    if Evaluator.fingerprint ev = s.Engine.s_fingerprint then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "Slice.resume: fingerprint mismatch (%s vs %s) — checkpoint belongs \
-            to a different machine/graph/config"
-           s.Engine.s_fingerprint (Evaluator.fingerprint ev))
-  in
-  let* () = Evaluator.restore_state ev s.Engine.s_evaluator in
-  (* the snapshot decides whether a surrogate resumes (see Driver.run) *)
-  let* sg =
-    if s.Engine.s_surrogate = [] then Ok None
-    else
-      let m = Surrogate.create ?skim:cfg.surrogate_skim (Evaluator.space ev) in
-      let* () = Surrogate.restore m s.Engine.s_surrogate in
-      Ok (Some m)
-  in
-  Option.iter (Evaluator.attach_surrogate ev) sg;
-  let rank_sg = if batch then sg else None in
-  let* strat =
-    Driver.decode_strategy ~batch ~min_batch:cfg.min_batch ?surrogate:rank_sg ev
-      ~algo:s.Engine.s_algo s.Engine.s_strategy
-  in
-  let* best_m =
-    match Mapping.of_canonical_key graph s.Engine.s_best_key with
-    | Some m -> Ok m
-    | None -> Error "Slice.resume: best-mapping key does not parse for this graph"
-  in
-  let carry =
-    {
-      Engine.c_trials = s.Engine.s_trials;
-      c_steps = s.Engine.s_steps;
-      c_wall = s.Engine.s_wall;
-      c_best = (best_m, s.Engine.s_best_perf);
-    }
-  in
-  let seen = make_seen ev in
-  let* () =
-    match seen with
-    | Some sn -> Engine.seen_restore sn s.Engine.s_symmetry
-    | None ->
-        if s.Engine.s_symmetry = [] then Ok ()
-        else
-          Error
-            "Slice.resume: checkpoint has a symmetry section but symmetry is off"
-  in
-  let cap, budget = slice_budget cfg ~done_trials:s.Engine.s_trials ~slice_trials in
-  let t0 = Unix.gettimeofday () in
-  let o =
-    Engine.run ~budget ?on_event ~carry ?surrogate:sg ?seen ~start:best_m ev strat
-  in
-  let status =
-    if is_finished cfg ev o ~cap then conclude cfg ev o
-    else
-      pause ?surrogate:sg ?seen ev strat o
-        ~wall:(s.Engine.s_wall +. (Unix.gettimeofday () -. t0))
-  in
-  Ok (status, ev)
+  let* snapshot = Engine.snapshot_of_string ckpt in
+  match Driver.session ?scratch ~snapshot cfg machine graph with
+  | Ok s -> Ok (run_slice ?on_event ~slice_trials s, s.ev)
+  | Error e -> Error ("Slice.resume: " ^ e)

@@ -6,12 +6,15 @@
     slices the search exists only as that envelope — the server can
     persist it, re-enqueue it behind other requests, or hand it to a
     different worker domain (each slice builds a fresh evaluator, so
-    only the immutable {!Exec.compiled} problem is shared).  Because
-    pause/resume is the {!Engine} checkpoint codec, the sliced search
-    is decision-identical to the unsliced one; SIGTERM durability falls
-    out of persisting the envelope after every slice. *)
+    only the immutable {!Exec.compiled} problem is shared).  Each slice
+    is a {!Driver.session} — built, budgeted and finished exactly as
+    {!Driver.run} does it — and pause/resume is the {!Engine}
+    checkpoint codec, so a sliced search returns the same answer as
+    {!Driver.run} with the same configuration: same trials, same search
+    best, same final mapping and perf.  SIGTERM durability falls out of
+    persisting the envelope after every slice. *)
 
-type cfg = {
+type cfg = Driver.cfg = {
   algo : Driver.algo;
   runs : int;                  (** per-candidate measurement runs (§5: 7) *)
   noise_sigma : float option;  (** [None] = evaluator default *)
@@ -29,14 +32,12 @@ type cfg = {
   final_top : int;
   final_runs : int;
 }
-(** Everything that determines a search's decision stream (plus the
-    decision-neutral batching knobs).  The server derives cache keys
-    from it and rebuilds identical slice drivers from it on restart. *)
+(** {!Driver.cfg} under its serve-side name.  The server derives cache
+    keys from it and rebuilds identical slice drivers from it on
+    restart. *)
 
 val default_cfg : cfg
-(** CCD(5), 7 runs, seed 0, no caps, gated batching with
-    {!Descent.default_min_batch}, surrogate on, symmetry and dominance
-    reduction on — the serve daemon's per-request defaults. *)
+(** {!Driver.default_cfg} — the serve daemon's per-request defaults. *)
 
 val algo_spec : Driver.algo -> string
 (** Compact wire spelling of an algorithm, e.g. ["ccd:5"],
@@ -80,11 +81,12 @@ val start :
   Machine.t ->
   Graph.t ->
   status * Evaluator.t
-(** First slice: build the evaluator (over [scratch]'s compiled problem
-    when given — the compile-cache path), seed the profiles database
-    from [db] (the shared pool), run at most [slice_trials] trials.
-    [warm_start] seeds the search from a memoized incumbent instead of
-    the default/HEFT start; warm-started searches explore a different — typically shorter —
+(** First slice: build the {!Driver.session} (over [scratch]'s compiled
+    problem when given — the compile-cache path — with the profiles
+    database seeded from [db], the shared pool) and run at most
+    [slice_trials] trials.  [warm_start] seeds the search from a
+    memoized incumbent instead of the default/HEFT start;
+    warm-started searches explore a different — typically shorter —
     trajectory, which is exactly their point.  The returned evaluator
     carries the slice's stats and profiles database. *)
 
@@ -98,7 +100,8 @@ val resume :
   ckpt:string ->
   (status * Evaluator.t, string) result
 (** Continue a paused search from its envelope, decision-identically:
-    profiles database, evaluator state, strategy cursor and surrogate
-    all restore from [ckpt] ([cfg] must be the one the chain started
-    with — the evaluator fingerprint check enforces the eval-identity
-    part).  Errors on a corrupt or mismatched envelope. *)
+    {!Driver.session} restores the profiles database, evaluator state,
+    strategy cursor, seen-set and surrogate from [ckpt] ([cfg] must be
+    the one the chain started with — the evaluator fingerprint check
+    enforces the eval-identity part).  Errors on a corrupt or
+    mismatched envelope. *)

@@ -19,7 +19,7 @@
     The surrogate only ever {e orders} candidates; every verdict the
     search acts on still comes from the exact evaluator.  Reranking a
     batch is therefore a quality heuristic, not an approximation: see
-    {!Descent.next_batch} and DESIGN.md §12 for the exact guarantees
+    {!Descent.next_gated} and DESIGN.md §12 for the exact guarantees
     (ranked-batch ≡ ranked-sequential bit-equality, and the
     never-worse-final-best golden gate for skim mode). *)
 

@@ -210,11 +210,7 @@ type scratch = {
   (* bind-path counters for the pruning benches/tests *)
   mutable delta_binds : int;
   mutable full_binds : int;
-  (* bind-cache hits, split by whether this scratch is advertised as
-     shared between portfolio members (see {!set_shared}) *)
-  mutable shared_scratch : bool;
-  mutable bind_hits_shared : int;
-  mutable bind_hits_private : int;
+  mutable bind_hits : int;  (* physical-equality bind-cache hits *)
   (* ---- incremental re-simulation state ---- *)
   mutable incremental : bool;                    (* master switch *)
   (* flat per-seed tables (struct-of-arrays).  A search touches a
@@ -438,9 +434,7 @@ let scratch prob =
     bound_placement = None;
     delta_binds = 0;
     full_binds = 0;
-    shared_scratch = false;
-    bind_hits_shared = 0;
-    bind_hits_private = 0;
+    bind_hits = 0;
     incremental = true;
     tl_seed = Array.make seed_table_cap 0;
     tls = [||];
@@ -484,8 +478,7 @@ let compiled_machine prob = prob.cmachine
 let compiled_graph prob = prob.cgraph
 let compiled_words prob = Obj.reachable_words (Obj.repr prob)
 
-let set_shared sc on = sc.shared_scratch <- on
-let bind_cache_hits sc = (sc.bind_hits_shared, sc.bind_hits_private)
+let bind_cache_hits sc = sc.bind_hits
 
 let ensure_capacity sc n =
   if n > sc.cap_instances then begin
@@ -861,8 +854,7 @@ let patch_coord_limit = 32
 let resolve_bound sc ~fallback mapping =
   match (sc.bound_mapping, sc.bound_placement) with
   | Some m, Some pl when m == mapping && sc.bound_fallback = fallback ->
-      if sc.shared_scratch then sc.bind_hits_shared <- sc.bind_hits_shared + 1
-      else sc.bind_hits_private <- sc.bind_hits_private + 1;
+      sc.bind_hits <- sc.bind_hits + 1;
       Ok pl
   | cached -> (
       let prob = sc.prob in
@@ -1123,8 +1115,7 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
        exactly once) *)
     match sc.bound_mapping with
     | Some m when m == mapping && sc.bound_fallback = fallback ->
-        if sc.shared_scratch then sc.bind_hits_shared <- sc.bind_hits_shared + 1
-        else sc.bind_hits_private <- sc.bind_hits_private + 1;
+        sc.bind_hits <- sc.bind_hits + 1;
         true
     | _ -> (
         match resolve_bound sc ~fallback mapping with

@@ -266,17 +266,9 @@ val full_binds : scratch -> int
     seed) are counted by neither counter — they show up in
     {!bind_cache_hits} instead. *)
 
-val set_shared : scratch -> bool -> unit
-(** Mark this scratch as shared between several search strategies
-    (portfolio members on one domain).  Purely an accounting label: it
-    routes physical-equality bind-cache hits to the shared counter of
-    {!bind_cache_hits} so benches can attribute reuse across members
-    vs. within one member.  Default false. *)
-
-val bind_cache_hits : scratch -> int * int
-(** [(shared, private_)] physical-equality bind-cache hits — resolves
-    served without touching placement or the bind tables, split by the
-    {!set_shared} label at hit time. *)
+val bind_cache_hits : scratch -> int
+(** Physical-equality bind-cache hits — resolves served without
+    touching placement or the bind tables. *)
 
 val run :
   ?noise_sigma:float ->

@@ -207,8 +207,7 @@ let of_string s =
     | None -> Error "empty input: no graph header"
     | Some b -> Ok (Graph.Builder.build b)
   with
-  | Parse_error e -> Error e
-  | Graph.Invalid_graph e -> Error e
+  | Parse_error e | Graph.Invalid_graph e | Invalid_argument e -> Error e
 
 let round_trip_exn g =
   match of_string (to_string g) with

@@ -27,7 +27,7 @@ val to_string : Graph.t -> string
 
 val of_string : string -> (Graph.t, string) result
 (** Parse and validate via {!Graph.Builder} (acyclicity, modes,
-    sizes). *)
+    sizes).  Never raises: any malformed input is an [Error]. *)
 
 val round_trip_exn : Graph.t -> Graph.t
 (** Test helper: serialize then parse, raising on error. *)

@@ -81,6 +81,41 @@ let prop_db_round_trip =
                  | None -> false)
                (Profiles_db.top db (Profiles_db.size db)))
 
+(* Property: [top] ranks by perf, then canonical key — the same order
+   for a database and its save/load copy, even when most perfs tie
+   (hash-table order differs between the two). *)
+let prop_db_top_ties =
+  QCheck.Test.make ~count:50 ~name:"profiles-db top breaks ties by key, across save/load"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let g, _, _ = Fixtures.shared_halo () in
+      let space = Space.make ~extended:true g (machine ()) in
+      let rng = Rng.create seed in
+      let db = Profiles_db.create () in
+      for _ = 1 to 1 + Rng.int rng 30 do
+        let perf = [| 1.0; 2.0; infinity |].(Rng.int rng 3) in
+        ignore (Profiles_db.record db (Space.random_mapping space rng) [ perf ])
+      done;
+      let keys db k =
+        List.map (fun e -> Mapping.canonical_key e.Profiles_db.mapping) (Profiles_db.top db k)
+      in
+      let n = Profiles_db.size db in
+      let reference =
+        List.map
+          (fun e -> (e.Profiles_db.perf, Mapping.canonical_key e.Profiles_db.mapping))
+          (Profiles_db.top db n)
+        |> List.sort compare |> List.map snd
+      in
+      match Profiles_db.load g (Profiles_db.save db) with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok db' ->
+          keys db n = reference
+          && List.for_all
+               (fun k ->
+                 keys db k = List.filteri (fun i _ -> i < k) reference
+                 && keys db' k = keys db k)
+               (List.init (n + 2) Fun.id))
+
 let test_db_load_rejects_duplicates () =
   let g, _, _ = Fixtures.shared_halo () in
   let db = Profiles_db.create () in
@@ -160,4 +195,5 @@ let suite =
     Alcotest.test_case "ci narrows" `Quick test_ci_narrows_with_samples;
     Alcotest.test_case "portfolio" `Quick test_portfolio;
     Alcotest.test_case "portfolio validation" `Quick test_portfolio_validation;
+    QCheck_alcotest.to_alcotest prop_db_top_ties;
   ]
