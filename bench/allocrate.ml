@@ -5,7 +5,7 @@
    For Stencil and Circuit it runs one full CCD search per leg —
 
      reference    reference mode: no pruning, full simulation
-     default      the default evaluator (pruning + incremental cone replay)
+     default      the default evaluator (bound-pruning)
      batched      the default + whole-neighbour-set batch evaluation
 
    — and reports Gc.minor_words per suggested candidate alongside

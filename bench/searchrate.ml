@@ -1,19 +1,18 @@
 (* End-to-end search-throughput benchmark for the evaluator's
-   decision-neutral speed-ups (bound-and-prune evaluation and
-   incremental dirty-cone re-simulation) and batch evaluation.
+   decision-neutral speed-up (bound-and-prune evaluation) and batch
+   evaluation.
 
    For Stencil and Circuit it runs the same CCD search three times on
-   fresh evaluators — reference mode (full simulation, no pruning, no
-   cone replay), the default evaluator, and the default evaluator with
+   fresh evaluators — reference mode (full simulation, no pruning),
+   the default evaluator, and the default evaluator with
    whole-neighbour-set batch evaluation — and checks the three
    searches are *decision-identical* (same best mapping, same best
    perf bit-for-bit, same suggestion count) before reporting the
    wall-clock speedups and candidates-per-second gains.  The pruning
-   counters (cut runs/sims, delta vs. full
-   placement binds) and the replay counters (cone vs. full replays,
-   instances re-executed in cones, retained timeline bytes) are
-   reported alongside so regressions in any one layer of the
-   optimisation are visible in the numbers, not just the total.
+   counters (cut runs/sims) and the bind counters (delta vs. full
+   placement binds) are reported alongside so regressions in any one
+   layer of the optimisation are visible in the numbers, not just the
+   total.
 
    The machine is a 4-node shepard cluster: distributed machines are
    the paper's setting, and the communication floors that make the
@@ -73,8 +72,8 @@ type leg = {
   st : Evaluator.stats;
 }
 
-(* One full search on a fresh evaluator (pruning and timeline state
-   must not leak between repeats); only the engine run is timed —
+(* One full search on a fresh evaluator (pruning and bind state must
+   not leak between repeats); only the engine run is timed —
    Evaluator.create (the one-time compile, identical for all legs)
    stays outside. *)
 let search_once ?(batch = false) ?(surrogate = false) ?(reference = false) ~rotations
@@ -166,11 +165,11 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
   check "default" ref_ def;
   check ~steps:false "batched" def bat;
   (* non-vacuous: the reference leg must really run full simulations
-     and the default leg must really prune and replay *)
-  if ref_.st.Evaluator.s_cut_sims <> 0 || ref_.st.Evaluator.s_cone_replays <> 0 then
-    failwith (app.App.app_name ^ ": reference leg pruned or replayed cones");
-  if def.st.Evaluator.s_cut_evals = 0 && def.st.Evaluator.s_cone_replays = 0 then
-    failwith (app.App.app_name ^ ": default leg neither pruned nor replayed a cone");
+     and the default leg must really prune *)
+  if ref_.st.Evaluator.s_cut_sims <> 0 then
+    failwith (app.App.app_name ^ ": reference leg pruned");
+  if def.st.Evaluator.s_cut_evals = 0 then
+    failwith (app.App.app_name ^ ": default leg pruned nothing");
   let speedup = ref_.wall /. def.wall in
   let batched_speedup = bat.cands_per_sec /. def.cands_per_sec in
   Printf.printf
@@ -178,7 +177,6 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
      %5.2fx) | batch %6.2fms (%7.1f cand/s, %5.2fx)\n\
     \         cut %d/%d evals, %d runs, %d sims | binds %d delta / %d full | %d noop \
      skips | %d dead-coord skips\n\
-    \         replays %d cone / %d full | %d cone instances | %.1f KiB timelines\n\
     \         batches %d, %d short-circuited | bind hits %d\n%!"
     app.App.app_name input (1e3 *. ref_.wall) ref_.cands_per_sec (1e3 *. def.wall)
     def.cands_per_sec speedup (1e3 *. bat.wall) bat.cands_per_sec batched_speedup
@@ -186,9 +184,6 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
     def.st.Evaluator.s_cut_runs def.st.Evaluator.s_cut_sims
     def.st.Evaluator.s_delta_binds def.st.Evaluator.s_full_binds
     def.st.Evaluator.s_noop_skips def.st.Evaluator.s_dead_coord_skips
-    def.st.Evaluator.s_cone_replays
-    def.st.Evaluator.s_full_replays def.st.Evaluator.s_cone_instances
-    (float_of_int def.st.Evaluator.s_timeline_bytes /. 1024.0)
     bat.st.Evaluator.s_batch_calls bat.st.Evaluator.s_batch_short_circuits
     bat.st.Evaluator.s_bind_hits;
   Option.iter
@@ -208,14 +203,12 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
 
 let json_leg l =
   Printf.sprintf
-    {|{"wall": %.5f, "cands_per_sec": %.2f, "perf": %.6e, "engine_steps": %d, "suggested": %d, "evaluated": %d, "cache_hits": %d, "cut_evals": %d, "cut_runs": %d, "cut_sims": %d, "noop_skips": %d, "dead_coord_skips": %d, "delta_binds": %d, "full_binds": %d, "cone_replays": %d, "cone_instances": %d, "full_replays": %d, "timeline_bytes": %d, "batch_calls": %d, "batch_short_circuits": %d, "bind_hits": %d}|}
+    {|{"wall": %.5f, "cands_per_sec": %.2f, "perf": %.6e, "engine_steps": %d, "suggested": %d, "evaluated": %d, "cache_hits": %d, "cut_evals": %d, "cut_runs": %d, "cut_sims": %d, "noop_skips": %d, "dead_coord_skips": %d, "delta_binds": %d, "full_binds": %d, "batch_calls": %d, "batch_short_circuits": %d, "bind_hits": %d}|}
     l.wall l.cands_per_sec l.perf l.steps l.st.Evaluator.s_suggested l.st.Evaluator.s_evaluated
     l.st.Evaluator.s_cache_hits l.st.Evaluator.s_cut_evals l.st.Evaluator.s_cut_runs
     l.st.Evaluator.s_cut_sims l.st.Evaluator.s_noop_skips
     l.st.Evaluator.s_dead_coord_skips l.st.Evaluator.s_delta_binds
-    l.st.Evaluator.s_full_binds l.st.Evaluator.s_cone_replays
-    l.st.Evaluator.s_cone_instances l.st.Evaluator.s_full_replays
-    l.st.Evaluator.s_timeline_bytes l.st.Evaluator.s_batch_calls
+    l.st.Evaluator.s_full_binds l.st.Evaluator.s_batch_calls
     l.st.Evaluator.s_batch_short_circuits l.st.Evaluator.s_bind_hits
 
 (* the surrogate leg reranks batches, so it is reported — counters,

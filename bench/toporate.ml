@@ -19,8 +19,7 @@
       slot and cost are a bijection of the legacy kind-level Network
       channel, so a search on direct:4 must be decision-identical to
       one on the 4-node shepard preset and do the same work: equal
-      suggestions, simulations, cone replays, full replays and delta
-      binds.  Those counters are deterministic, so the gate cannot
+      suggestions, simulations and delta binds.  Those counters are deterministic, so the gate cannot
       flake; the speed ratio of the two legs (fastest of several
       interleaved repeats each) is printed but not gated.
 
@@ -64,8 +63,6 @@ type leg = {
   perf : float;
   suggested : int;
   evaluated : int;
-  cone_replays : int;
-  full_replays : int;
   delta_binds : int;
 }
 
@@ -75,7 +72,7 @@ let simulated_per_sec l = float_of_int l.evaluated /. l.wall
 (* One CCD search on a fresh evaluator; only the engine run is timed
    (Evaluator.create's one-time compile stays outside, as in
    searchrate).  Single-run noise-free evaluation: the throughput
-   question is how fast candidates move through bound/prune/replay
+   question is how fast candidates move through bind/bound/prune
    with routed copies, not how much the measurement protocol repeats
    each one — and it is the same setting the decision-identity gates
    compare under. *)
@@ -94,8 +91,6 @@ let search_once ~rotations machine g =
     perf = o.Engine.perf;
     suggested = s.Evaluator.s_suggested;
     evaluated = s.Evaluator.s_evaluated;
-    cone_replays = s.Evaluator.s_cone_replays;
-    full_replays = s.Evaluator.s_full_replays;
     delta_binds = s.Evaluator.s_delta_binds;
   }
 
@@ -176,24 +171,21 @@ let degenerate_gate ~repeats =
     [
       ("suggestions", fun x -> x.suggested);
       ("simulations", fun x -> x.evaluated);
-      ("cone replays", fun x -> x.cone_replays);
-      ("full replays", fun x -> x.full_replays);
       ("delta binds", fun x -> x.delta_binds);
     ];
   if l.evaluated = 0 then failwith "toporate: degenerate legs simulated nothing";
   let ratio = suggestions_per_sec r /. suggestions_per_sec l in
   Printf.printf
-    "degenerate gate: decision-identical, equal work (%d suggested, %d simulated, %d cone \
-     replays, %d full replays, %d delta binds); speed ratio direct:4 / shepard x4 = %.3f \
-     (not gated)\n%!"
-    l.suggested l.evaluated l.cone_replays l.full_replays l.delta_binds ratio;
+    "degenerate gate: decision-identical, equal work (%d suggested, %d simulated, %d delta \
+     binds); speed ratio direct:4 / shepard x4 = %.3f (not gated)\n%!"
+    l.suggested l.evaluated l.delta_binds ratio;
   (l, r, ratio)
 
 let json_leg l =
   Printf.sprintf
-    {|{"wall": %.5f, "suggestions_per_sec": %.2f, "simulated_per_sec": %.2f, "perf": %.6e, "suggested": %d, "evaluated": %d, "cone_replays": %d, "full_replays": %d, "delta_binds": %d}|}
+    {|{"wall": %.5f, "suggestions_per_sec": %.2f, "simulated_per_sec": %.2f, "perf": %.6e, "suggested": %d, "evaluated": %d, "delta_binds": %d}|}
     l.wall (suggestions_per_sec l) (simulated_per_sec l) l.perf l.suggested l.evaluated
-    l.cone_replays l.full_replays l.delta_binds
+    l.delta_binds
 
 let () =
   let rotations = 50 in
@@ -202,9 +194,9 @@ let () =
     (if !smoke then "smoke" else "bench")
     rotations;
   (* The searches are deep (50 rotations): the candidate rate only
-     means something in steady state, where the per-candidate cone
-     replays dominate the one-time full bind of the start mapping
-     rather than drowning in it. *)
+     means something in steady state, where the per-candidate
+     simulations and delta binds dominate the one-time full bind of
+     the start mapping rather than drowning in it. *)
   let grids = [ "grid:4x4"; "grid:8x8"; "grid:16x16"; "grid:32x32" ] in
   let rows =
     List.map (bench_grid ~rotations ~repeats:(if !smoke then 1 else 3)) grids

@@ -107,6 +107,28 @@ let read_file_opt path =
 
 let machine_of_preset ~cluster ~nodes = Presets.of_spec cluster ~nodes
 
+(* One simulation allocates and runs per task instance, so a request
+   may not ask for more instances per simulation than this.  It admits
+   every bundled app and input on every preset up to grid:64x64, where
+   the largest (Pennant 320x368640) runs 1,523,712. *)
+let max_sim_instances = 2_000_000
+
+(* [iterations] times the shards per iteration, refused past
+   [max_sim_instances] without overflowing on the way. *)
+let check_instances (g : Graph.t) ~iterations =
+  let cap = max_sim_instances in
+  let spi = ref 0 in
+  for tid = 0 to Graph.n_tasks g - 1 do
+    let gs = (Graph.task g tid).Graph.group_size in
+    spi := if !spi > cap - gs then cap + 1 else !spi + gs
+  done;
+  if iterations < 1 then Error (Printf.sprintf "iterations must be >= 1 (got %d)" iterations)
+  else if !spi > cap || (!spi > 0 && iterations > cap / !spi) then
+    Error
+      (Printf.sprintf "one simulation would run more than %d task instances (%d iterations)"
+         cap iterations)
+  else Ok ()
+
 let resolve (w : Wire.workload) =
   let ( let* ) = Result.bind in
   let* () =
@@ -140,6 +162,7 @@ let resolve (w : Wire.workload) =
                 in
                 Ok (app.App.graph ~nodes:w.Wire.w_nodes ~input)))
   in
+  let* () = check_instances graph ~iterations:graph.Graph.iterations in
   Ok (machine, graph)
 
 (* ---- construction ----------------------------------------------------- *)
@@ -622,7 +645,13 @@ let handle t req =
         else
           match resolve_cached t workload with
           | Error e -> err ~id:m_id e
-          | Ok (machine, graph, pair) -> submit t ~id:m_id ~cfg ~warm ~pair machine graph)
+          | Ok (machine, graph, pair) -> (
+              let iterations =
+                Option.value cfg.Slice.iterations ~default:graph.Graph.iterations
+              in
+              match check_instances graph ~iterations with
+              | Error e -> err ~id:m_id e
+              | Ok () -> submit t ~id:m_id ~cfg ~warm ~pair machine graph))
   with exn -> err ?id (Printexc.to_string exn)
 
 let handle_line t line =

@@ -48,7 +48,9 @@ val recover : t -> int
 
     Safe from any domain.  [analyze], [status], [ping] and memo-hit
     [map] requests are answered inline; other [map] requests enqueue a
-    job and return [accepted]. *)
+    job and return [accepted].  A workload whose graph (or a [map]
+    request whose [iterations] override) would run more than 2,000,000
+    task instances per simulation is refused with an error. *)
 
 val handle : t -> Wire.request -> Wire.response
 

@@ -363,9 +363,23 @@ let algo_of_spec s =
   | [ one ] -> Result.to_option (Driver.algo_of_string one)
   | _ -> None
 
+(* Each run is one full simulation per candidate, and the final
+   protocol re-runs [final_top] mappings [final_runs] times, so one
+   request may ask for at most this many of each (the paper uses 7
+   runs and 5 x 30 final runs). *)
+let max_runs = 1000
+
 let cfg_of_fields fields =
   let d = Slice.default_cfg in
   let ( let* ) = Result.bind in
+  let bounded k dv =
+    let v = int_def fields k dv in
+    if v >= 1 && v <= max_runs then Ok v
+    else Error (Printf.sprintf "%s must be in 1..%d (got %d)" k max_runs v)
+  in
+  let* runs = bounded "runs" d.Slice.runs in
+  let* final_top = bounded "final_top" d.Slice.final_top in
+  let* final_runs = bounded "final_runs" d.Slice.final_runs in
   let* algo =
     match str_opt fields "algo" with
     | None -> Ok d.Slice.algo
@@ -377,7 +391,7 @@ let cfg_of_fields fields =
   Ok
     {
       Slice.algo;
-      runs = int_def fields "runs" d.Slice.runs;
+      runs;
       noise_sigma = num_opt fields "noise_sigma";
       iterations = int_opt fields "iterations";
       seed = int_def fields "seed" d.Slice.seed;
@@ -390,8 +404,8 @@ let cfg_of_fields fields =
       symmetry = bool_def fields "symmetry" d.Slice.symmetry;
       dominance = bool_def fields "dominance" d.Slice.dominance;
       heft_seed = bool_def fields "heft_seed" d.Slice.heft_seed;
-      final_top = int_def fields "final_top" d.Slice.final_top;
-      final_runs = int_def fields "final_runs" d.Slice.final_runs;
+      final_top;
+      final_runs;
     }
 
 (* ---- requests --------------------------------------------------------- *)

@@ -68,9 +68,11 @@ val request_to_json : request -> json
 
 val request_of_json : json -> (request, string) result
 (** Unknown types, missing ids and malformed config fields are
-    [Error]s (the server turns them into error responses).  Search
-    config fields absent from a [map] request take their
-    {!Slice.default_cfg} values. *)
+    [Error]s (the server turns them into error responses), and so are
+    [runs], [final_top] and [final_runs] outside [1..1000], which bound
+    the simulations one request can ask for.  Search config fields
+    absent from a [map] request take their {!Slice.default_cfg}
+    values. *)
 
 (** {1 Responses} *)
 

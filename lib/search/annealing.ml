@@ -152,7 +152,6 @@ let decode ev lines =
               Codec.parse_incumbent g (String.sub cur (i + 1) (String.length cur - i - 1))
             in
             st.current <- Some mp;
-            Evaluator.note_incumbent ev (fst mp);
             Ok ()
         | _ -> Error "Annealing.decode: bad current line"
       in

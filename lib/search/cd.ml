@@ -94,7 +94,6 @@ let decode ?(batch = false) ?(min_batch = 1) ?surrogate ev lines =
                   (String.sub inc (i + 1) (String.length inc - i - 1))
               in
               st.incumbent <- Some mp;
-              Evaluator.note_incumbent ev (fst mp);
               Ok ()
           | _ -> Error "Cd.decode: bad incumbent line"
       in

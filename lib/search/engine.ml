@@ -295,11 +295,11 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
   in
   (match carry with
   | None ->
-      (* the start point is trial 1: evaluated unbounded and pinned as
-         the first incumbent, exactly as every legacy loop opened *)
+      (* the start point is trial 1: evaluated unbounded and handed to
+         the strategy as the first incumbent, exactly as every legacy
+         loop opened *)
       let p0 = Evaluator.evaluate ev start in
       record_seen (Option.map (fun sn -> seen_key sn start) seen) p0 infinity;
-      Evaluator.note_incumbent ev start;
       strat.init (start, p0);
       best := (start, p0);
       trials := 1;
@@ -347,10 +347,10 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
                this bound: answer from the memo — no evaluation, no
                trial, no event, no clock charge.  [receive] is expected
                to reject (v >= bound); a strategy that still accepts
-               (e.g. a Metropolis draw) gets its incumbent pinned, but
+               (e.g. a Metropolis draw) moves its own incumbent, but
                the engine's best never moves on a memoized value. *)
             Evaluator.note_symmetry_skip ev;
-            if strat.receive candidate v then Evaluator.note_incumbent ev candidate
+            ignore (strat.receive candidate v)
         | None ->
             if hint.overhead > 0.0 then Evaluator.note_suggestion_overhead ev hint.overhead;
             let perf = Evaluator.evaluate ?bound:hint.bound ev candidate in
@@ -358,7 +358,6 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
               (match hint.bound with Some b -> b | None -> infinity);
             incr trials;
             let accepted = strat.receive candidate perf in
-            if accepted then Evaluator.note_incumbent ev candidate;
             let vt = Evaluator.virtual_time ev in
             let improved = perf < snd !best in
             if improved then best := (candidate, perf);
@@ -376,7 +375,6 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
         let deliver candidate perf =
           incr trials;
           let accepted = strat.receive candidate perf in
-          if accepted then Evaluator.note_incumbent ev candidate;
           let vt = Evaluator.virtual_time ev in
           let improved = perf < snd !best in
           if improved then best := (candidate, perf);
@@ -409,10 +407,7 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
           match skippable !i with
           | Some v ->
               Evaluator.note_symmetry_skip ev;
-              if strat.receive cands.(!i) v then begin
-                Evaluator.note_incumbent ev cands.(!i);
-                stop_batch := true
-              end;
+              if strat.receive cands.(!i) v then stop_batch := true;
               incr i
           | None ->
               let j = ref (!i + 1) in

@@ -9,8 +9,6 @@
 
     - evaluation, with each proposal's pruning bound plumbed uniformly
       through {!Evaluator.evaluate}'s [?bound];
-    - incumbent pinning ({!Evaluator.note_incumbent}) whenever the
-      strategy accepts a proposal;
     - the stopping rule, via one {!Budget.t} (max trials / virtual
       time / wall clock) tested before every step;
     - the event bus ([on_event]) feeding progress displays, JSONL
@@ -73,8 +71,8 @@ type strategy = {
   step : ctx -> step;
   receive : Mapping.t -> float -> bool;
       (** verdict for the proposal just evaluated; returns whether the
-          strategy {e accepts} it as its new incumbent — the engine
-          pins accepted mappings via {!Evaluator.note_incumbent} *)
+          strategy {e accepts} it as its new incumbent (reported as
+          [accepted] in the [Eval] event) *)
   encode : unit -> string list;
       (** serialize the full decision state (RNG, cursors, incumbents)
           as newline-free text lines; each algorithm module provides

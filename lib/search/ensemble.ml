@@ -137,9 +137,6 @@ let strategy_of st =
         | Some (_, bp) when perf < bp ->
             arm.wins <- arm.wins + 1;
             st.best <- Some (m, perf);
-            (* accepting here makes the engine pin the new best as the
-               incumbent — the legacy loop forfeited incremental replay
-               by never calling note_incumbent *)
             true
         | _ -> false);
     encode =
@@ -245,7 +242,6 @@ let decode ev lines =
                   (String.sub best_l (i + 1) (String.length best_l - i - 1))
               in
               st.best <- Some mp;
-              Evaluator.note_incumbent ev (fst mp);
               Ok ()
           | _ -> Error "Ensemble.decode: bad best line"
       in

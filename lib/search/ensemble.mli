@@ -31,9 +31,8 @@ val default_config : config
 val make : ?config:config -> Evaluator.t -> Engine.strategy
 (** The ensemble as an engine strategy (name ["ensemble"]); every
     proposal carries [suggestion_overhead] in its {!Engine.hint}.
-    Improvements are {e accepted} so the engine pins them as incumbents
-    ({!Evaluator.note_incumbent}) — the legacy loop never did, which
-    forfeited incremental dirty-cone replay. *)
+    Improvements are {e accepted}: the engine's [Eval] events report
+    them as the strategy's new incumbents. *)
 
 val decode : Evaluator.t -> string list -> (Engine.strategy, string) result
 (** Rebuild a checkpointed ensemble: bandit arm statistics, pattern

@@ -24,7 +24,7 @@ type t = {
   penalty : float;
   eval_overhead : float;
   objective : Machine.t -> Exec.result -> float;
-  reference : bool;  (* no bound-pruning, no cone replay: full simulation *)
+  reference : bool;  (* no bound-pruning: every run simulated in full *)
   symmetry : bool;   (* effective flags, as applied to [space] *)
   dominance : bool;
   db : Profiles_db.t;
@@ -33,9 +33,8 @@ type t = {
      [crn_base + k], so all candidates face identical noise streams.
      Comparisons between candidates become paired (lower variance than
      independent draws), and — decisively for throughput — the noise
-     streams and committed timelines Exec caches per seed are reusable
-     across the whole search, which is what enables incremental cone
-     replay and once-per-seed noise draws. *)
+     streams Exec caches per seed are reusable across the whole search,
+     so each seed's draws happen once. *)
   crn_base : int;
   mutable seed_counter : int;  (* post-evaluation window, for [measure] *)
   mutable suggested : int;
@@ -58,6 +57,8 @@ type t = {
   mutable surrogate : Surrogate.t option;
       (* telemetry attach only — the model is trained by the engine and
          consulted by the strategies; [stats] reads its counters here *)
+  mutable profiled : (Mapping.t * Profile.t) option;
+      (* the last [profile_for] answer, keyed by physical equality *)
 }
 
 type stats = {
@@ -78,9 +79,7 @@ type stats = {
   s_full_binds : int;
   s_bind_hits : int;
   s_cone_replays : int;
-  s_cone_instances : int;
   s_full_replays : int;
-  s_timeline_bytes : int;
   s_surrogate_trained : int;
   s_surrogate_reranks : int;
   s_surrogate_skips : int;
@@ -103,7 +102,6 @@ let create ?(runs = 7) ?(noise_sigma = 0.03) ?(fallback = false) ?iterations
     | Some sc -> sc  (* shared compiled problem, e.g. portfolio members *)
     | None -> Exec.scratch (Exec.compile machine graph)
   in
-  Exec.set_incremental scratch (not reference);
   {
     machine;
     graph;
@@ -150,6 +148,7 @@ let create ?(runs = 7) ?(noise_sigma = 0.03) ?(fallback = false) ?iterations
     best = None;
     trace = [];
     surrogate = None;
+    profiled = None;
   }
 
 let machine t = t.machine
@@ -559,10 +558,6 @@ let note_dead_coords t n =
   if n < 0 then invalid_arg "Evaluator.note_dead_coords: negative";
   t.dead_coord_skips <- t.dead_coord_skips + n
 
-(* The searches report each newly accepted incumbent here so Exec keeps
-   its committed timelines pinned: every subsequent neighbour then
-   replays against a schedule at most a couple of coordinates away. *)
-let note_incumbent t mapping = Exec.prefer_timeline t.scratch mapping
 let note_warm_start (_ : t) = ()
 let attach_surrogate t sg = t.surrogate <- Some sg
 
@@ -602,10 +597,8 @@ let stats t =
     s_delta_binds = Exec.delta_binds t.scratch;
     s_full_binds = Exec.full_binds t.scratch;
     s_bind_hits = Exec.bind_cache_hits t.scratch;
-    s_cone_replays = Exec.cone_replays t.scratch;
-    s_cone_instances = Exec.cone_instances t.scratch;
-    s_full_replays = Exec.full_replays t.scratch;
-    s_timeline_bytes = Exec.timeline_bytes t.scratch;
+    s_cone_replays = 0;
+    s_full_replays = 0;
     s_surrogate_trained = (match t.surrogate with Some s -> Surrogate.trained s | None -> 0);
     s_surrogate_reranks = (match t.surrogate with Some s -> Surrogate.reranks s | None -> 0);
     s_surrogate_skips = (match t.surrogate with Some s -> Surrogate.skips s | None -> 0);
@@ -619,8 +612,8 @@ let stats t =
    seeds of any post-search [measure] calls.  Serializing it with hex
    floats ([%h]) makes restore bit-exact.  The profiles database is
    saved separately ({!Profiles_db.save}) by the checkpoint envelope;
-   Exec's per-seed caches are pure performance state (replay is
-   bit-identical, PR 3) and are rebuilt on demand after a restore.
+   Exec's per-seed noise streams and bind cache are pure performance
+   state and are rebuilt on demand after a restore.
    Batch counters are bench telemetry, not decision state, and are
    deliberately not persisted (the format predates them). *)
 
@@ -786,11 +779,22 @@ let measure t ?runs ?iterations mapping =
 let measure_objective t ?runs mapping =
   measure_with t ?runs (fun r -> t.objective t.machine r) mapping
 
+(* CCD re-profiles its incumbent at every rotation, and the incumbent
+   rarely moves: a noise-free run of the physically same mapping gives
+   the same profile, so the last answer is reused. *)
 let profile_for t mapping =
-  match Exec.simulate ~noise_sigma:0.0 ~fallback:t.fallback ?iterations:t.iterations
-          t.scratch mapping
-  with
-  | Ok r ->
-      Profile.of_times t.graph
-        (Array.to_list (Array.mapi (fun tid s -> (tid, s)) r.Exec.task_times))
-  | Error _ -> Profile.uniform t.graph
+  match t.profiled with
+  | Some (m, p) when m == mapping -> p
+  | _ ->
+      let p =
+        match
+          Exec.simulate ~noise_sigma:0.0 ~fallback:t.fallback ?iterations:t.iterations
+            t.scratch mapping
+        with
+        | Ok r ->
+            Profile.of_times t.graph
+              (Array.to_list (Array.mapi (fun tid s -> (tid, s)) r.Exec.task_times))
+        | Error _ -> Profile.uniform t.graph
+      in
+      t.profiled <- Some (mapping, p);
+      p

@@ -63,14 +63,11 @@ val create :
     {!Energy.joules_per_iteration} makes the same search stack optimize
     power consumption (§3.3).  [extended] (default false) opens the
     distribution-strategy dimension (see {!Space.make}).
-    [reference] (default false) switches off every decision-neutral
-    speed-up at once: no bound-pruning (a [?bound] never cuts a
-    candidate, see {!evaluate}) and no incremental re-simulation
-    ({!Exec.set_incremental} [false]: no committed timelines, no
-    dirty-cone replay), so every candidate runs its full protocol
-    through the plain event loop.  Search decisions are identical
-    either way — accept/reject sequence, best mapping and perf, the
-    values of the improvement trace — while the work done differs: in
+    [reference] (default false) switches off bound-pruning: a [?bound]
+    never cuts a candidate (see {!evaluate}), so every candidate runs
+    its full protocol.  Search decisions are identical either way —
+    accept/reject sequence, best mapping and perf, the values of the
+    improvement trace — while the work done differs: in
     reference mode nothing is cut, so more candidates complete, enter
     the profiles database and charge their full wall to the virtual
     clock.  The identity tests and benches compare the two modes.
@@ -91,13 +88,13 @@ val create :
     Seeding uses common random numbers: run [k] of every evaluation
     draws seed [seed * 1_000_003 + k], so all candidates face the same
     [runs] noise streams (paired comparisons), and Exec's per-seed
-    noise/timeline caches hit across the whole search.
+    noise streams hit across the whole search.
 
     [scratch] supplies a pre-built {!Exec.scratch} instead of compiling
     a fresh one — {!Parallel} compiles the problem once and gives each
     domain's portfolio members one shared scratch (members on a domain
-    run sequentially, so sharing is safe and lets bind/noise/timeline
-    caches hit across members).  The scratch must come from
+    run sequentially, so sharing is safe and lets the bind cache and
+    noise streams hit across members).  The scratch must come from
     [Exec.compile machine graph] for the same (machine, graph) pair. *)
 
 val machine : t -> Machine.t
@@ -223,13 +220,6 @@ val note_symmetry_skip : t -> unit
 (** Record that the engine skipped a candidate whose orbit-canonical
     representative was already evaluated. *)
 
-val note_incumbent : t -> Mapping.t -> unit
-(** Tell the evaluator which mapping the search currently holds as its
-    incumbent ({!Exec.prefer_timeline}): its committed timelines are
-    kept pinned so every neighbour candidate replays against a schedule
-    at most a couple of coordinates away.  Purely a performance hint —
-    never changes any evaluation result. *)
-
 val note_warm_start : t -> unit
 (** Does nothing.  Warm starts are counted by the server that serves
     them ([warm_starts] in its status); this name is kept only so
@@ -258,10 +248,11 @@ type stats = {
   s_delta_binds : int;  (** {!Exec.delta_binds} of the evaluator's scratch *)
   s_full_binds : int;   (** {!Exec.full_binds} of the evaluator's scratch *)
   s_bind_hits : int;     (** {!Exec.bind_cache_hits} *)
-  s_cone_replays : int;   (** {!Exec.cone_replays} *)
-  s_cone_instances : int; (** {!Exec.cone_instances} *)
-  s_full_replays : int;   (** {!Exec.full_replays} *)
-  s_timeline_bytes : int; (** {!Exec.timeline_bytes} *)
+  s_cone_replays : int;
+      (** Always 0: the simulator has one event loop and replays
+          nothing.  Kept, like {!note_warm_start}, only so existing
+          readers still compile. *)
+  s_full_replays : int;  (** Always 0, as [s_cone_replays]. *)
   s_surrogate_trained : int;  (** {!Surrogate.trained} (0 when none attached) *)
   s_surrogate_reranks : int;  (** {!Surrogate.reranks} *)
   s_surrogate_skips : int;    (** {!Surrogate.skips} *)
@@ -305,8 +296,9 @@ val restore_state : t -> string list -> (unit, string) result
 (** Inverse of {!save_state}.  Overwrites the evaluator's mutable state;
     the caller is responsible for having checked {!fingerprint} equality
     and for loading the saved profiles database into [~db] at
-    {!create} time.  Exec's per-seed noise/timeline caches are rebuilt
-    lazily — they are bit-exact performance state, not decisions. *)
+    {!create} time.  Exec's per-seed noise streams and bind cache are
+    rebuilt lazily — they are bit-exact performance state, not
+    decisions. *)
 
 val measure : t -> ?runs:int -> ?iterations:int -> Mapping.t -> float list
 (** Per-iteration *times* of [runs] executions, outside the search
@@ -320,4 +312,5 @@ val measure_objective : t -> ?runs:int -> Mapping.t -> float list
 val profile_for : t -> Mapping.t -> Profile.t
 (** Noise-free per-task profile under a mapping (task ordering for
     CD/CCD); falls back to the uniform profile if the mapping cannot
-    run. *)
+    run.  A repeat call with the physically same mapping returns the
+    previous answer without simulating. *)

@@ -89,9 +89,9 @@ let run_members ?domains ?(members = Portfolio.default_members) ?(budget = infin
      every domain.  Each domain lazily builds ONE scratch and all its
      members reuse it: members on a domain run sequentially (the job
      queue deals one job at a time per worker), so the sharing is safe,
-     and it lets Exec's bind/noise/timeline caches hit across members
-     instead of being rebuilt per member.  Caches are decision-neutral
-     (bit-identical replay), so results still match fully-private runs. *)
+     and it lets Exec's bind cache and noise streams hit across members
+     instead of being rebuilt per member.  Both are decision-neutral
+     (bit-identical values), so results still match fully-private runs. *)
   let compiled = Exec.compile machine graph in
   let scratch_key = Domain.DLS.new_key (fun () -> Exec.scratch compiled) in
   let best_cell = Atomic.make infinity in

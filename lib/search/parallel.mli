@@ -57,9 +57,9 @@ val run_members :
 
     The simulation problem is compiled once and shared; each domain
     builds one {!Exec.scratch} that all its members reuse (members on a
-    domain run sequentially), so bind/noise/timeline caches hit across
-    members — decision-neutral, results still match fully-private
-    evaluators bit-for-bit.  [batch] (default false) runs CD/CCD
+    domain run sequentially), so the bind cache and noise streams hit
+    across members — decision-neutral, results still match
+    fully-private evaluators bit-for-bit.  [batch] (default false) runs CD/CCD
     members with {!Engine.Propose_batch} neighbour sets (also
     decision-neutral, see {!Cd.make}).  [share_bound] (default false)
     publishes each member's best perf to an atomic cell and tightens

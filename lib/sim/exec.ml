@@ -62,6 +62,140 @@ let proc_resource_name (p : Machine.processor) =
     p.Machine.plocal
 
 (* ------------------------------------------------------------------ *)
+(* The event queue: a monomorphic binary min-heap with float priority *)
+(* and int payload in three parallel flat arrays, so pushing and      *)
+(* popping never allocates.  Ties on priority pop in insertion order, *)
+(* like the oracle's polymorphic heap.  It lives here rather than in  *)
+(* its own module because dune's dev profile compiles with -opaque,   *)
+(* which stops cross-module inlining: a [push] or [top_prio] called   *)
+(* from another unit boxes its float on every event (DESIGN.md §11).  *)
+(* ------------------------------------------------------------------ *)
+
+module Fheap = struct
+  type t = {
+    mutable prio : float array;
+    mutable seq : int array;
+    mutable payload : int array;
+    mutable size : int;
+    mutable next_seq : int;
+  }
+
+  let create ?(capacity = 16) () =
+    let capacity = max capacity 1 in
+    {
+      prio = Array.make capacity 0.0;
+      seq = Array.make capacity 0;
+      payload = Array.make capacity 0;
+      size = 0;
+      next_seq = 0;
+    }
+
+  let[@inline] is_empty h = h.size = 0
+
+  (* strict ordering: priority, then insertion sequence (FIFO on ties).
+     The sift loops move the displaced element as a hole (read once,
+     shift the path, write once) rather than swapping at every level —
+     half the array traffic on the event loop's hottest inner loops. *)
+
+  let grow h =
+    let cap = Array.length h.prio in
+    if h.size = cap then begin
+      let ncap = 2 * cap in
+      let np = Array.make ncap 0.0 and ns = Array.make ncap 0 and nv = Array.make ncap 0 in
+      Array.blit h.prio 0 np 0 h.size;
+      Array.blit h.seq 0 ns 0 h.size;
+      Array.blit h.payload 0 nv 0 h.size;
+      h.prio <- np;
+      h.seq <- ns;
+      h.payload <- nv
+    end
+
+  (* Unsafe indexing below: every index is either [start] (< size, by
+     the callers) or a parent/child index derived from one, and the
+     three arrays always share one capacity >= size. *)
+  let sift_up h start =
+    let prio = h.prio and seq = h.seq and payload = h.payload in
+    let p = Array.unsafe_get prio start
+    and s = Array.unsafe_get seq start
+    and v = Array.unsafe_get payload start in
+    let i = ref start in
+    let continue = ref true in
+    while !continue && !i > 0 do
+      let parent = (!i - 1) / 2 in
+      let pp = Array.unsafe_get prio parent in
+      if p < pp || (p = pp && s < Array.unsafe_get seq parent) then begin
+        Array.unsafe_set prio !i pp;
+        Array.unsafe_set seq !i (Array.unsafe_get seq parent);
+        Array.unsafe_set payload !i (Array.unsafe_get payload parent);
+        i := parent
+      end
+      else continue := false
+    done;
+    Array.unsafe_set prio !i p;
+    Array.unsafe_set seq !i s;
+    Array.unsafe_set payload !i v
+
+  let[@inline] push h prio payload =
+    grow h;
+    let i = h.size in
+    h.prio.(i) <- prio;
+    h.seq.(i) <- h.next_seq;
+    h.payload.(i) <- payload;
+    h.next_seq <- h.next_seq + 1;
+    h.size <- h.size + 1;
+    sift_up h i
+
+  let[@inline] top_prio h = h.prio.(0)
+  let[@inline] top h = h.payload.(0)
+
+  let drop h =
+    if h.size > 0 then begin
+      h.size <- h.size - 1;
+      let n = h.size in
+      if n > 0 then begin
+        let prio = h.prio and seq = h.seq and payload = h.payload in
+        let p = Array.unsafe_get prio n
+        and s = Array.unsafe_get seq n
+        and v = Array.unsafe_get payload n in
+        let i = ref 0 in
+        let continue = ref true in
+        while !continue do
+          let l = (2 * !i) + 1 in
+          if l >= n then continue := false
+          else begin
+            let r = l + 1 in
+            let pl = Array.unsafe_get prio l in
+            let c =
+              if
+                r < n
+                && (let pr = Array.unsafe_get prio r in
+                    pr < pl
+                    || (pr = pl && Array.unsafe_get seq r < Array.unsafe_get seq l))
+              then r
+              else l
+            in
+            let pc = Array.unsafe_get prio c in
+            if pc < p || (pc = p && Array.unsafe_get seq c < s) then begin
+              Array.unsafe_set prio !i pc;
+              Array.unsafe_set seq !i (Array.unsafe_get seq c);
+              Array.unsafe_set payload !i (Array.unsafe_get payload c);
+              i := c
+            end
+            else continue := false
+          end
+        done;
+        Array.unsafe_set prio !i p;
+        Array.unsafe_set seq !i s;
+        Array.unsafe_set payload !i v
+      end
+    end
+
+  let reset h =
+    h.size <- 0;
+    h.next_seq <- 0
+end
+
+(* ------------------------------------------------------------------ *)
 (* Compiled fast path.                                                *)
 (*                                                                    *)
 (* [compile] derives every mapping-independent structure once, as     *)
@@ -109,21 +243,6 @@ type compiled = {
   dispatch_cost : float;
 }
 
-(* Committed pop order of one finished run: payloads in the exact order
-   the event loop popped them ([(i lsl 1) lor tag]).  No times are
-   stored — the loop is deterministic, so admission re-derives every
-   float bit-identically; the payload sequence is only needed to know
-   *which* event the heap would have popped next without running the
-   heap.  One entry per noise seed, tagged with the mapping it was
-   committed under so a candidate can diff against it. *)
-type timeline = {
-  mutable tl_pops : int array;   (* capacity >= tl_n *)
-  mutable tl_n : int;            (* = 2 * n_instances of the run *)
-  mutable tl_mapping : Mapping.t;
-  mutable tl_sigma : float;
-  mutable tl_iters : int;
-}
-
 (* Shared per-seed noise stream.  Draws are strictly sequential and
    instance-ascending for every run of a seed regardless of mapping, so
    the values can be drawn once and reused by every candidate (and by
@@ -148,11 +267,11 @@ let acc_per_iter = 3
 let acc_sfloor = 4
 let n_acc = 5
 
-(* Both per-seed tables are keyed by noise seed; the evaluator's
-   common-random-numbers protocol draws every run's seed from a fixed
-   window of [runs] values, so a small cap never evicts in practice and
-   merely bounds memory for unusual callers.  (64 leaves room for a
-   whole portfolio of members sharing one scratch — 8 members x 8 CRN
+(* The noise table is keyed by seed; the evaluator's common-random-
+   numbers protocol draws every run's seed from a fixed window of
+   [runs] values, so a small cap never evicts in practice and merely
+   bounds memory for unusual callers.  (64 leaves room for a whole
+   portfolio of members sharing one scratch — 8 members x 8 CRN
    seeds.) *)
 let seed_table_cap = 64
 
@@ -211,33 +330,13 @@ type scratch = {
   mutable delta_binds : int;
   mutable full_binds : int;
   mutable bind_hits : int;  (* physical-equality bind-cache hits *)
-  (* ---- incremental re-simulation state ---- *)
-  mutable incremental : bool;                    (* master switch *)
-  (* flat per-seed tables (struct-of-arrays).  A search touches a
+  (* flat per-seed noise table (struct-of-arrays).  A search touches a
      handful of CRN seeds, so a linear scan beats hashing — and unlike
      [Hashtbl.find_opt], which boxes its [Some], a scan allocates
      nothing on the per-candidate path. *)
-  tl_seed : int array;                           (* length seed_table_cap *)
-  mutable tls : timeline array;                  (* first n_tls live *)
-  mutable n_tls : int;
-  nz_seed : int array;
-  mutable nzs : noise_cache array;
+  nz_seed : int array;                           (* length seed_table_cap *)
+  mutable nzs : noise_cache array;               (* first n_nzs live *)
   mutable n_nzs : int;
-  mutable preferred : Mapping.t option;          (* incumbent protection *)
-  mutable pop_buf : int array;                   (* pops of the current run *)
-  (* virtual heap used while admitting a clean prefix: per-payload push
-     priority / insertion seq / pending mark (generation-stamped) *)
-  mutable adm_prio : float array;
-  mutable adm_seq : int array;
-  mutable adm_mark : int array;
-  mutable adm_run : int;
-  (* per-slot dirty masks of the current candidate diff *)
-  ready_dirty : bool array;
-  done_dirty : bool array;
-  (* replay counters for the benches/stats *)
-  mutable cone_replays : int;
-  mutable cone_instances : int;
-  mutable full_replays : int;
   (* ---- result planes (struct-of-arrays): [sim_core] writes every
      run's outputs here; the record-returning wrappers copy them out,
      so the zero-allocation quiet path and the compat API share one
@@ -249,13 +348,11 @@ type scratch = {
   mutable r_n_copies : int;
   mutable r_error : Placement.error option;
   (* ---- per-call event-loop state.  Scratch-resident so the event
-     helpers ([push_ev] / [dep_arrived] / [do_ready] / [do_done]) are
-     plain top-level functions: no closures means no per-call
-     environment allocation, and [@inline] call sites keep every float
-     unboxed between them. ---- *)
+     helpers ([dep_arrived] / [do_ready] / [do_done]) are plain
+     top-level functions: no closures means no per-call environment
+     allocation, and [@inline] call sites keep every float unboxed
+     between them. ---- *)
   mutable sim_iters : int;
-  mutable sim_vmode : bool;          (* admission pass: pushes go to adm_* *)
-  mutable sim_vseq : int;
   mutable sim_noise : float array;   (* active noise buffer *)
   mutable sim_nfilled : int;
   mutable sim_fill : int;            (* 0 prefilled | 1 shared cache | 2 private rng *)
@@ -435,24 +532,9 @@ let scratch prob =
     delta_binds = 0;
     full_binds = 0;
     bind_hits = 0;
-    incremental = true;
-    tl_seed = Array.make seed_table_cap 0;
-    tls = [||];
-    n_tls = 0;
     nz_seed = Array.make seed_table_cap 0;
     nzs = [||];
     n_nzs = 0;
-    preferred = None;
-    pop_buf = [||];
-    adm_prio = [||];
-    adm_seq = [||];
-    adm_mark = [||];
-    adm_run = 0;
-    ready_dirty = Array.make (max prob.spi 1) false;
-    done_dirty = Array.make (max prob.spi 1) false;
-    cone_replays = 0;
-    cone_instances = 0;
-    full_replays = 0;
     r_task_times = Array.make (max (Graph.n_tasks prob.cgraph) 1) 0.0;
     r_proc_busy = Array.make (Array.length machine.Machine.processors) 0.0;
     r_channel_bytes = Array.make n_channel_classes 0.0;
@@ -460,8 +542,6 @@ let scratch prob =
     r_n_copies = 0;
     r_error = None;
     sim_iters = 0;
-    sim_vmode = false;
-    sim_vseq = 0;
     sim_noise = [||];
     sim_nfilled = 0;
     sim_fill = 0;
@@ -499,60 +579,12 @@ let ensure_capacity sc n =
     done;
     sc.inst_slot <- is;
     sc.inst_iter <- ii;
-    (* generation stamps start over at 0; [adm_run] keeps increasing, so
-       stale zeros can never alias a live run's mark *)
-    sc.pop_buf <- Array.make (2 * n) 0;
-    sc.adm_prio <- Array.make (2 * n) 0.0;
-    sc.adm_seq <- Array.make (2 * n) 0;
-    sc.adm_mark <- Array.make (2 * n) 0;
     sc.cap_instances <- n
   end
 
 (* ------------------------------------------------------------------ *)
-(* Incremental re-simulation support: per-seed noise streams and       *)
-(* committed timelines.                                                *)
+(* Shared per-seed noise streams.                                      *)
 (* ------------------------------------------------------------------ *)
-
-let set_incremental sc on =
-  sc.incremental <- on;
-  if not on then begin
-    (* nothing will consult the retained state while disabled; dropping
-       it keeps [timeline_bytes] an honest account of live memory *)
-    sc.n_tls <- 0;
-    sc.tls <- [||];
-    sc.n_nzs <- 0;
-    sc.nzs <- [||]
-  end
-
-(* Protect the incumbent's timelines from being replaced by candidate
-   commits: the search calls this when a candidate is accepted, so the
-   entries every neighbour diffs against stay close (1-2 coordinates)
-   to the mappings being explored. *)
-let prefer_timeline sc mapping = sc.preferred <- Some mapping
-
-let cone_replays sc = sc.cone_replays
-let cone_instances sc = sc.cone_instances
-let full_replays sc = sc.full_replays
-
-let timeline_bytes sc =
-  let b = ref 0 in
-  for i = 0 to sc.n_tls - 1 do
-    b := !b + (8 * Array.length sc.tls.(i).tl_pops)
-  done;
-  for i = 0 to sc.n_nzs - 1 do
-    b := !b + (8 * Array.length sc.nzs.(i).nbuf)
-  done;
-  !b
-
-(* Linear scans over the flat seed tables; -1 = absent. *)
-let find_timeline sc seed =
-  let n = sc.n_tls in
-  let found = ref (-1) in
-  let i = ref 0 in
-  while !found < 0 && !i < n do
-    if sc.tl_seed.(!i) = seed then found := !i else incr i
-  done;
-  !found
 
 (* Index of the noise cache for [seed], creating it when the table has
    room.  -1 = none usable (sigma mismatch on an existing stream, or
@@ -591,47 +623,6 @@ let noise_fill c upto =
       c.nbuf.(i) <- Rng.lognormal c.nrng ~sigma:c.nsigma
     done;
     c.nfilled <- upto
-  end
-
-(* Top-level rather than a local closure of [commit_timeline]: commits
-   run once per finished candidate, and a closure environment there
-   would be the hot path's only surviving allocation. *)
-let write_timeline sc tl ~mapping ~sigma ~iters ~n_pops =
-  if Array.length tl.tl_pops < n_pops then tl.tl_pops <- Array.make n_pops 0;
-  Array.blit sc.pop_buf 0 tl.tl_pops 0 n_pops;
-  tl.tl_n <- n_pops;
-  tl.tl_mapping <- mapping;
-  tl.tl_sigma <- sigma;
-  tl.tl_iters <- iters
-
-let commit_timeline sc ~seed ~mapping ~sigma ~iters ~n_pops =
-  let i = find_timeline sc seed in
-  if i >= 0 then begin
-    let tl = sc.tls.(i) in
-    (* keep the incumbent's committed schedule while candidates churn;
-       the protection lapses as soon as the preferred mapping moves *)
-    let keep =
-      match sc.preferred with
-      | Some pref -> tl.tl_mapping == pref && mapping != pref
-      | None -> false
-    in
-    if not keep then write_timeline sc tl ~mapping ~sigma ~iters ~n_pops
-  end
-  else if sc.n_tls < seed_table_cap then begin
-    let tl =
-      {
-        tl_pops = Array.sub sc.pop_buf 0 n_pops;
-        tl_n = n_pops;
-        tl_mapping = mapping;
-        tl_sigma = sigma;
-        tl_iters = iters;
-      }
-    in
-    let n = sc.n_tls in
-    sc.tl_seed.(n) <- seed;
-    if Array.length sc.tls > n then sc.tls.(n) <- tl
-    else sc.tls <- Array.append sc.tls [| tl |];
-    sc.n_tls <- n + 1
   end
 
 (* Fill the mapping-dependent scratch tables: durations, processors and
@@ -835,16 +826,10 @@ let bind_delta sc pl mapping ~tids ~cids =
         (Graph.task g tid).args)
     tids
 
-(* Admission eligibility: a diff wider than this dirties so much of the
-   timeline that scanning for a clean prefix is wasted work.  Search
-   neighbours change 1–2 coordinates (plus a few more after co-location
-   repair). *)
-let delta_coord_limit = 8
-
-(* Placement patching pays off over a much wider range: {!Placement.patch}
-   scales with the affected collections while a full re-resolve walks the
-   whole graph, so only give up when most coordinates moved at once
-   (e.g. a restart from a random mapping). *)
+(* Placement patching: {!Placement.patch} scales with the affected
+   collections while a full re-resolve walks the whole graph, so only
+   give up when most coordinates moved at once (e.g. a restart from a
+   random mapping). *)
 let patch_coord_limit = 32
 
 (* Resolve + bind, reusing the cached bind when the evaluator re-runs
@@ -915,13 +900,11 @@ type outcome = Finished of result | Cut of float
 (* Events are (instance lsl 1) lor tag, tag 0 = Ready, 1 = Done; push  *)
 (* order matches the reference so FIFO tie-breaks agree.  The helpers  *)
 (* below are top-level [@inline] functions over scratch-resident state *)
-(* rather than per-call closures: the admission pass and the live heap *)
-(* loop still execute the *same* code path (push_ev branches on        *)
-(* [sim_vmode]), but a call to [sim_core] allocates no environment,    *)
-(* and inlining keeps every float in registers between helpers.  In    *)
-(* the steady state (cached bind, cached noise, committed timeline)    *)
-(* a simulation performs zero minor-heap allocation — pinned by        *)
-(* test_alloc. *)
+(* rather than per-call closures, so a call to [sim_core] allocates no *)
+(* environment, and inlining (helpers and {!Fheap} alike live in this  *)
+(* unit) keeps every float in registers between them.  In the steady   *)
+(* state (cached bind, cached noise stream) a simulation performs zero *)
+(* minor-heap allocation — pinned by test_alloc.                       *)
 (* ------------------------------------------------------------------ *)
 
 (* status codes of [sim_core] / [simulate_quiet] *)
@@ -948,8 +931,8 @@ let fill_noise sc upto =
       sc.sim_nfilled <- upto
   | _ -> ()
 
-(* Trace emission, out of line: tracing callers are cold by
-   construction (admission and timelines are disabled under a trace). *)
+(* Trace emission, out of line: a traced run is a one-off diagnostic,
+   never the search's hot path. *)
 let trace_exec_event sc collector slot start d =
   let prob = sc.prob in
   let g = prob.cgraph in
@@ -987,22 +970,13 @@ let trace_copy_event sc collector slot k start cost =
       duration = cost;
     }
 
-let[@inline] push_ev sc prio payload =
-  if sc.sim_vmode then begin
-    sc.adm_prio.(payload) <- prio;
-    sc.adm_seq.(payload) <- sc.sim_vseq;
-    sc.adm_mark.(payload) <- sc.adm_run;
-    sc.sim_vseq <- sc.sim_vseq + 1
-  end
-  else Fheap.push sc.events prio payload
-
 let[@inline] dep_arrived sc i t =
   let ready_time = sc.ready_time in
   if t > ready_time.(i) then ready_time.(i) <- t;
   let indeg = sc.indeg in
   let d = indeg.(i) - 1 in
   indeg.(i) <- d;
-  if d = 0 then push_ev sc ready_time.(i) (i lsl 1)
+  if d = 0 then Fheap.push sc.events ready_time.(i) (i lsl 1)
 
 let[@inline] do_ready sc i t =
   let prob = sc.prob in
@@ -1024,7 +998,7 @@ let[@inline] do_ready sc i t =
   (match sc.sim_trace with
   | Some collector -> trace_exec_event sc collector slot start d
   | None -> ());
-  push_ev sc t_done ((i lsl 1) lor 1)
+  Fheap.push sc.events t_done ((i lsl 1) lor 1)
 
 let[@inline] do_done sc i t_done =
   let prob = sc.prob in
@@ -1140,11 +1114,7 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
        fresh [Rng.create seed] would, so reuse is bit-identical and
        each seed's draws happen once per search. *)
     sc.sim_sigma <- noise_sigma;
-    let ci =
-      if sc.incremental && noise_sigma > 0.0 then
-        noise_cache_idx sc ~seed ~sigma:noise_sigma
-      else -1
-    in
+    let ci = if noise_sigma > 0.0 then noise_cache_idx sc ~seed ~sigma:noise_sigma else -1 in
     if ci >= 0 then begin
       let c = sc.nzs.(ci) in
       noise_reserve c n_instances;
@@ -1191,153 +1161,10 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
     sc.r_n_copies <- 0;
     sc.sim_iters <- iterations;
     sc.sim_trace <- trace;
-    let has_trace = match trace with Some _ -> true | None -> false in
-    (* ---- incremental admission eligibility: how many leading pops
-       of this seed's committed timeline are provably identical under
-       [mapping]. ---- *)
-    let ti =
-      if (not sc.incremental) || fallback || has_trace then -1
-      else begin
-        let i = find_timeline sc seed in
-        if i < 0 then -1
-        else begin
-          let tl = sc.tls.(i) in
-          if
-            tl.tl_sigma = noise_sigma && tl.tl_iters = iterations
-            && tl.tl_n = 2 * n_instances
-          then i
-          else -1
-        end
-      end
-    in
-    let admit_upto =
-      if ti < 0 then 0
-      else begin
-        let tl = sc.tls.(ti) in
-        if tl.tl_mapping == mapping then
-          (* identical mapping: the whole committed timeline is clean
-             (an empty diff dirties nothing, so the prefix scan the
-             general path runs would accept every pop) *)
-          tl.tl_n
-        else begin
-          let tids, cids = Mapping.diff tl.tl_mapping mapping in
-          if List.length tids + List.length cids > delta_coord_limit then begin
-            sc.full_replays <- sc.full_replays + 1;
-            0
-          end
-          else begin
-            (* Dirty masks over instance slots.  Ready processing
-               reads slot_dur/slot_pid/slot_node — rebound exactly for
-               changed tasks and owners of affected collections; Done
-               processing reads dep_chan/dep_class/dep_cost — rebound
-               exactly for deps touching an affected collection.  A
-               pop whose slot is clean therefore reads only bindings
-               both runs share, and (by induction over the prefix)
-               only resource state written by earlier clean pops, so
-               its times equal the committed run's bit for bit. *)
-            let rd = sc.ready_dirty and dd = sc.done_dirty in
-            Array.fill rd 0 spi false;
-            Array.fill dd 0 spi false;
-            List.iter
-              (fun tid ->
-                for slot = prob.task_off.(tid) to prob.task_off.(tid + 1) - 1 do
-                  rd.(slot) <- true
-                done)
-              tids;
-            List.iter
-              (fun cid ->
-                let o = prob.col_owner.(cid) in
-                for slot = prob.task_off.(o) to prob.task_off.(o + 1) - 1 do
-                  rd.(slot) <- true
-                done;
-                for j = prob.cid_dep_off.(cid) to prob.cid_dep_off.(cid + 1) - 1 do
-                  dd.(prob.dep_src_slot.(prob.cid_dep_idx.(j))) <- true
-                done)
-              (Placement.affected_collections prob.cplan ~tids ~cids);
-            (* temporal prefix: everything before the first dirty pop
-               replays verbatim; the live loop takes over from there,
-               which closes the cone through dependence edges and
-               same-queue FIFO successors without computing it *)
-            let pops = tl.tl_pops in
-            let n_pops = tl.tl_n in
-            let c = ref 0 in
-            let stop = ref false in
-            let inst_slot = sc.inst_slot in
-            while (not !stop) && !c < n_pops do
-              let p = pops.(!c) in
-              let slot = inst_slot.(p lsr 1) in
-              if (if p land 1 = 0 then rd.(slot) else dd.(slot)) then stop := true
-              else incr c
-            done;
-            if !c < n_pops / 8 then begin
-              (* clean prefix too short to beat the plain loop *)
-              sc.full_replays <- sc.full_replays + 1;
-              0
-            end
-            else !c
-          end
-        end
-      end
-    in
-    let pop_buf = sc.pop_buf in
+    for i = 0 to n_instances - 1 do
+      if indeg.(i) = 0 then Fheap.push events 0.0 (i lsl 1)
+    done;
     let cut = ref false in
-    let n_popped = ref 0 in
-    let in_cone = admit_upto > 0 in
-    if in_cone then begin
-      (* Admission: replay the clean prefix in committed pop order,
-         heap-free.  Pushes are tracked per payload (each event is
-         pushed exactly once) with the insertion seq the live heap
-         would have assigned; each pop's time is its recorded push
-         priority, re-derived by the shared helpers above, and the
-         caller's cutoff is checked exactly where the live loop checks
-         it (before the pop), so a Cut is bit-identical too. *)
-      sc.cone_replays <- sc.cone_replays + 1;
-      sc.adm_run <- sc.adm_run + 1;
-      sc.sim_vmode <- true;
-      sc.sim_vseq <- 0;
-      for i = 0 to n_instances - 1 do
-        if indeg.(i) = 0 then push_ev sc 0.0 (i lsl 1)
-      done;
-      let tlp = sc.tls.(ti).tl_pops in
-      Array.blit tlp 0 pop_buf 0 admit_upto;
-      let adm_prio = sc.adm_prio and adm_mark = sc.adm_mark in
-      let run_id = sc.adm_run in
-      while (not !cut) && !n_popped < admit_upto do
-        let payload = tlp.(!n_popped) in
-        assert (adm_mark.(payload) = run_id);
-        let t = adm_prio.(payload) in
-        if t >= cutoff then begin
-          cut := true;
-          sc.r_acc.(acc_cut) <- t
-        end
-        else begin
-          adm_mark.(payload) <- 0;
-          let i = payload lsr 1 in
-          if payload land 1 = 0 then do_ready sc i t else do_done sc i t;
-          incr n_popped
-        end
-      done;
-      sc.sim_vmode <- false;
-      if not !cut then begin
-        (* Reconstruct the heap exactly as the live loop would hold it
-           after [admit_upto] pops: every still-pending event re-enters
-           with its original insertion seq (heap order is the total
-           order (prio, seq), so insertion order is irrelevant), and
-           the seq counter resumes where the virtual one left off. *)
-        let adm_seq = sc.adm_seq in
-        for p = 0 to (2 * n_instances) - 1 do
-          if adm_mark.(p) = run_id then
-            Fheap.push_with_seq events adm_prio.(p) p ~seq:adm_seq.(p)
-        done;
-        Fheap.set_next_seq events sc.sim_vseq
-      end
-    end
-    else begin
-      sc.sim_vmode <- false;
-      for i = 0 to n_instances - 1 do
-        if indeg.(i) = 0 then Fheap.push events 0.0 (i lsl 1)
-      done
-    end;
     while (not !cut) && not (Fheap.is_empty events) do
       let t = Fheap.top_prio events in
       if t >= cutoff then begin
@@ -1350,21 +1177,12 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
       else begin
         let payload = Fheap.top events in
         Fheap.drop events;
-        pop_buf.(!n_popped) <- payload;
-        incr n_popped;
         let i = payload lsr 1 in
-        if payload land 1 = 0 then begin
-          if in_cone then sc.cone_instances <- sc.cone_instances + 1;
-          do_ready sc i t
-        end
-        else do_done sc i t
+        if payload land 1 = 0 then do_ready sc i t else do_done sc i t
       end
     done;
     if !cut then st_cut
     else begin
-      if sc.incremental && (not fallback) && not has_trace then
-        commit_timeline sc ~seed ~mapping ~sigma:noise_sigma ~iters:iterations
-          ~n_pops:!n_popped;
       sc.r_acc.(acc_per_iter) <- sc.r_acc.(acc_makespan) /. float_of_int iterations;
       st_finished
     end
@@ -1569,9 +1387,7 @@ let run_lower_bound ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?itera
            per-seed cache substitutes values without changing a single
            float operation — and turns the per-candidate Box–Muller cost
            into a once-per-seed cost across the whole search. *)
-        let ci =
-          if sc.incremental then noise_cache_idx sc ~seed ~sigma:noise_sigma else -1
-        in
+        let ci = noise_cache_idx sc ~seed ~sigma:noise_sigma in
         if ci >= 0 then begin
           let c = sc.nzs.(ci) in
           let n = iterations * spi in

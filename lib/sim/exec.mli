@@ -64,7 +64,7 @@ type compiled
 
 type scratch
 (** Reusable per-simulation state (ready times, indegrees, resource
-    free-times, noise buffer, event heap) tied to one {!compiled}
+    free-times, noise streams, event heap) tied to one {!compiled}
     problem.  NOT thread-safe: each domain needs its own scratch. *)
 
 val compile : Machine.t -> Graph.t -> compiled
@@ -127,14 +127,12 @@ val simulate_bounded :
 
     [simulate_quiet] is {!simulate_bounded} minus every allocation: the
     run's outputs are written into preallocated planes inside the
-    scratch and the call returns a status code.  In the search's steady
-    state — bind cached (same mapping re-run under a new noise seed or
-    re-admitted over a committed timeline), noise stream cached,
-    incremental replay on — a candidate costs {e zero} minor-heap words
-    (pinned by test/test_alloc.ml), which keeps the GC silent across
-    millions of candidates.  Decisions, floats and RNG draws are
-    bit-identical to {!simulate_bounded}; the two share one event
-    loop. *)
+    scratch and the call returns a status code.  In the steady state —
+    bind cached (the same mapping re-run under another noise seed) and
+    noise stream cached — a run costs {e zero} minor-heap words (pinned
+    by test/test_alloc.ml), which keeps the GC silent across millions
+    of simulations.  Decisions, floats and RNG draws are bit-identical
+    to {!simulate_bounded}; the two share one event loop. *)
 
 val simulate_quiet :
   scratch ->
@@ -201,58 +199,20 @@ val run_lower_bound :
     {!simulate}'s, and the resolved binding is cached for a subsequent
     simulation of the same mapping. *)
 
-(** {1 Incremental re-simulation}
+(** {1 Shared noise streams and bind caching}
 
-    A hill-climbing candidate differs from its incumbent in 1–2 mapping
-    coordinates, which perturbs only a bounded region of the schedule.
-    After every finished (untraced, strict) run, the scratch retains the
-    run's committed {e timeline} — the exact pop order of the event loop
-    — keyed by noise seed, together with a shared per-seed noise stream.
-    A later run of the same seed whose mapping diff touches at most
-    {!Placement.patch}'s coordinate limit {e admits} the longest prefix
-    of the committed pop order that provably cannot have changed (no pop
-    reads a rebound slot duration/processor or dep channel/cost)
-    heap-free at re-derived times, reconstructs the event heap with the
-    original FIFO insertion sequence numbers, and re-executes live only
-    from the first dirty pop on — the dirty cone through dependence
-    edges and same-queue FIFO successors.  Makespans, per-instance
-    times, RNG streams, [Cut] decisions and all result statistics are
-    bit-identical to a full replay (test/test_incremental.ml); runs
-    whose diff is too large or whose clean prefix is too short fall back
-    to the plain loop ([full_replays]).
+    Every run of one noise seed draws the same instance-ascending
+    lognormal stream, whatever the mapping.  The scratch keeps one
+    stream per seed and extends it on demand, so under the evaluator's
+    common random numbers each seed's draws happen once per search and
+    every later run (and {!run_lower_bound}) reads them back.  The
+    values are bit-identical to a fresh [Rng.create seed].
 
-    Replay requires the evaluator to reuse noise seeds across
-    candidates (common random numbers): with per-candidate seeds no
-    timeline ever matches and the machinery self-disables. *)
-
-val set_incremental : scratch -> bool -> unit
-(** Enable/disable timeline capture and cone replay (default on).
-    Disabling drops the retained timelines and cached noise streams and
-    restores the plain event loop exactly — a scratch with incremental
-    off is observationally identical to one predating the machinery. *)
-
-val prefer_timeline : scratch -> Mapping.t -> unit
-(** Mark the search's current incumbent: its committed timelines are
-    not evicted by candidate commits (so every neighbour diffs against
-    a 1–2 coordinate-away timeline) until a different mapping is
-    preferred.  Physical equality identifies the incumbent's runs. *)
-
-val cone_replays : scratch -> int
-(** Runs that admitted a nonempty clean prefix from a committed
-    timeline. *)
-
-val cone_instances : scratch -> int
-(** Task instances (Ready events) re-executed live inside cones — the
-    work incremental replay could not skip. *)
-
-val full_replays : scratch -> int
-(** Runs where a matching timeline existed but replay fell back to the
-    plain loop (diff beyond the coordinate limit, or clean prefix too
-    short to pay for admission). *)
-
-val timeline_bytes : scratch -> int
-(** Approximate bytes held by committed timelines and cached noise
-    streams. *)
+    Binding a mapping to the compiled problem is cached too: a re-run
+    of the physically same mapping reuses the bind, and a near
+    neighbour of the bound mapping is patched ({!Placement.patch} plus
+    a partial table rebind) instead of re-resolved.  The counters below
+    report which path each bind took. *)
 
 val delta_binds : scratch -> int
 (** How many resolve+bind operations were served by patching the
@@ -294,3 +254,40 @@ val profile :
 (** Noise-free per-task times under a mapping — the profiling run of
     §3.3 that seeds the search's task ordering.  Raises [Failure] if
     the mapping cannot be placed. *)
+
+(** {1 Event queue}
+
+    The simulator's event heap, exposed for its unit tests.  A
+    monomorphic binary min-heap with float priority and int payload in
+    three parallel flat arrays, so pushing and popping never allocate.
+    Ties on priority pop in insertion order, exactly like the test
+    oracle's polymorphic heap, which is what keeps a compiled
+    simulation bit-identical to the oracle.  The inspection API is
+    split ([top_prio] / [top] / [drop]) so the event loop touches no
+    boxed value. *)
+
+module Fheap : sig
+  type t
+
+  val create : ?capacity:int -> unit -> t
+  (** [capacity] (default 16) pre-sizes the backing arrays. *)
+
+  val is_empty : t -> bool
+
+  val push : t -> float -> int -> unit
+  (** [push h prio payload] inserts [payload] with priority [prio]. *)
+
+  val top_prio : t -> float
+  (** Priority of the minimum entry.  Undefined (reads stale storage)
+      on an empty heap — guard with {!is_empty}. *)
+
+  val top : t -> int
+  (** Payload of the minimum entry.  Same caveat as {!top_prio}. *)
+
+  val drop : t -> unit
+  (** Removes the minimum entry.  No-op on an empty heap. *)
+
+  val reset : t -> unit
+  (** Empties the heap and rewinds the insertion sequence to 0, keeping
+      the backing arrays — the per-simulation reset. *)
+end

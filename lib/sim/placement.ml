@@ -213,8 +213,7 @@ let resolve ?fallback machine g mapping = resolve_with ?fallback (plan machine g
 (* The collections whose memory arrays a ~tids/~cids coordinate change
    can move: the changed collections themselves, plus every argument of
    a task whose shard placement changed (their closest-memory anchors
-   moved).  This is both the set {!patch} re-derives and the dirty seed
-   set incremental re-simulation starts its cone from ({!Exec}). *)
+   moved) — the set {!patch} re-derives. *)
 let affected_collections pl ~tids ~cids =
   let g = pl.pgraph in
   let hit = Array.make pl.n_cols false in

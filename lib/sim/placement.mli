@@ -47,14 +47,6 @@ val resolve_with : ?fallback:bool -> plan -> Mapping.t -> (t, error) Stdlib.resu
 (** Exactly {!resolve} against a precomputed plan (bit-identical
     result, including error messages). *)
 
-val affected_collections : plan -> tids:int list -> cids:int list -> int list
-(** The collections whose memory placement a change at coordinates
-    [~tids]/[~cids] (as computed by {!Mapping.diff}) can move: the
-    changed collections plus every argument of a changed task (its
-    closest-memory anchors moved).  Sorted ascending, deduplicated.
-    This is both the set {!patch} re-derives and the dirty seed set
-    incremental re-simulation grows its cone from ({!Exec}). *)
-
 val patch :
   plan -> t -> Mapping.t -> tids:int list -> cids:int list -> (t, error) Stdlib.result
 (** [patch pl prev mapping ~tids ~cids] resolves [mapping] strictly

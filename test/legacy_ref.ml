@@ -14,11 +14,7 @@
 
 let test_mapping ev candidate (best, best_perf) =
   let perf = Evaluator.evaluate ~bound:best_perf ev candidate in
-  if perf < best_perf then begin
-    Evaluator.note_incumbent ev candidate;
-    (candidate, perf)
-  end
-  else (best, best_perf)
+  if perf < best_perf then (candidate, perf) else (best, best_perf)
 
 let optimize_task ev ~overlap ~should_stop (task : Graph.task) (f0, p0) =
   let g = Evaluator.graph ev in
@@ -83,7 +79,6 @@ let cd_search ?start ?(budget = infinity) ev =
   let machine = Evaluator.machine ev in
   let f0 = match start with Some f -> f | None -> Mapping.default_start g machine in
   let p0 = Evaluator.evaluate ev f0 in
-  Evaluator.note_incumbent ev f0;
   let should_stop () = Evaluator.virtual_time ev > budget in
   let profile = Evaluator.profile_for ev f0 in
   sweep ev ~overlap:None ~should_stop ~profile (f0, p0)
@@ -98,7 +93,6 @@ let ccd_search ?(rotations = 5) ?start ?(budget = infinity) ev =
   let machine = Evaluator.machine ev in
   let f0 = match start with Some f -> f | None -> Mapping.default_start g machine in
   let p0 = Evaluator.evaluate ev f0 in
-  Evaluator.note_incumbent ev f0;
   let should_stop () = Evaluator.virtual_time ev > budget in
   let c0 = Overlap.of_graph g in
   let prune_per_rotation =
@@ -156,7 +150,6 @@ let annealing_search ?(seed = 11) ?(max_evals = 2000) ?(t0 = 0.3) ?(cooling = 0.
   let rng = Rng.create seed in
   let f0 = match start with Some f -> f | None -> Mapping.default_start g machine in
   let p0 = Evaluator.evaluate ev f0 in
-  Evaluator.note_incumbent ev f0;
   let current = ref (f0, p0) in
   let best = ref (f0, p0) in
   let temp = ref t0 in
@@ -173,10 +166,7 @@ let annealing_search ?(seed = 11) ?(max_evals = 2000) ?(t0 = 0.3) ?(cooling = 0.
         if Float.is_finite bump then pcur +. bump else infinity
     in
     let perf = Evaluator.evaluate ~bound:threshold ev candidate in
-    if perf < threshold then begin
-      Evaluator.note_incumbent ev candidate;
-      current := (candidate, perf)
-    end;
+    if perf < threshold then current := (candidate, perf);
     if perf < snd !best then best := (candidate, perf);
     temp := !temp *. cooling
   done;

@@ -4,7 +4,7 @@
     ordered by simulated timestamp, with a monotonically increasing
     sequence number breaking ties so that simultaneous events pop in
     insertion order (making simulations deterministic).  The compiled
-    simulator uses the monomorphic {!Fheap} instead. *)
+    simulator uses the monomorphic {!Exec.Fheap} instead. *)
 
 type 'a t
 

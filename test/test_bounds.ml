@@ -10,7 +10,11 @@
    - no count a request claims reaches an allocation past
      [Topology.max_gen_nodes] slots: [Machine.make] and
      [Topology.custom] refuse before allocating, and the server answers
-     with an error. *)
+     with an error;
+   - no request makes a worker simulate without bound: the server
+     refuses graphs (and cfg iteration overrides) past its
+     instances-per-simulation cap, and [runs], [final_top] and
+     [final_runs] outside [1..1000]. *)
 
 open QCheck
 
@@ -225,6 +229,39 @@ let test_server () =
        (Wire.Map { m_id = "big-topology"; workload; cfg; wait = false; warm = true }))
     "route table"
 
+let accepted srv line =
+  match Server.handle_line srv line with
+  | Wire.R_accepted _ -> ()
+  | _ -> Alcotest.failf "must be accepted: %s" line
+
+let map_line ~id ?(extra = "") workload =
+  Printf.sprintf {|{"type":"map","id":%S,%s%s}|} id workload extra
+
+let inline_graph ?(iterations = 1) ~group () =
+  Printf.sprintf {|"graph":%S|}
+    (Printf.sprintf "graph g iterations=%d\ntask a group=%d flops=1\narg a x bytes=8 mode=RW"
+       iterations group)
+
+(* Each bound refuses its oversized request, and the same request
+   inside the bound is accepted, so neither outcome is vacuous. *)
+let test_server_work () =
+  let srv = Server.create () in
+  accepted srv (map_line ~id:"small-group" (inline_graph ~group:4 ()));
+  error_mentions srv (map_line ~id:"huge-group" (inline_graph ~group:1_000_000_000 ())) "instances";
+  error_mentions srv
+    (map_line ~id:"huge-iters" (inline_graph ~iterations:1_000_000_000 ~group:1 ()))
+    "instances";
+  let stencil = {|"app":"stencil"|} in
+  accepted srv (map_line ~id:"iters-10" ~extra:{|,"iterations":10|} stencil);
+  error_mentions srv (map_line ~id:"iters-1e9" ~extra:{|,"iterations":1000000000|} stencil)
+    "instances";
+  error_mentions srv (map_line ~id:"iters-0" ~extra:{|,"iterations":0|} stencil) "iterations";
+  accepted srv (map_line ~id:"runs-7" ~extra:{|,"runs":7,"final_runs":30|} stencil);
+  error_mentions srv (map_line ~id:"runs-0" ~extra:{|,"runs":0|} stencil) "runs";
+  error_mentions srv (map_line ~id:"runs-1e9" ~extra:{|,"runs":1000000000|} stencil) "runs";
+  error_mentions srv (map_line ~id:"final-0" ~extra:{|,"final_runs":0|} stencil) "final_runs";
+  error_mentions srv (map_line ~id:"top-0" ~extra:{|,"final_top":0|} stencil) "final_top"
+
 let suite =
   [
     Alcotest.test_case "both outcomes reachable" `Quick test_baseline;
@@ -236,3 +273,4 @@ let suite =
         prop_graph_bytes; prop_graph_mutated; prop_machine_bytes; prop_machine_mutated;
         prop_presets;
       ]
+  @ [ Alcotest.test_case "server bounds simulation work" `Quick test_server_work ]

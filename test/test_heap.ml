@@ -53,6 +53,8 @@ let test_reset_rewinds_ties () =
   let second = run_ties h in
   Alcotest.(check (list string)) "same order after reset" first second
 
+module Fheap = Exec.Fheap
+
 let drain_fheap h =
   let rec go acc =
     if Fheap.is_empty h then List.rev acc

@@ -1,9 +1,10 @@
-(* Incremental (dirty-cone) re-simulation must be bit-identical to the
-   plain event loop: same makespans, per-instance statistics, RNG
-   streams and Cut decisions for every mapping the search can visit.
-   Two scratches over one compiled problem — one with timelines on, one
-   forced off — walk the same candidate chains and every observable is
-   compared bit-for-bit. *)
+(* A scratch reused along a search's neighbour chain carries state from
+   run to run: the bind cache, delta binds (a near neighbour's placement
+   patched instead of re-resolved) and the shared per-seed noise
+   streams.  None of it may show: every run on the reused scratch must
+   be bit-identical to the same run on a fresh scratch — same
+   makespans, per-instance statistics, RNG streams and Cut decisions
+   for every mapping the search can visit. *)
 
 let bits = Int64.bits_of_float
 
@@ -26,7 +27,7 @@ let check_result name (a : Exec.result) (b : Exec.result) =
   Alcotest.(check int) (name ^ " demotions") a.Exec.demotions b.Exec.demotions
 
 (* Same constraint-repairing single-coordinate move the annealer makes:
-   the diffs incremental replay sees in production are chains of
+   the diffs a reused scratch sees in production are chains of
    these. *)
 let mutate g space rng parent =
   let dims = Array.of_list (Space.dims space) in
@@ -54,26 +55,23 @@ let mutate g space rng parent =
       let k = Mapping.proc_of parent owner in
       Mapping.set_mem parent cid (Rng.choose_list rng (Space.mem_choices space k))
 
-(* Walk a neighbor chain on both scratches, comparing full runs and
-   bounded runs (the Cut path) at every step under common random
-   numbers. *)
+(* Walk a neighbor chain on one reused scratch, comparing full runs and
+   bounded runs (the Cut path) against a fresh scratch at every step
+   under common random numbers. *)
 let compare_chain ~name ~steps ~seeds machine g =
   let c = Exec.compile machine g in
-  let sc_inc = Exec.scratch c in
-  let sc_full = Exec.scratch c in
-  Exec.set_incremental sc_full false;
+  let sc = Exec.scratch c in
   let space = Space.make g machine in
   let rng = Rng.create 42 in
   (* Maestro's GPU-first default OOMs on the small test machine; chains
      need a runnable base so the success path is actually exercised *)
   let start =
     let d = Mapping.default_start g machine in
-    match Exec.simulate ~noise_sigma:0.0 sc_full d with
+    match Exec.simulate ~noise_sigma:0.0 (Exec.scratch c) d with
     | Ok _ -> d
     | Error _ -> Mapping.all_cpu g machine
   in
   let incumbent = ref start in
-  Exec.prefer_timeline sc_inc !incumbent;
   let best = ref infinity in
   let m = ref !incumbent in
   for step = 0 to steps - 1 do
@@ -81,45 +79,54 @@ let compare_chain ~name ~steps ~seeds machine g =
       (fun seed ->
         let tag = Printf.sprintf "%s step %d seed %d" name step seed in
         (match
-           ( Exec.simulate ~noise_sigma:0.03 ~seed sc_inc !m,
-             Exec.simulate ~noise_sigma:0.03 ~seed sc_full !m )
+           ( Exec.simulate ~noise_sigma:0.03 ~seed sc !m,
+             Exec.simulate ~noise_sigma:0.03 ~seed (Exec.scratch c) !m )
          with
         | Ok a, Ok b ->
             check_result tag a b;
             if a.Exec.makespan < !best then begin
               best := a.Exec.makespan;
-              incumbent := !m;
-              Exec.prefer_timeline sc_inc !m
+              incumbent := !m
             end
         | Error a, Error b ->
             Alcotest.(check string) (tag ^ " error")
               (Placement.error_to_string b) (Placement.error_to_string a)
         | Ok _, Error e ->
-            Alcotest.failf "%s: incremental Ok, full Error %s" tag
+            Alcotest.failf "%s: reused Ok, fresh Error %s" tag
               (Placement.error_to_string e)
         | Error e, Ok _ ->
-            Alcotest.failf "%s: incremental Error %s, full Ok" tag
+            Alcotest.failf "%s: reused Error %s, fresh Ok" tag
               (Placement.error_to_string e));
         (* the pruning path: cutoffs below the incumbent must cut at
            bit-identical clock values on both scratches *)
         if !best < infinity then
           let cutoff = 0.9 *. !best in
           match
-            ( Exec.simulate_bounded ~noise_sigma:0.03 ~seed ~cutoff sc_inc !m,
-              Exec.simulate_bounded ~noise_sigma:0.03 ~seed ~cutoff sc_full !m )
+            ( Exec.simulate_bounded ~noise_sigma:0.03 ~seed ~cutoff sc !m,
+              Exec.simulate_bounded ~noise_sigma:0.03 ~seed ~cutoff (Exec.scratch c) !m )
           with
           | Ok (Exec.Finished a), Ok (Exec.Finished b) -> check_result (tag ^ " bounded") a b
           | Ok (Exec.Cut a), Ok (Exec.Cut b) -> check_float (tag ^ " cut clock") a b
           | Error _, Error _ -> ()
           | _ -> Alcotest.failf "%s: bounded outcomes diverge" tag)
       seeds;
+    (* a structurally equal but physically distinct copy misses the bind
+       cache and takes an empty-diff delta bind *)
+    let twin = Mapping.set_proc !m 0 (Mapping.proc_of !m 0) in
+    let seed = List.hd seeds in
+    (match
+       ( Exec.simulate ~noise_sigma:0.03 ~seed sc twin,
+         Exec.simulate ~noise_sigma:0.03 ~seed (Exec.scratch c) !m )
+     with
+    | Ok a, Ok b -> check_result (Printf.sprintf "%s step %d twin" name step) a b
+    | Error _, Error _ -> ()
+    | _ -> Alcotest.failf "%s step %d: twin outcomes diverge" name step);
     (* 1-2 coordinate hops, occasionally rebased on the incumbent like
        a descent restart *)
     m := mutate g space rng (if step mod 5 = 4 then !incumbent else !m);
     if Rng.bool rng then m := mutate g space rng !m
   done;
-  Alcotest.(check bool) (name ^ " exercised replay path") true
-    (Exec.cone_replays sc_inc + Exec.full_replays sc_inc > 0)
+  Alcotest.(check bool) (name ^ " delta binds exercised") true (Exec.delta_binds sc > 0)
 
 let test_app (app : App.t) () =
   let nodes = 2 in
@@ -132,36 +139,10 @@ let test_app (app : App.t) () =
   let g = app.App.graph ~nodes ~input in
   compare_chain ~name:app.App.app_name ~steps:12 ~seeds:[ 3; 4; 5 ] machine g
 
-(* A committed timeline replayed under an empty diff admits every pop:
-   the cheapest possible cone replay, and a deterministic counter
-   check. *)
-let test_cone_counters () =
-  let g, _, _ = Fixtures.shared_halo ~iterations:4 () in
-  let machine = Fixtures.default_machine () in
-  let sc = Exec.scratch (Exec.compile machine g) in
-  let m = Mapping.default_start g machine in
-  Exec.prefer_timeline sc m;
-  let run mp =
-    match Exec.simulate ~noise_sigma:0.03 ~seed:7 sc mp with
-    | Ok r -> r.Exec.makespan
-    | Error e -> Alcotest.fail (Placement.error_to_string e)
-  in
-  let a = run m in
-  (* structurally equal but physically distinct: diff = ([], []) *)
-  let m' = Mapping.set_proc m 0 (Mapping.proc_of m 0) in
-  let b = run m' in
-  check_float "empty-diff replay" a b;
-  Alcotest.(check bool) "cone replay happened" true (Exec.cone_replays sc >= 1);
-  Alcotest.(check bool) "timelines account bytes" true (Exec.timeline_bytes sc > 0);
-  Exec.set_incremental sc false;
-  Alcotest.(check bool) "disable drops timelines" true (Exec.timeline_bytes sc = 0);
-  let c = run m' in
-  check_float "post-disable result unchanged" a c
-
 (* End-to-end decision identity: a full CCD search must make the same
    accept/reject sequence, visit the same candidates and return the
-   same best in the default evaluator (pruning + cone replay) and in
-   reference mode (full simulation of every candidate). *)
+   same best in the default evaluator (bound-pruning) and in reference
+   mode (full simulation of every candidate). *)
 let test_ccd_decision_identity () =
   let machine = Presets.shepard ~nodes:4 in
   let g = App.circuit.App.graph ~nodes:4 ~input:(List.hd (App.circuit.App.inputs ~nodes:4)) in
@@ -176,11 +157,8 @@ let test_ccd_decision_identity () =
   check_float "best perf" pi pf;
   Alcotest.(check (list (float 0.0))) "improvement trace" tf ti;
   Alcotest.(check int) "suggested" sf.Evaluator.s_suggested si.Evaluator.s_suggested;
-  Alcotest.(check bool) "default leg replayed cones" true (si.Evaluator.s_cone_replays > 0);
   Alcotest.(check bool) "default leg pruned" true (si.Evaluator.s_cut_evals > 0);
-  Alcotest.(check int) "reference leg cut nothing" 0 sf.Evaluator.s_cut_evals;
-  Alcotest.(check int) "reference leg replayed no cone" 0 sf.Evaluator.s_cone_replays;
-  Alcotest.(check int) "reference leg kept no timelines" 0 sf.Evaluator.s_timeline_bytes
+  Alcotest.(check int) "reference leg cut nothing" 0 sf.Evaluator.s_cut_evals
 
 (* Random graphs x random <=8-coordinate neighbor chains: the property
    the golden tests spot-check, over the whole builder space. *)
@@ -190,20 +168,17 @@ let prop_random_graphs =
       let g = Gen.graph_of_spec spec in
       let machine = Fixtures.default_machine () in
       let c = Exec.compile machine g in
-      let sc_inc = Exec.scratch c in
-      let sc_full = Exec.scratch c in
-      Exec.set_incremental sc_full false;
+      let sc = Exec.scratch c in
       let space = Space.make g machine in
       let rng = Rng.create (spec.Gen.seed + 1) in
       let m = ref (Mapping.default_start g machine) in
-      Exec.prefer_timeline sc_inc !m;
       let ok = ref true in
       for _ = 1 to 8 do
         List.iter
           (fun seed ->
             match
-              ( Exec.simulate ~noise_sigma:0.05 ~seed sc_inc !m,
-                Exec.simulate ~noise_sigma:0.05 ~seed sc_full !m )
+              ( Exec.simulate ~noise_sigma:0.05 ~seed sc !m,
+                Exec.simulate ~noise_sigma:0.05 ~seed (Exec.scratch c) !m )
             with
             | Ok a, Ok b ->
                 if bits a.Exec.makespan <> bits b.Exec.makespan then ok := false
@@ -257,7 +232,6 @@ let suite =
   List.map (fun (a : App.t) -> Alcotest.test_case a.App.app_name `Quick (test_app a)) App.all
   @ [
       Alcotest.test_case "routed delta rebind = full bind" `Quick test_routed_delta_rebind;
-      Alcotest.test_case "cone counters" `Quick test_cone_counters;
       Alcotest.test_case "ccd decision identity" `Slow test_ccd_decision_identity;
       QCheck_alcotest.to_alcotest prop_random_graphs;
     ]
