@@ -79,37 +79,56 @@ let set_mem t cid v =
   m.(cid) <- v;
   { t with mem = m }
 
-let validate g machine t =
-  (* format an error message only on failure: this runs once per
-     suggested candidate, and eagerly rendering messages for checks
-     that pass dominates the whole call *)
-  let problem = ref None in
-  let fail fmt =
-    Printf.ksprintf (fun s -> if !problem = None then problem := Some s) fmt
-  in
-  (* Coordinate-naming style shared with Analysis diagnostics and
-     Placement's OOM errors: "task <tid> (<name>)" / "collection
-     c<cid> (<name>)", always naming the kinds involved. *)
-  for tid = 0 to Graph.n_tasks g - 1 do
+(* The first failing check of §4.2 constraint (1), in task order and,
+   within a task, processor kind, variant, then each collection
+   argument.  Nothing is formatted here, and a valid mapping allocates
+   nothing: the evaluator asks for every candidate its profiles
+   database cannot answer, invalid ones included since they are never
+   recorded, and about half of the ensemble's suggestions fail. *)
+type violation =
+  | No_procs of int
+  | No_variant of int
+  | Unaddressable of int * Graph.collection
+
+let rec unaddressable t k = function
+  | [] -> None
+  | (c : Graph.collection) :: rest ->
+      if Kinds.accessible k t.mem.(c.cid) then unaddressable t k rest else Some c
+
+let rec first_violation g machine t tid =
+  if tid >= Graph.n_tasks g then None
+  else
     let task = Graph.task g tid in
     let k = t.proc.(tid) in
-    if not (Machine.procs_of_kind_per_node machine k > 0) then
-      fail "task %d (%s) mapped to %s but the machine has no %s processors" tid
-        task.tname (Kinds.proc_kind_to_string k) (Kinds.proc_kind_to_string k);
-    if not (Graph.has_variant task k) then
-      fail "task %d (%s) has no %s variant" tid task.tname (Kinds.proc_kind_to_string k);
-    List.iter
-      (fun (c : Graph.collection) ->
-        if not (Kinds.accessible k t.mem.(c.cid)) then
-          fail "collection c%d (%s) of task %d (%s) mapped to %s, not addressable from %s"
-            c.cid c.cname tid task.tname
-            (Kinds.mem_kind_to_string t.mem.(c.cid))
-            (Kinds.proc_kind_to_string k))
-      task.args
-  done;
-  match !problem with None -> Ok () | Some reason -> Error reason
+    if not (Machine.procs_of_kind_per_node machine k > 0) then Some (No_procs tid)
+    else if not (Graph.has_variant task k) then Some (No_variant tid)
+    else
+      match unaddressable t k task.args with
+      | Some c -> Some (Unaddressable (tid, c))
+      | None -> first_violation g machine t (tid + 1)
 
-let is_valid g machine t = Result.is_ok (validate g machine t)
+let is_valid g machine t = Option.is_none (first_violation g machine t 0)
+
+(* Coordinate-naming style shared with Analysis diagnostics and
+   Placement's OOM errors: "task <tid> (<name>)" / "collection
+   c<cid> (<name>)", always naming the kinds involved. *)
+let validate g machine t =
+  match first_violation g machine t 0 with
+  | None -> Ok ()
+  | Some v ->
+      let proc tid = Kinds.proc_kind_to_string t.proc.(tid) in
+      let name tid = (Graph.task g tid).tname in
+      Error
+        (match v with
+        | No_procs tid ->
+            Printf.sprintf "task %d (%s) mapped to %s but the machine has no %s processors"
+              tid (name tid) (proc tid) (proc tid)
+        | No_variant tid -> Printf.sprintf "task %d (%s) has no %s variant" tid (name tid) (proc tid)
+        | Unaddressable (tid, c) ->
+            Printf.sprintf "collection c%d (%s) of task %d (%s) mapped to %s, not addressable from %s"
+              c.cid c.cname tid (name tid)
+              (Kinds.mem_kind_to_string t.mem.(c.cid))
+              (proc tid))
 
 let memory_priority t (task : Graph.task) cid =
   let chosen = t.mem.(cid) in

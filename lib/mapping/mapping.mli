@@ -72,9 +72,12 @@ val validate : Graph.t -> Machine.t -> t -> (unit, string) result
 (** Checks that every task's processor kind exists on the machine and
     the task has a variant for it, and that every collection argument's
     memory kind is accessible from its task's processor kind.  Returns
-    a human-readable reason on failure. *)
+    a human-readable reason for the first failing check, in task
+    order. *)
 
 val is_valid : Graph.t -> Machine.t -> t -> bool
+(** [Result.is_ok (validate g machine t)], without building a message:
+    a valid mapping allocates nothing. *)
 
 val memory_priority : t -> Graph.task -> int -> Kinds.mem_kind list
 (** Priority list of memory kinds for an argument (§3.1's

@@ -37,8 +37,7 @@ let flip_strategy = function
   | Mapping.Blocked -> Mapping.Cyclic
   | Mapping.Cyclic -> Mapping.Blocked
 
-let mutate space rng parent =
-  let dims = Array.of_list (Space.dims space) in
+let mutate dims rng parent =
   match Rng.choose rng dims with
   | Space.Distribution tid ->
       Mapping.set_distribute parent tid (not (Mapping.distribute_of parent tid))
@@ -59,8 +58,7 @@ let crossover g rng a b =
 
 (* Pattern walk: visit dimensions cyclically, replacing the current
    value with the "next" value of the full domain. *)
-let pattern_step space cursor parent =
-  let dims = Array.of_list (Space.dims space) in
+let pattern_step dims cursor parent =
   let d = dims.(cursor mod Array.length dims) in
   match d with
   | Space.Distribution tid ->
@@ -92,6 +90,8 @@ type state = {
 let strategy_of st =
   let g = Evaluator.graph st.ev in
   let space = Evaluator.space st.ev in
+  (* built once per strategy: every mutation and pattern step indexes it *)
+  let dims = Array.of_list (Space.dims space) in
   let elites () =
     match Profiles_db.top (Evaluator.db st.ev) st.config.elite_size with
     | [] -> [ (match st.best with Some (m, _) -> m | None -> assert false) ]
@@ -100,16 +100,16 @@ let strategy_of st =
   let propose arm =
     match arm with
     | 0 -> Space.random_unconstrained space st.rng
-    | 1 -> mutate space st.rng (Rng.choose_list st.rng (elites ()))
+    | 1 -> mutate dims st.rng (Rng.choose_list st.rng (elites ()))
     | 2 -> (
         match elites () with
-        | [ only ] -> mutate space st.rng only
+        | [ only ] -> mutate dims st.rng only
         | es ->
             crossover g st.rng (Rng.choose_list st.rng es) (Rng.choose_list st.rng es))
     | 3 ->
         let c = st.pattern_cursor in
         st.pattern_cursor <- st.pattern_cursor + 1;
-        pattern_step space c (match st.best with Some (m, _) -> m | None -> assert false)
+        pattern_step dims c (match st.best with Some (m, _) -> m | None -> assert false)
     | _ -> assert false
   in
   {

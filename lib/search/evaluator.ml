@@ -306,11 +306,11 @@ let eval_keyed ?bound t key mapping =
             go ()
           end
       | None -> (
-          match Mapping.validate t.graph t.machine mapping with
-          | Error _ ->
+          match Mapping.is_valid t.graph t.machine mapping with
+          | false ->
               t.invalid <- t.invalid + 1;
               t.penalty
-          | Ok () when bound_v < infinity -> (
+          | true when bound_v < infinity -> (
               let base = t.crn_base in
               (* Certified per-run lower bounds: before any event loop,
                  each run's objective is bounded below by its busiest
@@ -436,7 +436,7 @@ let eval_keyed ?bound t key mapping =
                   go 1
                   end
                   end)
-          | Ok () -> (
+          | true -> (
               let base = t.crn_base in
               (* First run decides whether the mapping can be placed at
                  all; an OOM aborts the evaluation after one cheap

@@ -23,7 +23,9 @@ val find : t -> Mapping.t -> entry option
 
 val record : t -> Mapping.t -> float list -> entry
 (** Stores measurements for a mapping (replacing any previous entry)
-    and returns the entry. *)
+    and returns the entry.  The entry takes its rank for {!top} as it
+    is recorded, in O(log n), and a replaced entry loses its old
+    rank. *)
 
 val find_key : t -> string -> entry option
 (** {!find} for a caller that already computed
@@ -38,9 +40,12 @@ val size : t -> int
 val top : t -> int -> entry list
 (** The [k] entries with the best (lowest) perf, best first; equal
     perfs rank by canonical key, so a database rebuilt by {!load}
-    ranks exactly like the one {!save} wrote. *)
+    ranks exactly like the one {!save} wrote.  Perfs compare with
+    [Float.compare].  Walks the kept ranking: O(k + log n) for a
+    database of n entries.  [k <= 0] answers [[]]. *)
 
 val best : t -> entry option
+(** [top t 1]'s entry: O(log n). *)
 
 (** {1 Persistence}
 
@@ -51,7 +56,9 @@ val best : t -> entry option
 
 val save : t -> string
 val load : Graph.t -> string -> (t, string) result
-(** Keys that do not match [g] are rejected with an error, as is a
-    key appearing on more than one line — a checkpoint written by
-    {!save} never contains duplicates, so one signals a corrupted or
-    hand-edited file whose measurements cannot be trusted. *)
+(** Keys that do not match [g] are rejected with an error, as are
+    measurements whose mean is NaN (it would rank ahead of every real
+    perf) and a key appearing on more than one line — a checkpoint
+    written by {!save} never contains duplicates, so one signals a
+    corrupted or hand-edited file whose measurements cannot be
+    trusted. *)

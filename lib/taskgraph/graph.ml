@@ -251,7 +251,10 @@ let successors g tid =
 let total_bytes g =
   List.fold_left (fun acc (c : collection) -> acc +. c.bytes) 0.0 (collections g)
 
-let has_variant t k = List.exists (fun v -> Kinds.equal_proc v k) t.variants
+(* kinds are constant constructors, so physical equality is equality,
+   and no closure is allocated: Mapping's validity walk runs this once
+   per task of every suggested candidate *)
+let has_variant t k = List.memq k t.variants
 
 let pp_summary ppf g =
   Format.fprintf ppf "%s: %d tasks, %d collection args, %d deps, %d overlaps, %d iteration(s)"

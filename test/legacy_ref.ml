@@ -261,8 +261,10 @@ let ensemble_search ?(config = Ensemble.default_config) ?start ?(budget = infini
   let best = ref (f0, p0) in
   let arms = Array.init 4 (fun _ -> { uses = 0; wins = 0 }) in
   let pattern_cursor = ref 0 in
+  (* ranked by the fold-and-sort oracle, not Profiles_db.top: the
+     equivalence then also checks the database's kept ranking *)
   let elites () =
-    match Profiles_db.top (Evaluator.db ev) config.Ensemble.elite_size with
+    match Rank_oracle.top (Evaluator.db ev) config.Ensemble.elite_size with
     | [] -> [ fst !best ]
     | es -> List.map (fun e -> e.Profiles_db.mapping) es
   in

@@ -1,6 +1,6 @@
 (* Allocation discipline of the hot evaluation path.
 
-   Two gates:
+   Four gates:
 
    - the event loop proper: once the scratch is warm (bind cached,
      noise stream cached, heaps grown), re-simulating a candidate
@@ -11,9 +11,16 @@
      batched CCD run stays within the budget committed in
      golden/alloc_budget.txt, so allocation regressions anywhere in
      the suggest/build/evaluate cycle fail loudly instead of slowly
-     eroding the steady state.
+     eroding the steady state;
 
-   Both measurements only make sense compiled to native code —
+   - the validity check the evaluator runs on every candidate its
+     profiles database cannot answer allocates nothing for a valid
+     mapping;
+
+   - the ensemble's proposals: minor words per step do not grow with
+     the profiles database, whose ranking the elites are read from.
+
+   All four measurements only make sense compiled to native code —
    bytecode boxes freely — so the tests skip under other backends. *)
 
 let native = match Sys.backend_type with Sys.Native -> true | _ -> false
@@ -112,10 +119,70 @@ let test_search_alloc_budget () =
        the committed budget of %.1f (golden/alloc_budget.txt)"
       per_cand budget
 
+let maestro_lassen () =
+  let machine = Presets.lassen ~nodes:4 in
+  let g =
+    App.maestro.App.graph ~nodes:4 ~input:(List.hd (App.maestro.App.inputs ~nodes:4))
+  in
+  (machine, g)
+
+let test_is_valid_zero_alloc () =
+  skip_unless_native ();
+  let machine, g = maestro_lassen () in
+  let m = Mapping.default_start g machine in
+  let w0 = Gc.minor_words () in
+  let valid = Mapping.is_valid g machine m in
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "default start is valid" true valid;
+  if w <> 0.0 then Alcotest.failf "Mapping.is_valid allocated %.0f minor words" w
+
+(* Ensemble gate: a step (proposal only, no evaluation) reads its
+   elites from the profiles database's ranking, which must cost
+   O(elite_size + log n), not a fold over the whole table.  Minor
+   words are deterministic for a fixed build, so a 5% margin between
+   a 100-entry and a 1600-entry database is not flaky, and a per-step
+   sort of the table (several thousand words at 1600 entries) trips
+   it. *)
+let ensemble_step_words ~entries =
+  let machine, g = maestro_lassen () in
+  let ev = Evaluator.create ~seed:0 machine g in
+  let db = Evaluator.db ev in
+  let rng = Rng.create 11 in
+  while Profiles_db.size db < entries do
+    ignore
+      (Profiles_db.record db
+         (Space.random_unconstrained (Evaluator.space ev) rng)
+         [ Rng.float rng 1.0 ])
+  done;
+  (* every arm equally often: half the steps read the elites *)
+  let config = { Ensemble.default_config with seed = 5; exploration = 1.0 } in
+  let strategy = Ensemble.make ~config ev in
+  let start = Mapping.default_start g machine in
+  strategy.Engine.init (start, 1.0);
+  let ctx = { Engine.trials = 1; vt = 0.0; best = (start, 1.0) } in
+  let step () = ignore (strategy.Engine.step ctx) in
+  for _ = 1 to 200 do step () done;
+  let steps = 2000 in
+  minor_words_during (fun () -> for _ = 1 to steps do step () done)
+  /. float_of_int steps
+
+let test_ensemble_step_words () =
+  skip_unless_native ();
+  let small = ensemble_step_words ~entries:100 in
+  let large = ensemble_step_words ~entries:1600 in
+  if large > small *. 1.05 then
+    Alcotest.failf
+      "an ensemble step allocates %.1f minor words with 1600 profiles recorded, over \
+       5%% more than the %.1f it allocates with 100"
+      large small
+
 let suite =
   [
     Alcotest.test_case "quiet steady state allocates zero minor words" `Quick
       test_quiet_steady_state_zero_alloc;
     Alcotest.test_case "search minor words per candidate within budget" `Quick
       test_search_alloc_budget;
+    Alcotest.test_case "is_valid allocates nothing" `Quick test_is_valid_zero_alloc;
+    Alcotest.test_case "ensemble step minor words independent of database size" `Quick
+      test_ensemble_step_words;
   ]

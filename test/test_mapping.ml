@@ -128,6 +128,42 @@ let prop_unconstrained_sometimes_invalid =
       done;
       !invalid > 0)
 
+(* Property: the allocation-free validity walk agrees with [validate]
+   on every bundled app on both paper clusters.  Whole unconstrained
+   samples are almost always invalid on the larger apps, so each draw
+   also checks the default start with one task's processor kind and
+   one collection's memory kind taken from the sample: valid about as
+   often as not, like the ensemble's mutations. *)
+let validity_problems =
+  lazy
+    (List.concat_map
+       (fun (app : App.t) ->
+         List.map
+           (fun machine ->
+             let g = app.App.graph ~nodes:1 ~input:(List.hd (app.App.inputs ~nodes:1)) in
+             (g, machine, Space.make g machine))
+           [ Presets.lassen ~nodes:1; Presets.shepard ~nodes:1 ])
+       App.all)
+
+let prop_is_valid_agrees =
+  QCheck.Test.make ~name:"is_valid agrees with validate on unconstrained mappings"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      List.for_all
+        (fun (g, machine, space) ->
+          let u = Space.random_unconstrained space rng in
+          let tid = Rng.int rng (Graph.n_tasks g) and cid = Rng.int rng (Graph.n_collections g) in
+          let near =
+            Mapping.set_mem
+              (Mapping.set_proc (Mapping.default_start g machine) tid (Mapping.proc_of u tid))
+              cid (Mapping.mem_of u cid)
+          in
+          List.for_all
+            (fun m -> Mapping.is_valid g machine m = Result.is_ok (Mapping.validate g machine m))
+            [ u; near ])
+        (Lazy.force validity_problems))
+
 let suite =
   [
     Alcotest.test_case "default start" `Quick test_default_start;
@@ -143,4 +179,5 @@ let suite =
     Alcotest.test_case "pp" `Quick test_pp;
     QCheck_alcotest.to_alcotest prop_random_mapping_valid;
     QCheck_alcotest.to_alcotest prop_unconstrained_sometimes_invalid;
+    QCheck_alcotest.to_alcotest prop_is_valid_agrees;
   ]

@@ -101,10 +101,7 @@ let prop_db_top_ties =
       in
       let n = Profiles_db.size db in
       let reference =
-        List.map
-          (fun e -> (e.Profiles_db.perf, Mapping.canonical_key e.Profiles_db.mapping))
-          (Profiles_db.top db n)
-        |> List.sort compare |> List.map snd
+        List.map (fun e -> Mapping.canonical_key e.Profiles_db.mapping) (Rank_oracle.top db n)
       in
       match Profiles_db.load g (Profiles_db.save db) with
       | Error e -> QCheck.Test.fail_report e
@@ -115,6 +112,63 @@ let prop_db_top_ties =
                  keys db k = List.filteri (fun i _ -> i < k) reference
                  && keys db' k = keys db k)
                (List.init (n + 2) Fun.id))
+
+(* Property: the ranking kept as entries are recorded is the
+   fold-and-sort oracle's, after every record — re-records of a key
+   under a new perf, heavy ties and infinite perfs included — for
+   out-of-range and boundary [k] alike, and again across save/load. *)
+let prop_db_top_matches_oracle =
+  QCheck.Test.make ~count:50 ~name:"profiles-db top equals the fold-and-sort oracle"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let g, _, _ = Fixtures.shared_halo () in
+      let space = Space.make ~extended:true g (machine ()) in
+      let rng = Rng.create seed in
+      let agrees db =
+        let n = Profiles_db.size db in
+        let reference = Rank_oracle.top db (n + 2) in
+        List.for_all
+          (fun k ->
+            List.equal ( == ) (Profiles_db.top db k) (List.filteri (fun i _ -> i < k) reference))
+          [ -1; 0; 1; 5; n; n + 2 ]
+      in
+      let db = Profiles_db.create () in
+      let recorded = ref [] in
+      let ok = ref true in
+      for _ = 1 to 1 + Rng.int rng 40 do
+        let m =
+          if !recorded <> [] && Rng.int rng 3 = 0 then Rng.choose_list rng !recorded
+          else Space.random_mapping space rng
+        in
+        recorded := m :: !recorded;
+        let run () =
+          match Rng.int rng 4 with 0 -> 1.0 | 1 -> 2.0 | 2 -> infinity | _ -> Rng.float rng 3.0
+        in
+        ignore (Profiles_db.record db m (List.init (1 + Rng.int rng 2) (fun _ -> run ())));
+        ok := !ok && agrees db
+      done;
+      !ok
+      &&
+      match Profiles_db.load g (Profiles_db.save db) with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok db' -> agrees db')
+
+let test_db_load_rejects_nan () =
+  let g, _, _ = Fixtures.shared_halo () in
+  let k1 = Mapping.canonical_key (Mapping.default_start g (machine ())) in
+  let k2 = Mapping.canonical_key (Mapping.all_cpu g (machine ())) in
+  (* a NaN run, or runs whose mean is NaN, would rank first *)
+  List.iter
+    (fun runs ->
+      match Profiles_db.load g (Printf.sprintf "%s 0.5\n%s %s\n" k1 k2 runs) with
+      | Error e ->
+          Alcotest.(check bool) ("rejects " ^ runs) true
+            (Str_helpers.contains e "line 2: bad measurements")
+      | Ok _ -> Alcotest.failf "NaN measurements %S accepted" runs)
+    [ "nan"; "0.25 nan"; "-nan"; "inf -inf" ];
+  match Profiles_db.load g (Printf.sprintf "%s 0.5\n%s inf\n" k1 k2) with
+  | Ok db -> Alcotest.(check int) "inf loads" 2 (Profiles_db.size db)
+  | Error e -> Alcotest.fail e
 
 let test_db_load_rejects_duplicates () =
   let g, _, _ = Fixtures.shared_halo () in
@@ -196,4 +250,6 @@ let suite =
     Alcotest.test_case "portfolio" `Quick test_portfolio;
     Alcotest.test_case "portfolio validation" `Quick test_portfolio_validation;
     QCheck_alcotest.to_alcotest prop_db_top_ties;
+    QCheck_alcotest.to_alcotest prop_db_top_matches_oracle;
+    Alcotest.test_case "db rejects nan" `Quick test_db_load_rejects_nan;
   ]
