@@ -63,12 +63,23 @@ let proc_resource_name (p : Machine.processor) =
 
 (* ------------------------------------------------------------------ *)
 (* The event queue: a monomorphic binary min-heap with float priority *)
-(* and int payload in three parallel flat arrays, so pushing and      *)
-(* popping never allocates.  Ties on priority pop in insertion order, *)
-(* like the oracle's polymorphic heap.  It lives here rather than in  *)
-(* its own module because dune's dev profile compiles with -opaque,   *)
-(* which stops cross-module inlining: a [push] or [top_prio] called   *)
-(* from another unit boxes its float on every event (DESIGN.md §11).  *)
+(* and int payload in three parallel flat arrays, plus a lane: an int *)
+(* ring of the payloads pushed at the queue's clock, in push order.   *)
+(* The clock is the priority of the last heap pop made while the lane *)
+(* was empty (0.0 after [create] and [reset]).  A push at the clock   *)
+(* joins the lane, any other goes on the heap, and the lane's front   *)
+(* pops next unless the heap's top priority is <= the clock.  Pops    *)
+(* keep the oracle heap's (priority, insertion sequence) order: lane  *)
+(* entries all sit at the clock, in push order; a heap entry at the   *)
+(* clock was pushed before the clock took that value (later ones join *)
+(* the lane), so it pops first; and the clock moves only while the    *)
+(* lane is empty.  Events due at the clock just popped (about 40% of  *)
+(* a run's) so skip a sift up and down.  Nothing allocates: the clock *)
+(* is a float-array slot, as a mutable float field would box.         *)
+(* The queue lives here rather than in its own module because dune's  *)
+(* dev profile compiles with -opaque, which stops cross-module        *)
+(* inlining: a [push] or [top_prio] called from another unit boxes    *)
+(* its float on every event (DESIGN.md §11).                          *)
 (* ------------------------------------------------------------------ *)
 
 module Fheap = struct
@@ -78,6 +89,10 @@ module Fheap = struct
     mutable payload : int array;
     mutable size : int;
     mutable next_seq : int;
+    mutable lane : int array;   (* ring buffer of payloads due at the clock *)
+    mutable lane_head : int;
+    mutable lane_len : int;
+    clock : float array;        (* one slot *)
   }
 
   let create ?(capacity = 16) () =
@@ -88,9 +103,17 @@ module Fheap = struct
       payload = Array.make capacity 0;
       size = 0;
       next_seq = 0;
+      lane = Array.make capacity 0;
+      lane_head = 0;
+      lane_len = 0;
+      clock = [| 0.0 |];
     }
 
-  let[@inline] is_empty h = h.size = 0
+  let[@inline] is_empty h = h.size = 0 && h.lane_len = 0
+
+  (* Does the next pop come from the lane? *)
+  let[@inline] lane_next h =
+    h.lane_len > 0 && (h.size = 0 || Array.unsafe_get h.prio 0 > Array.unsafe_get h.clock 0)
 
   (* strict ordering: priority, then insertion sequence (FIFO on ties).
      The sift loops move the displaced element as a hole (read once,
@@ -109,6 +132,15 @@ module Fheap = struct
       h.seq <- ns;
       h.payload <- nv
     end
+
+  (* Doubles a full lane, unrolling the ring to start at index 0. *)
+  let lane_grow h =
+    let cap = Array.length h.lane in
+    let nl = Array.make (2 * cap) 0 in
+    Array.blit h.lane h.lane_head nl 0 (cap - h.lane_head);
+    Array.blit h.lane 0 nl (cap - h.lane_head) h.lane_head;
+    h.lane <- nl;
+    h.lane_head <- 0
 
   (* Unsafe indexing below: every index is either [start] (< size, by
      the callers) or a parent/child index derived from one, and the
@@ -136,20 +168,35 @@ module Fheap = struct
     Array.unsafe_set payload !i v
 
   let[@inline] push h prio payload =
-    grow h;
-    let i = h.size in
-    h.prio.(i) <- prio;
-    h.seq.(i) <- h.next_seq;
-    h.payload.(i) <- payload;
-    h.next_seq <- h.next_seq + 1;
-    h.size <- h.size + 1;
-    sift_up h i
+    if prio = Array.unsafe_get h.clock 0 then begin
+      if h.lane_len = Array.length h.lane then lane_grow h;
+      let j = h.lane_head + h.lane_len in
+      let cap = Array.length h.lane in
+      h.lane.(if j >= cap then j - cap else j) <- payload;
+      h.lane_len <- h.lane_len + 1
+    end
+    else begin
+      grow h;
+      let i = h.size in
+      h.prio.(i) <- prio;
+      h.seq.(i) <- h.next_seq;
+      h.payload.(i) <- payload;
+      h.next_seq <- h.next_seq + 1;
+      h.size <- h.size + 1;
+      sift_up h i
+    end
 
-  let[@inline] top_prio h = h.prio.(0)
-  let[@inline] top h = h.payload.(0)
+  let[@inline] top_prio h = if lane_next h then h.clock.(0) else h.prio.(0)
+  let[@inline] top h = if lane_next h then h.lane.(h.lane_head) else h.payload.(0)
 
   let drop h =
-    if h.size > 0 then begin
+    if lane_next h then begin
+      let hd = h.lane_head + 1 in
+      h.lane_head <- (if hd = Array.length h.lane then 0 else hd);
+      h.lane_len <- h.lane_len - 1
+    end
+    else if h.size > 0 then begin
+      if h.lane_len = 0 then h.clock.(0) <- h.prio.(0);
       h.size <- h.size - 1;
       let n = h.size in
       if n > 0 then begin
@@ -192,7 +239,10 @@ module Fheap = struct
 
   let reset h =
     h.size <- 0;
-    h.next_seq <- 0
+    h.next_seq <- 0;
+    h.lane_head <- 0;
+    h.lane_len <- 0;
+    h.clock.(0) <- 0.0
 end
 
 (* ------------------------------------------------------------------ *)
@@ -316,7 +366,6 @@ type scratch = {
   (* false only for [:free] (uncontended) topologies: copies still pay
      full path cost but never serialize on the busy-until clocks *)
   contended : bool;
-  mutable hop_t : float;       (* running clock of the hop walk *)
   events : Fheap.t;
   (* cache of the last successful bind: the evaluator's §5 protocol
      simulates the same mapping [runs] times in a row with different
@@ -524,7 +573,6 @@ let scratch prob =
     hop_end = 0;
     dep_cross = Array.make (max n_deps 1) false;
     contended = clocks_contended machine;
-    hop_t = 0.0;
     events = Fheap.create ();
     bound_mapping = None;
     bound_fallback = false;
@@ -586,10 +634,11 @@ let ensure_capacity sc n =
 (* Shared per-seed noise streams.                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Index of the noise cache for [seed], creating it when the table has
-   room.  -1 = none usable (sigma mismatch on an existing stream, or
-   table full): the caller must fall back to a private Rng. *)
-let noise_cache_idx sc ~seed ~sigma =
+(* Index of the noise cache for [seed], creating it when [add] is set
+   and the table has room.  -1 = none usable (no stream and none added,
+   sigma mismatch on an existing stream, or table full): the caller
+   must fall back to a private Rng. *)
+let noise_cache_idx sc ~seed ~sigma ~add =
   let n = sc.n_nzs in
   let found = ref (-2) in
   let i = ref 0 in
@@ -600,7 +649,7 @@ let noise_cache_idx sc ~seed ~sigma =
     else incr i
   done;
   if !found > -2 then !found
-  else if n >= seed_table_cap then -1
+  else if (not add) || n >= seed_table_cap then -1
   else begin
     let c = { nbuf = [||]; nfilled = 0; nrng = Rng.create seed; nsigma = sigma } in
     sc.nz_seed.(n) <- seed;
@@ -1047,18 +1096,19 @@ let[@inline] do_done sc i t_done =
           else begin
             let nh = -2 - chan in
             let base = sc.hop_off.(k) in
-            sc.hop_t <- t_done;
+            (* a local float ref stays unboxed; a float field of the
+               scratch record would box on every hop *)
+            let t = ref t_done in
             for h = 0 to nh - 1 do
               let hslot = sc.hop_slot.(base + h) in
               let cost = sc.hop_cost.(base + h) in
               let free = sc.chan_free.(hslot) in
-              let t = sc.hop_t in
-              let start = if t > free then t else free in
+              let start = if !t > free then !t else free in
               let arr = start +. cost in
               sc.chan_free.(hslot) <- arr;
-              sc.hop_t <- arr
+              t := arr
             done;
-            sc.hop_t
+            !t
           end
         in
         let bytes = prob.dep_bytes.(k) in
@@ -1080,7 +1130,7 @@ let[@inline] do_done sc i t_done =
    constructor so the call frame carries no allocation; the wrappers
    below rebuild the [result] / [outcome] views for record-API
    callers. *)
-let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff =
+let sim_core sc mapping ~noise_sigma ~seed ~add_seed ~fallback ~iterations ~trace ~cutoff =
   let prob = sc.prob in
   let bound_ok =
     (* same inline fast path as {!resolve_bound}, minus its [Ok]
@@ -1112,9 +1162,14 @@ let sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff 
        cache is available the stream is shared across runs: continuing
        [nrng] after [nfilled] draws produces exactly the values a
        fresh [Rng.create seed] would, so reuse is bit-identical and
-       each seed's draws happen once per search. *)
+       each seed's draws happen once per search.  [add_seed] is false
+       for the record API, whose one noisy caller in the search draws a
+       fresh seed per run: such a stream would never be read again. *)
     sc.sim_sigma <- noise_sigma;
-    let ci = if noise_sigma > 0.0 then noise_cache_idx sc ~seed ~sigma:noise_sigma else -1 in
+    let ci =
+      if noise_sigma > 0.0 then noise_cache_idx sc ~seed ~sigma:noise_sigma ~add:add_seed
+      else -1
+    in
     if ci >= 0 then begin
       let c = sc.nzs.(ci) in
       noise_reserve c n_instances;
@@ -1207,7 +1262,10 @@ let result_of_planes sc =
 let simulate_bounded ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?iterations
     ?trace ?(cutoff = infinity) sc mapping =
   let iterations = Option.value iterations ~default:sc.prob.cgraph.Graph.iterations in
-  let st = sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace ~cutoff in
+  let st =
+    sim_core sc mapping ~noise_sigma ~seed ~add_seed:false ~fallback ~iterations ~trace
+      ~cutoff
+  in
   if st = st_error then Error (match sc.r_error with Some e -> e | None -> assert false)
   else if st = st_cut then Ok (Cut sc.r_acc.(acc_cut))
   else Ok (Finished (result_of_planes sc))
@@ -1225,7 +1283,8 @@ let simulate ?noise_sigma ?seed ?fallback ?iterations ?trace sc mapping =
 (* ------------------------------------------------------------------ *)
 
 let simulate_quiet sc mapping ~noise_sigma ~seed ~fallback ~iterations ~cutoff =
-  sim_core sc mapping ~noise_sigma ~seed ~fallback ~iterations ~trace:None ~cutoff
+  sim_core sc mapping ~noise_sigma ~seed ~add_seed:true ~fallback ~iterations ~trace:None
+    ~cutoff
 
 let[@inline] quiet_makespan sc = sc.r_acc.(acc_makespan)
 let[@inline] quiet_per_iteration sc = sc.r_acc.(acc_per_iter)
@@ -1387,7 +1446,7 @@ let run_lower_bound ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?itera
            per-seed cache substitutes values without changing a single
            float operation — and turns the per-candidate Box–Muller cost
            into a once-per-seed cost across the whole search. *)
-        let ci = noise_cache_idx sc ~seed ~sigma:noise_sigma in
+        let ci = noise_cache_idx sc ~seed ~sigma:noise_sigma ~add:true in
         if ci >= 0 then begin
           let c = sc.nzs.(ci) in
           let n = iterations * spi in

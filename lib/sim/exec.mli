@@ -206,7 +206,10 @@ val run_lower_bound :
     stream per seed and extends it on demand, so under the evaluator's
     common random numbers each seed's draws happen once per search and
     every later run (and {!run_lower_bound}) reads them back.  The
-    values are bit-identical to a fresh [Rng.create seed].
+    values are bit-identical to a fresh [Rng.create seed].  Only
+    {!simulate_quiet} and {!run_lower_bound} add a seed to the table;
+    {!simulate} and {!simulate_bounded} read an existing stream and
+    otherwise draw privately, so one-shot seeds take no slot.
 
     Binding a mapping to the compiled problem is cached too: a re-run
     of the physically same mapping reuses the bind, and a near
@@ -257,20 +260,29 @@ val profile :
 
 (** {1 Event queue}
 
-    The simulator's event heap, exposed for its unit tests.  A
+    The simulator's event queue, exposed for its unit tests.  A
     monomorphic binary min-heap with float priority and int payload in
-    three parallel flat arrays, so pushing and popping never allocate.
-    Ties on priority pop in insertion order, exactly like the test
-    oracle's polymorphic heap, which is what keeps a compiled
-    simulation bit-identical to the oracle.  The inspection API is
-    split ([top_prio] / [top] / [drop]) so the event loop touches no
-    boxed value. *)
+    three parallel flat arrays, plus a lane: an int ring buffer of the
+    payloads pushed at the queue's clock, in push order.  The clock is
+    the priority of the last heap pop made while the lane was empty
+    (0.0 after [create] and [reset]); a push at the clock joins the
+    lane, and the lane's front pops next unless the heap's top
+    priority is at or below the clock.  Entries pop in (priority,
+    insertion order), exactly like the test oracle's polymorphic heap,
+    which is what keeps a compiled simulation bit-identical to the
+    oracle: lane entries all sit at the clock in push order, a heap
+    entry at the clock was pushed before the clock took that value (so
+    it pops first), and the clock moves only while the lane is empty.
+    Pushing and popping never allocate.  The inspection API is split
+    ([top_prio] / [top] / [drop]) so the event loop touches no boxed
+    value. *)
 
 module Fheap : sig
   type t
 
   val create : ?capacity:int -> unit -> t
-  (** [capacity] (default 16) pre-sizes the backing arrays. *)
+  (** [capacity] (default 16) pre-sizes the heap and the lane; both
+      grow by doubling. *)
 
   val is_empty : t -> bool
 
@@ -285,9 +297,10 @@ module Fheap : sig
   (** Payload of the minimum entry.  Same caveat as {!top_prio}. *)
 
   val drop : t -> unit
-  (** Removes the minimum entry.  No-op on an empty heap. *)
+  (** Removes the minimum entry.  No-op on an empty queue. *)
 
   val reset : t -> unit
-  (** Empties the heap and rewinds the insertion sequence to 0, keeping
-      the backing arrays — the per-simulation reset. *)
+  (** Empties the queue and rewinds the clock to 0.0 and the insertion
+      sequence to 0, keeping the backing arrays — the per-simulation
+      reset. *)
 end

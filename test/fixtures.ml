@@ -1,4 +1,4 @@
-(* Shared graph fixtures for the test suite. *)
+(* Shared graph fixtures and simulation helpers for the test suite. *)
 
 let mb = 1e6
 
@@ -63,3 +63,26 @@ let oversized ?(bytes = 3e9) ?(group_size = 2) () =
   (Graph.Builder.build b, t, c)
 
 let default_machine () = Presets.testbed ~nodes:2
+
+(* [Exec.simulate_bounded] through the quiet interface, with the same
+   defaults: the search's hot path, read back as an outcome.  Unlike
+   the record API a quiet run adds its seed to the scratch's noise
+   table, so a reused scratch reads (and extends) the cached stream. *)
+let quiet_simulate ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?iterations
+    ?(cutoff = infinity) sc mapping =
+  let iterations =
+    match iterations with
+    | Some i -> i
+    | None -> (Exec.compiled_graph (Exec.compiled_of_scratch sc)).Graph.iterations
+  in
+  let st = Exec.simulate_quiet sc mapping ~noise_sigma ~seed ~fallback ~iterations ~cutoff in
+  if st = Exec.st_finished then Ok (Exec.Finished (Exec.quiet_result sc))
+  else if st = Exec.st_cut then Ok (Exec.Cut (Exec.quiet_cut_time sc))
+  else Error (Option.get (Exec.quiet_error sc))
+
+(* The same for an uncut run. *)
+let quiet_run ?noise_sigma ?seed ?fallback ?iterations sc mapping =
+  match quiet_simulate ?noise_sigma ?seed ?fallback ?iterations sc mapping with
+  | Ok (Exec.Finished r) -> Ok r
+  | Ok (Exec.Cut _) -> assert false
+  | Error e -> Error e

@@ -5,7 +5,9 @@
    - the event loop proper: once the scratch is warm (bind cached,
      noise stream cached, heaps grown), re-simulating a candidate
      allocates exactly zero minor-heap words — the property Exec's
-     quiet interface documents and the GC-quiet steady state rests on;
+     quiet interface documents and the GC-quiet steady state rests on —
+     on a legacy preset and on a contended routed grid, whose copies
+     walk their hops through per-link busy-until clocks;
 
    - the whole search: minor words per suggested candidate of a full
      batched CCD run stays within the budget committed in
@@ -40,7 +42,12 @@ let minor_words_during f =
   f ();
   Gc.minor_words () -. w0
 
-let test_quiet_steady_state_zero_alloc () =
+let routed_problem () =
+  let machine = Result.get_ok (Presets.of_spec "grid:4x4" ~nodes:1) in
+  let g = App.stencil.App.graph ~nodes:machine.Machine.nodes ~input:"500x500" in
+  (machine, g)
+
+let quiet_steady_state_zero_alloc problem () =
   skip_unless_native ();
   let machine, g = problem () in
   let sc = Exec.scratch (Exec.compile machine g) in
@@ -179,7 +186,9 @@ let test_ensemble_step_words () =
 let suite =
   [
     Alcotest.test_case "quiet steady state allocates zero minor words" `Quick
-      test_quiet_steady_state_zero_alloc;
+      (quiet_steady_state_zero_alloc problem);
+    Alcotest.test_case "routed quiet steady state allocates zero minor words" `Quick
+      (quiet_steady_state_zero_alloc routed_problem);
     Alcotest.test_case "search minor words per candidate within budget" `Quick
       test_search_alloc_budget;
     Alcotest.test_case "is_valid allocates nothing" `Quick test_is_valid_zero_alloc;

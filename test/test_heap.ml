@@ -91,6 +91,148 @@ let prop_fheap_matches_heap =
       in
       drain [] = drain_fheap fh)
 
+(* The lane: entries pushed at the queue's clock skip the heap.  A lane
+   of capacity 2 wraps, grows twice, and still pops in push order; a
+   heap entry at the clock pushed before the clock took that value
+   pops ahead of the lane. *)
+let test_fheap_lane_growth_and_wrap () =
+  let h = Fheap.create ~capacity:2 () in
+  Fheap.push h 0.0 10;
+  Fheap.push h 0.0 11;
+  Alcotest.(check int) "lane front" 10 (Fheap.top h);
+  Fheap.drop h;
+  (* the ring's head is now 1: the next lane entry wraps to index 0 *)
+  Fheap.push h 0.0 12;
+  Fheap.push h 5.0 50;
+  Fheap.push h 5.0 51;
+  Fheap.push h 7.0 70;
+  List.iter (fun v -> Fheap.push h 0.0 v) [ 13; 14; 15 ];
+  let first =
+    List.init 6 (fun _ ->
+        let p = Fheap.top_prio h and v = Fheap.top h in
+        Fheap.drop h;
+        (p, v))
+  in
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "lane in push order, then the heap"
+    [ (0.0, 11); (0.0, 12); (0.0, 13); (0.0, 14); (0.0, 15); (5.0, 50) ]
+    first;
+  (* the clock is now 5.0: a push at 5.0 joins the lane behind 51,
+     which was pushed earlier and waits on the heap *)
+  Fheap.push h 5.0 52;
+  Alcotest.(check (list (pair (float 0.0) int)))
+    "earlier heap entry at the clock pops first"
+    [ (5.0, 51); (5.0, 52); (7.0, 70) ]
+    (drain_fheap h)
+
+(* [reset] rewinds the clock and the insertion sequence: after a
+   history that leaves a non-zero clock, a wrapped lane and a non-empty
+   heap, a reset queue pops a script exactly like a fresh one.  (The
+   pop order alone cannot tell a stale clock from a rewound one, since
+   the lane rule is exact for any clock value; the script checks every
+   priority and payload a fresh queue gives.) *)
+let test_fheap_reset_replays_fresh () =
+  let script h =
+    List.iter (fun (p, v) -> Fheap.push h p v) [ (0.0, 1); (2.0, 2); (0.0, 3); (2.0, 4) ];
+    let p = Fheap.top_prio h and v = Fheap.top h in
+    Fheap.drop h;
+    List.iter (fun (p, v) -> Fheap.push h p v) [ (0.0, 5); (2.0, 6); (1.0, 7) ];
+    (p, v) :: drain_fheap h
+  in
+  let fresh = script (Fheap.create ~capacity:1 ()) in
+  let h = Fheap.create ~capacity:1 () in
+  List.iter (fun (p, v) -> Fheap.push h p v) [ (3.0, 90); (3.0, 91); (4.0, 92) ];
+  Fheap.drop h;
+  List.iter (fun v -> Fheap.push h 3.0 v) [ 93; 94; 95 ];
+  Fheap.drop h;
+  Fheap.reset h;
+  Alcotest.(check bool) "empty after reset" true (Fheap.is_empty h);
+  Alcotest.(check (list (pair (float 0.0) int))) "same pops as a fresh queue" fresh (script h)
+
+(* Interleaved pushes and pops against the oracle heap, checked at
+   every pop.  Priorities come from a small set around the last popped
+   one: equal to it (the lane when it is the clock), a few values above
+   it, and one below it; [capacity] and [reset] are random too.  A
+   model of the lane rule counts lane-bound and below-clock pushes so
+   the property provably reaches both. *)
+type op = Push of int | Pop | Reset
+
+let push_offsets = [| 0.0; 0.0; 1.0; 2.0; 3.0; -1.0 |]
+
+let print_op = function
+  | Push k -> Printf.sprintf "push%+g" push_offsets.(k)
+  | Pop -> "pop"
+  | Reset -> "reset"
+
+let arbitrary_script =
+  QCheck.make
+    ~print:QCheck.Print.(pair int (list print_op))
+    ~shrink:QCheck.Shrink.(pair nil list)
+    QCheck.Gen.(
+      pair (int_range 1 4)
+        (list_size (int_range 0 80)
+           (frequency
+              [
+                (6, map (fun k -> Push k) (int_bound (Array.length push_offsets - 1)));
+                (5, return Pop);
+                (1, return Reset);
+              ])))
+
+let lane_pushes = ref 0
+let below_clock_pushes = ref 0
+
+let prop_fheap_interleaved =
+  QCheck.Test.make ~count:300 ~name:"fheap matches the boxed heap at every interleaved pop"
+    arbitrary_script (fun (capacity, ops) ->
+      let fh = Fheap.create ~capacity () and h = Heap.create () in
+      let last = ref 0.0 and clock = ref 0.0 and in_lane = ref 0 in
+      let lane_bound = Hashtbl.create 16 in
+      let ok = ref true in
+      List.iteri
+        (fun v op ->
+          match op with
+          | Push k ->
+              let p = !last +. push_offsets.(k) in
+              if p = !clock then begin
+                Hashtbl.replace lane_bound v ();
+                incr in_lane;
+                incr lane_pushes
+              end
+              else if p < !clock then incr below_clock_pushes;
+              Fheap.push fh p v;
+              Heap.push h p v
+          | Pop -> (
+              match Heap.pop h with
+              | None -> if not (Fheap.is_empty fh) then ok := false
+              | Some (p, v) ->
+                  if Fheap.is_empty fh || Fheap.top_prio fh <> p || Fheap.top fh <> v then
+                    ok := false;
+                  Fheap.drop fh;
+                  if Hashtbl.mem lane_bound v then decr in_lane
+                  else if !in_lane = 0 then clock := p;
+                  last := p)
+          | Reset ->
+              Fheap.reset fh;
+              Heap.reset h;
+              last := 0.0;
+              clock := 0.0;
+              in_lane := 0)
+        ops;
+      let rec drain acc =
+        match Heap.pop h with None -> List.rev acc | Some (p, v) -> drain ((p, v) :: acc)
+      in
+      !ok && drain [] = drain_fheap fh)
+
+let fheap_interleaved_reaches_lane =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_fheap_interleaved in
+  Alcotest.test_case name speed (fun () ->
+      lane_pushes := 0;
+      below_clock_pushes := 0;
+      run ();
+      if !lane_pushes = 0 || !below_clock_pushes = 0 then
+        Alcotest.failf "vacuous: %d lane-bound pushes, %d below the clock" !lane_pushes
+          !below_clock_pushes)
+
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in non-decreasing priority order"
     QCheck.(list (float_range 0.0 1e6))
@@ -124,7 +266,12 @@ let suite =
     Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "reset rewinds ties" `Quick test_reset_rewinds_ties;
     Alcotest.test_case "fheap ordering and ties" `Quick test_fheap_ordering_and_ties;
+    Alcotest.test_case "fheap lane growth and wraparound" `Quick
+      test_fheap_lane_growth_and_wrap;
+    Alcotest.test_case "fheap reset replays like a fresh queue" `Quick
+      test_fheap_reset_replays_fresh;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_heap_length;
     QCheck_alcotest.to_alcotest prop_fheap_matches_heap;
+    fheap_interleaved_reaches_lane;
   ]

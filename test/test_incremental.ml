@@ -57,7 +57,10 @@ let mutate g space rng parent =
 
 (* Walk a neighbor chain on one reused scratch, comparing full runs and
    bounded runs (the Cut path) against a fresh scratch at every step
-   under common random numbers. *)
+   under common random numbers.  The reused scratch runs quiet, as the
+   search does, so its seeds' noise streams are cached: cut part way,
+   continued by the next full run, and read back by the record API's
+   twin run. *)
 let compare_chain ~name ~steps ~seeds machine g =
   let c = Exec.compile machine g in
   let sc = Exec.scratch c in
@@ -79,7 +82,7 @@ let compare_chain ~name ~steps ~seeds machine g =
       (fun seed ->
         let tag = Printf.sprintf "%s step %d seed %d" name step seed in
         (match
-           ( Exec.simulate ~noise_sigma:0.03 ~seed sc !m,
+           ( Fixtures.quiet_run ~noise_sigma:0.03 ~seed sc !m,
              Exec.simulate ~noise_sigma:0.03 ~seed (Exec.scratch c) !m )
          with
         | Ok a, Ok b ->
@@ -102,7 +105,7 @@ let compare_chain ~name ~steps ~seeds machine g =
         if !best < infinity then
           let cutoff = 0.9 *. !best in
           match
-            ( Exec.simulate_bounded ~noise_sigma:0.03 ~seed ~cutoff sc !m,
+            ( Fixtures.quiet_simulate ~noise_sigma:0.03 ~seed ~cutoff sc !m,
               Exec.simulate_bounded ~noise_sigma:0.03 ~seed ~cutoff (Exec.scratch c) !m )
           with
           | Ok (Exec.Finished a), Ok (Exec.Finished b) -> check_result (tag ^ " bounded") a b
@@ -177,7 +180,7 @@ let prop_random_graphs =
         List.iter
           (fun seed ->
             match
-              ( Exec.simulate ~noise_sigma:0.05 ~seed sc !m,
+              ( Fixtures.quiet_run ~noise_sigma:0.05 ~seed sc !m,
                 Exec.simulate ~noise_sigma:0.05 ~seed (Exec.scratch c) !m )
             with
             | Ok a, Ok b ->

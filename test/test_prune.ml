@@ -104,22 +104,42 @@ let test_cutoff_at_and_above_makespan () =
 
 let test_cutoff_with_noise () =
   let sc, m = sim_setup () in
-  (* unbounded simulate_bounded must be draw-for-draw identical *)
-  (match
-     ( Exec.simulate_bounded ~noise_sigma:0.05 ~seed:42 sc m,
-       Exec.simulate ~noise_sigma:0.05 ~seed:42 sc m )
-   with
-  | Ok (Exec.Finished r), Ok r_ref -> check_result_eq "noisy unbounded" r_ref r
-  | Ok (Exec.Cut _), _ -> Alcotest.fail "cut without a cutoff"
-  | Error e, _ | _, Error e -> Alcotest.fail (Placement.error_to_string e));
-  let full = makespan_of (Exec.simulate ~noise_sigma:0.05 ~seed:42 sc m) in
-  match Exec.simulate_bounded ~noise_sigma:0.05 ~seed:42 ~cutoff:(full /. 2.0) sc m with
-  | Ok (Exec.Cut t) ->
-      (* the cut time is the first event clock at or past the cutoff *)
-      Alcotest.(check bool) "noisy cut in [cutoff, makespan]" true
-        (t >= full /. 2.0 && t <= full)
-  | Ok (Exec.Finished _) -> Alcotest.fail "finished past a half-makespan cutoff"
-  | Error e -> Alcotest.fail (Placement.error_to_string e)
+  let run ?cutoff quiet =
+    if quiet then Fixtures.quiet_simulate ~noise_sigma:0.05 ~seed:42 ?cutoff sc m
+    else Exec.simulate_bounded ~noise_sigma:0.05 ~seed:42 ?cutoff sc m
+  in
+  let finished label r_ref = function
+    | Ok (Exec.Finished r) -> check_result_eq label r_ref r
+    | Ok (Exec.Cut _) -> Alcotest.fail (label ^ ": cut without a cutoff")
+    | Error e -> Alcotest.fail (Placement.error_to_string e)
+  in
+  (* seed 42 first runs on the record API, which draws privately; the
+     quiet runs then cache its stream, cut part way and continued, and
+     the record API reads that stream back.  Unbounded runs must be
+     draw-for-draw identical and cuts land on the same clock. *)
+  let r_ref =
+    match Exec.simulate ~noise_sigma:0.05 ~seed:42 sc m with
+    | Ok r -> r
+    | Error e -> Alcotest.fail (Placement.error_to_string e)
+  in
+  let full = r_ref.Exec.makespan in
+  let cut label = function
+    | Ok (Exec.Cut t) ->
+        (* the cut time is the first event clock at or past the cutoff *)
+        Alcotest.(check bool) (label ^ " in [cutoff, makespan]") true
+          (t >= full /. 2.0 && t <= full);
+        t
+    | Ok (Exec.Finished _) -> Alcotest.fail (label ^ ": finished past a half-makespan cutoff")
+    | Error e -> Alcotest.fail (Placement.error_to_string e)
+  in
+  finished "noisy unbounded" r_ref (run false);
+  let t_private = cut "noisy cut" (run ~cutoff:(full /. 2.0) false) in
+  let t_quiet = cut "noisy quiet cut" (run ~cutoff:(full /. 2.0) true) in
+  finished "noisy quiet unbounded" r_ref (run true);
+  finished "noisy unbounded, cached stream" r_ref (run false);
+  let t_cached = cut "noisy cut, cached stream" (run ~cutoff:(full /. 2.0) false) in
+  Alcotest.(check (float 0.0)) "quiet cut clock" t_private t_quiet;
+  Alcotest.(check (float 0.0)) "cached cut clock" t_private t_cached
 
 (* -------- lower bounds certify the runs they stand in for -------- *)
 
