@@ -285,7 +285,7 @@ let search_cmd =
     Arg.(value & opt int Descent.default_min_batch & info [ "batch-min" ] ~docv:"N" ~doc:"Minimum candidate-set size for batched evaluation: smaller sets run through the sequential path, whose per-candidate overhead is lower than batch amortization can recover at that size (BENCH_searchrate.json). Decisions are identical either way; 1 always batches.")
   in
   let no_surrogate_arg =
-    Arg.(value & flag & info [ "no-surrogate" ] ~doc:"Disable the online surrogate cost model (trained by default on every exact evaluation; with --batch it also reranks each candidate batch best-predicted-first). The AUTOMAP_NO_SURROGATE environment variable has the same effect.")
+    Arg.(value & flag & info [ "no-surrogate" ] ~doc:"Disable the online surrogate cost model. By default a --batch (or --surrogate-skim) search trains it on every exact evaluation and reranks each candidate batch best-predicted-first; an unbatched search reads no model and runs none. A resumed search runs one exactly when its checkpoint carries one. The AUTOMAP_NO_SURROGATE environment variable has the same effect.")
   in
   let surrogate_skim_arg =
     Arg.(value & opt (some int) None & info [ "surrogate-skim" ] ~docv:"K" ~doc:"Simulate only the surrogate's top-K predictions of each candidate batch (CD/CCD only; implies --batch). Unlike plain reranking this can change the search trajectory — the bench gate holds it never-worse at equal trial budgets.")
@@ -349,7 +349,8 @@ let search_cmd =
     if progress && batch then
       Printf.eprintf "[batch] %d batches, %d short-circuits\n%!" r.Driver.batch_calls
         r.Driver.batch_short_circuits;
-    if surrogate then begin
+    (* only a search that ran a model has observations to report *)
+    if r.Driver.surrogate_trained > 0 then begin
       Printf.printf
         "surrogate: %d observations, %d batches reranked, %d candidates skimmed%s\n"
         r.Driver.surrogate_trained r.Driver.surrogate_reranks

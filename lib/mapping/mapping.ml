@@ -27,7 +27,7 @@ let make ?(strategy = fun _ -> Blocked) (g : Graph.t) ~distribute ~proc ~mem =
   let d = Array.make nt true in
   let st = Array.make nt Blocked in
   let p = Array.make nt Kinds.Cpu in
-  let m = Array.make (max nc 1) Kinds.System in
+  let m = Array.make nc Kinds.System in
   for tid = 0 to nt - 1 do
     let task = Graph.task g tid in
     d.(tid) <- distribute task;
@@ -179,24 +179,25 @@ let diff a b =
   done;
   (!tids, !cids)
 
+(* One string of the key's length, 3nt + nc + 3, written in place: every
+   proposal is keyed, and most are answered without a simulation. *)
 let canonical_key t =
-  let buf = Buffer.create 64 in
-  Array.iter (fun d -> Buffer.add_char buf (if d then 'D' else 'L')) t.distribute;
-  Buffer.add_char buf '|';
-  Array.iter
-    (fun s -> Buffer.add_char buf (match s with Blocked -> 'B' | Cyclic -> 'Y'))
-    t.strategy;
-  Buffer.add_char buf '|';
-  Array.iter
-    (fun p -> Buffer.add_char buf (match p with Kinds.Cpu -> 'C' | Kinds.Gpu -> 'G'))
-    t.proc;
-  Buffer.add_char buf '|';
-  Array.iter
-    (fun m ->
-      Buffer.add_char buf
-        (match m with Kinds.System -> 'S' | Kinds.Zero_copy -> 'Z' | Kinds.Frame_buffer -> 'F'))
-    t.mem;
-  Buffer.contents buf
+  let nt = Array.length t.proc and nc = Array.length t.mem in
+  let b = Bytes.make ((3 * nt) + nc + 3) '|' in
+  for tid = 0 to nt - 1 do
+    Bytes.set b tid (if t.distribute.(tid) then 'D' else 'L');
+    Bytes.set b (nt + 1 + tid) (match t.strategy.(tid) with Blocked -> 'B' | Cyclic -> 'Y');
+    Bytes.set b ((2 * nt) + 2 + tid)
+      (match t.proc.(tid) with Kinds.Cpu -> 'C' | Kinds.Gpu -> 'G')
+  done;
+  for cid = 0 to nc - 1 do
+    Bytes.set b ((3 * nt) + 3 + cid)
+      (match t.mem.(cid) with
+      | Kinds.System -> 'S'
+      | Kinds.Zero_copy -> 'Z'
+      | Kinds.Frame_buffer -> 'F')
+  done;
+  Bytes.unsafe_to_string b
 
 let of_canonical_key g key =
   match String.split_on_char '|' key with
@@ -210,7 +211,7 @@ let of_canonical_key g key =
         let distribute = Array.make nt true in
         let strategy = Array.make nt Blocked in
         let proc = Array.make nt Kinds.Cpu in
-        let mem = Array.make (max nc 1) Kinds.System in
+        let mem = Array.make nc Kinds.System in
         String.iteri
           (fun i c ->
             match c with

@@ -7,6 +7,7 @@ type t = {
   dom : Analysis.domains option;
   dmn : Analysis.dominance option;
   sym : Symmetry.t option;
+  has_orbits : bool;  (* [sym] has an orbit of two or more tasks *)
 }
 
 let make ?(extended = false) ?(domains = true) ?(dominance = false)
@@ -18,7 +19,8 @@ let make ?(extended = false) ?(domains = true) ?(dominance = false)
     | _ -> None
   in
   let sym = if symmetry then Some (Symmetry.build g) else None in
-  { g; m; ext = extended; dom; dmn; sym }
+  let has_orbits = match sym with Some s -> Symmetry.n_nontrivial s > 0 | None -> false in
+  { g; m; ext = extended; dom; dmn; sym; has_orbits }
 
 let graph t = t.g
 let machine t = t.m
@@ -156,11 +158,11 @@ let log2_size t =
    orbit members (same group size by construction) with exchanged
    blocks land on exactly each other's processors and memories — the
    noise-free static cost is unchanged (see Symmetry and DESIGN.md
-   §14). *)
+   §14).  Without an orbit of two or more tasks every mapping is its
+   own representative: the answer is [m], with nothing allocated. *)
 let canonicalize t m =
   match t.sym with
-  | None -> m
-  | Some sym ->
+  | Some sym when t.has_orbits ->
       let nt = Graph.n_tasks t.g in
       let dist = Array.init nt (Mapping.distribute_of m) in
       let strat = Array.init nt (Mapping.strategy_of m) in
@@ -216,6 +218,7 @@ let canonicalize t m =
           ~distribute:(fun (task : Graph.task) -> dist.(task.tid))
           ~proc:(fun (task : Graph.task) -> proc.(task.tid))
           ~mem:(fun (c : Graph.collection) -> mem.(c.cid))
+  | _ -> m
 
 let random_strategy t rng =
   if t.ext && Rng.bool rng then Mapping.Cyclic else Mapping.Blocked

@@ -109,7 +109,8 @@ val canonicalize : t -> Mapping.t -> Mapping.t
     invariant under within-orbit relabelings; the result has the same
     noise-free static cost ([Exec.static_lower_bound]) because shard
     placement is per-task round-robin.  The identity when [symmetry]
-    was not requested at {!make}; returns the input physically
+    was not requested at {!make} or the graph has no orbit of two or
+    more tasks (O(1), allocating nothing); returns the input physically
     unchanged when it is already canonical. *)
 
 val random_mapping : t -> Rng.t -> Mapping.t

@@ -200,14 +200,20 @@ let session ?scratch ?objective ?extended ?db ?start ?snapshot (cfg : cfg) machi
     | Some s -> Evaluator.restore_state ev s.Engine.s_evaluator
     | None -> Ok ()
   in
-  (* A fresh search trains a surrogate when [cfg] asks for one; a
-     resumed one exactly when its snapshot carries one, since restoring
-     a model into a surrogate-free run (or dropping it from a surrogate
-     run) would change the decision sequence.  The model's own header
-     rejects a skim/config mismatch. *)
+  (* Skim only makes sense on ranked batches, and ranking needs batch
+     proposals (checkpoints then fall strictly between ranked batches —
+     see Descent).  So a fresh search runs a surrogate only when [cfg]
+     asks for one and it ranks: an unbatched search has no decision
+     that reads the model.  A resumed one runs it exactly when its
+     snapshot carries one, since restoring a model into a surrogate-free
+     run (or dropping it from a surrogate run) would change the decision
+     sequence.  The model's own header rejects a skim/config mismatch. *)
+  let batch = cfg.batch || cfg.surrogate_skim <> None in
   let* sg =
     let wanted =
-      match snapshot with None -> cfg.surrogate | Some s -> s.Engine.s_surrogate <> []
+      match snapshot with
+      | None -> cfg.surrogate && batch
+      | Some s -> s.Engine.s_surrogate <> []
     in
     if not wanted then Ok None
     else
@@ -226,11 +232,6 @@ let session ?scratch ?objective ?extended ?db ?start ?snapshot (cfg : cfg) machi
         Error "checkpoint has a symmetry section but symmetry is off"
     | _ -> Ok ()
   in
-  (* skim only makes sense on ranked batches; ranking needs batch
-     proposals (checkpoints then fall strictly between ranked batches —
-     see Descent), so without batch the model only trains, for
-     telemetry and a later batched run *)
-  let batch = cfg.batch || cfg.surrogate_skim <> None in
   let rank_sg = if batch then sg else None in
   let* strat, start, carry =
     match snapshot with

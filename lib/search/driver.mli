@@ -224,16 +224,18 @@ val run :
     [db] warm-starts from a persisted profiles database (see
     {!Evaluator.create}).
 
-    [surrogate] (default true) trains an online {!Surrogate} cost
-    model on every exact evaluation; combined with [batch] it also
+    [surrogate] (default true) takes effect with [batch]: an online
+    {!Surrogate} cost model trains on every exact evaluation and
     reranks CD/CCD candidate batches best-predicted-first (same
     candidates, same acceptance rule — the exact simulator still
-    decides).  [surrogate_skim] additionally simulates only the top-K
+    decides).  An unbatched search reads no model, so it runs none.
+    [surrogate_skim] additionally simulates only the top-K
     predictions of each ranked batch (implies [batch]); skimming can
     change the search trajectory, so it is guarded by the never-worse
     bench gate rather than an identity proof.  Resume note: the
     checkpoint decides — a snapshot with a surrogate section restores
-    it (skim config must match), one without runs surrogate-free.
+    it (skim config must match), one without runs surrogate-free; an
+    unbatched run's checkpoints carry none for a later batched resume.
 
     [symmetry] (default true) quotients the search by the task-orbit
     symmetries {!Symmetry} certifies: random samples are canonicalized

@@ -85,7 +85,13 @@ type seen = {
 
 let seen_create canon = { canon; tbl = Hashtbl.create 256 }
 let seen_size sn = Hashtbl.length sn.tbl
-let seen_key sn m = Mapping.canonical_key (sn.canon m)
+
+(* A proposal's seen-set key and its evaluator key: one string, built
+   once, when the canonicalizer returns the candidate itself. *)
+let seen_keys sn m =
+  let c = sn.canon m in
+  let k = Mapping.canonical_key c in
+  (k, if c == m then k else Mapping.canonical_key m)
 
 let seen_record sn key v be =
   match Hashtbl.find_opt sn.tbl key with
@@ -288,18 +294,21 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
   let checkpoints = ref 0 in
   let wall0 = ref 0.0 in
   let best = ref (start, infinity) in
-  let record_seen key v be =
-    match (seen, key) with
-    | Some sn, Some k -> seen_record sn k v be
-    | _ -> ()
+  (* evaluate a proposal and memo its value in the seen-set, if any *)
+  let evaluate ?bound keys m =
+    match (seen, keys) with
+    | Some sn, Some (k, ek) ->
+        let v = Evaluator.eval_keyed ?bound ev ek m in
+        seen_record sn k v (Option.value bound ~default:infinity);
+        v
+    | _ -> Evaluator.evaluate ?bound ev m
   in
   (match carry with
   | None ->
       (* the start point is trial 1: evaluated unbounded and handed to
          the strategy as the first incumbent, exactly as every legacy
          loop opened *)
-      let p0 = Evaluator.evaluate ev start in
-      record_seen (Option.map (fun sn -> seen_key sn start) seen) p0 infinity;
+      let p0 = evaluate (Option.map (fun sn -> seen_keys sn start) seen) start in
       strat.init (start, p0);
       best := (start, p0);
       trials := 1;
@@ -335,10 +344,10 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
     | Stop -> stop := true
     | Phase name -> on_event (Phase_change { name })
     | Propose (candidate, hint) -> (
-        let key = Option.map (fun sn -> seen_key sn candidate) seen in
+        let keys = Option.map (fun sn -> seen_keys sn candidate) seen in
         let memo =
-          match (seen, key, hint.bound) with
-          | Some sn, Some k, Some b -> seen_skippable sn k b
+          match (seen, keys, hint.bound) with
+          | Some sn, Some (k, _), Some b -> seen_skippable sn k b
           | _ -> None
         in
         match memo with
@@ -353,9 +362,7 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
             ignore (strat.receive candidate v)
         | None ->
             if hint.overhead > 0.0 then Evaluator.note_suggestion_overhead ev hint.overhead;
-            let perf = Evaluator.evaluate ?bound:hint.bound ev candidate in
-            record_seen key perf
-              (match hint.bound with Some b -> b | None -> infinity);
+            let perf = evaluate ?bound:hint.bound keys candidate in
             incr trials;
             let accepted = strat.receive candidate perf in
             let vt = Evaluator.virtual_time ev in
@@ -392,9 +399,9 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
            evaluations would leak into the db/partials/clocks and change
            later decisions. *)
         let n = Array.length cands in
-        let keys = match seen with Some sn -> Array.map (seen_key sn) cands | None -> [||] in
+        let keys = match seen with Some sn -> Array.map (seen_keys sn) cands | None -> [||] in
         let skippable i =
-          match seen with Some sn -> seen_skippable sn keys.(i) b | None -> None
+          match seen with Some sn -> seen_skippable sn (fst keys.(i)) b | None -> None
         in
         let cap_left () =
           match budget.Budget.max_trials with
@@ -416,14 +423,19 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
               done;
               let seg_len = min (!j - !i) (cap_left ()) in
               let seg = if seg_len = n then cands else Array.sub cands !i seg_len in
-              let outcomes = Evaluator.evaluate_batch ~bound:b ev seg in
+              let outcomes =
+                match seen with
+                | None -> Evaluator.evaluate_batch ~bound:b ev seg
+                | Some _ ->
+                    Evaluator.eval_batch_keyed ~bound:b ev (fun k -> snd keys.(!i + k)) seg
+              in
               (try
                  for k = 0 to seg_len - 1 do
                    match outcomes.(k) with
                    | Evaluator.Skipped -> raise Exit
                    | Evaluator.Evaluated perf ->
                        (match seen with
-                       | Some sn -> seen_record sn keys.(!i + k) perf b
+                       | Some sn -> seen_record sn (fst keys.(!i + k)) perf b
                        | None -> ());
                        if deliver seg.(k) perf then raise Exit
                  done

@@ -155,6 +155,10 @@ val run :
     have restored the evaluator ({!Evaluator.restore_state}) and
     decoded the strategy from the same snapshot.
 
+    With [?seen], a proposal's key is built once: when the seen-set's
+    canonicalizer returns the candidate itself, its seen key is also
+    the key handed to {!Evaluator.eval_keyed} (or [eval_batch_keyed]).
+
     [surrogate] taps the event bus: every [Eval] event trains the model
     ({!Surrogate.observe}) and every accepted mapping becomes its diff
     reference — training needs no strategy cooperation.  Checkpoints

@@ -529,14 +529,13 @@ type outcome = Evaluated of float | Skipped
    charge, note — with an early exit and no allocation beyond the
    outcome array.  Every counter, clock value, db entry, best and trace
    line is bit-identical to that loop. *)
-let evaluate_batch ~bound t cands =
+let eval_batch_keyed ~bound t key cands =
   t.batch_calls <- t.batch_calls + 1;
   let n = Array.length cands in
   let outcomes = Array.make n Skipped in
   let rec go i =
     if i < n then begin
-      let m = cands.(i) in
-      let v = eval_keyed ~bound t (Mapping.canonical_key m) m in
+      let v = eval_keyed ~bound t (key i) cands.(i) in
       outcomes.(i) <- Evaluated v;
       if v < bound then begin
         if i < n - 1 then t.batch_short_circuits <- t.batch_short_circuits + 1
@@ -546,6 +545,9 @@ let evaluate_batch ~bound t cands =
   in
   go 0;
   outcomes
+
+let evaluate_batch ~bound t cands =
+  eval_batch_keyed ~bound t (fun i -> Mapping.canonical_key cands.(i)) cands
 
 let note_suggestion_overhead t dt =
   if dt < 0.0 then invalid_arg "Evaluator.note_suggestion_overhead: negative";

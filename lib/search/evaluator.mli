@@ -126,6 +126,11 @@ val evaluate : ?bound:float -> t -> Mapping.t -> float
     [reference] mode, with a non-default objective, or with an infinite
     bound) the behaviour is the exact legacy protocol. *)
 
+val eval_keyed : ?bound:float -> t -> string -> Mapping.t -> float
+(** [eval_keyed ?bound t key m] is [evaluate ?bound t m] for a caller
+    that already built [key = Mapping.canonical_key m] (the engine's
+    seen-set does), so a proposal's key is built once. *)
+
 type outcome =
   | Evaluated of float  (** the value {!evaluate} would have returned *)
   | Skipped
@@ -156,8 +161,13 @@ val evaluate_batch : bound:float -> t -> Mapping.t array -> outcome array
     batch runs the sequential loop literally, with an early exit and no
     allocation beyond the outcome array. *)
 
+val eval_batch_keyed :
+  bound:float -> t -> (int -> string) -> Mapping.t array -> outcome array
+(** {!evaluate_batch} where [key i] returns the already built
+    [Mapping.canonical_key cands.(i)], as {!eval_keyed}. *)
+
 val batch_calls : t -> int
-(** Number of {!evaluate_batch} invocations. *)
+(** Number of {!evaluate_batch} and {!eval_batch_keyed} invocations. *)
 
 val batch_short_circuits : t -> int
 (** Batches in which at least one candidate was skipped because an

@@ -62,6 +62,16 @@ let oversized ?(bytes = 3e9) ?(group_size = 2) () =
   in
   (Graph.Builder.build b, t, c)
 
+(* Two tasks and no collection, parsed as the CLI and the serve
+   daemon's inline graphs receive it: a mapping of it has no memory
+   coordinate at all. *)
+let no_collections () =
+  Result.get_ok
+    (Graph_codec.of_string
+       "graph solo iterations=2\n\
+        task first group=2 variants=CPU,GPU flops=1e6\n\
+        task second group=2 variants=CPU,GPU flops=2e6\n")
+
 let default_machine () = Presets.testbed ~nodes:2
 
 (* [Exec.simulate_bounded] through the quiet interface, with the same

@@ -143,6 +143,35 @@ let test_is_valid_zero_alloc () =
   Alcotest.(check bool) "default start is valid" true valid;
   if w <> 0.0 then Alcotest.failf "Mapping.is_valid allocated %.0f minor words" w
 
+(* The engine canonicalizes and keys every proposal.  On a graph
+   without an orbit of two or more tasks (every bundled app) the
+   canonicalizer answers its argument and allocates nothing, and the
+   key is one string of its own length. *)
+let test_canonicalize_orbit_free_zero_alloc () =
+  skip_unless_native ();
+  let machine, g = maestro_lassen () in
+  Alcotest.(check int) "orbit-free" 0 (Symmetry.n_nontrivial (Symmetry.build g));
+  let space = Space.make ~symmetry:true g machine in
+  let m = Mapping.default_start g machine in
+  let w0 = Gc.minor_words () in
+  let c = Space.canonicalize space m in
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "answers its argument" true (c == m);
+  if w <> 0.0 then Alcotest.failf "Space.canonicalize allocated %.0f minor words" w
+
+let test_canonical_key_one_string () =
+  skip_unless_native ();
+  let machine, g = maestro_lassen () in
+  let m = Mapping.default_start g machine in
+  let len = (3 * Graph.n_tasks g) + Graph.n_collections g + 3 in
+  let words = minor_words_during (fun () -> ignore (Mapping.canonical_key m)) in
+  (* a string of [len] bytes: a header word and len / 8 + 1 words *)
+  let one_string = float_of_int (1 + (len / 8) + 1) in
+  Alcotest.(check int) "key length" len (String.length (Mapping.canonical_key m));
+  if words > one_string then
+    Alcotest.failf "Mapping.canonical_key allocated %.0f minor words, over the %.0f of one string"
+      words one_string
+
 (* Ensemble gate: a step (proposal only, no evaluation) reads its
    elites from the profiles database's ranking, which must cost
    O(elite_size + log n), not a fold over the whole table.  Minor
@@ -192,6 +221,10 @@ let suite =
     Alcotest.test_case "search minor words per candidate within budget" `Quick
       test_search_alloc_budget;
     Alcotest.test_case "is_valid allocates nothing" `Quick test_is_valid_zero_alloc;
+    Alcotest.test_case "orbit-free canonicalize allocates nothing" `Quick
+      test_canonicalize_orbit_free_zero_alloc;
+    Alcotest.test_case "canonical key allocates one string" `Quick
+      test_canonical_key_one_string;
     Alcotest.test_case "ensemble step minor words independent of database size" `Quick
       test_ensemble_step_words;
   ]

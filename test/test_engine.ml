@@ -342,6 +342,50 @@ let test_driver_resume () =
       Alcotest.(check int) "same engine steps" full.Driver.engine_steps
         resumed.Driver.engine_steps)
 
+(* A graph without collections keys its mappings with no memory
+   letter, so the profiles section and best key of its checkpoint parse
+   back and the search resumes decision-identically. *)
+let test_driver_resume_no_collections () =
+  let m = Presets.shepard ~nodes:1 in
+  let g = Fixtures.no_collections () in
+  let path = Filename.temp_file "automap_solo" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let run ?checkpoint ?resume_from ~max_trials () =
+        Driver.run ~runs:2 ~final_runs:2 ~noise_sigma:0.0 ~seed:0 ~max_trials
+          ?checkpoint ~checkpoint_every:1 ?resume_from
+          (Driver.Ccd { rotations = 2 })
+          m g
+      in
+      let full = run ~max_trials:8 () in
+      let truncated = run ~checkpoint:path ~max_trials:2 () in
+      Alcotest.(check bool) "resumed mid-search" true
+        (truncated.Driver.checkpoints_written = 1
+        && truncated.Driver.suggested < full.Driver.suggested);
+      let resumed = run ~resume_from:path ~max_trials:8 () in
+      Alcotest.(check bool) "same best mapping" true
+        (Mapping.equal full.Driver.best resumed.Driver.best);
+      Alcotest.(check int64) "same search perf bits"
+        (Int64.bits_of_float full.Driver.search_perf)
+        (Int64.bits_of_float resumed.Driver.search_perf);
+      Alcotest.(check int64) "same final perf bits"
+        (Int64.bits_of_float full.Driver.perf)
+        (Int64.bits_of_float resumed.Driver.perf);
+      Alcotest.(check int) "same evaluation count" full.Driver.evaluated
+        resumed.Driver.evaluated;
+      let key = Mapping.canonical_key full.Driver.best in
+      Alcotest.(check int) "no memory letter" 9 (String.length key);
+      (match Mapping.of_canonical_key g key with
+      | Some back ->
+          Alcotest.(check bool) "key round-trips" true (Mapping.equal back full.Driver.best)
+      | None -> Alcotest.fail "key does not parse");
+      match Profiles_db.load g (Profiles_db.save full.Driver.db) with
+      | Ok db ->
+          Alcotest.(check int) "profiles round-trip" (Profiles_db.size full.Driver.db)
+            (Profiles_db.size db)
+      | Error e -> Alcotest.fail e)
+
 let test_driver_fingerprint_mismatch () =
   let m = Presets.shepard ~nodes:1 in
   let g = App.stencil.App.graph ~nodes:1 ~input:"500x500" in
@@ -421,6 +465,8 @@ let suite =
     QCheck_alcotest.to_alcotest resume_prop;
     Alcotest.test_case "resume matrix" `Quick test_resume_matrix;
     Alcotest.test_case "driver resume" `Quick test_driver_resume;
+    Alcotest.test_case "driver resume without collections" `Quick
+      test_driver_resume_no_collections;
     Alcotest.test_case "driver fingerprint mismatch" `Quick test_driver_fingerprint_mismatch;
     Alcotest.test_case "fingerprint pinned" `Quick test_fingerprint_pinned;
     Alcotest.test_case "driver heft" `Quick test_driver_heft;

@@ -164,6 +164,38 @@ let prop_is_valid_agrees =
             [ u; near ])
         (Lazy.force validity_problems))
 
+(* Property: the in-place key writer matches the Buffer-based writer it
+   replaced (Key_oracle) and [of_canonical_key] inverts it — on random
+   mappings of every bundled app on both paper clusters, of a random
+   workload, and of a graph without collections, whose key has no
+   memory letter.  Extended spaces, so both strategies appear.  The
+   seed sweep in CI picks this case by name. *)
+let key_problems =
+  lazy
+    (let solo = Fixtures.no_collections () in
+     (solo, Space.make ~extended:true solo (Presets.shepard ~nodes:1))
+     :: List.map (fun (g, machine, _) -> (g, Space.make ~extended:true g machine))
+          (Lazy.force validity_problems))
+
+let prop_key_matches_oracle =
+  QCheck.Test.make ~name:"canonical key matches the Buffer oracle and round-trips"
+    (QCheck.pair Gen.arbitrary_spec QCheck.(int_bound 1_000_000))
+    (fun (spec, seed) ->
+      let rng = Rng.create seed in
+      let g = Gen.graph_of_spec spec in
+      let machine = if seed mod 2 = 0 then Presets.lassen ~nodes:1 else Presets.shepard ~nodes:1 in
+      List.for_all
+        (fun (g, space) ->
+          let m = Space.random_unconstrained space rng in
+          let key = Mapping.canonical_key m in
+          String.equal key (Key_oracle.canonical_key g m)
+          && String.length key = (3 * Graph.n_tasks g) + Graph.n_collections g + 3
+          &&
+          match Mapping.of_canonical_key g key with
+          | Some back -> Mapping.equal back m
+          | None -> false)
+        ((g, Space.make ~extended:true g machine) :: Lazy.force key_problems))
+
 let suite =
   [
     Alcotest.test_case "default start" `Quick test_default_start;
@@ -180,4 +212,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_mapping_valid;
     QCheck_alcotest.to_alcotest prop_unconstrained_sometimes_invalid;
     QCheck_alcotest.to_alcotest prop_is_valid_agrees;
+    QCheck_alcotest.to_alcotest prop_key_matches_oracle;
   ]

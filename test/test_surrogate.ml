@@ -19,7 +19,10 @@
       than the exact batched CCD, on every app.  Reranking and
       skimming change the *trajectory* (a different neighbour may be
       accepted first), so this is an empirical quality gate, not an
-      identity — the bench (surrogaterate) holds the same line. *)
+      identity — the bench (surrogaterate) holds the same line.
+
+   The driver cases below add that a fresh search runs a model only
+   where it ranks (batched), and that on resume the snapshot decides. *)
 
 let cases =
   [
@@ -265,7 +268,8 @@ let test_driver_surrogate_resume () =
       Alcotest.(check int) "same surrogate observations" full.Driver.surrogate_trained
         resumed.Driver.surrogate_trained;
       Alcotest.(check bool) "surrogate actually ran" true
-        (full.Driver.surrogate_trained > 0))
+        (full.Driver.surrogate_trained > 0);
+      Alcotest.(check bool) "and ranked" true (full.Driver.surrogate_reranks > 0))
 
 let test_driver_surrogate_free_checkpoint () =
   (* a checkpoint written without a surrogate resumes surrogate-free
@@ -325,6 +329,43 @@ let test_driver_skim_mismatch () =
           Alcotest.(check bool) "mentions mismatch" true
             (Str_helpers.contains msg "mismatch"))
 
+(* ---- 5. a surrogate exists only where it ranks ----------------------- *)
+
+(* An unbatched search reads no model: asked for one, it trains none,
+   checkpoints none, and decides bit for bit as the run without one. *)
+let test_unbatched_trains_none () =
+  List.iter
+    (fun (algo, (app : App.t), input) ->
+      let m = machine_for app ~nodes:1 in
+      let g = app.App.graph ~nodes:1 ~input in
+      let path = Filename.temp_file "automap_unbatched" ".ckpt" in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          let run ~surrogate ?checkpoint () =
+            Driver.run ~runs:2 ~final_runs:2 ~seed:0 ~max_trials:60 ~surrogate
+              ?checkpoint ~checkpoint_every:20 algo m g
+          in
+          let asked = run ~surrogate:true ~checkpoint:path () in
+          let off = run ~surrogate:false () in
+          let name = Driver.algo_name algo ^ " " ^ app.App.app_name in
+          Alcotest.(check int) (name ^ ": no observations") 0 asked.Driver.surrogate_trained;
+          (match Engine.load_snapshot path with
+          | Ok s -> Alcotest.(check (list string)) (name ^ ": no section") [] s.Engine.s_surrogate
+          | Error e -> Alcotest.fail e);
+          Alcotest.(check string) (name ^ ": same best mapping")
+            (Mapping.canonical_key off.Driver.best)
+            (Mapping.canonical_key asked.Driver.best);
+          Alcotest.(check int64) (name ^ ": same perf bits")
+            (Int64.bits_of_float off.Driver.perf)
+            (Int64.bits_of_float asked.Driver.perf)))
+    [
+      (Driver.Ccd { rotations = 5 }, App.stencil, "500x500");
+      (Driver.Ccd { rotations = 5 }, App.circuit, "n50w200");
+      (Driver.Ensemble_tuner, App.stencil, "500x500");
+      (Driver.Ensemble_tuner, App.maestro, "lf4r16");
+    ]
+
 let props =
   List.concat
     [
@@ -363,4 +404,6 @@ let suite =
       Alcotest.test_case "surrogate-free checkpoint resumes free" `Quick
         test_driver_surrogate_free_checkpoint;
       Alcotest.test_case "skim-mismatched resume fails" `Quick test_driver_skim_mismatch;
+      Alcotest.test_case "unbatched search trains no surrogate" `Quick
+        test_unbatched_trains_none;
     ]

@@ -280,6 +280,46 @@ let test_seen_roundtrip () =
       | Ok () -> Alcotest.fail "seen_restore accepted a garbled line"
       | Error _ -> ())
 
+(* ---- one key per proposal ---------------------------------------------- *)
+
+(* The engine hands the evaluator its seen-set key only when the
+   canonicalizer returned the candidate itself.  A twin is memoized
+   under its representative's key but must be measured and recorded
+   under its own, single proposals and batches alike.  Reference mode
+   cuts nothing, so every measured candidate enters the database. *)
+let test_twins_keyed_as_themselves () =
+  let machine = Presets.shepard ~nodes:2 in
+  let g = clones_graph 4 in
+  List.iter
+    (fun batch ->
+      let ev =
+        Evaluator.create ~runs:2 ~noise_sigma:0.0 ~seed:0 ~reference:true
+          ~symmetry:true ~dominance:true machine g
+      in
+      let space = Evaluator.space ev in
+      let seen = Engine.seen_create (Space.canonicalize space) in
+      ignore
+        (Engine.run ~seen ~start:(Mapping.default_start g machine) ev
+           (Ccd.make ~batch ~rotations:2 ev));
+      let db = Evaluator.db ev in
+      let entries = Profiles_db.top db (Profiles_db.size db) in
+      let twins =
+        List.filter
+          (fun (e : Profiles_db.entry) ->
+            Space.canonicalize space e.mapping != e.mapping)
+          entries
+      in
+      Alcotest.(check bool) "twins were measured" true (twins <> []);
+      List.iter
+        (fun (e : Profiles_db.entry) ->
+          match Profiles_db.find db e.mapping with
+          | Some found ->
+              Alcotest.(check bool) "recorded under its own key" true
+                (Mapping.equal found.mapping e.mapping)
+          | None -> Alcotest.fail "a measured mapping is not found by its own key")
+        entries)
+    [ false; true ]
+
 (* ---- driver: resume + flag discipline ---------------------------------- *)
 
 let test_driver_resume_with_symmetry () =
@@ -372,6 +412,8 @@ let suite =
     Alcotest.test_case "canonical cost certificate" `Quick
       test_canonical_cost_certificate;
     Alcotest.test_case "seen-set checkpoint round-trip" `Quick test_seen_roundtrip;
+    Alcotest.test_case "twins are keyed as themselves" `Quick
+      test_twins_keyed_as_themselves;
     Alcotest.test_case "driver resume with symmetry" `Quick
       test_driver_resume_with_symmetry;
     Alcotest.test_case "reduced search acceptance (all apps)" `Quick
