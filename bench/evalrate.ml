@@ -15,6 +15,17 @@
    section measures the wall-clock speedup of the Domains-parallel
    portfolio (Parallel.run_members) at 1 vs. 4 domains.
 
+   Two more sections measure the domain claims of the final protocol,
+   on Stencil and Circuit over grid:32x32 (grid:4x4 with --smoke):
+
+     - the final protocol: one mapping x 30 fresh-seed runs through
+       Evaluator.measure_objective, whose runs split across the
+       machine's domains, and through the sequential record-API loop
+       it replaced (Measure_oracle); the two lists must be bit-equal;
+     - long-lived domains: cached quiet simulations on two scratches,
+       both on the calling domain, then one per domain (one spawn),
+       plus the cost of a bare Domain.spawn and join.
+
    Results go to stdout and to BENCH_evalrate.json so successive PRs
    can track the perf trajectory.
 
@@ -192,6 +203,159 @@ let bench_parallel machine g ~budget ~runs =
     (t1, Some tn, domains_requested, domains_used, best1.Parallel.perf, steps1)
   end
 
+(* ---- the final protocol across domains ---------------------------- *)
+
+let grid_problem (app : App.t) ~spec =
+  let machine =
+    match Presets.of_spec spec ~nodes:1 with Ok m -> m | Error e -> failwith e
+  in
+  let nodes = machine.Machine.nodes in
+  (machine, app.App.graph ~nodes ~input:(List.hd (app.App.inputs ~nodes)))
+
+let median l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+let seed_counter ev =
+  match
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "seed_counter"; n ] -> int_of_string_opt n
+        | _ -> None)
+      (Evaluator.save_state ev)
+  with
+  | Some n -> n
+  | None -> failwith "evalrate: save_state has no seed_counter line"
+
+type protocol_row = {
+  pr_app : string;
+  pr_spec : string;
+  pr_runs : int;
+  pr_sequential : float;  (* seconds, median over the timed reps *)
+  pr_fanned : float;
+  pr_domains : int;
+}
+
+(* Each timed rep measures under fresh seeds, the way the final
+   protocol does; an untimed rep first binds both scratches. *)
+let bench_protocol (app : App.t) ~spec ~runs ~reps =
+  let machine, g = grid_problem app ~spec in
+  let m = Mapping.default_start g machine in
+  let ev = Evaluator.create ~seed:1 machine g in
+  let cfg =
+    {
+      Measure_oracle.scratch = Exec.scratch (Exec.compile machine g);
+      noise_sigma = 0.03;
+      fallback = false;
+      iterations = None;
+      metric = (fun r -> r.Exec.per_iteration);
+    }
+  in
+  let rep () =
+    let base = seed_counter ev in
+    let t0 = now () in
+    let fanned = Evaluator.measure_objective ev ~runs m in
+    let t1 = now () in
+    let sequential = Measure_oracle.measure cfg ~base ~runs m in
+    let t2 = now () in
+    if List.map Int64.bits_of_float fanned <> List.map Int64.bits_of_float sequential then
+      failwith
+        (Printf.sprintf "evalrate: %s on %s: the fanned-out runs differ from the sequential ones"
+           app.App.app_name spec);
+    (t2 -. t1, t1 -. t0)
+  in
+  ignore (rep ());
+  let times = List.init reps (fun _ -> rep ()) in
+  let row =
+    {
+      pr_app = app.App.app_name;
+      pr_spec = spec;
+      pr_runs = runs;
+      pr_sequential = median (List.map fst times);
+      pr_fanned = median (List.map snd times);
+      pr_domains = Par.default_domains runs;
+    }
+  in
+  Printf.printf
+    "final protocol %-8s %-10s 1 mapping x %d runs: sequential %.1f ms | %d domains %.1f ms \
+     -> %.2fx (bit-equal)\n%!"
+    row.pr_app spec runs (row.pr_sequential *. 1e3) row.pr_domains (row.pr_fanned *. 1e3)
+    (row.pr_sequential /. row.pr_fanned);
+  row
+
+type domains_row = {
+  dr_app : string;
+  dr_spec : string;
+  dr_sims : int;        (* per scratch *)
+  dr_one : float;       (* seconds, both scratches on the calling domain *)
+  dr_two : float option;(* one scratch per domain; None on one core *)
+}
+
+(* [sims] quiet simulations per scratch, cycling through seven seeds
+   whose streams are already cached: the search's steady state, where
+   nothing allocates.  The two-domain leg spawns one domain and joins
+   it inside the timed region. *)
+let bench_domains (app : App.t) ~spec ~sims ~reps =
+  let machine, g = grid_problem app ~spec in
+  let m = Mapping.default_start g machine in
+  let compiled = Exec.compile machine g in
+  let scratches = [ Exec.scratch compiled; Exec.scratch compiled ] in
+  let sim sc seed =
+    if
+      Exec.simulate_quiet sc m ~noise_sigma:0.03 ~seed ~fallback:false
+        ~iterations:g.Graph.iterations ~cutoff:infinity
+      <> Exec.st_finished
+    then failwith "evalrate: simulation failed"
+  in
+  List.iter (fun sc -> for seed = 1 to 7 do sim sc seed done) scratches;
+  let job sc () =
+    for k = 0 to sims - 1 do
+      sim sc (1 + (k mod 7))
+    done;
+    Exec.quiet_per_iteration sc
+  in
+  let leg domains =
+    let t0 = now () in
+    let last = Par.map ~domains (List.map job scratches) in
+    (now () -. t0, last)
+  in
+  let timed domains =
+    let runs = List.init reps (fun _ -> leg domains) in
+    (median (List.map fst runs), snd (List.hd runs))
+  in
+  let one, last1 = timed 1 in
+  let two =
+    if Domain.recommended_domain_count () < 2 then None
+    else begin
+      let two, last2 = timed 2 in
+      if last1 <> last2 then failwith "evalrate: the two-domain leg simulated differently";
+      Some two
+    end
+  in
+  (match two with
+  | Some two ->
+      Printf.printf
+        "long-lived domains %-8s %-10s 2 x %d cached runs: 1 domain %.1f ms | 2 domains \
+         %.1f ms -> %.2fx\n%!"
+        app.App.app_name spec sims (one *. 1e3) (two *. 1e3) (one /. two)
+  | None ->
+      Printf.printf
+        "long-lived domains %-8s %-10s 2 x %d cached runs: 1 domain %.1f ms; 2-domain leg \
+         skipped (1 core)\n%!"
+        app.App.app_name spec sims (one *. 1e3));
+  { dr_app = app.App.app_name; dr_spec = spec; dr_sims = sims; dr_one = one; dr_two = two }
+
+(* A bare Domain.spawn plus join, the fixed price of one fan-out. *)
+let spawn_join_cost ~reps =
+  ignore (Domain.join (Domain.spawn ignore));
+  let t0 = now () in
+  for _ = 1 to reps do
+    Domain.join (Domain.spawn ignore)
+  done;
+  (now () -. t0) /. float_of_int reps
+
 let json_rate r =
   Printf.sprintf
     {|{"evals_per_sec": %.2f, "instances_per_sec": %.2f, "evals": %d}|}
@@ -220,6 +384,18 @@ let () =
   let t1, tn, par_requested, par_used, par_perf, par_steps =
     bench_parallel machine par_g ~budget:par_budget ~runs:par_runs
   in
+  let grid = if !smoke then "grid:4x4" else "grid:32x32" in
+  let reps = if !smoke then 1 else 3 in
+  let protocol =
+    List.map (fun app -> bench_protocol app ~spec:grid ~runs:30 ~reps) [ App.stencil; App.circuit ]
+  in
+  let long_lived =
+    List.map
+      (fun app -> bench_domains app ~spec:grid ~sims:(if !smoke then 10 else 30) ~reps)
+      [ App.stencil; App.circuit ]
+  in
+  let spawn_join = spawn_join_cost ~reps:20 in
+  Printf.printf "Domain.spawn + join: %.3f ms\n%!" (spawn_join *. 1e3);
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n  \"bench\": \"evalrate\",\n";
   Buffer.add_string buf (Printf.sprintf "  \"commit\": %S,\n" (git_commit ()));
@@ -241,7 +417,7 @@ let () =
         (Printf.sprintf
            "  \"parallel_portfolio\": {\"domains_requested\": %d, \"domains_used\": %d, \
             \"cores_available\": %d, \"skipped\": true, \
-            \"wall_1\": %.4f, \"best_perf\": %.6e, \"engine_steps\": %d}\n"
+            \"wall_1\": %.4f, \"best_perf\": %.6e, \"engine_steps\": %d},\n"
            par_requested par_used
            (Domain.recommended_domain_count ())
            t1 par_perf par_steps)
@@ -251,10 +427,37 @@ let () =
            "  \"parallel_portfolio\": {\"domains_requested\": %d, \"domains_used\": %d, \
             \"cores_available\": %d, \"oversubscribed\": %b, \"skipped\": false, \
             \"wall_1\": %.4f, \"wall_n\": %.4f, \"speedup\": %.3f, \"best_perf\": %.6e, \
-            \"engine_steps\": %d}\n"
+            \"engine_steps\": %d},\n"
            par_requested par_used
            (Domain.recommended_domain_count ())
            (par_used < par_requested) t1 tn (t1 /. tn) par_perf par_steps));
+  let rows f l = String.concat ",\n" (List.map f l) in
+  Buffer.add_string buf
+    (Printf.sprintf "  \"final_protocol\": [\n%s\n  ],\n"
+       (rows
+          (fun r ->
+            Printf.sprintf
+              "    {\"app\": %S, \"machine\": %S, \"runs\": %d, \"domains\": %d, \
+               \"sequential_s\": %.5f, \"fanned_out_s\": %.5f, \"speedup\": %.3f, \
+               \"bit_equal\": true}"
+              r.pr_app r.pr_spec r.pr_runs r.pr_domains r.pr_sequential r.pr_fanned
+              (r.pr_sequential /. r.pr_fanned))
+          protocol));
+  Buffer.add_string buf
+    (Printf.sprintf "  \"long_lived_domains\": [\n%s\n  ],\n"
+       (rows
+          (fun r ->
+            Printf.sprintf
+              "    {\"app\": %S, \"machine\": %S, \"sims_per_scratch\": %d, \
+               \"one_domain_s\": %.5f, %s}"
+              r.dr_app r.dr_spec r.dr_sims r.dr_one
+              (match r.dr_two with
+              | Some two ->
+                  Printf.sprintf "\"two_domains_s\": %.5f, \"speedup\": %.3f" two
+                    (r.dr_one /. two)
+              | None -> "\"skipped\": true"))
+          long_lived));
+  Buffer.add_string buf (Printf.sprintf "  \"spawn_join_ms\": %.4f\n" (spawn_join *. 1e3));
   Buffer.add_string buf "}\n";
   let oc = open_out !out_file in
   output_string oc (Buffer.contents buf);

@@ -118,6 +118,18 @@ let machine_file_arg =
 
 let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Random seed.")
 
+(* run counts: a value below 1 is a usage error before any work *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let runs_arg =
+  Arg.(value & opt positive_int 7 & info [ "runs" ] ~doc:"Executions per candidate mapping.")
+
 let no_symmetry_arg =
   Arg.(value & flag & info [ "no-symmetry" ] ~doc:"Disable symmetry reduction (on by default): orbit canonicalization of sampled mappings and the engine seen-set that rejects symmetric duplicates of already-evaluated candidates without re-simulating. The AUTOMAP_NO_SYMMETRY environment variable has the same effect. Symmetry changes the search trajectory, so checkpoints only resume under the flag they were written with.")
 
@@ -149,11 +161,8 @@ let tune_cmd =
   let objective_arg =
     Arg.(value & opt string "time" & info [ "objective" ] ~docv:"OBJ" ~doc:"Metric to minimize: time, energy or edp.")
   in
-  let runs_arg =
-    Arg.(value & opt int 7 & info [ "runs" ] ~doc:"Executions per candidate mapping.")
-  in
   let final_runs_arg =
-    Arg.(value & opt int 30 & info [ "final-runs" ] ~doc:"Executions per top-5 mapping in the final re-evaluation.")
+    Arg.(value & opt positive_int 30 & info [ "final-runs" ] ~doc:"Executions per top-5 mapping in the final re-evaluation. These fresh-seed runs are spread across the machine's cores.")
   in
   let budget_arg =
     Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc:"Virtual search-time budget.")
@@ -247,9 +256,6 @@ let search_cmd =
   in
   let algo_arg =
     Arg.(value & opt string "ccd" & info [ "algo" ] ~docv:"ALGO" ~doc:"Search algorithm: ccd, cd, ensemble, random, annealing, portfolio, heft.")
-  in
-  let runs_arg =
-    Arg.(value & opt int 7 & info [ "runs" ] ~doc:"Executions per candidate mapping.")
   in
   let budget_arg =
     Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc:"Virtual search-time budget.")
@@ -555,7 +561,7 @@ let serve_cmd =
      in-flight search and a restarted daemon resumes them decision-identically."
   in
   let workers_arg =
-    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc:"Worker domains running search slices.")
+    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc:"Worker domains running search slices. A search's final protocol spreads its fresh-seed runs across the machine's cores, so each worker may add domains of its own while it concludes a job.")
   in
   let slice_arg =
     Arg.(value & opt int 40 & info [ "slice-trials" ] ~docv:"N" ~doc:"Scheduling quantum: evaluated trials per slice before a search re-queues.")

@@ -131,19 +131,16 @@ let decode_strategy ?(batch = false) ?(min_batch = 1) ?surrogate ev ~algo lines 
   | other -> Error (Printf.sprintf "unknown strategy %S in checkpoint" other)
 
 (* Final protocol (§5): re-run the [final_top] best mappings of the
-   profiles database [final_runs] times each; report the one with the
-   fastest average. *)
+   profiles database [final_runs] times each, as one job list across
+   the machine's domains; report the one with the fastest average. *)
 let final_protocol ?(final_top = 5) ?(final_runs = 30) ev ~search_best ~search_perf
     =
   let candidates =
     match Profiles_db.top (Evaluator.db ev) final_top with
     | [] -> [ (search_best, [ search_perf ]) ]
     | tops ->
-        List.map
-          (fun e ->
-            let m = e.Profiles_db.mapping in
-            (m, Evaluator.measure_objective ev ~runs:final_runs m))
-          tops
+        let ms = List.map (fun e -> e.Profiles_db.mapping) tops in
+        List.combine ms (Evaluator.measure_objectives ev ~runs:final_runs ms)
   in
   List.fold_left
     (fun ((_, bruns) as acc) ((_, runs) as cand) ->
@@ -164,6 +161,7 @@ type session = {
    here, for fresh and resumed searches alike. *)
 let session ?scratch ?objective ?extended ?db ?start ?snapshot (cfg : cfg) machine
     graph =
+  if cfg.final_runs < 1 then invalid_arg "Driver.session: final_runs must be positive";
   let ( let* ) = Result.bind in
   let* db =
     (* a checkpoint carries its own profiles database; it supersedes

@@ -156,15 +156,6 @@ let graph t = t.graph
 let space t = t.space
 let db t = t.db
 
-let next_seed t =
-  t.seed_counter <- t.seed_counter + 1;
-  t.seed_counter
-
-let run_once t ?iterations mapping =
-  let iterations = match iterations with Some _ as i -> i | None -> t.iterations in
-  Exec.simulate ~noise_sigma:t.noise_sigma ~seed:(next_seed t) ~fallback:t.fallback
-    ?iterations t.scratch mapping
-
 let note_best t mapping perf =
   match t.best with
   | Some (_, p) when p <= perf -> ()
@@ -764,22 +755,61 @@ let restore_state t lines =
     | _ -> fail "truncated state"
   with Failure m -> Error m
 
-let measure_with t ?runs ?iterations metric mapping =
+(* Jobs [j, hi) of a fresh-seed measurement, on [sc]: job [j] is run
+   [j mod runs] of [maps.(j / runs)] under seed [base + j + 1].  The
+   first failing job stops the chunk and answers its error. *)
+let rec run_jobs t sc maps ~runs ~base ~iterations ~custom out j hi =
+  if j >= hi then None
+  else if
+    Exec.simulate_fresh sc maps.(j / runs) ~noise_sigma:t.noise_sigma ~seed:(base + j + 1)
+      ~fallback:t.fallback ~iterations
+    = Exec.st_error
+  then Exec.quiet_error sc
+  else begin
+    out.(j) <-
+      (if custom then t.objective t.machine (Exec.quiet_result sc)
+       else Exec.quiet_per_iteration sc);
+    run_jobs t sc maps ~runs ~base ~iterations ~custom out (j + 1) hi
+  end
+
+(* Fresh-seed measurement, the one path for [measure] and the final
+   protocol.  The seeds are reserved up front, as one increment per run
+   in job order assigned them.  The jobs split into contiguous chunks,
+   one per domain: chunk 0 on the evaluator's scratch, the others on
+   fresh scratches.  Chunks are in job order, so the first failure is
+   the one a sequential pass would meet, and the lists are rebuilt
+   newest-first, so [Stats.mean] folds the same floats in the same
+   order. *)
+let measure_with t ?runs ?iterations ~objective mappings =
   let runs = Option.value runs ~default:t.runs in
-  let rec go n acc =
-    if n = 0 then acc
-    else
-      match run_once t ?iterations mapping with
-      | Ok r -> go (n - 1) (metric r :: acc)
-      | Error e -> failwith ("Evaluator.measure: " ^ Placement.error_to_string e)
+  if runs < 1 then invalid_arg "Evaluator.measure: runs must be positive";
+  let iterations = Option.value iterations ~default:t.eff_iters in
+  let custom = objective && t.objective != default_objective in
+  let maps = Array.of_list mappings in
+  let n = Array.length maps * runs in
+  let base = t.seed_counter in
+  t.seed_counter <- base + n;
+  let out = Array.make n 0.0 in
+  let k = Par.default_domains n in
+  let chunk c () =
+    let sc =
+      if c = 0 then t.scratch else Exec.scratch (Exec.compiled_of_scratch t.scratch)
+    in
+    run_jobs t sc maps ~runs ~base ~iterations ~custom out (c * n / k) ((c + 1) * n / k)
   in
-  go runs []
+  (match List.find_map Fun.id (Par.map ~domains:k (List.init k chunk)) with
+  | Some e -> failwith ("Evaluator.measure: " ^ Placement.error_to_string e)
+  | None -> ());
+  List.init (Array.length maps) (fun i ->
+      List.init runs (fun r -> out.((i * runs) + runs - 1 - r)))
 
 let measure t ?runs ?iterations mapping =
-  measure_with t ?runs ?iterations (fun r -> r.Exec.per_iteration) mapping
+  List.hd (measure_with t ?runs ?iterations ~objective:false [ mapping ])
 
 let measure_objective t ?runs mapping =
-  measure_with t ?runs (fun r -> t.objective t.machine r) mapping
+  List.hd (measure_with t ?runs ~objective:true [ mapping ])
+
+let measure_objectives t ?runs mappings = measure_with t ?runs ~objective:true mappings
 
 (* CCD re-profiles its incumbent at every rotation, and the incumbent
    rarely moves: a noise-free run of the physically same mapping gives

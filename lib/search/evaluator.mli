@@ -28,7 +28,9 @@
     and every [evaluate] / [measure] / [profile_for] call reuses the
     compiled problem and one {!Exec.scratch} — candidate evaluation is
     the search's hot path.  A consequence: an evaluator must not be
-    shared across domains; give each domain its own (see {!Parallel}). *)
+    shared across domains; give each domain its own (see {!Parallel}).
+    The [measure] functions fan their runs out across domains
+    themselves, each extra domain on a scratch of its own. *)
 
 type t
 
@@ -61,7 +63,9 @@ val create :
     [objective] maps a simulated run to the scalar the search
     minimizes; the default is per-iteration execution time, and
     {!Energy.joules_per_iteration} makes the same search stack optimize
-    power consumption (§3.3).  [extended] (default false) opens the
+    power consumption (§3.3).  The [measure] functions may call it
+    from several domains at once, so it must be pure (Energy's
+    objectives are).  [extended] (default false) opens the
     distribution-strategy dimension (see {!Space.make}).
     [reference] (default false) switches off bound-pruning: a [?bound]
     never cuts a candidate (see {!evaluate}), so every candidate runs
@@ -311,13 +315,24 @@ val restore_state : t -> string list -> (unit, string) result
     decisions. *)
 
 val measure : t -> ?runs:int -> ?iterations:int -> Mapping.t -> float list
-(** Per-iteration *times* of [runs] executions, outside the search
-    bookkeeping — for baseline comparisons.  Raises [Failure] on
-    invalid/OOM mappings. *)
+(** Per-iteration *times* of [runs] executions, newest first, outside
+    the search bookkeeping — for baseline comparisons.  Run [k]
+    (1-based) takes the [k]-th fresh seed of the [measure] window,
+    which is disjoint from the search's common seeds and recorded by
+    {!save_state}.  The runs are split across the machine's domains
+    ({!Par.default_domains}), each on its own scratch; no value depends
+    on the split.
+    @raise Failure on invalid/OOM mappings, once every domain is done.
+    @raise Invalid_argument if [runs < 1]. *)
 
 val measure_objective : t -> ?runs:int -> Mapping.t -> float list
 (** Like {!measure} but returns the evaluator's objective values —
     what the final top-5 × 30 re-evaluation ranks by. *)
+
+val measure_objectives : t -> ?runs:int -> Mapping.t list -> float list list
+(** {!measure_objective} of each mapping in turn, with the same seeds,
+    split across the domains as one job list: the final protocol's
+    form, which spawns its domains once. *)
 
 val profile_for : t -> Mapping.t -> Profile.t
 (** Noise-free per-task profile under a mapping (task ordering for

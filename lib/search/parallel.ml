@@ -1,44 +1,3 @@
-let map ?domains jobs =
-  let jobs = Array.of_list jobs in
-  let n = Array.length jobs in
-  let domains =
-    match domains with
-    | Some d ->
-        if d < 1 then invalid_arg "Parallel.map: domains must be >= 1";
-        min d (max n 1)
-    | None -> max 1 (min n (min 4 (Domain.recommended_domain_count ())))
-  in
-  if n = 0 then []
-  else if domains = 1 then Array.to_list (Array.map (fun job -> job ()) jobs)
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let continue = ref true in
-      while !continue do
-        let k = Atomic.fetch_and_add next 1 in
-        if k >= n then continue := false else results.(k) <- Some (jobs.(k) ())
-      done
-    in
-    let workers = Array.init (domains - 1) (fun _ -> Domain.spawn worker) in
-    (* the calling domain is a worker too; join the rest even if it
-       raises, then surface the first failure *)
-    let inline_failure = match worker () with () -> None | exception e -> Some e in
-    let join_failure =
-      Array.fold_left
-        (fun acc d ->
-          match Domain.join d with
-          | () -> acc
-          | exception e -> ( match acc with None -> Some e | some -> some))
-        None workers
-    in
-    (match (inline_failure, join_failure) with
-    | Some e, _ | None, Some e -> raise e
-    | None, None -> ());
-    Array.to_list
-      (Array.map (function Some v -> v | None -> assert false) results)
-  end
-
 type member_result = {
   member : string;
   mapping : Mapping.t;
@@ -133,7 +92,7 @@ let run_members ?domains ?(members = Portfolio.default_members) ?(budget = infin
       steps = o.Engine.steps;
     }
   in
-  map ?domains (List.mapi job members)
+  Par.map ?domains (List.mapi job members)
 
 let best = function
   | [] -> invalid_arg "Parallel.best: empty result list"

@@ -10,17 +10,8 @@
 
     Running with [domains = 1] executes the identical jobs inline, so
     parallel and sequential runs return the same results bit-for-bit
-    (test/test_compile.ml enforces this). *)
-
-val map : ?domains:int -> (unit -> 'a) list -> 'a list
-(** [map ~domains jobs] runs the thunks across [domains] worker
-    domains (including the calling one) and returns their results in
-    input order.  [domains] defaults to
-    [min 4 (Domain.recommended_domain_count ())], capped at the number
-    of jobs; [1] runs everything inline.  Jobs must not share mutable
-    state.  The first job exception (if any) is re-raised after all
-    domains are joined.
-    @raise Invalid_argument if [domains < 1]. *)
+    (test/test_compile.ml enforces this).  The domain pool is
+    {!Par.map}. *)
 
 (** Outcome of one independent member search. *)
 type member_result = {

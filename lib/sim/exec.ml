@@ -668,9 +668,7 @@ let noise_reserve c n =
 
 let noise_fill c upto =
   if upto > c.nfilled then begin
-    for i = c.nfilled to upto - 1 do
-      c.nbuf.(i) <- Rng.lognormal c.nrng ~sigma:c.nsigma
-    done;
+    Rng.fill_lognormal c.nrng ~sigma:c.nsigma c.nbuf ~pos:c.nfilled ~len:(upto - c.nfilled);
     c.nfilled <- upto
   end
 
@@ -963,20 +961,22 @@ let st_error = 2
 
 (* Lazy noise refill, out of line: int-only signature, and in the
    steady state [sim_nfilled] already covers the run so it is never
-   called. *)
-let fill_noise sc upto =
+   called.  It fills a block ahead of instance [i], capped at the run's
+   instance count: the stream is sequential, so where a block ends
+   changes no value, and a cut run draws at most one block it never
+   reads. *)
+let noise_block = 256
+
+let fill_noise sc i =
+  let upto = min (i + noise_block) (sc.sim_iters * sc.prob.spi) in
   match sc.sim_fill with
   | 1 ->
       let c = sc.sim_ncache in
       noise_fill c upto;
       sc.sim_nfilled <- c.nfilled
   | 2 ->
-      let buf = sc.sim_noise in
-      let rng = sc.sim_nrng in
-      let sigma = sc.sim_sigma in
-      for i = sc.sim_nfilled to upto - 1 do
-        buf.(i) <- Rng.lognormal rng ~sigma
-      done;
+      Rng.fill_lognormal sc.sim_nrng ~sigma:sc.sim_sigma sc.sim_noise ~pos:sc.sim_nfilled
+        ~len:(upto - sc.sim_nfilled);
       sc.sim_nfilled <- upto
   | _ -> ()
 
@@ -1037,7 +1037,7 @@ let[@inline] do_ready sc i t =
   let pid = sc.slot_pid.(slot) in
   let pfree = sc.proc_free.(pid) in
   let start = if dispatched > pfree then dispatched else pfree in
-  if i >= sc.sim_nfilled then fill_noise sc (i + 1);
+  if i >= sc.sim_nfilled then fill_noise sc i;
   let d = sc.slot_dur.(slot) *. sc.sim_noise.(i) in
   let t_done = start +. d in
   sc.proc_free.(pid) <- t_done;
@@ -1286,6 +1286,10 @@ let simulate_quiet sc mapping ~noise_sigma ~seed ~fallback ~iterations ~cutoff =
   sim_core sc mapping ~noise_sigma ~seed ~add_seed:true ~fallback ~iterations ~trace:None
     ~cutoff
 
+let simulate_fresh sc mapping ~noise_sigma ~seed ~fallback ~iterations =
+  sim_core sc mapping ~noise_sigma ~seed ~add_seed:false ~fallback ~iterations ~trace:None
+    ~cutoff:infinity
+
 let[@inline] quiet_makespan sc = sc.r_acc.(acc_makespan)
 let[@inline] quiet_per_iteration sc = sc.r_acc.(acc_per_iter)
 let[@inline] quiet_cut_time sc = sc.r_acc.(acc_cut)
@@ -1447,31 +1451,28 @@ let run_lower_bound ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?itera
            float operation — and turns the per-candidate Box–Muller cost
            into a once-per-seed cost across the whole search. *)
         let ci = noise_cache_idx sc ~seed ~sigma:noise_sigma ~add:true in
-        if ci >= 0 then begin
-          let c = sc.nzs.(ci) in
-          let n = iterations * spi in
-          noise_reserve c n;
-          noise_fill c n;
-          let nbuf = c.nbuf in
-          for iter = 0 to iterations - 1 do
-            let base = iter * spi in
-            for slot = 0 to spi - 1 do
-              let x = nbuf.(base + slot) in
-              let pid = sc.slot_pid.(slot) in
-              busy.(pid) <- busy.(pid) +. (sc.slot_dur.(slot) *. x)
-            done
+        let n = iterations * spi in
+        let nbuf =
+          if ci >= 0 then begin
+            let c = sc.nzs.(ci) in
+            noise_reserve c n;
+            noise_fill c n;
+            c.nbuf
+          end
+          else begin
+            ensure_capacity sc n;
+            Rng.fill_lognormal (Rng.create seed) ~sigma:noise_sigma sc.noise ~pos:0 ~len:n;
+            sc.noise
+          end
+        in
+        for iter = 0 to iterations - 1 do
+          let base = iter * spi in
+          for slot = 0 to spi - 1 do
+            let x = nbuf.(base + slot) in
+            let pid = sc.slot_pid.(slot) in
+            busy.(pid) <- busy.(pid) +. (sc.slot_dur.(slot) *. x)
           done
-        end
-        else begin
-          let rng = Rng.create seed in
-          for _iter = 1 to iterations do
-            for slot = 0 to spi - 1 do
-              let x = Rng.lognormal rng ~sigma:noise_sigma in
-              let pid = sc.slot_pid.(slot) in
-              busy.(pid) <- busy.(pid) +. (sc.slot_dur.(slot) *. x)
-            done
-          done
-        end
+        done
       end
       else
         for slot = 0 to spi - 1 do

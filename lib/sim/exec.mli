@@ -148,6 +148,17 @@ val simulate_quiet :
     scratch; {!quiet_result} materializes a full {!result} record (and
     allocates — use it off the hot path only). *)
 
+val simulate_fresh :
+  scratch ->
+  Mapping.t ->
+  noise_sigma:float ->
+  seed:int ->
+  fallback:bool ->
+  iterations:int ->
+  int
+(** {!simulate_quiet} with no cutoff for a seed run once: it adds no
+    stream to the seed table (see below). *)
+
 val st_finished : int
 val st_cut : int
 val st_error : int
@@ -208,8 +219,10 @@ val run_lower_bound :
     every later run (and {!run_lower_bound}) reads them back.  The
     values are bit-identical to a fresh [Rng.create seed].  Only
     {!simulate_quiet} and {!run_lower_bound} add a seed to the table;
-    {!simulate} and {!simulate_bounded} read an existing stream and
-    otherwise draw privately, so one-shot seeds take no slot.
+    {!simulate}, {!simulate_bounded} and {!simulate_fresh} read an
+    existing stream and otherwise draw privately, so one-shot seeds
+    take no slot.  Either way the draws are filled in bulk
+    ({!Rng.fill_lognormal}), a block ahead of the event loop.
 
     Binding a mapping to the compiled problem is cached too: a re-run
     of the physically same mapping reuses the bind, and a near

@@ -9,7 +9,7 @@ let of_state s = { state = s }
 let set_state t s = t.state <- s
 
 (* SplitMix64 output function: two xor-shift-multiply rounds. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -32,10 +32,12 @@ let int t n =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   v mod n
 
-let float t x =
-  (* 53 random mantissa bits, scaled to [0, x). *)
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
+(* 53 random mantissa bits of [bits], scaled to [0, x). *)
+let[@inline] scaled x bits =
+  let v = Int64.to_float (Int64.shift_right_logical bits 11) in
   x *. (v /. 9007199254740992.0)
+
+let float t x = scaled x (bits64 t)
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
@@ -50,6 +52,27 @@ let gaussian t =
   draw ()
 
 let lognormal t ~sigma = exp (sigma *. gaussian t)
+
+(* [lognormal] [len] times with the state in a local, which the native
+   compiler keeps unboxed: the same float operations in the same order,
+   redraw included, and one boxed state per call, not per draw. *)
+let fill_lognormal t ~sigma buf ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length buf - len then
+    invalid_arg "Rng.fill_lognormal: range outside the buffer";
+  let s = ref t.state in
+  for i = pos to pos + len - 1 do
+    s := Int64.add !s golden_gamma;
+    let u1 = ref (scaled 1.0 (mix !s)) in
+    while !u1 <= 1e-300 do
+      s := Int64.add !s golden_gamma;
+      u1 := scaled 1.0 (mix !s)
+    done;
+    s := Int64.add !s golden_gamma;
+    let u2 = scaled 1.0 (mix !s) in
+    Array.unsafe_set buf i
+      (exp (sigma *. (sqrt (-2.0 *. log !u1) *. cos (2.0 *. Float.pi *. u2))))
+  done;
+  t.state <- !s
 
 let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";

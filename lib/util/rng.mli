@@ -54,6 +54,13 @@ val lognormal : t -> sigma:float -> float
     noise factor used by the simulator's measurement-noise model.  Its
     median is 1.0. *)
 
+val fill_lognormal : t -> sigma:float -> float array -> pos:int -> len:int -> unit
+(** [fill_lognormal t ~sigma buf ~pos ~len] writes [len] successive
+    {!lognormal} draws into [buf.(pos)] .. [buf.(pos + len - 1)]: the
+    values and the final state are bit-equal to [len] calls of
+    {!lognormal}, and nothing is allocated per draw.
+    @raise Invalid_argument if the range is not inside [buf]. *)
+
 val choose : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 

@@ -212,6 +212,71 @@ let test_ensemble_step_words () =
        5%% more than the %.1f it allocates with 100"
       large small
 
+(* Fresh-seed runs: [Evaluator.measure] and the final protocol give
+   every run a seed of its own, so no cached stream serves them and
+   each run draws its whole noise stream.  The bulk fill
+   ({!Rng.fill_lognormal}) keeps those draws off the heap: a warm run
+   may allocate a small constant plus one word per 128 instances (the
+   generator's state is written back once per filled block), where one
+   [Rng.lognormal] call per instance cost ~24 words each. *)
+let fresh_words_constant = 128.0
+
+let instances g =
+  let per_iter = ref 0 in
+  for tid = 0 to Graph.n_tasks g - 1 do
+    per_iter := !per_iter + (Graph.task g tid).Graph.group_size
+  done;
+  g.Graph.iterations * !per_iter
+
+let fresh_allowance g = fresh_words_constant +. (float_of_int (instances g) /. 128.0)
+
+let lassen_app app () =
+  let machine = Presets.lassen ~nodes:4 in
+  (machine, app.App.graph ~nodes:4 ~input:(List.hd (app.App.inputs ~nodes:4)))
+
+(* One run per call keeps the measurement on the calling domain: a
+   single job is never fanned out. *)
+let test_measure_fresh_seed_alloc problem () =
+  skip_unless_native ();
+  let machine, g = problem () in
+  let ev = Evaluator.create ~seed:1 machine g in
+  let m = Mapping.default_start g machine in
+  (* warm-up: binds the mapping and grows the scratch *)
+  ignore (Evaluator.measure ev ~runs:1 m);
+  let allowance = fresh_allowance g in
+  for trial = 1 to 5 do
+    let w = minor_words_during (fun () -> ignore (Evaluator.measure ev ~runs:1 m)) in
+    if w > allowance then
+      Alcotest.failf
+        "a warm fresh-seed Evaluator.measure run allocated %.0f minor words, over the \
+         %.0f allowed for %d instances (trial %d)"
+        w allowance (instances g) trial
+  done
+
+let test_simulate_fresh_seed_alloc problem () =
+  skip_unless_native ();
+  let machine, g = problem () in
+  let sc = Exec.scratch (Exec.compile machine g) in
+  let m = Mapping.default_start g machine in
+  let sim seed = Exec.simulate ~noise_sigma:0.03 ~seed sc m in
+  ignore (sim 1);
+  let allowance = fresh_allowance g in
+  for trial = 2 to 6 do
+    let w0 = Gc.minor_words () in
+    let r = sim trial in
+    let w = Gc.minor_words () -. w0 in
+    let record =
+      match r with
+      | Ok r -> float_of_int (Obj.reachable_words (Obj.repr r))
+      | Error _ -> Alcotest.failf "simulation failed (trial %d)" trial
+    in
+    if w -. record > allowance then
+      Alcotest.failf
+        "a warm fresh-seed Exec.simulate allocated %.0f minor words beyond its %.0f-word \
+         result, over the %.0f allowed for %d instances (trial %d)"
+        (w -. record) record allowance (instances g) trial
+  done
+
 let suite =
   [
     Alcotest.test_case "quiet steady state allocates zero minor words" `Quick
@@ -227,4 +292,12 @@ let suite =
       test_canonical_key_one_string;
     Alcotest.test_case "ensemble step minor words independent of database size" `Quick
       test_ensemble_step_words;
+    Alcotest.test_case "fresh-seed measure run allocates no noise (Stencil lassen:4)"
+      `Quick (test_measure_fresh_seed_alloc (lassen_app App.stencil));
+    Alcotest.test_case "fresh-seed measure run allocates no noise (Pennant lassen:4)"
+      `Quick (test_measure_fresh_seed_alloc (lassen_app App.pennant));
+    Alcotest.test_case "fresh-seed simulate allocates its result only (Stencil lassen:4)"
+      `Quick (test_simulate_fresh_seed_alloc (lassen_app App.stencil));
+    Alcotest.test_case "fresh-seed simulate allocates its result only (Pennant lassen:4)"
+      `Quick (test_simulate_fresh_seed_alloc (lassen_app App.pennant));
   ]

@@ -240,13 +240,13 @@ let test_parallel_map_order () =
   Alcotest.(check (list int))
     "results in input order"
     (List.init 17 (fun i -> i * i))
-    (Parallel.map ~domains:4 jobs)
+    (Par.map ~domains:4 jobs)
 
 let test_parallel_map_exception () =
   let jobs =
     List.init 6 (fun i () -> if i = 3 then failwith "boom" else i)
   in
-  match Parallel.map ~domains:3 jobs with
+  match Par.map ~domains:3 jobs with
   | _ -> Alcotest.fail "expected exception"
   | exception Failure msg -> Alcotest.(check string) "propagated" "boom" msg
 

@@ -1,0 +1,261 @@
+(* Fresh-seed measurement across domains.  [Evaluator.measure],
+   [measure_objective] and [Driver.final_protocol] split their runs into
+   contiguous chunks, one per domain, each on its own scratch.  Every
+   run keeps its seed, mapping and bind, so every list — and the final
+   answer, and the evaluator's seed counter afterwards — must be
+   bit-equal to the sequential loop kept in test/oracle
+   ([Measure_oracle]). *)
+
+let problem ~spec ~nodes ~app =
+  let machine =
+    match Presets.of_spec spec ~nodes with Ok m -> m | Error e -> Alcotest.fail e
+  in
+  match App.find app with
+  | Some a -> (machine, a.App.graph ~nodes ~input:(List.hd (a.App.inputs ~nodes)))
+  | None -> Alcotest.failf "unknown app %s" app
+
+let workloads =
+  List.map
+    (fun app -> (app ^ " lassen:4", fun () -> problem ~spec:"lassen" ~nodes:4 ~app))
+    [ "circuit"; "stencil"; "pennant"; "htr"; "maestro" ]
+  @ [ ("stencil grid:4x4", fun () -> problem ~spec:"grid:4x4" ~nodes:1 ~app:"stencil") ]
+
+let energy machine r = Energy.joules_per_iteration machine Energy.default_power r
+
+(* The [measure] window's counter, as a checkpoint records it. *)
+let seed_counter ev =
+  match
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "seed_counter"; n ] -> Some (int_of_string n)
+        | _ -> None)
+      (Evaluator.save_state ev)
+  with
+  | Some n -> n
+  | None -> Alcotest.fail "save_state has no seed_counter line"
+
+let bits l = List.map Int64.bits_of_float l
+let check_runs what a b = Alcotest.(check (list int64)) what (bits a) (bits b)
+
+let oracle_cfg ?objective ?iterations machine g =
+  {
+    Measure_oracle.scratch = Exec.scratch (Exec.compile machine g);
+    noise_sigma = 0.03;
+    fallback = false;
+    iterations;
+    metric =
+      (match objective with
+      | Some f -> f machine
+      | None -> fun r -> r.Exec.per_iteration);
+  }
+
+(* A database of the default start and its one-coordinate neighbours
+   (processor kinds, then memory kinds), each measured by a complete
+   (unbounded) protocol; invalid and unplaceable ones are not
+   recorded. *)
+let populated ?objective machine g =
+  let ev = Evaluator.create ~runs:3 ~seed:5 ?objective machine g in
+  let space = Evaluator.space ev in
+  let start = Mapping.default_start g machine in
+  let neighbours =
+    List.concat_map
+      (fun tid -> List.map (Mapping.set_proc start tid) (Space.proc_choices space tid))
+      (List.init (Graph.n_tasks g) Fun.id)
+    @ List.concat_map
+        (fun cid ->
+          let owner = (Graph.collection g cid).Graph.owner in
+          List.map (Mapping.set_mem start cid)
+            (Space.mem_choices_for space ~cid (Mapping.proc_of start owner)))
+        (List.init (Graph.n_collections g) Fun.id)
+  in
+  List.iter
+    (fun m -> if Profiles_db.size (Evaluator.db ev) < 6 then ignore (Evaluator.evaluate ev m))
+    (start :: neighbours);
+  if Profiles_db.size (Evaluator.db ev) < 5 then
+    Alcotest.failf "only %d mappings recorded" (Profiles_db.size (Evaluator.db ev));
+  ev
+
+let final_protocol_case ?objective problem () =
+  let machine, g = problem () in
+  let ev = populated ?objective machine g in
+  let search_best = Mapping.default_start g machine in
+  List.iter
+    (fun final_top ->
+      List.iter
+        (fun final_runs ->
+          let what = Printf.sprintf "top %d x %d runs" final_top final_runs in
+          let base = seed_counter ev in
+          let best, runs =
+            Driver.final_protocol ~final_top ~final_runs ev ~search_best ~search_perf:1.0
+          in
+          let obest, oruns =
+            Measure_oracle.final_protocol
+              (oracle_cfg ?objective machine g)
+              ~base ~final_top ~final_runs (Evaluator.db ev) ~search_best
+              ~search_perf:1.0
+          in
+          Alcotest.(check string)
+            (what ^ ": final mapping") (Mapping.canonical_key obest)
+            (Mapping.canonical_key best);
+          check_runs (what ^ ": final runs") oruns runs;
+          Alcotest.(check int)
+            (what ^ ": seed counter") (base + (final_top * final_runs)) (seed_counter ev))
+        [ 1; 7; 30 ])
+    [ 1; 3; 5 ]
+
+let measure_case ?objective problem () =
+  let machine, g = problem () in
+  let ev = Evaluator.create ~seed:2 ?objective machine g in
+  let m = Mapping.default_start g machine in
+  let cfg = oracle_cfg machine g in
+  let base = seed_counter ev in
+  check_runs "measure, 7 runs"
+    (Measure_oracle.measure cfg ~base ~runs:7 m)
+    (Evaluator.measure ev ~runs:7 m);
+  let base = seed_counter ev in
+  check_runs "measure, the evaluator's runs, 2 iterations"
+    (Measure_oracle.measure { cfg with iterations = Some 2 } ~base ~runs:7 m)
+    (Evaluator.measure ev ~iterations:2 m);
+  let base = seed_counter ev in
+  check_runs "measure_objective, 30 runs"
+    (Measure_oracle.measure (oracle_cfg ?objective machine g) ~base ~runs:30 m)
+    (Evaluator.measure_objective ev ~runs:30 m);
+  let base = seed_counter ev in
+  check_runs "measure_objective, 1 run"
+    (Measure_oracle.measure (oracle_cfg ?objective machine g) ~base ~runs:1 m)
+    (Evaluator.measure_objective ev ~runs:1 m);
+  Alcotest.(check int) "seed counter" (base + 1) (seed_counter ev)
+
+let test_empty_db_fallback () =
+  let machine, g = problem ~spec:"lassen" ~nodes:4 ~app:"stencil" in
+  let ev = Evaluator.create ~seed:1 machine g in
+  let search_best = Mapping.default_start g machine in
+  let base = seed_counter ev in
+  let best, runs = Driver.final_protocol ev ~search_best ~search_perf:0.25 in
+  Alcotest.(check bool) "search best" true (best == search_best);
+  check_runs "search perf" [ 0.25 ] runs;
+  Alcotest.(check int) "no seed drawn" base (seed_counter ev)
+
+(* The oversized fixture's default start (GPU framebuffer) cannot be
+   placed; all-CPU fits in system memory.  Listed second, the failing
+   mapping's runs fall in a chunk of their own whenever there are two
+   or more domains. *)
+let test_failure_in_later_chunk () =
+  let machine = Fixtures.default_machine () in
+  let g, _, _ = Fixtures.oversized () in
+  let good = Mapping.all_cpu g machine and bad = Mapping.default_start g machine in
+  let ev = Evaluator.create ~seed:4 machine g in
+  let cfg = oracle_cfg machine g in
+  let base = seed_counter ev in
+  Alcotest.(check int) "all-CPU runs" 7
+    (List.length (Measure_oracle.measure cfg ~base ~runs:7 good));
+  let expected =
+    match Measure_oracle.measure cfg ~base:(base + 7) ~runs:7 bad with
+    | _ -> Alcotest.fail "the oracle placed the oversized mapping"
+    | exception Failure msg -> msg
+  in
+  match Evaluator.measure_objectives ev ~runs:7 [ good; bad ] with
+  | _ -> Alcotest.fail "measure_objectives placed the oversized mapping"
+  | exception Failure msg -> Alcotest.(check string) "sequential message" expected msg
+
+(* Chunk 0 runs on the evaluator's scratch, so of 30 runs of a mapping
+   bound there, exactly the first chunk's hit its bind cache. *)
+let test_fan_out_ran () =
+  let domains = Domain.recommended_domain_count () in
+  if domains = 1 then begin
+    print_endline "one domain recommended: the measurement runs inline, nothing to fan out";
+    Alcotest.skip ()
+  end;
+  let machine, g = problem ~spec:"lassen" ~nodes:4 ~app:"stencil" in
+  let sc = Exec.scratch (Exec.compile machine g) in
+  let ev = Evaluator.create ~seed:1 ~scratch:sc machine g in
+  let m = Mapping.default_start g machine in
+  ignore (Evaluator.measure ev ~runs:1 m);
+  let hits = Exec.bind_cache_hits sc in
+  ignore (Evaluator.measure ev ~runs:30 m);
+  Alcotest.(check int) "chunk 0 ran on the evaluator's scratch"
+    (30 / Par.default_domains 30)
+    (Exec.bind_cache_hits sc - hits);
+  Alcotest.(check bool) "the other chunks did not" true (Exec.bind_cache_hits sc - hits < 30)
+
+(* A non-positive run count is refused before anything runs: the
+   measurement raises instead of counting down past zero, and a search
+   asked for no final runs fails before its first evaluation. *)
+let test_bad_run_counts () =
+  let machine, g = problem ~spec:"lassen" ~nodes:4 ~app:"circuit" in
+  let ev = Evaluator.create machine g in
+  let m = Mapping.default_start g machine in
+  let base = seed_counter ev in
+  List.iter
+    (fun runs ->
+      Alcotest.check_raises
+        (Printf.sprintf "measure ~runs:%d" runs)
+        (Invalid_argument "Evaluator.measure: runs must be positive")
+        (fun () -> ignore (Evaluator.measure ev ~runs m)))
+    [ 0; -1 ];
+  Alcotest.(check int) "no seed drawn" base (seed_counter ev);
+  let refused = Invalid_argument "Driver.session: final_runs must be positive" in
+  List.iter
+    (fun final_runs ->
+      let events = ref 0 in
+      Alcotest.check_raises
+        (Printf.sprintf "Driver.run ~final_runs:%d" final_runs)
+        refused
+        (fun () ->
+          ignore
+            (Driver.run ~final_runs ~on_event:(fun _ -> incr events)
+               (Driver.Ccd { rotations = 1 }) machine g));
+      Alcotest.(check int) "nothing evaluated" 0 !events;
+      Alcotest.check_raises
+        (Printf.sprintf "Driver.session, final_runs %d" final_runs)
+        refused
+        (fun () ->
+          ignore (Driver.session { Driver.default_cfg with final_runs } machine g)))
+    [ 0; -1 ]
+
+(* The command line refuses the same counts as a usage error (exit 124)
+   before any work. *)
+let test_cli_usage_errors () =
+  let exe = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "automap_cli.exe" in
+  if not (Sys.file_exists exe) then begin
+    Printf.printf "%s not built: run from dune's test directory\n" exe;
+    Alcotest.skip ()
+  end;
+  List.iter
+    (fun args ->
+      let code = Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" exe args) in
+      Alcotest.(check int) args 124 code)
+    [
+      "tune -a stencil --runs 0";
+      "tune -a stencil --runs=-3";
+      "tune -a stencil --final-runs 0";
+      "tune -a stencil --final-runs=-1";
+      "search -a stencil --runs 0";
+    ]
+
+let suite =
+  List.concat_map
+    (fun (name, problem) ->
+      [
+        Alcotest.test_case ("final protocol == sequential, " ^ name) `Quick
+          (final_protocol_case problem);
+        Alcotest.test_case ("measure == sequential, " ^ name) `Quick (measure_case problem);
+      ])
+    workloads
+  @ [
+      Alcotest.test_case "final protocol == sequential, energy, stencil lassen:4" `Quick
+        (final_protocol_case ~objective:energy (List.assoc "stencil lassen:4" workloads));
+      Alcotest.test_case "final protocol == sequential, energy, circuit lassen:4" `Quick
+        (final_protocol_case ~objective:energy (List.assoc "circuit lassen:4" workloads));
+      Alcotest.test_case "measure == sequential, energy, pennant lassen:4" `Quick
+        (measure_case ~objective:energy (List.assoc "pennant lassen:4" workloads));
+      Alcotest.test_case "empty database falls back to the search best" `Quick
+        test_empty_db_fallback;
+      Alcotest.test_case "a failure in a later chunk raises the sequential message" `Quick
+        test_failure_in_later_chunk;
+      Alcotest.test_case "the runs fan out" `Quick test_fan_out_ran;
+      Alcotest.test_case "non-positive run counts are refused" `Quick test_bad_run_counts;
+      Alcotest.test_case "the CLI refuses non-positive run counts" `Quick
+        test_cli_usage_errors;
+    ]

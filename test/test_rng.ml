@@ -99,6 +99,91 @@ let prop_int_uniformish =
       done;
       Array.for_all Fun.id seen)
 
+(* The bulk draw is the same stream: [fill_lognormal] over
+   consecutive ranges writes what as many successive [lognormal] calls
+   return, bit for bit, touches nothing outside its ranges, and leaves
+   the same state behind. *)
+let prop_fill_lognormal_is_lognormal =
+  QCheck.Test.make ~count:200 ~name:"fill_lognormal equals successive lognormal draws"
+    QCheck.(
+      triple int (int_bound 2) (list_of_size Gen.(0 -- 6) (int_bound 300)))
+    (fun (seed, si, lens) ->
+      let sigma = [| 0.01; 0.03; 0.5 |].(si) in
+      let total = List.fold_left ( + ) 0 lens in
+      let buf = Array.make (total + 2) Float.nan in
+      let bulk = Rng.create seed and one = Rng.create seed in
+      ignore
+        (List.fold_left
+           (fun pos len ->
+             Rng.fill_lognormal bulk ~sigma buf ~pos ~len;
+             pos + len)
+           1 lens);
+      let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
+      let ok = ref (Float.is_nan buf.(0) && Float.is_nan buf.(total + 1)) in
+      for i = 1 to total do
+        if not (same buf.(i) (Rng.lognormal one ~sigma)) then ok := false
+      done;
+      !ok && Rng.state bulk = Rng.state one)
+
+(* SplitMix64's output function, inverted step by step: an xor-shift
+   by [k] undoes by iterating, and a multiplication by an odd constant
+   by the constant's inverse mod 2^64 (Newton's iteration doubles the
+   correct low bits each round, starting from 3). *)
+let unxorshift z k =
+  let r = ref z in
+  for _ = 1 to (64 / k) + 1 do
+    r := Int64.logxor z (Int64.shift_right_logical !r k)
+  done;
+  !r
+
+let inverse_odd c =
+  let x = ref c in
+  for _ = 1 to 5 do
+    x := Int64.mul !x (Int64.sub 2L (Int64.mul c !x))
+  done;
+  !x
+
+let unmix z =
+  let z = unxorshift z 31 in
+  let z = Int64.mul z (inverse_odd 0x94D049BB133111EBL) in
+  let z = unxorshift z 27 in
+  let z = Int64.mul z (inverse_odd 0xBF58476D1CE4E5B9L) in
+  unxorshift z 30
+
+let golden_gamma = 0x9E3779B97F4A7C15L
+
+(* A state whose next 64 bits have their top 53 bits zero makes the
+   uniform draw exactly 0.0, which Box–Muller must redraw ([log 0] is
+   -inf).  Both draws must take the redraw: one more step of the state
+   than a draw without it, and the same finite value. *)
+let test_fill_lognormal_redraw () =
+  let target = 0x5A5L in
+  let state = Int64.sub (unmix target) golden_gamma in
+  Alcotest.(check int64) "the state yields the target bits" target
+    (Rng.bits64 (Rng.of_state state));
+  Alcotest.(check (float 0.0)) "whose uniform draw is zero" 0.0
+    (Rng.float (Rng.of_state state) 1.0);
+  let one = Rng.of_state state and bulk = Rng.of_state state in
+  let v = Rng.lognormal one ~sigma:0.03 in
+  let buf = [| Float.nan |] in
+  Rng.fill_lognormal bulk ~sigma:0.03 buf ~pos:0 ~len:1;
+  let after_three = Int64.add state (Int64.mul 3L golden_gamma) in
+  Alcotest.(check int64) "lognormal redrew u1" after_three (Rng.state one);
+  Alcotest.(check int64) "fill_lognormal redrew u1" after_three (Rng.state bulk);
+  Alcotest.(check bool) "the value is finite" true (Float.is_finite v);
+  Alcotest.(check int64) "the same value, bit for bit" (Int64.bits_of_float v)
+    (Int64.bits_of_float buf.(0))
+
+let test_fill_lognormal_range () =
+  let r = Rng.create 1 in
+  let buf = Array.make 4 0.0 in
+  Alcotest.check_raises "past the end"
+    (Invalid_argument "Rng.fill_lognormal: range outside the buffer") (fun () ->
+      Rng.fill_lognormal r ~sigma:0.03 buf ~pos:2 ~len:3);
+  Alcotest.check_raises "negative length"
+    (Invalid_argument "Rng.fill_lognormal: range outside the buffer") (fun () ->
+      Rng.fill_lognormal r ~sigma:0.03 buf ~pos:0 ~len:(-1))
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -113,4 +198,8 @@ let suite =
     Alcotest.test_case "choose" `Quick test_choose;
     Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
     QCheck_alcotest.to_alcotest prop_int_uniformish;
+    QCheck_alcotest.to_alcotest prop_fill_lognormal_is_lognormal;
+    Alcotest.test_case "fill_lognormal takes the u1 redraw" `Quick
+      test_fill_lognormal_redraw;
+    Alcotest.test_case "fill_lognormal range check" `Quick test_fill_lognormal_range;
   ]
