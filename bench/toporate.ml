@@ -23,6 +23,15 @@
       flake; the speed ratio of the two legs (fastest of several
       interleaved repeats each) is printed but not gated.
 
+   3. What does a search leave in the heap?  The memory leg runs one
+      CCD(5) search per app (Stencil, then Circuit) as Driver.run makes
+      it, CLI defaults and seed 0, on grid:32x32 (grid:8x8 with
+      --smoke), and reports the search's major-heap words, its
+      top-heap growth (Gc.quick_stat) and the evaluator scratch's
+      reachable words at the end.  Both searches run in one process, so
+      Circuit's growth is what it adds to the heap Stencil's left.
+      Reported, not gated.
+
    Results go to stdout and to BENCH_toporate.json.
 
    Usage: dune exec bench/toporate.exe [-- --smoke] [-- --out FILE]
@@ -181,6 +190,53 @@ let degenerate_gate ~repeats =
     l.suggested l.evaluated l.delta_binds ratio;
   (l, r, ratio)
 
+(* ------------------------------------------------------------------ *)
+(* Memory leg: one CCD(5) search per app                                *)
+(* ------------------------------------------------------------------ *)
+
+type mem_row = {
+  m_app : string;
+  m_major_words : float;
+  m_top_heap_mb : float;  (* top-heap growth over the search *)
+  m_scratch_words : int;  (* the evaluator scratch's, after the search *)
+}
+
+(* The session, search and final protocol of [Driver.run], over a
+   scratch the leg keeps so that its size can be read afterwards.  Set-up
+   (compile) stays outside the measured window. *)
+let memory_leg spec =
+  let machine =
+    match Presets.of_spec spec ~nodes:1 with
+    | Ok m -> m
+    | Error e -> failwith ("toporate: " ^ e)
+  in
+  let nodes = machine.Machine.nodes in
+  let mb words = words *. float_of_int (Sys.word_size / 8) /. 1e6 in
+  List.map
+    (fun (app : App.t) ->
+      let g = app.App.graph ~nodes ~input:(List.hd (app.App.inputs ~nodes)) in
+      let sc = Exec.scratch (Exec.compile machine g) in
+      let cfg = { Driver.default_cfg with Driver.batch = false } in
+      let before = Gc.quick_stat () in
+      (match Driver.session ~scratch:sc cfg machine g with
+      | Ok s -> ignore (Driver.conclude s (Driver.search s))
+      | Error e -> failwith ("toporate: " ^ e));
+      let after = Gc.quick_stat () in
+      let row =
+        {
+          m_app = app.App.app_name;
+          m_major_words = after.Gc.major_words -. before.Gc.major_words;
+          m_top_heap_mb =
+            mb (float_of_int (after.Gc.top_heap_words - before.Gc.top_heap_words));
+          m_scratch_words = Obj.reachable_words (Obj.repr sc);
+        }
+      in
+      Printf.printf
+        "memory %s %-8s: %.2fM major words, top heap +%.1f MB, scratch %d words\n%!" spec
+        row.m_app (row.m_major_words /. 1e6) row.m_top_heap_mb row.m_scratch_words;
+      row)
+    [ App.stencil; App.circuit ]
+
 let json_leg l =
   Printf.sprintf
     {|{"wall": %.5f, "suggestions_per_sec": %.2f, "simulated_per_sec": %.2f, "perf": %.6e, "suggested": %d, "evaluated": %d, "delta_binds": %d}|}
@@ -193,6 +249,9 @@ let () =
   Printf.printf "toporate: %s mode, CCD(%d), Stencil over routed meshes\n%!"
     (if !smoke then "smoke" else "bench")
     rotations;
+  (* first, so that no earlier leg has grown the heap *)
+  let mem_spec = if !smoke then "grid:8x8" else "grid:32x32" in
+  let memory = memory_leg mem_spec in
   (* The searches are deep (50 rotations): the candidate rate only
      means something in steady state, where the per-candidate
      simulations and delta binds dominate the one-time full bind of
@@ -230,9 +289,21 @@ let () =
        "  ],\n  \"suggestion_rate_gate\": {\"spec\": %S, \"suggestions_per_sec\": %.2f, \
         \"simulated_per_sec\": %.2f, \"minimum_suggestions_per_sec\": 1000.0, \"pass\": true},\n  \
         \"degenerate\": {\"legacy\": %s,\n                 \"routed\": %s,\n                 \
-        \"speed_ratio\": %.4f, \"decision_identical\": true, \"equal_work\": true}\n}\n"
+        \"speed_ratio\": %.4f, \"decision_identical\": true, \"equal_work\": true},\n"
        last.gr_spec sugg (simulated_per_sec last.gr_leg) (json_leg legacy) (json_leg routed)
        ratio);
+  Buffer.add_string buf
+    (Printf.sprintf "  \"memory\": {\"spec\": %S, \"searches\": [\n" mem_spec);
+  List.iteri
+    (fun i r ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "    {\"app\": %S, \"major_words\": %.0f, \"top_heap_growth_mb\": %.2f, \
+            \"scratch_words\": %d}%s\n"
+           r.m_app r.m_major_words r.m_top_heap_mb r.m_scratch_words
+           (if i = List.length memory - 1 then "" else ",")))
+    memory;
+  Buffer.add_string buf "  ]}\n}\n";
   let oc = open_out !out_file in
   output_string oc (Buffer.contents buf);
   close_out oc;

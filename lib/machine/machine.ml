@@ -345,7 +345,7 @@ let copy_cost t ~src ~dst ~bytes =
              (and unreachable pairs on a Custom topology) fall through
              to the kind-level expression below, which Direct
              reproduces hop-for-hop — the bit-identity hinge of
-             DESIGN.md §15. *)
+             DESIGN.md §15.  No word allocated here grows with the route. *)
           let acc =
             ref
               (if fb_hops = 0 then 0.0
@@ -353,8 +353,11 @@ let copy_cost t ~src ~dst ~bytes =
                  float_of_int fb_hops
                  *. (t.copy.local_latency +. (bytes /. t.copy.pcie_bw)))
           in
-          Topology.route_iter topo ~src:src.mnode ~dst:dst.mnode ~f:(fun l ->
-              acc := !acc +. (l.Topology.llat +. (bytes /. l.Topology.lbw)));
+          let links = Topology.links topo and buf = Array.make (Topology.diameter topo) 0 in
+          for i = 0 to Topology.route_links topo ~src:src.mnode ~dst:dst.mnode buf - 1 do
+            let l = links.(buf.(i)) in
+            acc := !acc +. (l.Topology.llat +. (bytes /. l.Topology.lbw))
+          done;
           !acc
       | _ ->
           channel_latency t ch

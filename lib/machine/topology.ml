@@ -404,81 +404,80 @@ let distance t ~src ~dst =
     | Direct -> 1
     | Custom -> t.ndist.((src * t.n_nodes) + dst)
 
-let route_iter t ~src ~dst ~f =
-  if src <> dst then
+(* The one routing primitive: every route, the simulator's per-copy
+   walks included, comes from here.  The link ids go into the caller's
+   buffer, so a walk allocates nothing and a buffer owned by one
+   simulator scratch is never shared between domains. *)
+let route_links t ~src ~dst buf =
+  let n = ref 0 in
+  if src <> dst then begin
     match t.family with
-    | Grid { w; h; wrap } ->
-        let x = ref (src mod w) and y = ref (src / w) in
-        let tx = dst mod w and ty = dst / w in
-        if wrap then begin
-          while !x <> tx do
-            let de = (tx - !x + w) mod w and dw = (!x - tx + w) mod w in
-            if de <= dw then begin
-              f t.links.((!y * w) + !x);
-              x := (!x + 1) mod w
-            end
-            else begin
-              f t.links.((h * w) + (!y * w) + !x);
-              x := (!x + w - 1) mod w
-            end
-          done;
-          while !y <> ty do
-            let ds = (ty - !y + h) mod h and dn = (!y - ty + h) mod h in
-            if ds <= dn then begin
-              f t.links.((2 * h * w) + (!x * h) + !y);
-              y := (!y + 1) mod h
-            end
-            else begin
-              f t.links.((2 * h * w) + (w * h) + (!x * h) + !y);
-              y := (!y + h - 1) mod h
-            end
-          done
-        end
-        else begin
-          while !x < tx do
-            f t.links.((!y * (w - 1)) + !x);
-            incr x
-          done;
-          while !x > tx do
-            f t.links.((h * (w - 1)) + (!y * (w - 1)) + (!x - 1));
-            decr x
-          done;
-          while !y < ty do
-            f t.links.((2 * h * (w - 1)) + (!x * (h - 1)) + !y);
-            incr y
-          done;
-          while !y > ty do
-            f t.links.((2 * h * (w - 1)) + (w * (h - 1)) + (!x * (h - 1)) + (!y - 1));
-            decr y
-          done
-        end
+    | Grid { w; h; wrap = false } ->
+        (* along row [sy] to column [tx], then along column [tx] *)
+        let sx = src mod w and sy = src / w and tx = dst mod w and ty = dst / w in
+        let nx = abs (tx - sx) and ny = abs (ty - sy) in
+        for i = 0 to nx - 1 do
+          buf.(i) <-
+            (if tx > sx then (sy * (w - 1)) + sx + i
+             else (h * (w - 1)) + (sy * (w - 1)) + sx - 1 - i)
+        done;
+        for i = 0 to ny - 1 do
+          buf.(nx + i) <-
+            (if ty > sy then (2 * h * (w - 1)) + (tx * (h - 1)) + sy + i
+             else (2 * h * (w - 1)) + (w * (h - 1)) + (tx * (h - 1)) + sy - 1 - i)
+        done;
+        n := nx + ny
+    | Grid { w; h; wrap = true } ->
+        (* the shorter way round each ring, eastward or southward on a
+           tie: [de] and [ds] are the eastward and southward distances *)
+        let sx = src mod w and sy = src / w and tx = dst mod w and ty = dst / w in
+        let de = (tx - sx + w) mod w and ds = (ty - sy + h) mod h in
+        let nx = min de (w - de) and ny = min ds (h - ds) in
+        for i = 0 to nx - 1 do
+          buf.(i) <-
+            (if de <= w - de then (sy * w) + ((sx + i) mod w)
+             else (h * w) + (sy * w) + ((sx - i + w) mod w))
+        done;
+        for i = 0 to ny - 1 do
+          buf.(nx + i) <-
+            (if ds <= h - ds then (2 * h * w) + (tx * h) + ((sy + i) mod h)
+             else (2 * h * w) + (w * h) + (tx * h) + ((sy - i + h) mod h))
+        done;
+        n := nx + ny
     | Fattree _ ->
-        let pow = t.ft_pow in
-        let up_off = t.ft_up_off in
+        (* up to the lowest common ancestor, at level [jstar], and down *)
+        let pow = t.ft_pow and up_off = t.ft_up_off in
         let jstar = ref 1 in
         while src / pow.(!jstar) <> dst / pow.(!jstar) do
           incr jstar
         done;
         for j = 1 to !jstar do
-          f t.links.(up_off.(j) + (src / pow.(j - 1)))
+          buf.(j - 1) <- up_off.(j) + (src / pow.(j - 1));
+          buf.((2 * !jstar) - j) <- t.ft_total_up + up_off.(j) + (dst / pow.(j - 1))
         done;
-        for j = !jstar downto 1 do
-          f t.links.(t.ft_total_up + up_off.(j) + (dst / pow.(j - 1)))
-        done
-    | Direct -> f t.links.(src)
+        n := 2 * !jstar
+    | Direct ->
+        buf.(0) <- src;
+        n := 1
     | Custom ->
         let v = ref src in
         while !v <> dst do
           let lid = t.next.((!v * t.n_nodes) + dst) in
-          if lid < 0 then invalid_arg "Topology.route_iter: unreachable pair";
-          f t.links.(lid);
+          if lid < 0 then invalid_arg "Topology.route_links: unreachable pair";
+          buf.(!n) <- lid;
+          incr n;
           v := t.links.(lid).ldst
         done
+  end;
+  !n
+
+let route_iter t ~src ~dst ~f =
+  let buf = Array.make t.diameter 0 in
+  for i = 0 to route_links t ~src ~dst buf - 1 do f t.links.(buf.(i)) done
 
 let route t ~src ~dst =
-  let acc = ref [] in
-  route_iter t ~src ~dst ~f:(fun l -> acc := l :: !acc);
-  List.rev !acc
+  let buf = Array.make t.diameter 0 in
+  List.init (route_links t ~src ~dst buf) (fun i -> t.links.(buf.(i)))
 
 (* ------------------------------------------------------------------ *)
 (* Lint queries                                                        *)

@@ -115,10 +115,18 @@ val distance : t -> src:int -> dst:int -> int
 (** Hops on the deterministic route between two nodes; 0 when
     [src = dst], -1 when unreachable. *)
 
+val route_links : t -> src:int -> dst:int -> int array -> int
+(** [route_links t ~src ~dst buf] writes the link ids of the
+    deterministic route into [buf], in path order from index 0, and
+    returns their count: {!distance} of them, so at most {!diameter}
+    (0 when [src = dst]).  Allocates nothing; the buffer is the
+    caller's, so a simulator scratch that owns one can walk routes on
+    its own domain.  Raises [Invalid_argument] on an unreachable pair
+    (callers check {!distance} first) or a buffer shorter than the
+    route.  {!route_iter} and {!route} are built on it. *)
+
 val route_iter : t -> src:int -> dst:int -> f:(link -> unit) -> unit
-(** Iterate the links of the deterministic route in path order.
-    Raises [Invalid_argument] on an unreachable pair (callers check
-    {!distance} first). *)
+(** Iterate the links of the deterministic route in path order. *)
 
 val route : t -> src:int -> dst:int -> link list
 

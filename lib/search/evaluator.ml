@@ -50,6 +50,11 @@ type t = {
   mutable symmetry_skips : int;
   mutable batch_calls : int;
   mutable batch_short_circuits : int;
+  (* bind counters of the fresh scratches [measure_with] runs its
+     other chunks on, added after each join *)
+  mutable worker_delta_binds : int;
+  mutable worker_full_binds : int;
+  mutable worker_bind_hits : int;
   mutable virtual_time : float;
   mutable eval_time : float;
   mutable best : (Mapping.t * float) option;
@@ -143,6 +148,9 @@ let create ?(runs = 7) ?(noise_sigma = 0.03) ?(fallback = false) ?iterations
     symmetry_skips = 0;
     batch_calls = 0;
     batch_short_circuits = 0;
+    worker_delta_binds = 0;
+    worker_full_binds = 0;
+    worker_bind_hits = 0;
     virtual_time = 0.0;
     eval_time = 0.0;
     best = None;
@@ -587,9 +595,9 @@ let stats t =
     s_symmetry_skips = t.symmetry_skips;
     s_batch_calls = t.batch_calls;
     s_batch_short_circuits = t.batch_short_circuits;
-    s_delta_binds = Exec.delta_binds t.scratch;
-    s_full_binds = Exec.full_binds t.scratch;
-    s_bind_hits = Exec.bind_cache_hits t.scratch;
+    s_delta_binds = Exec.delta_binds t.scratch + t.worker_delta_binds;
+    s_full_binds = Exec.full_binds t.scratch + t.worker_full_binds;
+    s_bind_hits = Exec.bind_cache_hits t.scratch + t.worker_bind_hits;
     s_cone_replays = 0;
     s_full_replays = 0;
     s_surrogate_trained = (match t.surrogate with Some s -> Surrogate.trained s | None -> 0);
@@ -776,10 +784,11 @@ let rec run_jobs t sc maps ~runs ~base ~iterations ~custom out j hi =
    protocol.  The seeds are reserved up front, as one increment per run
    in job order assigned them.  The jobs split into contiguous chunks,
    one per domain: chunk 0 on the evaluator's scratch, the others on
-   fresh scratches.  Chunks are in job order, so the first failure is
-   the one a sequential pass would meet, and the lists are rebuilt
-   newest-first, so [Stats.mean] folds the same floats in the same
-   order. *)
+   fresh scratches, whose bind counters are added to the evaluator's
+   once every domain has returned.  Chunks are in job order, so the
+   first failure is the one a sequential pass would meet, and the lists
+   are rebuilt newest-first, so [Stats.mean] folds the same floats in
+   the same order. *)
 let measure_with t ?runs ?iterations ~objective mappings =
   let runs = Option.value runs ~default:t.runs in
   if runs < 1 then invalid_arg "Evaluator.measure: runs must be positive";
@@ -795,9 +804,18 @@ let measure_with t ?runs ?iterations ~objective mappings =
     let sc =
       if c = 0 then t.scratch else Exec.scratch (Exec.compiled_of_scratch t.scratch)
     in
-    run_jobs t sc maps ~runs ~base ~iterations ~custom out (c * n / k) ((c + 1) * n / k)
+    (sc, run_jobs t sc maps ~runs ~base ~iterations ~custom out (c * n / k) ((c + 1) * n / k))
   in
-  (match List.find_map Fun.id (Par.map ~domains:k (List.init k chunk)) with
+  let chunks = Par.map ~domains:k (List.init k chunk) in
+  List.iter
+    (fun (sc, _) ->
+      if sc != t.scratch then begin
+        t.worker_delta_binds <- t.worker_delta_binds + Exec.delta_binds sc;
+        t.worker_full_binds <- t.worker_full_binds + Exec.full_binds sc;
+        t.worker_bind_hits <- t.worker_bind_hits + Exec.bind_cache_hits sc
+      end)
+    chunks;
+  (match List.find_map snd chunks with
   | Some e -> failwith ("Evaluator.measure: " ^ Placement.error_to_string e)
   | None -> ());
   List.init (Array.length maps) (fun i ->

@@ -34,11 +34,16 @@ let channel_class_index = function
 (* Routed copies (machines with an explicit topology).  [dep_chan]
    encodes three regimes: -1 = same memory (no copy); >= 0 = the
    pre-topology kind-level channel slot, kept byte-identical for every
-   machine without a topology; <= -2 = routed, with (-2 - dep_chan)
-   hops in the dep's row of the scratch's hop pool.  Per-link
-   busy-until clocks live after the kind-level plane of [chan_free]:
+   machine without a topology; <= -2 = routed, with route code
+   (-2 - dep_chan): [route_direct], or the [stage_src] / [stage_dst]
+   bits of the ends that stage through PCIe.  Per-link busy-until
+   clocks live after the kind-level plane of [chan_free]:
    slot = nodes * n_channel_classes + link id. *)
 let link_slot_base ~nodes = nodes * n_channel_classes
+
+let stage_src = 1
+let stage_dst = 2
+let route_direct = 4
 
 let n_chan_slots machine =
   (machine.Machine.nodes * n_channel_classes)
@@ -348,21 +353,20 @@ type scratch = {
   slot_node : int array;
   cp : float array;            (* static_floors' critical-path accumulator *)
   dep_chan : int array;        (* -1 same-memory | >= 0 channel slot
-                                  | <= -2 routed with (-2 - v) hops *)
+                                  | <= -2 routed with code (-2 - v) *)
   dep_class : int array;
   dep_cost : float array;
-  (* routed-copy hop pool: dep [k]'s hops live at [hop_off.(k)] in a
-     row of [hop_cap.(k)] entries; each hop is a (busy-until slot,
-     seconds) pair.  Rows are sized by the routes actually bound; a
-     rebind that outgrows its row moves it to [hop_end], and a full
-     bind lays the pool out afresh (DESIGN.md §15).  [hop_off] and
-     [hop_cap] are empty on machines without a topology. *)
-  hop_off : int array;
-  hop_cap : int array;
-  mutable hop_slot : int array;
-  mutable hop_cost : float array;
-  mutable hop_end : int;       (* first unused pool entry *)
-  dep_cross : bool array;      (* routed dep crosses the bisection cut *)
+  (* a routed dep's source and destination nodes, all its route
+     depends on besides its code and cost; empty without a topology *)
+  dep_src_node : int array;
+  dep_dst_node : int array;
+  (* one copy's walk ({!route_hops}): the route's link ids, then its
+     hops as (busy-until slot, seconds) pairs.  Sized by the
+     topology's diameter, so a scratch's routed state is O(deps)
+     whatever routes it binds. *)
+  walk_links : int array;
+  walk_slot : int array;
+  walk_cost : float array;
   (* false only for [:free] (uncontended) topologies: copies still pay
      full path cost but never serialize on the busy-until clocks *)
   contended : bool;
@@ -546,7 +550,9 @@ let compile machine (g : Graph.t) =
 let scratch prob =
   let machine = prob.cmachine in
   let n_deps = Array.length prob.dep_bytes in
-  let n_rows = match machine.Machine.topology with Some _ -> n_deps | None -> 0 in
+  let topo = machine.Machine.topology in
+  let n_routed = if Option.is_none topo then 0 else n_deps in
+  let diameter = Option.fold ~none:0 ~some:Topology.diameter topo in
   let dummy_noise = { nbuf = [||]; nfilled = 0; nrng = Rng.create 0; nsigma = 0.0 } in
   {
     prob;
@@ -566,12 +572,11 @@ let scratch prob =
     dep_chan = Array.make (max n_deps 1) 0;
     dep_class = Array.make (max n_deps 1) 0;
     dep_cost = Array.make (max n_deps 1) 0.0;
-    hop_off = Array.make n_rows 0;
-    hop_cap = Array.make n_rows 0;
-    hop_slot = [||];
-    hop_cost = [||];
-    hop_end = 0;
-    dep_cross = Array.make (max n_deps 1) false;
+    dep_src_node = Array.make n_routed 0;
+    dep_dst_node = Array.make n_routed 0;
+    walk_links = Array.make diameter 0;
+    walk_slot = Array.make (diameter + 2) 0;
+    walk_cost = Array.make (diameter + 2) 0.0;
     contended = clocks_contended machine;
     events = Fheap.create ();
     bound_mapping = None;
@@ -708,42 +713,6 @@ let bind_task sc pl mapping tid =
             Placement.effective_mem_kind pl ~cid:c.Graph.cid ~shard:s)
     done
 
-(* Copy the live hop rows, in dep order and without gaps, into fresh
-   pool arrays with room for twice the live entries plus [extra]. *)
-let hop_compact sc ~extra =
-  let live = Array.fold_left ( + ) 0 sc.hop_cap in
-  let len = max 64 (2 * (live + extra)) in
-  let slots = Array.make len 0 and costs = Array.make len 0.0 in
-  let pos = ref 0 in
-  Array.iteri
-    (fun k cap ->
-      if cap > 0 then begin
-        Array.blit sc.hop_slot sc.hop_off.(k) slots !pos cap;
-        Array.blit sc.hop_cost sc.hop_off.(k) costs !pos cap;
-        sc.hop_off.(k) <- !pos;
-        pos := !pos + cap
-      end)
-    sc.hop_cap;
-  sc.hop_slot <- slots;
-  sc.hop_cost <- costs;
-  sc.hop_end <- !pos
-
-(* Offset of dep [k]'s hop row, with room for [nh] hops.  A row that
-   fits is rewritten in place; one that does not moves to the pool's
-   end, its old entries dead until the pool next overflows and is
-   compacted to twice its live size. *)
-let hop_row sc k nh =
-  let cap = sc.hop_cap.(k) in
-  if nh <= cap then sc.hop_off.(k)
-  else begin
-    if sc.hop_end + nh > Array.length sc.hop_slot then hop_compact sc ~extra:nh;
-    let base = sc.hop_end in
-    sc.hop_off.(k) <- base;
-    sc.hop_cap.(k) <- nh;
-    sc.hop_end <- base + nh;
-    base
-  end
-
 let bind_dep sc pl k =
   let prob = sc.prob in
   let machine = prob.cmachine in
@@ -758,77 +727,83 @@ let bind_dep sc pl k =
   if src_mem.Machine.mid = dst_mem.Machine.mid then sc.dep_chan.(k) <- -1
   else begin
     let ch = Machine.channel_between machine src_mem dst_mem in
-    let routed_topo =
+    let staged (m : Machine.memory) bit =
+      if m.Machine.mkind = Kinds.Frame_buffer then bit else 0
+    in
+    (* the route code, or -1 for the kind-level channel *)
+    let code =
       match machine.Machine.topology with
       | Some topo when ch = Machine.Network -> (
           match Topology.family topo with
-          | Topology.Direct -> Some topo
+          | Topology.Direct -> route_direct
           | _ ->
               if
                 Topology.distance topo ~src:src_mem.Machine.mnode
                   ~dst:dst_mem.Machine.mnode
                 >= 0
-              then Some topo
-              else None)
-      | _ -> None
+              then staged src_mem stage_src lor staged dst_mem stage_dst
+              else -1)
+      | _ -> -1
     in
-    match routed_topo with
-    | None ->
-        sc.dep_chan.(k) <-
-          channel_slot ~nodes:machine.Machine.nodes src_mem.Machine.mnode ch;
-        sc.dep_class.(k) <- channel_class_index ch;
-        sc.dep_cost.(k) <-
-          Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes:prob.dep_bytes.(k)
-    | Some topo ->
-        (* Compile the copy's route once per binding: optional PCIe
-           staging hop per FB endpoint, then one hop per link.  The
-           Direct family folds the full legacy cost into the source
-           node's single link, a slot bijection with the pre-topology
-           Network plane. *)
-        let bytes = prob.dep_bytes.(k) in
-        let staged (m : Machine.memory) =
-          if m.Machine.mkind = Kinds.Frame_buffer then 1 else 0
-        in
-        let nh =
-          match Topology.family topo with
-          | Topology.Direct -> 1
-          | _ ->
-              staged src_mem
-              + Topology.distance topo ~src:src_mem.Machine.mnode
-                  ~dst:dst_mem.Machine.mnode
-              + staged dst_mem
-        in
-        let base = hop_row sc k nh in
-        let link_base = link_slot_base ~nodes:machine.Machine.nodes in
-        let h = ref base in
-        let add slot cost =
-          sc.hop_slot.(!h) <- slot;
-          sc.hop_cost.(!h) <- cost;
-          incr h
-        in
-        let total = Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes in
-        (match Topology.family topo with
-        | Topology.Direct -> add (link_base + src_mem.Machine.mnode) total
-        | _ ->
-            let staging =
-              machine.Machine.copy.Machine.local_latency
-              +. (bytes /. machine.Machine.copy.Machine.pcie_bw)
-            in
-            if src_mem.Machine.mkind = Kinds.Frame_buffer then
-              add ((src_mem.Machine.mnode * n_channel_classes) + 2) staging;
-            Topology.route_iter topo ~src:src_mem.Machine.mnode
-              ~dst:dst_mem.Machine.mnode ~f:(fun l ->
-                add (link_base + l.Topology.lid)
-                  (l.Topology.llat +. (bytes /. l.Topology.lbw)));
-            if dst_mem.Machine.mkind = Kinds.Frame_buffer then
-              add ((dst_mem.Machine.mnode * n_channel_classes) + 2) staging);
-        assert (!h - base = nh);
-        sc.dep_chan.(k) <- -2 - nh;
-        sc.dep_class.(k) <- channel_class_index ch;
-        sc.dep_cost.(k) <- total;
-        sc.dep_cross.(k) <-
-          Topology.side topo src_mem.Machine.mnode
-          <> Topology.side topo dst_mem.Machine.mnode
+    if code < 0 then
+      sc.dep_chan.(k) <- channel_slot ~nodes:machine.Machine.nodes src_mem.Machine.mnode ch
+    else begin
+      (* routed: keep what the route depends on; every copy walks it
+         afresh ({!route_hops}) *)
+      sc.dep_chan.(k) <- -2 - code;
+      sc.dep_src_node.(k) <- src_mem.Machine.mnode;
+      sc.dep_dst_node.(k) <- dst_mem.Machine.mnode
+    end;
+    sc.dep_class.(k) <- channel_class_index ch;
+    sc.dep_cost.(k) <-
+      Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes:prob.dep_bytes.(k)
+  end
+
+let routed_topo prob =
+  match prob.cmachine.Machine.topology with Some t -> t | None -> assert false
+
+(* Routed dep [k]'s hops for one copy, written to the walk buffers in
+   path order and counted: PCIe staging at the source, each link of
+   the route, staging at the destination.  A link hop costs
+   [llat +. (bytes /. lbw)] and a staging hop [local_latency +.
+   (bytes /. pcie_bw)] on the node's kind-level PCIe clock.  The Direct
+   family's one hop, on the source node's link, costs the dep's whole
+   [Cost.copy_seconds] total: a bijection with the kind-level Network
+   plane (DESIGN.md §15).  Allocates nothing. *)
+let route_hops sc k =
+  let prob = sc.prob in
+  let machine = prob.cmachine in
+  let link_base = link_slot_base ~nodes:machine.Machine.nodes in
+  let slots = sc.walk_slot and costs = sc.walk_cost in
+  let src = sc.dep_src_node.(k) and dst = sc.dep_dst_node.(k) in
+  let code = -2 - sc.dep_chan.(k) in
+  if code = route_direct then begin
+    slots.(0) <- link_base + src;
+    costs.(0) <- sc.dep_cost.(k);
+    1
+  end
+  else begin
+    let topo = routed_topo prob in
+    let copy = machine.Machine.copy and bytes = prob.dep_bytes.(k) in
+    let n = ref 0 in
+    if code land stage_src <> 0 then begin
+      slots.(0) <- (src * n_channel_classes) + 2;
+      costs.(0) <- copy.Machine.local_latency +. (bytes /. copy.Machine.pcie_bw);
+      n := 1
+    end;
+    let ids = sc.walk_links and links = Topology.links topo in
+    for i = 0 to Topology.route_links topo ~src ~dst ids - 1 do
+      let l = links.(ids.(i)) in
+      slots.(!n) <- link_base + l.Topology.lid;
+      costs.(!n) <- l.Topology.llat +. (bytes /. l.Topology.lbw);
+      incr n
+    done;
+    if code land stage_dst <> 0 then begin
+      slots.(!n) <- (dst * n_channel_classes) + 2;
+      costs.(!n) <- copy.Machine.local_latency +. (bytes /. copy.Machine.pcie_bw);
+      incr n
+    end;
+    !n
   end
 
 let bind sc pl mapping =
@@ -836,9 +811,6 @@ let bind sc pl mapping =
   for tid = 0 to Graph.n_tasks prob.cgraph - 1 do
     bind_task sc pl mapping tid
   done;
-  (* every row is rebound: lay the hop pool out afresh, densely *)
-  Array.fill sc.hop_cap 0 (Array.length sc.hop_cap) 0;
-  sc.hop_end <- 0;
   for k = 0 to Array.length prob.dep_bytes - 1 do
     bind_dep sc pl k
   done
@@ -1088,20 +1060,19 @@ let[@inline] do_done sc i t_done =
         dep_arrived sc ci arrival
       end
       else begin
-        (* routed copy: walk the compiled hop row, charging each
-           busy-until clock in path order (store-and-forward).  The
-           uncontended model pays the same total without queueing. *)
+        (* routed copy: walk the route, charging each busy-until
+           clock in path order (store-and-forward).  The uncontended
+           model pays the same total without queueing. *)
         let arrival =
           if not sc.contended then t_done +. sc.dep_cost.(k)
           else begin
-            let nh = -2 - chan in
-            let base = sc.hop_off.(k) in
+            let nh = route_hops sc k in
             (* a local float ref stays unboxed; a float field of the
                scratch record would box on every hop *)
             let t = ref t_done in
             for h = 0 to nh - 1 do
-              let hslot = sc.hop_slot.(base + h) in
-              let cost = sc.hop_cost.(base + h) in
+              let hslot = sc.walk_slot.(h) in
+              let cost = sc.walk_cost.(h) in
               let free = sc.chan_free.(hslot) in
               let start = if !t > free then !t else free in
               let arr = start +. cost in
@@ -1332,14 +1303,14 @@ let static_floors sc iterations =
           (* routed: each hop serializes on its own link/staging clock *)
           let times = if prob.dep_carried.(k) then iterations - 1 else iterations in
           let tf = float_of_int times in
-          let nh = -2 - chan in
-          let base = sc.hop_off.(k) in
+          let nh = route_hops sc k in
           for h = 0 to nh - 1 do
-            let hslot = sc.hop_slot.(base + h) in
-            chan_busy.(hslot) <- chan_busy.(hslot) +. (sc.hop_cost.(base + h) *. tf)
+            let hslot = sc.walk_slot.(h) in
+            chan_busy.(hslot) <- chan_busy.(hslot) +. (sc.walk_cost.(h) *. tf)
           done;
-          if sc.dep_cross.(k) then
-            cross_bytes := !cross_bytes +. (prob.dep_bytes.(k) *. tf)
+          let topo = routed_topo prob in
+          if Topology.side topo sc.dep_src_node.(k) <> Topology.side topo sc.dep_dst_node.(k)
+          then cross_bytes := !cross_bytes +. (prob.dep_bytes.(k) *. tf)
         end
       done
     done;

@@ -20,9 +20,12 @@
      mapping;
 
    - the ensemble's proposals: minor words per step do not grow with
-     the profiles database, whose ranking the elites are read from.
+     the profiles database, whose ranking the elites are read from;
 
-   All four measurements only make sense compiled to native code —
+   - a routed copy's cost, summed at every bind of a routed dep:
+     the words it allocates do not grow with the route's length.
+
+   All five measurements only make sense compiled to native code —
    bytecode boxes freely — so the tests skip under other backends. *)
 
 let native = match Sys.backend_type with Sys.Native -> true | _ -> false
@@ -277,6 +280,25 @@ let test_simulate_fresh_seed_alloc problem () =
         (w -. record) record allowance (instances g) trial
   done
 
+(* On grid:8x8 node 0 to node 1 is one hop and node 0 to node 63 is
+   fourteen: summing the longer route may allocate no more. *)
+let test_copy_cost_words_flat () =
+  skip_unless_native ();
+  let machine = Result.get_ok (Presets.of_spec "grid:8x8" ~nodes:1) in
+  let mem node =
+    Machine.closest_memory machine (Machine.proc machine ~node ~kind:Kinds.Cpu ~local:0)
+      Kinds.System
+  in
+  let src = mem 0 in
+  let words dst =
+    minor_words_during (fun () -> ignore (Machine.copy_cost machine ~src ~dst ~bytes:1e6))
+  in
+  let near = mem 1 and far = mem 63 in
+  ignore (words near, words far);
+  let w1 = words near and w14 = words far in
+  if w14 <> w1 then
+    Alcotest.failf "copy_cost allocated %.0f minor words for 1 hop and %.0f for 14" w1 w14
+
 let suite =
   [
     Alcotest.test_case "quiet steady state allocates zero minor words" `Quick
@@ -300,4 +322,6 @@ let suite =
       `Quick (test_simulate_fresh_seed_alloc (lassen_app App.stencil));
     Alcotest.test_case "fresh-seed simulate allocates its result only (Pennant lassen:4)"
       `Quick (test_simulate_fresh_seed_alloc (lassen_app App.pennant));
+    Alcotest.test_case "routed copy cost words do not grow with the route" `Quick
+      test_copy_cost_words_flat;
   ]

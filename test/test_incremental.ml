@@ -198,8 +198,8 @@ let prop_random_graphs =
 (* Routed machines: a scratch that delta-rebinds along a neighbour
    chain must match a fresh scratch's full bind at every step.  Memory
    moves onto or off a GPU's frame buffer add or drop PCIe staging
-   hops and distribution flips change route lengths, so hop rows
-   outgrow their capacity and move within the pool. *)
+   hops and distribution flips change route endpoints, so each step
+   rebinds routed deps to other codes and nodes. *)
 let test_routed_delta_rebind () =
   List.iter
     (fun spec ->

@@ -179,6 +179,32 @@ let test_fan_out_ran () =
     (Exec.bind_cache_hits sc - hits);
   Alcotest.(check bool) "the other chunks did not" true (Exec.bind_cache_hits sc - hits < 30)
 
+(* Every run of the final protocol resolves its mapping once (a bind
+   hit, a delta bind or a full bind) on whichever scratch runs it, so
+   the evaluator's stats count exactly final_top x final_runs more of
+   them, the worker scratches' included. *)
+let test_final_protocol_binds_counted () =
+  if Domain.recommended_domain_count () = 1 then begin
+    print_endline "one domain recommended: every run binds on the evaluator's scratch";
+    Alcotest.skip ()
+  end;
+  let machine, g = problem ~spec:"lassen" ~nodes:4 ~app:"stencil" in
+  let ev = populated machine g in
+  let binds () =
+    let s = Evaluator.stats ev in
+    s.Evaluator.s_bind_hits + s.Evaluator.s_delta_binds + s.Evaluator.s_full_binds
+  in
+  let search_best = Mapping.default_start g machine in
+  List.iter
+    (fun (final_top, final_runs) ->
+      let before = binds () in
+      ignore
+        (Driver.final_protocol ~final_top ~final_runs ev ~search_best ~search_perf:1.0);
+      Alcotest.(check int)
+        (Printf.sprintf "top %d x %d runs" final_top final_runs)
+        (final_top * final_runs) (binds () - before))
+    [ (1, 7); (3, 30); (5, 30) ]
+
 (* A non-positive run count is refused before anything runs: the
    measurement raises instead of counting down past zero, and a search
    asked for no final runs fails before its first evaluation. *)
@@ -255,6 +281,8 @@ let suite =
       Alcotest.test_case "a failure in a later chunk raises the sequential message" `Quick
         test_failure_in_later_chunk;
       Alcotest.test_case "the runs fan out" `Quick test_fan_out_ran;
+      Alcotest.test_case "the final protocol's binds are all counted" `Quick
+        test_final_protocol_binds_counted;
       Alcotest.test_case "non-positive run counts are refused" `Quick test_bad_run_counts;
       Alcotest.test_case "the CLI refuses non-positive run counts" `Quick
         test_cli_usage_errors;

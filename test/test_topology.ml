@@ -60,6 +60,91 @@ let test_routes_match_bfs () =
         ();
     ]
 
+(* Random topologies of every family, each with a seed for the node
+   pairs it is checked on.  Custom link lists join all their vertices
+   with a random bidirectional spanning tree, so every node pair is
+   connected, then add random directed links (parallel ones included,
+   so the smallest-id tie-break is exercised). *)
+let random_topology =
+  let open QCheck.Gen in
+  let bw = 1e9 and lat = 1e-6 in
+  let custom =
+    int_range 1 8 >>= fun n_nodes ->
+    int_range 0 3 >>= fun switches ->
+    let nv = n_nodes + switches in
+    list_repeat (nv - 1) (int_range 0 1_000_000) >>= fun parents ->
+    list_size (int_range 0 12) (pair (int_bound (nv - 1)) (int_bound (nv - 1)))
+    >|= fun extra ->
+    let tree =
+      List.concat
+        (List.mapi
+           (fun i r ->
+             let v = i + 1 and p = r mod (i + 1) in
+             [ (p, v, bw, lat); (v, p, bw, lat) ])
+           parents)
+    in
+    let extra =
+      List.filter_map (fun (a, b) -> if a = b then None else Some (a, b, bw, lat)) extra
+    in
+    Topology.custom ~name:"random" ~n_nodes ~n_vertices:nv ~links:(tree @ extra) ()
+  in
+  let family =
+    frequency
+      [
+        ( 3,
+          map2 (fun w h -> Topology.grid ~w ~h ~link_bw:bw ~link_latency:lat ())
+            (int_range 1 9) (int_range 1 9) );
+        ( 3,
+          map2
+            (fun w h -> Topology.grid ~w ~h ~wrap:true ~link_bw:bw ~link_latency:lat ())
+            (int_range 2 9) (int_range 2 9) );
+        ( 2,
+          map2
+            (fun levels arity ->
+              Topology.fattree ~levels ~arity ~link_bw:bw ~link_latency:lat)
+            (int_range 1 3) (int_range 2 4) );
+        ( 1,
+          map (fun nodes -> Topology.direct ~nodes ~link_bw:bw ~link_latency:lat)
+            (int_range 1 16) );
+        (3, custom);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (t, seed) -> Printf.sprintf "%s (pair seed %d)" (Topology.name t) seed)
+    (pair family (int_bound 1_000_000))
+
+(* every pair when there are at most 256, else 256 drawn from [seed] *)
+let node_pairs n seed =
+  if n * n <= 256 then List.concat (List.init n (fun s -> List.init n (fun d -> (s, d))))
+  else
+    let rng = Rng.create seed in
+    List.init 256 (fun _ ->
+        let s = Rng.int rng n in
+        (s, Rng.int rng n))
+
+let prop_route_links =
+  QCheck.Test.make ~count:100
+    ~name:"route_links: every family's route, in order, within diameter, allocating nothing"
+    random_topology (fun (topo, seed) ->
+      let buf = Array.make (Topology.diameter topo) (-1) in
+      List.for_all
+        (fun (src, dst) ->
+          let w0 = Gc.minor_words () in
+          let n = Topology.route_links topo ~src ~dst buf in
+          let words = Gc.minor_words () -. w0 in
+          let got = Array.to_list (Array.sub buf 0 n) in
+          let fail what =
+            QCheck.Test.fail_reportf "%s %d->%d: %s" (Topology.name topo) src dst what
+          in
+          if n <> Topology.distance topo ~src ~dst then fail "count <> distance"
+          else if got <> Route_oracle.route topo ~src ~dst then fail "ids <> oracle walk"
+          else if got <> List.map (fun l -> l.Topology.lid) (Topology.route topo ~src ~dst)
+          then fail "ids <> Topology.route"
+          else if Sys.backend_type = Sys.Native && words <> 0.0 then
+            fail (Printf.sprintf "allocated %.0f minor words" words)
+          else true)
+        (node_pairs (Topology.n_nodes topo) seed))
+
 let test_direct_single_hop () =
   (* Direct is a modeling shortcut, not a BFS-faithful graph: every
      cross-node copy is one hop on the SOURCE node's NIC link (the
@@ -421,6 +506,35 @@ let test_contention_flips_search () =
       (time m_free free.Driver.best)
       (time m_free hot.Driver.best)
 
+(* A bound scratch holds what its routes depend on, not the routes:
+   after binding every neighbour of the default mapping that puts one
+   task's shards all on node 0 (the longest routes CCD's first moves
+   bind) and returning to the default, it is no larger than before. *)
+let test_scratch_keeps_no_route () =
+  let machine = topo_machine "grid:8x8" in
+  let g =
+    App.circuit.App.graph ~nodes:64 ~input:(List.hd (App.circuit.App.inputs ~nodes:64))
+  in
+  let sc = Exec.scratch (Exec.compile machine g) in
+  let default = Mapping.default_start g machine in
+  let bind m = ignore (Exec.static_lower_bound sc m) in
+  bind default;
+  let before = Obj.reachable_words (Obj.repr sc) in
+  let moved = ref 0 in
+  for tid = 0 to Graph.n_tasks g - 1 do
+    if Mapping.distribute_of default tid then begin
+      incr moved;
+      bind (Mapping.set_distribute default tid false)
+    end
+  done;
+  bind default;
+  Alcotest.(check bool) "some task was undistributed" true (!moved > 0);
+  Alcotest.(check bool) "delta binds" true (Exec.delta_binds sc > 0);
+  let after = Obj.reachable_words (Obj.repr sc) in
+  if after > before then
+    Alcotest.failf "scratch grew from %d to %d words (%.2fx)" before after
+      (float_of_int after /. float_of_int before)
+
 let test_routed_lower_bound_holds () =
   (* static floor (incl. per-link busy + bisection) must never exceed
      the simulated makespan on topology machines *)
@@ -452,6 +566,7 @@ let test_routed_lower_bound_holds () =
 let suite =
   [
     Alcotest.test_case "routes match BFS oracle" `Quick test_routes_match_bfs;
+    QCheck_alcotest.to_alcotest prop_route_links;
     Alcotest.test_case "direct single-hop shortcut" `Quick test_direct_single_hop;
     Alcotest.test_case "grid dimension-order routing" `Quick test_grid_dimension_order;
     Alcotest.test_case "torus shorter ring + tie-break" `Quick test_torus_shorter_ring;
@@ -471,4 +586,6 @@ let suite =
     Alcotest.test_case "link contention changes the best-found mapping" `Quick
       test_contention_flips_search;
     Alcotest.test_case "routed static floor holds" `Quick test_routed_lower_bound_holds;
+    Alcotest.test_case "a scratch keeps no route it bound" `Quick
+      test_scratch_keeps_no_route;
   ]
