@@ -3,7 +3,11 @@
    Requests arrive as {!Wire} messages; `map` requests become jobs whose
    searches run as chains of {!Slice} quanta on a worker pool, re-enqueued
    at the back of a FIFO between quanta — a long search therefore cannot
-   starve anything; every queued job gets a slice per round.
+   starve anything; every queued job gets a slice per round.  Between
+   quanta a job holds its search live ({!Slice.live}: evaluator,
+   profiles database, strategy, seen-set — no scratch), and the next
+   quantum continues it on the scratch its worker builds; a finished or
+   failed job keeps only its answer.
 
    Cross-request memoization, all behind one mutex:
 
@@ -21,19 +25,26 @@
      from it instead of the default/HEFT start.
    - profiles pool: measured-run databases per (machine fp, graph fp,
      eval fingerprint), merged after every slice, seeding fresh starts.
-     Resumed slices always restore their database from the checkpoint
-     envelope, never the pool — per-job decision identity survives
-     daemon restarts.
+     Only a job's first slice reads it: later slices continue the job's
+     own database, live or restored from its envelope, so per-job
+     decision identity survives daemon restarts.
 
    Durability: each accepted job persists a meta file (its request, with
    the workload inlined as codec text) and, after every paused slice, a
-   checkpoint envelope — both via write-to-temp-then-rename.  SIGTERM
-   stops workers at their next slice boundary; a restarted daemon
-   rescans the state directory and resumes each orphan from its
-   envelope, decision-identically (the envelope is the complete search
-   state).  Jobs that never ran a slice restart from scratch, which is
-   the same thing: they had made no decisions (their warm-start choice,
-   made at accept time, is pinned in the meta file). *)
+   checkpoint envelope — both via write-to-temp-then-rename.  The
+   envelope is built only then: a server without a state directory
+   never serializes a search.  SIGTERM stops workers at their next
+   slice boundary; a restarted daemon rescans the state directory and
+   each orphan's next slice restores its envelope, decision-identically
+   (the envelope is the complete search state), after which the job is
+   live again.  Jobs that never ran a slice restart from scratch, which
+   is the same thing: they had made no decisions (their warm-start
+   choice, made at accept time, is pinned in the meta file). *)
+
+(* What a job holds of its search between slices: nothing before its
+   first slice and after its last, the envelope [recover] read back
+   until the next slice restores it, or the paused search itself. *)
+type held = Nothing | Envelope of string | Live of Slice.live
 
 type job = {
   jb_id : string;
@@ -45,7 +56,7 @@ type job = {
   jb_pool_key : string;  (* pair / eval fingerprint *)
   jb_warm : Mapping.t option;  (* incumbent seed, first slice only *)
   mutable jb_state : Wire.job_state;
-  mutable jb_ckpt : string option;
+  mutable jb_held : held;
   mutable jb_trials : int;
   mutable jb_best : float;  (* best perf so far; nan until first slice *)
   mutable jb_result : Wire.result_payload option;
@@ -307,11 +318,12 @@ let clean_state_files t j =
       remove_quiet (ckpt_path d j.jb_id)
 
 let run_slice_inner t j scratch =
-  match j.jb_ckpt with
-  | Some ckpt ->
-      Slice.resume ~scratch ~slice_trials:t.slice_trials j.jb_cfg j.jb_machine
-        j.jb_graph ~ckpt
-  | None ->
+  let slice_trials = t.slice_trials in
+  match j.jb_held with
+  | Live s -> Ok (Slice.continue ~scratch ~slice_trials s)
+  | Envelope ckpt ->
+      Slice.resume_live ~scratch ~slice_trials j.jb_cfg j.jb_machine j.jb_graph ~ckpt
+  | Nothing ->
       let db =
         Mutex.lock t.mu;
         let text = Hashtbl.find_opt t.pool j.jb_pool_key in
@@ -322,8 +334,8 @@ let run_slice_inner t j scratch =
             match Profiles_db.load j.jb_graph s with Ok db -> Some db | Error _ -> None)
       in
       Ok
-        (Slice.start ~scratch ?db ?warm_start:j.jb_warm
-           ~slice_trials:t.slice_trials j.jb_cfg j.jb_machine j.jb_graph)
+        (Slice.start_live ~scratch ?db ?warm_start:j.jb_warm ~slice_trials j.jb_cfg
+           j.jb_machine j.jb_graph)
 
 (* Runs with the lock NOT held; publishes its outcome under the lock. *)
 let run_slice t j =
@@ -339,13 +351,14 @@ let run_slice t j =
   | Error e ->
       Mutex.lock t.mu;
       j.jb_state <- Wire.Failed;
+      j.jb_held <- Nothing;
       j.jb_result <- Some (payload_failed j e);
       Mutex.unlock t.mu;
       clean_state_files t j
   | Ok (status, ev) -> (
       let db_text = Profiles_db.save (Evaluator.db ev) in
       match status with
-      | Slice.Finished f ->
+      | Slice.Done f ->
           let payload = payload_done j f in
           let key = Mapping.canonical_key f.Slice.best in
           Mutex.lock t.mu;
@@ -353,6 +366,7 @@ let run_slice t j =
           t.slices <- t.slices + 1;
           t.completed <- t.completed + 1;
           j.jb_state <- Wire.Done;
+          j.jb_held <- Nothing;
           j.jb_trials <- f.Slice.trials;
           j.jb_best <- f.Slice.perf;
           j.jb_result <- Some payload;
@@ -364,18 +378,18 @@ let run_slice t j =
           | _ -> Hashtbl.replace t.incumbents j.jb_pair (key, f.Slice.perf));
           Mutex.unlock t.mu;
           clean_state_files t j
-      | Slice.Paused p ->
+      | Slice.Suspended s ->
           (* persist before publishing: once the job is visible as
              re-queued, its envelope is already on disk *)
           (match t.state_dir with
-          | Some d -> write_atomic (ckpt_path d j.jb_id) p.Slice.ckpt
+          | Some d -> write_atomic (ckpt_path d j.jb_id) (Slice.envelope s)
           | None -> ());
           Mutex.lock t.mu;
           pool_merge t j.jb_pool_key db_text;
           t.slices <- t.slices + 1;
-          j.jb_ckpt <- Some p.Slice.ckpt;
-          j.jb_trials <- p.Slice.p_trials;
-          j.jb_best <- p.Slice.p_best_perf;
+          j.jb_held <- Live s;
+          j.jb_trials <- Slice.live_trials s;
+          j.jb_best <- Slice.live_best_perf s;
           j.jb_state <- Wire.Queued;
           Queue.push j.jb_id t.queue;
           Condition.signal t.work;
@@ -514,7 +528,7 @@ let submit t ~id ~cfg ~warm ~pair machine graph =
             jb_pool_key = pool_key;
             jb_warm = None;
             jb_state = Wire.Done;
-            jb_ckpt = None;
+            jb_held = Nothing;
             jb_trials = m.mm_trials;
             jb_best = m.mm_perf;
             jb_result = Some payload;
@@ -543,7 +557,7 @@ let submit t ~id ~cfg ~warm ~pair machine graph =
             jb_pool_key = pool_key;
             jb_warm;
             jb_state = Wire.Queued;
-            jb_ckpt = None;
+            jb_held = Nothing;
             jb_trials = 0;
             jb_best = Float.nan;
             jb_result = None;
@@ -703,7 +717,10 @@ let recover t =
                               jb_pool_key = pair ^ "/" ^ Slice.eval_fingerprint cfg;
                               jb_warm = warm_key;
                               jb_state = Wire.Queued;
-                              jb_ckpt = read_file_opt (ckpt_path dir id);
+                              jb_held =
+                                (match read_file_opt (ckpt_path dir id) with
+                                | Some ckpt -> Envelope ckpt
+                                | None -> Nothing);
                               jb_trials = 0;
                               jb_best = Float.nan;
                               jb_result = None;

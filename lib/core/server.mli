@@ -4,7 +4,9 @@
     quanta on a pool of worker domains; between quanta a job re-enters
     the back of a FIFO, so concurrent requests make interleaved
     progress — a long search cannot starve an [analyze] or a short
-    search.  Everything cross-request is memoized behind one mutex:
+    search.  A paused job holds its search live ({!Slice.live}, no
+    simulation scratch); a finished or failed one keeps only its
+    answer.  Everything cross-request is memoized behind one mutex:
 
     - a compile LRU of {!Exec.compiled} artifacts keyed by (machine
       fingerprint, graph fingerprint), weighed by {!Exec.compiled_words};
@@ -14,15 +16,16 @@
     - an incumbent table per (machine, graph): near-repeats (different
       search config) warm-start from the best known mapping;
     - a profiles pool per (machine, graph, eval fingerprint), merged
-      after every slice, seeding fresh starts.  Resumed slices restore
-      their profiles from the checkpoint envelope, never the pool, so
+      after every slice, seeding fresh starts.  Only a job's first
+      slice reads it; later ones continue the job's own profiles, so
       per-job decision identity survives restarts.
 
     Durability: accepted jobs persist a meta file (the request with the
     workload inlined as codec text, the warm-start choice pinned) and,
     after every paused slice, the checkpoint envelope — temp+rename
-    writes into [state_dir].  {!recover} rescans that directory; each
-    orphan resumes from its envelope decision-identically. *)
+    writes into [state_dir]; without one, no envelope is built.
+    {!recover} rescans that directory; each orphan resumes from its
+    envelope decision-identically. *)
 
 type t
 

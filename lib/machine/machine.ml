@@ -322,47 +322,54 @@ let channel_latency t = function
   | Network -> t.copy.net_latency
   | Host_local | Cross_socket | Pcie | Gpu_peer -> t.copy.local_latency
 
+(* Cross-node transfers whose endpoint is a Frame-Buffer stage through
+   the host over PCIe (no GPUDirect), one extra hop per FB endpoint —
+   this is why Zero-Copy placement pays off for halo-exchanged
+   collections. *)
+let fb_hops src dst =
+  (if src.mkind = Kinds.Frame_buffer then 1 else 0)
+  + if dst.mkind = Kinds.Frame_buffer then 1 else 0
+
+(* Routed: the same PCIe staging (guarded so FB-free machines with
+   pcie_bw = 0 stay finite), then per-link serialization along the
+   route, in path order.  The one copy of this sum: the simulator's bind
+   calls it on the route it already walked into its own buffer. *)
+let routed_copy_cost t topo ~src ~dst ~bytes ids n =
+  let h = fb_hops src dst in
+  let acc =
+    ref
+      (if h = 0 then 0.0
+       else float_of_int h *. (t.copy.local_latency +. (bytes /. t.copy.pcie_bw)))
+  in
+  let links = Topology.links topo in
+  for i = 0 to n - 1 do
+    let l = links.(ids.(i)) in
+    acc := !acc +. (l.Topology.llat +. (bytes /. l.Topology.lbw))
+  done;
+  !acc
+
 let copy_cost t ~src ~dst ~bytes =
   let ch = channel_between t src dst in
   match ch with
   | Same_memory -> 0.0
   | Network -> (
-      (* Cross-node transfers whose endpoint is a Frame-Buffer stage
-         through the host over PCIe (no GPUDirect), one extra hop per
-         FB endpoint — this is why Zero-Copy placement pays off for
-         halo-exchanged collections. *)
-      let fb_hops =
-        (if src.mkind = Kinds.Frame_buffer then 1 else 0)
-        + if dst.mkind = Kinds.Frame_buffer then 1 else 0
-      in
       match t.topology with
       | Some topo
         when Topology.family topo <> Topology.Direct
              && Topology.distance topo ~src:src.mnode ~dst:dst.mnode >= 0 ->
-          (* routed: sum per-link serialization along the deterministic
-             path, plus the same PCIe staging (guarded so FB-free
-             machines with pcie_bw = 0 stay finite).  The Direct family
-             (and unreachable pairs on a Custom topology) fall through
-             to the kind-level expression below, which Direct
-             reproduces hop-for-hop — the bit-identity hinge of
-             DESIGN.md §15.  No word allocated here grows with the route. *)
-          let acc =
-            ref
-              (if fb_hops = 0 then 0.0
-               else
-                 float_of_int fb_hops
-                 *. (t.copy.local_latency +. (bytes /. t.copy.pcie_bw)))
-          in
-          let links = Topology.links topo and buf = Array.make (Topology.diameter topo) 0 in
-          for i = 0 to Topology.route_links topo ~src:src.mnode ~dst:dst.mnode buf - 1 do
-            let l = links.(buf.(i)) in
-            acc := !acc +. (l.Topology.llat +. (bytes /. l.Topology.lbw))
-          done;
-          !acc
+          (* The Direct family (and unreachable pairs on a Custom
+             topology) fall through to the kind-level expression below,
+             which Direct reproduces hop-for-hop — the bit-identity hinge
+             of DESIGN.md §15.  No word allocated here grows with the
+             route. *)
+          let ids = Array.make (Topology.diameter topo) 0 in
+          routed_copy_cost t topo ~src ~dst ~bytes ids
+            (Topology.route_links topo ~src:src.mnode ~dst:dst.mnode ids)
       | _ ->
           channel_latency t ch
           +. (bytes /. channel_bandwidth t ch)
-          +. (float_of_int fb_hops *. (t.copy.local_latency +. (bytes /. t.copy.pcie_bw))))
+          +. (float_of_int (fb_hops src dst)
+             *. (t.copy.local_latency +. (bytes /. t.copy.pcie_bw))))
   | Host_local | Cross_socket | Pcie | Gpu_peer ->
       channel_latency t ch +. (bytes /. channel_bandwidth t ch)
 

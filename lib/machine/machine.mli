@@ -178,6 +178,14 @@ val copy_cost : t -> src:memory -> dst:memory -> bytes:float -> float
     same PCIe staging — the uncontended total the simulator's
     link-FIFO model reduces to when no copies queue. *)
 
+val routed_copy_cost :
+  t -> Topology.t -> src:memory -> dst:memory -> bytes:float -> int array -> int -> float
+(** [routed_copy_cost t topo ~src ~dst ~bytes ids n] is {!copy_cost}
+    of a Network pair that [topo] (not [Direct]) routes, given the
+    route's [n] link ids in [ids] as {!Topology.route_links} wrote
+    them: the same float expression, bit for bit, without routing
+    again.  Allocates nothing but its result. *)
+
 val channel_bandwidth : t -> channel -> float
 (** Bandwidth of a channel class ([Same_memory] is [infinity]). *)
 

@@ -281,6 +281,23 @@ let search ?on_event ?checkpoint ?max_trials ?max_wall s =
     ?on_event ?checkpoint ?carry:s.carry ?surrogate:s.sg ?seen:s.seen ~start:s.start
     s.ev s.strat
 
+(* What a snapshot of [o] would restore: the engine's counters and
+   best, with the best as the start point (Engine.run ignores [start]
+   under a carry). *)
+let advance s (o : Engine.outcome) ~wall =
+  {
+    s with
+    start = o.Engine.best;
+    carry =
+      Some
+        {
+          Engine.c_trials = o.Engine.trials;
+          c_steps = o.Engine.steps;
+          c_wall = wall;
+          c_best = (o.Engine.best, o.Engine.perf);
+        };
+  }
+
 let conclude s (o : Engine.outcome) =
   final_protocol ~final_top:s.cfg.final_top ~final_runs:s.cfg.final_runs s.ev
     ~search_best:o.Engine.best ~search_perf:o.Engine.perf

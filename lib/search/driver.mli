@@ -171,8 +171,16 @@ val search :
   ?max_wall:float ->
   session ->
   Engine.outcome
-(** {!Engine.run} under {!budget}.  Mutates the session: call it once,
-    and continue a search cut short through a checkpoint. *)
+(** {!Engine.run} under {!budget}.  Mutates the session: continue a
+    search cut short through {!advance} or a checkpoint, never by
+    searching the same session record again. *)
+
+val advance : session -> Engine.outcome -> wall:float -> session
+(** The session a search cut short at [outcome] continues as, in
+    memory: the same evaluator, strategy, surrogate and seen-set, with
+    [carry] and [start] set exactly as restoring a checkpoint of
+    [outcome] (written with [wall] seconds) would set them.  Searching
+    it continues decision-identically to the uncut search. *)
 
 val conclude : session -> Engine.outcome -> Mapping.t * float list
 (** {!final_protocol} with the session's [final_top] and [final_runs]. *)

@@ -14,7 +14,9 @@ type partial = {
 type t = {
   machine : Machine.t;
   graph : Graph.t;
-  scratch : Exec.scratch;  (* compiled problem + reusable simulation state *)
+  mutable scratch : Exec.scratch option;
+      (* compiled problem + reusable simulation state; [None] while a
+         paused search waits for its next slice ({!detach_scratch}) *)
   space : Space.t;
   runs : int;
   noise_sigma : float;
@@ -50,11 +52,12 @@ type t = {
   mutable symmetry_skips : int;
   mutable batch_calls : int;
   mutable batch_short_circuits : int;
-  (* bind counters of the fresh scratches [measure_with] runs its
-     other chunks on, added after each join *)
-  mutable worker_delta_binds : int;
-  mutable worker_full_binds : int;
-  mutable worker_bind_hits : int;
+  (* bind counters of scratches this evaluator ran on but no longer
+     holds: the fresh ones [measure_with] runs its other chunks on,
+     added after each join, and those detached between slices *)
+  mutable retired_delta_binds : int;
+  mutable retired_full_binds : int;
+  mutable retired_bind_hits : int;
   mutable virtual_time : float;
   mutable eval_time : float;
   mutable best : (Mapping.t * float) option;
@@ -110,7 +113,7 @@ let create ?(runs = 7) ?(noise_sigma = 0.03) ?(fallback = false) ?iterations
   {
     machine;
     graph;
-    scratch;
+    scratch = Some scratch;
     (* Domain certificates are proved against *strict* placement;
        fallback mode can demote an over-capacity instance into another
        kind and succeed, so domains only restrict the space when
@@ -148,9 +151,9 @@ let create ?(runs = 7) ?(noise_sigma = 0.03) ?(fallback = false) ?iterations
     symmetry_skips = 0;
     batch_calls = 0;
     batch_short_circuits = 0;
-    worker_delta_binds = 0;
-    worker_full_binds = 0;
-    worker_bind_hits = 0;
+    retired_delta_binds = 0;
+    retired_full_binds = 0;
+    retired_bind_hits = 0;
     virtual_time = 0.0;
     eval_time = 0.0;
     best = None;
@@ -163,6 +166,31 @@ let machine t = t.machine
 let graph t = t.graph
 let space t = t.space
 let db t = t.db
+
+let scratch t =
+  match t.scratch with
+  | Some sc -> sc
+  | None -> invalid_arg "Evaluator: no scratch attached (see attach_scratch)"
+
+let retire t sc =
+  t.retired_delta_binds <- t.retired_delta_binds + Exec.delta_binds sc;
+  t.retired_full_binds <- t.retired_full_binds + Exec.full_binds sc;
+  t.retired_bind_hits <- t.retired_bind_hits + Exec.bind_cache_hits sc
+
+(* A paused search keeps its evaluator — profiles database, partials,
+   clocks — but not the simulation state, which a worker rebuilds for
+   every slice: everything in a scratch is performance state (bind
+   cache, noise streams, heaps), never a decision. *)
+let detach_scratch t =
+  Option.iter (retire t) t.scratch;
+  t.scratch <- None
+
+let attach_scratch t sc =
+  match t.scratch with
+  | Some held when held == sc -> ()
+  | _ ->
+      detach_scratch t;
+      t.scratch <- Some sc
 
 let note_best t mapping perf =
   match t.best with
@@ -185,7 +213,7 @@ let prune_slack = 1.0 +. 1e-9
    of allocated result records.  In the search's steady state a quiet
    run allocates nothing (see Exec's quiet interface). *)
 let quiet_run t ~cutoff ~seed mapping =
-  Exec.simulate_quiet t.scratch mapping ~noise_sigma:t.noise_sigma ~seed
+  Exec.simulate_quiet (scratch t) mapping ~noise_sigma:t.noise_sigma ~seed
     ~fallback:t.fallback ~iterations:t.eff_iters ~cutoff
 
 (* Objective of the run that just finished on the scratch planes.  The
@@ -193,11 +221,11 @@ let quiet_run t ~cutoff ~seed mapping =
    materialized record it expects (allocating — custom objectives are
    the cold case). *)
 let obj_of_run t =
-  if t.objective == default_objective then Exec.quiet_per_iteration t.scratch
-  else t.objective t.machine (Exec.quiet_result t.scratch)
+  if t.objective == default_objective then Exec.quiet_per_iteration (scratch t)
+  else t.objective t.machine (Exec.quiet_result (scratch t))
 
 let quiet_error_exn t =
-  match Exec.quiet_error t.scratch with Some e -> e | None -> assert false
+  match Exec.quiet_error (scratch t) with Some e -> e | None -> assert false
 
 let effective_iterations t = float_of_int t.eff_iters
 
@@ -285,11 +313,11 @@ let eval_keyed ?bound t key mapping =
                   p.pdone <- obj :: p.pdone;
                   p.psum <- p.psum +. obj;
                   p.pnext <- p.pnext + 1;
-                  new_wall := !new_wall +. Exec.quiet_makespan t.scratch;
+                  new_wall := !new_wall +. Exec.quiet_makespan (scratch t);
                   go ()
                 end
                 else if st = Exec.st_cut then begin
-                  let tcut = Exec.quiet_cut_time t.scratch in
+                  let tcut = Exec.quiet_cut_time (scratch t) in
                   t.cut_sims <- t.cut_sims + 1;
                   t.cut_evals <- t.cut_evals + 1;
                   t.cut_runs <- t.cut_runs + (t.runs - p.pnext);
@@ -326,7 +354,7 @@ let eval_keyed ?bound t key mapping =
                  evaluation prunes without simulating. *)
               match
                 Exec.static_lower_bound ~fallback:t.fallback ?iterations:t.iterations
-                  t.scratch mapping
+                  (scratch t) mapping
               with
               | Error (Placement.Out_of_memory _) ->
                   t.oom <- t.oom + 1;
@@ -372,7 +400,7 @@ let eval_keyed ?bound t key mapping =
                         (match
                            Exec.run_lower_bound ~noise_sigma:t.noise_sigma
                              ~seed:(base + j) ~fallback:t.fallback
-                             ?iterations:t.iterations t.scratch mapping
+                             ?iterations:t.iterations (scratch t) mapping
                          with
                         | Ok l -> lb.(j) <- l /. iters
                         | Error _ ->
@@ -407,11 +435,11 @@ let eval_keyed ?bound t key mapping =
                         let obj = obj_of_run t in
                         results := obj :: !results;
                         sum := !sum +. obj;
-                        wall := !wall +. Exec.quiet_makespan t.scratch;
+                        wall := !wall +. Exec.quiet_makespan (scratch t);
                         go (k + 1)
                       end
                       else if st = Exec.st_cut then begin
-                        let tcut = Exec.quiet_cut_time t.scratch in
+                        let tcut = Exec.quiet_cut_time (scratch t) in
                         t.cut_sims <- t.cut_sims + 1;
                         t.cut_evals <- t.cut_evals + 1;
                         t.cut_runs <- t.cut_runs + (t.runs - k);
@@ -463,13 +491,13 @@ let eval_keyed ?bound t key mapping =
                 let accept () =
                   let obj = obj_of_run t in
                   objs := obj :: !objs;
-                  walls := Exec.quiet_makespan t.scratch :: !walls;
+                  walls := Exec.quiet_makespan (scratch t) :: !walls;
                   sum := !sum +. obj
                 in
                 if st0 = Exec.st_finished then accept ()
                 else begin
                   cut := true;
-                  tcut := Exec.quiet_cut_time t.scratch
+                  tcut := Exec.quiet_cut_time (scratch t)
                 end;
                 let k = ref 1 in
                 while (not !cut) && !k < t.runs do
@@ -478,7 +506,7 @@ let eval_keyed ?bound t key mapping =
                   if st = Exec.st_finished then accept ()
                   else if st = Exec.st_cut then begin
                     cut := true;
-                    tcut := Exec.quiet_cut_time t.scratch
+                    tcut := Exec.quiet_cut_time (scratch t)
                   end
                   else
                     (* placement is deterministic: later runs cannot
@@ -581,6 +609,7 @@ let batch_short_circuits t = t.batch_short_circuits
 let eval_time t = t.eval_time
 
 let stats t =
+  let held count = match t.scratch with Some sc -> count sc | None -> 0 in
   {
     s_suggested = t.suggested;
     s_evaluated = t.evaluated;
@@ -595,9 +624,9 @@ let stats t =
     s_symmetry_skips = t.symmetry_skips;
     s_batch_calls = t.batch_calls;
     s_batch_short_circuits = t.batch_short_circuits;
-    s_delta_binds = Exec.delta_binds t.scratch + t.worker_delta_binds;
-    s_full_binds = Exec.full_binds t.scratch + t.worker_full_binds;
-    s_bind_hits = Exec.bind_cache_hits t.scratch + t.worker_bind_hits;
+    s_delta_binds = t.retired_delta_binds + held Exec.delta_binds;
+    s_full_binds = t.retired_full_binds + held Exec.full_binds;
+    s_bind_hits = t.retired_bind_hits + held Exec.bind_cache_hits;
     s_cone_replays = 0;
     s_full_replays = 0;
     s_surrogate_trained = (match t.surrogate with Some s -> Surrogate.trained s | None -> 0);
@@ -800,21 +829,13 @@ let measure_with t ?runs ?iterations ~objective mappings =
   t.seed_counter <- base + n;
   let out = Array.make n 0.0 in
   let k = Par.default_domains n in
+  let own = scratch t in
   let chunk c () =
-    let sc =
-      if c = 0 then t.scratch else Exec.scratch (Exec.compiled_of_scratch t.scratch)
-    in
+    let sc = if c = 0 then own else Exec.scratch (Exec.compiled_of_scratch own) in
     (sc, run_jobs t sc maps ~runs ~base ~iterations ~custom out (c * n / k) ((c + 1) * n / k))
   in
   let chunks = Par.map ~domains:k (List.init k chunk) in
-  List.iter
-    (fun (sc, _) ->
-      if sc != t.scratch then begin
-        t.worker_delta_binds <- t.worker_delta_binds + Exec.delta_binds sc;
-        t.worker_full_binds <- t.worker_full_binds + Exec.full_binds sc;
-        t.worker_bind_hits <- t.worker_bind_hits + Exec.bind_cache_hits sc
-      end)
-    chunks;
+  List.iter (fun (sc, _) -> if sc != own then retire t sc) chunks;
   (match List.find_map snd chunks with
   | Some e -> failwith ("Evaluator.measure: " ^ Placement.error_to_string e)
   | None -> ());
@@ -839,7 +860,7 @@ let profile_for t mapping =
       let p =
         match
           Exec.simulate ~noise_sigma:0.0 ~fallback:t.fallback ?iterations:t.iterations
-            t.scratch mapping
+            (scratch t) mapping
         with
         | Ok r ->
             Profile.of_times t.graph

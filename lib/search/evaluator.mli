@@ -28,9 +28,12 @@
     and every [evaluate] / [measure] / [profile_for] call reuses the
     compiled problem and one {!Exec.scratch} — candidate evaluation is
     the search's hot path.  A consequence: an evaluator must not be
-    shared across domains; give each domain its own (see {!Parallel}).
-    The [measure] functions fan their runs out across domains
-    themselves, each extra domain on a scratch of its own. *)
+    used by two domains at once; give each domain its own (see
+    {!Parallel}).  The [measure] functions fan their runs out across
+    domains themselves, each extra domain on a scratch of its own.
+    Between slices of a served search the evaluator holds no scratch
+    at all ({!detach_scratch}); the next slice, on whichever domain,
+    hands it one ({!attach_scratch}). *)
 
 type t
 
@@ -105,6 +108,22 @@ val machine : t -> Machine.t
 val graph : t -> Graph.t
 val space : t -> Space.t
 val db : t -> Profiles_db.t
+
+val detach_scratch : t -> unit
+(** Drop the evaluator's {!Exec.scratch}, keeping every decision state:
+    profiles database, partials, clocks, counters ({!stats} keeps the
+    dropped scratch's bind counters).  A scratch holds only performance
+    state — bind cache, noise streams, event heaps — so a paused search
+    costs its evaluator's own state, not a simulation's.  Until
+    {!attach_scratch}, any call that simulates raises
+    [Invalid_argument]. *)
+
+val attach_scratch : t -> Exec.scratch -> unit
+(** Run on [scratch] from now on (detaching the current one, if
+    different).  As for {!create}'s [?scratch], it must come from
+    [Exec.compile] of the evaluator's (machine, graph) pair; a fresh
+    one gives bit-identical answers, since no decision reads what a
+    scratch caches. *)
 
 val evaluate : ?bound:float -> t -> Mapping.t -> float
 (** Average objective value of the mapping (cached), or [penalty]
@@ -259,9 +278,12 @@ type stats = {
   s_symmetry_skips : int;        (** {!symmetry_skips} *)
   s_batch_calls : int;           (** {!batch_calls} *)
   s_batch_short_circuits : int;  (** {!batch_short_circuits} *)
-  s_delta_binds : int;  (** {!Exec.delta_binds} of the evaluator's scratch *)
-  s_full_binds : int;   (** {!Exec.full_binds} of the evaluator's scratch *)
-  s_bind_hits : int;     (** {!Exec.bind_cache_hits} *)
+  s_delta_binds : int;
+      (** {!Exec.delta_binds} summed over every scratch the evaluator
+          ran on: its own, those its [measure] runs fanned out to, and
+          those detached between slices *)
+  s_full_binds : int;   (** {!Exec.full_binds}, summed likewise *)
+  s_bind_hits : int;     (** {!Exec.bind_cache_hits}, summed likewise *)
   s_cone_replays : int;
       (** Always 0: the simulator has one event loop and replays
           nothing.  Kept, like {!note_warm_start}, only so existing

@@ -1,16 +1,19 @@
 (* One scheduling quantum of a search, for the serve daemon: run the
    engine for at most [slice_trials] evaluated proposals, then either
    finish (strategy stopped or the request's own budget ran out) or
-   pause into a checkpoint envelope.  Every slice is a Driver session —
-   the same build, budget rule and final protocol as Driver.run — and
-   pause/resume is the engine's decision-identical checkpoint codec, so
-   a search chopped into slices (possibly hopping between worker
-   domains, each slice on a fresh evaluator over the shared compiled
-   problem) takes exactly the trial sequence the unsliced run would and
-   returns the same answer.
+   pause.  Every slice is a Driver session — the same build, budget
+   rule and final protocol as Driver.run.  A paused search stays live:
+   the session carries on with its carry advanced (Driver.advance) and
+   its scratch detached, and the next slice, on whichever worker,
+   attaches a fresh one.  The envelope — the engine's decision-identical
+   checkpoint codec — is built only where it is read: by [start] and
+   [resume], the restart-recovery path, and by the server when it
+   persists a paused job.  So a search chopped into slices takes exactly
+   the trial sequence the unsliced run would and returns the same
+   answer, whether it pauses live or through envelopes.
 
    The only approximation is the wall clock: each slice accumulates its
-   own elapsed time into the envelope's wall field.  Wall is not
+   own elapsed time into the carry's wall field.  Wall is not
    decision-relevant here (slice budgets are trial-counted and requests
    carry no max_wall), so the accumulated value is telemetry. *)
 
@@ -84,6 +87,12 @@ type finished = {
 type progress = { ckpt : string; p_trials : int; p_best_perf : float }
 type status = Finished of finished | Paused of progress
 
+type live = Driver.session
+(* invariant: [carry] is set (a slice ran) and the evaluator holds no
+   scratch *)
+
+type live_status = Done of finished | Suspended of live
+
 (* One slice of a session: at most [slice_trials] more trials, then the
    answer or a pause.  Hitting the slice cap with the request's own
    limits still open means "more work"; anything else — strategy stop,
@@ -109,7 +118,7 @@ let run_slice ?on_event ~slice_trials (s : Driver.session) =
   in
   if finished then
     let best, best_runs = Driver.conclude s o in
-    Finished
+    Done
       {
         best;
         perf = Stats.mean best_runs;
@@ -118,28 +127,47 @@ let run_slice ?on_event ~slice_trials (s : Driver.session) =
         search_perf = o.Engine.perf;
         trials = o.Engine.trials;
       }
-  else
-    Paused
-      {
-        ckpt =
-          Engine.checkpoint_string ?surrogate:s.sg ?seen:s.seen s.ev s.strat
-            ~trials:o.Engine.trials ~steps:o.Engine.steps
-            ~wall:(wall +. (Unix.gettimeofday () -. t0))
-            ~best:(o.Engine.best, o.Engine.perf);
-        p_trials = o.Engine.trials;
-        p_best_perf = o.Engine.perf;
-      }
+  else begin
+    Evaluator.detach_scratch s.ev;
+    Suspended (Driver.advance s o ~wall:(wall +. (Unix.gettimeofday () -. t0)))
+  end
 
-let start ?scratch ?db ?warm_start ?on_event ~slice_trials cfg machine graph =
+let carry (s : live) = Option.get s.carry
+let live_trials s = (carry s).Engine.c_trials
+let live_best_perf s = snd (carry s).Engine.c_best
+
+let envelope (s : live) =
+  let c = carry s in
+  Engine.checkpoint_string ?surrogate:s.sg ?seen:s.seen s.ev s.strat
+    ~trials:c.Engine.c_trials ~steps:c.Engine.c_steps ~wall:c.Engine.c_wall
+    ~best:c.Engine.c_best
+
+let start_live ?scratch ?db ?warm_start ?on_event ~slice_trials cfg machine graph =
   (* a fresh session restores nothing, so it cannot fail *)
   let s =
     Result.get_ok (Driver.session ?scratch ?db ?start:warm_start cfg machine graph)
   in
   (run_slice ?on_event ~slice_trials s, s.ev)
 
-let resume ?scratch ?on_event ~slice_trials cfg machine graph ~ckpt =
+let resume_live ?scratch ?on_event ~slice_trials cfg machine graph ~ckpt =
   let ( let* ) = Result.bind in
   let* snapshot = Engine.snapshot_of_string ckpt in
   match Driver.session ?scratch ~snapshot cfg machine graph with
   | Ok s -> Ok (run_slice ?on_event ~slice_trials s, s.ev)
   | Error e -> Error ("Slice.resume: " ^ e)
+
+let continue ?on_event ~scratch ~slice_trials (s : live) =
+  Evaluator.attach_scratch s.ev scratch;
+  (run_slice ?on_event ~slice_trials s, s.ev)
+
+let to_status (st, ev) =
+  match st with
+  | Done f -> (Finished f, ev)
+  | Suspended s ->
+      (Paused { ckpt = envelope s; p_trials = live_trials s; p_best_perf = live_best_perf s }, ev)
+
+let start ?scratch ?db ?warm_start ?on_event ~slice_trials cfg machine graph =
+  to_status (start_live ?scratch ?db ?warm_start ?on_event ~slice_trials cfg machine graph)
+
+let resume ?scratch ?on_event ~slice_trials cfg machine graph ~ckpt =
+  Result.map to_status (resume_live ?scratch ?on_event ~slice_trials cfg machine graph ~ckpt)

@@ -1,18 +1,25 @@
 (** Time-sliced search execution for the serve daemon.
 
-    A request's search runs as a chain of slices: {!start} performs the
-    first [slice_trials] evaluated proposals, {!resume} continues from
-    the checkpoint envelope the previous slice produced.  Between
-    slices the search exists only as that envelope — the server can
-    persist it, re-enqueue it behind other requests, or hand it to a
-    different worker domain (each slice builds a fresh evaluator, so
-    only the immutable {!Exec.compiled} problem is shared).  Each slice
-    is a {!Driver.session} — built, budgeted and finished exactly as
-    {!Driver.run} does it — and pause/resume is the {!Engine}
-    checkpoint codec, so a sliced search returns the same answer as
-    {!Driver.run} with the same configuration: same trials, same search
-    best, same final mapping and perf.  SIGTERM durability falls out of
-    persisting the envelope after every slice. *)
+    A request's search runs as a chain of slices, each at most
+    [slice_trials] evaluated proposals.  Each slice is a
+    {!Driver.session} — built, budgeted and finished exactly as
+    {!Driver.run} does it — so a sliced search returns the same answer
+    as {!Driver.run} with the same configuration: same trials, same
+    search best, same final mapping and perf.
+
+    Between slices a search stays live ({!live}): its evaluator
+    (profiles database, partials, clocks), strategy, surrogate and
+    seen-set, with the engine's counters advanced past the slice
+    ({!Driver.advance}) and no {!Exec.scratch}.  {!continue} runs the
+    next slice on the scratch its caller builds for it, on whichever
+    domain; only the immutable {!Exec.compiled} problem is shared.
+
+    The checkpoint envelope ({!envelope}) is the durability and
+    recovery format only: the server writes one after a paused slice
+    when it has a state directory, and {!resume} continues from one,
+    decision-identically.  {!start} and {!resume} are the envelope
+    path end to end — every pause becomes an envelope — and stay the
+    reference a live chain is checked against. *)
 
 type cfg = Driver.cfg = {
   algo : Driver.algo;
@@ -71,6 +78,61 @@ type progress = {
 
 type status = Finished of finished | Paused of progress
 
+(** {2 Live slices} *)
+
+type live
+(** A paused search held in memory: what its envelope would encode,
+    as objects, and no scratch. *)
+
+type live_status = Done of finished | Suspended of live
+
+val start_live :
+  ?scratch:Exec.scratch ->
+  ?db:Profiles_db.t ->
+  ?warm_start:Mapping.t ->
+  ?on_event:(Engine.event -> unit) ->
+  slice_trials:int ->
+  cfg ->
+  Machine.t ->
+  Graph.t ->
+  live_status * Evaluator.t
+(** {!start}, pausing live. *)
+
+val resume_live :
+  ?scratch:Exec.scratch ->
+  ?on_event:(Engine.event -> unit) ->
+  slice_trials:int ->
+  cfg ->
+  Machine.t ->
+  Graph.t ->
+  ckpt:string ->
+  (live_status * Evaluator.t, string) result
+(** {!resume}, pausing live: how a server restarted from its state
+    directory takes its jobs back. *)
+
+val continue :
+  ?on_event:(Engine.event -> unit) ->
+  scratch:Exec.scratch ->
+  slice_trials:int ->
+  live ->
+  live_status * Evaluator.t
+(** The next slice of a paused search, on [scratch] (from
+    [Exec.compile] of the search's machine and graph; a fresh one is
+    fine).  Decision-identical to resuming from the search's
+    {!envelope}.  Consumes the [live]: continue the one it returns. *)
+
+val envelope : live -> string
+(** The checkpoint envelope of a paused search — what {!start} and
+    {!resume} return in {!progress.ckpt}. *)
+
+val live_trials : live -> int
+(** Trials evaluated so far. *)
+
+val live_best_perf : live -> float
+(** Best search perf so far. *)
+
+(** {2 The envelope path} *)
+
 val start :
   ?scratch:Exec.scratch ->
   ?db:Profiles_db.t ->
@@ -88,7 +150,8 @@ val start :
     memoized incumbent instead of the default/HEFT start;
     warm-started searches explore a different — typically shorter —
     trajectory, which is exactly their point.  The returned evaluator
-    carries the slice's stats and profiles database. *)
+    carries the slice's stats and profiles database; after a pause it
+    holds no scratch. *)
 
 val resume :
   ?scratch:Exec.scratch ->

@@ -727,36 +727,34 @@ let bind_dep sc pl k =
   if src_mem.Machine.mid = dst_mem.Machine.mid then sc.dep_chan.(k) <- -1
   else begin
     let ch = Machine.channel_between machine src_mem dst_mem in
+    let src = src_mem.Machine.mnode and dst = dst_mem.Machine.mnode in
+    let bytes = prob.dep_bytes.(k) in
     let staged (m : Machine.memory) bit =
       if m.Machine.mkind = Kinds.Frame_buffer then bit else 0
     in
-    (* the route code, or -1 for the kind-level channel *)
-    let code =
-      match machine.Machine.topology with
-      | Some topo when ch = Machine.Network -> (
-          match Topology.family topo with
-          | Topology.Direct -> route_direct
-          | _ ->
-              if
-                Topology.distance topo ~src:src_mem.Machine.mnode
-                  ~dst:dst_mem.Machine.mnode
-                >= 0
-              then staged src_mem stage_src lor staged dst_mem stage_dst
-              else -1)
-      | _ -> -1
-    in
-    if code < 0 then
-      sc.dep_chan.(k) <- channel_slot ~nodes:machine.Machine.nodes src_mem.Machine.mnode ch
-    else begin
-      (* routed: keep what the route depends on; every copy walks it
-         afresh ({!route_hops}) *)
-      sc.dep_chan.(k) <- -2 - code;
-      sc.dep_src_node.(k) <- src_mem.Machine.mnode;
-      sc.dep_dst_node.(k) <- dst_mem.Machine.mnode
-    end;
     sc.dep_class.(k) <- channel_class_index ch;
-    sc.dep_cost.(k) <-
-      Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes:prob.dep_bytes.(k)
+    (* a routed dep keeps what its route depends on — the endpoints'
+       nodes and a route code — and every copy walks the route afresh
+       ({!route_hops}); the kind-level channel keeps its slot *)
+    match machine.Machine.topology with
+    | Some topo when ch = Machine.Network && Topology.family topo = Topology.Direct ->
+        sc.dep_chan.(k) <- -2 - route_direct;
+        sc.dep_src_node.(k) <- src;
+        sc.dep_dst_node.(k) <- dst;
+        sc.dep_cost.(k) <- Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes
+    | Some topo when ch = Machine.Network && Topology.distance topo ~src ~dst >= 0 ->
+        sc.dep_chan.(k) <- -2 - (staged src_mem stage_src lor staged dst_mem stage_dst);
+        sc.dep_src_node.(k) <- src;
+        sc.dep_dst_node.(k) <- dst;
+        (* {!Cost.copy_seconds}'s routed sum, routed once, into the
+           buffer the event loop walks copies through *)
+        sc.dep_cost.(k) <-
+          Machine.routed_copy_cost machine topo ~src:src_mem ~dst:dst_mem ~bytes
+            sc.walk_links
+            (Topology.route_links topo ~src ~dst sc.walk_links)
+    | _ ->
+        sc.dep_chan.(k) <- channel_slot ~nodes:machine.Machine.nodes src ch;
+        sc.dep_cost.(k) <- Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes
   end
 
 let routed_topo prob =

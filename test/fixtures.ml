@@ -1,4 +1,5 @@
-(* Shared graph fixtures and simulation helpers for the test suite. *)
+(* Shared graph fixtures, simulation helpers and temp directories for the
+   test suite. *)
 
 let mb = 1e6
 
@@ -96,3 +97,19 @@ let quiet_run ?noise_sigma ?seed ?fallback ?iterations sc mapping =
   | Ok (Exec.Finished r) -> Ok r
   | Ok (Exec.Cut _) -> assert false
   | Error e -> Error e
+
+(* An empty directory of its own under the temp dir, for a server's
+   state: [prefix], the process and a counter name it. *)
+let fresh_dir =
+  let n = ref 0 in
+  fun prefix ->
+    incr n;
+    let d =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !n)
+    in
+    if Sys.file_exists d then
+      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d)
+    else Unix.mkdir d 0o755;
+    d

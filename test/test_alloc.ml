@@ -23,7 +23,9 @@
      the profiles database, whose ranking the elites are read from;
 
    - a routed copy's cost, summed at every bind of a routed dep:
-     the words it allocates do not grow with the route's length.
+     the words it allocates do not grow with the route's length, and a
+     delta rebind of routed deps allocates no more than the same rebind
+     on the kind-level channel.
 
    All five measurements only make sense compiled to native code —
    bytecode boxes freely — so the tests skip under other backends. *)
@@ -299,6 +301,43 @@ let test_copy_cost_words_flat () =
   if w14 <> w1 then
     Alcotest.failf "copy_cost allocated %.0f minor words for 1 hop and %.0f for 14" w1 w14
 
+(* One collection's memory flipped back and forth on Stencil over 64
+   nodes: each flip is a delta rebind of that collection's deps, many
+   of them cross-node copies.  On grid:8x8 those route over up to 14
+   links; on direct:64 — the same nodes, graph and placements — they
+   take the kind-level channel and route nothing.  A routed dep is
+   routed once, into the scratch's own walk buffer, so the two rebinds
+   allocate the same words: none per dep for its route. *)
+let test_routed_rebind_words () =
+  skip_unless_native ();
+  let rebind_words spec =
+    let machine = Result.get_ok (Presets.of_spec spec ~nodes:1) in
+    let nodes = machine.Machine.nodes in
+    let g = App.stencil.App.graph ~nodes ~input:(List.hd (App.stencil.App.inputs ~nodes)) in
+    let sc = Exec.scratch (Exec.compile machine g) in
+    let m0 = Mapping.default_start g machine in
+    let cid = (List.hd (Graph.task g 0).Graph.args).Graph.cid in
+    let flipped =
+      if Mapping.mem_of m0 cid = Kinds.Zero_copy then Kinds.Frame_buffer else Kinds.Zero_copy
+    in
+    let m1 = Mapping.set_mem m0 cid flipped in
+    if not (Mapping.is_valid g machine m1) then Alcotest.failf "%s: flipped mapping invalid" spec;
+    let bind m = ignore (Exec.static_lower_bound sc m) in
+    bind m0;
+    bind m1;
+    bind m0;
+    let d0 = Exec.delta_binds sc in
+    let w = minor_words_during (fun () -> for _ = 1 to 5 do bind m1; bind m0 done) in
+    if Exec.delta_binds sc - d0 <> 10 then
+      Alcotest.failf "%s: expected 10 delta rebinds, got %d" spec (Exec.delta_binds sc - d0);
+    w /. 10.0
+  in
+  let direct = rebind_words "direct:64" and grid = rebind_words "grid:8x8" in
+  if grid > direct then
+    Alcotest.failf
+      "a routed delta rebind allocated %.0f minor words on grid:8x8, %.0f more than on direct:64"
+      grid (grid -. direct)
+
 let suite =
   [
     Alcotest.test_case "quiet steady state allocates zero minor words" `Quick
@@ -324,4 +363,6 @@ let suite =
       `Quick (test_simulate_fresh_seed_alloc (lassen_app App.pennant));
     Alcotest.test_case "routed copy cost words do not grow with the route" `Quick
       test_copy_cost_words_flat;
+    Alcotest.test_case "a routed rebind allocates nothing per dep for its route" `Quick
+      test_routed_rebind_words;
   ]

@@ -151,7 +151,9 @@ let test_evaluator_unchanged () =
 (* Random workloads: every result field of the compiled simulator
    equals the oracle's bit for bit, on a legacy preset of each paper
    cluster and on routed machines (a mesh, a torus's wrap-around
-   routes and a fat tree's routes through switch vertices), noise-free
+   routes and a fat tree's routes through switch vertices, and an
+   uncontended torus, whose copies arrive after the total cost a
+   routed dep binds, where the others walk their hops), noise-free
    (the most events on one clock) and noisy, with one scratch per
    (machine, graph) reused across mappings, sigmas and seeds, each run
    quiet (caching the seed's noise stream) and then on the record API
@@ -170,7 +172,10 @@ let same_result (a : Exec.result) (b : Exec.result) =
   && same_bits_array a.Exec.proc_busy b.Exec.proc_busy
 
 let random_workload_specs =
-  [ ("shepard", 2); ("lassen", 2); ("grid:2x2", 1); ("torus:3x3", 1); ("fattree:2:2", 1) ]
+  [
+    ("shepard", 2); ("lassen", 2); ("grid:2x2", 1); ("torus:3x3", 1); ("fattree:2:2", 1);
+    ("torus:3x3:free", 1);
+  ]
 
 (* built on first use, so a preset that fails to build fails this case
    rather than every suite at start-up *)

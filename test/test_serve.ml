@@ -8,6 +8,7 @@
      slices);
    - a server restarted from its state directory resumes an in-flight
      search decision-identically to an uninterrupted run;
+   - a finished job keeps its answer, not its search state;
    - near-repeats warm-start from the cached incumbent;
    - the cache counters surface through the status response. *)
 
@@ -39,20 +40,6 @@ let result_of srv id =
   | Wire.R_result p -> p
   | Wire.R_error { message; _ } -> Alcotest.failf "poll %s: %s" id message
   | _ -> Alcotest.fail "expected a result response"
-
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "automap_serve_test_%d_%d" (Unix.getpid ()) !n)
-    in
-    if Sys.file_exists d then
-      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d)
-    else Unix.mkdir d 0o755;
-    d
 
 (* ---- warm repeat: memo hit, bit-equal, no search ---------------------- *)
 
@@ -111,7 +98,7 @@ let check_restart_identity () =
   let req id = map_req ~warm:false ~id ~cfg:c (stencil ~nodes:2) in
   (* interrupted: run two slices, then abandon the server mid-search —
      its state directory is all that survives (as after SIGKILL) *)
-  let dir = fresh_dir () in
+  let dir = Fixtures.fresh_dir "automap_serve_test" in
   let a = Server.create ~slice_trials:25 ~state_dir:dir () in
   ignore (Server.handle a (req "job"));
   ignore (Server.step a);
@@ -136,6 +123,55 @@ let check_restart_identity () =
   Alcotest.(check int) "same trials" straight.Wire.r_trials resumed.Wire.r_trials;
   Alcotest.(check bool) "state files cleaned after completion" true
     (Sys.readdir dir = [||])
+
+(* ---- finished jobs keep their answer, not their search ---------------- *)
+
+(* Jobs that differ only in their final protocol's run count: each is a
+   distinct request (the memo keys on the whole config) running the very
+   same search, so the profiles pool stops growing after the first and
+   what the server gains per later job is what a finished job keeps.
+   That must be its answer — a few hundred words — and not its search,
+   whose envelope the server used to keep for the daemon's lifetime. *)
+let check_finished_jobs_release () =
+  let workload =
+    { Wire.default_workload with Wire.w_app = Some "pennant"; w_nodes = 2; w_cluster = "lassen" }
+  in
+  let job_cfg final_runs = { (cfg ~max_trials:60 ()) with Slice.final_runs } in
+  let srv = Server.create ~slice_trials:10 () in
+  let run id final_runs =
+    ignore (Server.handle srv (map_req ~warm:false ~id ~cfg:(job_cfg final_runs) workload));
+    Server.drain srv;
+    let p = result_of srv id in
+    Alcotest.(check bool) (id ^ " done") true (p.Wire.r_state = Wire.Done)
+  in
+  let words () = Obj.reachable_words (Obj.repr srv) in
+  run "j0" 5;
+  let before = words () in
+  let n = 4 in
+  for i = 1 to n do
+    run (Printf.sprintf "j%d" i) (5 + i)
+  done;
+  let per_job = (words () - before) / n in
+  (* the same search's last envelope, as a chain of slices leaves it *)
+  let envelope_words =
+    let machine = Result.get_ok (Presets.of_spec "lassen" ~nodes:2) in
+    let graph =
+      App.pennant.App.graph ~nodes:2 ~input:(List.hd (App.pennant.App.inputs ~nodes:2))
+    in
+    let rec last ckpt = function
+      | Slice.Finished _ -> ckpt
+      | Slice.Paused p -> (
+          match Slice.resume ~slice_trials:10 (job_cfg 5) machine graph ~ckpt:p.Slice.ckpt with
+          | Ok (st, _) -> last p.Slice.ckpt st
+          | Error e -> Alcotest.failf "Slice.resume: %s" e)
+    in
+    String.length (last "" (fst (Slice.start ~slice_trials:10 (job_cfg 5) machine graph)))
+    / (Sys.word_size / 8)
+  in
+  if per_job * 4 >= envelope_words then
+    Alcotest.failf
+      "each finished job grew the server by %d words; its search's last envelope is %d"
+      per_job envelope_words
 
 (* ---- warm start for near-repeats -------------------------------------- *)
 
@@ -255,6 +291,8 @@ let suite =
       check_interleaving;
     Alcotest.test_case "restart resumes decision-identically" `Quick
       check_restart_identity;
+    Alcotest.test_case "finished jobs keep their answer, not their search" `Quick
+      check_finished_jobs_release;
     Alcotest.test_case "near-repeats warm-start from the incumbent" `Quick
       check_warm_start;
     Alcotest.test_case "status surfaces the cache counters" `Quick check_counters;
