@@ -19,15 +19,20 @@
      compiled problem and build a private scratch per slice.
    - result memo: LRU keyed (machine fp, graph fp, {!Slice.fingerprint});
      an exact repeat is answered at submit time, bit-equal to the run
-     that populated the entry, without touching the simulator.
+     that populated the entry, without touching the simulator — for a
+     cold request, only when a cold job populated it.
    - incumbents: best known mapping per (machine fp, graph fp); a
      near-repeat (same workload, different search config) warm-starts
      from it instead of the default/HEFT start.
    - profiles pool: measured-run databases per (machine fp, graph fp,
-     eval fingerprint), merged after every slice, seeding fresh starts.
-     Only a job's first slice reads it: later slices continue the job's
-     own database, live or restored from its envelope, so per-job
-     decision identity survives daemon restarts.
+     eval fingerprint), kept as one database line per mapping key.
+     After every slice a job adds the entries its database recorded
+     since its last merge; the text is joined only when a fresh job
+     reads it.  Only a warm job's first slice reads it: later slices
+     continue the job's own database, live or restored from its
+     envelope, so per-job decision identity survives daemon restarts,
+     and a cold job ([warm] false, kept in its meta file) never reads
+     it, so its answer is the same request's in a fresh server.
 
    Durability: each accepted job persists a meta file (its request, with
    the workload inlined as codec text) and, after every paused slice, a
@@ -55,6 +60,8 @@ type job = {
   jb_memo_key : string;  (* pair / full search-config fingerprint *)
   jb_pool_key : string;  (* pair / eval fingerprint *)
   jb_warm : Mapping.t option;  (* incumbent seed, first slice only *)
+  jb_cold : bool;  (* the request's [warm] false: no incumbent, no pool *)
+  mutable jb_merged : int;  (* {!Profiles_db.recorded} at its last pool merge *)
   mutable jb_state : Wire.job_state;
   mutable jb_held : held;
   mutable jb_trials : int;
@@ -62,7 +69,14 @@ type job = {
   mutable jb_result : Wire.result_payload option;
 }
 
-type memo = { mm_mapping : string; mm_perf : float; mm_trials : int }
+(* [mm_cold]: made by a cold job, so a cold repeat may take it; a
+   warm job's answer may rest on an incumbent or the pool *)
+type memo = { mm_mapping : string; mm_perf : float; mm_trials : int; mm_cold : bool }
+
+(* One segment of the profiles pool: a database line per mapping key,
+   and their text, joined when a fresh job reads them and dropped when
+   a merge adds a line. *)
+type pool_seg = { ps_lines : (string, string) Hashtbl.t; mutable ps_text : string option }
 
 type t = {
   mu : Mutex.t;
@@ -73,7 +87,7 @@ type t = {
   result_memo : memo Cache.t;
   resolve_cache : (Machine.t * Graph.t * string) Cache.t;
   incumbents : (string, string * float) Hashtbl.t;
-  pool : (string, string) Hashtbl.t;
+  pool : (string, pool_seg) Hashtbl.t;
   slice_trials : int;
   state_dir : string option;
   mutable stopping : bool;
@@ -255,32 +269,48 @@ let compiled_for t j =
       Mutex.unlock t.mu;
       c
 
-(* Line-union merge of profiles-db text: the pool keeps its line for a
-   key both sides measured (same eval identity implies the same runs,
-   so the choice is cosmetic). *)
-let pool_merge t key fresh =
-  let merged =
-    match Hashtbl.find_opt t.pool key with
-    | None -> fresh
-    | Some existing ->
-        let keys_of s =
-          String.split_on_char '\n' s
-          |> List.filter_map (fun line ->
-                 match String.index_opt line ' ' with
-                 | Some i -> Some (String.sub line 0 i, line)
-                 | None -> if String.trim line = "" then None else Some (line, line))
-        in
-        let have = Hashtbl.create 64 in
-        List.iter (fun (k, _) -> Hashtbl.replace have k ()) (keys_of existing);
-        let extra =
-          keys_of fresh
-          |> List.filter (fun (k, _) -> not (Hashtbl.mem have k))
-          |> List.map snd
-        in
-        if extra = [] then existing
-        else existing ^ String.concat "\n" extra ^ "\n"
-  in
-  Hashtbl.replace t.pool key merged
+(* The entries a job's database recorded since its last merge, as
+   (key, line) pairs; called outside the lock, by the job's slice. *)
+let fresh_lines j db =
+  let acc = ref [] in
+  Profiles_db.iter_since db j.jb_merged (fun k e -> acc := (k, Profiles_db.line k e) :: !acc);
+  j.jb_merged <- Profiles_db.recorded db;
+  !acc
+
+(* Line-union merge, caller holds the lock: the pool keeps its line
+   for a key both sides measured (same eval identity implies the same
+   runs, so the choice is cosmetic). *)
+let pool_merge t key lines =
+  if lines <> [] then begin
+    let seg =
+      match Hashtbl.find_opt t.pool key with
+      | Some seg -> seg
+      | None ->
+          let seg = { ps_lines = Hashtbl.create 64; ps_text = None } in
+          Hashtbl.replace t.pool key seg;
+          seg
+    in
+    List.iter
+      (fun (k, line) ->
+        if not (Hashtbl.mem seg.ps_lines k) then begin
+          Hashtbl.replace seg.ps_lines k line;
+          seg.ps_text <- None
+        end)
+      lines
+  end
+
+(* The segment's text, joined on first read after a merge; caller
+   holds the lock. *)
+let pool_text t key =
+  match Hashtbl.find_opt t.pool key with
+  | None -> None
+  | Some { ps_text = Some _ as text; _ } -> text
+  | Some seg ->
+      let buf = Buffer.create 4096 in
+      Hashtbl.iter (fun _ line -> Buffer.add_string buf line) seg.ps_lines;
+      let text = Buffer.contents buf in
+      seg.ps_text <- Some text;
+      Some text
 
 (* ---- running one slice ------------------------------------------------ *)
 
@@ -325,13 +355,21 @@ let run_slice_inner t j scratch =
       Slice.resume_live ~scratch ~slice_trials j.jb_cfg j.jb_machine j.jb_graph ~ckpt
   | Nothing ->
       let db =
-        Mutex.lock t.mu;
-        let text = Hashtbl.find_opt t.pool j.jb_pool_key in
-        Mutex.unlock t.mu;
-        match text with
-        | None -> None
-        | Some s -> (
-            match Profiles_db.load j.jb_graph s with Ok db -> Some db | Error _ -> None)
+        if j.jb_cold then None
+        else begin
+          Mutex.lock t.mu;
+          let text = pool_text t j.jb_pool_key in
+          Mutex.unlock t.mu;
+          match text with
+          | None -> None
+          | Some s -> (
+              match Profiles_db.load j.jb_graph s with
+              | Ok db ->
+                  (* every entry it loaded is the pool's already *)
+                  j.jb_merged <- Profiles_db.recorded db;
+                  Some db
+              | Error _ -> None)
+        end
       in
       Ok
         (Slice.start_live ~scratch ?db ?warm_start:j.jb_warm ~slice_trials j.jb_cfg
@@ -356,13 +394,13 @@ let run_slice t j =
       Mutex.unlock t.mu;
       clean_state_files t j
   | Ok (status, ev) -> (
-      let db_text = Profiles_db.save (Evaluator.db ev) in
+      let lines = fresh_lines j (Evaluator.db ev) in
       match status with
       | Slice.Done f ->
           let payload = payload_done j f in
           let key = Mapping.canonical_key f.Slice.best in
           Mutex.lock t.mu;
-          pool_merge t j.jb_pool_key db_text;
+          pool_merge t j.jb_pool_key lines;
           t.slices <- t.slices + 1;
           t.completed <- t.completed + 1;
           j.jb_state <- Wire.Done;
@@ -371,7 +409,12 @@ let run_slice t j =
           j.jb_best <- f.Slice.perf;
           j.jb_result <- Some payload;
           Cache.put t.result_memo j.jb_memo_key
-            { mm_mapping = key; mm_perf = f.Slice.perf; mm_trials = f.Slice.trials }
+            {
+              mm_mapping = key;
+              mm_perf = f.Slice.perf;
+              mm_trials = f.Slice.trials;
+              mm_cold = j.jb_cold;
+            }
             ~weight:(String.length key + 64);
           (match Hashtbl.find_opt t.incumbents j.jb_pair with
           | Some (_, p) when p <= f.Slice.perf -> ()
@@ -385,7 +428,7 @@ let run_slice t j =
           | Some d -> write_atomic (ckpt_path d j.jb_id) (Slice.envelope s)
           | None -> ());
           Mutex.lock t.mu;
-          pool_merge t j.jb_pool_key db_text;
+          pool_merge t j.jb_pool_key lines;
           t.slices <- t.slices + 1;
           j.jb_held <- Live s;
           j.jb_trials <- Slice.live_trials s;
@@ -462,8 +505,9 @@ let pending_payload j =
   }
 
 (* Meta file: the map request with the workload inlined as codec text
-   (recovery must not depend on the app registry), plus the warm-start
-   key pinned so a restart replays the same accept-time decision. *)
+   (recovery must not depend on the app registry) and its [warm] flag,
+   plus the warm-start key pinned so a restart replays the same
+   accept-time decision. *)
 let meta_json j =
   let req =
     Wire.Map
@@ -477,7 +521,7 @@ let meta_json j =
           };
         cfg = j.jb_cfg;
         wait = false;
-        warm = false;
+        warm = not j.jb_cold;
       }
   in
   match (Wire.request_to_json req, j.jb_warm) with
@@ -502,7 +546,7 @@ let submit t ~id ~cfg ~warm ~pair machine graph =
   end
   else begin
     match Cache.find t.result_memo memo_key with
-    | Some m ->
+    | Some m when warm || m.mm_cold ->
         (* exact repeat: answered from the memo, no search, no simulate *)
         let payload =
           {
@@ -527,6 +571,8 @@ let submit t ~id ~cfg ~warm ~pair machine graph =
             jb_memo_key = memo_key;
             jb_pool_key = pool_key;
             jb_warm = None;
+            jb_cold = not warm;
+            jb_merged = 0;
             jb_state = Wire.Done;
             jb_held = Nothing;
             jb_trials = m.mm_trials;
@@ -537,7 +583,7 @@ let submit t ~id ~cfg ~warm ~pair machine graph =
         Hashtbl.replace t.jobs id j;
         Mutex.unlock t.mu;
         Wire.R_result payload
-    | None ->
+    | Some _ | None ->
         let jb_warm =
           if not warm then None
           else
@@ -556,6 +602,8 @@ let submit t ~id ~cfg ~warm ~pair machine graph =
             jb_memo_key = memo_key;
             jb_pool_key = pool_key;
             jb_warm;
+            jb_cold = not warm;
+            jb_merged = 0;
             jb_state = Wire.Queued;
             jb_held = Nothing;
             jb_trials = 0;
@@ -694,7 +742,7 @@ let recover t =
               | Error _ -> n
               | Ok json -> (
                   match Wire.request_of_json json with
-                  | Ok (Wire.Map { m_id; workload; cfg; _ }) when m_id = id -> (
+                  | Ok (Wire.Map { m_id; workload; cfg; warm; _ }) when m_id = id -> (
                       match resolve_cached t workload with
                       | Error _ -> n
                       | Ok (machine, graph, pair) ->
@@ -716,6 +764,8 @@ let recover t =
                               jb_memo_key = pair ^ "/" ^ Slice.fingerprint cfg;
                               jb_pool_key = pair ^ "/" ^ Slice.eval_fingerprint cfg;
                               jb_warm = warm_key;
+                              jb_cold = not warm;
+                              jb_merged = 0;
                               jb_state = Wire.Queued;
                               jb_held =
                                 (match read_file_opt (ckpt_path dir id) with

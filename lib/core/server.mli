@@ -15,13 +15,16 @@
       that populated the entry, without invoking the simulator;
     - an incumbent table per (machine, graph): near-repeats (different
       search config) warm-start from the best known mapping;
-    - a profiles pool per (machine, graph, eval fingerprint), merged
-      after every slice, seeding fresh starts.  Only a job's first
-      slice reads it; later ones continue the job's own profiles, so
-      per-job decision identity survives restarts.
+    - a profiles pool per (machine, graph, eval fingerprint), to which
+      every slice adds what its job measured since the last, seeding
+      fresh warm starts.  Only a warm job's first slice reads it; later
+      ones continue the job's own profiles, so per-job decision
+      identity survives restarts.  A cold job ([warm] false) reads
+      neither the incumbents nor the pool.
 
     Durability: accepted jobs persist a meta file (the request with the
-    workload inlined as codec text, the warm-start choice pinned) and,
+    workload inlined as codec text, its [warm] flag, the warm-start
+    choice pinned) and,
     after every paused slice, the checkpoint envelope — temp+rename
     writes into [state_dir]; without one, no envelope is built.
     {!recover} rescans that directory; each orphan resumes from its

@@ -60,8 +60,10 @@ type request =
       (** [wait] holds the connection until the search finishes rather
           than answering [accepted] immediately.  [warm] (default true)
           permits seeding the search from a cached incumbent for the
-          same (machine, graph); pass false for a reproducible cold
-          run. *)
+          same (machine, graph) and from the profiles earlier jobs of
+          the same evaluation identity measured; pass false for a
+          reproducible cold run, which reads neither, nor a warm job's
+          memoized answer. *)
   | Poll of { p_id : string }  (** fetch the result of an earlier [Map] *)
 
 val request_to_json : request -> json

@@ -52,9 +52,8 @@ type t = {
   mutable symmetry_skips : int;
   mutable batch_calls : int;
   mutable batch_short_circuits : int;
-  (* bind counters of scratches this evaluator ran on but no longer
-     holds: the fresh ones [measure_with] runs its other chunks on,
-     added after each join, and those detached between slices *)
+  (* bind counters of the scratches this evaluator detached between
+     slices *)
   mutable retired_delta_binds : int;
   mutable retired_full_binds : int;
   mutable retired_bind_hits : int;
@@ -792,32 +791,19 @@ let restore_state t lines =
     | _ -> fail "truncated state"
   with Failure m -> Error m
 
-(* Jobs [j, hi) of a fresh-seed measurement, on [sc]: job [j] is run
-   [j mod runs] of [maps.(j / runs)] under seed [base + j + 1].  The
-   first failing job stops the chunk and answers its error. *)
-let rec run_jobs t sc maps ~runs ~base ~iterations ~custom out j hi =
-  if j >= hi then None
-  else if
-    Exec.simulate_fresh sc maps.(j / runs) ~noise_sigma:t.noise_sigma ~seed:(base + j + 1)
-      ~fallback:t.fallback ~iterations
-    = Exec.st_error
-  then Exec.quiet_error sc
-  else begin
-    out.(j) <-
-      (if custom then t.objective t.machine (Exec.quiet_result sc)
-       else Exec.quiet_per_iteration sc);
-    run_jobs t sc maps ~runs ~base ~iterations ~custom out (j + 1) hi
-  end
-
 (* Fresh-seed measurement, the one path for [measure] and the final
    protocol.  The seeds are reserved up front, as one increment per run
-   in job order assigned them.  The jobs split into contiguous chunks,
-   one per domain: chunk 0 on the evaluator's scratch, the others on
-   fresh scratches, whose bind counters are added to the evaluator's
-   once every domain has returned.  Chunks are in job order, so the
-   first failure is the one a sequential pass would meet, and the lists
-   are rebuilt newest-first, so [Stats.mean] folds the same floats in
-   the same order. *)
+   in job order assigned them: job [j] is run [j mod runs] of
+   [maps.(j / runs)] under seed [base + j + 1].  The calling domain
+   binds each mapping on the evaluator's scratch, in order, so the
+   first that cannot be placed raises the message a sequential pass
+   would, before any run.  With one mapping the runners read the
+   scratch's own bind; with several, every bind but the last is frozen
+   before the next overwrites it.  The jobs then split into contiguous
+   chunks, one per domain: chunk 0 on the scratch's runner, the others
+   each on a runner of their own, so a worker builds no scratch,
+   placement or bind.  The lists are rebuilt newest-first, so
+   [Stats.mean] folds the same floats in the same order. *)
 let measure_with t ?runs ?iterations ~objective mappings =
   let runs = Option.value runs ~default:t.runs in
   if runs < 1 then invalid_arg "Evaluator.measure: runs must be positive";
@@ -827,18 +813,32 @@ let measure_with t ?runs ?iterations ~objective mappings =
   let n = Array.length maps * runs in
   let base = t.seed_counter in
   t.seed_counter <- base + n;
+  let own = scratch t in
+  let last = Array.length maps - 1 in
+  let binds =
+    Array.mapi
+      (fun i m ->
+        match Exec.bind own ~fallback:t.fallback m with
+        | Ok b -> if i < last then Exec.freeze b else b
+        | Error e -> failwith ("Evaluator.measure: " ^ Placement.error_to_string e))
+      maps
+  in
   let out = Array.make n 0.0 in
   let k = Par.default_domains n in
-  let own = scratch t in
   let chunk c () =
-    let sc = if c = 0 then own else Exec.scratch (Exec.compiled_of_scratch own) in
-    (sc, run_jobs t sc maps ~runs ~base ~iterations ~custom out (c * n / k) ((c + 1) * n / k))
+    let r =
+      if c = 0 then Exec.scratch_runner own
+      else Exec.runner (Exec.compiled_of_scratch own)
+    in
+    for j = c * n / k to ((c + 1) * n / k) - 1 do
+      Exec.run_fresh r binds.(j / runs) ~noise_sigma:t.noise_sigma ~seed:(base + j + 1)
+        ~iterations;
+      out.(j) <-
+        (if custom then t.objective t.machine (Exec.runner_result r)
+         else Exec.runner_per_iteration r)
+    done
   in
-  let chunks = Par.map ~domains:k (List.init k chunk) in
-  List.iter (fun (sc, _) -> if sc != own then retire t sc) chunks;
-  (match List.find_map snd chunks with
-  | Some e -> failwith ("Evaluator.measure: " ^ Placement.error_to_string e)
-  | None -> ());
+  ignore (Par.map ~domains:k (List.init k chunk) : unit list);
   List.init (Array.length maps) (fun i ->
       List.init runs (fun r -> out.((i * runs) + runs - 1 - r)))
 

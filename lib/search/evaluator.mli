@@ -30,7 +30,9 @@
     the search's hot path.  A consequence: an evaluator must not be
     used by two domains at once; give each domain its own (see
     {!Parallel}).  The [measure] functions fan their runs out across
-    domains themselves, each extra domain on a scratch of its own.
+    domains themselves: the calling domain binds each mapping on the
+    evaluator's scratch ({!Exec.bind}), and every other domain runs on
+    an {!Exec.runner} of its own, reading those binds.
     Between slices of a served search the evaluator holds no scratch
     at all ({!detach_scratch}); the next slice, on whichever domain,
     hands it one ({!attach_scratch}). *)
@@ -280,8 +282,9 @@ type stats = {
   s_batch_short_circuits : int;  (** {!batch_short_circuits} *)
   s_delta_binds : int;
       (** {!Exec.delta_binds} summed over every scratch the evaluator
-          ran on: its own, those its [measure] runs fanned out to, and
-          those detached between slices *)
+          ran on: its own and those detached between slices.  A
+          [measure] call binds each of its mappings once, on the
+          evaluator's own scratch, whatever its run count. *)
   s_full_binds : int;   (** {!Exec.full_binds}, summed likewise *)
   s_bind_hits : int;     (** {!Exec.bind_cache_hits}, summed likewise *)
   s_cone_replays : int;
@@ -341,10 +344,12 @@ val measure : t -> ?runs:int -> ?iterations:int -> Mapping.t -> float list
     the search bookkeeping — for baseline comparisons.  Run [k]
     (1-based) takes the [k]-th fresh seed of the [measure] window,
     which is disjoint from the search's common seeds and recorded by
-    {!save_state}.  The runs are split across the machine's domains
-    ({!Par.default_domains}), each on its own scratch; no value depends
-    on the split.
-    @raise Failure on invalid/OOM mappings, once every domain is done.
+    {!save_state}.  The mapping is bound once, on the calling domain,
+    and the runs are split across the machine's domains
+    ({!Par.default_domains}), each on an {!Exec.runner} reading that
+    bind; no value depends on the split.  A domain is spawned per call
+    and joined before it returns.
+    @raise Failure on invalid/OOM mappings, before any run.
     @raise Invalid_argument if [runs < 1]. *)
 
 val measure_objective : t -> ?runs:int -> Mapping.t -> float list
@@ -354,7 +359,9 @@ val measure_objective : t -> ?runs:int -> Mapping.t -> float list
 val measure_objectives : t -> ?runs:int -> Mapping.t list -> float list list
 (** {!measure_objective} of each mapping in turn, with the same seeds,
     split across the domains as one job list: the final protocol's
-    form, which spawns its domains once. *)
+    form, which spawns its domains once.  Each mapping's bind is
+    frozen ({!Exec.freeze}) before the next one is bound, so no bind
+    changes while the runs read it. *)
 
 val profile_for : t -> Mapping.t -> Profile.t
 (** Noise-free per-task profile under a mapping (task ordering for

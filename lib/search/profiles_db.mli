@@ -55,6 +55,7 @@ val best : t -> entry option
     mappings are then answered from the reloaded measurements. *)
 
 val save : t -> string
+
 val load : Graph.t -> string -> (t, string) result
 (** Keys that do not match [g] are rejected with an error, as are
     measurements whose mean is NaN (it would rank ahead of every real
@@ -62,3 +63,17 @@ val load : Graph.t -> string -> (t, string) result
     written by {!save} never contains duplicates, so one signals a
     corrupted or hand-edited file whose measurements cannot be
     trusted. *)
+
+val line : string -> entry -> string
+(** The line {!save} writes for the entry under this key, its newline
+    included. *)
+
+val recorded : t -> int
+(** How many {!record}s the database has taken, {!load}'s included: a
+    mark for {!iter_since}. *)
+
+val iter_since : t -> int -> (string -> entry -> unit) -> unit
+(** [iter_since t n f] applies [f] to the key and current entry of
+    every record after the first [n], newest first: what a reader that
+    took the mark [n] has not yet seen.  A key recorded twice since
+    comes twice. *)

@@ -296,6 +296,15 @@ type compiled = {
      relax along this permutation *)
   topo_slots : int array;
   dispatch_cost : float;
+  (* an event names its instance as (index lsl slot_bits) lor slot,
+     so the event loop reads its index into the per-instance arrays
+     and its slot with a shift and a mask: no division, and no
+     per-instance slot table *)
+  slot_bits : int;
+  slot_mask : int;
+  (* false only for [:free] (uncontended) topologies: copies still pay
+     full path cost but never serialize on the busy-until clocks *)
+  contended : bool;
 }
 
 (* Shared per-seed noise stream.  Draws are strictly sequential and
@@ -330,28 +339,17 @@ let n_acc = 5
    seeds.) *)
 let seed_table_cap = 64
 
-type scratch = {
-  prob : compiled;
-  (* per-instance state, grown on demand when [iterations] increases *)
-  mutable cap_instances : int;
-  mutable ready_time : float array;
-  mutable indeg : int array;
-  mutable noise : float array;
-  (* instance -> (slot, iteration) — [i mod spi] / [i / spi]
-     precomputed once per capacity growth, so the per-event handlers
-     perform no integer division *)
-  mutable inst_slot : int array;
-  mutable inst_iter : int array;
-  (* per-resource state, fixed size *)
-  proc_free : float array;
-  chan_free : float array;
-  dispatch_free : float array;
-  (* mapping-dependent but iteration-independent bindings, recomputed
-     once per [simulate] *)
+(* What a bound mapping decides and the event loop reads: per-slot
+   durations, processors and nodes, and per-dep channels, classes,
+   costs and routed endpoints, all functions of the placement alone.
+   A scratch writes its own bind in place on every (re-)bind; a frozen
+   copy ({!freeze}) is never written again, so runners on several
+   domains can read it at once. *)
+type bind = {
+  bprob : compiled;
   slot_dur : float array;      (* noise-free duration of one instance *)
   slot_pid : int array;
   slot_node : int array;
-  cp : float array;            (* static_floors' critical-path accumulator *)
   dep_chan : int array;        (* -1 same-memory | >= 0 channel slot
                                   | <= -2 routed with code (-2 - v) *)
   dep_class : int array;
@@ -360,17 +358,65 @@ type scratch = {
      depends on besides its code and cost; empty without a topology *)
   dep_src_node : int array;
   dep_dst_node : int array;
+  mutable demotions : int;     (* fallback demotions of the placement *)
+}
+
+(* What one simulation writes.  Nothing in a runner outlives a run
+   except its capacity, so one runner serves any bind of its problem,
+   and a domain that only runs needs nothing else. *)
+type runner = {
+  rprob : compiled;
+  (* per-instance state, grown on demand when [iterations] increases *)
+  mutable cap_instances : int;
+  mutable ready_time : float array;
+  mutable indeg : int array;
+  mutable noise : float array;
+  (* per-resource state, fixed size *)
+  proc_free : float array;
+  chan_free : float array;
+  dispatch_free : float array;
   (* one copy's walk ({!route_hops}): the route's link ids, then its
      hops as (busy-until slot, seconds) pairs.  Sized by the
-     topology's diameter, so a scratch's routed state is O(deps)
-     whatever routes it binds. *)
+     topology's diameter, so a runner's routed state is O(1) whatever
+     routes its binds hold. *)
   walk_links : int array;
   walk_slot : int array;
   walk_cost : float array;
-  (* false only for [:free] (uncontended) topologies: copies still pay
-     full path cost but never serialize on the busy-until clocks *)
-  contended : bool;
   events : Fheap.t;
+  (* ---- result planes (struct-of-arrays): [event_loop] writes every
+     run's outputs here; the record-returning wrappers copy them out,
+     so the zero-allocation quiet path and the compat API share one
+     event loop ---- *)
+  r_task_times : float array;
+  r_proc_busy : float array;
+  r_channel_bytes : float array;
+  r_acc : float array;
+  mutable r_n_copies : int;
+  mutable r_demotions : int;
+  (* ---- per-call event-loop state.  Runner-resident so the event
+     helpers ([dep_arrived] / [do_ready] / [do_done]) are plain
+     top-level functions: no closures means no per-call environment
+     allocation, and [@inline] call sites keep every float unboxed
+     between them. ---- *)
+  mutable sim_ninst : int;           (* the run's instance count *)
+  mutable sim_noise : float array;   (* active noise buffer *)
+  mutable sim_nfilled : int;
+  mutable sim_fill : int;            (* 0 prefilled | 1 shared cache | 2 private rng *)
+  mutable sim_ncache : noise_cache;  (* valid when sim_fill = 1 *)
+  mutable sim_nrng : Rng.t;          (* valid when sim_fill = 2 *)
+  mutable sim_sigma : float;
+  mutable sim_trace : Trace.t option;
+}
+
+(* A scratch is one bind and one runner, plus what resolves a mapping
+   into the bind (the placement cache and its counters) and what a
+   search reuses across runs (the per-seed noise streams and the
+   static-floor memo). *)
+type scratch = {
+  prob : compiled;
+  bind : bind;
+  run : runner;
+  cp : float array;            (* static_floors' critical-path accumulator *)
   (* cache of the last successful bind: the evaluator's §5 protocol
      simulates the same mapping [runs] times in a row with different
      noise seeds, and placement + binding are noise-independent.
@@ -390,29 +436,7 @@ type scratch = {
   nz_seed : int array;                           (* length seed_table_cap *)
   mutable nzs : noise_cache array;               (* first n_nzs live *)
   mutable n_nzs : int;
-  (* ---- result planes (struct-of-arrays): [sim_core] writes every
-     run's outputs here; the record-returning wrappers copy them out,
-     so the zero-allocation quiet path and the compat API share one
-     event loop ---- *)
-  r_task_times : float array;
-  r_proc_busy : float array;
-  r_channel_bytes : float array;
-  r_acc : float array;
-  mutable r_n_copies : int;
   mutable r_error : Placement.error option;
-  (* ---- per-call event-loop state.  Scratch-resident so the event
-     helpers ([dep_arrived] / [do_ready] / [do_done]) are plain
-     top-level functions: no closures means no per-call environment
-     allocation, and [@inline] call sites keep every float unboxed
-     between them. ---- *)
-  mutable sim_iters : int;
-  mutable sim_noise : float array;   (* active noise buffer *)
-  mutable sim_nfilled : int;
-  mutable sim_fill : int;            (* 0 prefilled | 1 shared cache | 2 private rng *)
-  mutable sim_ncache : noise_cache;  (* valid when sim_fill = 1 *)
-  mutable sim_nrng : Rng.t;          (* valid when sim_fill = 2 *)
-  mutable sim_sigma : float;
-  mutable sim_trace : Trace.t option;
   (* static-floor memo: {!static_floors} is pure in the bind tables and
      [iterations], so its value survives until the next re-bind *)
   mutable sfloor_valid : bool;
@@ -513,6 +537,11 @@ let compile machine (g : Graph.t) =
   touch (fun cid k ->
       cid_dep_idx.(cid_dep_off.(cid) + fill.(cid)) <- k;
       fill.(cid) <- fill.(cid) + 1);
+  let slot_bits =
+    let b = ref 0 in
+    while 1 lsl !b < spi do incr b done;
+    !b
+  in
   let topo_slots = Array.make spi 0 in
   (let i = ref 0 in
    List.iter
@@ -545,40 +574,82 @@ let compile machine (g : Graph.t) =
     cid_dep_idx;
     topo_slots;
     dispatch_cost = machine.Machine.compute.Machine.runtime_dispatch;
+    slot_bits;
+    slot_mask = (1 lsl slot_bits) - 1;
+    contended = clocks_contended machine;
   }
 
-let scratch prob =
-  let machine = prob.cmachine in
+let new_bind prob =
   let n_deps = Array.length prob.dep_bytes in
-  let topo = machine.Machine.topology in
-  let n_routed = if Option.is_none topo then 0 else n_deps in
-  let diameter = Option.fold ~none:0 ~some:Topology.diameter topo in
-  let dummy_noise = { nbuf = [||]; nfilled = 0; nrng = Rng.create 0; nsigma = 0.0 } in
+  let n_routed = if Option.is_none prob.cmachine.Machine.topology then 0 else n_deps in
   {
-    prob;
-    cap_instances = 0;
-    ready_time = [||];
-    indeg = [||];
-    noise = [||];
-    inst_slot = [||];
-    inst_iter = [||];
-    proc_free = Array.make (Array.length machine.Machine.processors) 0.0;
-    chan_free = Array.make (n_chan_slots machine) 0.0;
-    dispatch_free = Array.make machine.Machine.nodes 0.0;
+    bprob = prob;
     slot_dur = Array.make (max prob.spi 1) 0.0;
     slot_pid = Array.make (max prob.spi 1) 0;
     slot_node = Array.make (max prob.spi 1) 0;
-    cp = Array.make (max prob.spi 1) 0.0;
     dep_chan = Array.make (max n_deps 1) 0;
     dep_class = Array.make (max n_deps 1) 0;
     dep_cost = Array.make (max n_deps 1) 0.0;
     dep_src_node = Array.make n_routed 0;
     dep_dst_node = Array.make n_routed 0;
+    demotions = 0;
+  }
+
+let freeze b =
+  {
+    b with
+    slot_dur = Array.copy b.slot_dur;
+    slot_pid = Array.copy b.slot_pid;
+    slot_node = Array.copy b.slot_node;
+    dep_chan = Array.copy b.dep_chan;
+    dep_class = Array.copy b.dep_class;
+    dep_cost = Array.copy b.dep_cost;
+    dep_src_node = Array.copy b.dep_src_node;
+    dep_dst_node = Array.copy b.dep_dst_node;
+  }
+
+let runner prob =
+  let machine = prob.cmachine in
+  let diameter = Option.fold ~none:0 ~some:Topology.diameter machine.Machine.topology in
+  let dummy = { nbuf = [||]; nfilled = 0; nrng = Rng.create 0; nsigma = 0.0 } in
+  {
+    rprob = prob;
+    cap_instances = 0;
+    ready_time = [||];
+    indeg = [||];
+    noise = [||];
+    proc_free = Array.make (Array.length machine.Machine.processors) 0.0;
+    chan_free = Array.make (n_chan_slots machine) 0.0;
+    dispatch_free = Array.make machine.Machine.nodes 0.0;
     walk_links = Array.make diameter 0;
     walk_slot = Array.make (diameter + 2) 0;
     walk_cost = Array.make (diameter + 2) 0.0;
-    contended = clocks_contended machine;
-    events = Fheap.create ();
+    (* a run's first events are its roots, up to a slot each, all
+       due at time 0 in the lane: sized for them, the queue of a
+       fresh runner does not grow through a string of doublings *)
+    events = Fheap.create ~capacity:prob.spi ();
+    r_task_times = Array.make (max (Graph.n_tasks prob.cgraph) 1) 0.0;
+    r_proc_busy = Array.make (Array.length machine.Machine.processors) 0.0;
+    r_channel_bytes = Array.make n_channel_classes 0.0;
+    r_acc = Array.make n_acc 0.0;
+    r_n_copies = 0;
+    r_demotions = 0;
+    sim_ninst = 0;
+    sim_noise = [||];
+    sim_nfilled = 0;
+    sim_fill = 0;
+    sim_ncache = dummy;
+    sim_nrng = dummy.nrng;
+    sim_sigma = 0.0;
+    sim_trace = None;
+  }
+
+let scratch prob =
+  {
+    prob;
+    bind = new_bind prob;
+    run = runner prob;
+    cp = Array.make (max prob.spi 1) 0.0;
     bound_mapping = None;
     bound_fallback = false;
     bound_placement = None;
@@ -588,51 +659,29 @@ let scratch prob =
     nz_seed = Array.make seed_table_cap 0;
     nzs = [||];
     n_nzs = 0;
-    r_task_times = Array.make (max (Graph.n_tasks prob.cgraph) 1) 0.0;
-    r_proc_busy = Array.make (Array.length machine.Machine.processors) 0.0;
-    r_channel_bytes = Array.make n_channel_classes 0.0;
-    r_acc = Array.make n_acc 0.0;
-    r_n_copies = 0;
     r_error = None;
-    sim_iters = 0;
-    sim_noise = [||];
-    sim_nfilled = 0;
-    sim_fill = 0;
-    sim_ncache = dummy_noise;
-    sim_nrng = dummy_noise.nrng;
-    sim_sigma = 0.0;
-    sim_trace = None;
     sfloor_valid = false;
     sfloor_iters = 0;
   }
 
 let compiled_of_scratch sc = sc.prob
+let scratch_runner sc = sc.run
 let compiled_machine prob = prob.cmachine
 let compiled_graph prob = prob.cgraph
 let compiled_words prob = Obj.reachable_words (Obj.repr prob)
 
 let bind_cache_hits sc = sc.bind_hits
 
-let ensure_capacity sc n =
-  if n > sc.cap_instances then begin
-    sc.ready_time <- Array.make n 0.0;
-    sc.indeg <- Array.make n 0;
-    sc.noise <- Array.make n 1.0;
-    let spi = sc.prob.spi in
-    let is = Array.make n 0 and ii = Array.make n 0 in
-    let slot = ref 0 and iter = ref 0 in
-    for i = 0 to n - 1 do
-      is.(i) <- !slot;
-      ii.(i) <- !iter;
-      incr slot;
-      if !slot = spi then begin
-        slot := 0;
-        incr iter
-      end
-    done;
-    sc.inst_slot <- is;
-    sc.inst_iter <- ii;
-    sc.cap_instances <- n
+let ensure_capacity r n =
+  if n > r.cap_instances then begin
+    (* every event payload, (n lsl slot_bits) lor slot lsl 1 at most,
+       must fit an int *)
+    if n > max_int lsr (r.rprob.slot_bits + 2) then
+      invalid_arg "Exec: too many task instances";
+    r.ready_time <- Array.make n 0.0;
+    r.indeg <- Array.make n 0;
+    r.noise <- Array.make n 1.0;
+    r.cap_instances <- n
   end
 
 (* ------------------------------------------------------------------ *)
@@ -677,15 +726,14 @@ let noise_fill c upto =
     c.nfilled <- upto
   end
 
-(* Fill the mapping-dependent scratch tables: durations, processors and
-   copy channels are the same for an instance slot in every
-   iteration.  One task's slots are bound together: a placement with no
-   demotions serves every shard its mapped memory kinds, so the
-   duration is shard-invariant and is computed once for the whole
-   group — rebinding a task then costs one {!Cost.task_duration}, not
-   one per shard. *)
+(* Fill the scratch's bind: durations, processors and copy channels
+   are the same for an instance slot in every iteration.  One task's
+   slots are bound together: a placement with no demotions serves every
+   shard its mapped memory kinds, so the duration is shard-invariant
+   and is computed once for the whole group — rebinding a task then
+   costs one {!Cost.task_duration}, not one per shard. *)
 let bind_task sc pl mapping tid =
-  let prob = sc.prob in
+  let prob = sc.prob and b = sc.bind in
   let machine = prob.cmachine and g = prob.cgraph in
   let task = Graph.task g tid in
   let kind = Mapping.proc_of mapping tid in
@@ -697,24 +745,24 @@ let bind_task sc pl mapping tid =
     in
     for slot = lo to hi do
       let p = Placement.processor pl ~tid ~shard:prob.slot_shard.(slot) in
-      sc.slot_pid.(slot) <- p.Machine.pid;
-      sc.slot_node.(slot) <- p.Machine.pnode;
-      sc.slot_dur.(slot) <- d
+      b.slot_pid.(slot) <- p.Machine.pid;
+      b.slot_node.(slot) <- p.Machine.pnode;
+      b.slot_dur.(slot) <- d
     done
   end
   else
     for slot = lo to hi do
       let s = prob.slot_shard.(slot) in
       let p = Placement.processor pl ~tid ~shard:s in
-      sc.slot_pid.(slot) <- p.Machine.pid;
-      sc.slot_node.(slot) <- p.Machine.pnode;
-      sc.slot_dur.(slot) <-
+      b.slot_pid.(slot) <- p.Machine.pid;
+      b.slot_node.(slot) <- p.Machine.pnode;
+      b.slot_dur.(slot) <-
         Cost.task_duration machine task kind ~arg_mem:(fun c ->
             Placement.effective_mem_kind pl ~cid:c.Graph.cid ~shard:s)
     done
 
 let bind_dep sc pl k =
-  let prob = sc.prob in
+  let prob = sc.prob and b = sc.bind in
   let machine = prob.cmachine in
   let src_mem =
     Placement.arg_memory pl ~cid:prob.dep_src_cid.(k)
@@ -724,7 +772,7 @@ let bind_dep sc pl k =
     Placement.arg_memory pl ~cid:prob.dep_dst_cid.(k)
       ~shard:prob.slot_shard.(prob.dep_dst_slot.(k))
   in
-  if src_mem.Machine.mid = dst_mem.Machine.mid then sc.dep_chan.(k) <- -1
+  if src_mem.Machine.mid = dst_mem.Machine.mid then b.dep_chan.(k) <- -1
   else begin
     let ch = Machine.channel_between machine src_mem dst_mem in
     let src = src_mem.Machine.mnode and dst = dst_mem.Machine.mnode in
@@ -732,52 +780,52 @@ let bind_dep sc pl k =
     let staged (m : Machine.memory) bit =
       if m.Machine.mkind = Kinds.Frame_buffer then bit else 0
     in
-    sc.dep_class.(k) <- channel_class_index ch;
+    b.dep_class.(k) <- channel_class_index ch;
     (* a routed dep keeps what its route depends on — the endpoints'
        nodes and a route code — and every copy walks the route afresh
        ({!route_hops}); the kind-level channel keeps its slot *)
     match machine.Machine.topology with
     | Some topo when ch = Machine.Network && Topology.family topo = Topology.Direct ->
-        sc.dep_chan.(k) <- -2 - route_direct;
-        sc.dep_src_node.(k) <- src;
-        sc.dep_dst_node.(k) <- dst;
-        sc.dep_cost.(k) <- Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes
+        b.dep_chan.(k) <- -2 - route_direct;
+        b.dep_src_node.(k) <- src;
+        b.dep_dst_node.(k) <- dst;
+        b.dep_cost.(k) <- Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes
     | Some topo when ch = Machine.Network && Topology.distance topo ~src ~dst >= 0 ->
-        sc.dep_chan.(k) <- -2 - (staged src_mem stage_src lor staged dst_mem stage_dst);
-        sc.dep_src_node.(k) <- src;
-        sc.dep_dst_node.(k) <- dst;
+        b.dep_chan.(k) <- -2 - (staged src_mem stage_src lor staged dst_mem stage_dst);
+        b.dep_src_node.(k) <- src;
+        b.dep_dst_node.(k) <- dst;
         (* {!Cost.copy_seconds}'s routed sum, routed once, into the
            buffer the event loop walks copies through *)
-        sc.dep_cost.(k) <-
-          Machine.routed_copy_cost machine topo ~src:src_mem ~dst:dst_mem ~bytes
-            sc.walk_links
-            (Topology.route_links topo ~src ~dst sc.walk_links)
+        let links = sc.run.walk_links in
+        b.dep_cost.(k) <-
+          Machine.routed_copy_cost machine topo ~src:src_mem ~dst:dst_mem ~bytes links
+            (Topology.route_links topo ~src ~dst links)
     | _ ->
-        sc.dep_chan.(k) <- channel_slot ~nodes:machine.Machine.nodes src ch;
-        sc.dep_cost.(k) <- Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes
+        b.dep_chan.(k) <- channel_slot ~nodes:machine.Machine.nodes src ch;
+        b.dep_cost.(k) <- Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes
   end
 
 let routed_topo prob =
   match prob.cmachine.Machine.topology with Some t -> t | None -> assert false
 
-(* Routed dep [k]'s hops for one copy, written to the walk buffers in
-   path order and counted: PCIe staging at the source, each link of
-   the route, staging at the destination.  A link hop costs
+(* Routed dep [k]'s hops for one copy, written to the runner's walk
+   buffers in path order and counted: PCIe staging at the source, each
+   link of the route, staging at the destination.  A link hop costs
    [llat +. (bytes /. lbw)] and a staging hop [local_latency +.
    (bytes /. pcie_bw)] on the node's kind-level PCIe clock.  The Direct
    family's one hop, on the source node's link, costs the dep's whole
    [Cost.copy_seconds] total: a bijection with the kind-level Network
    plane (DESIGN.md §15).  Allocates nothing. *)
-let route_hops sc k =
-  let prob = sc.prob in
+let route_hops b r k =
+  let prob = r.rprob in
   let machine = prob.cmachine in
   let link_base = link_slot_base ~nodes:machine.Machine.nodes in
-  let slots = sc.walk_slot and costs = sc.walk_cost in
-  let src = sc.dep_src_node.(k) and dst = sc.dep_dst_node.(k) in
-  let code = -2 - sc.dep_chan.(k) in
+  let slots = r.walk_slot and costs = r.walk_cost in
+  let src = b.dep_src_node.(k) and dst = b.dep_dst_node.(k) in
+  let code = -2 - b.dep_chan.(k) in
   if code = route_direct then begin
     slots.(0) <- link_base + src;
-    costs.(0) <- sc.dep_cost.(k);
+    costs.(0) <- b.dep_cost.(k);
     1
   end
   else begin
@@ -789,7 +837,7 @@ let route_hops sc k =
       costs.(0) <- copy.Machine.local_latency +. (bytes /. copy.Machine.pcie_bw);
       n := 1
     end;
-    let ids = sc.walk_links and links = Topology.links topo in
+    let ids = r.walk_links and links = Topology.links topo in
     for i = 0 to Topology.route_links topo ~src ~dst ids - 1 do
       let l = links.(ids.(i)) in
       slots.(!n) <- link_base + l.Topology.lid;
@@ -804,7 +852,7 @@ let route_hops sc k =
     !n
   end
 
-let bind sc pl mapping =
+let bind_all sc pl mapping =
   let prob = sc.prob in
   for tid = 0 to Graph.n_tasks prob.cgraph - 1 do
     bind_task sc pl mapping tid
@@ -890,7 +938,7 @@ let resolve_bound sc ~fallback mapping =
             | Ok pl ->
                 sc.full_binds <- sc.full_binds + 1;
                 sc.sfloor_valid <- false;
-                bind sc pl mapping;
+                bind_all sc pl mapping;
                 Ok pl)
       in
       match resolved with
@@ -904,7 +952,11 @@ let resolve_bound sc ~fallback mapping =
           sc.bound_mapping <- Some mapping;
           sc.bound_fallback <- fallback;
           sc.bound_placement <- Some pl;
+          sc.bind.demotions <- Placement.demotions pl;
           Ok pl)
+
+let bind sc ~fallback mapping =
+  match resolve_bound sc ~fallback mapping with Ok _ -> Ok sc.bind | Error _ as e -> e
 
 let delta_binds sc = sc.delta_binds
 let full_binds sc = sc.full_binds
@@ -914,17 +966,22 @@ type outcome = Finished of result | Cut of float
 (* ------------------------------------------------------------------ *)
 (* The event loop.                                                     *)
 (*                                                                     *)
-(* Events are (instance lsl 1) lor tag, tag 0 = Ready, 1 = Done; push  *)
-(* order matches the reference so FIFO tie-breaks agree.  The helpers  *)
-(* below are top-level [@inline] functions over scratch-resident state *)
-(* rather than per-call closures, so a call to [sim_core] allocates no *)
-(* environment, and inlining (helpers and {!Fheap} alike live in this  *)
-(* unit) keeps every float in registers between them.  In the steady   *)
-(* state (cached bind, cached noise stream) a simulation performs zero *)
+(* An event is (name lsl 1) lor tag, tag 0 = Ready, 1 = Done, where an *)
+(* instance's name is (index lsl slot_bits) lor slot; push order       *)
+(* matches the reference so FIFO tie-breaks agree.  The loop reads a   *)
+(* bind and writes a runner, nothing else: a scratch's simulation is   *)
+(* its resolve-and-bind followed by this loop over its own pair, and   *)
+(* the fresh-seed runs of a measurement are this loop over a runner    *)
+(* of their domain and a bind made on the calling one.  The helpers   *)
+(* below are top-level [@inline] functions over runner-resident state  *)
+(* rather than per-call closures, so a run allocates no environment,   *)
+(* and inlining (helpers and {!Fheap} alike live in this unit) keeps   *)
+(* every float in registers between them.  In the steady state        *)
+(* (cached bind, cached noise stream) a simulation performs zero       *)
 (* minor-heap allocation — pinned by test_alloc.                       *)
 (* ------------------------------------------------------------------ *)
 
-(* status codes of [sim_core] / [simulate_quiet] *)
+(* status codes of [event_loop] / [simulate_quiet] *)
 let st_finished = 0
 let st_cut = 1
 let st_error = 2
@@ -937,44 +994,58 @@ let st_error = 2
    reads. *)
 let noise_block = 256
 
-let fill_noise sc i =
-  let upto = min (i + noise_block) (sc.sim_iters * sc.prob.spi) in
-  match sc.sim_fill with
+let fill_noise r i =
+  let upto = min (i + noise_block) r.sim_ninst in
+  match r.sim_fill with
   | 1 ->
-      let c = sc.sim_ncache in
+      let c = r.sim_ncache in
       noise_fill c upto;
-      sc.sim_nfilled <- c.nfilled
+      r.sim_nfilled <- c.nfilled
   | 2 ->
-      Rng.fill_lognormal sc.sim_nrng ~sigma:sc.sim_sigma sc.sim_noise ~pos:sc.sim_nfilled
-        ~len:(upto - sc.sim_nfilled);
-      sc.sim_nfilled <- upto
+      Rng.fill_lognormal r.sim_nrng ~sigma:r.sim_sigma r.sim_noise ~pos:r.sim_nfilled
+        ~len:(upto - r.sim_nfilled);
+      r.sim_nfilled <- upto
   | _ -> ()
 
+(* Noise drawn by the run itself, from a fresh [Rng.create seed] (or
+   none at sigma 0): the source of every run that reads no shared
+   stream. *)
+let private_noise r ~noise_sigma ~seed n_instances =
+  r.sim_sigma <- noise_sigma;
+  r.sim_noise <- r.noise;
+  if noise_sigma > 0.0 then begin
+    r.sim_fill <- 2;
+    r.sim_nrng <- Rng.create seed;
+    r.sim_nfilled <- 0
+  end
+  else begin
+    Array.fill r.noise 0 n_instances 1.0;
+    r.sim_fill <- 0;
+    r.sim_nfilled <- n_instances
+  end
+
 (* Trace emission, out of line: a traced run is a one-off diagnostic,
-   never the search's hot path. *)
-let trace_exec_event sc collector slot start d =
-  let prob = sc.prob in
-  let g = prob.cgraph in
+   never the search's hot path.  Both events name their resources from
+   the bind: a slot's processor, and a copy's source node (a
+   kind-level channel slot is node * n_channel_classes + class). *)
+let trace_exec_event b r collector slot start d =
+  let prob = r.rprob in
   let tid = prob.slot_tid.(slot) in
-  let pl = match sc.bound_placement with Some pl -> pl | None -> assert false in
-  let p = Placement.processor pl ~tid ~shard:prob.slot_shard.(slot) in
   Trace.add collector
     {
       Trace.label =
-        Printf.sprintf "%s.%d" (Graph.task g tid).Graph.tname prob.slot_shard.(slot);
+        Printf.sprintf "%s.%d" (Graph.task prob.cgraph tid).Graph.tname prob.slot_shard.(slot);
       kind = Trace.Task_exec;
-      resource = proc_resource_name p;
+      resource = proc_resource_name prob.cmachine.Machine.processors.(b.slot_pid.(slot));
       start_time = start;
       duration = d;
     }
 
-let trace_copy_event sc collector slot k start cost =
-  let prob = sc.prob in
+let trace_copy_event b r collector k start cost =
+  let prob = r.rprob in
   let g = prob.cgraph in
-  let pl = match sc.bound_placement with Some pl -> pl | None -> assert false in
-  let src_mem =
-    Placement.arg_memory pl ~cid:prob.dep_src_cid.(k) ~shard:prob.slot_shard.(slot)
-  in
+  let chan = b.dep_chan.(k) in
+  let src_node = if chan >= 0 then chan / n_channel_classes else b.dep_src_node.(k) in
   Trace.add collector
     {
       Trace.label =
@@ -982,99 +1053,105 @@ let trace_copy_event sc collector slot k start cost =
           (Graph.collection g prob.dep_src_cid.(k)).Graph.cname
           (Graph.collection g prob.dep_dst_cid.(k)).Graph.cname;
       kind = Trace.Copy;
-      resource =
-        Printf.sprintf "node%d/%s" src_mem.Machine.mnode
-          channel_class_names.(sc.dep_class.(k));
+      resource = Printf.sprintf "node%d/%s" src_node channel_class_names.(b.dep_class.(k));
       start_time = start;
       duration = cost;
     }
 
-let[@inline] dep_arrived sc i t =
-  let ready_time = sc.ready_time in
+(* [i] is the instance's index into the per-instance arrays, [name]
+   its (i lsl slot_bits) lor slot *)
+let[@inline] dep_arrived r i name t =
+  let ready_time = r.ready_time in
   if t > ready_time.(i) then ready_time.(i) <- t;
-  let indeg = sc.indeg in
+  let indeg = r.indeg in
   let d = indeg.(i) - 1 in
   indeg.(i) <- d;
-  if d = 0 then Fheap.push sc.events ready_time.(i) (i lsl 1)
+  if d = 0 then Fheap.push r.events ready_time.(i) (name lsl 1)
 
-let[@inline] do_ready sc i t =
-  let prob = sc.prob in
-  let slot = sc.inst_slot.(i) in
-  let node = sc.slot_node.(slot) in
-  let free = sc.dispatch_free.(node) in
+let[@inline] do_ready b r name t =
+  let prob = r.rprob in
+  let slot = name land prob.slot_mask in
+  let i = name lsr prob.slot_bits in
+  let node = b.slot_node.(slot) in
+  let free = r.dispatch_free.(node) in
   let dispatched = (if t > free then t else free) +. prob.dispatch_cost in
-  sc.dispatch_free.(node) <- dispatched;
-  let pid = sc.slot_pid.(slot) in
-  let pfree = sc.proc_free.(pid) in
+  r.dispatch_free.(node) <- dispatched;
+  let pid = b.slot_pid.(slot) in
+  let pfree = r.proc_free.(pid) in
   let start = if dispatched > pfree then dispatched else pfree in
-  if i >= sc.sim_nfilled then fill_noise sc i;
-  let d = sc.slot_dur.(slot) *. sc.sim_noise.(i) in
+  if i >= r.sim_nfilled then fill_noise r i;
+  let d = b.slot_dur.(slot) *. r.sim_noise.(i) in
   let t_done = start +. d in
-  sc.proc_free.(pid) <- t_done;
-  sc.r_proc_busy.(pid) <- sc.r_proc_busy.(pid) +. d;
+  r.proc_free.(pid) <- t_done;
+  r.r_proc_busy.(pid) <- r.r_proc_busy.(pid) +. d;
   let tid = prob.slot_tid.(slot) in
-  sc.r_task_times.(tid) <- sc.r_task_times.(tid) +. d;
-  (match sc.sim_trace with
-  | Some collector -> trace_exec_event sc collector slot start d
+  r.r_task_times.(tid) <- r.r_task_times.(tid) +. d;
+  (match r.sim_trace with
+  | Some collector -> trace_exec_event b r collector slot start d
   | None -> ());
-  Fheap.push sc.events t_done ((i lsl 1) lor 1)
+  Fheap.push r.events t_done ((name lsl 1) lor 1)
 
-let[@inline] do_done sc i t_done =
-  let prob = sc.prob in
-  let spi = prob.spi in
-  let iter = sc.inst_iter.(i) in
-  let slot = sc.inst_slot.(i) in
-  let acc = sc.r_acc in
+let[@inline] do_done b r name t_done =
+  let prob = r.rprob in
+  let spi = prob.spi and bits = prob.slot_bits and n = r.sim_ninst in
+  let i = name lsr bits in
+  let slot = name land prob.slot_mask in
+  (* the first index of this instance's iteration: the same slot one
+     iteration on is [i + spi], and a consumer slot [dst] of this
+     iteration (or of the next, over a carried dep) is [base + dst]
+     (or [base + spi + dst]), which exists while it is below [n] *)
+  let base = i - slot in
+  let acc = r.r_acc in
   if t_done > acc.(acc_makespan) then acc.(acc_makespan) <- t_done;
-  let iterations = sc.sim_iters in
   (* next-iteration self dependence *)
-  if iter + 1 < iterations then dep_arrived sc (i + spi) t_done;
+  if i + spi < n then dep_arrived r (i + spi) (name + (spi lsl bits)) t_done;
   (* feed consumers *)
   for k = prob.dep_off.(slot) to prob.dep_off.(slot + 1) - 1 do
-    let target_iter = if prob.dep_carried.(k) then iter + 1 else iter in
-    if target_iter < iterations then begin
-      let ci = (target_iter * spi) + prob.dep_dst_slot.(k) in
-      let chan = sc.dep_chan.(k) in
-      if chan = -1 then dep_arrived sc ci t_done
+    let dst = prob.dep_dst_slot.(k) in
+    let ci = (if prob.dep_carried.(k) then base + spi else base) + dst in
+    if ci < n then begin
+      let cname = (ci lsl bits) lor dst in
+      let chan = b.dep_chan.(k) in
+      if chan = -1 then dep_arrived r ci cname t_done
       else if chan >= 0 then begin
-        let cost = sc.dep_cost.(k) in
+        let cost = b.dep_cost.(k) in
         let start =
-          if sc.contended then begin
-            let cfree = sc.chan_free.(chan) in
+          if prob.contended then begin
+            let cfree = r.chan_free.(chan) in
             if t_done > cfree then t_done else cfree
           end
           else t_done
         in
         let arrival = start +. cost in
-        if sc.contended then sc.chan_free.(chan) <- arrival;
+        if prob.contended then r.chan_free.(chan) <- arrival;
         let bytes = prob.dep_bytes.(k) in
         acc.(acc_bytes) <- acc.(acc_bytes) +. bytes;
-        let cls = sc.dep_class.(k) in
-        sc.r_channel_bytes.(cls) <- sc.r_channel_bytes.(cls) +. bytes;
-        sc.r_n_copies <- sc.r_n_copies + 1;
-        (match sc.sim_trace with
-        | Some collector -> trace_copy_event sc collector slot k start cost
+        let cls = b.dep_class.(k) in
+        r.r_channel_bytes.(cls) <- r.r_channel_bytes.(cls) +. bytes;
+        r.r_n_copies <- r.r_n_copies + 1;
+        (match r.sim_trace with
+        | Some collector -> trace_copy_event b r collector k start cost
         | None -> ());
-        dep_arrived sc ci arrival
+        dep_arrived r ci cname arrival
       end
       else begin
         (* routed copy: walk the route, charging each busy-until
            clock in path order (store-and-forward).  The uncontended
            model pays the same total without queueing. *)
         let arrival =
-          if not sc.contended then t_done +. sc.dep_cost.(k)
+          if not prob.contended then t_done +. b.dep_cost.(k)
           else begin
-            let nh = route_hops sc k in
+            let nh = route_hops b r k in
             (* a local float ref stays unboxed; a float field of the
-               scratch record would box on every hop *)
+               runner record would box on every hop *)
             let t = ref t_done in
             for h = 0 to nh - 1 do
-              let hslot = sc.walk_slot.(h) in
-              let cost = sc.walk_cost.(h) in
-              let free = sc.chan_free.(hslot) in
+              let hslot = r.walk_slot.(h) in
+              let cost = r.walk_cost.(h) in
+              let free = r.chan_free.(hslot) in
               let start = if !t > free then !t else free in
               let arr = start +. cost in
-              sc.chan_free.(hslot) <- arr;
+              r.chan_free.(hslot) <- arr;
               t := arr
             done;
             !t
@@ -1082,25 +1159,88 @@ let[@inline] do_done sc i t_done =
         in
         let bytes = prob.dep_bytes.(k) in
         acc.(acc_bytes) <- acc.(acc_bytes) +. bytes;
-        let cls = sc.dep_class.(k) in
-        sc.r_channel_bytes.(cls) <- sc.r_channel_bytes.(cls) +. bytes;
-        sc.r_n_copies <- sc.r_n_copies + 1;
-        (match sc.sim_trace with
-        | Some collector ->
-            trace_copy_event sc collector slot k t_done (arrival -. t_done)
+        let cls = b.dep_class.(k) in
+        r.r_channel_bytes.(cls) <- r.r_channel_bytes.(cls) +. bytes;
+        r.r_n_copies <- r.r_n_copies + 1;
+        (match r.sim_trace with
+        | Some collector -> trace_copy_event b r collector k t_done (arrival -. t_done)
         | None -> ());
-        dep_arrived sc ci arrival
+        dep_arrived r ci cname arrival
       end
     end
   done
 
-(* One full simulation into the scratch's result planes.  Returns a
-   status code ([st_finished] / [st_cut] / [st_error]) instead of a
-   constructor so the call frame carries no allocation; the wrappers
-   below rebuild the [result] / [outcome] views for record-API
-   callers. *)
+(* The one event loop: a full simulation of bind [b] into runner [r]'s
+   result planes, its noise source already chosen and its per-instance
+   arrays already sized for [iterations].  Returns [st_finished] or
+   [st_cut] instead of a constructor so the call frame carries no
+   allocation; the wrappers below rebuild the [result] / [outcome]
+   views for record-API callers. *)
+let event_loop b r ~iterations ~trace ~cutoff =
+  let prob = r.rprob in
+  let spi = prob.spi and bits = prob.slot_bits in
+  let n_instances = iterations * spi in
+  (* O(n) reset; no allocation *)
+  Array.fill r.proc_free 0 (Array.length r.proc_free) 0.0;
+  Array.fill r.chan_free 0 (Array.length r.chan_free) 0.0;
+  Array.fill r.dispatch_free 0 (Array.length r.dispatch_free) 0.0;
+  let indeg = r.indeg in
+  Array.fill r.ready_time 0 n_instances 0.0;
+  let indeg_base = prob.indeg_base and indeg_carried = prob.indeg_carried in
+  for iter = 0 to iterations - 1 do
+    let base = iter * spi in
+    for slot = 0 to spi - 1 do
+      indeg.(base + slot) <-
+        (indeg_base.(slot) + if iter > 0 then 1 + indeg_carried.(slot) else 0)
+    done
+  done;
+  let events = r.events in
+  Fheap.reset events;
+  (* result planes *)
+  Array.fill r.r_task_times 0 (Array.length r.r_task_times) 0.0;
+  Array.fill r.r_proc_busy 0 (Array.length r.r_proc_busy) 0.0;
+  Array.fill r.r_channel_bytes 0 n_channel_classes 0.0;
+  r.r_acc.(acc_makespan) <- 0.0;
+  r.r_acc.(acc_bytes) <- 0.0;
+  r.r_acc.(acc_cut) <- 0.0;
+  r.r_n_copies <- 0;
+  r.r_demotions <- b.demotions;
+  r.sim_ninst <- n_instances;
+  r.sim_trace <- trace;
+  for iter = 0 to iterations - 1 do
+    let base = iter * spi in
+    for slot = 0 to spi - 1 do
+      let i = base + slot in
+      if indeg.(i) = 0 then Fheap.push events 0.0 (((i lsl bits) lor slot) lsl 1)
+    done
+  done;
+  let cut = ref false in
+  while (not !cut) && not (Fheap.is_empty events) do
+    let t = Fheap.top_prio events in
+    if t >= cutoff then begin
+      (* events pop in nondecreasing time order and every pending
+         instance still has nonnegative work left, so the final
+         makespan is >= t: the caller's bound is unreachable *)
+      cut := true;
+      r.r_acc.(acc_cut) <- t
+    end
+    else begin
+      let payload = Fheap.top events in
+      Fheap.drop events;
+      let name = payload lsr 1 in
+      if payload land 1 = 0 then do_ready b r name t else do_done b r name t
+    end
+  done;
+  if !cut then st_cut
+  else begin
+    r.r_acc.(acc_per_iter) <- r.r_acc.(acc_makespan) /. float_of_int iterations;
+    st_finished
+  end
+
+(* A scratch's simulation: resolve and bind the mapping (through the
+   bind cache), pick the noise source, and run the event loop over the
+   scratch's own bind and runner. *)
 let sim_core sc mapping ~noise_sigma ~seed ~add_seed ~fallback ~iterations ~trace ~cutoff =
-  let prob = sc.prob in
   let bound_ok =
     (* same inline fast path as {!resolve_bound}, minus its [Ok]
        allocation; the slow branch delegates (and the fast condition
@@ -1120,9 +1260,9 @@ let sim_core sc mapping ~noise_sigma ~seed ~add_seed ~fallback ~iterations ~trac
   if not bound_ok then st_error
   else begin
     if iterations <= 0 then invalid_arg "Exec.simulate: iterations must be positive";
-    let spi = prob.spi in
-    let n_instances = iterations * spi in
-    ensure_capacity sc n_instances;
+    let r = sc.run in
+    let n_instances = iterations * sc.prob.spi in
+    ensure_capacity r n_instances;
     (* Noise draws are strictly sequential (instance-ascending, like
        the reference's upfront pass), but filled lazily as the event
        loop first touches an instance: a cutoff-aborted run then skips
@@ -1134,7 +1274,6 @@ let sim_core sc mapping ~noise_sigma ~seed ~add_seed ~fallback ~iterations ~trac
        each seed's draws happen once per search.  [add_seed] is false
        for the record API, whose one noisy caller in the search draws a
        fresh seed per run: such a stream would never be read again. *)
-    sc.sim_sigma <- noise_sigma;
     let ci =
       if noise_sigma > 0.0 then noise_cache_idx sc ~seed ~sigma:noise_sigma ~add:add_seed
       else -1
@@ -1142,91 +1281,39 @@ let sim_core sc mapping ~noise_sigma ~seed ~add_seed ~fallback ~iterations ~trac
     if ci >= 0 then begin
       let c = sc.nzs.(ci) in
       noise_reserve c n_instances;
-      sc.sim_fill <- 1;
-      sc.sim_ncache <- c;
-      sc.sim_noise <- c.nbuf;
-      sc.sim_nfilled <- c.nfilled
+      r.sim_fill <- 1;
+      r.sim_ncache <- c;
+      r.sim_noise <- c.nbuf;
+      r.sim_nfilled <- c.nfilled
     end
-    else if noise_sigma > 0.0 then begin
-      sc.sim_fill <- 2;
-      sc.sim_nrng <- Rng.create seed;
-      sc.sim_noise <- sc.noise;
-      sc.sim_nfilled <- 0
-    end
-    else begin
-      Array.fill sc.noise 0 n_instances 1.0;
-      sc.sim_fill <- 0;
-      sc.sim_noise <- sc.noise;
-      sc.sim_nfilled <- n_instances
-    end;
-    (* O(n) scratch reset; no allocation *)
-    Array.fill sc.proc_free 0 (Array.length sc.proc_free) 0.0;
-    Array.fill sc.chan_free 0 (Array.length sc.chan_free) 0.0;
-    Array.fill sc.dispatch_free 0 (Array.length sc.dispatch_free) 0.0;
-    let indeg = sc.indeg in
-    Array.fill sc.ready_time 0 n_instances 0.0;
-    let indeg_base = prob.indeg_base and indeg_carried = prob.indeg_carried in
-    for iter = 0 to iterations - 1 do
-      let base = iter * spi in
-      for slot = 0 to spi - 1 do
-        indeg.(base + slot) <-
-          (indeg_base.(slot) + if iter > 0 then 1 + indeg_carried.(slot) else 0)
-      done
-    done;
-    let events = sc.events in
-    Fheap.reset events;
-    (* result planes *)
-    Array.fill sc.r_task_times 0 (Array.length sc.r_task_times) 0.0;
-    Array.fill sc.r_proc_busy 0 (Array.length sc.r_proc_busy) 0.0;
-    Array.fill sc.r_channel_bytes 0 n_channel_classes 0.0;
-    sc.r_acc.(acc_makespan) <- 0.0;
-    sc.r_acc.(acc_bytes) <- 0.0;
-    sc.r_acc.(acc_cut) <- 0.0;
-    sc.r_n_copies <- 0;
-    sc.sim_iters <- iterations;
-    sc.sim_trace <- trace;
-    for i = 0 to n_instances - 1 do
-      if indeg.(i) = 0 then Fheap.push events 0.0 (i lsl 1)
-    done;
-    let cut = ref false in
-    while (not !cut) && not (Fheap.is_empty events) do
-      let t = Fheap.top_prio events in
-      if t >= cutoff then begin
-        (* events pop in nondecreasing time order and every pending
-           instance still has nonnegative work left, so the final
-           makespan is >= t: the caller's bound is unreachable *)
-        cut := true;
-        sc.r_acc.(acc_cut) <- t
-      end
-      else begin
-        let payload = Fheap.top events in
-        Fheap.drop events;
-        let i = payload lsr 1 in
-        if payload land 1 = 0 then do_ready sc i t else do_done sc i t
-      end
-    done;
-    if !cut then st_cut
-    else begin
-      sc.r_acc.(acc_per_iter) <- sc.r_acc.(acc_makespan) /. float_of_int iterations;
-      st_finished
-    end
+    else private_noise r ~noise_sigma ~seed n_instances;
+    event_loop sc.bind r ~iterations ~trace ~cutoff
   end
+
+let run_fresh r b ~noise_sigma ~seed ~iterations =
+  if b.bprob != r.rprob then invalid_arg "Exec.run_fresh: bind and runner of different problems";
+  if iterations <= 0 then invalid_arg "Exec.run_fresh: iterations must be positive";
+  let n_instances = iterations * r.rprob.spi in
+  ensure_capacity r n_instances;
+  private_noise r ~noise_sigma ~seed n_instances;
+  ignore (event_loop b r ~iterations ~trace:None ~cutoff:infinity : int)
 
 (* Record view over the result planes.  The returned arrays are fresh
    copies, so they stay valid across subsequent simulations — the one
    thing the record API allocates. *)
-let result_of_planes sc =
+let runner_result r =
   {
-    makespan = sc.r_acc.(acc_makespan);
-    per_iteration = sc.r_acc.(acc_per_iter);
-    task_times = Array.copy sc.r_task_times;
-    proc_busy = Array.copy sc.r_proc_busy;
-    bytes_moved = sc.r_acc.(acc_bytes);
-    channel_bytes = Array.copy sc.r_channel_bytes;
-    n_copies = sc.r_n_copies;
-    demotions =
-      (match sc.bound_placement with Some pl -> Placement.demotions pl | None -> 0);
+    makespan = r.r_acc.(acc_makespan);
+    per_iteration = r.r_acc.(acc_per_iter);
+    task_times = Array.copy r.r_task_times;
+    proc_busy = Array.copy r.r_proc_busy;
+    bytes_moved = r.r_acc.(acc_bytes);
+    channel_bytes = Array.copy r.r_channel_bytes;
+    n_copies = r.r_n_copies;
+    demotions = r.r_demotions;
   }
+
+let[@inline] runner_per_iteration r = r.r_acc.(acc_per_iter)
 
 let simulate_bounded ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?iterations
     ?trace ?(cutoff = infinity) sc mapping =
@@ -1236,8 +1323,8 @@ let simulate_bounded ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?iter
       ~cutoff
   in
   if st = st_error then Error (match sc.r_error with Some e -> e | None -> assert false)
-  else if st = st_cut then Ok (Cut sc.r_acc.(acc_cut))
-  else Ok (Finished (result_of_planes sc))
+  else if st = st_cut then Ok (Cut sc.run.r_acc.(acc_cut))
+  else Ok (Finished (runner_result sc.run))
 
 let simulate ?noise_sigma ?seed ?fallback ?iterations ?trace sc mapping =
   match simulate_bounded ?noise_sigma ?seed ?fallback ?iterations ?trace sc mapping with
@@ -1255,15 +1342,11 @@ let simulate_quiet sc mapping ~noise_sigma ~seed ~fallback ~iterations ~cutoff =
   sim_core sc mapping ~noise_sigma ~seed ~add_seed:true ~fallback ~iterations ~trace:None
     ~cutoff
 
-let simulate_fresh sc mapping ~noise_sigma ~seed ~fallback ~iterations =
-  sim_core sc mapping ~noise_sigma ~seed ~add_seed:false ~fallback ~iterations ~trace:None
-    ~cutoff:infinity
-
-let[@inline] quiet_makespan sc = sc.r_acc.(acc_makespan)
-let[@inline] quiet_per_iteration sc = sc.r_acc.(acc_per_iter)
-let[@inline] quiet_cut_time sc = sc.r_acc.(acc_cut)
+let[@inline] quiet_makespan sc = sc.run.r_acc.(acc_makespan)
+let[@inline] quiet_per_iteration sc = sc.run.r_acc.(acc_per_iter)
+let[@inline] quiet_cut_time sc = sc.run.r_acc.(acc_cut)
 let quiet_error sc = sc.r_error
-let quiet_result sc = result_of_planes sc
+let quiet_result sc = runner_result sc.run
 
 (* Noise-independent makespan floors, shared by {!static_lower_bound}
    and {!run_lower_bound}.  Assumes the mapping is already bound.
@@ -1273,9 +1356,9 @@ let quiet_result sc = result_of_planes sc
    scans below run once per (re-)bind instead of once per probe.
    {!resolve_bound} clears [sfloor_valid] whenever it rebinds. *)
 let static_floors sc iterations =
-  if sc.sfloor_valid && sc.sfloor_iters = iterations then sc.r_acc.(acc_sfloor)
+  if sc.sfloor_valid && sc.sfloor_iters = iterations then sc.run.r_acc.(acc_sfloor)
   else begin
-  let prob = sc.prob in
+  let prob = sc.prob and b = sc.bind and r = sc.run in
   let spi = prob.spi in
   let iters_f = float_of_int iterations in
   let lb = ref 0.0 in
@@ -1286,28 +1369,28 @@ let static_floors sc iterations =
      whose completion the makespan dominates.  This floor is what
      makes the bound tight for communication-dominated mappings on
      multi-node machines. *)
-  let chan_busy = sc.chan_free in
+  let chan_busy = r.chan_free in
   Array.fill chan_busy 0 (Array.length chan_busy) 0.0;
   let cross_bytes = ref 0.0 in
-  if sc.contended then
+  if prob.contended then
     for slot = 0 to spi - 1 do
       for k = prob.dep_off.(slot) to prob.dep_off.(slot + 1) - 1 do
-        let chan = sc.dep_chan.(k) in
+        let chan = b.dep_chan.(k) in
         if chan >= 0 then begin
           let times = if prob.dep_carried.(k) then iterations - 1 else iterations in
-          chan_busy.(chan) <- chan_busy.(chan) +. (sc.dep_cost.(k) *. float_of_int times)
+          chan_busy.(chan) <- chan_busy.(chan) +. (b.dep_cost.(k) *. float_of_int times)
         end
         else if chan < -1 then begin
           (* routed: each hop serializes on its own link/staging clock *)
           let times = if prob.dep_carried.(k) then iterations - 1 else iterations in
           let tf = float_of_int times in
-          let nh = route_hops sc k in
+          let nh = route_hops b r k in
           for h = 0 to nh - 1 do
-            let hslot = sc.walk_slot.(h) in
-            chan_busy.(hslot) <- chan_busy.(hslot) +. (sc.walk_cost.(h) *. tf)
+            let hslot = r.walk_slot.(h) in
+            chan_busy.(hslot) <- chan_busy.(hslot) +. (r.walk_cost.(h) *. tf)
           done;
           let topo = routed_topo prob in
-          if Topology.side topo sc.dep_src_node.(k) <> Topology.side topo sc.dep_dst_node.(k)
+          if Topology.side topo b.dep_src_node.(k) <> Topology.side topo b.dep_dst_node.(k)
           then cross_bytes := !cross_bytes +. (prob.dep_bytes.(k) *. tf)
         end
       done
@@ -1317,7 +1400,7 @@ let static_floors sc iterations =
      some cut link, so total cross traffic over total cut bandwidth
      bounds the busiest cut link's serial time (weighted mean <= max). *)
   (match prob.cmachine.Machine.topology with
-  | Some topo when sc.contended && Topology.bisection_bw topo > 0.0 ->
+  | Some topo when prob.contended && Topology.bisection_bw topo > 0.0 ->
       let floor = !cross_bytes /. Topology.bisection_bw topo in
       if floor > !lb then lb := floor
   | _ -> ());
@@ -1326,10 +1409,10 @@ let static_floors sc iterations =
      before count * dispatch_cost — a noise-free second floor that
      dominates for dispatch-bound mappings. *)
   if prob.dispatch_cost > 0.0 then begin
-    let disp = sc.dispatch_free in
+    let disp = r.dispatch_free in
     Array.fill disp 0 (Array.length disp) 0.0;
     for slot = 0 to spi - 1 do
-      let n = sc.slot_node.(slot) in
+      let n = b.slot_node.(slot) in
       disp.(n) <- disp.(n) +. prob.dispatch_cost
     done;
     Array.iter
@@ -1364,7 +1447,7 @@ let static_floors sc iterations =
             let arrival =
               (* any copy (kind-level or routed) delays its consumer by
                  at least its full noise-free cost *)
-              if sc.dep_chan.(k) <> -1 then done_floor +. sc.dep_cost.(k)
+              if b.dep_chan.(k) <> -1 then done_floor +. b.dep_cost.(k)
               else done_floor
             in
             let dst = prob.dep_dst_slot.(k) in
@@ -1375,7 +1458,7 @@ let static_floors sc iterations =
     let floor = !cp_max +. (float_of_int (iterations - 1) *. prob.dispatch_cost) in
     if floor > !lb then lb := floor
   end;
-  sc.r_acc.(acc_sfloor) <- !lb;
+  r.r_acc.(acc_sfloor) <- !lb;
   sc.sfloor_iters <- iterations;
   sc.sfloor_valid <- true;
   !lb
@@ -1394,7 +1477,7 @@ let static_lower_bound ?(fallback = false) ?iterations sc mapping =
 
 let run_lower_bound ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?iterations sc
     mapping =
-  let prob = sc.prob in
+  let prob = sc.prob and b = sc.bind and r = sc.run in
   match resolve_bound sc ~fallback mapping with
   | Error e -> Error e
   | Ok _ ->
@@ -1411,7 +1494,7 @@ let run_lower_bound ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?itera
          certified for the run the caller would otherwise simulate.
          [proc_free]/[dispatch_free] serve as accumulators; any
          subsequent simulation resets them first. *)
-      let busy = sc.proc_free in
+      let busy = r.proc_free in
       Array.fill busy 0 (Array.length busy) 0.0;
       if noise_sigma > 0.0 then begin
         (* The loop nest visits instances in ascending order (iteration-
@@ -1429,24 +1512,24 @@ let run_lower_bound ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?itera
             c.nbuf
           end
           else begin
-            ensure_capacity sc n;
-            Rng.fill_lognormal (Rng.create seed) ~sigma:noise_sigma sc.noise ~pos:0 ~len:n;
-            sc.noise
+            ensure_capacity r n;
+            Rng.fill_lognormal (Rng.create seed) ~sigma:noise_sigma r.noise ~pos:0 ~len:n;
+            r.noise
           end
         in
         for iter = 0 to iterations - 1 do
           let base = iter * spi in
           for slot = 0 to spi - 1 do
             let x = nbuf.(base + slot) in
-            let pid = sc.slot_pid.(slot) in
-            busy.(pid) <- busy.(pid) +. (sc.slot_dur.(slot) *. x)
+            let pid = b.slot_pid.(slot) in
+            busy.(pid) <- busy.(pid) +. (b.slot_dur.(slot) *. x)
           done
         done
       end
       else
         for slot = 0 to spi - 1 do
-          let pid = sc.slot_pid.(slot) in
-          busy.(pid) <- busy.(pid) +. (sc.slot_dur.(slot) *. iters_f)
+          let pid = b.slot_pid.(slot) in
+          busy.(pid) <- busy.(pid) +. (b.slot_dur.(slot) *. iters_f)
         done;
       let lb = ref 0.0 in
       Array.iter (fun b -> if b > !lb then lb := b) busy;

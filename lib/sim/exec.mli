@@ -63,9 +63,11 @@ type compiled
     pair.  Immutable after {!compile}; safe to share across domains. *)
 
 type scratch
-(** Reusable per-simulation state (ready times, indegrees, resource
-    free-times, noise streams, event heap) tied to one {!compiled}
-    problem.  NOT thread-safe: each domain needs its own scratch. *)
+(** Reusable simulation state tied to one {!compiled} problem: one
+    {!bind}, one {!runner}, the placement cache that resolves a mapping
+    into the bind, and the per-seed noise streams a search reuses.
+    NOT thread-safe: each domain that resolves mappings needs its own
+    scratch. *)
 
 val compile : Machine.t -> Graph.t -> compiled
 
@@ -148,17 +150,6 @@ val simulate_quiet :
     scratch; {!quiet_result} materializes a full {!result} record (and
     allocates — use it off the hot path only). *)
 
-val simulate_fresh :
-  scratch ->
-  Mapping.t ->
-  noise_sigma:float ->
-  seed:int ->
-  fallback:bool ->
-  iterations:int ->
-  int
-(** {!simulate_quiet} with no cutoff for a seed run once: it adds no
-    stream to the seed table (see below). *)
-
 val st_finished : int
 val st_cut : int
 val st_error : int
@@ -175,6 +166,71 @@ val quiet_error : scratch -> error option
 val quiet_result : scratch -> result
 (** Record view over the result planes of the last finished run.  The
     arrays are fresh copies (safe to retain). *)
+
+(** {1 Binds and runners}
+
+    A simulation reads what its mapping decides and writes what its run
+    produces, and the two live apart.  A {!bind} holds the first: per
+    instance slot a noise-free duration, a processor and a node, and per
+    dependence a channel, a class, a copy cost and, when routed, its
+    endpoints' nodes, plus the placement's demotions.  A {!runner}
+    holds the second: ready times, indegrees and the noise buffer (three
+    per-instance arrays), the resource clocks, the event queue, the
+    route-walk buffers and the result planes.  Every simulation, on a
+    scratch or not, is the same event loop over one (bind, runner)
+    pair: a scratch's runs resolve and bind the mapping into the
+    scratch's own bind and then run it on the scratch's own runner.
+
+    That split lets the fresh-seed runs of a measurement spread over
+    domains without copying a problem: the calling domain binds each
+    mapping on its scratch, and each other domain builds only a
+    runner, which reads those binds and allocates nothing per run but
+    its noise generator. *)
+
+type bind
+(** A bound mapping, as the event loop reads it.  The bind a scratch
+    answers ({!bind}) is the scratch's own: its next bind of another
+    mapping rewrites it in place.  A {!freeze}d copy is never written,
+    so any number of runners on any domains may read it at once. *)
+
+type runner
+(** What one run writes.  A runner serves any bind of its compiled
+    problem, one run at a time; NOT thread-safe. *)
+
+val bind : scratch -> fallback:bool -> Mapping.t -> (bind, error) Stdlib.result
+(** Resolve and bind [mapping] on the scratch, through its bind cache
+    (counted by {!delta_binds}, {!full_binds} or {!bind_cache_hits},
+    like a simulation's bind), and answer the scratch's own bind: valid
+    until the scratch binds another mapping.  Placement errors are
+    {!simulate}'s. *)
+
+val freeze : bind -> bind
+(** A private copy of the bind's tables (a few KB on a lassen preset),
+    unaffected by later binds of the scratch it came from. *)
+
+val runner : compiled -> runner
+(** A fresh runner.  Its per-instance arrays are sized on its first run
+    and grow to the largest [iterations] it has run. *)
+
+val scratch_runner : scratch -> runner
+(** The scratch's own runner, which its simulations write: a run on it
+    overwrites the planes the [quiet_*] accessors read. *)
+
+val run_fresh :
+  runner -> bind -> noise_sigma:float -> seed:int -> iterations:int -> unit
+(** Simulate the bound mapping once, to completion, under noise drawn
+    privately from [Rng.create seed]: the values, floats and results of
+    {!simulate} with the same parameters, bit for bit.  A warm runner
+    allocates only its noise generator.
+    @raise Invalid_argument if the bind and the runner come from
+    different compiled problems, or if [iterations <= 0]. *)
+
+val runner_per_iteration : runner -> float
+(** Per-iteration time of the runner's last run. *)
+
+val runner_result : runner -> result
+(** Record view over the runner's last run, as {!quiet_result}; its
+    [demotions] are those of the bind it ran. *)
 
 val static_lower_bound :
   ?fallback:bool ->
@@ -219,9 +275,9 @@ val run_lower_bound :
     every later run (and {!run_lower_bound}) reads them back.  The
     values are bit-identical to a fresh [Rng.create seed].  Only
     {!simulate_quiet} and {!run_lower_bound} add a seed to the table;
-    {!simulate}, {!simulate_bounded} and {!simulate_fresh} read an
-    existing stream and otherwise draw privately, so one-shot seeds
-    take no slot.  Either way the draws are filled in bulk
+    {!simulate} and {!simulate_bounded} read an existing stream and
+    otherwise draw privately, as {!run_fresh} always does, so one-shot
+    seeds take no slot.  Either way the draws are filled in bulk
     ({!Rng.fill_lognormal}), a block ahead of the event loop.
 
     Binding a mapping to the compiled problem is cached too: a re-run

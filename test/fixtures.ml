@@ -113,3 +113,25 @@ let fresh_dir =
       Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d)
     else Unix.mkdir d 0o755;
     d
+
+(* For a measurement's objective, which runs on whichever domain ran
+   the run: [note_domain w] records that the calling domain (the one
+   that made [w]) or another one has arrived, and waits (about two
+   seconds at most) until both have.  A spawned domain can take a while
+   to start, or share its parent's CPU and run every chunk before the
+   parent takes one; without the wait, either domain could run them
+   all.  Allocates nothing. *)
+type worker_wait = { main : int; main_in : bool Atomic.t; other_in : bool Atomic.t }
+
+let worker_wait () =
+  { main = (Domain.self () :> int); main_in = Atomic.make false; other_in = Atomic.make false }
+
+let note_domain w =
+  let main = (Domain.self () :> int) = w.main in
+  Atomic.set (if main then w.main_in else w.other_in) true;
+  let theirs = if main then w.other_in else w.main_in in
+  let spins = ref 0 in
+  while (not (Atomic.get theirs)) && !spins < 1 lsl 26 do
+    Domain.cpu_relax ();
+    incr spins
+  done

@@ -1,6 +1,6 @@
 (* Allocation discipline of the hot evaluation path.
 
-   Four gates:
+   The gates:
 
    - the event loop proper: once the scratch is warm (bind cached,
      noise stream cached, heaps grown), re-simulating a candidate
@@ -25,9 +25,14 @@
    - a routed copy's cost, summed at every bind of a routed dep:
      the words it allocates do not grow with the route's length, and a
      delta rebind of routed deps allocates no more than the same rebind
-     on the kind-level channel.
+     on the kind-level channel;
 
-   All five measurements only make sense compiled to native code —
+   - the fresh-seed runs of a measurement: a warm run allocates its
+     noise generator's state, not its draws, and a domain's share of a
+     measurement spread over domains allocates no scratch, placement
+     or bind.
+
+   All these measurements only make sense compiled to native code —
    bytecode boxes freely — so the tests skip under other backends. *)
 
 let native = match Sys.backend_type with Sys.Native -> true | _ -> false
@@ -282,6 +287,81 @@ let test_simulate_fresh_seed_alloc problem () =
         (w -. record) record allowance (instances g) trial
   done
 
+(* Each domain's share of a measurement: 30 fresh-seed runs of
+   Circuit on grid:8x8 split into one chunk per domain.  The chunk
+   after the first runs on a runner of its own, reading the bind the
+   calling domain made, and whichever domain takes it — a worker, or
+   the calling one when it gets there first — builds nothing else.  A
+   custom objective runs on the domain that ran each run, so it reads
+   that domain's own minor-word counter (which starts near zero on a
+   spawned domain, and is read just before the call on the calling
+   one) without allocating: a float array store and an atomic
+   increment.  Each domain's first call also waits until another
+   domain has called it, so the runs land on two domains.  A domain
+   may allocate, per run, the fresh-seed allowance plus the result
+   record the objective is handed, and nothing for a scratch, a
+   placement or a bind: a fresh scratch's resolve and bind of this
+   mapping alone exceed every run's allowance together. *)
+let test_measure_share_alloc () =
+  skip_unless_native ();
+  if Domain.recommended_domain_count () = 1 then begin
+    print_endline "one domain recommended: the measurement runs inline, nothing to share";
+    Alcotest.skip ()
+  end;
+  let machine = Result.get_ok (Presets.of_spec "grid:8x8" ~nodes:1) in
+  let nodes = machine.Machine.nodes in
+  let g = App.circuit.App.graph ~nodes ~input:(List.hd (App.circuit.App.inputs ~nodes)) in
+  let m = Mapping.default_start g machine in
+  let runs = 30 in
+  let readings = Array.make runs 0.0 and domains = Array.make runs 0 in
+  let next = Atomic.make 0 and wait = ref None in
+  let objective _ (r : Exec.result) =
+    let w = Gc.minor_words () in
+    let i = Atomic.fetch_and_add next 1 in
+    readings.(i) <- w;
+    domains.(i) <- (Domain.self () :> int);
+    Option.iter Fixtures.note_domain !wait;
+    r.Exec.per_iteration
+  in
+  let ev = Evaluator.create ~seed:1 ~objective machine g in
+  (* warm-up: binds the mapping and grows the scratch's runner *)
+  ignore (Evaluator.measure_objective ev ~runs:1 m);
+  (* the minor words of the record the objective is handed *)
+  let record =
+    let sc = Exec.scratch (Exec.compile machine g) in
+    ignore (Exec.simulate ~seed:1 sc m);
+    minor_words_during (fun () -> ignore (Exec.quiet_result sc))
+  in
+  let allowance = fresh_allowance g +. record in
+  Atomic.set next 0;
+  wait := Some (Fixtures.worker_wait ());
+  let main = (Domain.self () :> int) in
+  let main_base = Gc.minor_words () in
+  ignore (Evaluator.measure_objective ev ~runs m);
+  if Atomic.get next <> runs then
+    Alcotest.failf "%d objective calls for %d runs" (Atomic.get next) runs;
+  let ran = List.sort_uniq compare (Array.to_list domains) in
+  if List.length ran < 2 then Alcotest.fail "every run stayed on one domain";
+  List.iter
+    (fun d ->
+      let n = ref 0 and last = ref 0.0 in
+      Array.iteri
+        (fun i w ->
+          if domains.(i) = d then begin
+            incr n;
+            if w > !last then last := w
+          end)
+        readings;
+      let words = !last -. if d = main then main_base else 0.0 in
+      let per_run = words /. float_of_int !n in
+      if per_run > allowance then
+        Alcotest.failf
+          "the %s domain allocated %.0f minor words over its %d runs, %.0f a run, over the \
+           %.0f allowed (%.0f for %d instances, %.0f for the result record)"
+          (if d = main then "calling" else "worker")
+          words !n per_run allowance (fresh_allowance g) (instances g) record)
+    ran
+
 (* On grid:8x8 node 0 to node 1 is one hop and node 0 to node 63 is
    fourteen: summing the longer route may allocate no more. *)
 let test_copy_cost_words_flat () =
@@ -361,6 +441,8 @@ let suite =
       `Quick (test_simulate_fresh_seed_alloc (lassen_app App.stencil));
     Alcotest.test_case "fresh-seed simulate allocates its result only (Pennant lassen:4)"
       `Quick (test_simulate_fresh_seed_alloc (lassen_app App.pennant));
+    Alcotest.test_case "a measurement's domains allocate no scratch, placement or bind"
+      `Quick test_measure_share_alloc;
     Alcotest.test_case "routed copy cost words do not grow with the route" `Quick
       test_copy_cost_words_flat;
     Alcotest.test_case "a routed rebind allocates nothing per dep for its route" `Quick

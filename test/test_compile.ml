@@ -227,6 +227,76 @@ let random_workloads_match_oracle =
       if Array.exists (( = ) 0) random_workload_finished then
         Alcotest.fail "vacuous: a machine finished no simulation")
 
+(* The same random workloads on runners, as a measurement's domains
+   run them: each mapping is bound on the scratch and simulated once on
+   a fresh runner over the scratch's own bind, and once more on another
+   fresh runner over a frozen copy of that bind, made before the
+   scratch binds the other mapping (so the copy must not change when
+   the live bind does).  Every result field equals the oracle's, bit
+   for bit, and so does the energy objective of the record. *)
+let runner_workload_finished = Array.make (List.length random_workload_specs) 0
+
+let prop_runner_workloads_match_oracle =
+  QCheck.Test.make ~count:200
+    ~name:"random workloads on runners: scratch and frozen binds == oracle, bit for bit"
+    Gen.arbitrary_spec (fun spec ->
+      let g = Gen.graph_of_spec spec in
+      let iterations = g.Graph.iterations in
+      List.for_all
+        (fun (i, machine) ->
+          let compiled = Exec.compile machine g in
+          let sc = Exec.scratch compiled in
+          let energy r =
+            Int64.bits_of_float (Energy.joules_per_iteration machine Energy.default_power r)
+          in
+          let mappings = [| Mapping.default_start g machine; Mapping.all_cpu g machine |] in
+          List.for_all
+            (fun (noise_sigma, seed) ->
+              let run b =
+                let r = Exec.runner compiled in
+                Exec.run_fresh r b ~noise_sigma ~seed ~iterations;
+                Exec.runner_result r
+              in
+              let same expected got =
+                match expected with
+                | Ok a ->
+                    runner_workload_finished.(i) <- runner_workload_finished.(i) + 1;
+                    same_result a got && energy a = energy got
+                | Error _ -> false
+              in
+              let expected m = Oracle.run ~noise_sigma ~seed ~fallback:true machine g m in
+              let frozen = Array.map (fun _ -> None) mappings in
+              Array.for_all Fun.id
+                (Array.mapi
+                   (fun k m ->
+                     match Exec.bind sc ~fallback:true m with
+                     | Error e -> (
+                         match expected m with
+                         | Error e' ->
+                             Placement.error_to_string e = Placement.error_to_string e'
+                         | Ok _ -> false)
+                     | Ok b ->
+                         frozen.(k) <- Some (Exec.freeze b);
+                         same (expected m) (run b))
+                   mappings)
+              && Array.for_all Fun.id
+                   (Array.mapi
+                      (fun k m ->
+                        match frozen.(k) with
+                        | None -> true
+                        | Some b -> same (expected m) (run b))
+                      mappings))
+            [ (0.0, 0); (0.03, spec.Gen.seed); (0.03, spec.Gen.seed + 1) ])
+        (Lazy.force random_workload_machines))
+
+let runner_workloads_match_oracle =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_runner_workloads_match_oracle in
+  Alcotest.test_case name speed (fun () ->
+      Array.fill runner_workload_finished 0 (Array.length runner_workload_finished) 0;
+      run ();
+      if Array.exists (( = ) 0) runner_workload_finished then
+        Alcotest.fail "vacuous: a machine finished no run")
+
 (* The record API reads a scratch's noise streams but adds none: a
    fresh seed per run (the final protocol's) leaves the scratch as
    large as it was after the first such run. *)
@@ -290,6 +360,7 @@ let suite =
       test_result_arrays_fresh;
     Alcotest.test_case "evaluator protocol unchanged" `Quick test_evaluator_unchanged;
     random_workloads_match_oracle;
+    runner_workloads_match_oracle;
     Alcotest.test_case "fresh noise seeds do not grow the scratch" `Quick
       test_fresh_seeds_keep_scratch_size;
     Alcotest.test_case "parallel map preserves order" `Quick test_parallel_map_order;

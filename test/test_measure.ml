@@ -1,10 +1,11 @@
 (* Fresh-seed measurement across domains.  [Evaluator.measure],
-   [measure_objective] and [Driver.final_protocol] split their runs into
-   contiguous chunks, one per domain, each on its own scratch.  Every
-   run keeps its seed, mapping and bind, so every list — and the final
-   answer, and the evaluator's seed counter afterwards — must be
-   bit-equal to the sequential loop kept in test/oracle
-   ([Measure_oracle]). *)
+   [measure_objective] and [Driver.final_protocol] bind each mapping
+   on the evaluator's scratch and split their runs into contiguous
+   chunks, one per domain, each on a runner of its own that reads
+   those binds.  Every run keeps its seed, mapping and bind, so every
+   list — and the final answer, and the evaluator's seed counter
+   afterwards — must be bit-equal to the sequential loop kept in
+   test/oracle ([Measure_oracle]). *)
 
 let problem ~spec ~nodes ~app =
   let machine =
@@ -139,9 +140,9 @@ let test_empty_db_fallback () =
 
 (* The oversized fixture's default start (GPU framebuffer) cannot be
    placed; all-CPU fits in system memory.  Listed second, the failing
-   mapping's runs fall in a chunk of their own whenever there are two
-   or more domains. *)
-let test_failure_in_later_chunk () =
+   mapping is bound after the first one, on the calling domain, and
+   its bind raises the sequential loop's message before any run. *)
+let test_unplaceable_raises () =
   let machine = Fixtures.default_machine () in
   let g, _, _ = Fixtures.oversized () in
   let good = Mapping.all_cpu g machine and bad = Mapping.default_start g machine in
@@ -159,35 +160,12 @@ let test_failure_in_later_chunk () =
   | _ -> Alcotest.fail "measure_objectives placed the oversized mapping"
   | exception Failure msg -> Alcotest.(check string) "sequential message" expected msg
 
-(* Chunk 0 runs on the evaluator's scratch, so of 30 runs of a mapping
-   bound there, exactly the first chunk's hit its bind cache. *)
-let test_fan_out_ran () =
-  let domains = Domain.recommended_domain_count () in
-  if domains = 1 then begin
-    print_endline "one domain recommended: the measurement runs inline, nothing to fan out";
-    Alcotest.skip ()
-  end;
-  let machine, g = problem ~spec:"lassen" ~nodes:4 ~app:"stencil" in
-  let sc = Exec.scratch (Exec.compile machine g) in
-  let ev = Evaluator.create ~seed:1 ~scratch:sc machine g in
-  let m = Mapping.default_start g machine in
-  ignore (Evaluator.measure ev ~runs:1 m);
-  let hits = Exec.bind_cache_hits sc in
-  ignore (Evaluator.measure ev ~runs:30 m);
-  Alcotest.(check int) "chunk 0 ran on the evaluator's scratch"
-    (30 / Par.default_domains 30)
-    (Exec.bind_cache_hits sc - hits);
-  Alcotest.(check bool) "the other chunks did not" true (Exec.bind_cache_hits sc - hits < 30)
-
-(* Every run of the final protocol resolves its mapping once (a bind
-   hit, a delta bind or a full bind) on whichever scratch runs it, so
-   the evaluator's stats count exactly final_top x final_runs more of
-   them, the worker scratches' included. *)
-let test_final_protocol_binds_counted () =
-  if Domain.recommended_domain_count () = 1 then begin
-    print_endline "one domain recommended: every run binds on the evaluator's scratch";
-    Alcotest.skip ()
-  end;
+(* The calling domain binds each measured mapping once, on the
+   evaluator's scratch, and the runs read those binds: the final
+   protocol adds one bind event (a hit, a delta or a full bind) per
+   mapping it measures to the evaluator's stats, whatever its run
+   count and however many domains run them. *)
+let test_final_protocol_binds_once () =
   let machine, g = problem ~spec:"lassen" ~nodes:4 ~app:"stencil" in
   let ev = populated machine g in
   let binds () =
@@ -202,8 +180,37 @@ let test_final_protocol_binds_counted () =
         (Driver.final_protocol ~final_top ~final_runs ev ~search_best ~search_perf:1.0);
       Alcotest.(check int)
         (Printf.sprintf "top %d x %d runs" final_top final_runs)
-        (final_top * final_runs) (binds () - before))
-    [ (1, 7); (3, 30); (5, 30) ]
+        (min final_top (Profiles_db.size (Evaluator.db ev)))
+        (binds () - before))
+    [ (1, 7); (3, 30); (5, 30); (1, 1) ]
+
+(* The runs of one final protocol land on more than one domain: each
+   run's objective, computed on the domain that ran it, names it (and
+   each domain's first call waits until another domain has called
+   it). *)
+let test_runs_fan_out () =
+  if Domain.recommended_domain_count () = 1 then begin
+    print_endline "one domain recommended: the measurement runs inline, nothing to fan out";
+    Alcotest.skip ()
+  end;
+  let machine, g = problem ~spec:"lassen" ~nodes:4 ~app:"stencil" in
+  let mu = Mutex.create () and seen = ref [] and wait = ref None in
+  let objective machine r =
+    let d = (Domain.self () :> int) in
+    Mutex.protect mu (fun () -> if not (List.mem d !seen) then seen := d :: !seen);
+    Option.iter Fixtures.note_domain !wait;
+    energy machine r
+  in
+  let ev = populated ~objective machine g in
+  seen := [];
+  wait := Some (Fixtures.worker_wait ());
+  ignore
+    (Driver.final_protocol ~final_top:3 ~final_runs:30 ev
+       ~search_best:(Mapping.default_start g machine) ~search_perf:1.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d domains ran the runs" (List.length !seen))
+    true
+    (List.length !seen > 1)
 
 (* A non-positive run count is refused before anything runs: the
    measurement raises instead of counting down past zero, and a search
@@ -278,11 +285,12 @@ let suite =
         (measure_case ~objective:energy (List.assoc "pennant lassen:4" workloads));
       Alcotest.test_case "empty database falls back to the search best" `Quick
         test_empty_db_fallback;
-      Alcotest.test_case "a failure in a later chunk raises the sequential message" `Quick
-        test_failure_in_later_chunk;
-      Alcotest.test_case "the runs fan out" `Quick test_fan_out_ran;
-      Alcotest.test_case "the final protocol's binds are all counted" `Quick
-        test_final_protocol_binds_counted;
+      Alcotest.test_case "an unplaceable second mapping raises the sequential message"
+        `Quick test_unplaceable_raises;
+      Alcotest.test_case "the final protocol binds each mapping once" `Quick
+        test_final_protocol_binds_once;
+      Alcotest.test_case "the final protocol's runs land on several domains" `Quick
+        test_runs_fan_out;
       Alcotest.test_case "non-positive run counts are refused" `Quick test_bad_run_counts;
       Alcotest.test_case "the CLI refuses non-positive run counts" `Quick
         test_cli_usage_errors;

@@ -191,6 +191,24 @@ let check_warm_start () =
   Alcotest.(check bool) "warm-started from the incumbent" true p.Wire.r_warm_started;
   let cs = counters_of (Server.handle srv Wire.Status) in
   Alcotest.(check bool) "warm_starts counted" true (counter cs "warm_starts" >= 1);
+  (* a cold exact repeat of the warm-started job is not answered from
+     its memo entry: it runs, and answers as it does alone *)
+  let near_cold =
+    map_req ~warm:false ~id:"near-cold" ~cfg:(cfg ~seed:7 ~max_trials:50 ()) (stencil ~nodes:1)
+  in
+  (match Server.handle srv near_cold with
+  | Wire.R_accepted _ -> ()
+  | Wire.R_result _ -> Alcotest.fail "a cold repeat took a warm job's memo entry"
+  | _ -> Alcotest.fail "unexpected response");
+  Server.drain srv;
+  let alone = Server.create ~slice_trials:20 () in
+  ignore (Server.handle alone near_cold);
+  Server.drain alone;
+  let soaked = result_of srv "near-cold" and single = result_of alone "near-cold" in
+  Alcotest.(check (option string)) "cold repeat: alone's mapping" single.Wire.r_mapping
+    soaked.Wire.r_mapping;
+  Alcotest.(check (option string)) "cold repeat: alone's perf bits" single.Wire.r_perf_hex
+    soaked.Wire.r_perf_hex;
   (* a cold-pinned request must not warm-start *)
   (match
      Server.handle srv

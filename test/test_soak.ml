@@ -5,14 +5,18 @@
    Each seed deals a mix of request lines: valid map, analyze, status
    and result lines, and malformed ones — mutated wire JSON, inline
    graph or machine codec text that cannot parse, and configurations
-   out of bounds.  Map lines are cold ([warm] false) with a seed of
-   their own, so no answer can depend on another job's pool segment or
-   incumbent.  Between lines the soak runs a few slices, polling every
-   job in flight after each, and at random slice boundaries it abandons
-   the server and re-creates it from its state directory, as after a
-   SIGKILL.  The crash leaves a stray temp file behind, sometimes a
-   truncated checkpoint, and a job accepted but never sliced leaves a
-   meta file with no checkpoint.
+   out of bounds.  Map lines are cold ([warm] false), so no answer may
+   depend on another job's pool segment or incumbent; about half take
+   a seed of their own, and the others repeat an earlier accepted
+   map's workload and seed under search settings of their own, sharing
+   that job's evaluation identity and so its pool segment, which a cold
+   job must not read (when the settings come out the same too, a
+   finished job's memo answers it at once).  Between lines the soak
+   runs a few slices, polling every job in flight after each, and at
+   random slice boundaries it abandons the server and re-creates it
+   from its state directory, as after a SIGKILL.  The crash leaves a
+   stray temp file behind, sometimes a truncated checkpoint, and a job
+   accepted but never sliced leaves a meta file with no checkpoint.
 
    Every malformed line must get an error answer, nothing may raise, a
    job whose checkpoint was cut short must fail with an error, and
@@ -42,11 +46,11 @@ let algos =
 
 let pick rng a = a.(Random.State.int rng (Array.length a))
 
-let map_request rng ~id ~seed =
+let map_request rng ~id ~workload ~seed =
   Wire.Map
     {
       m_id = id;
-      workload = pick rng workloads;
+      workload;
       cfg =
         {
           Slice.default_cfg with
@@ -78,16 +82,22 @@ let with_field k v = function
   | j -> j
 
 type expect =
-  | Accepted of string  (* a valid map: its id *)
+  | Accepted of string * (Wire.workload * int)
+      (* a valid map: its id, and its workload and seed *)
   | Analysis
   | Status
   | Result of string
   | Error_answer
 
-(* The [k]th line: a valid request, or one the server must refuse. *)
-let gen_line rng k ~pending =
+(* The [k]th line: a valid request, or one the server must refuse.
+   [earlier] holds the workload and seed of every map accepted so far. *)
+let gen_line rng k ~pending ~earlier =
   let id = Printf.sprintf "j%d" k in
-  let valid_map () = map_request rng ~id ~seed:(1000 + k) in
+  let identity =
+    if earlier <> [] && Random.State.bool rng then pick rng (Array.of_list earlier)
+    else (pick rng workloads, 1000 + k)
+  in
+  let valid_map () = map_request rng ~id ~workload:(fst identity) ~seed:(snd identity) in
   let map_json () = Wire.request_to_json (valid_map ()) in
   let malformed () =
     let line =
@@ -135,7 +145,7 @@ let gen_line rng k ~pending =
     (line, Error_answer)
   in
   match Random.State.int rng 20 with
-  | 0 | 1 | 2 | 3 | 4 | 5 -> (Wire.request_to_string (valid_map ()), Accepted id)
+  | 0 | 1 | 2 | 3 | 4 | 5 -> (Wire.request_to_string (valid_map ()), Accepted (id, identity))
   | 6 | 7 ->
       (Wire.request_to_string (Wire.Analyze { an_id = id; workload = pick rng workloads }), Analysis)
   | 8 -> (Wire.request_to_string Wire.Status, Status)
@@ -155,6 +165,7 @@ let soak seed =
   let create () = Server.create ~slice_trials ~state_dir:dir () in
   let srv = ref (create ()) in
   let pending = ref [] in   (* (id, line) of accepted maps in flight *)
+  let earlier = ref [] in   (* (workload, seed) of every accepted map *)
   let answers = ref [] in   (* (id, line, payload) of completed maps *)
   let truncated = ref [] in (* ids whose checkpoint a crash cut short *)
   let poll_pending () =
@@ -214,10 +225,17 @@ let soak seed =
     if Random.State.int rng 4 = 0 then restart ()
   in
   for k = 1 to 10 + Random.State.int rng 6 do
-    let line, expect = gen_line rng k ~pending:(List.map fst !pending) in
+    let line, expect = gen_line rng k ~pending:(List.map fst !pending) ~earlier:!earlier in
     let resp = guard line (fun () -> Server.handle_line !srv line) in
     (match (expect, resp) with
-    | Accepted id, Wire.R_accepted { a_id } when a_id = id -> pending := (id, line) :: !pending
+    | Accepted (id, identity), Wire.R_accepted { a_id } when a_id = id ->
+        pending := (id, line) :: !pending;
+        earlier := identity :: !earlier
+    | Accepted (id, identity), Wire.R_result p
+      when p.Wire.r_id = id && p.Wire.r_state = Wire.Done && p.Wire.r_cached ->
+        (* an exact repeat of a finished map, answered from the memo *)
+        answers := (id, line, p) :: !answers;
+        earlier := identity :: !earlier
     | Analysis, Wire.R_analysis { report = _ :: _; _ }
     | Status, Wire.R_status _
     | Error_answer, Wire.R_error _ ->
