@@ -11,9 +11,7 @@
 
    each driven with the §5 protocol of [runs] noisy executions per
    candidate, and reports candidate evaluations/sec, simulated task
-   instances/sec and the compiled-over-reference speedup.  A second
-   section measures the wall-clock speedup of the Domains-parallel
-   portfolio (Parallel.run_members) at 1 vs. 4 domains.
+   instances/sec and the compiled-over-reference speedup.
 
    Two more sections measure the domain claims of the final protocol,
    on Stencil and Circuit over grid:32x32 (grid:4x4 with --smoke):
@@ -143,65 +141,6 @@ let bench_app (app : App.t) machine ~input ~count ~runs ~min_time =
     app.App.app_name input reference.evals_per_sec compiled.evals_per_sec speedup
     compiled.instances_per_sec;
   { row_app = app.App.app_name; row_input = input; reference; compiled; speedup }
-
-let bench_parallel machine g ~budget ~runs =
-  (* an ensemble of independent restarts: 8 jobs over 4 domains keeps
-     the workers load-balanced even though members differ in length *)
-  let members =
-    [
-      Portfolio.Ccd 5;
-      Portfolio.Annealing;
-      Portfolio.Random;
-      Portfolio.Ccd 4;
-      Portfolio.Cd;
-      Portfolio.Ccd 3;
-      Portfolio.Annealing;
-      Portfolio.Ccd 2;
-    ]
-  in
-  let time domains =
-    (* untimed warm-up run: per-process compile, allocator growth and
-       first-touch page faults are one-time costs — the reported leg is
-       the steady-state pass (domain spawning recurs per run and stays
-       in the timed region, as real portfolio overhead) *)
-    ignore (Parallel.run_members ~domains ~members ~budget ~seed:1 ~runs machine g);
-    let t0 = now () in
-    let results = Parallel.run_members ~domains ~members ~budget ~seed:1 ~runs machine g in
-    let steps = List.fold_left (fun acc r -> acc + r.Parallel.steps) 0 results in
-    (now () -. t0, Parallel.best results, steps)
-  in
-  (* Timing more domains than cores measures scheduler thrash, not the
-     portfolio: clamp the parallel leg to the cores actually available
-     (and skip it entirely on a 1-core box — it would just repeat the
-     serial leg with extra domain overhead). *)
-  let cores = Domain.recommended_domain_count () in
-  let domains_requested = 4 in
-  let domains_used = max 1 (min domains_requested cores) in
-  let t1, best1, steps1 = time 1 in
-  if domains_used = 1 then begin
-    (* there is nothing to compare against on a 1-core box: reporting a
-       1.000x "speedup" would read as a scaling regression, so mark the
-       section skipped instead *)
-    Printf.printf
-      "parallel portfolio (%d members): 1 domain %.2fs (%d engine steps); scaling leg \
-       skipped (1 core available, %d domains requested)\n%!"
-      (List.length members) t1 steps1 domains_requested;
-    (t1, None, domains_requested, domains_used, best1.Parallel.perf, steps1)
-  end
-  else begin
-    let tn, bestn, stepsn = time domains_used in
-    assert (best1.Parallel.perf = bestn.Parallel.perf);
-    assert (steps1 = stepsn);
-    Printf.printf
-      "parallel portfolio (%d members): 1 domain %.2fs, %d domains %.2fs -> %.2fx speedup \
-       (%d engine steps, %d cores available%s)\n%!"
-      (List.length members) t1 domains_used tn (t1 /. tn) steps1 cores
-      (if cores < domains_requested then
-         Printf.sprintf "; %d domains requested, clamped to the core count"
-           domains_requested
-       else "");
-    (t1, Some tn, domains_requested, domains_used, best1.Parallel.perf, steps1)
-  end
 
 (* ---- the final protocol across domains ---------------------------- *)
 
@@ -376,14 +315,6 @@ let () =
   let rows =
     List.map (fun (app, input) -> bench_app app machine ~input ~count ~runs ~min_time) apps
   in
-  let par_g =
-    App.circuit.App.graph ~nodes:1 ~input:(if !smoke then "n100w400" else "n200w800")
-  in
-  let par_budget = if !smoke then 0.02 else infinity in
-  let par_runs = if !smoke then 1 else 7 in
-  let t1, tn, par_requested, par_used, par_perf, par_steps =
-    bench_parallel machine par_g ~budget:par_budget ~runs:par_runs
-  in
   let grid = if !smoke then "grid:4x4" else "grid:32x32" in
   let reps = if !smoke then 1 else 3 in
   let protocol =
@@ -411,26 +342,6 @@ let () =
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ],\n";
-  (match tn with
-  | None ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  \"parallel_portfolio\": {\"domains_requested\": %d, \"domains_used\": %d, \
-            \"cores_available\": %d, \"skipped\": true, \
-            \"wall_1\": %.4f, \"best_perf\": %.6e, \"engine_steps\": %d},\n"
-           par_requested par_used
-           (Domain.recommended_domain_count ())
-           t1 par_perf par_steps)
-  | Some tn ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  \"parallel_portfolio\": {\"domains_requested\": %d, \"domains_used\": %d, \
-            \"cores_available\": %d, \"oversubscribed\": %b, \"skipped\": false, \
-            \"wall_1\": %.4f, \"wall_n\": %.4f, \"speedup\": %.3f, \"best_perf\": %.6e, \
-            \"engine_steps\": %d},\n"
-           par_requested par_used
-           (Domain.recommended_domain_count ())
-           (par_used < par_requested) t1 tn (t1 /. tn) par_perf par_steps));
   let rows f l = String.concat ",\n" (List.map f l) in
   Buffer.add_string buf
     (Printf.sprintf "  \"final_protocol\": [\n%s\n  ],\n"

@@ -14,7 +14,7 @@
                  (a single hit is sub-microsecond);
    - warm-start: the same workload under a different seed — misses the
                  memo but seeds its search from the cached incumbent
-                 and shares the compiled simulation and profiles pool.
+                 and shares the compiled simulation.
 
    Hard gates (the bench fails, it does not just report):
    - the warm answer is bit-identical to the cold answer (mapping and

@@ -25,11 +25,18 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  contents
+(* A bad command-line input: the entry point reports it as a usage
+   error, as cmdliner reports its own parse errors. *)
+exception Usage of string
+
+let usage fmt = Printf.ksprintf (fun msg -> raise (Usage msg)) fmt
+
+(* A file named on the command line.  Opening names the file in its
+   error; reading (a directory, say) does not. *)
+let read_input path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error e ->
+    usage "%s" (if String.starts_with ~prefix:path e then e else path ^ ": " ^ e)
 
 let write_file path contents =
   let oc = open_out path in
@@ -40,20 +47,17 @@ let machine_preset ~cluster ~nodes =
   match Presets.of_spec cluster ~nodes with
   | Ok m -> m
   | Error e ->
-      failwith
-        (Printf.sprintf
-           "%s (presets: shepard|lassen|testbed|cpu_only|headless, topologies: \
-            grid:WxH, torus:WxH, fattree:LEVELS:ARITY, direct:N, each with an \
-            optional :free suffix)"
-           e)
+      usage
+        "%s (presets: shepard|lassen|testbed|cpu_only|headless, topologies: grid:WxH, \
+         torus:WxH, fattree:LEVELS:ARITY, direct:N, each with an optional :free suffix)"
+        e
 
 let app_of name =
   match App.find name with
   | Some app -> app
   | None ->
-      failwith
-        (Printf.sprintf "unknown application %S (%s)" name
-           (String.concat "|" (List.map (fun a -> a.App.app_name) App.all)))
+      usage "unknown application %S (%s)" name
+        (String.concat "|" (List.map (fun a -> a.App.app_name) App.all))
 
 (* Resolve the workload: either --graph/--machine files or a bundled
    app on a preset cluster.  Returns (machine, graph, custom mapping
@@ -62,22 +66,31 @@ let resolve_workload ~app ~input ~nodes ~cluster ~graph_file ~machine_file =
   let machine =
     match machine_file with
     | Some f -> (
-        match Machine_codec.of_string (read_file f) with
+        match Machine_codec.of_string (read_input f) with
         | Ok m -> m
-        | Error e -> failwith (Printf.sprintf "%s: %s" f e))
+        | Error e -> usage "%s: %s" f e)
     | None -> machine_preset ~cluster ~nodes
   in
   match graph_file with
   | Some f -> (
-      match Graph_codec.of_string (read_file f) with
+      match Graph_codec.of_string (read_input f) with
       | Ok g -> (machine, g, None)
-      | Error e -> failwith (Printf.sprintf "%s: %s" f e))
+      | Error e -> usage "%s: %s" f e)
   | None -> (
       match (app, input) with
       | Some a, Some i ->
           let a = app_of a in
-          (machine, a.App.graph ~nodes:machine.Machine.nodes ~input:i, Some a.App.custom)
-      | _ -> failwith "either --graph FILE or both --app and --input are required")
+          (* every app refuses an input it cannot parse this way *)
+          let g =
+            try a.App.graph ~nodes:machine.Machine.nodes ~input:i
+            with Invalid_argument e -> usage "%s (inputs: automap_cli apps)" e
+          in
+          (machine, g, Some a.App.custom)
+      | _ -> usage "either --graph FILE or both --app and --input are required")
+
+(* A mapping file named by -m. *)
+let read_mapping g file =
+  match Codec.of_string g (read_input file) with Ok m -> m | Error e -> usage "%s: %s" file e
 
 let objective_of = function
   | "time" -> None
@@ -85,7 +98,7 @@ let objective_of = function
       Some (fun machine r -> Energy.joules_per_iteration machine Energy.default_power r)
   | "edp" ->
       Some (fun machine r -> Energy.edp_per_iteration machine Energy.default_power r)
-  | other -> failwith (Printf.sprintf "unknown objective %S (time|energy|edp)" other)
+  | other -> usage "unknown objective %S (time|energy|edp)" other
 
 let algo_of = function
   | "ccd" -> Driver.Ccd { rotations = 5 }
@@ -95,7 +108,7 @@ let algo_of = function
   | "annealing" -> Driver.Annealing { max_evals = 2000 }
   | "portfolio" -> Driver.Portfolio
   | "heft" -> Driver.Heft
-  | other -> failwith (Printf.sprintf "unknown algorithm %S" other)
+  | other -> usage "unknown algorithm %S" other
 
 (* common options *)
 let app_arg =
@@ -185,12 +198,12 @@ let tune_cmd =
     let db =
       match db_file with
       | Some f when Sys.file_exists f -> (
-          match Profiles_db.load g (read_file f) with
+          match Profiles_db.load g (read_input f) with
           | Ok db ->
               Printf.printf "(warm start: %d mappings reloaded from %s)\n"
                 (Profiles_db.size db) f;
               Some db
-          | Error e -> failwith (Printf.sprintf "%s: %s" f e))
+          | Error e -> usage "%s: %s" f e)
       | _ -> None
     in
     let r =
@@ -440,6 +453,7 @@ let compare_cmd =
     let machine, g, custom =
       resolve_workload ~app ~input ~nodes ~cluster ~graph_file ~machine_file
     in
+    let file = Option.map (read_mapping g) mapping_file in
     let measure label mapping =
       match Automap_api.measure_mapping ~seed machine g mapping with
       | v -> Printf.printf "%-8s %10.4f ms/iter\n" label (v *. 1e3)
@@ -448,12 +462,7 @@ let compare_cmd =
     measure "default" (Mapping.default_start g machine);
     Option.iter (fun c -> measure "custom" (c g machine)) custom;
     measure "heft" (Heft.mapping machine g);
-    match mapping_file with
-    | None -> ()
-    | Some file -> (
-        match Codec.of_string g (read_file file) with
-        | Ok m -> measure "file" m
-        | Error e -> Printf.printf "file     unparsable: %s\n" e)
+    Option.iter (measure "file") file
   in
   Cmd.v (Cmd.info "compare" ~doc)
     Term.(
@@ -479,10 +488,7 @@ let simulate_cmd =
     let mapping =
       match mapping_file with
       | None -> Mapping.default_start g machine
-      | Some file -> (
-          match Codec.of_string g (read_file file) with
-          | Ok m -> m
-          | Error e -> failwith e)
+      | Some file -> read_mapping g file
     in
     let collector = Trace.create () in
     match Exec.run ~noise_sigma:0.0 ~seed ~trace:collector machine g mapping with
@@ -556,9 +562,11 @@ let serve_cmd =
     "Run the mapping service: a daemon answering concurrent map/analyze requests \
      as JSON lines over a socket.  Searches are time-sliced across a worker pool \
      (fair scheduling — a long search never starves a short request) and memoized \
-     across requests: compiled simulations, finished results and measured \
-     profiles are all shared.  With --state-dir, SIGTERM checkpoints every \
-     in-flight search and a restarted daemon resumes them decision-identically."
+     across requests: compiled simulations and finished results are shared, and \
+     a new search on a known workload starts from the best mapping found for it \
+     so far unless its request says \"warm\": false.  With --state-dir, SIGTERM \
+     checkpoints every in-flight search and a restarted daemon resumes them \
+     decision-identically."
   in
   let workers_arg =
     Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc:"Worker domains running search slices. A search's final protocol spreads its fresh-seed runs across the machine's cores, so each worker may add domains of its own while it concludes a job.")
@@ -627,17 +635,27 @@ let request_cmd =
 let () =
   let doc = "AutoMap: automated mapping of task-based programs" in
   let info = Cmd.info "automap_cli" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        apps_cmd;
+        analyze_cmd;
+        tune_cmd;
+        search_cmd;
+        compare_cmd;
+        simulate_cmd;
+        profile_cmd;
+        serve_cmd;
+        request_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            apps_cmd;
-            analyze_cmd;
-            tune_cmd;
-            search_cmd;
-            compare_cmd;
-            simulate_cmd;
-            profile_cmd;
-            serve_cmd;
-            request_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Usage msg ->
+        prerr_endline ("automap_cli: " ^ msg);
+        Cmd.Exit.cli_error
+    | exception e ->
+        Printf.eprintf "automap_cli: internal error, uncaught exception:\n%s\n%s%!"
+          (Printexc.to_string e) (Printexc.get_backtrace ());
+        Cmd.Exit.internal_error)

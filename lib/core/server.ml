@@ -9,7 +9,9 @@
    quantum continues it on the scratch its worker builds; a finished or
    failed job keeps only its answer.
 
-   Cross-request memoization, all behind one mutex:
+   A job's answer rests on its request and its warm start alone: the
+   incumbent it was seeded from, chosen at accept time and pinned in its
+   meta file, or none.  Cross-request memoization, all behind one mutex:
 
    - resolution cache: LRU of (machine, graph, pair fp) keyed by the
      workload's literal fields; repeat requests skip preset/graph
@@ -20,31 +22,22 @@
    - result memo: LRU keyed (machine fp, graph fp, {!Slice.fingerprint});
      an exact repeat is answered at submit time, bit-equal to the run
      that populated the entry, without touching the simulator — for a
-     cold request, only when a cold job populated it.
+     cold request, only when that run was not warm-started.
    - incumbents: best known mapping per (machine fp, graph fp); a
      near-repeat (same workload, different search config) warm-starts
      from it instead of the default/HEFT start.
-   - profiles pool: measured-run databases per (machine fp, graph fp,
-     eval fingerprint), kept as one database line per mapping key.
-     After every slice a job adds the entries its database recorded
-     since its last merge; the text is joined only when a fresh job
-     reads it.  Only a warm job's first slice reads it: later slices
-     continue the job's own database, live or restored from its
-     envelope, so per-job decision identity survives daemon restarts,
-     and a cold job ([warm] false, kept in its meta file) never reads
-     it, so its answer is the same request's in a fresh server.
 
    Durability: each accepted job persists a meta file (its request, with
-   the workload inlined as codec text) and, after every paused slice, a
-   checkpoint envelope — both via write-to-temp-then-rename.  The
-   envelope is built only then: a server without a state directory
-   never serializes a search.  SIGTERM stops workers at their next
+   the workload inlined as codec text) before it is queued and, after
+   every paused slice, a checkpoint envelope — both via
+   write-to-temp-then-rename.  The envelope is built only then: a
+   server without a state directory never serializes a search.  SIGTERM stops workers at their next
    slice boundary; a restarted daemon rescans the state directory and
    each orphan's next slice restores its envelope, decision-identically
    (the envelope is the complete search state), after which the job is
    live again.  Jobs that never ran a slice restart from scratch, which
-   is the same thing: they had made no decisions (their warm-start
-   choice, made at accept time, is pinned in the meta file). *)
+   is the same thing: they had made no decisions (their warm start,
+   chosen at accept time, is pinned in the meta file). *)
 
 (* What a job holds of its search between slices: nothing before its
    first slice and after its last, the envelope [recover] read back
@@ -58,10 +51,7 @@ type job = {
   jb_graph : Graph.t;
   jb_pair : string;      (* machine fp / graph fp *)
   jb_memo_key : string;  (* pair / full search-config fingerprint *)
-  jb_pool_key : string;  (* pair / eval fingerprint *)
   jb_warm : Mapping.t option;  (* incumbent seed, first slice only *)
-  jb_cold : bool;  (* the request's [warm] false: no incumbent, no pool *)
-  mutable jb_merged : int;  (* {!Profiles_db.recorded} at its last pool merge *)
   mutable jb_state : Wire.job_state;
   mutable jb_held : held;
   mutable jb_trials : int;
@@ -69,14 +59,9 @@ type job = {
   mutable jb_result : Wire.result_payload option;
 }
 
-(* [mm_cold]: made by a cold job, so a cold repeat may take it; a
-   warm job's answer may rest on an incumbent or the pool *)
-type memo = { mm_mapping : string; mm_perf : float; mm_trials : int; mm_cold : bool }
-
-(* One segment of the profiles pool: a database line per mapping key,
-   and their text, joined when a fresh job reads them and dropped when
-   a merge adds a line. *)
-type pool_seg = { ps_lines : (string, string) Hashtbl.t; mutable ps_text : string option }
+(* [mm_warm]: its job was warm-started, so its answer rests on an
+   incumbent and a cold repeat may not take it *)
+type memo = { mm_mapping : string; mm_perf : float; mm_trials : int; mm_warm : bool }
 
 type t = {
   mu : Mutex.t;
@@ -87,7 +72,6 @@ type t = {
   result_memo : memo Cache.t;
   resolve_cache : (Machine.t * Graph.t * string) Cache.t;
   incumbents : (string, string * float) Hashtbl.t;
-  pool : (string, pool_seg) Hashtbl.t;
   slice_trials : int;
   state_dir : string option;
   mutable stopping : bool;
@@ -207,7 +191,6 @@ let create ?(slice_trials = 40) ?(compile_entries = 32)
     result_memo = Cache.create ~max_entries:memo_entries ();
     resolve_cache = Cache.create ~max_entries:64 ();
     incumbents = Hashtbl.create 64;
-    pool = Hashtbl.create 64;
     slice_trials;
     state_dir;
     stopping = false;
@@ -269,49 +252,6 @@ let compiled_for t j =
       Mutex.unlock t.mu;
       c
 
-(* The entries a job's database recorded since its last merge, as
-   (key, line) pairs; called outside the lock, by the job's slice. *)
-let fresh_lines j db =
-  let acc = ref [] in
-  Profiles_db.iter_since db j.jb_merged (fun k e -> acc := (k, Profiles_db.line k e) :: !acc);
-  j.jb_merged <- Profiles_db.recorded db;
-  !acc
-
-(* Line-union merge, caller holds the lock: the pool keeps its line
-   for a key both sides measured (same eval identity implies the same
-   runs, so the choice is cosmetic). *)
-let pool_merge t key lines =
-  if lines <> [] then begin
-    let seg =
-      match Hashtbl.find_opt t.pool key with
-      | Some seg -> seg
-      | None ->
-          let seg = { ps_lines = Hashtbl.create 64; ps_text = None } in
-          Hashtbl.replace t.pool key seg;
-          seg
-    in
-    List.iter
-      (fun (k, line) ->
-        if not (Hashtbl.mem seg.ps_lines k) then begin
-          Hashtbl.replace seg.ps_lines k line;
-          seg.ps_text <- None
-        end)
-      lines
-  end
-
-(* The segment's text, joined on first read after a merge; caller
-   holds the lock. *)
-let pool_text t key =
-  match Hashtbl.find_opt t.pool key with
-  | None -> None
-  | Some { ps_text = Some _ as text; _ } -> text
-  | Some seg ->
-      let buf = Buffer.create 4096 in
-      Hashtbl.iter (fun _ line -> Buffer.add_string buf line) seg.ps_lines;
-      let text = Buffer.contents buf in
-      seg.ps_text <- Some text;
-      Some text
-
 (* ---- running one slice ------------------------------------------------ *)
 
 let payload_done j (f : Slice.finished) =
@@ -354,26 +294,9 @@ let run_slice_inner t j scratch =
   | Envelope ckpt ->
       Slice.resume_live ~scratch ~slice_trials j.jb_cfg j.jb_machine j.jb_graph ~ckpt
   | Nothing ->
-      let db =
-        if j.jb_cold then None
-        else begin
-          Mutex.lock t.mu;
-          let text = pool_text t j.jb_pool_key in
-          Mutex.unlock t.mu;
-          match text with
-          | None -> None
-          | Some s -> (
-              match Profiles_db.load j.jb_graph s with
-              | Ok db ->
-                  (* every entry it loaded is the pool's already *)
-                  j.jb_merged <- Profiles_db.recorded db;
-                  Some db
-              | Error _ -> None)
-        end
-      in
       Ok
-        (Slice.start_live ~scratch ?db ?warm_start:j.jb_warm ~slice_trials j.jb_cfg
-           j.jb_machine j.jb_graph)
+        (Slice.start_live ~scratch ?warm_start:j.jb_warm ~slice_trials j.jb_cfg j.jb_machine
+           j.jb_graph)
 
 (* Runs with the lock NOT held; publishes its outcome under the lock. *)
 let run_slice t j =
@@ -393,50 +316,45 @@ let run_slice t j =
       j.jb_result <- Some (payload_failed j e);
       Mutex.unlock t.mu;
       clean_state_files t j
-  | Ok (status, ev) -> (
-      let lines = fresh_lines j (Evaluator.db ev) in
-      match status with
-      | Slice.Done f ->
-          let payload = payload_done j f in
-          let key = Mapping.canonical_key f.Slice.best in
-          Mutex.lock t.mu;
-          pool_merge t j.jb_pool_key lines;
-          t.slices <- t.slices + 1;
-          t.completed <- t.completed + 1;
-          j.jb_state <- Wire.Done;
-          j.jb_held <- Nothing;
-          j.jb_trials <- f.Slice.trials;
-          j.jb_best <- f.Slice.perf;
-          j.jb_result <- Some payload;
-          Cache.put t.result_memo j.jb_memo_key
-            {
-              mm_mapping = key;
-              mm_perf = f.Slice.perf;
-              mm_trials = f.Slice.trials;
-              mm_cold = j.jb_cold;
-            }
-            ~weight:(String.length key + 64);
-          (match Hashtbl.find_opt t.incumbents j.jb_pair with
-          | Some (_, p) when p <= f.Slice.perf -> ()
-          | _ -> Hashtbl.replace t.incumbents j.jb_pair (key, f.Slice.perf));
-          Mutex.unlock t.mu;
-          clean_state_files t j
-      | Slice.Suspended s ->
-          (* persist before publishing: once the job is visible as
-             re-queued, its envelope is already on disk *)
-          (match t.state_dir with
-          | Some d -> write_atomic (ckpt_path d j.jb_id) (Slice.envelope s)
-          | None -> ());
-          Mutex.lock t.mu;
-          pool_merge t j.jb_pool_key lines;
-          t.slices <- t.slices + 1;
-          j.jb_held <- Live s;
-          j.jb_trials <- Slice.live_trials s;
-          j.jb_best <- Slice.live_best_perf s;
-          j.jb_state <- Wire.Queued;
-          Queue.push j.jb_id t.queue;
-          Condition.signal t.work;
-          Mutex.unlock t.mu)
+  | Ok (Slice.Done f, _) ->
+      let payload = payload_done j f in
+      let key = Mapping.canonical_key f.Slice.best in
+      Mutex.lock t.mu;
+      t.slices <- t.slices + 1;
+      t.completed <- t.completed + 1;
+      j.jb_state <- Wire.Done;
+      j.jb_held <- Nothing;
+      j.jb_trials <- f.Slice.trials;
+      j.jb_best <- f.Slice.perf;
+      j.jb_result <- Some payload;
+      Cache.put t.result_memo j.jb_memo_key
+        {
+          mm_mapping = key;
+          mm_perf = f.Slice.perf;
+          mm_trials = f.Slice.trials;
+          mm_warm = j.jb_warm <> None;
+        }
+        ~weight:(String.length key + 64);
+      (match Hashtbl.find_opt t.incumbents j.jb_pair with
+      | Some (_, p) when p <= f.Slice.perf -> ()
+      | _ -> Hashtbl.replace t.incumbents j.jb_pair (key, f.Slice.perf));
+      Mutex.unlock t.mu;
+      clean_state_files t j
+  | Ok (Slice.Suspended s, _) ->
+      (* persist before publishing: once the job is visible as
+         re-queued, its envelope is already on disk *)
+      (match t.state_dir with
+      | Some d -> write_atomic (ckpt_path d j.jb_id) (Slice.envelope s)
+      | None -> ());
+      Mutex.lock t.mu;
+      t.slices <- t.slices + 1;
+      j.jb_held <- Live s;
+      j.jb_trials <- Slice.live_trials s;
+      j.jb_best <- Slice.live_best_perf s;
+      j.jb_state <- Wire.Queued;
+      Queue.push j.jb_id t.queue;
+      Condition.signal t.work;
+      Mutex.unlock t.mu
 
 (* ---- in-process driving ----------------------------------------------- *)
 
@@ -505,9 +423,9 @@ let pending_payload j =
   }
 
 (* Meta file: the map request with the workload inlined as codec text
-   (recovery must not depend on the app registry) and its [warm] flag,
-   plus the warm-start key pinned so a restart replays the same
-   accept-time decision. *)
+   (recovery must not depend on the app registry), plus the warm-start
+   key pinned so a restart replays the same accept-time decision; its
+   [warm] flag says whether there was one. *)
 let meta_json j =
   let req =
     Wire.Map
@@ -521,7 +439,7 @@ let meta_json j =
           };
         cfg = j.jb_cfg;
         wait = false;
-        warm = not j.jb_cold;
+        warm = j.jb_warm <> None;
       }
   in
   match (Wire.request_to_json req, j.jb_warm) with
@@ -534,19 +452,34 @@ let persist_meta t j =
   | None -> ()
   | Some d -> write_atomic (meta_path d j.jb_id) (Wire.to_string (meta_json j))
 
+let memo_key ~pair cfg = pair ^ "/" ^ Slice.fingerprint cfg
+
+(* A job that has run no slice; [key] is its {!memo_key}. *)
+let new_job ~id ~cfg ~pair ~key ~warm machine graph =
+  {
+    jb_id = id;
+    jb_cfg = cfg;
+    jb_machine = machine;
+    jb_graph = graph;
+    jb_pair = pair;
+    jb_memo_key = key;
+    jb_warm = warm;
+    jb_state = Wire.Queued;
+    jb_held = Nothing;
+    jb_trials = 0;
+    jb_best = Float.nan;
+    jb_result = None;
+  }
+
 (* Build and enqueue a job; caller holds no lock.  Returns the
    immediate response. *)
 let submit t ~id ~cfg ~warm ~pair machine graph =
-  let memo_key = pair ^ "/" ^ Slice.fingerprint cfg in
-  let pool_key = pair ^ "/" ^ Slice.eval_fingerprint cfg in
-  Mutex.lock t.mu;
-  if Hashtbl.mem t.jobs id then begin
-    Mutex.unlock t.mu;
-    err ~id "duplicate job id"
-  end
-  else begin
-    match Cache.find t.result_memo memo_key with
-    | Some m when warm || m.mm_cold ->
+  let key = memo_key ~pair cfg in
+  Mutex.protect t.mu @@ fun () ->
+  if Hashtbl.mem t.jobs id then err ~id "duplicate job id"
+  else
+    match Cache.find t.result_memo key with
+    | Some m when warm || not m.mm_warm ->
         (* exact repeat: answered from the memo, no search, no simulate *)
         let payload =
           {
@@ -561,63 +494,31 @@ let submit t ~id ~cfg ~warm ~pair machine graph =
             r_error = None;
           }
         in
-        let j =
-          {
-            jb_id = id;
-            jb_cfg = cfg;
-            jb_machine = machine;
-            jb_graph = graph;
-            jb_pair = pair;
-            jb_memo_key = memo_key;
-            jb_pool_key = pool_key;
-            jb_warm = None;
-            jb_cold = not warm;
-            jb_merged = 0;
-            jb_state = Wire.Done;
-            jb_held = Nothing;
-            jb_trials = m.mm_trials;
-            jb_best = m.mm_perf;
-            jb_result = Some payload;
-          }
-        in
+        let j = new_job ~id ~cfg ~pair ~key ~warm:None machine graph in
+        j.jb_state <- Wire.Done;
+        j.jb_trials <- m.mm_trials;
+        j.jb_best <- m.mm_perf;
+        j.jb_result <- Some payload;
         Hashtbl.replace t.jobs id j;
-        Mutex.unlock t.mu;
         Wire.R_result payload
     | Some _ | None ->
-        let jb_warm =
+        let warm =
           if not warm then None
           else
             match Hashtbl.find_opt t.incumbents pair with
-            | Some (key, _) -> Mapping.of_canonical_key graph key
+            | Some (best, _) -> Mapping.of_canonical_key graph best
             | None -> None
         in
-        if jb_warm <> None then t.warm_starts <- t.warm_starts + 1;
-        let j =
-          {
-            jb_id = id;
-            jb_cfg = cfg;
-            jb_machine = machine;
-            jb_graph = graph;
-            jb_pair = pair;
-            jb_memo_key = memo_key;
-            jb_pool_key = pool_key;
-            jb_warm;
-            jb_cold = not warm;
-            jb_merged = 0;
-            jb_state = Wire.Queued;
-            jb_held = Nothing;
-            jb_trials = 0;
-            jb_best = Float.nan;
-            jb_result = None;
-          }
-        in
+        if warm <> None then t.warm_starts <- t.warm_starts + 1;
+        let j = new_job ~id ~cfg ~pair ~key ~warm machine graph in
+        (* on disk before any worker can take it: a job that finished
+           before its meta file was written would leave that file
+           behind, and a restart would run the job again *)
+        persist_meta t j;
         Hashtbl.replace t.jobs id j;
         Queue.push id t.queue;
         Condition.signal t.work;
-        Mutex.unlock t.mu;
-        persist_meta t j;
         Wire.R_accepted { a_id = id }
-  end
 
 let status t =
   Mutex.lock t.mu;
@@ -640,7 +541,6 @@ let status t =
       ("slices", t.slices);
       ("completed", t.completed);
       ("queued", Queue.length t.queue);
-      ("pool_entries", Hashtbl.length t.pool);
     ]
   in
   let requests = t.requests in
@@ -681,9 +581,10 @@ let handle t req =
   t.requests <- t.requests + 1;
   Mutex.unlock t.mu;
   (* last line of defense: no request may kill the daemon.  Workload
-     resolution, analysis and submission run outside t.mu (locked
-     regions below are straight-line), so catching here cannot leak a
-     held mutex. *)
+     resolution and analysis run outside t.mu, and the locked regions
+     below are straight-line or (submission, which writes the meta
+     file) under Mutex.protect, so catching here cannot leak a held
+     mutex. *)
   let id =
     match req with
     | Wire.Poll { p_id } -> Some p_id
@@ -742,11 +643,11 @@ let recover t =
               | Error _ -> n
               | Ok json -> (
                   match Wire.request_of_json json with
-                  | Ok (Wire.Map { m_id; workload; cfg; warm; _ }) when m_id = id -> (
+                  | Ok (Wire.Map { m_id; workload; cfg; _ }) when m_id = id -> (
                       match resolve_cached t workload with
                       | Error _ -> n
                       | Ok (machine, graph, pair) ->
-                          let warm_key =
+                          let warm =
                             match json with
                             | Wire.Obj fields -> (
                                 match List.assoc_opt "warm_key" fields with
@@ -755,27 +656,12 @@ let recover t =
                             | _ -> None
                           in
                           let j =
-                            {
-                              jb_id = id;
-                              jb_cfg = cfg;
-                              jb_machine = machine;
-                              jb_graph = graph;
-                              jb_pair = pair;
-                              jb_memo_key = pair ^ "/" ^ Slice.fingerprint cfg;
-                              jb_pool_key = pair ^ "/" ^ Slice.eval_fingerprint cfg;
-                              jb_warm = warm_key;
-                              jb_cold = not warm;
-                              jb_merged = 0;
-                              jb_state = Wire.Queued;
-                              jb_held =
-                                (match read_file_opt (ckpt_path dir id) with
-                                | Some ckpt -> Envelope ckpt
-                                | None -> Nothing);
-                              jb_trials = 0;
-                              jb_best = Float.nan;
-                              jb_result = None;
-                            }
+                            new_job ~id ~cfg ~pair ~key:(memo_key ~pair cfg) ~warm machine graph
                           in
+                          j.jb_held <-
+                            (match read_file_opt (ckpt_path dir id) with
+                            | Some ckpt -> Envelope ckpt
+                            | None -> Nothing);
                           Mutex.lock t.mu;
                           let fresh = not (Hashtbl.mem t.jobs id) in
                           if fresh then begin

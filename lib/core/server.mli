@@ -14,19 +14,19 @@
       exact repeat is answered at submit time, bit-equal to the run
       that populated the entry, without invoking the simulator;
     - an incumbent table per (machine, graph): near-repeats (different
-      search config) warm-start from the best known mapping;
-    - a profiles pool per (machine, graph, eval fingerprint), to which
-      every slice adds what its job measured since the last, seeding
-      fresh warm starts.  Only a warm job's first slice reads it; later
-      ones continue the job's own profiles, so per-job decision
-      identity survives restarts.  A cold job ([warm] false) reads
-      neither the incumbents nor the pool.
+      search config) warm-start from the best known mapping, unless
+      the request is cold ([warm] false).
+
+    A job's answer rests only on its request and its warm start (the
+    incumbent chosen at accept time, or none), so a cold request may
+    take a memo entry exactly when that entry's job was not
+    warm-started.
 
     Durability: accepted jobs persist a meta file (the request with the
-    workload inlined as codec text, its [warm] flag, the warm-start
-    choice pinned) and,
-    after every paused slice, the checkpoint envelope — temp+rename
-    writes into [state_dir]; without one, no envelope is built.
+    workload inlined as codec text, the warm-start choice pinned)
+    before any worker can take them and, after every paused slice, the
+    checkpoint envelope — temp+rename writes into [state_dir]; without
+    one, no envelope is built.
     {!recover} rescans that directory; each orphan resumes from its
     envelope decision-identically. *)
 
@@ -48,7 +48,8 @@ val create :
 
 val recover : t -> int
 (** Rescan [state_dir] and re-enqueue every orphaned job (meta file
-    present, no terminal result).  Returns the number recovered. *)
+    present, no terminal result), warm-started from the incumbent its
+    meta file pins, if any.  Returns the number recovered. *)
 
 (** {1 Request handling}
 

@@ -60,10 +60,9 @@ type request =
       (** [wait] holds the connection until the search finishes rather
           than answering [accepted] immediately.  [warm] (default true)
           permits seeding the search from a cached incumbent for the
-          same (machine, graph) and from the profiles earlier jobs of
-          the same evaluation identity measured; pass false for a
-          reproducible cold run, which reads neither, nor a warm job's
-          memoized answer. *)
+          same (machine, graph); pass false for a reproducible cold
+          run, which never does, and takes a memoized answer only from
+          a job that was not warm-started. *)
   | Poll of { p_id : string }  (** fetch the result of an earlier [Map] *)
 
 val request_to_json : request -> json

@@ -28,8 +28,8 @@
     and every [evaluate] / [measure] / [profile_for] call reuses the
     compiled problem and one {!Exec.scratch} — candidate evaluation is
     the search's hot path.  A consequence: an evaluator must not be
-    used by two domains at once; give each domain its own (see
-    {!Parallel}).  The [measure] functions fan their runs out across
+    used by two domains at once; give each domain its own.  The
+    [measure] functions fan their runs out across
     domains themselves: the calling domain binds each mapping on the
     evaluator's scratch ({!Exec.bind}), and every other domain runs on
     an {!Exec.runner} of its own, reading those binds.
@@ -100,10 +100,8 @@ val create :
     noise streams hit across the whole search.
 
     [scratch] supplies a pre-built {!Exec.scratch} instead of compiling
-    a fresh one — {!Parallel} compiles the problem once and gives each
-    domain's portfolio members one shared scratch (members on a domain
-    run sequentially, so sharing is safe and lets the bind cache and
-    noise streams hit across members).  The scratch must come from
+    a fresh one — the serve daemon compiles each problem once and
+    builds a scratch per slice from it.  The scratch must come from
     [Exec.compile machine graph] for the same (machine, graph) pair. *)
 
 val machine : t -> Machine.t

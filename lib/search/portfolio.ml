@@ -23,15 +23,6 @@ let member_of_string s =
   | [ "ccd"; r ] -> Option.map (fun r -> Ccd r) (int_of_string_opt r)
   | _ -> None
 
-(* The one member table: the seed offsets are part of the decision
-   stream of every portfolio, sequential ({!make}) or parallel. *)
-let member_strategy ?batch ?min_batch ?surrogate ~seed member ev =
-  match member with
-  | Ccd rotations -> Ccd.make ?batch ?min_batch ?surrogate ~rotations ev
-  | Cd -> Cd.make ?batch ?min_batch ?surrogate ev
-  | Annealing -> Annealing.make ~seed:(seed + 13) ev
-  | Random -> Random_search.make ~seed:(seed + 29) ev
-
 (* The portfolio is a meta-strategy: it delegates step/receive to the
    active member's strategy and enforces each member's virtual-time
    share as an absolute deadline, exactly like the legacy sequential
@@ -58,9 +49,14 @@ type state = {
   mutable best : (Mapping.t * float) option;
 }
 
-let child_of st m =
-  member_strategy ~batch:st.batch ~min_batch:st.min_batch ?surrogate:st.surrogate
-    ~seed:st.seed m st.ev
+(* A member's own strategy: the seed offsets are part of the
+   portfolio's decision stream. *)
+let child_of st = function
+  | Ccd rotations ->
+      Ccd.make ~batch:st.batch ~min_batch:st.min_batch ?surrogate:st.surrogate ~rotations st.ev
+  | Cd -> Cd.make ~batch:st.batch ~min_batch:st.min_batch ?surrogate:st.surrogate st.ev
+  | Annealing -> Annealing.make ~seed:(st.seed + 13) st.ev
+  | Random -> Random_search.make ~seed:(st.seed + 29) st.ev
 
 let child_decode st member lines =
   match member with

@@ -21,19 +21,6 @@ val member_to_string : member -> string
 
 val member_of_string : string -> member option
 
-val member_strategy :
-  ?batch:bool ->
-  ?min_batch:int ->
-  ?surrogate:Surrogate.t ->
-  seed:int ->
-  member ->
-  Evaluator.t ->
-  Engine.strategy
-(** A member's own strategy: CD/CCD take [batch]/[min_batch]/[surrogate]
-    (see {!Cd.make}), annealing and random search draw from [seed + 13]
-    and [seed + 29].  The one table behind both {!make} and
-    {!Parallel.run_members}. *)
-
 val make :
   ?members:member list ->
   ?budget:float ->

@@ -10,17 +10,9 @@ module Ranked = Set.Make (struct
     match Float.compare a.perf b.perf with 0 -> String.compare ka kb | c -> c
 end)
 
-(* [log] holds every recorded key, newest first, [n_recorded] long:
-   what a reader that last looked after [n] records has not seen is the
-   log's first [n_recorded - n] keys. *)
-type t = {
-  tbl : (string, entry) Hashtbl.t;
-  mutable ranked : Ranked.t;
-  mutable log : string list;
-  mutable n_recorded : int;
-}
+type t = { tbl : (string, entry) Hashtbl.t; mutable ranked : Ranked.t }
 
-let create () = { tbl = Hashtbl.create 256; ranked = Ranked.empty; log = []; n_recorded = 0 }
+let create () = { tbl = Hashtbl.create 256; ranked = Ranked.empty }
 
 (* Keyed variants let a caller that already holds the canonical key (the
    evaluator computes it once per evaluation) skip recomputing it. *)
@@ -34,8 +26,6 @@ let record_key t ~key m runs =
   | None -> ());
   Hashtbl.replace t.tbl key entry;
   t.ranked <- Ranked.add (key, entry) t.ranked;
-  t.log <- key :: t.log;
-  t.n_recorded <- t.n_recorded + 1;
   entry
 
 let record t m runs = record_key t ~key:(Mapping.canonical_key m) m runs
@@ -49,26 +39,10 @@ let top t k =
 
 let best t = match top t 1 with [] -> None | e :: _ -> Some e
 
-let recorded t = t.n_recorded
-
-let iter_since t n f =
-  let rec go k = function
-    | key :: rest when k > 0 ->
-        f key (Hashtbl.find t.tbl key);
-        go (k - 1) rest
-    | _ -> ()
-  in
-  go (t.n_recorded - n) t.log
-
 let add_line buf key e =
   Buffer.add_string buf key;
   List.iter (fun r -> Buffer.add_string buf (Printf.sprintf " %.17g" r)) e.runs;
   Buffer.add_char buf '\n'
-
-let line key e =
-  let buf = Buffer.create 256 in
-  add_line buf key e;
-  Buffer.contents buf
 
 let save t =
   let buf = Buffer.create 1024 in

@@ -63,17 +63,3 @@ val load : Graph.t -> string -> (t, string) result
     written by {!save} never contains duplicates, so one signals a
     corrupted or hand-edited file whose measurements cannot be
     trusted. *)
-
-val line : string -> entry -> string
-(** The line {!save} writes for the entry under this key, its newline
-    included. *)
-
-val recorded : t -> int
-(** How many {!record}s the database has taken, {!load}'s included: a
-    mark for {!iter_since}. *)
-
-val iter_since : t -> int -> (string -> entry -> unit) -> unit
-(** [iter_since t n f] applies [f] to the key and current entry of
-    every record after the first [n], newest first: what a reader that
-    took the mark [n] has not yet seen.  A key recorded twice since
-    comes twice. *)

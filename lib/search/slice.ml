@@ -50,16 +50,6 @@ let algo_spec = function
 let opt_f = function None -> "none" | Some v -> Printf.sprintf "%h" v
 let opt_i = function None -> "none" | Some v -> string_of_int v
 
-(* Only the fields that pick the evaluator's decision stream: profiles
-   measured under one eval identity are poison under another (different
-   CRN seeds, run counts, noise), so the server's shared profiles pool
-   is segmented by this digest. *)
-let eval_identity cfg =
-  Printf.sprintf "runs=%d noise=%s iters=%s seed=%d" cfg.runs
-    (opt_f cfg.noise_sigma) (opt_i cfg.iterations) cfg.seed
-
-let eval_fingerprint cfg = Digest.to_hex (Digest.string (eval_identity cfg))
-
 (* The full search identity, for the result memo.  Deliberately
    conservative: decision-neutral fields (batch, min_batch) are
    included too — segmenting the memo slightly finer than necessary
@@ -68,11 +58,12 @@ let fingerprint cfg =
   Digest.to_hex
     (Digest.string
        (Printf.sprintf
-          "algo=%s %s budget=%s trials=%s batch=%b min_batch=%d surrogate=%b \
-           skim=%s symmetry=%b dominance=%b heft=%b top=%d final_runs=%d"
-          (algo_spec cfg.algo) (eval_identity cfg) (opt_f cfg.budget)
-          (opt_i cfg.max_trials) cfg.batch cfg.min_batch cfg.surrogate
-          (opt_i cfg.surrogate_skim) cfg.symmetry cfg.dominance cfg.heft_seed
+          "algo=%s runs=%d noise=%s iters=%s seed=%d budget=%s trials=%s batch=%b \
+           min_batch=%d surrogate=%b skim=%s symmetry=%b dominance=%b heft=%b top=%d \
+           final_runs=%d"
+          (algo_spec cfg.algo) cfg.runs (opt_f cfg.noise_sigma) (opt_i cfg.iterations)
+          cfg.seed (opt_f cfg.budget) (opt_i cfg.max_trials) cfg.batch cfg.min_batch
+          cfg.surrogate (opt_i cfg.surrogate_skim) cfg.symmetry cfg.dominance cfg.heft_seed
           cfg.final_top cfg.final_runs))
 
 type finished = {
@@ -142,11 +133,9 @@ let envelope (s : live) =
     ~trials:c.Engine.c_trials ~steps:c.Engine.c_steps ~wall:c.Engine.c_wall
     ~best:c.Engine.c_best
 
-let start_live ?scratch ?db ?warm_start ?on_event ~slice_trials cfg machine graph =
+let start_live ?scratch ?warm_start ?on_event ~slice_trials cfg machine graph =
   (* a fresh session restores nothing, so it cannot fail *)
-  let s =
-    Result.get_ok (Driver.session ?scratch ?db ?start:warm_start cfg machine graph)
-  in
+  let s = Result.get_ok (Driver.session ?scratch ?start:warm_start cfg machine graph) in
   (run_slice ?on_event ~slice_trials s, s.ev)
 
 let resume_live ?scratch ?on_event ~slice_trials cfg machine graph ~ckpt =
@@ -166,8 +155,8 @@ let to_status (st, ev) =
   | Suspended s ->
       (Paused { ckpt = envelope s; p_trials = live_trials s; p_best_perf = live_best_perf s }, ev)
 
-let start ?scratch ?db ?warm_start ?on_event ~slice_trials cfg machine graph =
-  to_status (start_live ?scratch ?db ?warm_start ?on_event ~slice_trials cfg machine graph)
+let start ?scratch ?warm_start ?on_event ~slice_trials cfg machine graph =
+  to_status (start_live ?scratch ?warm_start ?on_event ~slice_trials cfg machine graph)
 
 let resume ?scratch ?on_event ~slice_trials cfg machine graph ~ckpt =
   Result.map to_status (resume_live ?scratch ?on_event ~slice_trials cfg machine graph ~ckpt)

@@ -53,13 +53,7 @@ val algo_spec : Driver.algo -> string
 val fingerprint : cfg -> string
 (** Hex digest of the full search identity.  Together with the machine
     and graph fingerprints this keys the server's result memo: equal
-    triples guarantee bit-equal answers. *)
-
-val eval_fingerprint : cfg -> string
-(** Digest of only the evaluator-identity fields (runs, noise,
-    iterations, seed).  Profiles measured under one eval identity are
-    meaningless under another, so the shared profiles pool is
-    segmented by (machine, graph, this). *)
+    triples and the same warm start guarantee bit-equal answers. *)
 
 type finished = {
   best : Mapping.t;       (** winner of the final protocol *)
@@ -88,7 +82,6 @@ type live_status = Done of finished | Suspended of live
 
 val start_live :
   ?scratch:Exec.scratch ->
-  ?db:Profiles_db.t ->
   ?warm_start:Mapping.t ->
   ?on_event:(Engine.event -> unit) ->
   slice_trials:int ->
@@ -135,7 +128,6 @@ val live_best_perf : live -> float
 
 val start :
   ?scratch:Exec.scratch ->
-  ?db:Profiles_db.t ->
   ?warm_start:Mapping.t ->
   ?on_event:(Engine.event -> unit) ->
   slice_trials:int ->
@@ -144,9 +136,8 @@ val start :
   Graph.t ->
   status * Evaluator.t
 (** First slice: build the {!Driver.session} (over [scratch]'s compiled
-    problem when given — the compile-cache path — with the profiles
-    database seeded from [db], the shared pool) and run at most
-    [slice_trials] trials.  [warm_start] seeds the search from a
+    problem when given — the compile-cache path — with an empty
+    profiles database) and run at most [slice_trials] trials.  [warm_start] seeds the search from a
     memoized incumbent instead of the default/HEFT start;
     warm-started searches explore a different — typically shorter —
     trajectory, which is exactly their point.  The returned evaluator

@@ -328,28 +328,6 @@ let test_parallel_map_exception () =
   | _ -> Alcotest.fail "expected exception"
   | exception Failure msg -> Alcotest.(check string) "propagated" "boom" msg
 
-let member_result_eq g (a : Parallel.member_result) (b : Parallel.member_result) =
-  let mapping = Alcotest.testable (Mapping.pp g) Mapping.equal in
-  Alcotest.(check string) "member" a.Parallel.member b.Parallel.member;
-  Alcotest.(check exact) "perf" a.Parallel.perf b.Parallel.perf;
-  Alcotest.check mapping "mapping" a.Parallel.mapping b.Parallel.mapping;
-  Alcotest.(check int) "evaluated" a.Parallel.evaluated b.Parallel.evaluated;
-  Alcotest.(check int) "suggested" a.Parallel.suggested b.Parallel.suggested
-
-let test_parallel_equals_sequential () =
-  let machine = Fixtures.default_machine () in
-  let g, _, _ = Fixtures.shared_halo () in
-  let members = [ Portfolio.Ccd 3; Portfolio.Annealing; Portfolio.Random; Portfolio.Cd ] in
-  let run domains =
-    Parallel.run_members ~domains ~members ~budget:0.5 ~seed:1 ~runs:3 machine g
-  in
-  let seq = run 1 and par = run 4 in
-  Alcotest.(check int) "same member count" (List.length seq) (List.length par);
-  List.iter2 (member_result_eq g) seq par;
-  let bs = Parallel.best seq and bp = Parallel.best par in
-  Alcotest.(check string) "same best member" bs.Parallel.member bp.Parallel.member;
-  Alcotest.(check exact) "same best perf" bs.Parallel.perf bp.Parallel.perf
-
 let suite =
   [
     Alcotest.test_case "five apps: simulate == reference" `Slow test_apps_golden;
@@ -366,6 +344,4 @@ let suite =
     Alcotest.test_case "parallel map preserves order" `Quick test_parallel_map_order;
     Alcotest.test_case "parallel map propagates exceptions" `Quick
       test_parallel_map_exception;
-    Alcotest.test_case "parallel portfolio == sequential" `Slow
-      test_parallel_equals_sequential;
   ]

@@ -248,13 +248,18 @@ let test_bad_run_counts () =
     [ 0; -1 ]
 
 (* The command line refuses the same counts as a usage error (exit 124)
-   before any work. *)
+   before any work, and so it does a missing, unknown or unreadable
+   input: a workload without an input, an unknown app, algorithm or
+   preset, a file that does not exist or does not parse. *)
 let test_cli_usage_errors () =
   let exe = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "automap_cli.exe" in
   if not (Sys.file_exists exe) then begin
     Printf.printf "%s not built: run from dune's test directory\n" exe;
     Alcotest.skip ()
   end;
+  let garbage = Filename.temp_file "automap" ".map" in
+  Out_channel.with_open_bin garbage (fun oc -> output_string oc "garbage\n");
+  Fun.protect ~finally:(fun () -> Sys.remove garbage) @@ fun () ->
   List.iter
     (fun args ->
       let code = Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" exe args) in
@@ -265,6 +270,13 @@ let test_cli_usage_errors () =
       "tune -a stencil --final-runs 0";
       "tune -a stencil --final-runs=-1";
       "search -a stencil --runs 0";
+      "search -a stencil -c grid:4x4";
+      "search -a nosuch -i x";
+      "search -a stencil -i 500x500 --algo nosuch";
+      "search -a stencil -i 500x500 -c nosuch";
+      "search -a stencil -i 500x500 --machine /nonexistent";
+      "simulate -a stencil -i 500x500 -m /nonexistent";
+      "compare -a stencil -i 500x500 -m " ^ garbage;
     ]
 
 let suite =
@@ -292,6 +304,6 @@ let suite =
       Alcotest.test_case "the final protocol's runs land on several domains" `Quick
         test_runs_fan_out;
       Alcotest.test_case "non-positive run counts are refused" `Quick test_bad_run_counts;
-      Alcotest.test_case "the CLI refuses non-positive run counts" `Quick
+      Alcotest.test_case "the CLI refuses bad run counts and inputs as usage errors" `Quick
         test_cli_usage_errors;
     ]

@@ -9,7 +9,8 @@
    - a server restarted from its state directory resumes an in-flight
      search decision-identically to an uninterrupted run;
    - a finished job keeps its answer, not its search state;
-   - near-repeats warm-start from the cached incumbent;
+   - near-repeats warm-start from the cached incumbent, and a cold
+     repeat takes a memo entry only when its job was not warm-started;
    - the cache counters surface through the status response. *)
 
 let cfg ?(algo = Driver.Ccd { rotations = 2 }) ?(seed = 0) ~max_trials () =
@@ -128,8 +129,8 @@ let check_restart_identity () =
 
 (* Jobs that differ only in their final protocol's run count: each is a
    distinct request (the memo keys on the whole config) running the very
-   same search, so the profiles pool stops growing after the first and
-   what the server gains per later job is what a finished job keeps.
+   same search, so what the server gains per later job is what a
+   finished job keeps.
    That must be its answer — a few hundred words — and not its search,
    whose envelope the server used to keep for the daemon's lifetime. *)
 let check_finished_jobs_release () =
@@ -220,6 +221,32 @@ let check_warm_start () =
   Alcotest.(check bool) "warm=false stays cold" false
     (result_of srv "pinned").Wire.r_warm_started
 
+(* A warm map that finds no incumbent searches exactly as a cold one
+   would, so a cold exact repeat may take its memo entry. *)
+let check_cold_repeat_of_unseeded_warm () =
+  let c = cfg ~max_trials:50 () in
+  let srv = Server.create ~slice_trials:20 () in
+  ignore (Server.handle srv (map_req ~id:"warm" ~cfg:c (stencil ~nodes:1)));
+  Server.drain srv;
+  let warm = result_of srv "warm" in
+  Alcotest.(check bool) "warm map done" true (warm.Wire.r_state = Wire.Done);
+  Alcotest.(check bool) "no incumbent in a fresh server" false warm.Wire.r_warm_started;
+  let cold_req = map_req ~warm:false ~id:"cold" ~cfg:c (stencil ~nodes:1) in
+  let cold =
+    match Server.handle srv cold_req with
+    | Wire.R_result p -> p
+    | _ -> Alcotest.fail "a cold repeat of an unseeded warm job must be answered from the memo"
+  in
+  Alcotest.(check bool) "cold repeat marked cached" true cold.Wire.r_cached;
+  let alone = Server.create ~slice_trials:20 () in
+  ignore (Server.handle alone cold_req);
+  Server.drain alone;
+  let single = result_of alone "cold" in
+  Alcotest.(check (option string)) "alone's mapping" single.Wire.r_mapping cold.Wire.r_mapping;
+  Alcotest.(check (option string)) "alone's perf bits" single.Wire.r_perf_hex
+    cold.Wire.r_perf_hex;
+  Alcotest.(check int) "alone's trials" single.Wire.r_trials cold.Wire.r_trials
+
 (* ---- counters and analyze --------------------------------------------- *)
 
 let check_counters () =
@@ -235,7 +262,6 @@ let check_counters () =
   Alcotest.(check int) "repeat hit the result memo" 1 (counter cs "result_hits");
   Alcotest.(check bool) "compiled problem has weight" true
     (counter cs "resident_bytes" > 0);
-  Alcotest.(check bool) "profiles pooled" true (counter cs "pool_entries" >= 1);
   Alcotest.(check int) "no evictions in a small run" 0 (counter cs "evictions")
 
 let check_analyze_and_errors () =
@@ -313,6 +339,8 @@ let suite =
       check_finished_jobs_release;
     Alcotest.test_case "near-repeats warm-start from the incumbent" `Quick
       check_warm_start;
+    Alcotest.test_case "a cold repeat takes an unseeded warm job's memo entry" `Quick
+      check_cold_repeat_of_unseeded_warm;
     Alcotest.test_case "status surfaces the cache counters" `Quick check_counters;
     Alcotest.test_case "analyze inline; errors are typed" `Quick
       check_analyze_and_errors;

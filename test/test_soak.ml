@@ -6,17 +6,26 @@
    and result lines, and malformed ones — mutated wire JSON, inline
    graph or machine codec text that cannot parse, and configurations
    out of bounds.  Map lines are cold ([warm] false), so no answer may
-   depend on another job's pool segment or incumbent; about half take
-   a seed of their own, and the others repeat an earlier accepted
-   map's workload and seed under search settings of their own, sharing
-   that job's evaluation identity and so its pool segment, which a cold
-   job must not read (when the settings come out the same too, a
-   finished job's memo answers it at once).  Between lines the soak
-   runs a few slices, polling every job in flight after each, and at
-   random slice boundaries it abandons the server and re-creates it
+   depend on another job's incumbent; about half take a seed of their
+   own, and the others repeat an earlier accepted map's workload and
+   seed under search settings of their own: jobs that differ only in
+   settings, which share nothing but the compiled problem, and, when
+   the settings come out the same too, exact repeats, which the memo's
+   cold rule lets a finished job answer at once.  Between lines the
+   soak runs a few slices, polling every job in flight after each, and
+   at random slice boundaries it abandons the server and re-creates it
    from its state directory, as after a SIGKILL.  The crash leaves a
    stray temp file behind, sometimes a truncated checkpoint, and a job
    accepted but never sliced leaves a meta file with no checkpoint.
+
+   The live variant deals the same mix but runs the slices on two
+   worker domains (Server.start_workers), as the daemon does, while
+   lines keep arriving.  At random points it stops the workers, joins
+   them and polls every job in flight; only then does it abandon the
+   server and recover a new one, so each job in flight is at a slice
+   boundary on disk.  How many slices run between two lines depends
+   on timing, so a live seed reproduces its mix, not its
+   interleaving.
 
    Every malformed line must get an error answer, nothing may raise, a
    job whose checkpoint was cut short must fail with an error, and
@@ -154,7 +163,9 @@ let gen_line rng k ~pending ~earlier =
       (Wire.request_to_string (Wire.Poll { p_id = p }), Result p)
   | _ -> malformed ()
 
-let soak seed =
+(* [live]: run the slices on two worker domains instead of
+   [Server.step]. *)
+let soak ~live seed =
   let rng = Random.State.make [| seed |] in
   let fail fmt = QCheck.Test.fail_reportf ("soak seed %d: " ^^ fmt) seed in
   let guard what f =
@@ -164,6 +175,13 @@ let soak seed =
   let slice_trials = 3 + Random.State.int rng 6 in
   let create () = Server.create ~slice_trials ~state_dir:dir () in
   let srv = ref (create ()) in
+  let workers = ref (if live then Server.start_workers !srv 2 else []) in
+  let stop_workers () =
+    Server.stop !srv;
+    let ws = !workers in
+    workers := [];
+    guard "a worker" (fun () -> List.iter Domain.join ws)
+  in
   let pending = ref [] in   (* (id, line) of accepted maps in flight *)
   let earlier = ref [] in   (* (workload, seed) of every accepted map *)
   let answers = ref [] in   (* (id, line, payload) of completed maps *)
@@ -212,11 +230,16 @@ let soak seed =
     end
   in
   let restart () =
+    if live then begin
+      stop_workers ();
+      poll_pending ()
+    end;
     leave_leftovers ();
     srv := create ();
     let n = guard "recover" (fun () -> Server.recover !srv) in
     if n <> List.length !pending then
-      fail "recovered %d jobs, %d were in flight" n (List.length !pending)
+      fail "recovered %d jobs, %d were in flight" n (List.length !pending);
+    if live then workers := Server.start_workers !srv 2
   in
   let slice () =
     if not (guard "step" (fun () -> Server.step !srv)) then
@@ -224,6 +247,13 @@ let soak seed =
     poll_pending ();
     if Random.State.int rng 4 = 0 then restart ()
   in
+  (* live: let the workers run up to a millisecond, then restart or
+     poll *)
+  let run_live () =
+    Unix.sleepf (Random.State.float rng 0.001);
+    if Random.State.int rng 3 = 0 then restart () else poll_pending ()
+  in
+  Fun.protect ~finally:(fun () -> try stop_workers () with _ -> ()) @@ fun () ->
   for k = 1 to 10 + Random.State.int rng 6 do
     let line, expect = gen_line rng k ~pending:(List.map fst !pending) ~earlier:!earlier in
     let resp = guard line (fun () -> Server.handle_line !srv line) in
@@ -242,13 +272,20 @@ let soak seed =
         ()
     | Result id, Wire.R_result p when p.Wire.r_id = id -> ()
     | _ -> fail "%s answered %s" line (Wire.response_to_string resp));
-    for _ = 1 to min (Random.State.int rng 3) (List.length !pending) do
-      slice ()
-    done
+    if live then run_live ()
+    else
+      for _ = 1 to min (Random.State.int rng 3) (List.length !pending) do
+        slice ()
+      done
   done;
+  let deadline = Unix.gettimeofday () +. 60.0 in
   while !pending <> [] do
-    slice ()
+    if not live then slice ()
+    else if Unix.gettimeofday () > deadline then
+      fail "%d jobs still in flight after 60 s" (List.length !pending)
+    else run_live ()
   done;
+  if live then stop_workers ();
   remove_dir dir;
   List.iter
     (fun (id, line, (p : Wire.result_payload)) ->
@@ -273,7 +310,13 @@ let prop_soak =
   QCheck.Test.make ~count:3
     ~name:"soak: a seeded request mix with restarts answers as fresh single-job servers"
     QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
-    soak
+    (soak ~live:false)
+
+let prop_soak_live =
+  QCheck.Test.make ~count:3
+    ~name:"soak: live workers, stopped and joined at random, answer as fresh single-job servers"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (soak ~live:true)
 
 (* Whatever bytes arrive, [handle_line] answers and never raises. *)
 let prop_any_bytes =
@@ -294,4 +337,5 @@ let prop_any_bytes =
       | _ -> true
       | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
-let suite = [ QCheck_alcotest.to_alcotest prop_soak; QCheck_alcotest.to_alcotest prop_any_bytes ]
+let suite =
+  List.map QCheck_alcotest.to_alcotest [ prop_soak; prop_soak_live; prop_any_bytes ]
