@@ -44,13 +44,7 @@ let write_file path contents =
   close_out oc
 
 let machine_preset ~cluster ~nodes =
-  match Presets.of_spec cluster ~nodes with
-  | Ok m -> m
-  | Error e ->
-      usage
-        "%s (presets: shepard|lassen|testbed|cpu_only|headless, topologies: grid:WxH, \
-         torus:WxH, fattree:LEVELS:ARITY, direct:N, each with an optional :free suffix)"
-        e
+  match Presets.of_spec cluster ~nodes with Ok m -> m | Error e -> usage "%s" e
 
 let app_of name =
   match App.find name with

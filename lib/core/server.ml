@@ -114,8 +114,6 @@ let read_file_opt path =
 
 (* ---- workload resolution ---------------------------------------------- *)
 
-let machine_of_preset ~cluster ~nodes = Presets.of_spec cluster ~nodes
-
 (* One simulation allocates and runs per task instance, so a request
    may not ask for more instances per simulation than this.  It admits
    every bundled app and input on every preset up to grid:64x64, where
@@ -149,7 +147,7 @@ let resolve (w : Wire.workload) =
   let* machine =
     match w.Wire.w_machine with
     | Some text -> Machine_codec.of_string text
-    | None -> machine_of_preset ~cluster:w.Wire.w_cluster ~nodes:w.Wire.w_nodes
+    | None -> Presets.of_spec w.Wire.w_cluster ~nodes:w.Wire.w_nodes
   in
   let* graph =
     match w.Wire.w_graph with

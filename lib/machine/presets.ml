@@ -338,6 +338,12 @@ let of_topology topo =
   | Topology.Direct -> direct_shepard topo
   | Topology.Custom -> mesh_tile topo
 
+(* The forms a spec may take, listed in the error of one that takes
+   none of them. *)
+let spec_forms =
+  "presets: shepard|lassen|testbed|cpu_only|headless, topologies: grid:WxH, torus:WxH, \
+   fattree:LEVELS:ARITY, direct:N, each with an optional :free suffix"
+
 let of_spec spec ~nodes =
   let lower = String.lowercase_ascii (String.trim spec) in
   (* a bad node count or an oversized machine is an [Error] too *)
@@ -351,6 +357,10 @@ let of_spec spec ~nodes =
     | _ -> (
         let link_bw, link_latency = topo_link_rates lower in
         match Topology.of_spec lower ~link_bw ~link_latency with
+        | Error e when String.starts_with ~prefix:"bad topology spec" e ->
+            (* Topology's answer to a spec it cannot parse; its other
+               errors are about the values of a well-formed one *)
+            Error (Printf.sprintf "%s (%s)" e spec_forms)
         | Error e -> Error e
         | Ok topo ->
             let tn = Topology.n_nodes topo in

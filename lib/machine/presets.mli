@@ -57,4 +57,5 @@ val of_spec : string -> nodes:int -> (Machine.t, string) result
     fix their own node count: [nodes] must be 1 (the CLI default,
     meaning "let the spec decide") or match it exactly.  Never raises:
     a bad node count or a machine past {!Topology.max_gen_nodes} slots
-    is an [Error]. *)
+    is an [Error].  The error of a spec that takes none of these forms
+    lists them; no other error does. *)

@@ -1,4 +1,6 @@
-(* A cutoff-aborted evaluation: enough to (a) answer a later
+(* A candidate's place in the §5 protocol, the one state [run_protocol]
+   works on.  A fresh candidate is a partial with no run done; a cut one
+   stays in the partials table, enough to (a) answer a later
    re-suggestion without re-proving the bound when the incumbent has
    only improved, and (b) finish the protocol with the original per-run
    seeds — reproducing the unpruned measurements bit-for-bit — when the
@@ -31,6 +33,8 @@ type t = {
   dominance : bool;
   db : Profiles_db.t;
   partials : (string, partial) Hashtbl.t;
+  zero_suffix : float array;
+      (* [runs + 1] zeros: the run floors of a protocol that knows none *)
   (* Common random numbers: run k of *every* evaluation uses seed
      [crn_base + k], so all candidates face identical noise streams.
      Comparisons between candidates become paired (lower variance than
@@ -133,6 +137,7 @@ let create ?(runs = 7) ?(noise_sigma = 0.03) ?(fallback = false) ?iterations
     dominance;
     db = (match db with Some db -> db | None -> Profiles_db.create ());
     partials = Hashtbl.create 64;
+    zero_suffix = Array.make (runs + 1) 0.0;
     crn_base = seed * 1_000_003;
     (* [measure]'s ad-hoc runs draw from a window disjoint from the
        evaluation seeds so they never perturb or reuse the CRN streams *)
@@ -223,29 +228,143 @@ let obj_of_run t =
   if t.objective == default_objective then Exec.quiet_per_iteration (scratch t)
   else t.objective t.machine (Exec.quiet_result (scratch t))
 
-let quiet_error_exn t =
-  match Exec.quiet_error (scratch t) with Some e -> e | None -> assert false
-
 let effective_iterations t = float_of_int t.eff_iters
 
-(* ---- the single per-evaluation clock charge ---- *)
+(* ---- the run protocol ---------------------------------------------------
 
-let charge_wall t w =
-  t.virtual_time <- t.virtual_time +. w;
-  t.eval_time <- t.eval_time +. w
+   Every candidate [evaluate] measures runs the §5 protocol in
+   [run_protocol], over its [partial].  Run k takes seed [pbase + k]
+   and is cut when its clock reaches
+   [(threshold - psum - suffix.(k)) * iterations], where [threshold] is
+   [runs * bound * prune_slack] (infinite without a bound, so nothing
+   is cut) and [suffix.(k)] is a certified lower bound on the
+   objectives of runs k+1 .. runs (zero when none is known: the runs
+   to come might take no time).  Run times are nonnegative, so once
+   the runs done plus that floor reach the threshold, the final mean
+   reaches the bound whatever the remaining runs measure: the candidate
+   is a certified loser.  Every such test only ever under-prunes, so
+   the accept/reject sequence, the RNG stream and every completed
+   measurement are those of the unpruned protocol. *)
 
-let charge_complete t w =
-  t.virtual_time <- t.virtual_time +. w +. t.eval_overhead;
-  t.eval_time <- t.eval_time +. w
+let threshold t bound = bound *. prune_slack *. float_of_int t.runs
 
-let charge_overhead_only t = t.virtual_time <- t.virtual_time +. t.eval_overhead
+(* Record [p] as cut before its run [p.pnext], aborted or never
+   started: the partials table now owes runs [p.pnext .. runs].  A cut
+   candidate costs exactly the simulated wall it ran (the relaunch
+   overhead is charged when a protocol completes) and answers
+   [max penalty bound], which the caller cannot accept at [bound]. *)
+let cut_partial t ~key p ~bound ~plb ~wall =
+  t.cut_evals <- t.cut_evals + 1;
+  t.cut_runs <- t.cut_runs + (t.runs - p.pnext + 1);
+  p.plb <- plb;
+  Hashtbl.replace t.partials key p;
+  t.virtual_time <- t.virtual_time +. wall;
+  t.eval_time <- t.eval_time +. wall;
+  Float.max t.penalty bound
 
-let complete_protocol t ~key mapping times wall =
-  t.evaluated <- t.evaluated + 1;
-  charge_complete t wall;
-  let entry = Profiles_db.record_key t.db ~key mapping times in
-  note_best t mapping entry.Profiles_db.perf;
-  entry.Profiles_db.perf
+let run_protocol t ~key mapping p ~bound ~suffix =
+  let runs_f = float_of_int t.runs and iters = effective_iterations t in
+  let threshold = threshold t bound in
+  (* [wall]: the makespans of this call's runs, summed in run order *)
+  let rec go wall =
+    let k = p.pnext in
+    if k > t.runs then begin
+      t.evaluated <- t.evaluated + 1;
+      t.virtual_time <- t.virtual_time +. wall +. t.eval_overhead;
+      t.eval_time <- t.eval_time +. wall;
+      let entry = Profiles_db.record_key t.db ~key mapping p.pdone in
+      note_best t mapping entry.Profiles_db.perf;
+      entry.Profiles_db.perf
+    end
+    else if p.psum +. suffix.(k - 1) >= threshold then
+      (* certified before run k starts: no simulation aborted *)
+      cut_partial t ~key p ~bound ~plb:((p.psum +. suffix.(k - 1)) /. runs_f) ~wall
+    else
+      let cutoff = (threshold -. p.psum -. suffix.(k)) *. iters in
+      let st = quiet_run t ~cutoff ~seed:(p.pbase + k) mapping in
+      if st = Exec.st_finished then begin
+        let obj = obj_of_run t in
+        p.pdone <- obj :: p.pdone;
+        p.psum <- p.psum +. obj;
+        p.pnext <- k + 1;
+        go (wall +. Exec.quiet_makespan (scratch t))
+      end
+      else if st = Exec.st_cut then begin
+        let tcut = Exec.quiet_cut_time (scratch t) in
+        t.cut_sims <- t.cut_sims + 1;
+        cut_partial t ~key p ~bound
+          ~plb:((p.psum +. (tcut /. iters) +. suffix.(k)) /. runs_f)
+          ~wall:(wall +. tcut)
+      end
+      else
+        (* unreachable: [certify] placed this mapping, and placement is
+           deterministic *)
+        failwith
+          ("Evaluator.evaluate: "
+          ^ Placement.error_to_string (Option.get (Exec.quiet_error (scratch t))))
+  in
+  go 0.0
+
+(* A fresh candidate's first step.  Validating and resolving its
+   placement answers an invalid or OOM mapping before any run (an OOM
+   costs one failed launch: the overhead).  Under a finite [bound] it
+   then tries to certify a loser before run 1: first from the
+   noise-free static floor [s], which holds for every run, then from
+   each run's own floor under its noise draws (Exec.run_lower_bound),
+   in seed order, stopping once the floors drawn plus [s] for each run
+   left reach the threshold.  Otherwise the per-run floors become the
+   protocol's [suffix]. *)
+let certify t ~key mapping ~bound =
+  let invalid () =
+    t.invalid <- t.invalid + 1;
+    t.penalty
+  in
+  if not (Mapping.is_valid t.graph t.machine mapping) then invalid ()
+  else
+    match
+      if bound = infinity then
+        Result.map (fun _ -> 0.0) (Exec.bind (scratch t) ~fallback:t.fallback mapping)
+      else
+        Exec.static_lower_bound ~fallback:t.fallback ?iterations:t.iterations (scratch t)
+          mapping
+    with
+    | Error (Placement.Invalid_mapping _) -> invalid ()
+    | Error (Placement.Out_of_memory _) ->
+        t.oom <- t.oom + 1;
+        t.virtual_time <- t.virtual_time +. t.eval_overhead;
+        t.penalty
+    | Ok s_makespan ->
+        let p = { pbase = t.crn_base; pdone = []; psum = 0.0; pnext = 1; plb = 0.0 } in
+        let runs_f = float_of_int t.runs and iters = effective_iterations t in
+        let threshold = threshold t bound and s = s_makespan /. iters in
+        if bound = infinity then run_protocol t ~key mapping p ~bound ~suffix:t.zero_suffix
+        else if s *. runs_f >= threshold then cut_partial t ~key p ~bound ~plb:s ~wall:0.0
+        else begin
+          (* suffix.(j) holds run j+1's floor until the last pass sums them *)
+          let suffix = Array.make (t.runs + 1) 0.0 in
+          let rec floors j lbsum =
+            if j = t.runs then begin
+              for i = t.runs - 1 downto 0 do
+                suffix.(i) <- suffix.(i + 1) +. suffix.(i)
+              done;
+              run_protocol t ~key mapping p ~bound ~suffix
+            end
+            else begin
+              (match
+                 Exec.run_lower_bound ~noise_sigma:t.noise_sigma ~seed:(p.pbase + j + 1)
+                   ~fallback:t.fallback ?iterations:t.iterations (scratch t) mapping
+               with
+              | Ok l -> suffix.(j) <- l /. iters
+              | Error _ -> assert false (* the static floor placed it *));
+              let lbsum = lbsum +. suffix.(j) in
+              let floor = lbsum +. (float_of_int (t.runs - j - 1) *. s) in
+              if floor >= threshold then
+                cut_partial t ~key p ~bound ~plb:(floor /. runs_f) ~wall:0.0
+              else floors (j + 1) lbsum
+            end
+          in
+          floors 0 0.0
+        end
 
 (* [evaluate] with the canonical key already computed: the key serves
    both the db probe and the partials table, so it is derived exactly
@@ -260,284 +379,27 @@ let eval_keyed ?bound t key mapping =
       (* Pruning is exact only for the default objective: the clock is
          a lower bound on the makespan, hence on per-iteration time,
          but not on an arbitrary objective (e.g. energy). *)
-      let bound_v =
+      let bound =
         match bound with
         | Some b when (not t.reference) && Float.is_finite b && t.objective == default_objective
           ->
             b
         | _ -> infinity
       in
-      let runs_f = float_of_int t.runs in
-      let iters = effective_iterations t in
-      (* Run k may stop once it alone pushes the final mean to the
-         bound even if every remaining run took zero time:
-         (sum_done + clock/iters) / runs >= bound. *)
-      let cutoff_for sum_done =
-        if bound_v = infinity then infinity
-        else ((bound_v *. prune_slack *. runs_f) -. sum_done) *. iters
-      in
-      (* Any value >= bound is decision-equivalent for the caller: the
-         candidate provably cannot be accepted at this bound. *)
-      let pruned_value () = Float.max t.penalty bound_v in
       match Hashtbl.find_opt t.partials key with
+      | None -> certify t ~key mapping ~bound
+      | Some p when p.plb >= bound *. prune_slack ->
+          (* still provably no better than the incumbent *)
+          t.cut_evals <- t.cut_evals + 1;
+          Float.max t.penalty bound
       | Some p ->
-          if p.plb >= bound_v *. prune_slack then begin
-            (* still provably no better than the incumbent *)
-            t.cut_evals <- t.cut_evals + 1;
-            pruned_value ()
-          end
-          else begin
-            (* The incumbent worsened below this candidate's proven
-               lower bound: finish the protocol with the originally
-               assigned seeds, reproducing what the unpruned evaluation
-               would have measured. *)
-            t.cut_runs <- t.cut_runs - (t.runs - p.pnext);
-            let new_wall = ref 0.0 in
-            let rec go () =
-              if p.pnext > t.runs then begin
-                Hashtbl.remove t.partials key;
-                t.evaluated <- t.evaluated + 1;
-                charge_complete t !new_wall;
-                let entry = Profiles_db.record_key t.db ~key mapping p.pdone in
-                note_best t mapping entry.Profiles_db.perf;
-                entry.Profiles_db.perf
-              end
-              else begin
-                let st =
-                  quiet_run t ~cutoff:(cutoff_for p.psum) ~seed:(p.pbase + p.pnext)
-                    mapping
-                in
-                if st = Exec.st_finished then begin
-                  let obj = obj_of_run t in
-                  p.pdone <- obj :: p.pdone;
-                  p.psum <- p.psum +. obj;
-                  p.pnext <- p.pnext + 1;
-                  new_wall := !new_wall +. Exec.quiet_makespan (scratch t);
-                  go ()
-                end
-                else if st = Exec.st_cut then begin
-                  let tcut = Exec.quiet_cut_time (scratch t) in
-                  t.cut_sims <- t.cut_sims + 1;
-                  t.cut_evals <- t.cut_evals + 1;
-                  t.cut_runs <- t.cut_runs + (t.runs - p.pnext);
-                  p.plb <- (p.psum +. (tcut /. iters)) /. runs_f;
-                  charge_wall t (!new_wall +. tcut);
-                  pruned_value ()
-                end
-                else
-                  failwith
-                    ("Evaluator.evaluate: " ^ Placement.error_to_string (quiet_error_exn t))
-              end
-            in
-            go ()
-          end
-      | None -> (
-          match Mapping.is_valid t.graph t.machine mapping with
-          | false ->
-              t.invalid <- t.invalid + 1;
-              t.penalty
-          | true when bound_v < infinity -> (
-              let base = t.crn_base in
-              (* Certified per-run lower bounds: before any event loop,
-                 each run's objective is bounded below by its busiest
-                 processor's total work under that run's own noise
-                 draws (Exec.run_lower_bound).  With lb_j certified for
-                 every run, the protocol can stop before run k whenever
-                 sum_done + Σ_{j>=k} lb_j already clears the bound, and
-                 run k's cutoff tightens from "remaining runs take zero
-                 time" to "remaining runs take at least their lower
-                 bounds" — both tests only ever under-prune, so
-                 decisions still match the unpruned protocol exactly.
-                 The first lower-bound call resolves the placement, so
-                 OOM detection is preserved even when the whole
-                 evaluation prunes without simulating. *)
-              match
-                Exec.static_lower_bound ~fallback:t.fallback ?iterations:t.iterations
-                  (scratch t) mapping
-              with
-              | Error (Placement.Out_of_memory _) ->
-                  t.oom <- t.oom + 1;
-                  charge_overhead_only t;
-                  t.penalty
-              | Error (Placement.Invalid_mapping _) ->
-                  t.invalid <- t.invalid + 1;
-                  t.penalty
-              | Ok s_makespan ->
-                  (* the noise-independent floor holds for every run *)
-                  let s = s_makespan /. iters in
-                  let threshold = bound_v *. prune_slack *. runs_f in
-                  let results = ref [] in (* objectives, newest first *)
-                  let sum = ref 0.0 in
-                  let wall = ref 0.0 in
-                  let prune_with ~k ~plb =
-                    (* provably no better than the incumbent before
-                       even starting run k: no simulation aborted, so
-                       this counts cut runs but no cut sim *)
-                    t.cut_evals <- t.cut_evals + 1;
-                    t.cut_runs <- t.cut_runs + (t.runs - k + 1);
-                    Hashtbl.replace t.partials key
-                      { pbase = base; pdone = !results; psum = !sum; pnext = k; plb };
-                    charge_wall t !wall;
-                    pruned_value ()
-                  in
-                  if s *. runs_f >= threshold then
-                    (* certified by the noise-free floor alone: no
-                       noise draws, no event loop *)
-                    prune_with ~k:1 ~plb:s
-                  else begin
-                  (* Per-run bounds from each run's own noise draws,
-                     computed in seed order with an early stop: once
-                     the bounded prefix plus the static floor for the
-                     rest clears the threshold, the remaining draws are
-                     unnecessary — the evaluation is already cut. *)
-                  let lb = Array.make (t.runs + 1) 0.0 in
-                  let lbsum = ref 0.0 in
-                  let m = ref 0 in
-                  let early =
-                    try
-                      for j = 1 to t.runs do
-                        (match
-                           Exec.run_lower_bound ~noise_sigma:t.noise_sigma
-                             ~seed:(base + j) ~fallback:t.fallback
-                             ?iterations:t.iterations (scratch t) mapping
-                         with
-                        | Ok l -> lb.(j) <- l /. iters
-                        | Error _ ->
-                            (* placement is deterministic: the static
-                               floor resolved, so these cannot fail *)
-                            assert false);
-                        lbsum := !lbsum +. lb.(j);
-                        m := j;
-                        if !lbsum +. (float_of_int (t.runs - j) *. s) >= threshold then
-                          raise Exit
-                      done;
-                      false
-                    with Exit -> true
-                  in
-                  if early then
-                    prune_with ~k:1
-                      ~plb:((!lbsum +. (float_of_int (t.runs - !m) *. s)) /. runs_f)
-                  else begin
-                  (* suffix.(k) = sum of lb_j for j > k *)
-                  let suffix = Array.make (t.runs + 1) 0.0 in
-                  for j = t.runs - 1 downto 0 do
-                    suffix.(j) <- suffix.(j + 1) +. lb.(j + 1)
-                  done;
-                  let prune_at k = prune_with ~k ~plb:((!sum +. suffix.(k - 1)) /. runs_f) in
-                  let rec go k =
-                    if k > t.runs then complete_protocol t ~key mapping !results !wall
-                    else if !sum +. suffix.(k - 1) >= threshold then prune_at k
-                    else begin
-                      let cutoff = (threshold -. !sum -. suffix.(k)) *. iters in
-                      let st = quiet_run t ~cutoff ~seed:(base + k) mapping in
-                      if st = Exec.st_finished then begin
-                        let obj = obj_of_run t in
-                        results := obj :: !results;
-                        sum := !sum +. obj;
-                        wall := !wall +. Exec.quiet_makespan (scratch t);
-                        go (k + 1)
-                      end
-                      else if st = Exec.st_cut then begin
-                        let tcut = Exec.quiet_cut_time (scratch t) in
-                        t.cut_sims <- t.cut_sims + 1;
-                        t.cut_evals <- t.cut_evals + 1;
-                        t.cut_runs <- t.cut_runs + (t.runs - k);
-                        Hashtbl.replace t.partials key
-                          {
-                            pbase = base;
-                            pdone = !results;
-                            psum = !sum;
-                            pnext = k;
-                            plb = (!sum +. (tcut /. iters) +. suffix.(k)) /. runs_f;
-                          };
-                        charge_wall t (!wall +. tcut);
-                        pruned_value ()
-                      end
-                      else
-                        failwith
-                          ("Evaluator.evaluate: "
-                          ^ Placement.error_to_string (quiet_error_exn t))
-                    end
-                  in
-                  go 1
-                  end
-                  end)
-          | true -> (
-              let base = t.crn_base in
-              (* First run decides whether the mapping can be placed at
-                 all; an OOM aborts the evaluation after one cheap
-                 failed launch.  The cutoff only gates the event loop,
-                 so OOM/invalid detection is unaffected by pruning. *)
-              let st0 = quiet_run t ~cutoff:(cutoff_for 0.0) ~seed:(base + 1) mapping in
-              if st0 = Exec.st_error then (
-                match quiet_error_exn t with
-                | Placement.Out_of_memory _ ->
-                    t.oom <- t.oom + 1;
-                    charge_overhead_only t;
-                    t.penalty
-                | Placement.Invalid_mapping _ ->
-                    t.invalid <- t.invalid + 1;
-                    t.penalty)
-              else begin
-                (* objectives and walls, both newest first: the final
-                   clock charge folds the walls newest-first exactly as
-                   the record-based protocol did *)
-                let objs = ref [] in
-                let walls = ref [] in
-                let sum = ref 0.0 in
-                let cut = ref false in
-                let tcut = ref 0.0 in
-                let accept () =
-                  let obj = obj_of_run t in
-                  objs := obj :: !objs;
-                  walls := Exec.quiet_makespan (scratch t) :: !walls;
-                  sum := !sum +. obj
-                in
-                if st0 = Exec.st_finished then accept ()
-                else begin
-                  cut := true;
-                  tcut := Exec.quiet_cut_time (scratch t)
-                end;
-                let k = ref 1 in
-                while (not !cut) && !k < t.runs do
-                  incr k;
-                  let st = quiet_run t ~cutoff:(cutoff_for !sum) ~seed:(base + !k) mapping in
-                  if st = Exec.st_finished then accept ()
-                  else if st = Exec.st_cut then begin
-                    cut := true;
-                    tcut := Exec.quiet_cut_time (scratch t)
-                  end
-                  else
-                    (* placement is deterministic: later runs cannot
-                       fail if the first succeeded *)
-                    failwith
-                      ("Evaluator.evaluate: "
-                      ^ Placement.error_to_string (quiet_error_exn t))
-                done;
-                if not !cut then begin
-                  let wall = List.fold_left ( +. ) 0.0 !walls in
-                  complete_protocol t ~key mapping !objs wall
-                end
-                else begin
-                  t.cut_sims <- t.cut_sims + 1;
-                  t.cut_evals <- t.cut_evals + 1;
-                  t.cut_runs <- t.cut_runs + (t.runs - !k);
-                  Hashtbl.replace t.partials key
-                    {
-                      pbase = base;
-                      pdone = !objs;
-                      psum = !sum;
-                      pnext = !k;
-                      plb = (!sum +. (!tcut /. iters)) /. runs_f;
-                    };
-                  (* the per-evaluation relaunch overhead is charged
-                     when a protocol *completes* — an aborted
-                     candidate costs exactly its simulated wall *)
-                  let wall = List.fold_left ( +. ) !tcut !walls in
-                  charge_wall t wall;
-                  pruned_value ()
-                end
-              end)))
+          (* The incumbent worsened below this candidate's proven lower
+             bound: finish the protocol with its original seeds,
+             reproducing what the unpruned evaluation would have
+             measured.  No floor is known for the runs to come. *)
+          Hashtbl.remove t.partials key;
+          t.cut_runs <- t.cut_runs - (t.runs - p.pnext + 1);
+          run_protocol t ~key mapping p ~bound ~suffix:t.zero_suffix)
 
 let evaluate ?bound t mapping = eval_keyed ?bound t (Mapping.canonical_key mapping) mapping
 

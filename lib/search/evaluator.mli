@@ -129,14 +129,25 @@ val evaluate : ?bound:float -> t -> Mapping.t -> float
 (** Average objective value of the mapping (cached), or [penalty]
     for invalid/OOM mappings.
 
+    A candidate the database does not hold runs the §5 protocol in one
+    loop over its partial-evaluation record: a fresh candidate starts
+    with no run done, and a candidate cut earlier keeps the runs and
+    seeds it had.  A fresh candidate's placement is resolved before
+    its first run, so an invalid or OOM mapping is answered without
+    one.
+
     [?bound] is the caller's incumbent value: a candidate is useful to
     the caller only if its final mean objective is strictly below it.
-    With pruning enabled and the default objective, run [i] of the §5
-    protocol gets the clock cutoff [(runs * bound - sum_so_far) *
-    iterations] ({!Exec.simulate_bounded}): run times are nonnegative,
-    so once the partial sum alone pushes the final mean to [bound] the
-    remaining runs are aborted and [max penalty bound] — a certified
-    loser value — is returned.  This is *decision-exact*: the
+    With pruning enabled and the default objective, run [k] of the §5
+    protocol gets the clock cutoff
+    [(runs * bound - sum_so_far - floor_k) * iterations]
+    ({!Exec.simulate_quiet}), where [floor_k] certifies the runs after
+    [k] from below ({!Exec.run_lower_bound}; zero when a cut candidate
+    resumes): run times are nonnegative, so once the partial sum alone
+    pushes the final mean to [bound] the remaining runs are aborted
+    and [max penalty bound] — a certified loser value — is returned.
+    The same floors can certify a fresh candidate before its first run.
+    This is *decision-exact*: the
     accept/reject sequence, the RNG stream (the per-candidate seed
     budget is consumed even when runs are skipped), the profiles
     database contents and the best-mapping trace are identical to the
@@ -147,7 +158,14 @@ val evaluate : ?bound:float -> t -> Mapping.t -> float
     protocol resumes with the originally assigned seeds and reproduces
     the unpruned measurements bit-for-bit.  Without [?bound] (or in
     [reference] mode, with a non-default objective, or with an infinite
-    bound) the behaviour is the exact legacy protocol. *)
+    bound) nothing is cut.
+
+    The virtual clock is charged as runs happen: a cut candidate costs
+    the simulated wall of the runs it ran (an aborted run up to its
+    cut), and a completed protocol the walls of the runs its last call
+    ran, summed in run order, plus [eval_overhead].  A candidate cut
+    before its first run and later resumed is charged exactly what it
+    would have cost fresh. *)
 
 val eval_keyed : ?bound:float -> t -> string -> Mapping.t -> float
 (** [eval_keyed ?bound t key m] is [evaluate ?bound t m] for a caller
@@ -220,9 +238,11 @@ val cut_evals : t -> int
     completes the protocol additionally counts in [evaluated]. *)
 
 val cut_runs : t -> int
-(** Protocol runs skipped outright thanks to pruning (the aborted run
-    itself counts in [cut_sims], not here); decremented when a resume
-    later executes them. *)
+(** Protocol runs the partials table owes: for every candidate cut
+    and not resumed since, each run from its first incomplete one (the
+    aborted run, or the first never started) to its last.  A resume
+    pays them back, so the count returns to its value before the cut
+    once the candidate completes. *)
 
 val cut_sims : t -> int
 (** Simulations aborted by the clock cutoff. *)

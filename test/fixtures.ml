@@ -114,6 +114,14 @@ let fresh_dir =
     else Unix.mkdir d 0o755;
     d
 
+(* Remove a [fresh_dir] directory and the files in it, if it is still
+   there. *)
+let remove_dir d =
+  if Sys.file_exists d then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+    Unix.rmdir d
+  end
+
 (* For a measurement's objective, which runs on whichever domain ran
    the run: [note_domain w] records that the calling domain (the one
    that made [w]) or another one has arrived, and waits (about two

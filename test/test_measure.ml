@@ -250,7 +250,8 @@ let test_bad_run_counts () =
 (* The command line refuses the same counts as a usage error (exit 124)
    before any work, and so it does a missing, unknown or unreadable
    input: a workload without an input, an unknown app, algorithm or
-   preset, a file that does not exist or does not parse. *)
+   preset, a bad node count, a file that does not exist or does not
+   parse. *)
 let test_cli_usage_errors () =
   let exe = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "automap_cli.exe" in
   if not (Sys.file_exists exe) then begin
@@ -277,6 +278,24 @@ let test_cli_usage_errors () =
       "search -a stencil -i 500x500 --machine /nonexistent";
       "simulate -a stencil -i 500x500 -m /nonexistent";
       "compare -a stencil -i 500x500 -m " ^ garbage;
+    ]
+  ;
+  (* a machine spec's error lists the spec forms only when the spec
+     takes none of them *)
+  List.iter
+    (fun (args, listed) ->
+      let err = Filename.temp_file "automap" ".err" in
+      Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+      let code =
+        Sys.command (Printf.sprintf "%s %s >/dev/null 2>%s" exe args (Filename.quote err))
+      in
+      Alcotest.(check int) args 124 code;
+      let msg = In_channel.with_open_bin err In_channel.input_all in
+      Alcotest.(check bool) (args ^ " lists the spec forms: " ^ msg) listed
+        (Str_helpers.contains msg "presets:"))
+    [
+      ("search -a stencil -i 500x500 -n 0", false);
+      ("search -a stencil -i 500x500 -c nosuch", true);
     ]
 
 let suite =

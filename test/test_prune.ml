@@ -294,6 +294,146 @@ let test_still_pruned_on_repeat () =
     (Evaluator.cut_sims ev);
   Alcotest.(check int) "both suggestions counted as cut" 2 (Evaluator.cut_evals ev)
 
+(* A candidate the static floor prunes before run 1, then resumed
+   without a bound, runs all of its protocol in the resume: it must be
+   charged what the same candidate costs evaluated fresh without a
+   bound, bit for bit (the walls summed in run order both times), and
+   the partials table must owe nothing once it completes. *)
+let test_floor_pruned_resume_charges_fresh () =
+  let machine = Presets.shepard ~nodes:1 in
+  let g = App.stencil.App.graph ~nodes:1 ~input:(List.hd (App.stencil.App.inputs ~nodes:1)) in
+  let m = Mapping.default_start g machine in
+  let fresh = Evaluator.create ~seed:0 machine g in
+  let v_fresh = Evaluator.evaluate fresh m in
+  let ev = Evaluator.create ~seed:0 machine g in
+  let cut_value = Evaluator.evaluate ~bound:1e-300 ev m in
+  Alcotest.(check bool) "certified a loser" true (cut_value >= 1e-300);
+  Alcotest.(check int) "cut" 1 (Evaluator.cut_evals ev);
+  Alcotest.(check int) "by the floor alone" 0 (Evaluator.cut_sims ev);
+  Alcotest.(check int) "the partials table owes every run" 7 (Evaluator.cut_runs ev);
+  let v = Evaluator.evaluate ev m in
+  Alcotest.(check (float 0.0)) "resumed value" v_fresh v;
+  Alcotest.(check int64) "resumed virtual time"
+    (Int64.bits_of_float (Evaluator.virtual_time fresh))
+    (Int64.bits_of_float (Evaluator.virtual_time ev));
+  Alcotest.(check int64) "resumed eval time"
+    (Int64.bits_of_float (Evaluator.eval_time fresh))
+    (Int64.bits_of_float (Evaluator.eval_time ev));
+  Alcotest.(check int) "cut_runs back to its value before the cut" 0 (Evaluator.cut_runs ev)
+
+(* The protocol over random workloads: a default and a reference-mode
+   evaluator answer one seeded stream of suggestions drawn from a small
+   pool (so candidates repeat), each under a bound that tightens,
+   loosens or goes to infinity.  The default evaluator then evaluates
+   fresh candidates, cuts some (by a floor or mid-run), answers
+   repeats from its partials table and resumes others; whatever it
+   does, [value < bound] must agree with the reference, and a protocol
+   it completes must hold the reference's runs, bit for bit.  Once
+   every candidate is re-suggested without a bound, the two databases
+   hold the same runs and the partials table owes nothing. *)
+type protocol_paths = {
+  mutable fresh : int;
+  mutable floor_cuts : int;
+  mutable sim_cuts : int;
+  mutable hits : int;
+  mutable resumes : int;
+}
+
+let protocol_paths = { fresh = 0; floor_cuts = 0; sim_cuts = 0; hits = 0; resumes = 0 }
+
+let prop_protocol_matches_reference =
+  let same_runs (a : Profiles_db.entry) (b : Profiles_db.entry) =
+    List.equal
+      (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+      a.Profiles_db.runs b.Profiles_db.runs
+  in
+  QCheck.Test.make ~count:100
+    ~name:"random workloads: bounded protocol answers as the reference mode"
+    Gen.arbitrary_spec (fun spec ->
+      let g = Gen.graph_of_spec spec in
+      let machine = Presets.shepard ~nodes:1 in
+      let mk reference = Evaluator.create ~runs:5 ~reference ~seed:spec.Gen.seed machine g in
+      let ev = mk false and ev_ref = mk true in
+      let entries key =
+        let find e = Profiles_db.find_key (Evaluator.db e) key in
+        (find ev, find ev_ref)
+      in
+      let rng = Rng.create spec.Gen.seed in
+      let pool =
+        Array.init 5 (fun i ->
+            if i = 0 then Mapping.default_start g machine
+            else Space.random_mapping (Evaluator.space ev) rng)
+      in
+      (* the bounds scale the pool's unpruned values, taken from a third
+         evaluator so that the two under test see only the stream *)
+      let truth = mk true in
+      let values =
+        List.filter Float.is_finite (Array.to_list (Array.map (Evaluator.evaluate truth) pool))
+      in
+      let scales = [| 0.01; 0.5; 0.9; 0.99; 1.0; 1.01; 1.1; 2.0 |] in
+      let cut = Hashtbl.create 8 in
+      let step () =
+        let m = pool.(Rng.int rng (Array.length pool)) in
+        let key = Mapping.canonical_key m in
+        let bound =
+          if values = [] || Rng.int rng 5 = 0 then None
+          else
+            Some
+              (List.nth values (Rng.int rng (List.length values))
+              *. scales.(Rng.int rng (Array.length scales)))
+        in
+        let known = fst (entries key) <> None in
+        let cut_evals = Evaluator.cut_evals ev and cut_sims = Evaluator.cut_sims ev in
+        let evaluated = Evaluator.evaluated ev in
+        let v = Evaluator.evaluate ?bound ev m and v_ref = Evaluator.evaluate ?bound ev_ref m in
+        let cut_now = Evaluator.cut_evals ev > cut_evals in
+        let simulated_cut = Evaluator.cut_sims ev > cut_sims in
+        let p = protocol_paths in
+        (if Hashtbl.mem cut key then
+           if cut_now && not simulated_cut then p.hits <- p.hits + 1
+           else p.resumes <- p.resumes + 1
+         else if not known then
+           if simulated_cut then p.sim_cuts <- p.sim_cuts + 1
+           else if cut_now then p.floor_cuts <- p.floor_cuts + 1
+           else if Evaluator.evaluated ev > evaluated then p.fresh <- p.fresh + 1);
+        if cut_now then Hashtbl.replace cut key () else Hashtbl.remove cut key;
+        let b = Option.value bound ~default:infinity in
+        v < b = (v_ref < b)
+        &&
+        match entries key with
+        | Some e, Some e_ref -> same_runs e e_ref
+        | Some _, None -> false
+        | None, _ -> true
+      in
+      List.for_all (fun _ -> step ()) (List.init 30 Fun.id)
+      && Array.for_all
+           (fun m ->
+             ignore (Evaluator.evaluate ev m : float);
+             ignore (Evaluator.evaluate ev_ref m : float);
+             match entries (Mapping.canonical_key m) with
+             | Some e, Some e_ref -> same_runs e e_ref
+             | None, None -> true
+             | _ -> false)
+           pool
+      && Profiles_db.size (Evaluator.db ev) = Profiles_db.size (Evaluator.db ev_ref)
+      && Evaluator.cut_runs ev = 0
+      && List.mem "partials 0" (Evaluator.save_state ev))
+
+let protocol_matches_reference =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_protocol_matches_reference in
+  Alcotest.test_case name speed (fun () ->
+      let p = protocol_paths in
+      p.fresh <- 0;
+      p.floor_cuts <- 0;
+      p.sim_cuts <- 0;
+      p.hits <- 0;
+      p.resumes <- 0;
+      run ();
+      if List.mem 0 [ p.fresh; p.floor_cuts; p.sim_cuts; p.hits; p.resumes ] then
+        Alcotest.failf
+          "vacuous: %d fresh, %d floor cuts, %d simulated cuts, %d partials hits, %d resumes"
+          p.fresh p.floor_cuts p.sim_cuts p.hits p.resumes)
+
 let test_noop_counter () =
   let g, _, _, _, _ = Fixtures.pipeline () in
   let machine = Fixtures.default_machine () in
@@ -316,5 +456,8 @@ let suite =
     Alcotest.test_case "delta bind fallback" `Quick test_delta_bind_fallback_disabled;
     Alcotest.test_case "partial resume exact" `Quick test_partial_resume_exact;
     Alcotest.test_case "repeat prune cheap" `Quick test_still_pruned_on_repeat;
+    Alcotest.test_case "floor-pruned resume charges as fresh" `Quick
+      test_floor_pruned_resume_charges_fresh;
+    protocol_matches_reference;
     Alcotest.test_case "noop counter" `Quick test_noop_counter;
   ]

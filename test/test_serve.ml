@@ -100,6 +100,7 @@ let check_restart_identity () =
   (* interrupted: run two slices, then abandon the server mid-search —
      its state directory is all that survives (as after SIGKILL) *)
   let dir = Fixtures.fresh_dir "automap_serve_test" in
+  Fun.protect ~finally:(fun () -> Fixtures.remove_dir dir) @@ fun () ->
   let a = Server.create ~slice_trials:25 ~state_dir:dir () in
   ignore (Server.handle a (req "job"));
   ignore (Server.step a);
@@ -283,6 +284,16 @@ let check_analyze_and_errors () =
   | Wire.R_error { message; _ } ->
       Alcotest.(check bool) "names the app" true (Str_helpers.contains message "nosuch")
   | _ -> Alcotest.fail "unknown app must be an error");
+  (* the CLI's message: the spec forms, listed by Presets *)
+  (match
+     Server.handle srv
+       (Wire.Analyze
+          { an_id = "an3"; workload = { (stencil ~nodes:1) with Wire.w_cluster = "nosuch" } })
+   with
+  | Wire.R_error { message; _ } ->
+      Alcotest.(check bool) "lists the machine specs" true
+        (Str_helpers.contains message "presets:")
+  | _ -> Alcotest.fail "unknown cluster must be an error");
   (match Server.handle_line srv "{nonsense" with
   | Wire.R_error _ -> ()
   | _ -> Alcotest.fail "unparseable line must be an error");

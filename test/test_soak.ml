@@ -33,10 +33,6 @@
    trials — to the same request run alone in a fresh server.  A failure
    names the soak seed that reproduces it. *)
 
-let remove_dir d =
-  Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
-  Unix.rmdir d
-
 let workloads =
   [|
     { Wire.default_workload with Wire.w_app = Some "stencil"; w_nodes = 1 };
@@ -253,7 +249,10 @@ let soak ~live seed =
     Unix.sleepf (Random.State.float rng 0.001);
     if Random.State.int rng 3 = 0 then restart () else poll_pending ()
   in
-  Fun.protect ~finally:(fun () -> try stop_workers () with _ -> ()) @@ fun () ->
+  Fun.protect ~finally:(fun () ->
+      (try stop_workers () with _ -> ());
+      Fixtures.remove_dir dir)
+  @@ fun () ->
   for k = 1 to 10 + Random.State.int rng 6 do
     let line, expect = gen_line rng k ~pending:(List.map fst !pending) ~earlier:!earlier in
     let resp = guard line (fun () -> Server.handle_line !srv line) in
@@ -286,7 +285,6 @@ let soak ~live seed =
     else run_live ()
   done;
   if live then stop_workers ();
-  remove_dir dir;
   List.iter
     (fun (id, line, (p : Wire.result_payload)) ->
       let alone = Server.create () in
