@@ -13,15 +13,20 @@
    candidate, and reports candidate evaluations/sec, simulated task
    instances/sec and the compiled-over-reference speedup.
 
-   Two more sections measure the domain claims of the final protocol,
-   on Stencil and Circuit over grid:32x32 (grid:4x4 with --smoke):
+   Two more sections measure the domain claims of the final protocol:
 
-     - the final protocol: one mapping x 30 fresh-seed runs through
-       Evaluator.measure_objective, whose runs split across the
-       machine's domains, and through the sequential record-API loop
-       it replaced (Measure_oracle); the two lists must be bit-equal;
+     - the calibration of Par.work_per_domain: a CCD(5) search, then
+       its final protocol (Driver.conclude) and the same jobs on one
+       domain and on every domain they could use, on the five apps
+       over lassen:4 and on Stencil and Circuit over grid:16x16 and
+       grid:32x32 (Stencil on lassen:4 and grid:4x4, 20 trials, with
+       --smoke); it prints each measurement's instance-runs and the
+       domain count the rule gives them, and every leg must match
+       Driver.conclude and the sequential record-API loop
+       (Measure_oracle) bit for bit;
      - long-lived domains: cached quiet simulations on two scratches,
-       both on the calling domain, then one per domain (one spawn),
+       both on the calling domain, then one per domain (one spawn), on
+       Stencil and Circuit over grid:32x32 (grid:4x4 with --smoke),
        plus the cost of a bare Domain.spawn and join.
 
    Results go to stdout and to BENCH_evalrate.json so successive PRs
@@ -142,11 +147,11 @@ let bench_app (app : App.t) machine ~input ~count ~runs ~min_time =
     compiled.instances_per_sec;
   { row_app = app.App.app_name; row_input = input; reference; compiled; speedup }
 
-(* ---- the final protocol across domains ---------------------------- *)
+(* ---- when a measurement pays for a domain ------------------------ *)
 
-let grid_problem (app : App.t) ~spec =
+let problem (app : App.t) ~spec ~nodes =
   let machine =
-    match Presets.of_spec spec ~nodes:1 with Ok m -> m | Error e -> failwith e
+    match Presets.of_spec spec ~nodes with Ok m -> m | Error e -> failwith e
   in
   let nodes = machine.Machine.nodes in
   (machine, app.App.graph ~nodes ~input:(List.hd (app.App.inputs ~nodes)))
@@ -168,60 +173,148 @@ let seed_counter ev =
   | Some n -> n
   | None -> failwith "evalrate: save_state has no seed_counter line"
 
-type protocol_row = {
-  pr_app : string;
-  pr_spec : string;
-  pr_runs : int;
-  pr_sequential : float;  (* seconds, median over the timed reps *)
-  pr_fanned : float;
-  pr_domains : int;
+(* [maps] measured [runs] times each under the seeds [base + 1] on,
+   split into [domains] contiguous chunks as Evaluator.measure_with
+   splits them: every mapping bound on the calling domain, chunk 0 on
+   the scratch's runner, the others on runners of their own.  The
+   evaluator picks its count by Par.domains; this runs the same jobs
+   on any count, so one measurement can be timed on both. *)
+let split_measure sc ~domains ~noise_sigma ~iterations ~base ~runs maps =
+  let maps = Array.of_list maps in
+  let last = Array.length maps - 1 in
+  let binds =
+    Array.mapi
+      (fun i m ->
+        match Exec.bind sc ~fallback:false m with
+        | Ok b -> if i < last then Exec.freeze b else b
+        | Error e -> failwith ("evalrate: " ^ Placement.error_to_string e))
+      maps
+  in
+  let n = Array.length maps * runs in
+  let out = Array.make n 0.0 in
+  let chunk c () =
+    let r =
+      if c = 0 then Exec.scratch_runner sc else Exec.runner (Exec.compiled_of_scratch sc)
+    in
+    for j = c * n / domains to ((c + 1) * n / domains) - 1 do
+      Exec.run_fresh r binds.(j / runs) ~noise_sigma ~seed:(base + j + 1) ~iterations;
+      out.(j) <- Exec.runner_per_iteration r
+    done
+  in
+  ignore (Par.map ~domains (List.init domains chunk) : unit list);
+  List.mapi
+    (fun i m -> (m, List.init runs (fun r -> out.((i * runs) + runs - 1 - r))))
+    (Array.to_list maps)
+
+(* the final protocol's pick: the fastest mean, the first on a tie *)
+let fastest = function
+  | [] -> invalid_arg "evalrate: nothing measured"
+  | c :: cs ->
+      List.fold_left
+        (fun ((_, bruns) as acc) ((_, runs) as cand) ->
+          if Stats.mean runs < Stats.mean bruns then cand else acc)
+        c cs
+
+type conclude_row = {
+  cr_app : string;
+  cr_spec : string;
+  cr_mappings : int;
+  cr_runs : int;
+  cr_work : int;        (* instance-runs: mappings x runs x instances per run *)
+  cr_rule : int;        (* Par.domains for that work *)
+  cr_fan : int;         (* the most domains the measurement could use *)
+  cr_one : float;       (* seconds, medians over the timed reps *)
+  cr_fanned : float;
+  cr_conclude : float;  (* Driver.conclude, on the rule's count *)
 }
 
-(* Each timed rep measures under fresh seeds, the way the final
-   protocol does; an untimed rep first binds both scratches. *)
-let bench_protocol (app : App.t) ~spec ~runs ~reps =
-  let machine, g = grid_problem app ~spec in
-  let m = Mapping.default_start g machine in
-  let ev = Evaluator.create ~seed:1 machine g in
-  let cfg =
-    {
-      Measure_oracle.scratch = Exec.scratch (Exec.compile machine g);
-      noise_sigma = 0.03;
-      fallback = false;
-      iterations = None;
-      metric = (fun r -> r.Exec.per_iteration);
-    }
+(* One CCD(5) search (the CLI defaults), then its final protocol
+   timed three ways under the same seeds: Driver.conclude itself, and
+   the same jobs on one domain and on every domain the measurement
+   could use.  The legs run where the final protocol runs, after a
+   search, with the heap and the evaluator that search leaves.  Every
+   leg must pick the same mapping with bit-equal runs, and the first
+   pick must match the sequential record-API loop (Measure_oracle). *)
+let bench_conclude (app : App.t) ~spec ~nodes ~max_trials ~reps =
+  let machine, g = problem app ~spec ~nodes in
+  let cfg = { Driver.default_cfg with batch = false; max_trials } in
+  let s = match Driver.session cfg machine g with Ok s -> s | Error e -> failwith e in
+  let o = Driver.search s in
+  let ev = s.Driver.ev in
+  let maps =
+    List.map
+      (fun e -> e.Profiles_db.mapping)
+      (Profiles_db.top (Evaluator.db ev) cfg.Driver.final_top)
   in
-  let rep () =
+  let runs = cfg.Driver.final_runs in
+  let compiled = Exec.compile machine g in
+  let sc = Exec.scratch compiled in
+  let iterations = g.Graph.iterations in
+  let jobs = List.length maps * runs in
+  let work = jobs * iterations * Exec.compiled_slots compiled in
+  let cores = Domain.recommended_domain_count () in
+  let fan = min (min 4 cores) jobs in
+  let same what (m0, r0) (m1, r1) =
+    if
+      Mapping.canonical_key m0 <> Mapping.canonical_key m1
+      || List.map Int64.bits_of_float r0 <> List.map Int64.bits_of_float r1
+    then
+      failwith
+        (Printf.sprintf "evalrate: %s on %s: %s differs from Driver.conclude" app.App.app_name
+           spec what)
+  in
+  let rep ~oracle =
     let base = seed_counter ev in
     let t0 = now () in
-    let fanned = Evaluator.measure_objective ev ~runs m in
+    let shipped = Driver.conclude s o in
     let t1 = now () in
-    let sequential = Measure_oracle.measure cfg ~base ~runs m in
-    let t2 = now () in
-    if List.map Int64.bits_of_float fanned <> List.map Int64.bits_of_float sequential then
-      failwith
-        (Printf.sprintf "evalrate: %s on %s: the fanned-out runs differ from the sequential ones"
-           app.App.app_name spec);
-    (t2 -. t1, t1 -. t0)
+    let leg domains =
+      let t0 = now () in
+      let pick =
+        fastest
+          (split_measure sc ~domains ~noise_sigma:0.03 ~iterations ~base ~runs maps)
+      in
+      let dt = now () -. t0 in
+      same (Printf.sprintf "the %d-domain leg" domains) shipped pick;
+      dt
+    in
+    let one = leg 1 in
+    let fanned = leg fan in
+    if oracle then
+      same "the sequential loop" shipped
+        (Measure_oracle.final_protocol
+           {
+             Measure_oracle.scratch = Exec.scratch compiled;
+             noise_sigma = 0.03;
+             fallback = false;
+             iterations = None;
+             metric = (fun r -> r.Exec.per_iteration);
+           }
+           ~base ~final_top:cfg.Driver.final_top ~final_runs:runs (Evaluator.db ev)
+           ~search_best:o.Engine.best ~search_perf:o.Engine.perf);
+    (one, fanned, t1 -. t0)
   in
-  ignore (rep ());
-  let times = List.init reps (fun _ -> rep ()) in
+  ignore (rep ~oracle:true);
+  let times = List.init reps (fun _ -> rep ~oracle:false) in
   let row =
     {
-      pr_app = app.App.app_name;
-      pr_spec = spec;
-      pr_runs = runs;
-      pr_sequential = median (List.map fst times);
-      pr_fanned = median (List.map snd times);
-      pr_domains = Par.default_domains runs;
+      cr_app = app.App.app_name;
+      cr_spec = spec;
+      cr_mappings = List.length maps;
+      cr_runs = runs;
+      cr_work = work;
+      cr_rule = Par.domains ~cores ~jobs ~work;
+      cr_fan = fan;
+      cr_one = median (List.map (fun (a, _, _) -> a) times);
+      cr_fanned = median (List.map (fun (_, b, _) -> b) times);
+      cr_conclude = median (List.map (fun (_, _, c) -> c) times);
     }
   in
   Printf.printf
-    "final protocol %-8s %-10s 1 mapping x %d runs: sequential %.1f ms | %d domains %.1f ms \
-     -> %.2fx (bit-equal)\n%!"
-    row.pr_app spec runs (row.pr_sequential *. 1e3) row.pr_domains (row.pr_fanned *. 1e3)
-    (row.pr_sequential /. row.pr_fanned);
+    "conclude %-8s %-10s %d x %d runs, %9d instance-runs, k=%d: 1 domain %8.2f ms | %d \
+     domains %8.2f ms (%.2fx) | conclude %8.2f ms (bit-equal)\n%!"
+    row.cr_app spec row.cr_mappings runs work row.cr_rule (row.cr_one *. 1e3) fan
+    (row.cr_fanned *. 1e3) (row.cr_one /. row.cr_fanned) (row.cr_conclude *. 1e3);
   row
 
 type domains_row = {
@@ -237,7 +330,7 @@ type domains_row = {
    nothing allocates.  The two-domain leg spawns one domain and joins
    it inside the timed region. *)
 let bench_domains (app : App.t) ~spec ~sims ~reps =
-  let machine, g = grid_problem app ~spec in
+  let machine, g = problem app ~spec ~nodes:1 in
   let m = Mapping.default_start g machine in
   let compiled = Exec.compile machine g in
   let scratches = [ Exec.scratch compiled; Exec.scratch compiled ] in
@@ -315,11 +408,25 @@ let () =
   let rows =
     List.map (fun (app, input) -> bench_app app machine ~input ~count ~runs ~min_time) apps
   in
+  let reps = if !smoke then 1 else 5 in
+  let max_trials = if !smoke then Some 20 else None in
+  let lassen_apps = [ App.circuit; App.stencil; App.pennant; App.htr; App.maestro ] in
+  let lassen =
+    List.map
+      (fun app -> bench_conclude app ~spec:"lassen" ~nodes:4 ~max_trials ~reps)
+      (if !smoke then [ App.stencil ] else lassen_apps)
+  in
+  let grids =
+    List.concat_map
+      (fun spec ->
+        List.map
+          (fun app -> bench_conclude app ~spec ~nodes:1 ~max_trials ~reps)
+          [ App.stencil; App.circuit ])
+      (if !smoke then [ "grid:4x4" ] else [ "grid:16x16"; "grid:32x32" ])
+  in
+  let conclude = lassen @ grids in
   let grid = if !smoke then "grid:4x4" else "grid:32x32" in
   let reps = if !smoke then 1 else 3 in
-  let protocol =
-    List.map (fun app -> bench_protocol app ~spec:grid ~runs:30 ~reps) [ App.stencil; App.circuit ]
-  in
   let long_lived =
     List.map
       (fun app -> bench_domains app ~spec:grid ~sims:(if !smoke then 10 else 30) ~reps)
@@ -344,16 +451,17 @@ let () =
   Buffer.add_string buf "  ],\n";
   let rows f l = String.concat ",\n" (List.map f l) in
   Buffer.add_string buf
-    (Printf.sprintf "  \"final_protocol\": [\n%s\n  ],\n"
+    (Printf.sprintf "  \"conclude\": [\n%s\n  ],\n"
        (rows
           (fun r ->
             Printf.sprintf
-              "    {\"app\": %S, \"machine\": %S, \"runs\": %d, \"domains\": %d, \
-               \"sequential_s\": %.5f, \"fanned_out_s\": %.5f, \"speedup\": %.3f, \
-               \"bit_equal\": true}"
-              r.pr_app r.pr_spec r.pr_runs r.pr_domains r.pr_sequential r.pr_fanned
-              (r.pr_sequential /. r.pr_fanned))
-          protocol));
+              "    {\"app\": %S, \"machine\": %S, \"mappings\": %d, \"runs\": %d, \
+               \"instance_runs\": %d, \"rule_domains\": %d, \"fan_domains\": %d, \
+               \"one_domain_s\": %.5f, \"fanned_out_s\": %.5f, \"conclude_s\": %.5f, \
+               \"speedup\": %.3f, \"bit_equal\": true}"
+              r.cr_app r.cr_spec r.cr_mappings r.cr_runs r.cr_work r.cr_rule r.cr_fan r.cr_one
+              r.cr_fanned r.cr_conclude (r.cr_one /. r.cr_fanned))
+          conclude));
   Buffer.add_string buf
     (Printf.sprintf "  \"long_lived_domains\": [\n%s\n  ],\n"
        (rows

@@ -131,8 +131,8 @@ let decode_strategy ?(batch = false) ?(min_batch = 1) ?surrogate ev ~algo lines 
   | other -> Error (Printf.sprintf "unknown strategy %S in checkpoint" other)
 
 (* Final protocol (§5): re-run the [final_top] best mappings of the
-   profiles database [final_runs] times each, as one job list across
-   the machine's domains; report the one with the fastest average. *)
+   profiles database [final_runs] times each, as one measurement;
+   report the one with the fastest average. *)
 let final_protocol ?(final_top = 5) ?(final_runs = 30) ev ~search_best ~search_perf
     =
   let candidates =

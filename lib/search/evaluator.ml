@@ -662,7 +662,8 @@ let restore_state t lines =
    would, before any run.  With one mapping the runners read the
    scratch's own bind; with several, every bind but the last is frozen
    before the next overwrites it.  The jobs then split into contiguous
-   chunks, one per domain: chunk 0 on the scratch's runner, the others
+   chunks, one per domain, as many domains as their instance-runs pay
+   for ([Par.domains]): chunk 0 on the scratch's runner, the others
    each on a runner of their own, so a worker builds no scratch,
    placement or bind.  The lists are rebuilt newest-first, so
    [Stats.mean] folds the same floats in the same order. *)
@@ -686,7 +687,10 @@ let measure_with t ?runs ?iterations ~objective mappings =
       maps
   in
   let out = Array.make n 0.0 in
-  let k = Par.default_domains n in
+  let k =
+    Par.domains ~cores:(Domain.recommended_domain_count ()) ~jobs:n
+      ~work:(n * iterations * Exec.compiled_slots (Exec.compiled_of_scratch own))
+  in
   let chunk c () =
     let r =
       if c = 0 then Exec.scratch_runner own

@@ -362,11 +362,13 @@ val measure : t -> ?runs:int -> ?iterations:int -> Mapping.t -> float list
     the search bookkeeping — for baseline comparisons.  Run [k]
     (1-based) takes the [k]-th fresh seed of the [measure] window,
     which is disjoint from the search's common seeds and recorded by
-    {!save_state}.  The mapping is bound once, on the calling domain,
-    and the runs are split across the machine's domains
-    ({!Par.default_domains}), each on an {!Exec.runner} reading that
-    bind; no value depends on the split.  A domain is spawned per call
-    and joined before it returns.
+    {!save_state}.  The mapping is bound once, on the calling domain.
+    The runs stay on the calling domain unless their instance-runs
+    ([runs * iterations] times the graph's shards per iteration) pay
+    for more ({!Par.domains}); then they split across that many
+    domains, each on an {!Exec.runner} reading that bind, spawned per
+    call and joined before it returns.  No value depends on the
+    split.
     @raise Failure on invalid/OOM mappings, before any run.
     @raise Invalid_argument if [runs < 1]. *)
 
@@ -376,8 +378,9 @@ val measure_objective : t -> ?runs:int -> Mapping.t -> float list
 
 val measure_objectives : t -> ?runs:int -> Mapping.t list -> float list list
 (** {!measure_objective} of each mapping in turn, with the same seeds,
-    split across the domains as one job list: the final protocol's
-    form, which spawns its domains once.  Each mapping's bind is
+    as one job list whose instance-runs, all mappings together, set
+    the domain count: the final protocol's form, which spawns its
+    domains (if any) once.  Each mapping's bind is
     frozen ({!Exec.freeze}) before the next one is bound, so no bind
     changes while the runs read it. *)
 

@@ -668,6 +668,7 @@ let compiled_of_scratch sc = sc.prob
 let scratch_runner sc = sc.run
 let compiled_machine prob = prob.cmachine
 let compiled_graph prob = prob.cgraph
+let compiled_slots prob = prob.spi
 let compiled_words prob = Obj.reachable_words (Obj.repr prob)
 
 let bind_cache_hits sc = sc.bind_hits

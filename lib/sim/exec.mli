@@ -79,6 +79,10 @@ val compiled_of_scratch : scratch -> compiled
 val compiled_machine : compiled -> Machine.t
 val compiled_graph : compiled -> Graph.t
 
+val compiled_slots : compiled -> int
+(** Instance slots per iteration (one per task shard): a run of
+    [iterations] simulates [iterations * compiled_slots] instances. *)
+
 val compiled_words : compiled -> int
 (** Heap words reachable from the compiled problem — the weight the
     serve daemon's LRU compile cache charges an entry (multiply by

@@ -1,15 +1,13 @@
-let default_domains n = max 1 (min n (min 4 (Domain.recommended_domain_count ())))
+let work_per_domain = 1 lsl 18
 
-let map ?domains jobs =
+let domains ~cores ~jobs ~work =
+  max 1 (min (min 4 cores) (min jobs (work / work_per_domain)))
+
+let map ~domains jobs =
+  if domains < 1 then invalid_arg "Par.map: domains must be >= 1";
   let jobs = Array.of_list jobs in
   let n = Array.length jobs in
-  let domains =
-    match domains with
-    | Some d ->
-        if d < 1 then invalid_arg "Par.map: domains must be >= 1";
-        min d (max n 1)
-    | None -> default_domains n
-  in
+  let domains = min domains (max n 1) in
   if n = 0 then []
   else if domains = 1 then Array.to_list (Array.map (fun job -> job ()) jobs)
   else begin

@@ -288,10 +288,12 @@ let test_simulate_fresh_seed_alloc problem () =
   done
 
 (* Each domain's share of a measurement: 30 fresh-seed runs of
-   Circuit on grid:8x8 split into one chunk per domain.  The chunk
-   after the first runs on a runner of its own, reading the bind the
-   calling domain made, and whichever domain takes it — a worker, or
-   the calling one when it gets there first — builds nothing else.  A
+   Stencil on grid:32x32, 737,280 instance-runs (ccd-mesh's Stencil
+   final protocol), past twice Par.work_per_domain, so they split
+   into one chunk per domain.  The chunk after the first runs on a
+   runner of its own, reading the bind the calling domain made, and
+   whichever domain takes it — a worker, or the calling one when it
+   gets there first — builds nothing else.  A
    custom objective runs on the domain that ran each run, so it reads
    that domain's own minor-word counter (which starts near zero on a
    spawned domain, and is read just before the call on the calling
@@ -308,9 +310,9 @@ let test_measure_share_alloc () =
     print_endline "one domain recommended: the measurement runs inline, nothing to share";
     Alcotest.skip ()
   end;
-  let machine = Result.get_ok (Presets.of_spec "grid:8x8" ~nodes:1) in
+  let machine = Result.get_ok (Presets.of_spec "grid:32x32" ~nodes:1) in
   let nodes = machine.Machine.nodes in
-  let g = App.circuit.App.graph ~nodes ~input:(List.hd (App.circuit.App.inputs ~nodes)) in
+  let g = App.stencil.App.graph ~nodes ~input:(List.hd (App.stencil.App.inputs ~nodes)) in
   let m = Mapping.default_start g machine in
   let runs = 30 in
   let readings = Array.make runs 0.0 and domains = Array.make runs 0 in

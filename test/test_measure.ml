@@ -1,11 +1,14 @@
 (* Fresh-seed measurement across domains.  [Evaluator.measure],
    [measure_objective] and [Driver.final_protocol] bind each mapping
    on the evaluator's scratch and split their runs into contiguous
-   chunks, one per domain, each on a runner of its own that reads
-   those binds.  Every run keeps its seed, mapping and bind, so every
-   list — and the final answer, and the evaluator's seed counter
-   afterwards — must be bit-equal to the sequential loop kept in
-   test/oracle ([Measure_oracle]). *)
+   chunks, one per domain their instance-runs pay for
+   ([Par.domains]), each on a runner of its own that reads those
+   binds.  Every run keeps its seed, mapping and bind, so every list —
+   and the final answer, and the evaluator's seed counter afterwards —
+   must be bit-equal to the sequential loop kept in test/oracle
+   ([Measure_oracle]).  The lassen:4 and grid:4x4 measurements stay on
+   the calling domain; the grid:32x32 ones are past twice
+   [Par.work_per_domain] and split. *)
 
 let problem ~spec ~nodes ~app =
   let machine =
@@ -20,6 +23,14 @@ let workloads =
     (fun app -> (app ^ " lassen:4", fun () -> problem ~spec:"lassen" ~nodes:4 ~app))
     [ "circuit"; "stencil"; "pennant"; "htr"; "maestro" ]
   @ [ ("stencil grid:4x4", fun () -> problem ~spec:"grid:4x4" ~nodes:1 ~app:"stencil") ]
+
+(* One Stencil grid:32x32 run simulates 24,576 instances, so 30 runs
+   of one mapping are 737,280 instance-runs, ccd-mesh's Stencil final
+   protocol: two domains on a host that recommends two or more. *)
+let mesh () =
+  let machine = Result.get_ok (Presets.of_spec "grid:32x32" ~nodes:1) in
+  let nodes = machine.Machine.nodes in
+  (machine, App.stencil.App.graph ~nodes ~input:(List.hd (App.stencil.App.inputs ~nodes)))
 
 let energy machine r = Energy.joules_per_iteration machine Energy.default_power r
 
@@ -77,33 +88,33 @@ let populated ?objective machine g =
     Alcotest.failf "only %d mappings recorded" (Profiles_db.size (Evaluator.db ev));
   ev
 
-let final_protocol_case ?objective problem () =
+let every_shape =
+  List.concat_map (fun top -> List.map (fun runs -> (top, runs)) [ 1; 7; 30 ]) [ 1; 3; 5 ]
+
+let final_protocol_case ?objective ?(shapes = every_shape) problem () =
   let machine, g = problem () in
   let ev = populated ?objective machine g in
   let search_best = Mapping.default_start g machine in
   List.iter
-    (fun final_top ->
-      List.iter
-        (fun final_runs ->
-          let what = Printf.sprintf "top %d x %d runs" final_top final_runs in
-          let base = seed_counter ev in
-          let best, runs =
-            Driver.final_protocol ~final_top ~final_runs ev ~search_best ~search_perf:1.0
-          in
-          let obest, oruns =
-            Measure_oracle.final_protocol
-              (oracle_cfg ?objective machine g)
-              ~base ~final_top ~final_runs (Evaluator.db ev) ~search_best
-              ~search_perf:1.0
-          in
-          Alcotest.(check string)
-            (what ^ ": final mapping") (Mapping.canonical_key obest)
-            (Mapping.canonical_key best);
-          check_runs (what ^ ": final runs") oruns runs;
-          Alcotest.(check int)
-            (what ^ ": seed counter") (base + (final_top * final_runs)) (seed_counter ev))
-        [ 1; 7; 30 ])
-    [ 1; 3; 5 ]
+    (fun (final_top, final_runs) ->
+      let what = Printf.sprintf "top %d x %d runs" final_top final_runs in
+      let base = seed_counter ev in
+      let best, runs =
+        Driver.final_protocol ~final_top ~final_runs ev ~search_best ~search_perf:1.0
+      in
+      let obest, oruns =
+        Measure_oracle.final_protocol
+          (oracle_cfg ?objective machine g)
+          ~base ~final_top ~final_runs (Evaluator.db ev) ~search_best
+          ~search_perf:1.0
+      in
+      Alcotest.(check string)
+        (what ^ ": final mapping") (Mapping.canonical_key obest)
+        (Mapping.canonical_key best);
+      check_runs (what ^ ": final runs") oruns runs;
+      Alcotest.(check int)
+        (what ^ ": seed counter") (base + (final_top * final_runs)) (seed_counter ev))
+    shapes
 
 let measure_case ?objective problem () =
   let machine, g = problem () in
@@ -184,16 +195,87 @@ let test_final_protocol_binds_once () =
         (binds () - before))
     [ (1, 7); (3, 30); (5, 30); (1, 1) ]
 
-(* The runs of one final protocol land on more than one domain: each
-   run's objective, computed on the domain that ran it, names it (and
-   each domain's first call waits until another domain has called
-   it). *)
+(* The domain count as a function of work, cores and job count:
+   one domain below twice [Par.work_per_domain], one per
+   [work_per_domain] above it, never more than the cores, 4 or the
+   jobs, never 0. *)
+let test_domain_rule () =
+  let w = Par.work_per_domain in
+  List.iter
+    (fun (cores, jobs, work, k) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%d cores, %d jobs, %d instance-runs" cores jobs work)
+        k
+        (Par.domains ~cores ~jobs ~work))
+    [
+      (* below 2W: the calling domain alone *)
+      (8, 150, 0, 1);
+      (8, 150, 1, 1);
+      (8, 150, w, 1);
+      (8, 150, (2 * w) - 1, 1);
+      (* the largest shipped lassen measurement: Pennant lassen:4's
+         final protocol, 5 x 30 runs of 1,488 instances *)
+      (8, 150, 223_200, 1);
+      (* from 2W: one domain per W *)
+      (8, 150, 2 * w, 2);
+      (8, 150, (3 * w) - 1, 2);
+      (8, 150, 3 * w, 3);
+      (8, 150, 4 * w, 4);
+      (* ccd-mesh's final protocols, one mapping x 30 runs *)
+      (2, 30, 737_280, 2);
+      (2, 30, 1_105_920, 2);
+      (* capped by the cores *)
+      (1, 150, 100 * w, 1);
+      (2, 150, 100 * w, 2);
+      (3, 150, 100 * w, 3);
+      (* capped at 4 *)
+      (8, 150, 100 * w, 4);
+      (64, 150, max_int, 4);
+      (* capped by the jobs *)
+      (8, 3, 100 * w, 3);
+      (8, 1, 100 * w, 1);
+      (* never 0 *)
+      (8, 0, 0, 1);
+      (8, 0, 100 * w, 1);
+      (1, 1, 0, 1);
+    ]
+
+(* Every shipped lassen measurement stays under twice
+   [Par.work_per_domain], so a final protocol of 5 mappings x 30 runs
+   on any of the five apps runs every run on the calling domain: no
+   domain is spawned.  Each run's objective names the domain that ran
+   it. *)
+let test_lassen_stays_home () =
+  let home = (Domain.self () :> int) in
+  List.iter
+    (fun app ->
+      let machine, g = problem ~spec:"lassen" ~nodes:4 ~app in
+      let mu = Mutex.create () and calls = ref 0 and away = ref 0 in
+      let objective machine r =
+        Mutex.protect mu (fun () ->
+            incr calls;
+            if (Domain.self () :> int) <> home then incr away);
+        energy machine r
+      in
+      let ev = populated ~objective machine g in
+      calls := 0;
+      ignore
+        (Driver.final_protocol ev ~search_best:(Mapping.default_start g machine)
+           ~search_perf:1.0);
+      Alcotest.(check int) (app ^ ": runs") (5 * 30) !calls;
+      Alcotest.(check int) (app ^ ": runs on another domain") 0 !away)
+    [ "circuit"; "stencil"; "pennant"; "htr"; "maestro" ]
+
+(* The runs of a final protocol past the threshold land on more than
+   one domain: each run's objective, computed on the domain that ran
+   it, names it (and each domain's first call waits until another
+   domain has called it). *)
 let test_runs_fan_out () =
   if Domain.recommended_domain_count () = 1 then begin
     print_endline "one domain recommended: the measurement runs inline, nothing to fan out";
     Alcotest.skip ()
   end;
-  let machine, g = problem ~spec:"lassen" ~nodes:4 ~app:"stencil" in
+  let machine, g = mesh () in
   let mu = Mutex.create () and seen = ref [] and wait = ref None in
   let objective machine r =
     let d = (Domain.self () :> int) in
@@ -205,7 +287,7 @@ let test_runs_fan_out () =
   seen := [];
   wait := Some (Fixtures.worker_wait ());
   ignore
-    (Driver.final_protocol ~final_top:3 ~final_runs:30 ev
+    (Driver.final_protocol ~final_top:1 ~final_runs:30 ev
        ~search_best:(Mapping.default_start g machine) ~search_perf:1.0);
   Alcotest.(check bool)
     (Printf.sprintf "%d domains ran the runs" (List.length !seen))
@@ -314,6 +396,11 @@ let suite =
         (final_protocol_case ~objective:energy (List.assoc "circuit lassen:4" workloads));
       Alcotest.test_case "measure == sequential, energy, pennant lassen:4" `Quick
         (measure_case ~objective:energy (List.assoc "pennant lassen:4" workloads));
+      Alcotest.test_case "final protocol == sequential, energy, stencil grid:32x32" `Quick
+        (final_protocol_case ~objective:energy ~shapes:[ (1, 30); (3, 30) ] mesh);
+      Alcotest.test_case "the domain count follows the work" `Quick test_domain_rule;
+      Alcotest.test_case "a lassen:4 final protocol runs every run on the calling domain"
+        `Quick test_lassen_stays_home;
       Alcotest.test_case "empty database falls back to the search best" `Quick
         test_empty_db_fallback;
       Alcotest.test_case "an unplaceable second mapping raises the sequential message"
