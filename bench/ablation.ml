@@ -114,7 +114,10 @@ let measurement_runs () =
               let ev =
                 Evaluator.create ~runs ~noise_sigma:0.08 ~seed:(100 + trial) machine g
               in
-              let m, _ = Ccd.search ev in
+              let m =
+                (Engine.run ~start:(Mapping.default_start g machine) ev (Ccd.make ev))
+                  .Engine.best
+              in
               let v = truth m in
               best_truth := Float.min !best_truth v;
               v)

@@ -18,7 +18,7 @@ let run () =
       let machine = Presets.lassen ~nodes in
       let seed = !Bench_common.scale.seed in
       let hf_alone =
-        let g = Maestro.graph ~nodes ~n_lf:0 ~resolution:16 () in
+        let g = Maestro.graph ~nodes ~n_lf:0 ~resolution:16 in
         match
           Bench_common.measure_mapping ~runs:(Bench_common.runs ()) machine g
             (Mapping.default_start g machine) ~seed
@@ -33,7 +33,7 @@ let run () =
           (fun resolution ->
             List.map
               (fun n_lf ->
-                let g = Maestro.graph ~nodes ~n_lf ~resolution () in
+                let g = Maestro.graph ~nodes ~n_lf ~resolution in
                 let deg mapping =
                   match
                     Bench_common.measure_mapping ~runs:(Bench_common.runs ()) machine g

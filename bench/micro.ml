@@ -30,7 +30,7 @@ let test_fig6_sim =
          let machine = Lazy.force shepard in
          Exec.run ~noise_sigma:0.0 machine g (Mapping.default_start g machine)))
 
-let maestro_g = lazy (Maestro.graph ~nodes:1 ~n_lf:8 ~resolution:16 ())
+let maestro_g = lazy (Maestro.graph ~nodes:1 ~n_lf:8 ~resolution:16)
 let lassen = lazy (Presets.lassen ~nodes:1)
 
 let test_fig7_sim =

@@ -1,11 +1,11 @@
 (* End-to-end search-throughput benchmark for the evaluator's
-   decision-neutral speed-up (bound-and-prune evaluation) and batch
-   evaluation.
+   decision-neutral speed-up (bound-and-prune evaluation) and batched
+   proposals.
 
    For Stencil and Circuit it runs the same CCD search three times on
    fresh evaluators — reference mode (full simulation, no pruning),
-   the default evaluator, and the default evaluator with
-   whole-neighbour-set batch evaluation — and checks the three
+   the default evaluator, and the default evaluator with CCD proposing
+   each whole neighbour set as one batch — and checks the three
    searches are *decision-identical* (same best mapping, same best
    perf bit-for-bit, same suggestion count) before reporting the
    wall-clock speedups and candidates-per-second gains.  The pruning
@@ -177,14 +177,13 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
      %5.2fx) | batch %6.2fms (%7.1f cand/s, %5.2fx)\n\
     \         cut %d/%d evals, %d runs, %d sims | binds %d delta / %d full | %d noop \
      skips | %d dead-coord skips\n\
-    \         batches %d, %d short-circuited | bind hits %d\n%!"
+    \         bind hits %d\n%!"
     app.App.app_name input (1e3 *. ref_.wall) ref_.cands_per_sec (1e3 *. def.wall)
     def.cands_per_sec speedup (1e3 *. bat.wall) bat.cands_per_sec batched_speedup
     def.st.Evaluator.s_cut_evals def.st.Evaluator.s_suggested
     def.st.Evaluator.s_cut_runs def.st.Evaluator.s_cut_sims
     def.st.Evaluator.s_delta_binds def.st.Evaluator.s_full_binds
     def.st.Evaluator.s_noop_skips def.st.Evaluator.s_dead_coord_skips
-    bat.st.Evaluator.s_batch_calls bat.st.Evaluator.s_batch_short_circuits
     bat.st.Evaluator.s_bind_hits;
   Option.iter
     (fun (l : leg) ->
@@ -203,13 +202,12 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
 
 let json_leg l =
   Printf.sprintf
-    {|{"wall": %.5f, "cands_per_sec": %.2f, "perf": %.6e, "engine_steps": %d, "suggested": %d, "evaluated": %d, "cache_hits": %d, "cut_evals": %d, "cut_runs": %d, "cut_sims": %d, "noop_skips": %d, "dead_coord_skips": %d, "delta_binds": %d, "full_binds": %d, "batch_calls": %d, "batch_short_circuits": %d, "bind_hits": %d}|}
+    {|{"wall": %.5f, "cands_per_sec": %.2f, "perf": %.6e, "engine_steps": %d, "suggested": %d, "evaluated": %d, "cache_hits": %d, "cut_evals": %d, "cut_runs": %d, "cut_sims": %d, "noop_skips": %d, "dead_coord_skips": %d, "delta_binds": %d, "full_binds": %d, "bind_hits": %d}|}
     l.wall l.cands_per_sec l.perf l.steps l.st.Evaluator.s_suggested l.st.Evaluator.s_evaluated
     l.st.Evaluator.s_cache_hits l.st.Evaluator.s_cut_evals l.st.Evaluator.s_cut_runs
     l.st.Evaluator.s_cut_sims l.st.Evaluator.s_noop_skips
     l.st.Evaluator.s_dead_coord_skips l.st.Evaluator.s_delta_binds
-    l.st.Evaluator.s_full_binds l.st.Evaluator.s_batch_calls
-    l.st.Evaluator.s_batch_short_circuits l.st.Evaluator.s_bind_hits
+    l.st.Evaluator.s_full_binds l.st.Evaluator.s_bind_hits
 
 (* the surrogate leg reranks batches, so it is reported — counters,
    rank quality, final best — but excluded from the identity check;

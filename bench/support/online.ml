@@ -26,7 +26,12 @@ let run ?(seed = 0) ?(search_fraction = 0.1) ?(rotations = 5) ~total_iterations 
   let ev =
     Evaluator.create ~runs:3 ~noise_sigma:0.02 ~seed ~iterations:1 machine graph
   in
-  let best, _ = Ccd.search ~rotations ~budget ev in
+  let best =
+    (Engine.run
+       ~budget:(Budget.make ~max_virtual:budget ())
+       ~start:default ev (Ccd.make ~rotations ev))
+      .Engine.best
+  in
   let search_time = Evaluator.virtual_time ev in
   let iterations_spent =
     int_of_float (ceil (search_time /. Float.max per_iter_default 1e-300))

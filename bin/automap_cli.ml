@@ -94,15 +94,7 @@ let objective_of = function
       Some (fun machine r -> Energy.edp_per_iteration machine Energy.default_power r)
   | other -> usage "unknown objective %S (time|energy|edp)" other
 
-let algo_of = function
-  | "ccd" -> Driver.Ccd { rotations = 5 }
-  | "cd" -> Driver.Cd
-  | "ensemble" | "opentuner" | "ot" -> Driver.Ensemble_tuner
-  | "random" -> Driver.Random_walk { max_evals = 1000 }
-  | "annealing" -> Driver.Annealing { max_evals = 2000 }
-  | "portfolio" -> Driver.Portfolio
-  | "heft" -> Driver.Heft
-  | other -> usage "unknown algorithm %S" other
+let algo_of s = match Driver.algo_of_string s with Ok a -> a | Error e -> usage "%s" e
 
 (* common options *)
 let app_arg =
@@ -163,7 +155,7 @@ let apps_cmd =
 let tune_cmd =
   let doc = "Search for a fast mapping (offline autotuning, §3.3)." in
   let algo_arg =
-    Arg.(value & opt string "ccd" & info [ "algo" ] ~docv:"ALGO" ~doc:"Search algorithm: ccd, cd, ensemble, random, annealing, portfolio, heft.")
+    Arg.(value & opt string "ccd" & info [ "algo" ] ~docv:"ALGO" ~doc:"Search algorithm: ccd, cd, ensemble, random, annealing, portfolio, heft (any case). ccd:N sets the rotations (default 5), random:N and annealing:N the evaluation cap (defaults 1000 and 2000).")
   in
   let objective_arg =
     Arg.(value & opt string "time" & info [ "objective" ] ~docv:"OBJ" ~doc:"Metric to minimize: time, energy or edp.")
@@ -262,7 +254,7 @@ let search_cmd =
      events, checkpoint periodically, resume a killed run decision-identically."
   in
   let algo_arg =
-    Arg.(value & opt string "ccd" & info [ "algo" ] ~docv:"ALGO" ~doc:"Search algorithm: ccd, cd, ensemble, random, annealing, portfolio, heft.")
+    Arg.(value & opt string "ccd" & info [ "algo" ] ~docv:"ALGO" ~doc:"Search algorithm: ccd, cd, ensemble, random, annealing, portfolio, heft (any case). ccd:N sets the rotations (default 5), random:N and annealing:N the evaluation cap (defaults 1000 and 2000).")
   in
   let budget_arg =
     Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SECONDS" ~doc:"Virtual search-time budget.")
@@ -292,10 +284,10 @@ let search_cmd =
     Arg.(value & flag & info [ "heft-seed" ] ~doc:"Start the search from the HEFT list schedule instead of the runtime-default mapping.")
   in
   let batch_arg =
-    Arg.(value & flag & info [ "batch" ] ~doc:"Evaluate each task's whole neighbour set as one batch (CD/CCD only): scratch setup and the incumbent rebind are amortized across the set and candidates past the first improvement are skipped. Decisions are bit-identical to the sequential search; this is purely a throughput switch.")
+    Arg.(value & flag & info [ "batch" ] ~doc:"Propose each task's whole neighbour set as one batch (CD/CCD only). The engine delivers a batch one candidate at a time, through the same path as a single proposal, and stops at the first improvement.")
   in
   let batch_min_arg =
-    Arg.(value & opt int Descent.default_min_batch & info [ "batch-min" ] ~docv:"N" ~doc:"Minimum candidate-set size for batched evaluation: smaller sets run through the sequential path, whose per-candidate overhead is lower than batch amortization can recover at that size (BENCH_searchrate.json). Decisions are identical either way; 1 always batches.")
+    Arg.(value & opt int Descent.default_min_batch & info [ "batch-min" ] ~docv:"N" ~doc:"Minimum candidate-set size for a batch: smaller sets are proposed one candidate at a time. 1 always batches.")
   in
   let no_surrogate_arg =
     Arg.(value & flag & info [ "no-surrogate" ] ~doc:"Disable the online surrogate cost model. By default a --batch (or --surrogate-skim) search trains it on every exact evaluation and reranks each candidate batch best-predicted-first; an unbatched search reads no model and runs none. A resumed search runs one exactly when its checkpoint carries one. The AUTOMAP_NO_SURROGATE environment variable has the same effect.")
@@ -353,15 +345,9 @@ let search_cmd =
     Format.printf "%a@." Driver.pp_result r;
     Printf.printf "engine: %d steps, %d checkpoints written\n" r.Driver.engine_steps
       r.Driver.checkpoints_written;
-    if batch then
-      Printf.printf "batches: %d evaluated, %d short-circuited past an improvement\n"
-        r.Driver.batch_calls r.Driver.batch_short_circuits;
     if symmetry then
       Printf.printf "symmetry: %d symmetric duplicates skipped without re-simulation\n"
         r.Driver.symmetry_skips;
-    if progress && batch then
-      Printf.eprintf "[batch] %d batches, %d short-circuits\n%!" r.Driver.batch_calls
-        r.Driver.batch_short_circuits;
     (* only a search that ran a model has observations to report *)
     if r.Driver.surrogate_trained > 0 then begin
       Printf.printf

@@ -47,8 +47,11 @@ let () =
   (* portfolio: CCD + annealing + random over one shared evaluator,
      under a 30-virtual-second budget split equally *)
   let ev3 = Evaluator.create ~runs:3 ~noise_sigma:0.02 ~seed:1 machine g in
-  let best, p3 = Portfolio.search ~seed:1 ~budget:30.0 ev3 in
+  let o =
+    Engine.run ~start:(Mapping.default_start g machine) ev3
+      (Portfolio.make ~seed:1 ~budget:30.0 ev3)
+  in
   Printf.printf "portfolio (%s): best %.3f ms — %s\n"
     (String.concat "+" (List.map Portfolio.member_name Portfolio.default_members))
-    (p3 *. 1e3)
-    (Report.placement_summary g best)
+    (o.Engine.perf *. 1e3)
+    (Report.placement_summary g o.Engine.best)

@@ -13,12 +13,12 @@ let () =
   let machine = Presets.lassen ~nodes:1 in
   Format.printf "machine: %a@.@." Machine.pp machine;
   let degradation ~n_lf ~resolution =
-    let hf_alone = Maestro.graph ~nodes:1 ~n_lf:0 ~resolution () in
+    let hf_alone = Maestro.graph ~nodes:1 ~n_lf:0 ~resolution in
     let base =
       Automap_api.measure_mapping machine hf_alone
         (Mapping.default_start hf_alone machine)
     in
-    let g = Maestro.graph ~nodes:1 ~n_lf ~resolution () in
+    let g = Maestro.graph ~nodes:1 ~n_lf ~resolution in
     let relative mapping = Automap_api.measure_mapping machine g mapping /. base in
     let cpu = relative (Maestro.lf_cpu_sys g machine) in
     let zc = relative (Maestro.lf_gpu_zc g machine) in

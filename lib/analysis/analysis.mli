@@ -166,7 +166,7 @@ type t
 
 val analyze : ?rotations:int -> Machine.t -> Graph.t -> t
 (** Full analysis: lint + domains + per-rotation co-location groups
-    ([rotations] defaults to 5, matching {!Ccd.search}) + summary. *)
+    ([rotations] defaults to 5, matching {!Ccd.make}) + summary. *)
 
 val diagnostics : t -> diagnostic list
 (** All diagnostics, errors first, in a deterministic order. *)

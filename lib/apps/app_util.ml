@@ -40,8 +40,13 @@ let arg_array_name (c : Graph.collection) =
   | Some i -> String.sub c.cname (i + 1) (String.length c.cname - i - 1)
   | None -> c.cname
 
-let custom_mapping ?(cpu_tasks = []) ?(zc_arrays = []) ?(sys_arrays = [])
-    ?(zc_max_bytes = 0.25e6) g machine =
+(* Hand-written mappers demote data to the CPU or to Zero-Copy only
+   while it is small: past 256 KB per shard the slow path would
+   dominate, so they keep large data on the fast one (the
+   size-conditional logic real custom mappers contain). *)
+let zc_max_bytes = 0.25e6
+
+let custom_mapping ?(cpu_tasks = []) ?(zc_arrays = []) g machine =
   let base = Mapping.default_start g machine in
   let small_enough (t : Graph.task) =
     List.for_all (fun (c : Graph.collection) -> c.bytes <= zc_max_bytes) t.args
@@ -57,13 +62,8 @@ let custom_mapping ?(cpu_tasks = []) ?(zc_arrays = []) ?(sys_arrays = [])
     ~mem:(fun c ->
       let k = proc (Graph.task g c.owner) in
       let wanted =
-        let a = arg_array_name c in
-        (* Hand-written mappers demote shared data to Zero-Copy only
-           while it is small; beyond the threshold the slow ZC path
-           would dominate, so they keep large data in the fast memory
-           (the size-conditional logic real custom mappers contain). *)
-        if List.mem a zc_arrays && c.bytes <= zc_max_bytes then Kinds.Zero_copy
-        else if List.mem a sys_arrays then Kinds.System
+        if List.mem (arg_array_name c) zc_arrays && c.bytes <= zc_max_bytes then
+          Kinds.Zero_copy
         else Mapping.mem_of base c.cid
       in
       if Kinds.accessible k wanted then wanted

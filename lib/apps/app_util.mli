@@ -17,23 +17,21 @@ val pieces_per_node : int
 val custom_mapping :
   ?cpu_tasks:string list ->
   ?zc_arrays:string list ->
-  ?sys_arrays:string list ->
-  ?zc_max_bytes:float ->
   Graph.t ->
   Machine.t ->
   Mapping.t
 (** Builds a hand-written-style mapping: start from the runtime default
     (§4.1/§5: everything distributed, GPU where possible, fastest
     memory), move the named tasks to CPU, place arguments of the named
-    arrays in Zero-Copy (resp. System) memory, then repair any
+    arrays in Zero-Copy memory, then repair any
     accessibility violation by falling back to the first kind the
     task's processor can address.  Array names match the suffix after
     the ["task."] prefix of argument names.
 
     Real hand-written mappers contain size-conditional logic, so the
     CPU/Zero-Copy demotions only apply while the affected arguments
-    stay below [zc_max_bytes] (default 256 KB per shard); larger data
-    stays on the default fast path. *)
+    stay at or below 256 KB per shard; larger data stays on the
+    default fast path. *)
 
 val arg_array_name : Graph.collection -> string
 (** The logical-array part of an argument name ("calc_currents.wires" →

@@ -7,7 +7,12 @@ let lf_task_names =
   [ "lf_bc"; "lf_props"; "lf_eos"; "lf_grad"; "lf_flux_x"; "lf_flux_y"; "lf_flux_z";
     "lf_chem"; "lf_sum"; "lf_update"; "lf_prim_up"; "lf_dt"; "lf_out" ]
 
-let graph ?(hf_frac = 0.998) ?(fb_per_node = 64e9) ~nodes ~n_lf ~resolution () =
+(* The HF sample fills 99.8% of each node's Frame-Buffer capacity: a
+   Lassen node's four 16 GB V100s. *)
+let hf_frac = 0.998
+let fb_per_node = 64e9
+
+let graph ~nodes ~n_lf ~resolution =
   if n_lf < 0 then invalid_arg "Maestro.graph: n_lf must be non-negative";
   if resolution <= 0 then invalid_arg "Maestro.graph: resolution must be positive";
   let shards = App_util.pieces_per_node * nodes in
@@ -93,7 +98,7 @@ let graph ?(hf_frac = 0.998) ?(fb_per_node = 64e9) ~nodes ~n_lf ~resolution () =
 
 let graph_of_input ~nodes ~input =
   match App_util.parse_pair ~tag1:'l' ~tag2:'r' (String.concat "" (String.split_on_char 'f' input)) with
-  | Some (n_lf, resolution) -> graph ~nodes ~n_lf ~resolution ()
+  | Some (n_lf, resolution) -> graph ~nodes ~n_lf ~resolution
   | None -> invalid_arg ("Maestro.graph_of_input: bad input " ^ input)
 
 let inputs ~nodes:_ =

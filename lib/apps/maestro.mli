@@ -17,18 +17,10 @@
 
 val name : string
 
-val graph :
-  ?hf_frac:float ->
-  ?fb_per_node:float ->
-  nodes:int ->
-  n_lf:int ->
-  resolution:int ->
-  unit ->
-  Graph.t
-(** [hf_frac] (default 0.998) is the fraction of each node's total
-    Frame-Buffer capacity the HF sample's collections occupy;
-    [fb_per_node] (default 64 GB, a Lassen node's four 16 GB V100s) is
-    that capacity.  [n_lf] = 0 gives the HF-alone baseline. *)
+val graph : nodes:int -> n_lf:int -> resolution:int -> Graph.t
+(** The HF sample's collections occupy 99.8% of each node's total
+    Frame-Buffer capacity, 64 GB (a Lassen node's four 16 GB V100s).
+    [n_lf] = 0 gives the HF-alone baseline. *)
 
 val graph_of_input : nodes:int -> input:string -> Graph.t
 (** Input syntax ["lf<count>r<resolution>"], e.g. ["lf16r32"]. *)

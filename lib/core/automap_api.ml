@@ -35,19 +35,18 @@ let measure_mapping ?(runs = 7) ?(seed = 9001) ?noise_sigma machine graph mappin
   let ev = Evaluator.create ~runs ?noise_sigma ~seed machine graph in
   Stats.mean (Evaluator.measure ev mapping)
 
-let tune ?(algo = Driver.Ccd { rotations = 5 }) ?(seed = 0) ?runs ?final_runs ?budget
-    ?noise_sigma ~app ~machine ~input () =
+let tune ?(seed = 0) ?runs ?final_runs ~app ~machine ~input () =
   let graph = app.App.graph ~nodes:machine.Machine.nodes ~input in
   (* Static feasibility gate: error-level diagnostics certify that no
      candidate can validate and place, so the search would only ever
      measure penalties — refuse instead of burning the budget. *)
   let analysis = check_feasible machine graph in
   let result =
-    Driver.run ?runs ?final_runs ?noise_sigma ~seed ?budget algo machine graph
+    Driver.run ?runs ?final_runs ~seed (Driver.Ccd { rotations = 5 }) machine graph
   in
   let default_mapping = Mapping.default_start graph machine in
   let custom = app.App.custom graph machine in
-  let measure = measure_mapping ?noise_sigma ~seed:(seed + 77) machine graph in
+  let measure = measure_mapping ~seed:(seed + 77) machine graph in
   let default_perf = measure default_mapping in
   let perf_or_inf m = try measure m with Failure _ -> infinity in
   let comparisons =

@@ -39,19 +39,16 @@ val infeasible_message : Analysis.t -> string
     reporting. *)
 
 val tune :
-  ?algo:Driver.algo ->
   ?seed:int ->
   ?runs:int ->
   ?final_runs:int ->
-  ?budget:float ->
-  ?noise_sigma:float ->
   app:App.t ->
   machine:Machine.t ->
   input:string ->
   unit ->
   tuning
-(** Tunes [app] on [machine] for [input].  [algo] defaults to CCD with
-    5 rotations.  Runs {!check_feasible} before the search and raises
+(** Tunes [app] on [machine] for [input] with CCD(5), without a budget.
+    Runs {!check_feasible} before the search and raises
     {!Infeasible} on error-level inputs.  The returned comparisons measure (with the same
     protocol) the default mapping, the app's custom mapping and the
     tuned mapping. *)

@@ -174,8 +174,7 @@ let resolve (w : Wire.workload) =
 
 (* ---- construction ----------------------------------------------------- *)
 
-let create ?(slice_trials = 40) ?(compile_entries = 32)
-    ?(compile_bytes = 256 * 1024 * 1024) ?(memo_entries = 512) ?state_dir () =
+let create ?(slice_trials = 40) ?state_dir () =
   if slice_trials < 1 then invalid_arg "Server.create: slice_trials must be positive";
   (match state_dir with
   | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
@@ -185,8 +184,8 @@ let create ?(slice_trials = 40) ?(compile_entries = 32)
     work = Condition.create ();
     queue = Queue.create ();
     jobs = Hashtbl.create 64;
-    compile_cache = Cache.create ~max_entries:compile_entries ~max_bytes:compile_bytes ();
-    result_memo = Cache.create ~max_entries:memo_entries ();
+    compile_cache = Cache.create ~max_entries:32 ~max_bytes:(256 * 1024 * 1024) ();
+    result_memo = Cache.create ~max_entries:512 ();
     resolve_cache = Cache.create ~max_entries:64 ();
     incumbents = Hashtbl.create 64;
     slice_trials;
@@ -299,7 +298,7 @@ let run_slice_inner t j scratch =
 (* Runs with the lock NOT held; publishes its outcome under the lock. *)
 let run_slice t j =
   let outcome =
-    (* a bad config (e.g. ccd:1) raises deep in compilation or strategy
+    (* a bad config raises deep in compilation or strategy
        construction: fail the job, never the worker domain *)
     try
       let compiled = compiled_for t j in

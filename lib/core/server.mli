@@ -34,17 +34,13 @@ type t
 
 val create :
   ?slice_trials:int ->
-  ?compile_entries:int ->
-  ?compile_bytes:int ->
-  ?memo_entries:int ->
   ?state_dir:string ->
   unit ->
   t
 (** A server with no workers yet.  [slice_trials] (default 40) is the
-    scheduling quantum in evaluated trials; [compile_entries] /
-    [compile_bytes] (32 / 256 MiB) bound the compile LRU;
-    [memo_entries] (512) the result memo.  [state_dir] (created if
-    missing) enables checkpoint persistence. *)
+    scheduling quantum in evaluated trials.  The compile LRU holds at
+    most 32 problems and 256 MiB, the result memo 512 answers.
+    [state_dir] (created if missing) enables checkpoint persistence. *)
 
 val recover : t -> int
 (** Rescan [state_dir] and re-enqueue every orphaned job (meta file

@@ -352,17 +352,6 @@ let cfg_fields (c : Slice.cfg) =
   @ if_ne "final_runs" c.Slice.final_runs d.Slice.final_runs (fun v ->
         Num (float_of_int v))
 
-let algo_of_spec s =
-  match String.split_on_char ':' s with
-  | [ "ccd"; r ] ->
-      Option.map (fun r -> Driver.Ccd { rotations = r }) (int_of_string_opt r)
-  | [ "random"; m ] ->
-      Option.map (fun m -> Driver.Random_walk { max_evals = m }) (int_of_string_opt m)
-  | [ "annealing"; m ] ->
-      Option.map (fun m -> Driver.Annealing { max_evals = m }) (int_of_string_opt m)
-  | [ one ] -> Result.to_option (Driver.algo_of_string one)
-  | _ -> None
-
 (* Each run is one full simulation per candidate, and the final
    protocol re-runs [final_top] mappings [final_runs] times, so one
    request may ask for at most this many of each (the paper uses 7
@@ -383,10 +372,7 @@ let cfg_of_fields fields =
   let* algo =
     match str_opt fields "algo" with
     | None -> Ok d.Slice.algo
-    | Some s -> (
-        match algo_of_spec s with
-        | Some a -> Ok a
-        | None -> Error (Printf.sprintf "unknown algorithm %S" s))
+    | Some s -> Driver.algo_of_string s
   in
   Ok
     {

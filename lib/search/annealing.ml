@@ -95,7 +95,10 @@ let strategy_of st =
         ]);
   }
 
-let make ?(seed = 11) ?(max_evals = 2000) ?(t0 = 0.3) ?(cooling = 0.995) ev =
+let default_max_evals = 2000
+
+let make ?(seed = 11) ?(max_evals = default_max_evals) ev =
+  let t0 = 0.3 and cooling = 0.995 in
   strategy_of
     {
       ev;
@@ -157,14 +160,3 @@ let decode ev lines =
       in
       Ok (strategy_of st))
   | _ -> Error "Annealing.decode: expected 2 lines"
-
-let search ?(seed = 11) ?(max_evals = 2000) ?(t0 = 0.3) ?(cooling = 0.995) ?start
-    ?(budget = infinity) ev =
-  let g = Evaluator.graph ev in
-  let machine = Evaluator.machine ev in
-  let f0 = match start with Some f -> f | None -> Mapping.default_start g machine in
-  let o =
-    Engine.run ~budget:(Budget.of_virtual budget) ~start:f0 ev
-      (make ~seed ~max_evals ~t0 ~cooling ev)
-  in
-  (o.Engine.best, o.Engine.perf)

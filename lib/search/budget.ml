@@ -22,8 +22,6 @@ let make ?max_trials ?max_virtual ?max_wall () =
     max_wall = finite_cap "max_wall" max_wall;
   }
 
-let of_virtual cap = make ~max_virtual:cap ()
-
 let is_unlimited b = b.max_trials = None && b.max_virtual = None && b.max_wall = None
 
 let exhausted b ~trials ~vt ~wall =

@@ -36,10 +36,6 @@ val make : ?max_trials:int -> ?max_virtual:float -> ?max_wall:float -> unit -> t
 (** Omitted axes are unlimited; an [infinity] cap is normalized to
     unlimited.  @raise Invalid_argument on negative or NaN caps. *)
 
-val of_virtual : float -> t
-(** Virtual-time-only budget — the legacy [?budget:float] parameter of
-    every [search] function maps to this. *)
-
 val is_unlimited : t -> bool
 
 val exhausted : t -> trials:int -> vt:float -> wall:float -> bool

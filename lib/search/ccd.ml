@@ -100,7 +100,7 @@ let strategy_of st =
   }
 
 let make ?(batch = false) ?(min_batch = 1) ?surrogate ?(rotations = 5) ev =
-  if rotations < 2 then invalid_arg "Ccd.search: rotations must be at least 2";
+  if rotations < 2 then invalid_arg "Ccd.make: rotations must be at least 2";
   let c0 = Overlap.of_graph (Evaluator.graph ev) in
   strategy_of
     {
@@ -173,12 +173,3 @@ let decode ?(batch = false) ?(min_batch = 1) ?surrogate ev lines =
       in
       Ok (strategy_of st))
   | _ -> Error "Ccd.decode: expected 3 lines"
-
-let search ?batch ?min_batch ?surrogate ?(rotations = 5) ?start ?(budget = infinity)
-    ev =
-  let g = Evaluator.graph ev in
-  let machine = Evaluator.machine ev in
-  let strat = make ?batch ?min_batch ?surrogate ~rotations ev in
-  let f0 = match start with Some f -> f | None -> Mapping.default_start g machine in
-  let o = Engine.run ?surrogate ~budget:(Budget.of_virtual budget) ~start:f0 ev strat in
-  (o.Engine.best, o.Engine.perf)

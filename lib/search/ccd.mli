@@ -25,12 +25,12 @@ val make :
 (** CCD as an engine strategy (name ["ccd"]); emits a
     {!Engine.Phase} marker at each rotation entry.  [batch] (default
     false) emits each task's whole neighbour set as one
-    {!Engine.Propose_batch} (see {!Cd.make}); decision-identical,
-    faster.  [min_batch] (default 1) gates sub-threshold rounds back
-    to sequential proposals (see {!Cd.make} and
-    {!Descent.next_gated}).  [surrogate] ranks each batch
+    {!Engine.Propose_batch} (see {!Cd.make}).  [min_batch] (default 1)
+    gates sub-threshold rounds back to single proposals (see
+    {!Cd.make} and {!Descent.next_gated}).  [surrogate] ranks each batch
     best-predicted-first (see {!Cd.make} and {!Descent.start}) in
-    every rotation.
+    every rotation.  [rotations] defaults to 5 (the paper's setting;
+    fewer behaves like CD, more wastes search time — §5).
     @raise Invalid_argument if [rotations < 2]. *)
 
 val decode :
@@ -44,17 +44,3 @@ val decode :
     is re-derived (pruning is deterministic), the sweep cursor and
     incumbent restored.  [batch], [min_batch] and [surrogate] as in
     {!Cd.decode}. *)
-
-val search :
-  ?batch:bool ->
-  ?min_batch:int ->
-  ?surrogate:Surrogate.t ->
-  ?rotations:int ->
-  ?start:Mapping.t ->
-  ?budget:float ->
-  Evaluator.t ->
-  Mapping.t * float
-(** [rotations] defaults to 5 (the paper's setting; fewer behaves like
-    CD, more wastes search time — §5).  @raise Invalid_argument if
-    [rotations < 2].  Convenience wrapper over {!Engine.run} with
-    {!make}. *)

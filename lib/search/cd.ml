@@ -106,13 +106,3 @@ let decode ?(batch = false) ?(min_batch = 1) ?surrogate ev lines =
       in
       Ok (strategy_of st))
   | _ -> Error "Cd.decode: expected 2 lines"
-
-let search ?batch ?min_batch ?surrogate ?start ?(budget = infinity) ev =
-  let g = Evaluator.graph ev in
-  let machine = Evaluator.machine ev in
-  let f0 = match start with Some f -> f | None -> Mapping.default_start g machine in
-  let o =
-    Engine.run ?surrogate ~budget:(Budget.of_virtual budget) ~start:f0 ev
-      (make ?batch ?min_batch ?surrogate ev)
-  in
-  (o.Engine.best, o.Engine.perf)

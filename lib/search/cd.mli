@@ -14,15 +14,11 @@ val make :
   Engine.strategy
 (** CD as an engine strategy (name ["cd"]).  [batch] (default false)
     emits each task's whole neighbour set as one {!Engine.Propose_batch}
-    — decision-identical to sequential proposals (CD's acceptance test
-    is exactly [perf < incumbent], the batch contract) with the
-    per-step engine work amortized over the set;
-    {!Evaluator.evaluate_batch} skips candidates past the first
-    improvement.  [min_batch]
-    (default 1: always batch) gates each round through
-    {!Descent.next_gated}: rounds below the threshold are proposed
-    sequentially, past the amortization point as batches — still
-    decision-identical for any value.
+    (CD's acceptance test is exactly [perf < incumbent], the batch
+    contract); the engine delivers it one candidate at a time and stops
+    at the first improvement.  [min_batch] (default 1: always batch)
+    gates each round through {!Descent.next_gated}: rounds below the
+    threshold are proposed one candidate at a time.
 
     [surrogate] runs the sweep cursor in ranked mode: each task's batch
     is permuted best-predicted-first (and skimmed to the top-K when the
@@ -38,19 +34,6 @@ val decode :
   (Engine.strategy, string) result
 (** Rebuild a checkpointed CD strategy from its {!Engine.strategy.encode}
     lines; re-pins the restored incumbent.  Checkpoints carry no batch
-    flag (batching is decision-neutral, and so is the [min_batch]
-    gate); pass [batch]/[min_batch] to resume in (gated) batch mode
-    and [surrogate] (restored from the checkpoint's surrogate section)
-    to resume ranked mode decision-identically. *)
-
-val search :
-  ?batch:bool ->
-  ?min_batch:int ->
-  ?surrogate:Surrogate.t ->
-  ?start:Mapping.t ->
-  ?budget:float ->
-  Evaluator.t ->
-  Mapping.t * float
-(** Returns the best mapping found and its measured performance.
-    [budget] bounds the evaluator's virtual search time (default
-    unlimited).  Convenience wrapper over {!Engine.run} with {!make}. *)
+    flag: pass [batch]/[min_batch] to resume in (gated) batch mode and
+    [surrogate] (restored from the checkpoint's surrogate section) to
+    resume ranked mode decision-identically. *)

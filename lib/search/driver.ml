@@ -18,16 +18,24 @@ let algo_name = function
 
 (* CLI/wire spelling — one parser shared by automap_cli and the serve
    daemon, so a request names algorithms exactly like the command line *)
-let algo_of_string ?(max_evals = 1000) s =
-  match String.lowercase_ascii s with
-  | "cd" -> Ok Cd
-  | "ccd" -> Ok (Ccd { rotations = 5 })
-  | "ensemble" -> Ok Ensemble_tuner
-  | "random" -> Ok (Random_walk { max_evals })
-  | "annealing" -> Ok (Annealing { max_evals })
-  | "portfolio" -> Ok Portfolio
-  | "heft" -> Ok Heft
-  | other -> Error (Printf.sprintf "unknown algorithm %S" other)
+let algo_of_string s =
+  let unknown = Error (Printf.sprintf "unknown algorithm %S" s) in
+  match String.split_on_char ':' (String.lowercase_ascii s) with
+  | [ "cd" ] -> Ok Cd
+  | [ "ccd" ] -> Ok (Ccd { rotations = 5 })
+  | [ ("ensemble" | "opentuner" | "ot") ] -> Ok Ensemble_tuner
+  | [ "random" ] -> Ok (Random_walk { max_evals = Random_search.default_max_evals })
+  | [ "annealing" ] -> Ok (Annealing { max_evals = Annealing.default_max_evals })
+  | [ "portfolio" ] -> Ok Portfolio
+  | [ "heft" ] -> Ok Heft
+  | [ name; n ] -> (
+      match (name, int_of_string_opt n) with
+      | "ccd", Some rotations when rotations >= 2 -> Ok (Ccd { rotations })
+      | "ccd", Some _ -> Error (Printf.sprintf "algorithm %S: CCD needs 2 rotations or more" s)
+      | "random", Some max_evals -> Ok (Random_walk { max_evals })
+      | "annealing", Some max_evals -> Ok (Annealing { max_evals })
+      | _ -> unknown)
+  | _ -> unknown
 
 type cfg = {
   algo : algo;
@@ -85,8 +93,6 @@ type result = {
   oom : int;
   engine_steps : int;
   checkpoints_written : int;
-  batch_calls : int;
-  batch_short_circuits : int;
   symmetry_skips : int;
   surrogate_trained : int;
   surrogate_reranks : int;
@@ -345,8 +351,6 @@ let run ?(runs = default_cfg.runs) ?(final_top = default_cfg.final_top)
     oom = Evaluator.oom_count ev;
     engine_steps = o.Engine.steps;
     checkpoints_written = o.Engine.checkpoints_written;
-    batch_calls = Evaluator.batch_calls ev;
-    batch_short_circuits = Evaluator.batch_short_circuits ev;
     symmetry_skips = st.Evaluator.s_symmetry_skips;
     surrogate_trained = st.Evaluator.s_surrogate_trained;
     surrogate_reranks = st.Evaluator.s_surrogate_reranks;

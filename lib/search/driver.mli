@@ -17,11 +17,14 @@ type algo =
 
 val algo_name : algo -> string
 
-val algo_of_string : ?max_evals:int -> string -> (algo, string) Stdlib.result
-(** CLI/wire spelling (["cd"], ["ccd"], ["ensemble"], ["random"],
-    ["annealing"], ["portfolio"], ["heft"]; case-insensitive).
-    [max_evals] (default 1000) parameterizes the stochastic
-    algorithms. *)
+val algo_of_string : string -> (algo, string) Stdlib.result
+(** The one CLI/wire spelling, [name] or [name:N], case-insensitive:
+    ["cd"], ["ccd"], ["ensemble"] (alias ["opentuner"], ["ot"]),
+    ["random"], ["annealing"], ["portfolio"], ["heft"].  [N] is CCD's
+    rotation count (at least 2; default 5) or the evaluation cap of
+    ["random"] (default {!Random_search.default_max_evals}) and
+    ["annealing"] (default {!Annealing.default_max_evals}).
+    {!Slice.algo_spec} prints the inverse. *)
 
 type cfg = {
   algo : algo;
@@ -66,8 +69,6 @@ type result = {
   oom : int;
   engine_steps : int;          (** {!Engine} strategy steps taken *)
   checkpoints_written : int;
-  batch_calls : int;           (** {!Evaluator.batch_calls} *)
-  batch_short_circuits : int;  (** {!Evaluator.batch_short_circuits} *)
   symmetry_skips : int;        (** symmetric duplicates never re-evaluated *)
   surrogate_trained : int;     (** SGD observations absorbed (0 without model) *)
   surrogate_reranks : int;     (** batches reordered by the model *)
@@ -222,13 +223,12 @@ val run :
     [final_top] = 5, [final_runs] = 30.  [objective] selects the
     metric the search minimizes (default: per-iteration time),
     [extended] opens the distribution-strategy dimension,
-    [batch] (default false) runs CD/CCD through
-    {!Engine.Propose_batch} whole-neighbour-set evaluation
-    (decision-identical, faster — see {!Evaluator.evaluate_batch};
-    other algorithms ignore it), [min_batch] (default
-    {!Descent.default_min_batch}) keeps sub-threshold rounds on the
-    sequential path where batching does not amortize (still
-    decision-identical; pass 1 to always batch) and
+    [batch] (default false) has CD/CCD propose each task's neighbour
+    set as one {!Engine.Propose_batch}, which the engine delivers one
+    candidate at a time through its {!Engine.Propose} path (other
+    algorithms ignore it), [min_batch] (default
+    {!Descent.default_min_batch}) proposes smaller rounds one
+    candidate at a time (pass 1 to always batch) and
     [db] warm-starts from a persisted profiles database (see
     {!Evaluator.create}).
 

@@ -337,122 +337,56 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
     Budget.exhausted budget ~trials:!trials ~vt:(Evaluator.virtual_time ev)
       ~wall:(wall ())
   in
+  (* One proposal, evaluated under [hint] (or answered from the
+     seen-set) and handed to [receive]; returns whether the strategy
+     accepted it.  A [Propose] and every candidate of a
+     [Propose_batch] go through here. *)
+  let propose candidate hint =
+    let keys = Option.map (fun sn -> seen_keys sn candidate) seen in
+    let memo =
+      match (seen, keys, hint.bound) with
+      | Some sn, Some (k, _), Some b -> seen_skippable sn k b
+      | _ -> None
+    in
+    match memo with
+    | Some v ->
+        (* a symmetric twin's recorded value certifies rejection at
+           this bound: answer from the memo — no evaluation, no trial,
+           no event, no clock charge.  [receive] is expected to reject
+           (v >= bound); a strategy that still accepts (e.g. a
+           Metropolis draw) moves its own incumbent, but the engine's
+           best never moves on a memoized value. *)
+        Evaluator.note_symmetry_skip ev;
+        strat.receive candidate v
+    | None ->
+        if hint.overhead > 0.0 then Evaluator.note_suggestion_overhead ev hint.overhead;
+        let perf = evaluate ?bound:hint.bound keys candidate in
+        incr trials;
+        let accepted = strat.receive candidate perf in
+        let vt = Evaluator.virtual_time ev in
+        let improved = perf < snd !best in
+        if improved then best := (candidate, perf);
+        on_event (Eval { trial = !trials; mapping = candidate; perf; vt; accepted });
+        if improved then on_event (Improve { trial = !trials; mapping = candidate; perf; vt });
+        maybe_checkpoint ();
+        accepted
+  in
   let stop = ref false in
   while not (!stop || exhausted ()) do
     incr steps;
     match strat.step { trials = !trials; vt = Evaluator.virtual_time ev; best = !best } with
     | Stop -> stop := true
     | Phase name -> on_event (Phase_change { name })
-    | Propose (candidate, hint) -> (
-        let keys = Option.map (fun sn -> seen_keys sn candidate) seen in
-        let memo =
-          match (seen, keys, hint.bound) with
-          | Some sn, Some (k, _), Some b -> seen_skippable sn k b
-          | _ -> None
-        in
-        match memo with
-        | Some v ->
-            (* a symmetric twin's recorded value certifies rejection at
-               this bound: answer from the memo — no evaluation, no
-               trial, no event, no clock charge.  [receive] is expected
-               to reject (v >= bound); a strategy that still accepts
-               (e.g. a Metropolis draw) moves its own incumbent, but
-               the engine's best never moves on a memoized value. *)
-            Evaluator.note_symmetry_skip ev;
-            ignore (strat.receive candidate v)
-        | None ->
-            if hint.overhead > 0.0 then Evaluator.note_suggestion_overhead ev hint.overhead;
-            let perf = evaluate ?bound:hint.bound keys candidate in
-            incr trials;
-            let accepted = strat.receive candidate perf in
-            let vt = Evaluator.virtual_time ev in
-            let improved = perf < snd !best in
-            if improved then best := (candidate, perf);
-            on_event (Eval { trial = !trials; mapping = candidate; perf; vt; accepted });
-            if improved then on_event (Improve { trial = !trials; mapping = candidate; perf; vt });
-            maybe_checkpoint ())
+    | Propose (candidate, hint) -> ignore (propose candidate hint : bool)
     | Propose_batch (cands, b) ->
-        let before = !trials in
-        (* Verdict delivery in original order — the trial counter,
-           receive sequence, incumbent pinning and events match the
-           sequential loop exactly; returns whether the strategy
-           accepted (the batch contract: it accepts exactly when
-           perf < b, so everything past an acceptance was skipped by
-           the evaluator). *)
-        let deliver candidate perf =
-          incr trials;
-          let accepted = strat.receive candidate perf in
-          let vt = Evaluator.virtual_time ev in
-          let improved = perf < snd !best in
-          if improved then best := (candidate, perf);
-          on_event (Eval { trial = !trials; mapping = candidate; perf; vt; accepted });
-          if improved then
-            on_event (Improve { trial = !trials; mapping = candidate; perf; vt });
-          accepted
+        (* the candidates in order, each a [Propose] under bound [b],
+           with the budget checked before each, until one is accepted *)
+        let hint = { bound = Some b; overhead = 0.0 } in
+        let rec deliver i =
+          if i < Array.length cands && not (exhausted ()) && not (propose cands.(i) hint)
+          then deliver (i + 1)
         in
-        (* Memo-interleaved delivery: candidates the seen-set can answer
-           are delivered inline (no trial, no clock charge), maximal
-           runs of the rest are batch-evaluated.  Without a seen-set
-           nothing is skippable, so the whole batch is one run.  Stops
-           at the first acceptance, and never evaluates past the trial
-           cap: the sequential loop would have stopped there, and extra
-           evaluations would leak into the db/partials/clocks and change
-           later decisions. *)
-        let n = Array.length cands in
-        let keys = match seen with Some sn -> Array.map (seen_keys sn) cands | None -> [||] in
-        let skippable i =
-          match seen with Some sn -> seen_skippable sn (fst keys.(i)) b | None -> None
-        in
-        let cap_left () =
-          match budget.Budget.max_trials with
-          | Some cap -> cap - !trials
-          | None -> max_int
-        in
-        let stop_batch = ref false in
-        let i = ref 0 in
-        while (not !stop_batch) && !i < n && cap_left () > 0 do
-          match skippable !i with
-          | Some v ->
-              Evaluator.note_symmetry_skip ev;
-              if strat.receive cands.(!i) v then stop_batch := true;
-              incr i
-          | None ->
-              let j = ref (!i + 1) in
-              while !j < n && skippable !j = None do
-                incr j
-              done;
-              let seg_len = min (!j - !i) (cap_left ()) in
-              let seg = if seg_len = n then cands else Array.sub cands !i seg_len in
-              let outcomes =
-                match seen with
-                | None -> Evaluator.evaluate_batch ~bound:b ev seg
-                | Some _ ->
-                    Evaluator.eval_batch_keyed ~bound:b ev (fun k -> snd keys.(!i + k)) seg
-              in
-              (try
-                 for k = 0 to seg_len - 1 do
-                   match outcomes.(k) with
-                   | Evaluator.Skipped -> raise Exit
-                   | Evaluator.Evaluated perf ->
-                       (match seen with
-                       | Some sn -> seen_record sn (fst keys.(!i + k)) perf b
-                       | None -> ());
-                       if deliver seg.(k) perf then raise Exit
-                 done
-               with Exit -> stop_batch := true);
-              i := !i + seg_len
-        done;
-        (* at most one checkpoint per batch, at the first interval
-           boundary the batch crossed — mid-batch writes would pair a
-           mid-batch trial count with post-batch evaluator state *)
-        (match checkpoint with
-        | Some { every; path } when !trials / every > before / every ->
-            write_file path
-              (checkpoint_string ?surrogate ?seen ev strat ~trials:!trials
-                 ~steps:!steps ~wall:(wall ()) ~best:!best);
-            incr checkpoints;
-            on_event (Checkpointed { trial = !trials; path })
-        | _ -> ())
+        deliver 0
   done;
   let bm, bp = !best in
   {

@@ -10,7 +10,7 @@
     - evaluation, with each proposal's pruning bound plumbed uniformly
       through {!Evaluator.evaluate}'s [?bound];
     - the stopping rule, via one {!Budget.t} (max trials / virtual
-      time / wall clock) tested before every step;
+      time / wall clock) tested before every proposal;
     - the event bus ([on_event]) feeding progress displays, JSONL
       streams and benches;
     - the checkpoint codec: strategy state + evaluator state + profiles
@@ -40,20 +40,16 @@ val unbounded : hint
 type step =
   | Propose of Mapping.t * hint  (** evaluate this candidate next *)
   | Propose_batch of Mapping.t array * float
-      (** evaluate a whole candidate set against one bound
-          ({!Evaluator.evaluate_batch}), with no proposal overhead.
-          Contract: the strategy's [receive] must accept exactly when
-          [perf < bound] (and [bound] must be its current acceptance
-          threshold) — first-improvement descent.  The engine evaluates
-          the batch, delivers verdicts through [receive] in array
-          order, and stops delivering at the first acceptance;
-          candidates after it were skipped by the evaluator, so the
-          trial count,
-          receive sequence, clocks and incumbent pinning are
-          bit-identical to proposing the same candidates one
-          {!Propose} at a time.  Batches are truncated at the trial
-          budget; checkpoints fire at most once per batch, after
-          delivery. *)
+      (** a whole candidate set against one bound.  The engine hands
+          each candidate, in array order, to the code that handles a
+          {!Propose} with that bound and no overhead: the budget is
+          checked and the seen-set consulted before each one, and a
+          checkpoint falls at the same trial boundaries.  The batch
+          ends at the first candidate [receive] accepts.  Contract:
+          [receive] accepts exactly when [perf < bound], and [bound] is
+          its current acceptance threshold (first-improvement
+          descent), so the candidates after an acceptance were built
+          against a replaced incumbent and are never delivered. *)
   | Phase of string              (** phase marker (rotation, member…) — no evaluation *)
   | Stop                         (** the strategy is done *)
 
@@ -157,7 +153,7 @@ val run :
 
     With [?seen], a proposal's key is built once: when the seen-set's
     canonicalizer returns the candidate itself, its seen key is also
-    the key handed to {!Evaluator.eval_keyed} (or [eval_batch_keyed]).
+    the key handed to {!Evaluator.eval_keyed}.
 
     [surrogate] taps the event bus: every [Eval] event trains the model
     ({!Surrogate.observe}) and every accepted mapping becomes its diff

@@ -247,12 +247,3 @@ let decode ev lines =
       in
       Ok (strategy_of st))
   | _ -> Error "Ensemble.decode: expected 3 lines"
-
-let search ?(config = default_config) ?start ?(budget = infinity) ev =
-  let g = Evaluator.graph ev in
-  let machine = Evaluator.machine ev in
-  let f0 = match start with Some f -> f | None -> Mapping.default_start g machine in
-  let o =
-    Engine.run ~budget:(Budget.of_virtual budget) ~start:f0 ev (make ~config ev)
-  in
-  (o.Engine.best, o.Engine.perf)

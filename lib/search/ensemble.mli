@@ -38,16 +38,5 @@ val decode : Evaluator.t -> string list -> (Engine.strategy, string) result
 (** Rebuild a checkpointed ensemble: bandit arm statistics, pattern
     cursor, RNG state and best-so-far restored bit-exactly. *)
 
-val search :
-  ?config:config ->
-  ?start:Mapping.t ->
-  ?budget:float ->
-  Evaluator.t ->
-  Mapping.t * float
-(** Runs until the virtual-time [budget] (default unlimited) or
-    [max_suggestions] is exhausted.  Returns the best mapping found
-    (falling back to the §4.1 starting point, which is always
-    evaluated first). *)
-
 val technique_names : string list
 (** The ensemble members, for reporting. *)

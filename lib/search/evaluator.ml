@@ -22,11 +22,8 @@ type t = {
   space : Space.t;
   runs : int;
   noise_sigma : float;
-  fallback : bool;
   iterations : int option;
   eff_iters : int;         (* [iterations] resolved against the graph *)
-  penalty : float;
-  eval_overhead : float;
   objective : Machine.t -> Exec.result -> float;
   reference : bool;  (* no bound-pruning: every run simulated in full *)
   symmetry : bool;   (* effective flags, as applied to [space] *)
@@ -54,8 +51,6 @@ type t = {
   mutable noop_skips : int;
   mutable dead_coord_skips : int;
   mutable symmetry_skips : int;
-  mutable batch_calls : int;
-  mutable batch_short_circuits : int;
   (* bind counters of the scratches this evaluator detached between
      slices *)
   mutable retired_delta_binds : int;
@@ -84,8 +79,6 @@ type stats = {
   s_noop_skips : int;
   s_dead_coord_skips : int;
   s_symmetry_skips : int;
-  s_batch_calls : int;
-  s_batch_short_circuits : int;
   s_delta_binds : int;
   s_full_binds : int;
   s_bind_hits : int;
@@ -99,15 +92,18 @@ type stats = {
 
 let default_objective _machine (r : Exec.result) = r.Exec.per_iteration
 
-let create ?(runs = 7) ?(noise_sigma = 0.03) ?(fallback = false) ?iterations
-    ?(penalty = infinity) ?(seed = 0) ?(eval_overhead = 0.0002)
+(* Virtual seconds charged per executed evaluation: the relaunch cost,
+   scaled to the simulator's compressed time base so the §5.3
+   useful-time fractions keep their relative magnitudes. *)
+let eval_overhead = 0.0002
+
+let create ?(runs = 7) ?(noise_sigma = 0.03) ?iterations ?(seed = 0)
     ?(objective = default_objective) ?(extended = false) ?(reference = false)
     ?(domain_prune = true) ?(symmetry = false) ?(dominance = false) ?db ?scratch
     machine graph =
   if runs <= 0 then invalid_arg "Evaluator.create: runs must be positive";
-  (* dominance certificates build on the capacity domains and, like
-     them, are proved against strict placement only *)
-  let dominance = dominance && domain_prune && not fallback in
+  (* dominance certificates build on the capacity domains *)
+  let dominance = dominance && domain_prune in
   let scratch =
     match scratch with
     | Some sc -> sc  (* shared compiled problem, e.g. portfolio members *)
@@ -117,20 +113,11 @@ let create ?(runs = 7) ?(noise_sigma = 0.03) ?(fallback = false) ?iterations
     machine;
     graph;
     scratch = Some scratch;
-    (* Domain certificates are proved against *strict* placement;
-       fallback mode can demote an over-capacity instance into another
-       kind and succeed, so domains only restrict the space when
-       fallback is off. *)
-    space =
-      Space.make ~extended ~domains:(domain_prune && not fallback) ~dominance
-        ~symmetry graph machine;
+    space = Space.make ~extended ~domains:domain_prune ~dominance ~symmetry graph machine;
     runs;
     noise_sigma;
-    fallback;
     iterations;
     eff_iters = (match iterations with Some i -> i | None -> graph.Graph.iterations);
-    penalty;
-    eval_overhead;
     objective;
     reference;
     symmetry;
@@ -153,8 +140,6 @@ let create ?(runs = 7) ?(noise_sigma = 0.03) ?(fallback = false) ?iterations
     noop_skips = 0;
     dead_coord_skips = 0;
     symmetry_skips = 0;
-    batch_calls = 0;
-    batch_short_circuits = 0;
     retired_delta_binds = 0;
     retired_full_binds = 0;
     retired_bind_hits = 0;
@@ -218,7 +203,7 @@ let prune_slack = 1.0 +. 1e-9
    run allocates nothing (see Exec's quiet interface). *)
 let quiet_run t ~cutoff ~seed mapping =
   Exec.simulate_quiet (scratch t) mapping ~noise_sigma:t.noise_sigma ~seed
-    ~fallback:t.fallback ~iterations:t.eff_iters ~cutoff
+    ~fallback:false ~iterations:t.eff_iters ~cutoff
 
 (* Objective of the run that just finished on the scratch planes.  The
    default objective reads one plane slot; a custom objective gets the
@@ -252,15 +237,15 @@ let threshold t bound = bound *. prune_slack *. float_of_int t.runs
    started: the partials table now owes runs [p.pnext .. runs].  A cut
    candidate costs exactly the simulated wall it ran (the relaunch
    overhead is charged when a protocol completes) and answers
-   [max penalty bound], which the caller cannot accept at [bound]. *)
-let cut_partial t ~key p ~bound ~plb ~wall =
+   [infinity], which no bound accepts. *)
+let cut_partial t ~key p ~plb ~wall =
   t.cut_evals <- t.cut_evals + 1;
   t.cut_runs <- t.cut_runs + (t.runs - p.pnext + 1);
   p.plb <- plb;
   Hashtbl.replace t.partials key p;
   t.virtual_time <- t.virtual_time +. wall;
   t.eval_time <- t.eval_time +. wall;
-  Float.max t.penalty bound
+  infinity
 
 let run_protocol t ~key mapping p ~bound ~suffix =
   let runs_f = float_of_int t.runs and iters = effective_iterations t in
@@ -270,7 +255,7 @@ let run_protocol t ~key mapping p ~bound ~suffix =
     let k = p.pnext in
     if k > t.runs then begin
       t.evaluated <- t.evaluated + 1;
-      t.virtual_time <- t.virtual_time +. wall +. t.eval_overhead;
+      t.virtual_time <- t.virtual_time +. wall +. eval_overhead;
       t.eval_time <- t.eval_time +. wall;
       let entry = Profiles_db.record_key t.db ~key mapping p.pdone in
       note_best t mapping entry.Profiles_db.perf;
@@ -278,7 +263,7 @@ let run_protocol t ~key mapping p ~bound ~suffix =
     end
     else if p.psum +. suffix.(k - 1) >= threshold then
       (* certified before run k starts: no simulation aborted *)
-      cut_partial t ~key p ~bound ~plb:((p.psum +. suffix.(k - 1)) /. runs_f) ~wall
+      cut_partial t ~key p ~plb:((p.psum +. suffix.(k - 1)) /. runs_f) ~wall
     else
       let cutoff = (threshold -. p.psum -. suffix.(k)) *. iters in
       let st = quiet_run t ~cutoff ~seed:(p.pbase + k) mapping in
@@ -292,7 +277,7 @@ let run_protocol t ~key mapping p ~bound ~suffix =
       else if st = Exec.st_cut then begin
         let tcut = Exec.quiet_cut_time (scratch t) in
         t.cut_sims <- t.cut_sims + 1;
-        cut_partial t ~key p ~bound
+        cut_partial t ~key p
           ~plb:((p.psum +. (tcut /. iters) +. suffix.(k)) /. runs_f)
           ~wall:(wall +. tcut)
       end
@@ -317,28 +302,27 @@ let run_protocol t ~key mapping p ~bound ~suffix =
 let certify t ~key mapping ~bound =
   let invalid () =
     t.invalid <- t.invalid + 1;
-    t.penalty
+    infinity
   in
   if not (Mapping.is_valid t.graph t.machine mapping) then invalid ()
   else
     match
       if bound = infinity then
-        Result.map (fun _ -> 0.0) (Exec.bind (scratch t) ~fallback:t.fallback mapping)
+        Result.map (fun _ -> 0.0) (Exec.bind (scratch t) ~fallback:false mapping)
       else
-        Exec.static_lower_bound ~fallback:t.fallback ?iterations:t.iterations (scratch t)
-          mapping
+        Exec.static_lower_bound ?iterations:t.iterations (scratch t) mapping
     with
     | Error (Placement.Invalid_mapping _) -> invalid ()
     | Error (Placement.Out_of_memory _) ->
         t.oom <- t.oom + 1;
-        t.virtual_time <- t.virtual_time +. t.eval_overhead;
-        t.penalty
+        t.virtual_time <- t.virtual_time +. eval_overhead;
+        infinity
     | Ok s_makespan ->
         let p = { pbase = t.crn_base; pdone = []; psum = 0.0; pnext = 1; plb = 0.0 } in
         let runs_f = float_of_int t.runs and iters = effective_iterations t in
         let threshold = threshold t bound and s = s_makespan /. iters in
         if bound = infinity then run_protocol t ~key mapping p ~bound ~suffix:t.zero_suffix
-        else if s *. runs_f >= threshold then cut_partial t ~key p ~bound ~plb:s ~wall:0.0
+        else if s *. runs_f >= threshold then cut_partial t ~key p ~plb:s ~wall:0.0
         else begin
           (* suffix.(j) holds run j+1's floor until the last pass sums them *)
           let suffix = Array.make (t.runs + 1) 0.0 in
@@ -352,14 +336,14 @@ let certify t ~key mapping ~bound =
             else begin
               (match
                  Exec.run_lower_bound ~noise_sigma:t.noise_sigma ~seed:(p.pbase + j + 1)
-                   ~fallback:t.fallback ?iterations:t.iterations (scratch t) mapping
+                   ?iterations:t.iterations (scratch t) mapping
                with
               | Ok l -> suffix.(j) <- l /. iters
               | Error _ -> assert false (* the static floor placed it *));
               let lbsum = lbsum +. suffix.(j) in
               let floor = lbsum +. (float_of_int (t.runs - j - 1) *. s) in
               if floor >= threshold then
-                cut_partial t ~key p ~bound ~plb:(floor /. runs_f) ~wall:0.0
+                cut_partial t ~key p ~plb:(floor /. runs_f) ~wall:0.0
               else floors (j + 1) lbsum
             end
           in
@@ -391,7 +375,7 @@ let eval_keyed ?bound t key mapping =
       | Some p when p.plb >= bound *. prune_slack ->
           (* still provably no better than the incumbent *)
           t.cut_evals <- t.cut_evals + 1;
-          Float.max t.penalty bound
+          infinity
       | Some p ->
           (* The incumbent worsened below this candidate's proven lower
              bound: finish the protocol with its original seeds,
@@ -402,40 +386,6 @@ let eval_keyed ?bound t key mapping =
           run_protocol t ~key mapping p ~bound ~suffix:t.zero_suffix)
 
 let evaluate ?bound t mapping = eval_keyed ?bound t (Mapping.canonical_key mapping) mapping
-
-(* ---- batch evaluation --------------------------------------------------- *)
-
-type outcome = Evaluated of float | Skipped
-
-(* Evaluate a batch of candidates against one fixed bound.  The
-   Engine's Propose_batch contract is first-improvement — the
-   sequential caller stops at the first candidate whose value beats the
-   bound, in original index order.  Index order is therefore the unique
-   sim-optimal evaluation order (a candidate evaluated out of turn past
-   the eventual improver is work the sequential protocol never
-   performs), so the batch runs the exact sequential loop — evaluate,
-   charge, note — with an early exit and no allocation beyond the
-   outcome array.  Every counter, clock value, db entry, best and trace
-   line is bit-identical to that loop. *)
-let eval_batch_keyed ~bound t key cands =
-  t.batch_calls <- t.batch_calls + 1;
-  let n = Array.length cands in
-  let outcomes = Array.make n Skipped in
-  let rec go i =
-    if i < n then begin
-      let v = eval_keyed ~bound t (key i) cands.(i) in
-      outcomes.(i) <- Evaluated v;
-      if v < bound then begin
-        if i < n - 1 then t.batch_short_circuits <- t.batch_short_circuits + 1
-      end
-      else go (i + 1)
-    end
-  in
-  go 0;
-  outcomes
-
-let evaluate_batch ~bound t cands =
-  eval_batch_keyed ~bound t (fun i -> Mapping.canonical_key cands.(i)) cands
 
 let note_suggestion_overhead t dt =
   if dt < 0.0 then invalid_arg "Evaluator.note_suggestion_overhead: negative";
@@ -465,8 +415,6 @@ let cut_sims t = t.cut_sims
 let noop_skips t = t.noop_skips
 let dead_coord_skips t = t.dead_coord_skips
 let symmetry_skips t = t.symmetry_skips
-let batch_calls t = t.batch_calls
-let batch_short_circuits t = t.batch_short_circuits
 let eval_time t = t.eval_time
 
 let stats t =
@@ -483,8 +431,6 @@ let stats t =
     s_noop_skips = t.noop_skips;
     s_dead_coord_skips = t.dead_coord_skips;
     s_symmetry_skips = t.symmetry_skips;
-    s_batch_calls = t.batch_calls;
-    s_batch_short_circuits = t.batch_short_circuits;
     s_delta_binds = t.retired_delta_binds + held Exec.delta_binds;
     s_full_binds = t.retired_full_binds + held Exec.full_binds;
     s_bind_hits = t.retired_bind_hits + held Exec.bind_cache_hits;
@@ -504,9 +450,7 @@ let stats t =
    floats ([%h]) makes restore bit-exact.  The profiles database is
    saved separately ({!Profiles_db.save}) by the checkpoint envelope;
    Exec's per-seed noise streams and bind cache are pure performance
-   state and are rebuilt on demand after a restore.
-   Batch counters are bench telemetry, not decision state, and are
-   deliberately not persisted (the format predates them). *)
+   state and are rebuilt on demand after a restore. *)
 
 let fingerprint t =
   (* [symmetry] changes what Space.random_mapping returns and which
@@ -516,11 +460,14 @@ let fingerprint t =
      records — they must match between the checkpointing and the
      resuming evaluator.  [pr] is [not reference] (it once named the
      prune flag), so default evaluators keep their historical
-     fingerprint and older checkpoints still resume. *)
+     fingerprint and older checkpoints still resume.  The fallback
+     flag [f], the penalty [p] and the overhead [o] are constants now,
+     written as before so that existing checkpoints and serve state
+     directories still resume. *)
   Printf.sprintf "%s|%s|r%d|n%h|f%b|i%s|p%h|o%h|pr%b|c%d|sy%b|do%b"
-    t.machine.Machine.name t.graph.Graph.gname t.runs t.noise_sigma t.fallback
+    t.machine.Machine.name t.graph.Graph.gname t.runs t.noise_sigma false
     (match t.iterations with None -> "-" | Some i -> string_of_int i)
-    t.penalty t.eval_overhead (not t.reference) t.crn_base t.symmetry t.dominance
+    infinity eval_overhead (not t.reference) t.crn_base t.symmetry t.dominance
 
 let save_state t =
   let fl = Printf.sprintf "%h" in
@@ -620,9 +567,10 @@ let restore_state t lines =
                 | _ -> failwith "Evaluator.restore_state: bad trace line")
             | [] -> failwith "Evaluator.restore_state: truncated trace"
         in
-        let trace_rev, rest = read_trace n_trace [] rest in
-        (* lines were emitted newest-first; [read_trace] reversed them *)
-        t.trace <- List.rev trace_rev;
+        (* lines were emitted newest-first, as [t.trace] holds them, and
+           [read_trace] keeps their order *)
+        let trace, rest = read_trace n_trace [] rest in
+        t.trace <- trace;
         let n_partials, rest = take_count "partials" rest in
         Hashtbl.reset t.partials;
         let rec read_partials n rest =
@@ -681,7 +629,7 @@ let measure_with t ?runs ?iterations ~objective mappings =
   let binds =
     Array.mapi
       (fun i m ->
-        match Exec.bind own ~fallback:t.fallback m with
+        match Exec.bind own ~fallback:false m with
         | Ok b -> if i < last then Exec.freeze b else b
         | Error e -> failwith ("Evaluator.measure: " ^ Placement.error_to_string e))
       maps
@@ -725,7 +673,7 @@ let profile_for t mapping =
   | _ ->
       let p =
         match
-          Exec.simulate ~noise_sigma:0.0 ~fallback:t.fallback ?iterations:t.iterations
+          Exec.simulate ~noise_sigma:0.0 ?iterations:t.iterations
             (scratch t) mapping
         with
         | Ok r ->

@@ -19,9 +19,9 @@
     - the best-so-far trace [(virtual time, best perf)].
 
     Invalid mappings (§4.2 constraint (1) violations, as a
-    constraint-unaware tuner produces) are answered with [penalty]
+    constraint-unaware tuner produces) are answered with [infinity]
     without executing.  OOM mappings cost one aborted run and are
-    answered with [penalty] (the search "detects an out-of-memory
+    answered with [infinity] (the search "detects an out-of-memory
     error and moves on", §5.2).
 
     {!create} compiles the simulation problem once ({!Exec.compile})
@@ -42,11 +42,8 @@ type t
 val create :
   ?runs:int ->
   ?noise_sigma:float ->
-  ?fallback:bool ->
   ?iterations:int ->
-  ?penalty:float ->
   ?seed:int ->
-  ?eval_overhead:float ->
   ?objective:(Machine.t -> Exec.result -> float) ->
   ?extended:bool ->
   ?reference:bool ->
@@ -58,11 +55,10 @@ val create :
   Machine.t ->
   Graph.t ->
   t
-(** Defaults: [runs] = 7, [noise_sigma] = 0.03, [fallback] = false,
-    [penalty] = infinity, [seed] = 0, [eval_overhead] = 0.2 ms of
-    virtual time per executed evaluation (relaunch cost, scaled to the
-    simulator's compressed time base so the §5.3 useful-time fractions
-    keep their relative magnitudes).
+(** Defaults: [runs] = 7, [noise_sigma] = 0.03, [seed] = 0.  Every
+    executed evaluation charges 0.2 ms of virtual time on top of its
+    runs (relaunch cost, scaled to the simulator's compressed time base
+    so the §5.3 useful-time fractions keep their relative magnitudes).
     [iterations] overrides the graph's iteration count during search
     evaluations (searches often run a truncated workload).
     [objective] maps a simulated run to the scalar the search
@@ -88,9 +84,7 @@ val create :
     seen-set uses {!Space.canonicalize} to skip symmetric duplicates,
     counted by {!symmetry_skips}).  [dominance] (default false)
     additionally prunes dominated values from the space's choice lists
-    ({!Analysis.compute_dominance}); it requires [domain_prune] and is
-    ignored under [fallback], whose demotions invalidate the
-    certificates.  Both flags are part of {!fingerprint}: unlike the
+    ({!Analysis.compute_dominance}); it requires [domain_prune].  Both flags are part of {!fingerprint}: unlike the
     surrogate, they change the decision stream, so a resume must use
     the same settings as the checkpointing run.
 
@@ -126,7 +120,7 @@ val attach_scratch : t -> Exec.scratch -> unit
     scratch caches. *)
 
 val evaluate : ?bound:float -> t -> Mapping.t -> float
-(** Average objective value of the mapping (cached), or [penalty]
+(** Average objective value of the mapping (cached), or [infinity]
     for invalid/OOM mappings.
 
     A candidate the database does not hold runs the §5 protocol in one
@@ -145,7 +139,7 @@ val evaluate : ?bound:float -> t -> Mapping.t -> float
     [k] from below ({!Exec.run_lower_bound}; zero when a cut candidate
     resumes): run times are nonnegative, so once the partial sum alone
     pushes the final mean to [bound] the remaining runs are aborted
-    and [max penalty bound] — a certified loser value — is returned.
+    and [infinity] — a certified loser value — is returned.
     The same floors can certify a fresh candidate before its first run.
     This is *decision-exact*: the
     accept/reject sequence, the RNG stream (the per-candidate seed
@@ -163,7 +157,7 @@ val evaluate : ?bound:float -> t -> Mapping.t -> float
     The virtual clock is charged as runs happen: a cut candidate costs
     the simulated wall of the runs it ran (an aborted run up to its
     cut), and a completed protocol the walls of the runs its last call
-    ran, summed in run order, plus [eval_overhead].  A candidate cut
+    ran, summed in run order, plus the 0.2 ms overhead.  A candidate cut
     before its first run and later resumed is charged exactly what it
     would have cost fresh. *)
 
@@ -171,48 +165,6 @@ val eval_keyed : ?bound:float -> t -> string -> Mapping.t -> float
 (** [eval_keyed ?bound t key m] is [evaluate ?bound t m] for a caller
     that already built [key = Mapping.canonical_key m] (the engine's
     seen-set does), so a proposal's key is built once. *)
-
-type outcome =
-  | Evaluated of float  (** the value {!evaluate} would have returned *)
-  | Skipped
-      (** short-circuited: an earlier-index candidate beat the bound,
-          so a sequential caller stopping at its first acceptance would
-          never have evaluated this one *)
-
-val evaluate_batch : bound:float -> t -> Mapping.t array -> outcome array
-(** Evaluate a set of candidates against one fixed [bound], equivalent
-    to the sequential first-improvement loop
-
-    {[for i = 0 to n-1 do
-        let v = evaluate ~bound t cands.(i) in
-        if v < bound then stop
-      done]}
-
-    — every outcome, counter, clock value, db entry, partial, best and
-    trace line is bit-identical to that loop, which is the contract
-    {!Search} strategies rely on when they hand the engine whole
-    neighbour sets.  Candidates after the first one strictly beating
-    [bound] are [Skipped].  Batching is only decision-identical for
-    callers whose acceptance test is exactly [value < bound]
-    (first-improvement descent; see {!Search.Engine}).
-
-    Original index order is the {e unique} sim-optimal evaluation
-    order — any candidate evaluated out of turn past the eventual
-    improver is work the sequential protocol never performs — so the
-    batch runs the sequential loop literally, with an early exit and no
-    allocation beyond the outcome array. *)
-
-val eval_batch_keyed :
-  bound:float -> t -> (int -> string) -> Mapping.t array -> outcome array
-(** {!evaluate_batch} where [key i] returns the already built
-    [Mapping.canonical_key cands.(i)], as {!eval_keyed}. *)
-
-val batch_calls : t -> int
-(** Number of {!evaluate_batch} and {!eval_batch_keyed} invocations. *)
-
-val batch_short_circuits : t -> int
-(** Batches in which at least one candidate was skipped because an
-    earlier-index candidate beat the bound. *)
 
 val note_suggestion_overhead : t -> float -> unit
 (** Charge extra virtual time attributed to the search algorithm
@@ -296,8 +248,6 @@ type stats = {
   s_noop_skips : int;
   s_dead_coord_skips : int;
   s_symmetry_skips : int;        (** {!symmetry_skips} *)
-  s_batch_calls : int;           (** {!batch_calls} *)
-  s_batch_short_circuits : int;  (** {!batch_short_circuits} *)
   s_delta_binds : int;
       (** {!Exec.delta_binds} summed over every scratch the evaluator
           ran on: its own and those detached between slices.  A
@@ -327,13 +277,16 @@ val eval_time : t -> float
 
 val fingerprint : t -> string
 (** One-line digest of the decision-relevant configuration (machine,
-    graph, runs, noise, fallback, iterations, penalty, overhead,
-    reference mode, CRN seed base, symmetry, dominance).  A checkpoint
+    graph, runs, noise, iterations, reference mode, CRN seed base,
+    symmetry, dominance).  A checkpoint
     written by one evaluator may only be restored into an evaluator
     with an equal fingerprint — anything else would silently change the
     decision sequence.  Reference mode appears as its historical
     [pr<not reference>] field, so a default evaluator's fingerprint is
-    unchanged from releases that had a separate prune flag.  Domain
+    unchanged from releases that had a separate prune flag; the
+    fallback, penalty and overhead fields of releases that let them
+    vary keep their constant values, so their checkpoints still
+    resume.  Domain
     pruning is deliberately excluded: it is proven decision-neutral. *)
 
 val save_state : t -> string list

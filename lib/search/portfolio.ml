@@ -153,7 +153,7 @@ let strategy_of st =
 
 let make ?(members = default_members) ?(budget = infinity) ?(seed = 0)
     ?(batch = false) ?(min_batch = 1) ?surrogate ev =
-  if members = [] then invalid_arg "Portfolio.search: no members";
+  if members = [] then invalid_arg "Portfolio.make: no members";
   let share =
     if Float.is_finite budget then budget /. float_of_int (List.length members)
     else infinity
@@ -240,13 +240,3 @@ let decode ?(batch = false) ?(min_batch = 1) ?surrogate ev lines =
       in
       Ok (strategy_of st))
   | _ -> fail "truncated"
-
-let search ?(members = default_members) ?(budget = infinity) ?(seed = 0) ev =
-  let g = Evaluator.graph ev in
-  let machine = Evaluator.machine ev in
-  let strat = make ~members ~budget ~seed ev in
-  let start0 = Mapping.default_start g machine in
-  (* the per-member deadlines are the strategy's own; the engine budget
-     stays open so an infinite share lets every member run to completion *)
-  let o = Engine.run ~start:start0 ev strat in
-  (o.Engine.best, o.Engine.perf)

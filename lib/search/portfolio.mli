@@ -53,12 +53,3 @@ val decode :
 (** Rebuild a checkpointed portfolio, including the active member's own
     nested strategy state; [batch]/[min_batch]/[surrogate] apply to
     the restored CD/CCD members exactly as in {!make}. *)
-
-val search :
-  ?members:member list ->
-  ?budget:float ->
-  ?seed:int ->
-  Evaluator.t ->
-  Mapping.t * float
-(** Returns the best mapping any member found.  With an infinite
-    budget each member simply runs to its own completion. *)

@@ -26,7 +26,9 @@ let strategy_of st =
         [ Printf.sprintf "random %d %d %Ld" st.max_evals st.evals (Rng.state st.rng) ]);
   }
 
-let make ?(seed = 7) ?(max_evals = 1000) ev =
+let default_max_evals = 1000
+
+let make ?(seed = 7) ?(max_evals = default_max_evals) ev =
   strategy_of { ev; max_evals; rng = Rng.create seed; evals = 0; bound = infinity }
 
 let decode ev lines =
@@ -44,12 +46,3 @@ let decode ev lines =
           | _ -> Error "Random_search.decode: bad fields")
       | _ -> Error "Random_search.decode: bad line")
   | _ -> Error "Random_search.decode: expected 1 line"
-
-let search ?(seed = 7) ?(max_evals = 1000) ?start ?(budget = infinity) ev =
-  let g = Evaluator.graph ev in
-  let machine = Evaluator.machine ev in
-  let f0 = match start with Some f -> f | None -> Mapping.default_start g machine in
-  let o =
-    Engine.run ~budget:(Budget.of_virtual budget) ~start:f0 ev (make ~seed ~max_evals ev)
-  in
-  (o.Engine.best, o.Engine.perf)

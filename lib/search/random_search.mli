@@ -3,18 +3,13 @@
     natural lower bar: it shares AutoMap's constraint knowledge yet
     makes no coordinated or local moves). *)
 
+val default_max_evals : int
+(** 1000: the evaluation cap of {!make} and of the CLI/wire name
+    ["random"]. *)
+
 val make : ?seed:int -> ?max_evals:int -> Evaluator.t -> Engine.strategy
-(** Random search as an engine strategy (name ["random"]); each
-    proposal is bounded by the engine's best-so-far. *)
+(** Random search as an engine strategy (name ["random"]): samples
+    valid mappings uniformly until [max_evals] proposals, each bounded
+    by the engine's best-so-far. *)
 
 val decode : Evaluator.t -> string list -> (Engine.strategy, string) result
-
-val search :
-  ?seed:int ->
-  ?max_evals:int ->
-  ?start:Mapping.t ->
-  ?budget:float ->
-  Evaluator.t ->
-  Mapping.t * float
-(** Samples valid mappings uniformly until [max_evals] (default 1000)
-    or the virtual-time [budget] runs out. *)

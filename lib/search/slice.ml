@@ -91,7 +91,7 @@ type live_status = Done of finished | Suspended of live
    that stops exactly on the cap is indistinguishable from a truncated
    one; it costs one extra no-op slice that stops immediately,
    evaluating nothing. *)
-let run_slice ?on_event ~slice_trials (s : Driver.session) =
+let run_slice ~slice_trials (s : Driver.session) =
   let done_trials, wall =
     match s.carry with Some c -> (c.Engine.c_trials, c.Engine.c_wall) | None -> (0, 0.0)
   in
@@ -100,7 +100,7 @@ let run_slice ?on_event ~slice_trials (s : Driver.session) =
     match s.cfg.max_trials with Some m -> min m c | None -> c
   in
   let t0 = Unix.gettimeofday () in
-  let o = Driver.search ?on_event ~max_trials:cap s in
+  let o = Driver.search ~max_trials:cap s in
   let finished =
     o.Engine.trials < cap
     || Budget.exhausted
@@ -133,21 +133,21 @@ let envelope (s : live) =
     ~trials:c.Engine.c_trials ~steps:c.Engine.c_steps ~wall:c.Engine.c_wall
     ~best:c.Engine.c_best
 
-let start_live ?scratch ?warm_start ?on_event ~slice_trials cfg machine graph =
+let start_live ?scratch ?warm_start ~slice_trials cfg machine graph =
   (* a fresh session restores nothing, so it cannot fail *)
   let s = Result.get_ok (Driver.session ?scratch ?start:warm_start cfg machine graph) in
-  (run_slice ?on_event ~slice_trials s, s.ev)
+  (run_slice ~slice_trials s, s.ev)
 
-let resume_live ?scratch ?on_event ~slice_trials cfg machine graph ~ckpt =
+let resume_live ?scratch ~slice_trials cfg machine graph ~ckpt =
   let ( let* ) = Result.bind in
   let* snapshot = Engine.snapshot_of_string ckpt in
   match Driver.session ?scratch ~snapshot cfg machine graph with
-  | Ok s -> Ok (run_slice ?on_event ~slice_trials s, s.ev)
+  | Ok s -> Ok (run_slice ~slice_trials s, s.ev)
   | Error e -> Error ("Slice.resume: " ^ e)
 
-let continue ?on_event ~scratch ~slice_trials (s : live) =
+let continue ~scratch ~slice_trials (s : live) =
   Evaluator.attach_scratch s.ev scratch;
-  (run_slice ?on_event ~slice_trials s, s.ev)
+  (run_slice ~slice_trials s, s.ev)
 
 let to_status (st, ev) =
   match st with
@@ -155,8 +155,8 @@ let to_status (st, ev) =
   | Suspended s ->
       (Paused { ckpt = envelope s; p_trials = live_trials s; p_best_perf = live_best_perf s }, ev)
 
-let start ?scratch ?warm_start ?on_event ~slice_trials cfg machine graph =
-  to_status (start_live ?scratch ?warm_start ?on_event ~slice_trials cfg machine graph)
+let start ?warm_start ~slice_trials cfg machine graph =
+  to_status (start_live ?warm_start ~slice_trials cfg machine graph)
 
-let resume ?scratch ?on_event ~slice_trials cfg machine graph ~ckpt =
-  Result.map to_status (resume_live ?scratch ?on_event ~slice_trials cfg machine graph ~ckpt)
+let resume ~slice_trials cfg machine graph ~ckpt =
+  Result.map to_status (resume_live ~slice_trials cfg machine graph ~ckpt)

@@ -83,17 +83,16 @@ type live_status = Done of finished | Suspended of live
 val start_live :
   ?scratch:Exec.scratch ->
   ?warm_start:Mapping.t ->
-  ?on_event:(Engine.event -> unit) ->
   slice_trials:int ->
   cfg ->
   Machine.t ->
   Graph.t ->
   live_status * Evaluator.t
-(** {!start}, pausing live. *)
+(** {!start}, pausing live, over [scratch]'s compiled problem when
+    given (the compile-cache path). *)
 
 val resume_live :
   ?scratch:Exec.scratch ->
-  ?on_event:(Engine.event -> unit) ->
   slice_trials:int ->
   cfg ->
   Machine.t ->
@@ -104,7 +103,6 @@ val resume_live :
     directory takes its jobs back. *)
 
 val continue :
-  ?on_event:(Engine.event -> unit) ->
   scratch:Exec.scratch ->
   slice_trials:int ->
   live ->
@@ -127,26 +125,21 @@ val live_best_perf : live -> float
 (** {2 The envelope path} *)
 
 val start :
-  ?scratch:Exec.scratch ->
   ?warm_start:Mapping.t ->
-  ?on_event:(Engine.event -> unit) ->
   slice_trials:int ->
   cfg ->
   Machine.t ->
   Graph.t ->
   status * Evaluator.t
-(** First slice: build the {!Driver.session} (over [scratch]'s compiled
-    problem when given — the compile-cache path — with an empty
-    profiles database) and run at most [slice_trials] trials.  [warm_start] seeds the search from a
-    memoized incumbent instead of the default/HEFT start;
-    warm-started searches explore a different — typically shorter —
-    trajectory, which is exactly their point.  The returned evaluator
+(** First slice: build the {!Driver.session} (with an empty profiles
+    database) and run at most [slice_trials] trials.  [warm_start]
+    seeds the search from a memoized incumbent instead of the
+    default/HEFT start; warm-started searches explore a different —
+    typically shorter — trajectory, which is exactly their point.  The returned evaluator
     carries the slice's stats and profiles database; after a pause it
     holds no scratch. *)
 
 val resume :
-  ?scratch:Exec.scratch ->
-  ?on_event:(Engine.event -> unit) ->
   slice_trials:int ->
   cfg ->
   Machine.t ->

@@ -1546,7 +1546,7 @@ let run ?noise_sigma ?seed ?fallback ?iterations ?trace machine g mapping =
     (scratch (compile machine g))
     mapping
 
-let profile ?iterations machine g mapping =
-  match run ~noise_sigma:0.0 ?iterations machine g mapping with
+let profile machine g mapping =
+  match run ~noise_sigma:0.0 machine g mapping with
   | Ok r -> Array.to_list (Array.mapi (fun tid t -> (tid, t)) r.task_times)
   | Error e -> failwith ("Exec.profile: " ^ Placement.error_to_string e)

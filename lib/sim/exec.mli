@@ -325,8 +325,7 @@ val run :
     Compatibility wrapper: compiles and simulates once.  Hot callers
     should {!compile} once and reuse a {!scratch}. *)
 
-val profile :
-  ?iterations:int -> Machine.t -> Graph.t -> Mapping.t -> (int * float) list
+val profile : Machine.t -> Graph.t -> Mapping.t -> (int * float) list
 (** Noise-free per-task times under a mapping — the profiling run of
     §3.3 that seeds the search's task ordering.  Raises [Failure] if
     the mapping cannot be placed. *)

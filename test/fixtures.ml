@@ -124,22 +124,48 @@ let remove_dir d =
 
 (* For a measurement's objective, which runs on whichever domain ran
    the run: [note_domain w] records that the calling domain (the one
-   that made [w]) or another one has arrived, and waits (about two
-   seconds at most) until both have.  A spawned domain can take a while
-   to start, or share its parent's CPU and run every chunk before the
-   parent takes one; without the wait, either domain could run them
-   all.  Allocates nothing. *)
-type worker_wait = { main : int; main_in : bool Atomic.t; other_in : bool Atomic.t }
+   that made [w]) or another one has arrived, and the first call waits
+   (about two seconds at most) until both have; later calls return at
+   once.  A spawned domain can take a while to start, or share its
+   parent's CPU and run every chunk before the parent takes one;
+   without the wait, either domain could run them all.  A measurement
+   that never leaves the calling domain waits once, not once a run.
+   Allocates nothing. *)
+type worker_wait = {
+  main : int;
+  main_in : bool Atomic.t;
+  other_in : bool Atomic.t;
+  waited : bool Atomic.t;
+}
 
 let worker_wait () =
-  { main = (Domain.self () :> int); main_in = Atomic.make false; other_in = Atomic.make false }
+  {
+    main = (Domain.self () :> int);
+    main_in = Atomic.make false;
+    other_in = Atomic.make false;
+    waited = Atomic.make false;
+  }
 
 let note_domain w =
   let main = (Domain.self () :> int) = w.main in
   Atomic.set (if main then w.main_in else w.other_in) true;
-  let theirs = if main then w.other_in else w.main_in in
-  let spins = ref 0 in
-  while (not (Atomic.get theirs)) && !spins < 1 lsl 26 do
-    Domain.cpu_relax ();
-    incr spins
-  done
+  if not (Atomic.exchange w.waited true) then begin
+    let theirs = if main then w.other_in else w.main_in in
+    let spins = ref 0 in
+    while (not (Atomic.get theirs)) && !spins < 1 lsl 26 do
+      Domain.cpu_relax ();
+      incr spins
+    done
+  end
+
+(* A search from [start] (default: the §4.1 starting point) under an
+   optional virtual-time budget, run by the engine: the best mapping
+   and its search perf. *)
+let search ?budget ?start ev strat =
+  let start =
+    match start with
+    | Some m -> m
+    | None -> Mapping.default_start (Evaluator.graph ev) (Evaluator.machine ev)
+  in
+  let o = Engine.run ~budget:(Budget.make ?max_virtual:budget ()) ~start ev strat in
+  (o.Engine.best, o.Engine.perf)

@@ -231,7 +231,7 @@ let test_pruned_search_no_worse () =
         let ev =
           Evaluator.create ~runs:1 ~noise_sigma:0.0 ~seed:0 ~domain_prune machine g
         in
-        let _, perf = Ccd.search ~rotations:2 ev in
+        let _, perf = Fixtures.search ev (Ccd.make ~rotations:2 ev) in
         (perf, Evaluator.stats ev)
       in
       let p_on, st_on = run true in

@@ -13,7 +13,7 @@ let test_figure5_counts () =
   check "HTR" (Htr.graph ~nodes:1 ~input:"8x8y9z") 28 72;
   (* 6 HF tasks with 14 args + the 13 LF tasks with 30 collection
      arguments of Figure 5 *)
-  check "Maestro" (Maestro.graph ~nodes:1 ~n_lf:4 ~resolution:16 ()) (6 + 13) (14 + 30)
+  check "Maestro" (Maestro.graph ~nodes:1 ~n_lf:4 ~resolution:16) (6 + 13) (14 + 30)
 
 let test_all_graphs_run_under_default () =
   List.iter
@@ -106,7 +106,7 @@ let test_pennant_bytes_per_zone () =
 let test_maestro_hf_fills_fb () =
   (* the HF-alone graph's FB residency should be ~hf_frac of capacity *)
   let machine = Presets.lassen ~nodes:1 in
-  let g = Maestro.graph ~nodes:1 ~n_lf:0 ~resolution:16 () in
+  let g = Maestro.graph ~nodes:1 ~n_lf:0 ~resolution:16 in
   let m = Mapping.default_start g machine in
   match Placement.resolve machine g m with
   | Ok p ->
@@ -130,7 +130,7 @@ let test_maestro_lf_in_fb_ooms () =
   (* mapping LF collections to FB on top of the HF data must exceed
      capacity: the scenario that forces the §5.1 trade-off *)
   let machine = Presets.lassen ~nodes:1 in
-  let g = Maestro.graph ~nodes:1 ~n_lf:64 ~resolution:32 () in
+  let g = Maestro.graph ~nodes:1 ~n_lf:64 ~resolution:32 in
   let base = Mapping.default_start g machine in
   match Placement.resolve machine g base with
   | Error (Placement.Out_of_memory _) -> ()
@@ -139,7 +139,7 @@ let test_maestro_lf_in_fb_ooms () =
 
 let test_maestro_strategies_run () =
   let machine = Presets.lassen ~nodes:1 in
-  let g = Maestro.graph ~nodes:1 ~n_lf:8 ~resolution:16 () in
+  let g = Maestro.graph ~nodes:1 ~n_lf:8 ~resolution:16 in
   List.iter
     (fun (name, strat) ->
       match Exec.run ~noise_sigma:0.0 machine g (strat g machine) with
@@ -151,7 +151,7 @@ let test_maestro_degradation_monotone () =
   (* more LF samples cannot make the ensemble finish earlier *)
   let machine = Presets.lassen ~nodes:1 in
   let time n_lf =
-    let g = Maestro.graph ~nodes:1 ~n_lf ~resolution:16 () in
+    let g = Maestro.graph ~nodes:1 ~n_lf ~resolution:16 in
     match Exec.run ~noise_sigma:0.0 machine g (Maestro.lf_gpu_zc g machine) with
     | Ok r -> r.Exec.per_iteration
     | Error e -> Alcotest.fail (Placement.error_to_string e)

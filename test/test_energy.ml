@@ -77,7 +77,7 @@ let test_energy_objective_in_search () =
   let machine = Fixtures.default_machine () in
   let objective m r = Energy.joules_per_iteration m Energy.default_power r in
   let ev = Evaluator.create ~runs:2 ~noise_sigma:0.0 ~seed:0 ~objective machine g in
-  let best, j = Ccd.search ev in
+  let best, j = Fixtures.search ev (Ccd.make ev) in
   Alcotest.(check bool) "valid" true (Mapping.is_valid g machine best);
   Alcotest.(check bool) "finite joules" true (Float.is_finite j && j > 0.0);
   (* the search never does worse than the default under its objective *)

@@ -58,40 +58,40 @@ let equiv_case name legacy modern () =
   check_equiv name (legacy ev1) ev1 (modern ev2) ev2
 
 let test_equiv_cd =
-  equiv_case "cd" (fun ev -> Legacy_ref.cd_search ev) (fun ev -> Cd.search ev)
+  equiv_case "cd" (fun ev -> Legacy_ref.cd_search ev) (fun ev -> Fixtures.search ev (Cd.make ev))
 
 let test_equiv_ccd =
   equiv_case "ccd"
     (fun ev -> Legacy_ref.ccd_search ~rotations:5 ev)
-    (fun ev -> Ccd.search ~rotations:5 ev)
+    (fun ev -> Fixtures.search ev (Ccd.make ~rotations:5 ev))
 
 let test_equiv_ccd_budget =
   (* truncation: the engine's per-step budget check must cut the search
      at exactly the same decision as the legacy interleaved should_stop *)
   equiv_case "ccd budget"
     (fun ev -> Legacy_ref.ccd_search ~rotations:3 ~budget:0.005 ev)
-    (fun ev -> Ccd.search ~rotations:3 ~budget:0.005 ev)
+    (fun ev -> Fixtures.search ~budget:0.005 ev (Ccd.make ~rotations:3 ev))
 
 let test_equiv_annealing =
   equiv_case "annealing"
     (fun ev -> Legacy_ref.annealing_search ~seed:11 ~max_evals:300 ev)
-    (fun ev -> Annealing.search ~seed:11 ~max_evals:300 ev)
+    (fun ev -> Fixtures.search ev (Annealing.make ~seed:11 ~max_evals:300 ev))
 
 let test_equiv_random =
   equiv_case "random"
     (fun ev -> Legacy_ref.random_search ~seed:7 ~max_evals:300 ev)
-    (fun ev -> Random_search.search ~seed:7 ~max_evals:300 ev)
+    (fun ev -> Fixtures.search ev (Random_search.make ~seed:7 ~max_evals:300 ev))
 
 let test_equiv_ensemble =
   let config = { Ensemble.default_config with max_suggestions = 200; seed = 5 } in
   equiv_case "ensemble"
     (fun ev -> Legacy_ref.ensemble_search ~config ev)
-    (fun ev -> Ensemble.search ~config ev)
+    (fun ev -> Fixtures.search ev (Ensemble.make ~config ev))
 
 let test_equiv_portfolio =
   equiv_case "portfolio"
     (fun ev -> Legacy_ref.portfolio_search ~budget:0.05 ~seed:3 ev)
-    (fun ev -> Portfolio.search ~budget:0.05 ~seed:3 ev)
+    (fun ev -> Fixtures.search ev (Portfolio.make ~budget:0.05 ~seed:3 ev))
 
 let test_equiv_ccd_app () =
   (* same contract on a real application *)
@@ -101,7 +101,7 @@ let test_equiv_ccd_app () =
   check_equiv "ccd stencil"
     (Legacy_ref.ccd_search ~rotations:5 ev1)
     ev1
-    (Ccd.search ~rotations:5 ev2)
+    (Fixtures.search ev2 (Ccd.make ~rotations:5 ev2))
     ev2
 
 (* ---- budget semantics ---------------------------------------------- *)

@@ -102,13 +102,13 @@ let test_space_extended_dims () =
 let test_extended_search_explores_strategy () =
   let g, _, _ = Fixtures.shared_halo () in
   let ev = Evaluator.create ~runs:2 ~noise_sigma:0.0 ~seed:1 ~extended:true (machine ()) g in
-  let best, p = Ccd.search ev in
+  let best, p = Fixtures.search ev (Ccd.make ev) in
   Alcotest.(check bool) "valid" true (Mapping.is_valid g (machine ()) best);
   Alcotest.(check bool) "finite" true (Float.is_finite p);
   (* the extended space includes the plain one, so it can't do worse
      (noise-free, same start) *)
   let ev_plain = Evaluator.create ~runs:2 ~noise_sigma:0.0 ~seed:1 (machine ()) g in
-  let _, p_plain = Ccd.search ev_plain in
+  let _, p_plain = Fixtures.search ev_plain (Ccd.make ev_plain) in
   Alcotest.(check bool)
     (Printf.sprintf "extended %.4g <= plain %.4g" p p_plain)
     true

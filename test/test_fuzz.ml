@@ -59,7 +59,7 @@ let fuzz_ccd_valid_and_no_worse =
       let machine = Lazy.force machine in
       let ev = Evaluator.create ~runs:1 ~noise_sigma:0.0 ~seed:0 machine g in
       let p0 = Evaluator.evaluate ev (Mapping.default_start g machine) in
-      let best, p = Ccd.search ~rotations:3 ev in
+      let best, p = Fixtures.search ev (Ccd.make ~rotations:3 ev) in
       Mapping.is_valid g machine best && p <= p0 +. 1e-12)
 
 let fuzz_colocation_fixed_point =

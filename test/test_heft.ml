@@ -59,7 +59,7 @@ let test_ccd_at_least_as_good () =
     | Error _ -> infinity
   in
   let ev = Evaluator.create ~runs:1 ~noise_sigma:0.0 ~seed:0 machine g in
-  let best, _ = Ccd.search ev in
+  let best, _ = Fixtures.search ev (Ccd.make ev) in
   Alcotest.(check bool)
     (Printf.sprintf "ccd %.4g <= heft %.4g" (time best) (time heft))
     true

@@ -151,7 +151,7 @@ let test_ccd_decision_identity () =
   let g = App.circuit.App.graph ~nodes:4 ~input:(List.hd (App.circuit.App.inputs ~nodes:4)) in
   let run reference =
     let ev = Evaluator.create ~reference ~seed:3 machine g in
-    let best, perf = Ccd.search ~rotations:3 ev in
+    let best, perf = Fixtures.search ev (Ccd.make ~rotations:3 ev) in
     (best, perf, List.map snd (Evaluator.trace ev), Evaluator.stats ev)
   in
   let bi, pi, ti, si = run false in

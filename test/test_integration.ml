@@ -12,7 +12,7 @@ let test_automap_never_loses_to_default () =
       let g = app.App.graph ~nodes:1 ~input in
       let ev = Evaluator.create ~runs:1 ~noise_sigma:0.0 ~seed:0 machine g in
       let p0 = Evaluator.evaluate ev (Mapping.default_start g machine) in
-      let _, p = Ccd.search ev in
+      let _, p = Fixtures.search ev (Ccd.make ev) in
       Alcotest.(check bool)
         (Printf.sprintf "%s %s: %.4g <= %.4g" app.App.app_name input p p0)
         true (p <= p0 +. 1e-12))
@@ -26,13 +26,14 @@ let test_search_counts_ordering () =
   let run algo =
     let ev = Evaluator.create ~runs:2 ~noise_sigma:0.005 ~seed:4 machine g in
     (match algo with
-    | `Cd -> ignore (Cd.search ev)
-    | `Ccd -> ignore (Ccd.search ev)
+    | `Cd -> ignore (Fixtures.search ev (Cd.make ev))
+    | `Ccd -> ignore (Fixtures.search ev (Ccd.make ev))
     | `Ot ->
         ignore
-          (Ensemble.search
-             ~config:{ Ensemble.default_config with max_suggestions = 2000; seed = 6 }
-             ev));
+          (Fixtures.search ev
+             (Ensemble.make
+                ~config:{ Ensemble.default_config with max_suggestions = 2000; seed = 6 }
+                ev)));
     (Evaluator.suggested ev, Evaluator.evaluated ev)
   in
   let s_cd, e_cd = run `Cd in
@@ -66,7 +67,7 @@ let test_memory_constrained_pennant () =
   let ev = Evaluator.create ~runs:2 ~noise_sigma:0.0 ~seed:0 machine g in
   let p_zc = Evaluator.evaluate ev all_zc in
   Alcotest.(check bool) "all-zc runs" true (Float.is_finite p_zc);
-  let _, p_ccd = Ccd.search ev in
+  let _, p_ccd = Fixtures.search ev (Ccd.make ev) in
   Alcotest.(check bool)
     (Printf.sprintf "ccd %.4g at least 2x faster than all-zc %.4g" p_ccd p_zc)
     true
@@ -76,7 +77,7 @@ let test_maestro_automap_best_or_tied () =
   (* Figure 7's claim: AutoMap matches or beats both standard LF
      strategies *)
   let machine = Presets.lassen ~nodes:1 in
-  let g = Maestro.graph ~nodes:1 ~n_lf:16 ~resolution:16 () in
+  let g = Maestro.graph ~nodes:1 ~n_lf:16 ~resolution:16 in
   let measure m =
     match Exec.run ~noise_sigma:0.0 machine g m with
     | Ok r -> r.Exec.per_iteration
@@ -86,7 +87,7 @@ let test_maestro_automap_best_or_tied () =
   let p_zc = measure (Maestro.lf_gpu_zc g machine) in
   let ev = Evaluator.create ~runs:1 ~noise_sigma:0.0 ~seed:0 machine g in
   let start = Maestro.lf_gpu_zc g machine in
-  let _, p_am = Ccd.search ~start ev in
+  let _, p_am = Fixtures.search ~start ev (Ccd.make ev) in
   Alcotest.(check bool)
     (Printf.sprintf "automap %.4g <= min(cpu %.4g, zc %.4g)" p_am p_cpu p_zc)
     true

@@ -10,10 +10,13 @@
    the calling domain; the grid:32x32 ones are past twice
    [Par.work_per_domain] and split. *)
 
+(* [app]'s first input, built for every node of the [spec] machine
+   ([nodes] sizes the presets; a mesh spec fixes its own count). *)
 let problem ~spec ~nodes ~app =
   let machine =
     match Presets.of_spec spec ~nodes with Ok m -> m | Error e -> Alcotest.fail e
   in
+  let nodes = machine.Machine.nodes in
   match App.find app with
   | Some a -> (machine, a.App.graph ~nodes ~input:(List.hd (a.App.inputs ~nodes)))
   | None -> Alcotest.failf "unknown app %s" app
@@ -27,10 +30,7 @@ let workloads =
 (* One Stencil grid:32x32 run simulates 24,576 instances, so 30 runs
    of one mapping are 737,280 instance-runs, ccd-mesh's Stencil final
    protocol: two domains on a host that recommends two or more. *)
-let mesh () =
-  let machine = Result.get_ok (Presets.of_spec "grid:32x32" ~nodes:1) in
-  let nodes = machine.Machine.nodes in
-  (machine, App.stencil.App.graph ~nodes ~input:(List.hd (App.stencil.App.inputs ~nodes)))
+let mesh () = problem ~spec:"grid:32x32" ~nodes:1 ~app:"stencil"
 
 let energy machine r = Energy.joules_per_iteration machine Energy.default_power r
 
@@ -356,6 +356,7 @@ let test_cli_usage_errors () =
       "search -a stencil -c grid:4x4";
       "search -a nosuch -i x";
       "search -a stencil -i 500x500 --algo nosuch";
+      "search -a stencil -i 500x500 --algo ccd:1";
       "search -a stencil -i 500x500 -c nosuch";
       "search -a stencil -i 500x500 --machine /nonexistent";
       "simulate -a stencil -i 500x500 -m /nonexistent";

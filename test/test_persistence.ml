@@ -224,7 +224,7 @@ let test_portfolio () =
   let g, _, _ = Fixtures.shared_halo () in
   let ev = Evaluator.create ~runs:2 ~noise_sigma:0.0 ~seed:0 (machine ()) g in
   let p0 = Evaluator.evaluate ev (Mapping.default_start g (machine ())) in
-  let best, p = Portfolio.search ~seed:1 ev in
+  let best, p = Fixtures.search ev (Portfolio.make ~seed:1 ev) in
   Alcotest.(check bool) "valid" true (Mapping.is_valid g (machine ()) best);
   Alcotest.(check bool) "no worse than default" true (p <= p0);
   (* the shared DB means members dedup against each other *)
@@ -233,8 +233,8 @@ let test_portfolio () =
 let test_portfolio_validation () =
   let g, _, _ = Fixtures.shared_halo () in
   let ev = Evaluator.create ~runs:1 ~noise_sigma:0.0 (machine ()) g in
-  Alcotest.check_raises "no members" (Invalid_argument "Portfolio.search: no members")
-    (fun () -> ignore (Portfolio.search ~members:[] ev))
+  Alcotest.check_raises "no members" (Invalid_argument "Portfolio.make: no members")
+    (fun () -> ignore (Portfolio.make ~members:[] ev))
 
 let suite =
   [

@@ -9,9 +9,9 @@ let machine_for (app : App.t) =
 
 let algos =
   [
-    ("ccd", fun ev -> Ccd.search ~rotations:2 ev);
-    ("cd", fun ev -> Cd.search ev);
-    ("annealing", fun ev -> Annealing.search ~max_evals:150 ev);
+    ("ccd", fun ev -> Fixtures.search ev (Ccd.make ~rotations:2 ev));
+    ("cd", fun ev -> Fixtures.search ev (Cd.make ev));
+    ("annealing", fun ev -> Fixtures.search ev (Annealing.make ~max_evals:150 ev));
   ]
 
 let run_leg ~reference (app : App.t) algo =
@@ -43,7 +43,7 @@ let test_golden_identity () =
 
 let test_pruning_actually_cuts () =
   (* the identity above would hold trivially if pruning never fired *)
-  let _, _, _, st = run_leg ~reference:false App.stencil (fun ev -> Ccd.search ~rotations:2 ev) in
+  let _, _, _, st = run_leg ~reference:false App.stencil (fun ev -> Fixtures.search ev (Ccd.make ~rotations:2 ev)) in
   Alcotest.(check bool) "some evaluations were cut" true (st.Evaluator.s_cut_evals > 0);
   Alcotest.(check bool) "some runs were skipped" true (st.Evaluator.s_cut_runs > 0);
   Alcotest.(check bool) "some sims were aborted" true (st.Evaluator.s_cut_sims > 0)
@@ -438,7 +438,7 @@ let test_noop_counter () =
   let g, _, _, _, _ = Fixtures.pipeline () in
   let machine = Fixtures.default_machine () in
   let ev = Evaluator.create ~runs:2 ~noise_sigma:0.0 ~seed:1 machine g in
-  ignore (Cd.search ev);
+  ignore (Fixtures.search ev (Cd.make ev));
   (* CD re-proposes the incumbent's own coordinates on every sweep *)
   Alcotest.(check bool) "noop neighbors skipped" true (Evaluator.noop_skips ev > 0);
   Alcotest.(check int) "stats snapshot agrees" (Evaluator.noop_skips ev)

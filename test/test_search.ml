@@ -12,21 +12,22 @@ let test_cd_improves_or_equals () =
   let g, _, _ = Fixtures.shared_halo () in
   let ev = make_ev g in
   let p0 = default_perf g ev in
-  let _, p = Cd.search ev in
+  let _, p = Fixtures.search ev (Cd.make ev) in
   Alcotest.(check bool) "cd never worse than start" true (p <= p0)
 
 let test_cd_result_valid () =
   let g, _, _ = Fixtures.shared_halo () in
   let ev = make_ev g in
-  let m, _ = Cd.search ev in
+  let m, _ = Fixtures.search ev (Cd.make ev) in
   Alcotest.(check bool) "valid mapping" true (Mapping.is_valid g (machine ()) m)
 
 let test_ccd_improves_or_equals_cd () =
   (* noise-free so the comparison is exact *)
   let g, _, _ = Fixtures.shared_halo () in
   let noise_free g = Evaluator.create ~runs:1 ~noise_sigma:0.0 ~seed:3 (machine ()) g in
-  let _, p_cd = Cd.search (noise_free g) in
-  let _, p_ccd = Ccd.search ~rotations:5 (noise_free g) in
+  let ev_cd = noise_free g and ev_ccd = noise_free g in
+  let _, p_cd = Fixtures.search ev_cd (Cd.make ev_cd) in
+  let _, p_ccd = Fixtures.search ev_ccd (Ccd.make ~rotations:5 ev_ccd) in
   Alcotest.(check bool)
     (Printf.sprintf "ccd %.4g within cd %.4g" p_ccd p_cd)
     true
@@ -36,25 +37,25 @@ let test_ccd_rotations_validation () =
   let g, _, _ = Fixtures.shared_halo () in
   let ev = make_ev g in
   Alcotest.check_raises "rotations >= 2"
-    (Invalid_argument "Ccd.search: rotations must be at least 2") (fun () ->
-      ignore (Ccd.search ~rotations:1 ev))
+    (Invalid_argument "Ccd.make: rotations must be at least 2") (fun () ->
+      ignore (Ccd.make ~rotations:1 ev))
 
 let test_ccd_more_suggestions_than_cd () =
   let g, _, _ = Fixtures.shared_halo () in
   let ev_cd = make_ev g in
-  ignore (Cd.search ev_cd);
+  ignore (Fixtures.search ev_cd (Cd.make ev_cd));
   let ev_ccd = make_ev g in
-  ignore (Ccd.search ~rotations:5 ev_ccd);
+  ignore (Fixtures.search ev_ccd (Ccd.make ~rotations:5 ev_ccd));
   Alcotest.(check bool) "ccd explores more" true
     (Evaluator.suggested ev_ccd > Evaluator.suggested ev_cd)
 
 let test_budget_cuts_search () =
   let g, _, _ = Fixtures.shared_halo () in
   let ev_full = make_ev g in
-  ignore (Ccd.search ev_full);
+  ignore (Fixtures.search ev_full (Ccd.make ev_full));
   let full = Evaluator.suggested ev_full in
   let ev_tiny = make_ev g in
-  ignore (Ccd.search ~budget:1e-9 ev_tiny);
+  ignore (Fixtures.search ~budget:1e-9 ev_tiny (Ccd.make ev_tiny));
   Alcotest.(check bool) "tiny budget stops early" true
     (Evaluator.suggested ev_tiny < full)
 
@@ -62,7 +63,7 @@ let test_ensemble_runs_and_counts () =
   let g, _, _ = Fixtures.shared_halo () in
   let ev = make_ev g in
   let config = { Ensemble.default_config with max_suggestions = 300; seed = 5 } in
-  let m, p = Ensemble.search ~config ev in
+  let m, p = Fixtures.search ev (Ensemble.make ~config ev) in
   Alcotest.(check bool) "valid result" true (Mapping.is_valid g (machine ()) m);
   Alcotest.(check bool) "finite perf" true (Float.is_finite p);
   Alcotest.(check bool) "many suggestions" true (Evaluator.suggested ev >= 300);
@@ -77,10 +78,10 @@ let test_ensemble_useful_fraction_low () =
   let g, _, _ = Fixtures.shared_halo () in
   let ev_ot = make_ev g in
   let config = { Ensemble.default_config with max_suggestions = 200; seed = 5 } in
-  ignore (Ensemble.search ~config ev_ot);
+  ignore (Fixtures.search ev_ot (Ensemble.make ~config ev_ot));
   let frac_ot = Evaluator.eval_time ev_ot /. Evaluator.virtual_time ev_ot in
   let ev_ccd = make_ev g in
-  ignore (Ccd.search ev_ccd);
+  ignore (Fixtures.search ev_ccd (Ccd.make ev_ccd));
   let frac_ccd = Evaluator.eval_time ev_ccd /. Evaluator.virtual_time ev_ccd in
   Alcotest.(check bool)
     (Printf.sprintf "ot %.2f < ccd %.2f" frac_ot frac_ccd)
@@ -90,7 +91,7 @@ let test_random_search () =
   let g, _, _ = Fixtures.shared_halo () in
   let ev = make_ev g in
   let p0 = default_perf g ev in
-  let m, p = Random_search.search ~max_evals:50 ev in
+  let m, p = Fixtures.search ev (Random_search.make ~max_evals:50 ev) in
   Alcotest.(check bool) "valid" true (Mapping.is_valid g (machine ()) m);
   Alcotest.(check bool) "never worse than start" true (p <= p0)
 
@@ -98,7 +99,7 @@ let test_annealing () =
   let g, _, _ = Fixtures.shared_halo () in
   let ev = make_ev g in
   let p0 = default_perf g ev in
-  let m, p = Annealing.search ~max_evals:100 ev in
+  let m, p = Fixtures.search ev (Annealing.make ~max_evals:100 ev) in
   Alcotest.(check bool) "valid" true (Mapping.is_valid g (machine ()) m);
   Alcotest.(check bool) "never worse than start" true (p <= p0)
 
@@ -106,7 +107,7 @@ let test_search_deterministic () =
   let g, _, _ = Fixtures.shared_halo () in
   let run () =
     let ev = make_ev g in
-    let m, p = Ccd.search ev in
+    let m, p = Fixtures.search ev (Ccd.make ev) in
     (Mapping.canonical_key m, p)
   in
   let k1, p1 = run () and k2, p2 = run () in
@@ -166,9 +167,9 @@ let test_ccd_coordinated_move_beats_cd () =
   let g = coupled_collections_graph () in
   let machine = Presets.testbed ~nodes:1 in
   let ev_cd = Evaluator.create ~runs:3 ~noise_sigma:0.0 ~seed:3 machine g in
-  let _, p_cd = Cd.search ev_cd in
+  let _, p_cd = Fixtures.search ev_cd (Cd.make ev_cd) in
   let ev_ccd = Evaluator.create ~runs:3 ~noise_sigma:0.0 ~seed:3 machine g in
-  let m_ccd, p_ccd = Ccd.search ~rotations:5 ev_ccd in
+  let m_ccd, p_ccd = Fixtures.search ev_ccd (Ccd.make ~rotations:5 ev_ccd) in
   Alcotest.(check bool)
     (Printf.sprintf "ccd %.3g <= cd %.3g" p_ccd p_cd)
     true (p_ccd <= p_cd);

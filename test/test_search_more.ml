@@ -77,7 +77,7 @@ let test_ensemble_respects_max_suggestions () =
   let g, _, _ = Fixtures.shared_halo () in
   let ev = make_ev g in
   let config = { Ensemble.default_config with max_suggestions = 25; seed = 3 } in
-  ignore (Ensemble.search ~config ev);
+  ignore (Fixtures.search ev (Ensemble.make ~config ev));
   (* +1 for the starting-point evaluation *)
   Alcotest.(check bool) "bounded" true (Evaluator.suggested ev <= 26)
 

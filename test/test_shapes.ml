@@ -103,7 +103,7 @@ let test_ccd_useful_fraction () =
   let machine = Lazy.force shepard in
   let g = App.circuit.App.graph ~nodes:1 ~input:"n100w400" in
   let ev = Evaluator.create ~runs:2 ~noise_sigma:0.01 ~seed:2 machine g in
-  ignore (Ccd.search ev);
+  ignore (Fixtures.search ev (Ccd.make ev));
   let frac = Evaluator.eval_time ev /. Evaluator.virtual_time ev in
   Alcotest.(check bool) (Printf.sprintf "useful %.2f > 0.9" frac) true (frac > 0.9)
 

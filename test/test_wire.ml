@@ -43,7 +43,7 @@ let algo_gen =
     oneof
       [
         return Driver.Cd;
-        map (fun r -> Driver.Ccd { rotations = r }) (int_range 1 9);
+        map (fun r -> Driver.Ccd { rotations = r }) (int_range 2 9);
         return Driver.Ensemble_tuner;
         map (fun m -> Driver.Random_walk { max_evals = m }) (int_range 1 5000);
         map (fun m -> Driver.Annealing { max_evals = m }) (int_range 1 5000);
@@ -289,6 +289,60 @@ let check_defaults () =
   | Ok _ -> Alcotest.fail "parsed as the wrong request"
   | Error e -> Alcotest.fail e
 
+(* The CLI's --algo and a request's "algo" go through one parser: each
+   spelling names the same Driver.algo on both sides, or is refused on
+   both, and the command line runs a name:N spelling. *)
+let check_algo_spellings () =
+  let wire s =
+    match
+      Wire.request_of_string (Printf.sprintf {|{"type":"map","id":"j","algo":"%s"}|} s)
+    with
+    | Ok (Wire.Map { cfg; _ }) -> Ok cfg.Slice.algo
+    | Ok _ -> Alcotest.fail "parsed as the wrong request"
+    | Error e -> Error e
+  in
+  List.iter
+    (fun (s, expected) ->
+      Alcotest.(check bool) (s ^ " on the command line") true
+        (Driver.algo_of_string s = Ok expected);
+      Alcotest.(check bool) (s ^ " on the wire") true (wire s = Ok expected))
+    [
+      ("ccd", Driver.Ccd { rotations = 5 });
+      ("CCD", Driver.Ccd { rotations = 5 });
+      ("ccd:3", Driver.Ccd { rotations = 3 });
+      ("cd", Driver.Cd);
+      ("ensemble", Driver.Ensemble_tuner);
+      ("OT", Driver.Ensemble_tuner);
+      ("opentuner", Driver.Ensemble_tuner);
+      ("random", Driver.Random_walk { max_evals = 1000 });
+      ("random:500", Driver.Random_walk { max_evals = 500 });
+      ("annealing", Driver.Annealing { max_evals = 2000 });
+      ("Annealing:300", Driver.Annealing { max_evals = 300 });
+      ("portfolio", Driver.Portfolio);
+      ("heft", Driver.Heft);
+    ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " refused on the command line") true
+        (Result.is_error (Driver.algo_of_string s));
+      Alcotest.(check bool) (s ^ " refused on the wire") true (Result.is_error (wire s)))
+    [ "quantum"; "ccd:x"; "ccd:1"; "cd:3"; "random:"; "ccd:3:4" ];
+  let exe = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "automap_cli.exe" in
+  if Sys.file_exists exe then begin
+    let out = Filename.temp_file "automap" ".out" in
+    Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+    let code =
+      Sys.command
+        (Printf.sprintf
+           "%s search -a stencil -i 500x500 -n 1 --algo ccd:3 --runs 1 --max-trials 4 \
+            >%s 2>&1"
+           exe (Filename.quote out))
+    in
+    let msg = In_channel.with_open_bin out In_channel.input_all in
+    Alcotest.(check int) ("--algo ccd:3 runs: " ^ msg) 0 code;
+    Alcotest.(check bool) ("it runs CCD(3): " ^ msg) true (Str_helpers.contains msg "CCD(3)")
+  end
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -309,4 +363,6 @@ let suite =
       Alcotest.test_case "bad requests become typed errors" `Quick check_request_errors;
       Alcotest.test_case "error responses round-trip" `Quick check_error_response_round_trip;
       Alcotest.test_case "map defaults match Slice.default_cfg" `Quick check_defaults;
+      Alcotest.test_case "the CLI and the wire spell algorithms alike" `Quick
+        check_algo_spellings;
     ]
