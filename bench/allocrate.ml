@@ -9,7 +9,15 @@
      batched      the default + whole-neighbour-set batch evaluation
 
    — and reports Gc.minor_words per suggested candidate alongside
-   candidates/sec.  Allocation counts are deterministic for a fixed
+   candidates/sec.
+
+   The grid leg runs one CCD(5) search as bench/e2e's ccd-mesh runs it
+   (Driver.default_cfg unbatched, seed 0: session, search and final
+   protocol) on Stencil and on Circuit over grid:32x32 (grid:8x8 under
+   --smoke), and reports the minor, promoted and major words the
+   calling domain allocates for it.  Minor words are what the binds of
+   a mesh search allocated; promoted and major words depend on when
+   collections fall, so they are read, not gated.  Allocation counts are deterministic for a fixed
    build (unlike wall clock), so the words/candidate trajectory across
    PRs is noise-free; the committed budget in
    test/golden/alloc_budget.txt gates the batched leg's steady state.
@@ -114,6 +122,53 @@ let bench_app (app : App.t) machine ~input ~rotations =
   print_newline ();
   (app.App.app_name, input, legs)
 
+type grid_row = {
+  g_app : string;
+  g_minor : float;
+  g_promoted : float;
+  g_major : float;
+  g_suggested : int;
+  g_perf : float;
+}
+
+let grid_leg spec =
+  let machine =
+    match Presets.of_spec spec ~nodes:1 with
+    | Ok m -> m
+    | Error e -> failwith ("allocrate: " ^ e)
+  in
+  let nodes = machine.Machine.nodes in
+  List.map
+    (fun (app : App.t) ->
+      let g = app.App.graph ~nodes ~input:(List.hd (app.App.inputs ~nodes)) in
+      let cfg = { Driver.default_cfg with Driver.batch = false } in
+      let before = Gc.quick_stat () in
+      let suggested, perf =
+        match Driver.session cfg machine g with
+        | Ok s ->
+            let o = Driver.search s in
+            ignore (Driver.conclude s o);
+            ((Evaluator.stats s.Driver.ev).Evaluator.s_suggested, o.Engine.perf)
+        | Error e -> failwith ("allocrate: " ^ e)
+      in
+      let after = Gc.quick_stat () in
+      let row =
+        {
+          g_app = app.App.app_name;
+          g_minor = after.Gc.minor_words -. before.Gc.minor_words;
+          g_promoted = after.Gc.promoted_words -. before.Gc.promoted_words;
+          g_major = after.Gc.major_words -. before.Gc.major_words;
+          g_suggested = suggested;
+          g_perf = perf;
+        }
+      in
+      Printf.printf
+        "grid %s %-8s: %.2fM minor, %.2fM promoted, %.2fM major words per search (%d suggested)\n%!"
+        spec row.g_app (row.g_minor /. 1e6) (row.g_promoted /. 1e6) (row.g_major /. 1e6)
+        row.g_suggested;
+      row)
+    [ App.stencil; App.circuit ]
+
 let json_leg l =
   Printf.sprintf
     {|{"leg": %S, "minor_words_per_candidate": %.2f, "cands_per_sec": %.2f, "suggested": %d, "minor_words": %.0f}|}
@@ -131,6 +186,8 @@ let () =
     (if !smoke then "smoke" else "bench")
     nodes rotations;
   let rows = List.map (fun (app, input) -> bench_app app machine ~input ~rotations) apps in
+  let grid_spec = if !smoke then "grid:8x8" else "grid:32x32" in
+  let grid = grid_leg grid_spec in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n  \"bench\": \"allocrate\",\n";
   Buffer.add_string buf (Printf.sprintf "  \"commit\": %S,\n" (git_commit ()));
@@ -146,7 +203,15 @@ let () =
            (String.concat ",\n" (List.map (fun l -> "      " ^ json_leg l) legs))
            (if i = List.length rows - 1 then "" else ",")))
     rows;
-  Buffer.add_string buf "  ]\n}\n";
+  Buffer.add_string buf
+    (Printf.sprintf "  ],\n  \"grid\": {\"spec\": %S, \"searches\": [\n%s\n  ]}\n}\n" grid_spec
+       (String.concat ",\n"
+          (List.map
+             (fun r ->
+               Printf.sprintf
+                 {|    {"app": %S, "minor_words": %.0f, "promoted_words": %.0f, "major_words": %.0f, "suggested": %d, "perf": %.6e}|}
+                 r.g_app r.g_minor r.g_promoted r.g_major r.g_suggested r.g_perf)
+             grid)));
   let oc = open_out !out_file in
   output_string oc (Buffer.contents buf);
   close_out oc;

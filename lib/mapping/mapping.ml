@@ -160,24 +160,45 @@ let equal a b =
     done;
   !ok
 
-let diff a b =
+let check_shapes name a b =
   if
     Array.length a.proc <> Array.length b.proc
     || Array.length a.mem <> Array.length b.mem
-  then invalid_arg "Mapping.diff: mappings of different graphs";
-  let tids = ref [] in
-  for tid = Array.length a.proc - 1 downto 0 do
+  then invalid_arg (name ^ ": mappings of different graphs")
+
+let task_diff a b buf =
+  check_shapes "Mapping.task_diff" a b;
+  let n = ref 0 in
+  for tid = 0 to Array.length a.proc - 1 do
     if
       a.distribute.(tid) <> b.distribute.(tid)
       || a.strategy.(tid) != b.strategy.(tid)
       || a.proc.(tid) != b.proc.(tid)
-    then tids := tid :: !tids
+    then begin
+      buf.(!n) <- tid;
+      incr n
+    end
   done;
-  let cids = ref [] in
-  for cid = Array.length a.mem - 1 downto 0 do
-    if a.mem.(cid) != b.mem.(cid) then cids := cid :: !cids
+  !n
+
+let collection_diff a b buf =
+  check_shapes "Mapping.collection_diff" a b;
+  let n = ref 0 in
+  for cid = 0 to Array.length a.mem - 1 do
+    if a.mem.(cid) != b.mem.(cid) then begin
+      buf.(!n) <- cid;
+      incr n
+    end
   done;
-  (!tids, !cids)
+  !n
+
+let diff a b =
+  check_shapes "Mapping.diff" a b;
+  let coords f len =
+    let buf = Array.make len 0 in
+    Array.to_list (Array.sub buf 0 (f a b buf))
+  in
+  (coords task_diff (Array.length a.proc), coords collection_diff (Array.length a.mem))
 
 (* One string of the key's length, 3nt + nc + 3, written in place: every
    proposal is keyed, and most are answered without a simulation. *)

@@ -98,6 +98,15 @@ val diff : t -> t -> int list * int list
     ({!Placement.patch}) pay off.  Raises [Invalid_argument] when the
     mappings belong to graphs of different shape. *)
 
+val task_diff : t -> t -> int array -> int
+(** [task_diff a b buf] writes [diff a b]'s tids into [buf], in
+    ascending order from index 0, and answers their count; it allocates
+    nothing.  [buf] must hold one slot per task. *)
+
+val collection_diff : t -> t -> int array -> int
+(** {!task_diff} for the collections: [buf] must hold one slot per
+    collection. *)
+
 val canonical_key : t -> string
 (** Stable, injective textual key (used by the profiles database to
     detect that a search algorithm re-suggested an already-evaluated

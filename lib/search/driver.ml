@@ -120,7 +120,7 @@ let make_strategy ~seed ?budget ~batch ?(min_batch = 1) ?surrogate algo ev =
       Ensemble.make ~config:{ Ensemble.default_config with seed = seed + 1 } ev
   | Random_walk { max_evals } -> Random_search.make ~seed:(seed + 1) ~max_evals ev
   | Annealing { max_evals } -> Annealing.make ~seed:(seed + 1) ~max_evals ev
-  | Portfolio -> Portfolio.make ?budget ~seed:(seed + 1) ~batch ~min_batch ?surrogate ev
+  | Portfolio -> Portfolio.make ?budget ~seed:(seed + 1) ev
   | Heft -> heft_strategy
 
 (* Checkpoints name the strategy; decoding dispatches on that name
@@ -132,7 +132,7 @@ let decode_strategy ?(batch = false) ?(min_batch = 1) ?surrogate ev ~algo lines 
   | "annealing" -> Annealing.decode ev lines
   | "random" -> Random_search.decode ev lines
   | "ensemble" -> Ensemble.decode ev lines
-  | "portfolio" -> Portfolio.decode ~batch ~min_batch ?surrogate ev lines
+  | "portfolio" -> Portfolio.decode ev lines
   | "heft" -> Ok heft_strategy
   | other -> Error (Printf.sprintf "unknown strategy %S in checkpoint" other)
 

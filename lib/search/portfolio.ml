@@ -26,7 +26,9 @@ let member_of_string s =
 (* The portfolio is a meta-strategy: it delegates step/receive to the
    active member's strategy and enforces each member's virtual-time
    share as an absolute deadline, exactly like the legacy sequential
-   fold.  A member opens with its start point (the portfolio's
+   fold.  Members propose one candidate a step, so the deadline is
+   checked before each: a member proposing a whole neighbour set
+   would run its batch past it.  A member opens with its start point (the portfolio's
    best-so-far) proposed as a normal trial — a profiles-db cache hit,
    matching the legacy member searches re-evaluating their start. *)
 
@@ -40,9 +42,6 @@ type state = {
   ev : Evaluator.t;
   seed : int;
   share : float;
-  batch : bool;  (* CD/CCD members propose whole neighbour sets *)
-  min_batch : int;  (* CD/CCD rounds smaller than this run sequentially *)
-  surrogate : Surrogate.t option;  (* CD/CCD members rank their batches *)
   mutable remaining : member list;
   mutable phase : phase;
   mutable deadline : float;
@@ -52,20 +51,15 @@ type state = {
 (* A member's own strategy: the seed offsets are part of the
    portfolio's decision stream. *)
 let child_of st = function
-  | Ccd rotations ->
-      Ccd.make ~batch:st.batch ~min_batch:st.min_batch ?surrogate:st.surrogate ~rotations st.ev
-  | Cd -> Cd.make ~batch:st.batch ~min_batch:st.min_batch ?surrogate:st.surrogate st.ev
+  | Ccd rotations -> Ccd.make ~rotations st.ev
+  | Cd -> Cd.make st.ev
   | Annealing -> Annealing.make ~seed:(st.seed + 13) st.ev
   | Random -> Random_search.make ~seed:(st.seed + 29) st.ev
 
 let child_decode st member lines =
   match member with
-  | Ccd _ ->
-      Ccd.decode ~batch:st.batch ~min_batch:st.min_batch ?surrogate:st.surrogate
-        st.ev lines
-  | Cd ->
-      Cd.decode ~batch:st.batch ~min_batch:st.min_batch ?surrogate:st.surrogate
-        st.ev lines
+  | Ccd _ -> Ccd.decode st.ev lines
+  | Cd -> Cd.decode st.ev lines
   | Annealing -> Annealing.decode st.ev lines
   | Random -> Random_search.decode st.ev lines
 
@@ -151,8 +145,7 @@ let strategy_of st =
             Printf.sprintf "child %s %d" (member_to_string m) (List.length blob) :: blob);
   }
 
-let make ?(members = default_members) ?(budget = infinity) ?(seed = 0)
-    ?(batch = false) ?(min_batch = 1) ?surrogate ev =
+let make ?(members = default_members) ?(budget = infinity) ?(seed = 0) ev =
   if members = [] then invalid_arg "Portfolio.make: no members";
   let share =
     if Float.is_finite budget then budget /. float_of_int (List.length members)
@@ -163,16 +156,13 @@ let make ?(members = default_members) ?(budget = infinity) ?(seed = 0)
       ev;
       seed;
       share;
-      batch;
-      min_batch;
-      surrogate;
       remaining = members;
       phase = Idle;
       deadline = infinity;
       best = None;
     }
 
-let decode ?(batch = false) ?(min_batch = 1) ?surrogate ev lines =
+let decode ev lines =
   let g = Evaluator.graph ev in
   let fail fmt = Printf.ksprintf (fun m -> Error ("Portfolio.decode: " ^ m)) fmt in
   match lines with
@@ -202,9 +192,6 @@ let decode ?(batch = false) ?(min_batch = 1) ?surrogate ev lines =
           ev;
           seed;
           share;
-          batch;
-          min_batch;
-          surrogate;
           remaining;
           phase = Idle;
           deadline;

@@ -22,34 +22,17 @@ val member_to_string : member -> string
 val member_of_string : string -> member option
 
 val make :
-  ?members:member list ->
-  ?budget:float ->
-  ?seed:int ->
-  ?batch:bool ->
-  ?min_batch:int ->
-  ?surrogate:Surrogate.t ->
-  Evaluator.t ->
-  Engine.strategy
+  ?members:member list -> ?budget:float -> ?seed:int -> Evaluator.t -> Engine.strategy
 (** The portfolio as a meta-strategy (name ["portfolio"]): members run
     sequentially, each seeded with the best-so-far (proposed as a
     normal trial — a cache hit) and cut at an absolute virtual-time
     deadline of [budget / n_members] past its entry.  Member
-    transitions surface as {!Engine.Phase} events.  [batch] (default
-    false) runs CD/CCD members through {!Engine.Propose_batch}
-    ([min_batch], default 1, gates sub-threshold rounds back to
-    sequential proposals — see {!Descent.next_gated}), and
-    [surrogate] additionally ranks their batches (see {!Cd.make}) —
-    the one model is shared across members, so annealing/random
-    evaluations train the ranker the descent members use.
+    transitions surface as {!Engine.Phase} events.  Every member
+    proposes one candidate a step (CD and CCD never batch here), so
+    the deadline is checked before each proposal and a batched search
+    decides as an unbatched one.
     @raise Invalid_argument on an empty member list. *)
 
-val decode :
-  ?batch:bool ->
-  ?min_batch:int ->
-  ?surrogate:Surrogate.t ->
-  Evaluator.t ->
-  string list ->
-  (Engine.strategy, string) result
+val decode : Evaluator.t -> string list -> (Engine.strategy, string) result
 (** Rebuild a checkpointed portfolio, including the active member's own
-    nested strategy state; [batch]/[min_batch]/[surrogate] apply to
-    the restored CD/CCD members exactly as in {!make}. *)
+    nested strategy state. *)

@@ -12,5 +12,3 @@ let task_duration machine (t : Graph.task) kind ~arg_mem =
       0.0 t.args
   in
   Machine.launch_overhead machine kind +. Float.max compute memory
-
-let copy_seconds machine ~src ~dst ~bytes = Machine.copy_cost machine ~src ~dst ~bytes

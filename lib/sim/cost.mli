@@ -24,6 +24,3 @@ val task_duration :
 (** Duration in seconds of one shard, noise-free. *)
 
 val efficiency : Graph.task -> Kinds.proc_kind -> float
-
-val copy_seconds : Machine.t -> src:Machine.memory -> dst:Machine.memory -> bytes:float -> float
-(** Re-export of {!Machine.copy_cost} for the simulator. *)

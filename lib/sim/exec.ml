@@ -13,38 +13,15 @@ let channel_class_names = [| "host"; "xsocket"; "pcie"; "peer"; "net" |]
 
 type error = Placement.error
 
-let n_channel_classes = 5
+let n_channel_classes = Bind.n_channel_classes
 
-let channel_slot ~nodes:_ node = function
-  | Machine.Host_local -> (node * n_channel_classes) + 0
-  | Machine.Cross_socket -> (node * n_channel_classes) + 1
-  | Machine.Pcie -> (node * n_channel_classes) + 2
-  | Machine.Gpu_peer -> (node * n_channel_classes) + 3
-  | Machine.Network -> (node * n_channel_classes) + 4
-  | Machine.Same_memory -> invalid_arg "channel_slot: Same_memory"
-
-let channel_class_index = function
-  | Machine.Host_local -> 0
-  | Machine.Cross_socket -> 1
-  | Machine.Pcie -> 2
-  | Machine.Gpu_peer -> 3
-  | Machine.Network -> 4
-  | Machine.Same_memory -> invalid_arg "channel_class_index: Same_memory"
-
-(* Routed copies (machines with an explicit topology).  [dep_chan]
-   encodes three regimes: -1 = same memory (no copy); >= 0 = the
+(* Routed copies (machines with an explicit topology): a dep's
+   [dep_chan] is -1 for the same memory (no copy), >= 0 for the
    pre-topology kind-level channel slot, kept byte-identical for every
-   machine without a topology; <= -2 = routed, with route code
-   (-2 - dep_chan): [route_direct], or the [stage_src] / [stage_dst]
-   bits of the ends that stage through PCIe.  Per-link busy-until
-   clocks live after the kind-level plane of [chan_free]:
-   slot = nodes * n_channel_classes + link id. *)
-let link_slot_base ~nodes = nodes * n_channel_classes
-
-let stage_src = 1
-let stage_dst = 2
-let route_direct = 4
-
+   machine without a topology, and <= -2 when routed, with route code
+   (-2 - dep_chan) ({!Bind.route_direct}, or the staging bits).
+   Per-link busy-until clocks live after the kind-level plane of
+   [chan_free]: slot = nodes * n_channel_classes + link id. *)
 let n_chan_slots machine =
   (machine.Machine.nodes * n_channel_classes)
   +
@@ -265,13 +242,10 @@ end
 type compiled = {
   cmachine : Machine.t;
   cgraph : Graph.t;
-  cplan : Placement.plan;      (* placement order + alias sources *)
+  blay : Bind.layout;          (* what a bind reads *)
   spi : int;                   (* shards (instance slots) per iteration *)
   slot_tid : int array;        (* slot -> owning task *)
   slot_shard : int array;      (* slot -> shard index within the group *)
-  task_off : int array;        (* tid -> first slot; length nt+1 *)
-  n_cols : int;
-  col_owner : int array;       (* cid -> owning task *)
   indeg_base : int array;      (* per-slot within-iteration indegree *)
   indeg_carried : int array;   (* extra indegree from loop-carried edges *)
   (* CSR over producer slots: deps of slot s live in
@@ -284,12 +258,6 @@ type compiled = {
   dep_dst_slot : int array;    (* consumer's slot within its iteration *)
   dep_bytes : float array;
   dep_carried : bool array;
-  (* CSR over collections: indices of the deps that read or write
-     collection c live in cid_dep_idx[cid_dep_off.(c) ..
-     cid_dep_off.(c+1) - 1] — the deps whose channel binding a change
-     to c's placement can invalidate. *)
-  cid_dep_off : int array;
-  cid_dep_idx : int array;
   (* slots in task-topological order (producers of every non-carried
      dep before its consumers) — slot numbering itself is task-id
      order, NOT topological, so the static critical-path floor must
@@ -339,27 +307,11 @@ let n_acc = 5
    seeds.) *)
 let seed_table_cap = 64
 
-(* What a bound mapping decides and the event loop reads: per-slot
-   durations, processors and nodes, and per-dep channels, classes,
-   costs and routed endpoints, all functions of the placement alone.
-   A scratch writes its own bind in place on every (re-)bind; a frozen
-   copy ({!freeze}) is never written again, so runners on several
-   domains can read it at once. *)
-type bind = {
-  bprob : compiled;
-  slot_dur : float array;      (* noise-free duration of one instance *)
-  slot_pid : int array;
-  slot_node : int array;
-  dep_chan : int array;        (* -1 same-memory | >= 0 channel slot
-                                  | <= -2 routed with code (-2 - v) *)
-  dep_class : int array;
-  dep_cost : float array;
-  (* a routed dep's source and destination nodes, all its route
-     depends on besides its code and cost; empty without a topology *)
-  dep_src_node : int array;
-  dep_dst_node : int array;
-  mutable demotions : int;     (* fallback demotions of the placement *)
-}
+(* What a bound mapping decides and the event loop reads ({!Bind}).
+   A scratch's binder rewrites its own tables in place on every
+   (re-)bind; a frozen copy ({!freeze}) is never written again, so
+   runners on several domains can read it at once. *)
+type bind = Bind.t
 
 (* What one simulation writes.  Nothing in a runner outlives a run
    except its capacity, so one runner serves any bind of its problem,
@@ -408,27 +360,18 @@ type runner = {
   mutable sim_trace : Trace.t option;
 }
 
-(* A scratch is one bind and one runner, plus what resolves a mapping
-   into the bind (the placement cache and its counters) and what a
-   search reuses across runs (the per-seed noise streams and the
-   static-floor memo). *)
+(* A scratch is one binder and one runner, plus what a search reuses
+   across runs (the per-seed noise streams and the static-floor memo).
+   The binder caches its last successful bind: the evaluator's §5
+   protocol simulates the same mapping [runs] times in a row with
+   different noise seeds, and placement + binding are
+   noise-independent.  Mappings are immutable values, so physical
+   equality is a sound cache key. *)
 type scratch = {
   prob : compiled;
-  bind : bind;
+  binder : Bind.binder;
   run : runner;
   cp : float array;            (* static_floors' critical-path accumulator *)
-  (* cache of the last successful bind: the evaluator's §5 protocol
-     simulates the same mapping [runs] times in a row with different
-     noise seeds, and placement + binding are noise-independent.
-     Mappings are immutable values, so physical equality is a sound
-     cache key. *)
-  mutable bound_mapping : Mapping.t option;
-  mutable bound_fallback : bool;
-  mutable bound_placement : Placement.t option;
-  (* bind-path counters for the pruning benches/tests *)
-  mutable delta_binds : int;
-  mutable full_binds : int;
-  mutable bind_hits : int;  (* physical-equality bind-cache hits *)
   (* flat per-seed noise table (struct-of-arrays).  A search touches a
      handful of CRN seeds, so a linear scan beats hashing — and unlike
      [Hashtbl.find_opt], which boxes its [Some], a scan allocates
@@ -445,10 +388,9 @@ type scratch = {
 
 let compile machine (g : Graph.t) =
   let nt = Graph.n_tasks g in
-  let offset = Array.make (nt + 1) 0 in
-  for tid = 0 to nt - 1 do
-    offset.(tid + 1) <- offset.(tid) + (Graph.task g tid).group_size
-  done;
+  let plan = Placement.plan machine g in
+  (* slots are the plan's task shards *)
+  let offset = plan.Placement.task_off in
   let spi = offset.(nt) in
   let slot_tid = Array.make spi 0 in
   let slot_shard = Array.make spi 0 in
@@ -513,30 +455,6 @@ let compile machine (g : Graph.t) =
       dep_dst_slot.(k) <- dst_slot;
       dep_bytes.(k) <- bytes;
       dep_carried.(k) <- e.carried);
-  let n_cols = Graph.n_collections g in
-  let col_owner = Array.make (max n_cols 1) 0 in
-  List.iter
-    (fun (c : Graph.collection) -> col_owner.(c.cid) <- c.owner)
-    (Graph.collections g);
-  (* collection -> touching deps, CSR (each dep touches its source and
-     destination collection; counted once when they coincide) *)
-  let cid_count = Array.make (n_cols + 1) 0 in
-  let touch f =
-    for k = 0 to n_deps - 1 do
-      f dep_src_cid.(k) k;
-      if dep_dst_cid.(k) <> dep_src_cid.(k) then f dep_dst_cid.(k) k
-    done
-  in
-  touch (fun cid _ -> cid_count.(cid) <- cid_count.(cid) + 1);
-  let cid_dep_off = Array.make (n_cols + 1) 0 in
-  for cid = 0 to n_cols - 1 do
-    cid_dep_off.(cid + 1) <- cid_dep_off.(cid) + cid_count.(cid)
-  done;
-  let cid_dep_idx = Array.make cid_dep_off.(n_cols) 0 in
-  let fill = Array.make (max n_cols 1) 0 in
-  touch (fun cid k ->
-      cid_dep_idx.(cid_dep_off.(cid) + fill.(cid)) <- k;
-      fill.(cid) <- fill.(cid) + 1);
   let slot_bits =
     let b = ref 0 in
     while 1 lsl !b < spi do incr b done;
@@ -554,13 +472,12 @@ let compile machine (g : Graph.t) =
   {
     cmachine = machine;
     cgraph = g;
-    cplan = Placement.plan machine g;
+    blay =
+      Bind.layout machine g plan ~slot_shard ~dep_src_slot ~dep_src_cid ~dep_dst_cid
+        ~dep_dst_slot ~dep_bytes;
     spi;
     slot_tid;
     slot_shard;
-    task_off = offset;
-    n_cols;
-    col_owner;
     indeg_base;
     indeg_carried;
     dep_off;
@@ -570,8 +487,6 @@ let compile machine (g : Graph.t) =
     dep_dst_slot;
     dep_bytes;
     dep_carried;
-    cid_dep_off;
-    cid_dep_idx;
     topo_slots;
     dispatch_cost = machine.Machine.compute.Machine.runtime_dispatch;
     slot_bits;
@@ -579,34 +494,7 @@ let compile machine (g : Graph.t) =
     contended = clocks_contended machine;
   }
 
-let new_bind prob =
-  let n_deps = Array.length prob.dep_bytes in
-  let n_routed = if Option.is_none prob.cmachine.Machine.topology then 0 else n_deps in
-  {
-    bprob = prob;
-    slot_dur = Array.make (max prob.spi 1) 0.0;
-    slot_pid = Array.make (max prob.spi 1) 0;
-    slot_node = Array.make (max prob.spi 1) 0;
-    dep_chan = Array.make (max n_deps 1) 0;
-    dep_class = Array.make (max n_deps 1) 0;
-    dep_cost = Array.make (max n_deps 1) 0.0;
-    dep_src_node = Array.make n_routed 0;
-    dep_dst_node = Array.make n_routed 0;
-    demotions = 0;
-  }
-
-let freeze b =
-  {
-    b with
-    slot_dur = Array.copy b.slot_dur;
-    slot_pid = Array.copy b.slot_pid;
-    slot_node = Array.copy b.slot_node;
-    dep_chan = Array.copy b.dep_chan;
-    dep_class = Array.copy b.dep_class;
-    dep_cost = Array.copy b.dep_cost;
-    dep_src_node = Array.copy b.dep_src_node;
-    dep_dst_node = Array.copy b.dep_dst_node;
-  }
+let freeze = Bind.freeze
 
 let runner prob =
   let machine = prob.cmachine in
@@ -647,15 +535,9 @@ let runner prob =
 let scratch prob =
   {
     prob;
-    bind = new_bind prob;
+    binder = Bind.binder prob.blay;
     run = runner prob;
     cp = Array.make (max prob.spi 1) 0.0;
-    bound_mapping = None;
-    bound_fallback = false;
-    bound_placement = None;
-    delta_binds = 0;
-    full_binds = 0;
-    bind_hits = 0;
     nz_seed = Array.make seed_table_cap 0;
     nzs = [||];
     n_nzs = 0;
@@ -671,7 +553,8 @@ let compiled_graph prob = prob.cgraph
 let compiled_slots prob = prob.spi
 let compiled_words prob = Obj.reachable_words (Obj.repr prob)
 
-let bind_cache_hits sc = sc.bind_hits
+let bind_cache_hits sc = Bind.hits sc.binder
+let binder sc = sc.binder
 
 let ensure_capacity r n =
   if n > r.cap_instances then begin
@@ -727,85 +610,6 @@ let noise_fill c upto =
     c.nfilled <- upto
   end
 
-(* Fill the scratch's bind: durations, processors and copy channels
-   are the same for an instance slot in every iteration.  One task's
-   slots are bound together: a placement with no demotions serves every
-   shard its mapped memory kinds, so the duration is shard-invariant
-   and is computed once for the whole group — rebinding a task then
-   costs one {!Cost.task_duration}, not one per shard. *)
-let bind_task sc pl mapping tid =
-  let prob = sc.prob and b = sc.bind in
-  let machine = prob.cmachine and g = prob.cgraph in
-  let task = Graph.task g tid in
-  let kind = Mapping.proc_of mapping tid in
-  let lo = prob.task_off.(tid) and hi = prob.task_off.(tid + 1) - 1 in
-  if Placement.demotions pl = 0 then begin
-    let d =
-      Cost.task_duration machine task kind ~arg_mem:(fun c ->
-          Mapping.mem_of mapping c.Graph.cid)
-    in
-    for slot = lo to hi do
-      let p = Placement.processor pl ~tid ~shard:prob.slot_shard.(slot) in
-      b.slot_pid.(slot) <- p.Machine.pid;
-      b.slot_node.(slot) <- p.Machine.pnode;
-      b.slot_dur.(slot) <- d
-    done
-  end
-  else
-    for slot = lo to hi do
-      let s = prob.slot_shard.(slot) in
-      let p = Placement.processor pl ~tid ~shard:s in
-      b.slot_pid.(slot) <- p.Machine.pid;
-      b.slot_node.(slot) <- p.Machine.pnode;
-      b.slot_dur.(slot) <-
-        Cost.task_duration machine task kind ~arg_mem:(fun c ->
-            Placement.effective_mem_kind pl ~cid:c.Graph.cid ~shard:s)
-    done
-
-let bind_dep sc pl k =
-  let prob = sc.prob and b = sc.bind in
-  let machine = prob.cmachine in
-  let src_mem =
-    Placement.arg_memory pl ~cid:prob.dep_src_cid.(k)
-      ~shard:prob.slot_shard.(prob.dep_src_slot.(k))
-  in
-  let dst_mem =
-    Placement.arg_memory pl ~cid:prob.dep_dst_cid.(k)
-      ~shard:prob.slot_shard.(prob.dep_dst_slot.(k))
-  in
-  if src_mem.Machine.mid = dst_mem.Machine.mid then b.dep_chan.(k) <- -1
-  else begin
-    let ch = Machine.channel_between machine src_mem dst_mem in
-    let src = src_mem.Machine.mnode and dst = dst_mem.Machine.mnode in
-    let bytes = prob.dep_bytes.(k) in
-    let staged (m : Machine.memory) bit =
-      if m.Machine.mkind = Kinds.Frame_buffer then bit else 0
-    in
-    b.dep_class.(k) <- channel_class_index ch;
-    (* a routed dep keeps what its route depends on — the endpoints'
-       nodes and a route code — and every copy walks the route afresh
-       ({!route_hops}); the kind-level channel keeps its slot *)
-    match machine.Machine.topology with
-    | Some topo when ch = Machine.Network && Topology.family topo = Topology.Direct ->
-        b.dep_chan.(k) <- -2 - route_direct;
-        b.dep_src_node.(k) <- src;
-        b.dep_dst_node.(k) <- dst;
-        b.dep_cost.(k) <- Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes
-    | Some topo when ch = Machine.Network && Topology.distance topo ~src ~dst >= 0 ->
-        b.dep_chan.(k) <- -2 - (staged src_mem stage_src lor staged dst_mem stage_dst);
-        b.dep_src_node.(k) <- src;
-        b.dep_dst_node.(k) <- dst;
-        (* {!Cost.copy_seconds}'s routed sum, routed once, into the
-           buffer the event loop walks copies through *)
-        let links = sc.run.walk_links in
-        b.dep_cost.(k) <-
-          Machine.routed_copy_cost machine topo ~src:src_mem ~dst:dst_mem ~bytes links
-            (Topology.route_links topo ~src ~dst links)
-    | _ ->
-        b.dep_chan.(k) <- channel_slot ~nodes:machine.Machine.nodes src ch;
-        b.dep_cost.(k) <- Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes
-  end
-
 let routed_topo prob =
   match prob.cmachine.Machine.topology with Some t -> t | None -> assert false
 
@@ -815,16 +619,16 @@ let routed_topo prob =
    [llat +. (bytes /. lbw)] and a staging hop [local_latency +.
    (bytes /. pcie_bw)] on the node's kind-level PCIe clock.  The Direct
    family's one hop, on the source node's link, costs the dep's whole
-   [Cost.copy_seconds] total: a bijection with the kind-level Network
+   [Machine.copy_cost] total: a bijection with the kind-level Network
    plane (DESIGN.md §15).  Allocates nothing. *)
-let route_hops b r k =
+let route_hops (b : bind) r k =
   let prob = r.rprob in
   let machine = prob.cmachine in
-  let link_base = link_slot_base ~nodes:machine.Machine.nodes in
+  let link_base = Bind.link_slot_base ~nodes:machine.Machine.nodes in
   let slots = r.walk_slot and costs = r.walk_cost in
   let src = b.dep_src_node.(k) and dst = b.dep_dst_node.(k) in
   let code = -2 - b.dep_chan.(k) in
-  if code = route_direct then begin
+  if code = Bind.route_direct then begin
     slots.(0) <- link_base + src;
     costs.(0) <- b.dep_cost.(k);
     1
@@ -833,7 +637,7 @@ let route_hops b r k =
     let topo = routed_topo prob in
     let copy = machine.Machine.copy and bytes = prob.dep_bytes.(k) in
     let n = ref 0 in
-    if code land stage_src <> 0 then begin
+    if code land Bind.stage_src <> 0 then begin
       slots.(0) <- (src * n_channel_classes) + 2;
       costs.(0) <- copy.Machine.local_latency +. (bytes /. copy.Machine.pcie_bw);
       n := 1
@@ -845,7 +649,7 @@ let route_hops b r k =
       costs.(!n) <- l.Topology.llat +. (bytes /. l.Topology.lbw);
       incr n
     done;
-    if code land stage_dst <> 0 then begin
+    if code land Bind.stage_dst <> 0 then begin
       slots.(!n) <- (dst * n_channel_classes) + 2;
       costs.(!n) <- copy.Machine.local_latency +. (bytes /. copy.Machine.pcie_bw);
       incr n
@@ -853,114 +657,26 @@ let route_hops b r k =
     !n
   end
 
-let bind_all sc pl mapping =
-  let prob = sc.prob in
-  for tid = 0 to Graph.n_tasks prob.cgraph - 1 do
-    bind_task sc pl mapping tid
-  done;
-  for k = 0 to Array.length prob.dep_bytes - 1 do
-    bind_dep sc pl k
-  done
-
-(* Re-bind only the entries a coordinate change can invalidate: the
-   slots of changed tasks and of tasks owning a changed collection
-   (their durations read the collection's effective memory kind), and
-   the deps touching any collection whose memory array was recomputed
-   by {!Placement.patch}.  Every other entry's inputs — the shared
-   processor/memory arrays of unaffected coordinates — are physically
-   unchanged, so the skipped entries are already bit-correct. *)
-let bind_delta sc pl mapping ~tids ~cids =
-  let prob = sc.prob in
-  let g = prob.cgraph in
-  List.iter (fun tid -> bind_task sc pl mapping tid) tids;
-  List.iter
-    (fun cid ->
-      let o = prob.col_owner.(cid) in
-      if not (List.mem o tids) then bind_task sc pl mapping o)
-    cids;
-  let rebind_deps_of_cid cid =
-    for j = prob.cid_dep_off.(cid) to prob.cid_dep_off.(cid + 1) - 1 do
-      bind_dep sc pl prob.cid_dep_idx.(j)
-    done
-  in
-  List.iter rebind_deps_of_cid cids;
-  List.iter
-    (fun tid ->
-      List.iter
-        (fun (c : Graph.collection) ->
-          if not (List.mem c.cid cids) then rebind_deps_of_cid c.cid)
-        (Graph.task g tid).args)
-    tids
-
-(* Placement patching: {!Placement.patch} scales with the affected
-   collections while a full re-resolve walks the whole graph, so only
-   give up when most coordinates moved at once (e.g. a restart from a
-   random mapping). *)
-let patch_coord_limit = 32
-
-(* Resolve + bind, reusing the cached bind when the evaluator re-runs
-   the same mapping with a fresh noise seed, and patching it
-   (placement + bind tables) when the new mapping is a near neighbour
-   of the cached one — the hill-climbing common case. *)
+(* Resolve + bind through the binder, which reuses its bind when the
+   evaluator re-runs the same mapping with a fresh noise seed and
+   patches it when the new mapping is a near neighbour of the bound one
+   — the hill-climbing common case.  False on a placement error, which
+   [r_error] then holds. *)
 let resolve_bound sc ~fallback mapping =
-  match (sc.bound_mapping, sc.bound_placement) with
-  | Some m, Some pl when m == mapping && sc.bound_fallback = fallback ->
-      sc.bind_hits <- sc.bind_hits + 1;
-      Ok pl
-  | cached -> (
-      let prob = sc.prob in
-      let delta =
-        (* delta placement is strict-mode only: a fallback placement's
-           demotions couple distant coordinates through shared
-           capacities, so sharing its arrays would be unsound *)
-        match cached with
-        | Some m, Some pl when (not fallback) && not sc.bound_fallback -> (
-            let tids, cids = Mapping.diff m mapping in
-            if List.length tids + List.length cids > patch_coord_limit then None
-            else
-              match Placement.patch prob.cplan pl mapping ~tids ~cids with
-              | Ok pl' ->
-                  sc.delta_binds <- sc.delta_binds + 1;
-                  sc.sfloor_valid <- false;
-                  bind_delta sc pl' mapping ~tids ~cids;
-                  Some (Ok pl')
-              | Error _ as e ->
-                  (* patch replays the full validation/accounting
-                     decision, so the error is exactly resolve's *)
-                  Some e)
-        | _ -> None
-      in
-      let resolved =
-        match delta with
-        | Some r -> r
-        | None -> (
-            match Placement.resolve_with ~fallback prob.cplan mapping with
-            | Error _ as e -> e
-            | Ok pl ->
-                sc.full_binds <- sc.full_binds + 1;
-                sc.sfloor_valid <- false;
-                bind_all sc pl mapping;
-                Ok pl)
-      in
-      match resolved with
-      | Error _ as e ->
-          (* the cached pair still describes the last successful bind:
-             keeping it lets the next candidate delta-patch from it
-             instead of paying a full resolve after every OOM/invalid
-             suggestion *)
-          e
-      | Ok pl ->
-          sc.bound_mapping <- Some mapping;
-          sc.bound_fallback <- fallback;
-          sc.bound_placement <- Some pl;
-          sc.bind.demotions <- Placement.demotions pl;
-          Ok pl)
+  let st = Bind.resolve sc.binder ~fallback mapping in
+  if st = Bind.rebound then sc.sfloor_valid <- false;
+  if st = Bind.failed then begin
+    sc.r_error <- Some (Bind.error sc.binder);
+    false
+  end
+  else true
 
 let bind sc ~fallback mapping =
-  match resolve_bound sc ~fallback mapping with Ok _ -> Ok sc.bind | Error _ as e -> e
+  if resolve_bound sc ~fallback mapping then Bind.ok sc.binder
+  else Error (Bind.error sc.binder)
 
-let delta_binds sc = sc.delta_binds
-let full_binds sc = sc.full_binds
+let delta_binds sc = Bind.delta_binds sc.binder
+let full_binds sc = Bind.full_binds sc.binder
 
 type outcome = Finished of result | Cut of float
 
@@ -1029,7 +745,7 @@ let private_noise r ~noise_sigma ~seed n_instances =
    never the search's hot path.  Both events name their resources from
    the bind: a slot's processor, and a copy's source node (a
    kind-level channel slot is node * n_channel_classes + class). *)
-let trace_exec_event b r collector slot start d =
+let trace_exec_event (b : bind) r collector slot start d =
   let prob = r.rprob in
   let tid = prob.slot_tid.(slot) in
   Trace.add collector
@@ -1042,7 +758,7 @@ let trace_exec_event b r collector slot start d =
       duration = d;
     }
 
-let trace_copy_event b r collector k start cost =
+let trace_copy_event (b : bind) r collector k start cost =
   let prob = r.rprob in
   let g = prob.cgraph in
   let chan = b.dep_chan.(k) in
@@ -1069,7 +785,7 @@ let[@inline] dep_arrived r i name t =
   indeg.(i) <- d;
   if d = 0 then Fheap.push r.events ready_time.(i) (name lsl 1)
 
-let[@inline] do_ready b r name t =
+let[@inline] do_ready (b : bind) r name t =
   let prob = r.rprob in
   let slot = name land prob.slot_mask in
   let i = name lsr prob.slot_bits in
@@ -1092,7 +808,7 @@ let[@inline] do_ready b r name t =
   | None -> ());
   Fheap.push r.events t_done ((name lsl 1) lor 1)
 
-let[@inline] do_done b r name t_done =
+let[@inline] do_done (b : bind) r name t_done =
   let prob = r.rprob in
   let spi = prob.spi and bits = prob.slot_bits and n = r.sim_ninst in
   let i = name lsr bits in
@@ -1177,7 +893,7 @@ let[@inline] do_done b r name t_done =
    [st_cut] instead of a constructor so the call frame carries no
    allocation; the wrappers below rebuild the [result] / [outcome]
    views for record-API callers. *)
-let event_loop b r ~iterations ~trace ~cutoff =
+let event_loop (b : bind) r ~iterations ~trace ~cutoff =
   let prob = r.rprob in
   let spi = prob.spi and bits = prob.slot_bits in
   let n_instances = iterations * spi in
@@ -1242,23 +958,7 @@ let event_loop b r ~iterations ~trace ~cutoff =
    bind cache), pick the noise source, and run the event loop over the
    scratch's own bind and runner. *)
 let sim_core sc mapping ~noise_sigma ~seed ~add_seed ~fallback ~iterations ~trace ~cutoff =
-  let bound_ok =
-    (* same inline fast path as {!resolve_bound}, minus its [Ok]
-       allocation; the slow branch delegates (and the fast condition
-       failing here means it cannot re-fire there, so hits are counted
-       exactly once) *)
-    match sc.bound_mapping with
-    | Some m when m == mapping && sc.bound_fallback = fallback ->
-        sc.bind_hits <- sc.bind_hits + 1;
-        true
-    | _ -> (
-        match resolve_bound sc ~fallback mapping with
-        | Ok _ -> true
-        | Error e ->
-            sc.r_error <- Some e;
-            false)
-  in
-  if not bound_ok then st_error
+  if not (resolve_bound sc ~fallback mapping) then st_error
   else begin
     if iterations <= 0 then invalid_arg "Exec.simulate: iterations must be positive";
     let r = sc.run in
@@ -1288,11 +988,11 @@ let sim_core sc mapping ~noise_sigma ~seed ~add_seed ~fallback ~iterations ~trac
       r.sim_nfilled <- c.nfilled
     end
     else private_noise r ~noise_sigma ~seed n_instances;
-    event_loop sc.bind r ~iterations ~trace ~cutoff
+    event_loop (Bind.tables sc.binder) r ~iterations ~trace ~cutoff
   end
 
 let run_fresh r b ~noise_sigma ~seed ~iterations =
-  if b.bprob != r.rprob then invalid_arg "Exec.run_fresh: bind and runner of different problems";
+  if b.Bind.lay != r.rprob.blay then invalid_arg "Exec.run_fresh: bind and runner of different problems";
   if iterations <= 0 then invalid_arg "Exec.run_fresh: iterations must be positive";
   let n_instances = iterations * r.rprob.spi in
   ensure_capacity r n_instances;
@@ -1359,7 +1059,7 @@ let quiet_result sc = runner_result sc.run
 let static_floors sc iterations =
   if sc.sfloor_valid && sc.sfloor_iters = iterations then sc.run.r_acc.(acc_sfloor)
   else begin
-  let prob = sc.prob and b = sc.bind and r = sc.run in
+  let prob = sc.prob and b = Bind.tables sc.binder and r = sc.run in
   let spi = prob.spi in
   let iters_f = float_of_int iterations in
   let lb = ref 0.0 in
@@ -1396,7 +1096,9 @@ let static_floors sc iterations =
         end
       done
     done;
-  Array.iter (fun b -> if b > !lb then lb := b) chan_busy;
+  for i = 0 to Array.length chan_busy - 1 do
+    if chan_busy.(i) > !lb then lb := chan_busy.(i)
+  done;
   (* Bisection floor: every byte crossing the canonical cut transits
      some cut link, so total cross traffic over total cut bandwidth
      bounds the busiest cut link's serial time (weighted mean <= max). *)
@@ -1416,11 +1118,10 @@ let static_floors sc iterations =
       let n = b.slot_node.(slot) in
       disp.(n) <- disp.(n) +. prob.dispatch_cost
     done;
-    Array.iter
-      (fun d ->
-        let d = d *. iters_f in
-        if d > !lb then lb := d)
-      disp
+    for i = 0 to Array.length disp - 1 do
+      let d = disp.(i) *. iters_f in
+      if d > !lb then lb := d
+    done
   end;
   (* Critical-path floor over the bound dependence structure: every
      instance completes no earlier than ready + dispatch_cost (the
@@ -1439,8 +1140,8 @@ let static_floors sc iterations =
     let cp = sc.cp in
     Array.fill cp 0 spi 0.0;
     let cp_max = ref 0.0 in
-    Array.iter
-      (fun slot ->
+    for i = 0 to spi - 1 do
+        let slot = prob.topo_slots.(i) in
         let done_floor = cp.(slot) +. prob.dispatch_cost in
         if done_floor > !cp_max then cp_max := done_floor;
         for k = prob.dep_off.(slot) to prob.dep_off.(slot + 1) - 1 do
@@ -1454,8 +1155,8 @@ let static_floors sc iterations =
             let dst = prob.dep_dst_slot.(k) in
             if arrival > cp.(dst) then cp.(dst) <- arrival
           end
-        done)
-      prob.topo_slots;
+        done
+    done;
     let floor = !cp_max +. (float_of_int (iterations - 1) *. prob.dispatch_cost) in
     if floor > !lb then lb := floor
   end;
@@ -1466,9 +1167,8 @@ let static_floors sc iterations =
   end
 
 let static_lower_bound ?(fallback = false) ?iterations sc mapping =
-  match resolve_bound sc ~fallback mapping with
-  | Error e -> Error e
-  | Ok _ ->
+  if not (resolve_bound sc ~fallback mapping) then Error (Bind.error sc.binder)
+  else
       let iterations =
         Option.value iterations ~default:sc.prob.cgraph.Graph.iterations
       in
@@ -1478,10 +1178,9 @@ let static_lower_bound ?(fallback = false) ?iterations sc mapping =
 
 let run_lower_bound ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?iterations sc
     mapping =
-  let prob = sc.prob and b = sc.bind and r = sc.run in
-  match resolve_bound sc ~fallback mapping with
-  | Error e -> Error e
-  | Ok _ ->
+  let prob = sc.prob and b = Bind.tables sc.binder and r = sc.run in
+  if not (resolve_bound sc ~fallback mapping) then Error (Bind.error sc.binder)
+  else
       let iterations = Option.value iterations ~default:prob.cgraph.Graph.iterations in
       if iterations <= 0 then
         invalid_arg "Exec.run_lower_bound: iterations must be positive";
@@ -1533,7 +1232,9 @@ let run_lower_bound ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?itera
           busy.(pid) <- busy.(pid) +. (b.slot_dur.(slot) *. iters_f)
         done;
       let lb = ref 0.0 in
-      Array.iter (fun b -> if b > !lb then lb := b) busy;
+      for i = 0 to Array.length busy - 1 do
+        if busy.(i) > !lb then lb := busy.(i)
+      done;
       let s = static_floors sc iterations in
       if s > !lb then lb := s;
       Ok !lb

@@ -64,10 +64,10 @@ type compiled
 
 type scratch
 (** Reusable simulation state tied to one {!compiled} problem: one
-    {!bind}, one {!runner}, the placement cache that resolves a mapping
-    into the bind, and the per-seed noise streams a search reuses.
-    NOT thread-safe: each domain that resolves mappings needs its own
-    scratch. *)
+    {!Bind.binder} (the bound placement's planes, the bind it resolves
+    a mapping into, and its bind cache), one {!runner}, and the
+    per-seed noise streams a search reuses.  NOT thread-safe: each
+    domain that resolves mappings needs its own scratch. *)
 
 val compile : Machine.t -> Graph.t -> compiled
 
@@ -191,7 +191,7 @@ val quiet_result : scratch -> result
     runner, which reads those binds and allocates nothing per run but
     its noise generator. *)
 
-type bind
+type bind = Bind.t
 (** A bound mapping, as the event loop reads it.  The bind a scratch
     answers ({!bind}) is the scratch's own: its next bind of another
     mapping rewrites it in place.  A {!freeze}d copy is never written,
@@ -206,7 +206,11 @@ val bind : scratch -> fallback:bool -> Mapping.t -> (bind, error) Stdlib.result
     (counted by {!delta_binds}, {!full_binds} or {!bind_cache_hits},
     like a simulation's bind), and answer the scratch's own bind: valid
     until the scratch binds another mapping.  Placement errors are
-    {!simulate}'s. *)
+    {!simulate}'s.  A warm delta bind allocates nothing, this answer
+    included. *)
+
+val binder : scratch -> Bind.binder
+(** The scratch's binder, whose planes and tables its binds write. *)
 
 val freeze : bind -> bind
 (** A private copy of the bind's tables (a few KB on a lassen preset),
@@ -286,14 +290,15 @@ val run_lower_bound :
 
     Binding a mapping to the compiled problem is cached too: a re-run
     of the physically same mapping reuses the bind, and a near
-    neighbour of the bound mapping is patched ({!Placement.patch} plus
-    a partial table rebind) instead of re-resolved.  The counters below
-    report which path each bind took. *)
+    neighbour of the bound mapping is patched in place
+    ({!Placement.patch} on the binder's planes plus a partial table
+    rebind) instead of re-resolved.  The counters below report which
+    path each bind took. *)
 
 val delta_binds : scratch -> int
 (** How many resolve+bind operations were served by patching the
-    previously bound placement ({!Placement.patch} + a partial table
-    rebind) instead of a full re-resolve.  Strict (non-fallback) mode
+    previously bound placement in place ({!Placement.patch} + a partial
+    table rebind) instead of a full re-resolve.  Strict (non-fallback) mode
     only; the patched state is bit-identical to a full bind. *)
 
 val full_binds : scratch -> int

@@ -223,7 +223,7 @@ let run ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?iterations ?trace
                        node link. *)
                     let bytes = d.bytes in
                     let total =
-                      Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes
+                      Machine.copy_cost machine ~src:src_mem ~dst:dst_mem ~bytes
                     in
                     let arrival =
                       if not (Topology.contended topo) then t_done +. total
@@ -284,7 +284,7 @@ let run ?(noise_sigma = 0.03) ?(seed = 0) ?(fallback = false) ?iterations ?trace
                     dep_arrived ci arrival
                 | None ->
                     let cost =
-                      Cost.copy_seconds machine ~src:src_mem ~dst:dst_mem ~bytes:d.bytes
+                      Machine.copy_cost machine ~src:src_mem ~dst:dst_mem ~bytes:d.bytes
                     in
                     let slot =
                       channel_slot ~nodes:machine.Machine.nodes src_mem.Machine.mnode ch

@@ -30,7 +30,11 @@
    - the fresh-seed runs of a measurement: a warm run allocates its
      noise generator's state, not its draws, and a domain's share of a
      measurement spread over domains allocates no scratch, placement
-     or bind.
+     or bind;
+
+   - a delta bind: a near neighbour of the bound mapping is diffed,
+     its placement patched in place and its tables rebound without
+     allocating a word.
 
    All these measurements only make sense compiled to native code —
    bytecode boxes freely — so the tests skip under other backends. *)
@@ -420,6 +424,67 @@ let test_routed_rebind_words () =
       "a routed delta rebind allocated %.0f minor words on grid:8x8, %.0f more than on direct:64"
       grid (grid -. direct)
 
+(* A warm delta bind: the two mappings diffed into the binder's
+   buffers, the placement planes patched in place, the changed tasks'
+   slots and the moved collections' deps rebound, and the bind
+   answered — all without a word.  One collection's memory flipped on
+   Stencil and on Circuit over grid:32x32 (4096-shard collections,
+   copies routed over the mesh), and one Pennant task moved from GPU to
+   CPU on lassen:4, with its arguments in System memory. *)
+let delta_bind_zero_alloc ~name machine g m0 m1 =
+  let sc = Exec.scratch (Exec.compile machine g) in
+  let bind m =
+    match Exec.bind sc ~fallback:false m with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" name (Placement.error_to_string e)
+  in
+  bind m0;
+  bind m1;
+  bind m0;
+  let d0 = Exec.delta_binds sc in
+  for trial = 1 to 10 do
+    let m = if trial mod 2 = 1 then m1 else m0 in
+    let w0 = Gc.minor_words () in
+    let r = Exec.bind sc ~fallback:false m in
+    let w = Gc.minor_words () -. w0 in
+    if Result.is_error r then Alcotest.failf "%s: bind failed (trial %d)" name trial;
+    if w <> 0.0 then
+      Alcotest.failf "%s: a warm delta bind allocated %.0f minor words (trial %d)" name w
+        trial
+  done;
+  Alcotest.(check int) (name ^ ": delta binds") (d0 + 10) (Exec.delta_binds sc)
+
+let mesh_memory_flip (app : App.t) () =
+  skip_unless_native ();
+  let machine = Result.get_ok (Presets.of_spec "grid:32x32" ~nodes:1) in
+  let nodes = machine.Machine.nodes in
+  let g = app.App.graph ~nodes ~input:(List.hd (app.App.inputs ~nodes)) in
+  let m0 = Mapping.default_start g machine in
+  let cid = (List.hd (Graph.task g 0).Graph.args).Graph.cid in
+  let owner_kind = Mapping.proc_of m0 (Graph.collection g cid).Graph.owner in
+  let other =
+    List.find (fun k -> k <> Mapping.mem_of m0 cid) (Kinds.accessible_mem_kinds owner_kind)
+  in
+  delta_bind_zero_alloc ~name:app.App.app_name machine g m0 (Mapping.set_mem m0 cid other)
+
+let pennant_processor_flip () =
+  skip_unless_native ();
+  let machine, g = lassen_app App.pennant () in
+  let m0 = Mapping.default_start g machine in
+  let task =
+    List.find
+      (fun (t : Graph.task) ->
+        Mapping.proc_of m0 t.Graph.tid = Kinds.Gpu && Graph.has_variant t Kinds.Cpu)
+      (Array.to_list g.Graph.tasks)
+  in
+  let m1 =
+    List.fold_left
+      (fun m (c : Graph.collection) -> Mapping.set_mem m c.Graph.cid Kinds.System)
+      (Mapping.set_proc m0 task.Graph.tid Kinds.Cpu)
+      task.Graph.args
+  in
+  delta_bind_zero_alloc ~name:"Pennant" machine g m0 m1
+
 let suite =
   [
     Alcotest.test_case "quiet steady state allocates zero minor words" `Quick
@@ -449,4 +514,10 @@ let suite =
       test_copy_cost_words_flat;
     Alcotest.test_case "a routed rebind allocates nothing per dep for its route" `Quick
       test_routed_rebind_words;
+    Alcotest.test_case "a delta bind allocates nothing (Stencil grid:32x32)" `Quick
+      (mesh_memory_flip App.stencil);
+    Alcotest.test_case "a delta bind allocates nothing (Circuit grid:32x32)" `Quick
+      (mesh_memory_flip App.circuit);
+    Alcotest.test_case "a delta bind allocates nothing (Pennant lassen:4)" `Quick
+      pennant_processor_flip;
   ]

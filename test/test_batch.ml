@@ -26,8 +26,9 @@
    clock are checked before each candidate, the seen-set answers a
    duplicate met earlier in the same batch, and a batch emits the
    events (checkpoints included) of its candidates proposed one at a
-   time.  Two last cases resume a batched search from a checkpoint
-   written between two candidates of one batch. *)
+   time.  Two cases resume a batched search from a checkpoint written
+   between two candidates of one batch, and two last ones run a
+   portfolio batched and unbatched. *)
 
 let cases =
   [|
@@ -367,6 +368,40 @@ let resume_inside_batch (app : App.t) input ~ranked ~every () =
     (List.map Int64.bits_of_float (snd final))
     (List.map Int64.bits_of_float (snd final'))
 
+(* A portfolio's members run to absolute virtual-time deadlines, and
+   a member proposing a whole neighbour set ran its batch past its
+   own: with CD/CCD members that batched, a batched portfolio on
+   Circuit n50w200 (seed 1, 0.05 s) suggested 127 candidates in
+   0.0652 virtual seconds against the unbatched 121 in 0.0574.  The
+   portfolio's members now propose one candidate a step, so both
+   searches must decide alike. *)
+let portfolio_batched_as_unbatched (app : App.t) input () =
+  let machine, g = problem app input in
+  let run batch =
+    Driver.run ~seed:1 ~budget:0.05 ~batch ~min_batch:1 ~surrogate:false Driver.Portfolio
+      machine g
+  in
+  let b = run true and u = run false in
+  let name = app.App.app_name in
+  Alcotest.(check int) (name ^ " suggested") u.Driver.suggested b.Driver.suggested;
+  Alcotest.(check int) (name ^ " evaluated") u.Driver.evaluated b.Driver.evaluated;
+  Alcotest.(check int64)
+    (name ^ " virtual time bits")
+    (Int64.bits_of_float u.Driver.virtual_search_time)
+    (Int64.bits_of_float b.Driver.virtual_search_time);
+  Alcotest.(check string)
+    (name ^ " best key")
+    (Mapping.canonical_key u.Driver.best)
+    (Mapping.canonical_key b.Driver.best);
+  Alcotest.(check int64)
+    (name ^ " search perf bits")
+    (Int64.bits_of_float u.Driver.search_perf)
+    (Int64.bits_of_float b.Driver.search_perf);
+  Alcotest.(check int64)
+    (name ^ " perf bits")
+    (Int64.bits_of_float u.Driver.perf)
+    (Int64.bits_of_float b.Driver.perf)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest props
   @ [
@@ -383,4 +418,8 @@ let suite =
       (resume_inside_batch App.circuit "n50w200" ~ranked:false ~every:7);
     Alcotest.test_case "resume inside a ranked batch: stencil" `Quick
       (resume_inside_batch App.stencil "500x500" ~ranked:true ~every:5);
+    Alcotest.test_case "a batched portfolio decides as an unbatched one: circuit" `Quick
+      (portfolio_batched_as_unbatched App.circuit "n50w200");
+    Alcotest.test_case "a batched portfolio decides as an unbatched one: stencil" `Quick
+      (portfolio_batched_as_unbatched App.stencil "500x500");
   ]

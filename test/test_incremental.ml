@@ -195,6 +195,170 @@ let prop_random_graphs =
       done;
       !ok)
 
+(* Tight memories: the binder patches its placement planes in place,
+   and a neighbour that is invalid or overflows a memory must leave
+   them as they were.  Random workloads (group sizes 1, 2 or 4, so byte
+   counts are dyadic and every usage sum is exact) on a testbed:2
+   whose every memory holds twice what the default mapping puts in its
+   busiest memory of that kind, or two shards of the largest
+   collection where the default uses none: in a run, about three steps
+   in ten overflow a memory and one in four is invalid.  The chain takes
+   1-8 coordinate moves a step, a quarter of them unrepaired (a kind
+   the task lacks, or a memory its processor cannot address), and
+   after a failure it rebases on the last mapping that bound about
+   half the time.  After every step the reused scratch's bind tables
+   and planes must equal a fresh scratch's full bind of the same
+   mapping, or of the last mapping that bound when this one failed,
+   and its error must be Placement.resolve_with's, message
+   included. *)
+let tight_machine g =
+  let base = Presets.testbed ~nodes:2 in
+  let usage = Array.make (Array.length base.Machine.memories) 0.0 in
+  (match Placement.resolve base g (Mapping.default_start g base) with
+  | Ok pl ->
+      Array.iter
+        (fun (m : Machine.memory) -> usage.(m.Machine.mid) <- Placement.bytes_resident pl m)
+        base.Machine.memories
+  | Error _ -> ());
+  let shard = ref 0.0 in
+  List.iter
+    (fun (c : Graph.collection) -> shard := Float.max !shard c.Graph.bytes)
+    (Graph.collections g);
+  let cap kind =
+    let busiest = ref 0.0 in
+    Array.iter
+      (fun (m : Machine.memory) ->
+        if m.Machine.mkind = kind then busiest := Float.max !busiest usage.(m.Machine.mid))
+      base.Machine.memories;
+    2.0 *. Float.max !busiest !shard
+  in
+  Machine.make ~name:"tight" ~nodes:2
+    ~node:
+      {
+        base.Machine.node with
+        Machine.sysmem_per_socket = cap Kinds.System;
+        zc_capacity = cap Kinds.Zero_copy;
+        fb_capacity = cap Kinds.Frame_buffer;
+      }
+    ~exec_bw:base.Machine.exec_bw ~compute:base.Machine.compute ~copy:base.Machine.copy ()
+
+(* One coordinate set to any value, constraints unrepaired *)
+let raw_mutate g rng m =
+  let nt = Graph.n_tasks g and nc = Graph.n_collections g in
+  let i = Rng.int rng (nt + nc) in
+  if i >= nt then
+    Mapping.set_mem m (i - nt) (Rng.choose_list rng Kinds.all_mem_kinds)
+  else
+    match Rng.int rng 3 with
+    | 0 -> Mapping.set_proc m i (Rng.choose_list rng Kinds.all_proc_kinds)
+    | 1 -> Mapping.set_distribute m i (not (Mapping.distribute_of m i))
+    | _ ->
+        Mapping.set_strategy m i
+          (match Mapping.strategy_of m i with
+          | Mapping.Blocked -> Mapping.Cyclic
+          | Mapping.Cyclic -> Mapping.Blocked)
+
+(* The tables and planes of two binds of one mapping.  A dep keeps a
+   class and cost only while it copies, and endpoint nodes only while
+   it is routed; the rest of its entries are stale on a reused
+   scratch and read by nothing. *)
+let same_bind (a : Exec.bind) (b : Exec.bind) (pa : Placement.planes)
+    (pb : Placement.planes) =
+  let ints x y = x = y in
+  let floats x y = Array.for_all2 (fun u v -> bits u = bits v) x y in
+  floats a.Bind.slot_dur b.Bind.slot_dur
+  && ints a.Bind.slot_pid b.Bind.slot_pid
+  && ints a.Bind.slot_node b.Bind.slot_node
+  && ints a.Bind.dep_chan b.Bind.dep_chan
+  && a.Bind.demotions = b.Bind.demotions
+  && (let ok = ref true in
+      Array.iteri
+        (fun k chan ->
+          if chan <> -1 then begin
+            if a.Bind.dep_class.(k) <> b.Bind.dep_class.(k)
+               || bits a.Bind.dep_cost.(k) <> bits b.Bind.dep_cost.(k)
+            then ok := false;
+            if chan <= -2
+               && (a.Bind.dep_src_node.(k) <> b.Bind.dep_src_node.(k)
+                  || a.Bind.dep_dst_node.(k) <> b.Bind.dep_dst_node.(k))
+            then ok := false
+          end)
+        a.Bind.dep_chan;
+      !ok)
+  && ints pa.Placement.proc pb.Placement.proc
+  && ints pa.Placement.mem pb.Placement.mem
+  && floats pa.Placement.usage pb.Placement.usage
+  && pa.Placement.demotions = pb.Placement.demotions
+
+let prop_tight_patches =
+  let spec_gen =
+    QCheck.map
+      (fun (spec : Gen.spec) -> { spec with Gen.group_size = [| 1; 2; 4 |].(spec.Gen.group_size mod 3) })
+      Gen.arbitrary_spec
+  in
+  QCheck.Test.make ~count:40 ~name:"in-place patches restore on OOM and invalid mappings"
+    spec_gen (fun spec ->
+      let g = Gen.graph_of_spec spec in
+      let machine = tight_machine g in
+      let c = Exec.compile machine g in
+      let sc = Exec.scratch c in
+      let space = Space.make g machine in
+      let rng = Rng.create (spec.Gen.seed + 7) in
+      let fresh m =
+        let f = Exec.scratch c in
+        match Exec.bind f ~fallback:false m with
+        | Ok b -> Some (b, Bind.planes (Exec.binder f))
+        | Error _ -> None
+      in
+      let m = ref (Mapping.default_start g machine) in
+      let good = ref None in
+      let failed = ref false in
+      for step = 1 to 30 do
+        let reused = Exec.bind sc ~fallback:false !m in
+        let own = Bind.planes (Exec.binder sc) in
+        (match (reused, Placement.resolve_with (Placement.plan machine g) !m) with
+        | Ok b, Ok _ -> (
+            match fresh !m with
+            | Some (fb, fp) ->
+                if not (same_bind b fb own fp) then
+                  QCheck.Test.fail_reportf "step %d: the reused bind differs from a full bind"
+                    step;
+                good := Some !m;
+                failed := false
+            | None -> QCheck.Test.fail_reportf "step %d: a fresh scratch cannot bind" step)
+        | Error e, Error e' ->
+            if Placement.error_to_string e <> Placement.error_to_string e' then
+              QCheck.Test.fail_reportf "step %d: error %S, resolve_with's %S" step
+                (Placement.error_to_string e) (Placement.error_to_string e');
+            (* the planes and tables are the last good mapping's *)
+            (match !good with
+            | Some gm -> (
+                match fresh gm with
+                | Some (fb, fp) ->
+                    if not (same_bind (Bind.tables (Exec.binder sc)) fb own fp) then
+                      QCheck.Test.fail_reportf
+                        "step %d: a failed bind left planes or tables that are not the \
+                         last good mapping's"
+                        step
+                | None -> ())
+            | None -> ());
+            failed := true
+        | Ok _, Error e ->
+            QCheck.Test.fail_reportf "step %d: bound, resolve_with says %s" step
+              (Placement.error_to_string e)
+        | Error e, Ok _ ->
+            QCheck.Test.fail_reportf "step %d: %s, resolve_with places it" step
+              (Placement.error_to_string e));
+        let base =
+          match !good with Some gm when !failed && Rng.bool rng -> gm | _ -> !m
+        in
+        m := base;
+        for _ = 1 to 1 + Rng.int rng 8 do
+          m := if Rng.int rng 4 = 0 then raw_mutate g rng !m else mutate g space rng !m
+        done
+      done;
+      true)
+
 (* Routed machines: a scratch that delta-rebinds along a neighbour
    chain must match a fresh scratch's full bind at every step.  Memory
    moves onto or off a GPU's frame buffer add or drop PCIe staging
@@ -237,4 +401,5 @@ let suite =
       Alcotest.test_case "routed delta rebind = full bind" `Quick test_routed_delta_rebind;
       Alcotest.test_case "ccd decision identity" `Slow test_ccd_decision_identity;
       QCheck_alcotest.to_alcotest prop_random_graphs;
+      QCheck_alcotest.to_alcotest prop_tight_patches;
     ]
