@@ -6,7 +6,6 @@
 
      reference    reference mode: no pruning, full simulation
      default      the default evaluator (bound-pruning)
-     batched      the default + whole-neighbour-set batch evaluation
 
    — and reports Gc.minor_words per suggested candidate alongside
    candidates/sec.
@@ -20,7 +19,8 @@
    collections fall, so they are read, not gated.  Allocation counts are deterministic for a fixed
    build (unlike wall clock), so the words/candidate trajectory across
    PRs is noise-free; the committed budget in
-   test/golden/alloc_budget.txt gates the batched leg's steady state.
+   test/golden/alloc_budget.txt gates the default leg's steady state
+   (test_alloc runs it as CCD(2) on Stencil).
 
    Each leg's search runs twice: the first pass warms code pages and
    the allocator, the second is measured (steady state — the same
@@ -68,13 +68,13 @@ type leg = {
   perf : float;
 }
 
-let run_leg ~name ~batch ~reference ~rotations machine g =
+let run_leg ~name ~reference ~rotations machine g =
   let search () =
     let ev = Evaluator.create ~reference ~seed:3 machine g in
     let t0 = now () in
     let w0 = Gc.minor_words () in
     let o =
-      Engine.run ~start:(Mapping.default_start g machine) ev (Ccd.make ~batch ~rotations ev)
+      Engine.run ~start:(Mapping.default_start g machine) ev (Ccd.make ~rotations ev)
     in
     let words = Gc.minor_words () -. w0 in
     let wall = now () -. t0 in
@@ -95,9 +95,8 @@ let bench_app (app : App.t) machine ~input ~rotations =
   let g = app.App.graph ~nodes:machine.Machine.nodes ~input in
   let legs =
     [
-      run_leg ~name:"reference" ~batch:false ~reference:true ~rotations machine g;
-      run_leg ~name:"default" ~batch:false ~reference:false ~rotations machine g;
-      run_leg ~name:"batched" ~batch:true ~reference:false ~rotations machine g;
+      run_leg ~name:"reference" ~reference:true ~rotations machine g;
+      run_leg ~name:"default" ~reference:false ~rotations machine g;
     ]
   in
   (* allocation discipline must never trade away decisions *)

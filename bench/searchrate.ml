@@ -1,14 +1,13 @@
 (* End-to-end search-throughput benchmark for the evaluator's
-   decision-neutral speed-up (bound-and-prune evaluation) and batched
-   proposals.
+   decision-neutral speed-up (bound-and-prune evaluation).
 
-   For Stencil and Circuit it runs the same CCD search three times on
-   fresh evaluators — reference mode (full simulation, no pruning),
-   the default evaluator, and the default evaluator with CCD proposing
-   each whole neighbour set as one batch — and checks the three
-   searches are *decision-identical* (same best mapping, same best
-   perf bit-for-bit, same suggestion count) before reporting the
-   wall-clock speedups and candidates-per-second gains.  The pruning
+   For Stencil and Circuit it runs the same CCD search twice on fresh
+   evaluators — reference mode (full simulation, no pruning) and the
+   default evaluator — and checks the two searches are
+   *decision-identical* (same best mapping, same best perf
+   bit-for-bit, same suggestion count and engine steps) before
+   reporting the wall-clock speedup and candidates-per-second gain.  A
+   third, surrogate-ranked search is reported beside them.  The pruning
    counters (cut runs/sims) and the bind counters (delta vs. full
    placement binds) are reported alongside so regressions in any one
    layer of the optimisation are visible in the numbers, not just the
@@ -58,11 +57,6 @@ let git_commit () =
     | _ -> "unknown"
   with Unix.Unix_error _ | Sys_error _ -> "unknown"
 
-(* surrogate-ranked legs are reported but never part of the identity
-   check (reranking legitimately changes the trajectory); the env knob
-   mirrors the CLI's --no-surrogate *)
-let no_surrogate = Sys.getenv_opt "AUTOMAP_NO_SURROGATE" <> None
-
 type leg = {
   wall : float;
   cands_per_sec : float;
@@ -76,15 +70,14 @@ type leg = {
    not leak between repeats); only the engine run is timed —
    Evaluator.create (the one-time compile, identical for all legs)
    stays outside. *)
-let search_once ?(batch = false) ?(surrogate = false) ?(reference = false) ~rotations
-    machine g =
+let search_once ?(surrogate = false) ?(reference = false) ~rotations machine g =
   let ev = Evaluator.create ~reference ~seed:3 machine g in
   let sg = if surrogate then Some (Surrogate.create (Evaluator.space ev)) else None in
   Option.iter (Evaluator.attach_surrogate ev) sg;
   let t0 = now () in
   let o =
     Engine.run ?surrogate:sg ~start:(Mapping.default_start g machine) ev
-      (Ccd.make ~batch ?surrogate:sg ~rotations ev)
+      (Ccd.make ?surrogate:sg ~rotations ev)
   in
   (now () -. t0, o.Engine.best, o.Engine.perf, o.Engine.steps, Evaluator.stats ev)
 
@@ -93,10 +86,8 @@ type app_row = {
   row_input : string;
   ref_ : leg;                  (* reference mode *)
   def : leg;                   (* default evaluator *)
-  bat : leg;
-  sur : leg option;            (* surrogate-ranked batches; None when disabled *)
+  sur : leg;                   (* surrogate-ranked rounds *)
   speedup : float;             (* default vs. reference, wall *)
-  batched_speedup : float;     (* batched vs. default, cand/s *)
 }
 
 let bench_app (app : App.t) machine ~input ~rotations ~min_time =
@@ -108,11 +99,9 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
      state): scheduler preemption and first-touch page faults only ever
      add time, so the minimum is the run least polluted by the machine,
      and every leg gets the same treatment. *)
-  let t_ref = ref infinity and t_def = ref infinity in
-  let t_bat = ref infinity and t_sur = ref infinity in
+  let t_ref = ref infinity and t_def = ref infinity and t_sur = ref infinity in
   let spent = ref 0.0 in
-  let last_ref = ref None and last_def = ref None in
-  let last_bat = ref None and last_sur = ref None in
+  let last_ref = ref None and last_def = ref None and last_sur = ref None in
   let timed t last f =
     let d, b, p, k, s = f () in
     t := Float.min !t d;
@@ -122,10 +111,7 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
   let step () =
     timed t_ref last_ref (fun () -> search_once ~reference:true ~rotations machine g);
     timed t_def last_def (fun () -> search_once ~rotations machine g);
-    timed t_bat last_bat (fun () -> search_once ~batch:true ~rotations machine g);
-    if not no_surrogate then
-      timed t_sur last_sur (fun () ->
-          search_once ~batch:true ~surrogate:true ~rotations machine g)
+    timed t_sur last_sur (fun () -> search_once ~surrogate:true ~rotations machine g)
   in
   step ();
   while !spent < min_time do
@@ -144,13 +130,11 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
   in
   let ref_ = leg_of !t_ref !last_ref
   and def = leg_of !t_def !last_def
-  and bat = leg_of !t_bat !last_bat in
-  let sur = if no_surrogate then None else Some (leg_of !t_sur !last_sur) in
-  (* neither the evaluator's speed-ups nor batching may be visible to
-     the search's decisions.  Batching folds each neighbour set into
-     one engine step, so engine-step counts are only compared between
-     the sequential legs. *)
-  let check ?(steps = true) name a b =
+  and sur = leg_of !t_sur !last_sur in
+  (* the evaluator's speed-ups may not be visible to the search's
+     decisions; the surrogate leg reranks, so it is reported, not
+     compared *)
+  let check name a b =
     if not (Mapping.equal a.best b.best) then
       failwith (app.App.app_name ^ ": " ^ name ^ " search found a different best mapping");
     if a.perf <> b.perf then
@@ -158,12 +142,11 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
     if a.st.Evaluator.s_suggested <> b.st.Evaluator.s_suggested then
       failwith
         (app.App.app_name ^ ": " ^ name ^ " search made a different number of suggestions");
-    if steps && a.steps <> b.steps then
+    if a.steps <> b.steps then
       failwith
         (app.App.app_name ^ ": " ^ name ^ " search took a different number of engine steps")
   in
   check "default" ref_ def;
-  check ~steps:false "batched" def bat;
   (* non-vacuous: the reference leg must really run full simulations
      and the default leg must really prune *)
   if ref_.st.Evaluator.s_cut_sims <> 0 then
@@ -171,34 +154,29 @@ let bench_app (app : App.t) machine ~input ~rotations ~min_time =
   if def.st.Evaluator.s_cut_evals = 0 then
     failwith (app.App.app_name ^ ": default leg pruned nothing");
   let speedup = ref_.wall /. def.wall in
-  let batched_speedup = bat.cands_per_sec /. def.cands_per_sec in
   Printf.printf
     "%-8s %-10s reference %6.2fms (%7.1f cand/s) | default %6.2fms (%7.1f cand/s, \
-     %5.2fx) | batch %6.2fms (%7.1f cand/s, %5.2fx)\n\
+     %5.2fx)\n\
     \         cut %d/%d evals, %d runs, %d sims | binds %d delta / %d full | %d noop \
      skips | %d dead-coord skips\n\
     \         bind hits %d\n%!"
     app.App.app_name input (1e3 *. ref_.wall) ref_.cands_per_sec (1e3 *. def.wall)
-    def.cands_per_sec speedup (1e3 *. bat.wall) bat.cands_per_sec batched_speedup
+    def.cands_per_sec speedup
     def.st.Evaluator.s_cut_evals def.st.Evaluator.s_suggested
     def.st.Evaluator.s_cut_runs def.st.Evaluator.s_cut_sims
     def.st.Evaluator.s_delta_binds def.st.Evaluator.s_full_binds
     def.st.Evaluator.s_noop_skips def.st.Evaluator.s_dead_coord_skips
-    bat.st.Evaluator.s_bind_hits;
-  Option.iter
-    (fun (l : leg) ->
-      Printf.printf
-        "         surrogate %6.2fms (%7.1f cand/s) | %d trained, %d reranks, %d skims \
-         | spearman %s | best %.4g vs exact %.4g\n%!"
-        (1e3 *. l.wall) l.cands_per_sec l.st.Evaluator.s_surrogate_trained
-        l.st.Evaluator.s_surrogate_reranks l.st.Evaluator.s_surrogate_skips
-        (if Float.is_finite l.st.Evaluator.s_spearman then
-           Printf.sprintf "%.3f" l.st.Evaluator.s_spearman
-         else "n/a")
-        l.perf bat.perf)
-    sur;
-  { row_app = app.App.app_name; row_input = input; ref_; def; bat; sur; speedup;
-    batched_speedup }
+    def.st.Evaluator.s_bind_hits;
+  Printf.printf
+    "         surrogate %6.2fms (%7.1f cand/s) | %d trained, %d reranks | spearman %s \
+     | best %.4g vs exact %.4g\n%!"
+    (1e3 *. sur.wall) sur.cands_per_sec sur.st.Evaluator.s_surrogate_trained
+    sur.st.Evaluator.s_surrogate_reranks
+    (if Float.is_finite sur.st.Evaluator.s_spearman then
+       Printf.sprintf "%.3f" sur.st.Evaluator.s_spearman
+     else "n/a")
+    sur.perf def.perf;
+  { row_app = app.App.app_name; row_input = input; ref_; def; sur; speedup }
 
 let json_leg l =
   Printf.sprintf
@@ -209,20 +187,16 @@ let json_leg l =
     l.st.Evaluator.s_dead_coord_skips l.st.Evaluator.s_delta_binds
     l.st.Evaluator.s_full_binds l.st.Evaluator.s_bind_hits
 
-(* the surrogate leg reranks batches, so it is reported — counters,
-   rank quality, final best — but excluded from the identity check;
-   AUTOMAP_NO_SURROGATE stamps the section skipped instead *)
-let json_surrogate = function
-  | None -> {|{"skipped": true}|}
-  | Some l ->
-      Printf.sprintf
-        {|{"skipped": false, "wall": %.5f, "cands_per_sec": %.2f, "perf": %.6e, "engine_steps": %d, "suggested": %d, "surrogate_trained": %d, "surrogate_reranks": %d, "surrogate_skips": %d, "spearman_rank_corr": %s}|}
-        l.wall l.cands_per_sec l.perf l.steps l.st.Evaluator.s_suggested
-        l.st.Evaluator.s_surrogate_trained l.st.Evaluator.s_surrogate_reranks
-        l.st.Evaluator.s_surrogate_skips
-        (if Float.is_finite l.st.Evaluator.s_spearman then
-           Printf.sprintf "%.4f" l.st.Evaluator.s_spearman
-         else "null")
+(* the surrogate leg reranks, so it is reported — counters, rank
+   quality, final best — but excluded from the identity check *)
+let json_surrogate l =
+  Printf.sprintf
+    {|{"wall": %.5f, "cands_per_sec": %.2f, "perf": %.6e, "engine_steps": %d, "suggested": %d, "surrogate_trained": %d, "surrogate_reranks": %d, "spearman_rank_corr": %s}|}
+    l.wall l.cands_per_sec l.perf l.steps l.st.Evaluator.s_suggested
+    l.st.Evaluator.s_surrogate_trained l.st.Evaluator.s_surrogate_reranks
+    (if Float.is_finite l.st.Evaluator.s_spearman then
+       Printf.sprintf "%.4f" l.st.Evaluator.s_spearman
+     else "null")
 
 (* Symmetry leg: the same CCD search at an equal trial budget with and
    without the PR 9 reduction stack (orbit canonicalization + engine
@@ -390,7 +364,7 @@ let () =
       (App.circuit, if !smoke then "n100w400" else "n200w800") ]
   in
   Printf.printf
-    "searchrate: %s mode, shepard x%d, CCD(%d), reference vs default vs batched\n%!"
+    "searchrate: %s mode, shepard x%d, CCD(%d), reference vs default\n%!"
     (if !smoke then "smoke" else "bench")
     nodes rotations;
   let min_time = if !smoke then 0.0 else 4.0 in
@@ -403,10 +377,7 @@ let () =
       /. float_of_int (List.length rows))
   in
   let geo_def = geomean (fun r -> r.speedup) in
-  let geo_bat = geomean (fun r -> r.batched_speedup) in
-  Printf.printf
-    "geomean search speedup: default %.2fx over reference, batched %.2fx over default\n%!"
-    geo_def geo_bat;
+  Printf.printf "geomean search speedup: default %.2fx over reference\n%!" geo_def;
   (* symmetry leg over all five bundled apps — the reduction's
      never-worse guarantee is about search structure, so every graph
      shape is exercised, not just the two throughput apps *)
@@ -450,20 +421,19 @@ let () =
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"app\": %S, \"input\": %S,\n     \"reference\": %s,\n     \
-            \"default\": %s,\n     \"batched\": %s,\n     \"surrogate\": %s,\n     \
-            \"speedup\": %.3f, \"batched_speedup\": %.3f, \
-            \"decision_identical\": true}%s\n"
+            \"default\": %s,\n     \"surrogate\": %s,\n     \
+            \"speedup\": %.3f, \"decision_identical\": true}%s\n"
            row.row_app row.row_input (json_leg row.ref_) (json_leg row.def)
-           (json_leg row.bat) (json_surrogate row.sur) row.speedup row.batched_speedup
+           (json_surrogate row.sur) row.speedup
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf
     (Printf.sprintf
-       "  ],\n  \"geomean_speedup\": %.3f,\n  \"geomean_batched_speedup\": %.3f,\n  \"symmetry\": [\n%s\n  ],\n  \
+       "  ],\n  \"geomean_speedup\": %.3f,\n  \"symmetry\": [\n%s\n  ],\n  \
         \"symmetry_apps_with_skips\": %d,\n  \
         \"resume\": {\"checkpoints_written\": %d, \"resumed_trials\": %d, \
         \"decision_identical\": true}\n}\n"
-       geo_def geo_bat
+       geo_def
        (String.concat ",\n" (List.map (fun r -> "    " ^ json_sym r) sym_rows))
        sym_apps_with_skips checkpoints_written resumed_trials);
   let oc = open_out !out_file in

@@ -130,16 +130,10 @@ let runs_arg =
   Arg.(value & opt positive_int 7 & info [ "runs" ] ~doc:"Executions per candidate mapping.")
 
 let no_symmetry_arg =
-  Arg.(value & flag & info [ "no-symmetry" ] ~doc:"Disable symmetry reduction (on by default): orbit canonicalization of sampled mappings and the engine seen-set that rejects symmetric duplicates of already-evaluated candidates without re-simulating. The AUTOMAP_NO_SYMMETRY environment variable has the same effect. Symmetry changes the search trajectory, so checkpoints only resume under the flag they were written with.")
+  Arg.(value & flag & info [ "no-symmetry" ] ~doc:"Disable symmetry reduction (on by default): orbit canonicalization of sampled mappings and the engine seen-set that rejects symmetric duplicates of already-evaluated candidates without re-simulating. Symmetry changes the search trajectory, so checkpoints only resume under the flag they were written with.")
 
 let no_dominance_arg =
-  Arg.(value & flag & info [ "no-dominance" ] ~doc:"Disable dominance pruning (on by default): processor/memory-kind values the static analysis proves dominated — some surviving value is equal-or-better in every candidate — are dropped from the search domains. The AUTOMAP_NO_DOMINANCE environment variable has the same effect.")
-
-let symmetry_enabled no_symmetry =
-  (not no_symmetry) && Sys.getenv_opt "AUTOMAP_NO_SYMMETRY" = None
-
-let dominance_enabled no_dominance =
-  (not no_dominance) && Sys.getenv_opt "AUTOMAP_NO_DOMINANCE" = None
+  Arg.(value & flag & info [ "no-dominance" ] ~doc:"Disable dominance pruning (on by default): processor/memory-kind values the static analysis proves dominated — some surviving value is equal-or-better in every candidate — are dropped from the search domains.")
 
 let apps_cmd =
   let doc = "List the bundled benchmark applications and their inputs." in
@@ -194,7 +188,7 @@ let tune_cmd =
     in
     let r =
       Driver.run ~runs ~final_runs ~seed ?budget ?objective ~extended
-        ~symmetry:(symmetry_enabled no_symmetry) ~dominance:(dominance_enabled no_dominance) ?db (algo_of algo) machine g
+        ~symmetry:(not no_symmetry) ~dominance:(not no_dominance) ?db (algo_of algo) machine g
     in
     Option.iter
       (fun f ->
@@ -284,24 +278,14 @@ let search_cmd =
     Arg.(value & flag & info [ "heft-seed" ] ~doc:"Start the search from the HEFT list schedule instead of the runtime-default mapping.")
   in
   let batch_arg =
-    Arg.(value & flag & info [ "batch" ] ~doc:"Propose each task's whole neighbour set as one batch (CD/CCD only). The engine delivers a batch one candidate at a time, through the same path as a single proposal, and stops at the first improvement.")
-  in
-  let batch_min_arg =
-    Arg.(value & opt int Descent.default_min_batch & info [ "batch-min" ] ~docv:"N" ~doc:"Minimum candidate-set size for a batch: smaller sets are proposed one candidate at a time. 1 always batches.")
-  in
-  let no_surrogate_arg =
-    Arg.(value & flag & info [ "no-surrogate" ] ~doc:"Disable the online surrogate cost model. By default a --batch (or --surrogate-skim) search trains it on every exact evaluation and reranks each candidate batch best-predicted-first; an unbatched search reads no model and runs none. A resumed search runs one exactly when its checkpoint carries one. The AUTOMAP_NO_SURROGATE environment variable has the same effect.")
-  in
-  let surrogate_skim_arg =
-    Arg.(value & opt (some int) None & info [ "surrogate-skim" ] ~docv:"K" ~doc:"Simulate only the surrogate's top-K predictions of each candidate batch (CD/CCD only; implies --batch). Unlike plain reranking this can change the search trajectory — the bench gate holds it never-worse at equal trial budgets.")
+    Arg.(value & flag & info [ "batch" ] ~doc:"Rank each task's candidates with an online surrogate cost model (CD/CCD only): the model trains on every exact evaluation, and the search proposes the task's candidates best-predicted-first, one at a time, stopping at the first improvement. A resumed search runs the model exactly when its checkpoint carries one.")
   in
   let out_arg =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the best mapping to FILE.")
   in
   let run app input nodes cluster graph_file machine_file seed algo runs budget
       max_trials max_wall progress events_file checkpoint checkpoint_every resume
-      heft_seed batch batch_min no_surrogate surrogate_skim no_symmetry
-      no_dominance output =
+      heft_seed batch no_symmetry no_dominance output =
     let machine, g, _ =
       resolve_workload ~app ~input ~nodes ~cluster ~graph_file ~machine_file
     in
@@ -331,14 +315,10 @@ let search_cmd =
                (json_escape path));
           if progress then Printf.eprintf "[checkpoint] trial %d -> %s\n%!" trial path
     in
-    let surrogate =
-      (not no_surrogate) && Sys.getenv_opt "AUTOMAP_NO_SURROGATE" = None
-    in
-    let symmetry = symmetry_enabled no_symmetry in
+    let symmetry = not no_symmetry in
     let r =
-      Driver.run ~runs ~seed ?budget ?max_trials ?max_wall ~heft_seed ~batch
-        ~min_batch:batch_min ~surrogate ?surrogate_skim ~symmetry
-        ~dominance:(dominance_enabled no_dominance) ~on_event ?checkpoint
+      Driver.run ~runs ~seed ?budget ?max_trials ?max_wall ~heft_seed ~batch ~symmetry
+        ~dominance:(not no_dominance) ~on_event ?checkpoint
         ~checkpoint_every ?resume_from:resume (algo_of algo) machine g
     in
     Option.iter close_out events_oc;
@@ -350,17 +330,14 @@ let search_cmd =
         r.Driver.symmetry_skips;
     (* only a search that ran a model has observations to report *)
     if r.Driver.surrogate_trained > 0 then begin
-      Printf.printf
-        "surrogate: %d observations, %d batches reranked, %d candidates skimmed%s\n"
+      Printf.printf "surrogate: %d observations, %d rounds reranked%s\n"
         r.Driver.surrogate_trained r.Driver.surrogate_reranks
-        r.Driver.surrogate_skips
         (if Float.is_finite r.Driver.spearman then
            Printf.sprintf ", spearman %.3f" r.Driver.spearman
          else "");
       if progress then
-        Printf.eprintf "[surrogate] %d trained, %d reranks, %d skips\n%!"
+        Printf.eprintf "[surrogate] %d trained, %d reranks\n%!"
           r.Driver.surrogate_trained r.Driver.surrogate_reranks
-          r.Driver.surrogate_skips
     end;
     Printf.printf "best mapping: %s\n" (Report.placement_summary g r.Driver.best);
     match output with
@@ -374,8 +351,7 @@ let search_cmd =
       const run $ app_arg $ input_arg $ nodes_arg $ cluster_arg $ graph_file_arg
       $ machine_file_arg $ seed_arg $ algo_arg $ runs_arg $ budget_arg
       $ max_trials_arg $ max_wall_arg $ progress_arg $ events_arg $ checkpoint_arg
-      $ checkpoint_every_arg $ resume_arg $ heft_seed_arg $ batch_arg
-      $ batch_min_arg $ no_surrogate_arg $ surrogate_skim_arg $ no_symmetry_arg
+      $ checkpoint_every_arg $ resume_arg $ heft_seed_arg $ batch_arg $ no_symmetry_arg
       $ no_dominance_arg $ out_arg)
 
 let analyze_cmd =

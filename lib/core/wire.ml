@@ -279,12 +279,20 @@ let str_opt fields k =
 let num_opt fields k =
   match field fields k with Some (Num f) -> Some f | _ -> None
 
-let int_opt fields k = Option.map int_of_float (num_opt fields k)
-
 let bool_def fields k d =
   match field fields k with Some (Bool b) -> b | _ -> d
 
-let int_def fields k d = match int_opt fields k with Some v -> v | None -> d
+(* Responses come from a server, so their counts are read as sent. *)
+let int_def fields k d =
+  match num_opt fields k with Some f -> int_of_float f | None -> d
+
+(* A request's integer field must be integral and fit an OCaml int:
+   [int_of_float] would turn 2.7 into 2 and 1e300 into 0. *)
+let int_field fields k =
+  match num_opt fields k with
+  | None -> Ok None
+  | Some f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 -> Ok (Some (int_of_float f))
+  | Some f -> Error (Printf.sprintf "%s must be an integer (got %.17g)" k f)
 let str_def fields k d = match str_opt fields k with Some v -> v | None -> d
 
 let opt_field k f = function None -> [] | Some v -> [ (k, f v) ]
@@ -318,14 +326,17 @@ let workload_fields w =
   @ opt_field "machine" (fun s -> Str s) w.w_machine
 
 let workload_of_fields fields =
-  {
-    w_app = str_opt fields "app";
-    w_input = str_opt fields "input";
-    w_nodes = int_def fields "nodes" default_workload.w_nodes;
-    w_cluster = str_def fields "cluster" default_workload.w_cluster;
-    w_graph = str_opt fields "graph";
-    w_machine = str_opt fields "machine";
-  }
+  Result.map
+    (fun nodes ->
+      {
+        w_app = str_opt fields "app";
+        w_input = str_opt fields "input";
+        w_nodes = Option.value nodes ~default:default_workload.w_nodes;
+        w_cluster = str_def fields "cluster" default_workload.w_cluster;
+        w_graph = str_opt fields "graph";
+        w_machine = str_opt fields "machine";
+      })
+    (int_field fields "nodes")
 
 (* ---- search config ---------------------------------------------------- *)
 
@@ -340,10 +351,6 @@ let cfg_fields (c : Slice.cfg) =
   @ opt_field "budget" (fun v -> Num v) c.Slice.budget
   @ opt_field "max_trials" (fun v -> Num (float_of_int v)) c.Slice.max_trials
   @ if_ne "batch" c.Slice.batch d.Slice.batch (fun v -> Bool v)
-  @ if_ne "min_batch" c.Slice.min_batch d.Slice.min_batch (fun v ->
-        Num (float_of_int v))
-  @ if_ne "surrogate" c.Slice.surrogate d.Slice.surrogate (fun v -> Bool v)
-  @ opt_field "surrogate_skim" (fun v -> Num (float_of_int v)) c.Slice.surrogate_skim
   @ if_ne "symmetry" c.Slice.symmetry d.Slice.symmetry (fun v -> Bool v)
   @ if_ne "dominance" c.Slice.dominance d.Slice.dominance (fun v -> Bool v)
   @ if_ne "heft_seed" c.Slice.heft_seed d.Slice.heft_seed (fun v -> Bool v)
@@ -361,8 +368,9 @@ let max_runs = 1000
 let cfg_of_fields fields =
   let d = Slice.default_cfg in
   let ( let* ) = Result.bind in
+  let int_or k dv = Result.map (Option.value ~default:dv) (int_field fields k) in
   let bounded k dv =
-    let v = int_def fields k dv in
+    let* v = int_or k dv in
     if v >= 1 && v <= max_runs then Ok v
     else Error (Printf.sprintf "%s must be in 1..%d (got %d)" k max_runs v)
   in
@@ -374,19 +382,37 @@ let cfg_of_fields fields =
     | None -> Ok d.Slice.algo
     | Some s -> Driver.algo_of_string s
   in
+  let* noise_sigma =
+    match num_opt fields "noise_sigma" with
+    | Some v when not (Float.is_finite v && v >= 0.0) ->
+        Error (Printf.sprintf "noise_sigma must be finite and non-negative (got %.17g)" v)
+    | v -> Ok v
+  in
+  let* budget =
+    match num_opt fields "budget" with
+    | Some v when not (v >= 0.0) ->
+        Error (Printf.sprintf "budget must be non-negative (got %.17g)" v)
+    | v -> Ok v
+  in
+  let* iterations = int_field fields "iterations" in
+  let* seed = int_or "seed" d.Slice.seed in
+  let* max_trials =
+    match int_field fields "max_trials" with
+    | Ok (Some v) when v < 0 ->
+        Error (Printf.sprintf "max_trials must be non-negative (got %d)" v)
+    | r -> r
+  in
   Ok
     {
       Slice.algo;
       runs;
-      noise_sigma = num_opt fields "noise_sigma";
-      iterations = int_opt fields "iterations";
-      seed = int_def fields "seed" d.Slice.seed;
-      budget = num_opt fields "budget";
-      max_trials = int_opt fields "max_trials";
+      noise_sigma;
+      iterations;
+      seed;
+      budget;
+      max_trials;
       batch = bool_def fields "batch" d.Slice.batch;
-      min_batch = int_def fields "min_batch" d.Slice.min_batch;
-      surrogate = bool_def fields "surrogate" d.Slice.surrogate;
-      surrogate_skim = int_opt fields "surrogate_skim";
+      min_batch = d.Slice.min_batch;
       symmetry = bool_def fields "symmetry" d.Slice.symmetry;
       dominance = bool_def fields "dominance" d.Slice.dominance;
       heft_seed = bool_def fields "heft_seed" d.Slice.heft_seed;
@@ -440,16 +466,19 @@ let request_of_json j =
       | Some "shutdown" -> Ok Shutdown
       | Some "analyze" ->
           if id = "" then Error "analyze: missing id"
-          else Ok (Analyze { an_id = id; workload = workload_of_fields fields })
+          else
+            let* workload = workload_of_fields fields in
+            Ok (Analyze { an_id = id; workload })
       | Some ("map" | "search") ->
           if id = "" then Error "map: missing id"
           else
+            let* workload = workload_of_fields fields in
             let* cfg = cfg_of_fields fields in
             Ok
               (Map
                  {
                    m_id = id;
-                   workload = workload_of_fields fields;
+                   workload;
                    cfg;
                    wait = bool_def fields "wait" false;
                    warm = bool_def fields "warm" true;

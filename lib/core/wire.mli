@@ -69,10 +69,14 @@ val request_to_json : request -> json
 
 val request_of_json : json -> (request, string) result
 (** Unknown types, missing ids and malformed config fields are
-    [Error]s (the server turns them into error responses), and so are
-    [runs], [final_top] and [final_runs] outside [1..1000], which bound
-    the simulations one request can ask for.  Search config fields
-    absent from a [map] request take their {!Slice.default_cfg}
+    [Error]s naming the field (the server turns them into error
+    responses), and so are [runs], [final_top] and [final_runs]
+    outside [1..1000], which bound the simulations one request can ask
+    for; an integer field ([nodes], [runs], [iterations], [seed],
+    [max_trials], [final_top], [final_runs]) that is not integral or
+    does not fit an OCaml int; a [noise_sigma] that is negative or not
+    finite; and a negative [budget] or [max_trials].  Search config
+    fields absent from a [map] request take their {!Slice.default_cfg}
     values. *)
 
 (** {1 Responses} *)

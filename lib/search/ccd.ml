@@ -6,9 +6,7 @@
 
 type state = {
   ev : Evaluator.t;
-  batch : bool;  (* emit whole neighbour sets via Propose_batch *)
-  min_batch : int;  (* rounds smaller than this run sequentially *)
-  surrogate : Surrogate.t option;  (* ranked batches (see Descent) *)
+  surrogate : Surrogate.t option;  (* ranked rounds (see Descent) *)
   rotations : int;
   prune_per_rotation : int;
   mutable r : int;  (* current rotation, 0 before the first *)
@@ -52,40 +50,19 @@ let strategy_of st =
         | Some ((f, p) as inc) -> (
             match st.sweep with
             | None -> advance st inc
-            | Some cur ->
-                if st.batch then begin
-                  match
-                    Descent.next_gated cur ~incumbent:f ~min_batch:st.min_batch
-                  with
-                  | `Done ->
-                      st.sweep <- None;
-                      advance st inc
-                  | `Batch cands ->
-                      Engine.Propose_batch (cands, p)
-                  | `Seq cand ->
-                      Engine.Propose (cand, { Engine.bound = Some p; overhead = 0.0 })
-                end
-                else (
-                  match Descent.next cur ~incumbent:f with
-                  | Some cand ->
-                      Engine.Propose (cand, { Engine.bound = Some p; overhead = 0.0 })
-                  | None ->
-                      st.sweep <- None;
-                      advance st inc)));
+            | Some cur -> (
+                match Descent.next cur ~incumbent:f with
+                | Some cand ->
+                    Engine.Propose (cand, { Engine.bound = Some p; overhead = 0.0 })
+                | None ->
+                    st.sweep <- None;
+                    advance st inc)));
     receive =
       (fun m perf ->
-        (* batched rounds consume per verdict (plain: specs; ranked:
-           the queued candidate), gated sequential rounds consumed at
-           proposal time — [deliver_verdict] dispatches *)
-        if st.batch then
-          (match st.sweep with
-          | Some c -> Descent.deliver_verdict c
-          | None -> ());
         match st.incumbent with
         | Some (_, p) when perf < p ->
             st.incumbent <- Some (m, perf);
-            if st.surrogate <> None then
-              (match st.sweep with Some c -> Descent.abandon c | None -> ());
+            Option.iter Descent.abandon st.sweep;
             true
         | _ -> false);
     encode =
@@ -99,14 +76,12 @@ let strategy_of st =
         ]);
   }
 
-let make ?(batch = false) ?(min_batch = 1) ?surrogate ?(rotations = 5) ev =
+let make ?surrogate ?(rotations = 5) ev =
   if rotations < 2 then invalid_arg "Ccd.make: rotations must be at least 2";
   let c0 = Overlap.of_graph (Evaluator.graph ev) in
   strategy_of
     {
       ev;
-      batch;
-      min_batch;
       surrogate;
       rotations;
       prune_per_rotation = prune_per_rotation ~rotations c0;
@@ -116,7 +91,7 @@ let make ?(batch = false) ?(min_batch = 1) ?surrogate ?(rotations = 5) ev =
       incumbent = None;
     }
 
-let decode ?(batch = false) ?(min_batch = 1) ?surrogate ev lines =
+let decode ?surrogate ev lines =
   let g = Evaluator.graph ev in
   match lines with
   | [ rot; inc; sweep ] -> (
@@ -140,8 +115,6 @@ let decode ?(batch = false) ?(min_batch = 1) ?surrogate ev lines =
       let st =
         {
           ev;
-          batch;
-          min_batch;
           surrogate;
           rotations;
           prune_per_rotation = ppr;

@@ -16,31 +16,20 @@
     re-profiles it to refresh the longest-running-first task order. *)
 
 val make :
-  ?batch:bool ->
-  ?min_batch:int ->
-  ?surrogate:Surrogate.t ->
-  ?rotations:int ->
-  Evaluator.t ->
-  Engine.strategy
+  ?surrogate:Surrogate.t -> ?rotations:int -> Evaluator.t -> Engine.strategy
 (** CCD as an engine strategy (name ["ccd"]); emits a
-    {!Engine.Phase} marker at each rotation entry.  [batch] (default
-    false) emits each task's whole neighbour set as one
-    {!Engine.Propose_batch} (see {!Cd.make}).  [min_batch] (default 1)
-    gates sub-threshold rounds back to single proposals (see
-    {!Cd.make} and {!Descent.next_gated}).  [surrogate] ranks each batch
+    {!Engine.Phase} marker at each rotation entry and proposes one
+    candidate per step.  [surrogate] ranks each task's candidates
     best-predicted-first (see {!Cd.make} and {!Descent.start}) in
     every rotation.  [rotations] defaults to 5 (the paper's setting;
     fewer behaves like CD, more wastes search time — §5).
     @raise Invalid_argument if [rotations < 2]. *)
 
 val decode :
-  ?batch:bool ->
-  ?min_batch:int ->
   ?surrogate:Surrogate.t ->
   Evaluator.t ->
   string list ->
   (Engine.strategy, string) result
 (** Rebuild a checkpointed CCD strategy mid-rotation: the overlap graph
     is re-derived (pruning is deterministic), the sweep cursor and
-    incumbent restored.  [batch], [min_batch] and [surrogate] as in
-    {!Cd.decode}. *)
+    incumbent restored.  [surrogate] as in {!Cd.decode}. *)

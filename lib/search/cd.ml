@@ -6,9 +6,7 @@
 
 type state = {
   ev : Evaluator.t;
-  batch : bool;  (* emit whole neighbour sets via Propose_batch *)
-  min_batch : int;  (* rounds smaller than this run sequentially *)
-  surrogate : Surrogate.t option;  (* ranked batches (see Descent) *)
+  surrogate : Surrogate.t option;  (* ranked rounds (see Descent) *)
   mutable incumbent : (Mapping.t * float) option;
   mutable sweep : Descent.t option;
 }
@@ -43,46 +41,27 @@ let strategy_of st =
                   st.sweep <- Some c;
                   c
             in
-            if st.batch then begin
-              match Descent.next_gated cur ~incumbent:f ~min_batch:st.min_batch with
-              | `Done -> Engine.Stop
-              | `Batch cands ->
-                  Engine.Propose_batch (cands, p)
-              | `Seq cand ->
-                  Engine.Propose (cand, { Engine.bound = Some p; overhead = 0.0 })
-            end
-            else
-              match Descent.next cur ~incumbent:f with
-              | Some cand ->
-                  Engine.Propose (cand, { Engine.bound = Some p; overhead = 0.0 })
-              | None -> Engine.Stop));
+            match Descent.next cur ~incumbent:f with
+            | Some cand -> Engine.Propose (cand, { Engine.bound = Some p; overhead = 0.0 })
+            | None -> Engine.Stop));
     receive =
       (fun m perf ->
-        (* batched rounds consume per verdict (plain: specs; ranked:
-           the queued candidate), gated sequential rounds consumed at
-           proposal time — [deliver_verdict] dispatches *)
-        if st.batch then
-          (match st.sweep with
-          | Some c -> Descent.deliver_verdict c
-          | None -> ());
         match st.incumbent with
         | Some (_, p) when perf < p ->
             st.incumbent <- Some (m, perf);
-            if st.surrogate <> None then
-              (match st.sweep with Some c -> Descent.abandon c | None -> ());
+            Option.iter Descent.abandon st.sweep;
             true
         | _ -> false);
     encode = (fun () -> encode_state st);
   }
 
-let make ?(batch = false) ?(min_batch = 1) ?surrogate ev =
-  strategy_of { ev; batch; min_batch; surrogate; incumbent = None; sweep = None }
+let make ?surrogate ev = strategy_of { ev; surrogate; incumbent = None; sweep = None }
 
-let decode ?(batch = false) ?(min_batch = 1) ?surrogate ev lines =
+let decode ?surrogate ev lines =
   let g = Evaluator.graph ev in
   match lines with
   | [ inc; sweep ] -> (
-      let st = { ev; batch; min_batch; surrogate; incumbent = None; sweep = None } in
+      let st = { ev; surrogate; incumbent = None; sweep = None } in
       let ( let* ) = Result.bind in
       let* () =
         if inc = "incumbent none" then Ok ()

@@ -31,75 +31,36 @@ val start :
 (** Fresh sweep: task order is fixed now from [profile]
     (runtime-descending), candidates are generated lazily.
 
-    With [surrogate] the cursor runs in {e ranked mode}: a
-    {!next_gated} batch is the whole current task's candidates permuted
-    best-predicted-first by {!Surrogate.rank} (truncated to the top-K
-    when the surrogate carries a skim setting, dropped candidates
-    counted as surrogate skips), and the task's specs are consumed
-    atomically at build time.  {!next} proposes the same ranked order
-    one candidate at a time from an internal queue ({!abandon} drops it
-    on an accept), so ranked-batched and ranked-sequential drives are
-    bit-identical.
-    The queue {e is} serialized by {!encode}: the permutation depends
-    on the model weights as they stood before the batch trained on its
-    own results, so it cannot be re-derived at decode time — carrying
-    it makes resume exact even when the engine truncated a ranked
-    batch at the trial budget. *)
+    With [surrogate] the cursor runs in {e ranked mode}: a round is
+    the whole current task's candidates, built against one incumbent
+    and permuted best-predicted-first by {!Surrogate.rank}, and the
+    task's specs are consumed at once.  {!next} proposes the round one
+    candidate at a time from an internal queue, and {!abandon} drops
+    the queue on an accept.  The queue {e is} serialized by {!encode}:
+    the permutation depends on the model weights as they stood before
+    the round trained on its own results, so it cannot be re-derived
+    at decode time. *)
 
 val next : t -> incumbent:Mapping.t -> Mapping.t option
 (** The next candidate to evaluate, built from [incumbent]; [None] when
     the sweep is complete.  Advancing may consume no-op specs (counted)
-    and enter new tasks (dead-coordinate accounting). *)
-
-val default_min_batch : int
-(** Default minimum round size below which {!next_gated} prefers the
-    sequential drive — BENCH_searchrate.json showed sub-this-size
-    batches losing to sequential evaluation (geomean 0.981 at smoke
-    sizes), so batching only engages past the amortization point. *)
-
-val next_gated :
-  t ->
-  incumbent:Mapping.t ->
-  min_batch:int ->
-  [ `Done | `Batch of Mapping.t array | `Seq of Mapping.t ]
-(** Size-gated proposal round: [`Batch] with the current task's
-    remaining (non-no-op) candidates, all built against [incumbent],
-    when it holds at least [min_batch] of them; [`Seq] with one
-    candidate at a time (the same candidates in the same order) below
-    the gate; [`Done] when the sweep is complete.  Leading no-ops and
-    task-entry accounting are settled eagerly; the specs of a plain
-    batch are consumed only as verdicts arrive, so candidates past the
-    last delivered one are rebuilt by the next round against the
-    then-current incumbent — exactly the state a sequential {!next}
-    caller that stopped at the same point would be in.  In ranked mode
-    (see {!start}) a resumed cursor holding an undelivered remainder of
-    a truncated batch returns it verbatim, in its original model order.
-
-    Every verdict — batched or sequential — is acknowledged with
-    {!deliver_verdict}.  Decision-identical to the sequential drive for
-    any [min_batch]: the gate only switches between two bit-identical
-    representations, and it is re-decided each round from checkpointed
-    cursor state, so resumed runs reproduce it.  [min_batch <= 1]
-    always batches; [max_int] never does. *)
-
-val deliver_verdict : t -> unit
-(** Acknowledge one verdict after a {!next_gated} round.  A plain batch
-    consumes the candidate's spec plus the gap no-ops before it
-    (counted now — same totals as {!next}, which counts them on its way
-    to the candidate); a ranked batch drains the queued candidate, so a
-    budget-truncated batch leaves exactly the undelivered remainder in
-    the (serialized) queue; a gated sequential round has nothing left
-    to consume.
-    @raise Invalid_argument with no outstanding batch candidate. *)
+    and enter new tasks (dead-coordinate accounting).  In ranked mode
+    the candidate comes from the current ranked round, and a new round
+    is built when it is empty. *)
 
 val abandon : t -> unit
 (** Ranked mode, on an accept: drop the rest of the current ranked
-    batch — those candidates were built against the replaced incumbent.
-    No-op in plain mode and after batched delivery. *)
+    round — those candidates were built against the replaced
+    incumbent.  No-op in plain mode. *)
+
+val default_min_batch : int
+(** 24.  Nothing in lib reads it; it stays while the benchmark's traced
+    rebuild of a serve map job passes it to {!Driver.make_strategy}. *)
 
 val encode : t -> string
-(** Checkpoint line: task order + position.  Candidate specs are
-    re-derived from the space on {!decode}, so the line stays small. *)
+(** Checkpoint line: task order + position, and in ranked mode the
+    queue's keys.  Candidate specs are re-derived from the space on
+    {!decode}, so the line stays small. *)
 
 val decode :
   ?surrogate:Surrogate.t ->
@@ -111,4 +72,6 @@ val decode :
     is {e not} redone — the restored evaluator counters already include
     it.  [surrogate] resumes the cursor in ranked mode (the caller
     restores the model itself from the checkpoint's surrogate
-    section). *)
+    section).  A queue ending in the word [gated], which envelopes
+    written while a ranked round could also be one batch may carry,
+    decodes to the same cursor as the line without it. *)

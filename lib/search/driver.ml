@@ -47,8 +47,6 @@ type cfg = {
   max_trials : int option;
   batch : bool;
   min_batch : int;
-  surrogate : bool;
-  surrogate_skim : int option;
   symmetry : bool;
   dominance : bool;
   heft_seed : bool;
@@ -67,8 +65,6 @@ let default_cfg =
     max_trials = None;
     batch = true;
     min_batch = Descent.default_min_batch;
-    surrogate = true;
-    surrogate_skim = None;
     symmetry = true;
     dominance = true;
     heft_seed = false;
@@ -96,7 +92,6 @@ type result = {
   symmetry_skips : int;
   surrogate_trained : int;
   surrogate_reranks : int;
-  surrogate_skips : int;
   spearman : float;
 }
 
@@ -112,10 +107,13 @@ let heft_strategy =
     encode = (fun () -> []);
   }
 
-let make_strategy ~seed ?budget ~batch ?(min_batch = 1) ?surrogate algo ev =
+(* [batch] is the one switch for surrogate ranking: without it CD and
+   CCD propose in plain sweep order whatever model is passed. *)
+let make_strategy ~seed ?budget ~batch ?min_batch:_ ?surrogate algo ev =
+  let surrogate = if batch then surrogate else None in
   match algo with
-  | Cd -> Cd.make ~batch ~min_batch ?surrogate ev
-  | Ccd { rotations } -> Ccd.make ~batch ~min_batch ?surrogate ~rotations ev
+  | Cd -> Cd.make ?surrogate ev
+  | Ccd { rotations } -> Ccd.make ?surrogate ~rotations ev
   | Ensemble_tuner ->
       Ensemble.make ~config:{ Ensemble.default_config with seed = seed + 1 } ev
   | Random_walk { max_evals } -> Random_search.make ~seed:(seed + 1) ~max_evals ev
@@ -125,10 +123,10 @@ let make_strategy ~seed ?budget ~batch ?(min_batch = 1) ?surrogate algo ev =
 
 (* Checkpoints name the strategy; decoding dispatches on that name
    explicitly (no registration side effects, so no link-order traps). *)
-let decode_strategy ?(batch = false) ?(min_batch = 1) ?surrogate ev ~algo lines =
+let decode_strategy ?surrogate ev ~algo lines =
   match algo with
-  | "cd" -> Cd.decode ~batch ~min_batch ?surrogate ev lines
-  | "ccd" -> Ccd.decode ~batch ~min_batch ?surrogate ev lines
+  | "cd" -> Cd.decode ?surrogate ev lines
+  | "ccd" -> Ccd.decode ?surrogate ev lines
   | "annealing" -> Annealing.decode ev lines
   | "random" -> Random_search.decode ev lines
   | "ensemble" -> Ensemble.decode ev lines
@@ -204,24 +202,18 @@ let session ?scratch ?objective ?extended ?db ?start ?snapshot (cfg : cfg) machi
     | Some s -> Evaluator.restore_state ev s.Engine.s_evaluator
     | None -> Ok ()
   in
-  (* Skim only makes sense on ranked batches, and ranking needs batch
-     proposals (checkpoints then fall strictly between ranked batches —
-     see Descent).  So a fresh search runs a surrogate only when [cfg]
-     asks for one and it ranks: an unbatched search has no decision
-     that reads the model.  A resumed one runs it exactly when its
-     snapshot carries one, since restoring a model into a surrogate-free
-     run (or dropping it from a surrogate run) would change the decision
-     sequence.  The model's own header rejects a skim/config mismatch. *)
-  let batch = cfg.batch || cfg.surrogate_skim <> None in
+  (* A fresh search runs a surrogate exactly when [cfg.batch] has it
+     rank: an unbatched search has no decision that reads the model.  A
+     resumed one runs it exactly when its snapshot carries one, since
+     restoring a model into a surrogate-free run (or dropping it from a
+     surrogate run) would change the decision sequence. *)
   let* sg =
     let wanted =
-      match snapshot with
-      | None -> cfg.surrogate && batch
-      | Some s -> s.Engine.s_surrogate <> []
+      match snapshot with None -> cfg.batch | Some s -> s.Engine.s_surrogate <> []
     in
     if not wanted then Ok None
     else
-      let m = Surrogate.create ?skim:cfg.surrogate_skim space in
+      let m = Surrogate.create space in
       match snapshot with
       | Some s -> Result.map (fun () -> Some m) (Surrogate.restore m s.Engine.s_surrogate)
       | None -> Ok (Some m)
@@ -236,7 +228,6 @@ let session ?scratch ?objective ?extended ?db ?start ?snapshot (cfg : cfg) machi
         Error "checkpoint has a symmetry section but symmetry is off"
     | _ -> Ok ()
   in
-  let rank_sg = if batch then sg else None in
   let* strat, start, carry =
     match snapshot with
     | None ->
@@ -248,14 +239,15 @@ let session ?scratch ?objective ?extended ?db ?start ?snapshot (cfg : cfg) machi
               else Mapping.default_start graph machine
         in
         Ok
-          ( make_strategy ~seed:cfg.seed ?budget:cfg.budget ~batch
-              ~min_batch:cfg.min_batch ?surrogate:rank_sg cfg.algo ev,
+          ( make_strategy ~seed:cfg.seed ?budget:cfg.budget ~batch:cfg.batch
+              ?surrogate:sg cfg.algo ev,
             start,
             None )
     | Some s ->
         let* strat =
-          decode_strategy ~batch ~min_batch:cfg.min_batch ?surrogate:rank_sg ev
-            ~algo:s.Engine.s_algo s.Engine.s_strategy
+          decode_strategy
+            ?surrogate:(if cfg.batch then sg else None)
+            ev ~algo:s.Engine.s_algo s.Engine.s_strategy
         in
         let* best =
           Option.to_result ~none:"best-mapping key does not parse for this graph"
@@ -312,13 +304,12 @@ let run ?(runs = default_cfg.runs) ?(final_top = default_cfg.final_top)
     ?(final_runs = default_cfg.final_runs) ?noise_sigma ?iterations
     ?(seed = default_cfg.seed) ?budget ?max_trials ?max_wall ?start
     ?(heft_seed = default_cfg.heft_seed) ?objective ?extended ?(batch = false)
-    ?(min_batch = default_cfg.min_batch) ?(surrogate = default_cfg.surrogate)
-    ?surrogate_skim ?(symmetry = default_cfg.symmetry)
-    ?(dominance = default_cfg.dominance) ?db ?on_event ?checkpoint
-    ?(checkpoint_every = 25) ?resume_from algo machine graph =
+    ?(symmetry = default_cfg.symmetry) ?(dominance = default_cfg.dominance) ?db
+    ?on_event ?checkpoint ?(checkpoint_every = 25) ?resume_from algo machine graph =
   let cfg =
-    { algo; runs; noise_sigma; iterations; seed; budget; max_trials; batch; min_batch;
-      surrogate; surrogate_skim; symmetry; dominance; heft_seed; final_top; final_runs }
+    { algo; runs; noise_sigma; iterations; seed; budget; max_trials; batch;
+      min_batch = default_cfg.min_batch; symmetry; dominance; heft_seed; final_top;
+      final_runs }
   in
   let ok = function
     | Ok v -> v
@@ -354,7 +345,6 @@ let run ?(runs = default_cfg.runs) ?(final_top = default_cfg.final_top)
     symmetry_skips = st.Evaluator.s_symmetry_skips;
     surrogate_trained = st.Evaluator.s_surrogate_trained;
     surrogate_reranks = st.Evaluator.s_surrogate_reranks;
-    surrogate_skips = st.Evaluator.s_surrogate_skips;
     spearman = st.Evaluator.s_spearman;
   }
 

@@ -35,22 +35,24 @@ type cfg = {
   budget : float option;       (** virtual-time cap *)
   max_trials : int option;     (** total evaluated-trial cap *)
   batch : bool;
+      (** CD/CCD rank each task's candidates with an online
+          {!Surrogate} (see {!run}) *)
   min_batch : int;
-  surrogate : bool;
-  surrogate_skim : int option;
+      (** nothing in lib reads it; it stays while the benchmark's
+          traced rebuild of a serve map job passes it *)
   symmetry : bool;   (** orbit canonicalization + seen-set skipping *)
   dominance : bool;  (** dominance-pruned choice lists *)
   heft_seed : bool;
   final_top : int;
   final_runs : int;
 }
-(** Everything that determines a search's decision stream (plus the
-    decision-neutral batching knobs); {!Slice.cfg} is this type. *)
+(** Everything that determines a search's decision stream (plus
+    [min_batch], which decides nothing); {!Slice.cfg} is this type. *)
 
 val default_cfg : cfg
-(** CCD(5), 7 runs, seed 0, no caps, gated batching with
-    {!Descent.default_min_batch}, surrogate, symmetry and dominance on,
-    final protocol 5 × 30 runs. *)
+(** CCD(5), 7 runs, seed 0, no caps, surrogate ranking ([batch]),
+    symmetry and dominance on, final protocol 5 × 30 runs;
+    [min_batch] is {!Descent.default_min_batch}. *)
 
 type result = {
   algo : algo;
@@ -71,8 +73,7 @@ type result = {
   checkpoints_written : int;
   symmetry_skips : int;        (** symmetric duplicates never re-evaluated *)
   surrogate_trained : int;     (** SGD observations absorbed (0 without model) *)
-  surrogate_reranks : int;     (** batches reordered by the model *)
-  surrogate_skips : int;       (** candidates never simulated (skim mode) *)
+  surrogate_reranks : int;     (** ranked rounds reordered by the model *)
   spearman : float;            (** rank correlation, recent window; nan early *)
 }
 
@@ -87,24 +88,21 @@ val make_strategy :
   Engine.strategy
 (** A fresh strategy for [algo], exactly as {!session} builds one:
     [seed] derives the stochastic algorithms' seeds, [budget] becomes
-    the portfolio's member shares, [batch]/[min_batch]/[surrogate]
-    configure CD/CCD proposal batching (gated — see
-    {!Descent.next_gated} — and ranked).  Exposed for callers that
+    the portfolio's member shares, and with [batch] CD/CCD rank each
+    task's candidates with [surrogate] (see {!Descent.start}).
+    Nothing reads [min_batch]; it stays while the benchmark's traced
+    rebuild of a serve map job passes it.  Exposed for callers that
     drive {!Engine.run} themselves. *)
 
 val decode_strategy :
-  ?batch:bool ->
-  ?min_batch:int ->
   ?surrogate:Surrogate.t ->
   Evaluator.t ->
   algo:string ->
   string list ->
   (Engine.strategy, string) Stdlib.result
 (** Rebuild a checkpointed strategy from its [algo] name (as recorded in
-    {!Engine.snapshot.s_algo}) and encoded state lines.  [batch]
-    resumes CD/CCD in batch mode ([min_batch] gating sub-threshold
-    rounds, default 1); [surrogate] resumes them with ranked batches
-    (see {!run}). *)
+    {!Engine.snapshot.s_algo}) and encoded state lines.  [surrogate]
+    resumes CD/CCD with ranked rounds (see {!run}). *)
 
 val final_protocol :
   ?final_top:int ->
@@ -201,9 +199,6 @@ val run :
   ?objective:(Machine.t -> Exec.result -> float) ->
   ?extended:bool ->
   ?batch:bool ->
-  ?min_batch:int ->
-  ?surrogate:bool ->
-  ?surrogate_skim:int ->
   ?symmetry:bool ->
   ?dominance:bool ->
   ?db:Profiles_db.t ->
@@ -222,28 +217,19 @@ val run :
     defaults follow §5: [runs] = 7,
     [final_top] = 5, [final_runs] = 30.  [objective] selects the
     metric the search minimizes (default: per-iteration time),
-    [extended] opens the distribution-strategy dimension,
-    [batch] (default false) has CD/CCD propose each task's neighbour
-    set as one {!Engine.Propose_batch}, which the engine delivers one
-    candidate at a time through its {!Engine.Propose} path (other
-    algorithms ignore it), [min_batch] (default
-    {!Descent.default_min_batch}) proposes smaller rounds one
-    candidate at a time (pass 1 to always batch) and
+    [extended] opens the distribution-strategy dimension and
     [db] warm-starts from a persisted profiles database (see
     {!Evaluator.create}).
 
-    [surrogate] (default true) takes effect with [batch]: an online
-    {!Surrogate} cost model trains on every exact evaluation and
-    reranks CD/CCD candidate batches best-predicted-first (same
+    [batch] (default false) runs an online {!Surrogate} cost model
+    that trains on every exact evaluation and has CD/CCD propose each
+    task's candidates best-predicted-first, one per step (same
     candidates, same acceptance rule — the exact simulator still
-    decides).  An unbatched search reads no model, so it runs none.
-    [surrogate_skim] additionally simulates only the top-K
-    predictions of each ranked batch (implies [batch]); skimming can
-    change the search trajectory, so it is guarded by the never-worse
-    bench gate rather than an identity proof.  Resume note: the
-    checkpoint decides — a snapshot with a surrogate section restores
-    it (skim config must match), one without runs surrogate-free; an
-    unbatched run's checkpoints carry none for a later batched resume.
+    decides, but which improvement is met first can change).  Other
+    algorithms read no model.  An unbatched search runs none.  Resume
+    note: the checkpoint decides — a snapshot with a surrogate section
+    restores it, one without runs surrogate-free; an unbatched run's
+    checkpoints carry none for a later batched resume.
 
     [symmetry] (default true) quotients the search by the task-orbit
     symmetries {!Symmetry} certifies: random samples are canonicalized

@@ -4,7 +4,6 @@ let unbounded = { bound = None; overhead = 0.0 }
 
 type step =
   | Propose of Mapping.t * hint
-  | Propose_batch of Mapping.t array * float
   | Phase of string
   | Stop
 
@@ -338,9 +337,7 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
       ~wall:(wall ())
   in
   (* One proposal, evaluated under [hint] (or answered from the
-     seen-set) and handed to [receive]; returns whether the strategy
-     accepted it.  A [Propose] and every candidate of a
-     [Propose_batch] go through here. *)
+     seen-set) and handed to [receive]. *)
   let propose candidate hint =
     let keys = Option.map (fun sn -> seen_keys sn candidate) seen in
     let memo =
@@ -357,7 +354,7 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
            Metropolis draw) moves its own incumbent, but the engine's
            best never moves on a memoized value. *)
         Evaluator.note_symmetry_skip ev;
-        strat.receive candidate v
+        ignore (strat.receive candidate v : bool)
     | None ->
         if hint.overhead > 0.0 then Evaluator.note_suggestion_overhead ev hint.overhead;
         let perf = evaluate ?bound:hint.bound keys candidate in
@@ -368,8 +365,7 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
         if improved then best := (candidate, perf);
         on_event (Eval { trial = !trials; mapping = candidate; perf; vt; accepted });
         if improved then on_event (Improve { trial = !trials; mapping = candidate; perf; vt });
-        maybe_checkpoint ();
-        accepted
+        maybe_checkpoint ()
   in
   let stop = ref false in
   while not (!stop || exhausted ()) do
@@ -377,16 +373,7 @@ let run ?(budget = Budget.unlimited) ?(on_event = fun _ -> ()) ?checkpoint ?carr
     match strat.step { trials = !trials; vt = Evaluator.virtual_time ev; best = !best } with
     | Stop -> stop := true
     | Phase name -> on_event (Phase_change { name })
-    | Propose (candidate, hint) -> ignore (propose candidate hint : bool)
-    | Propose_batch (cands, b) ->
-        (* the candidates in order, each a [Propose] under bound [b],
-           with the budget checked before each, until one is accepted *)
-        let hint = { bound = Some b; overhead = 0.0 } in
-        let rec deliver i =
-          if i < Array.length cands && not (exhausted ()) && not (propose cands.(i) hint)
-          then deliver (i + 1)
-        in
-        deliver 0
+    | Propose (candidate, hint) -> propose candidate hint
   done;
   let bm, bp = !best in
   {

@@ -39,17 +39,6 @@ val unbounded : hint
 
 type step =
   | Propose of Mapping.t * hint  (** evaluate this candidate next *)
-  | Propose_batch of Mapping.t array * float
-      (** a whole candidate set against one bound.  The engine hands
-          each candidate, in array order, to the code that handles a
-          {!Propose} with that bound and no overhead: the budget is
-          checked and the seen-set consulted before each one, and a
-          checkpoint falls at the same trial boundaries.  The batch
-          ends at the first candidate [receive] accepts.  Contract:
-          [receive] accepts exactly when [perf < bound], and [bound] is
-          its current acceptance threshold (first-improvement
-          descent), so the candidates after an acceptance were built
-          against a replaced incumbent and are never delivered. *)
   | Phase of string              (** phase marker (rotation, member…) — no evaluation *)
   | Stop                         (** the strategy is done *)
 

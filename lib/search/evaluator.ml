@@ -86,7 +86,6 @@ type stats = {
   s_full_replays : int;
   s_surrogate_trained : int;
   s_surrogate_reranks : int;
-  s_surrogate_skips : int;
   s_spearman : float;
 }
 
@@ -438,7 +437,6 @@ let stats t =
     s_full_replays = 0;
     s_surrogate_trained = (match t.surrogate with Some s -> Surrogate.trained s | None -> 0);
     s_surrogate_reranks = (match t.surrogate with Some s -> Surrogate.reranks s | None -> 0);
-    s_surrogate_skips = (match t.surrogate with Some s -> Surrogate.skips s | None -> 0);
     s_spearman = (match t.surrogate with Some s -> Surrogate.spearman s | None -> Float.nan);
   }
 

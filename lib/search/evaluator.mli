@@ -232,8 +232,7 @@ val note_warm_start : t -> unit
 
 val attach_surrogate : t -> Surrogate.t -> unit
 (** Register the search's surrogate model so {!stats} reports its
-    counters (trained observations, reranks, skim skips, rank
-    correlation).  Telemetry only: the evaluator never consults the
+    counters (trained observations, reranks, rank correlation).  Telemetry only: the evaluator never consults the
     model — training is the engine's, ranking the strategies'. *)
 
 type stats = {
@@ -262,7 +261,6 @@ type stats = {
   s_full_replays : int;  (** Always 0, as [s_cone_replays]. *)
   s_surrogate_trained : int;  (** {!Surrogate.trained} (0 when none attached) *)
   s_surrogate_reranks : int;  (** {!Surrogate.reranks} *)
-  s_surrogate_skips : int;    (** {!Surrogate.skips} *)
   s_spearman : float;  (** {!Surrogate.spearman} ([nan] when none attached) *)
 }
 (** One-shot snapshot of every counter, for benches and tests.  The

@@ -27,10 +27,10 @@ let member_of_string s =
    active member's strategy and enforces each member's virtual-time
    share as an absolute deadline, exactly like the legacy sequential
    fold.  Members propose one candidate a step, so the deadline is
-   checked before each: a member proposing a whole neighbour set
-   would run its batch past it.  A member opens with its start point (the portfolio's
-   best-so-far) proposed as a normal trial — a profiles-db cache hit,
-   matching the legacy member searches re-evaluating their start. *)
+   checked before each.  A member opens with its start point (the
+   portfolio's best-so-far) proposed as a normal trial — a profiles-db
+   cache hit, matching the legacy member searches re-evaluating their
+   start. *)
 
 type phase =
   | Idle

@@ -28,8 +28,8 @@ val make :
     normal trial — a cache hit) and cut at an absolute virtual-time
     deadline of [budget / n_members] past its entry.  Member
     transitions surface as {!Engine.Phase} events.  Every member
-    proposes one candidate a step (CD and CCD never batch here), so
-    the deadline is checked before each proposal and a batched search
+    proposes one candidate a step, so the deadline is checked before
+    each proposal, and members rank nothing, so a batched search
     decides as an unbatched one.
     @raise Invalid_argument on an empty member list. *)
 

@@ -27,8 +27,6 @@ type cfg = Driver.cfg = {
   max_trials : int option;
   batch : bool;
   min_batch : int;
-  surrogate : bool;
-  surrogate_skim : int option;
   symmetry : bool;
   dominance : bool;
   heft_seed : bool;
@@ -50,21 +48,17 @@ let algo_spec = function
 let opt_f = function None -> "none" | Some v -> Printf.sprintf "%h" v
 let opt_i = function None -> "none" | Some v -> string_of_int v
 
-(* The full search identity, for the result memo.  Deliberately
-   conservative: decision-neutral fields (batch, min_batch) are
-   included too — segmenting the memo slightly finer than necessary
-   costs a warm start where a hit was possible, never a wrong answer. *)
+(* The full search identity, for the result memo: every field but
+   [min_batch], which decides nothing. *)
 let fingerprint cfg =
   Digest.to_hex
     (Digest.string
        (Printf.sprintf
           "algo=%s runs=%d noise=%s iters=%s seed=%d budget=%s trials=%s batch=%b \
-           min_batch=%d surrogate=%b skim=%s symmetry=%b dominance=%b heft=%b top=%d \
-           final_runs=%d"
+           symmetry=%b dominance=%b heft=%b top=%d final_runs=%d"
           (algo_spec cfg.algo) cfg.runs (opt_f cfg.noise_sigma) (opt_i cfg.iterations)
-          cfg.seed (opt_f cfg.budget) (opt_i cfg.max_trials) cfg.batch cfg.min_batch
-          cfg.surrogate (opt_i cfg.surrogate_skim) cfg.symmetry cfg.dominance cfg.heft_seed
-          cfg.final_top cfg.final_runs))
+          cfg.seed (opt_f cfg.budget) (opt_i cfg.max_trials) cfg.batch cfg.symmetry
+          cfg.dominance cfg.heft_seed cfg.final_top cfg.final_runs))
 
 type finished = {
   best : Mapping.t;

@@ -29,10 +29,8 @@ type cfg = Driver.cfg = {
   seed : int;
   budget : float option;       (** request's virtual-time cap *)
   max_trials : int option;     (** request's total evaluated-trial cap *)
-  batch : bool;
-  min_batch : int;
-  surrogate : bool;
-  surrogate_skim : int option;
+  batch : bool;      (** surrogate ranking (see {!Driver.cfg}) *)
+  min_batch : int;   (** read by nothing in lib (see {!Driver.cfg}) *)
   symmetry : bool;   (** orbit canonicalization + seen-set skipping *)
   dominance : bool;  (** dominance-pruned choice lists *)
   heft_seed : bool;

@@ -32,10 +32,6 @@
 
 type t = {
   graph : Graph.t;
-  dims : int;
-  eta : float;
-  window : int;
-  skim : int option;
   gid : int;  (* fnv1a of graph name, for the save-format header *)
   mid : int;  (* fnv1a of machine name *)
   w : float array;   (* dims weights *)
@@ -55,7 +51,6 @@ type t = {
   (* counters *)
   mutable trained : int;
   mutable reranks : int;
-  mutable skips : int;
   (* (predicted, actual) ring buffer for the rank-correlation window *)
   win_pred : float array;
   win_act : float array;
@@ -72,12 +67,13 @@ let fnv1a s =
 
 let mix h k = (((h lxor (k * 0x9E3779B1)) + 0x85EBCA6B) * 0x01000193) land mask
 
-let create ?(dims = 512) ?(eta = 0.3) ?(window = 64) ?skim space =
-  if dims < 8 then invalid_arg "Surrogate.create: dims must be at least 8";
-  if window < 2 then invalid_arg "Surrogate.create: window must be at least 2";
-  (match skim with
-  | Some k when k <= 0 -> invalid_arg "Surrogate.create: skim must be positive"
-  | _ -> ());
+(* hashed feature-vector width, base learning rate, and size of the
+   (predicted, actual) ring buffer behind [spearman] *)
+let dims = 512
+let eta = 0.3
+let window = 64
+
+let create space =
   let g = Space.graph space in
   let machine = Space.machine space in
   let n_tasks = Graph.n_tasks g and n_cols = Graph.n_collections g in
@@ -114,10 +110,6 @@ let create ?(dims = 512) ?(eta = 0.3) ?(window = 64) ?skim space =
   norm col_wt;
   {
     graph = g;
-    dims;
-    eta;
-    window;
-    skim;
     gid = fnv1a g.Graph.gname;
     mid = fnv1a machine.Machine.name;
     w = Array.make dims 0.0;
@@ -134,30 +126,16 @@ let create ?(dims = 512) ?(eta = 0.3) ?(window = 64) ?skim space =
     reference = None;
     trained = 0;
     reranks = 0;
-    skips = 0;
     win_pred = Array.make window 0.0;
     win_act = Array.make window 0.0;
     win_n = 0;
     win_i = 0;
   }
 
-let skim t = t.skim
-
-(* skim only once the model has seen enough exact results to order
-   candidates better than chance; 2×window observations also fills the
-   correlation telemetry twice over.  [trained] rides in checkpoints,
-   so a resumed run crosses the threshold at the same trial. *)
-let skim_active t =
-  match t.skim with
-  | Some _ when t.trained >= 2 * t.window -> t.skim
-  | _ -> None
-
 let graph t = t.graph
 let trained t = t.trained
 let reranks t = t.reranks
-let skips t = t.skips
 let note_incumbent t m = t.reference <- Some m
-let note_skips t n = if n > 0 then t.skips <- t.skips + n
 
 (* ---- feature extraction ------------------------------------------------- *)
 
@@ -168,7 +146,7 @@ let clear t =
   t.n_touched <- 0
 
 let add t h v =
-  let idx = h mod t.dims in
+  let idx = h mod dims in
   if t.fx.(idx) = 0.0 then begin
     t.touched.(t.n_touched) <- idx;
     t.n_touched <- t.n_touched + 1
@@ -238,13 +216,13 @@ let observe t m perf =
       let idx = t.touched.(i) in
       let gr = err *. t.fx.(idx) in
       t.g2.(idx) <- t.g2.(idx) +. (gr *. gr);
-      t.w.(idx) <- t.w.(idx) -. (t.eta *. gr /. sqrt (1.0 +. t.g2.(idx)))
+      t.w.(idx) <- t.w.(idx) -. (eta *. gr /. sqrt (1.0 +. t.g2.(idx)))
     done;
     t.trained <- t.trained + 1;
     t.win_pred.(t.win_i) <- pred;
     t.win_act.(t.win_i) <- y;
-    t.win_i <- (t.win_i + 1) mod t.window;
-    if t.win_n < t.window then t.win_n <- t.win_n + 1
+    t.win_i <- (t.win_i + 1) mod window;
+    if t.win_n < window then t.win_n <- t.win_n + 1
   end
 
 (* ---- ranking ------------------------------------------------------------ *)
@@ -271,7 +249,7 @@ let spearman t =
   else begin
     (* Pearson correlation of the rank sequences (ties keep insertion
        order — fine for a telemetry estimate) *)
-    let slot j = (t.win_i - n + j + (2 * t.window)) mod t.window in
+    let slot j = (t.win_i - n + j + (2 * window)) mod window in
     let ranks_of arr =
       let idx = Array.init n (fun j -> j) in
       Array.sort
@@ -297,27 +275,28 @@ let spearman t =
 
 (* ---- checkpoint codec --------------------------------------------------- *)
 
+(* The layout keeps the two fields skim mode used to fill: the
+   header's [-] (no skim) and a skips counter that is always 0, so
+   envelopes written while skim mode existed restore unchanged. *)
 let header t =
-  Printf.sprintf "surrogate 1 %d %d %s %s %d %d" t.dims t.window
-    (Codec.hex_of_float t.eta)
-    (match t.skim with None -> "-" | Some k -> string_of_int k)
+  Printf.sprintf "surrogate 1 %d %d %s - %d %d" dims window (Codec.hex_of_float eta)
     t.gid t.mid
 
 let save t =
   let lines = ref [] in
   let out l = lines := l :: !lines in
   out (header t);
-  out (Printf.sprintf "counters %d %d %d" t.trained t.reranks t.skips);
+  out (Printf.sprintf "counters %d %d 0" t.trained t.reranks);
   out
     (match t.reference with
     | None -> "ref none"
     | Some m -> "ref " ^ Mapping.canonical_key m);
   let nw = ref 0 in
-  for i = 0 to t.dims - 1 do
+  for i = 0 to dims - 1 do
     if t.w.(i) <> 0.0 || t.g2.(i) <> 0.0 then incr nw
   done;
   out (Printf.sprintf "weights %d" !nw);
-  for i = 0 to t.dims - 1 do
+  for i = 0 to dims - 1 do
     if t.w.(i) <> 0.0 || t.g2.(i) <> 0.0 then
       out
         (Printf.sprintf "w %d %s %s" i
@@ -325,7 +304,7 @@ let save t =
            (Codec.hex_of_float t.g2.(i)))
   done;
   out (Printf.sprintf "window %d" t.win_n);
-  let slot j = (t.win_i - t.win_n + j + (2 * t.window)) mod t.window in
+  let slot j = (t.win_i - t.win_n + j + (2 * window)) mod window in
   for j = 0 to t.win_n - 1 do
     out
       (Printf.sprintf "s %s %s"
@@ -351,21 +330,23 @@ let restore t lines =
   match lines with
   | hd :: counters :: refl :: rest ->
       let* () =
-        if hd = header t then Ok ()
-        else
-          fail
-            "configuration mismatch — checkpoint written with different \
-             dims/eta/window/skim or for a different machine or graph (%S vs %S)"
-            hd (header t)
+        match words hd with
+        | [ "surrogate"; "1"; _; _; _; skim; _; _ ] when skim <> "-" ->
+            fail "checkpoint was written in skim mode (top-%s), and skim mode is gone" skim
+        | _ when hd = header t -> Ok ()
+        | _ ->
+            fail
+              "configuration mismatch — checkpoint written with a different model \
+               configuration or for a different machine or graph (%S vs %S)"
+              hd (header t)
       in
       let* () =
         match words counters with
         | [ "counters"; a; b; c ] -> (
             match (int_of_string_opt a, int_of_string_opt b, int_of_string_opt c) with
-            | Some a, Some b, Some c ->
+            | Some a, Some b, Some _ ->
                 t.trained <- a;
                 t.reranks <- b;
-                t.skips <- c;
                 Ok ()
             | _ -> fail "bad counters line")
         | _ -> fail "bad counters line"
@@ -392,14 +373,14 @@ let restore t lines =
             match words l with
             | [ "weights"; n ] -> (
                 match int_of_string_opt n with
-                | Some n when n >= 0 && n <= t.dims -> Ok (n, rest)
+                | Some n when n >= 0 && n <= dims -> Ok (n, rest)
                 | _ -> fail "bad weights count")
             | _ -> fail "bad weights line")
         | [] -> fail "missing weights section"
       in
       let* wlines, rest = take nw "weight" rest in
-      Array.fill t.w 0 t.dims 0.0;
-      Array.fill t.g2 0 t.dims 0.0;
+      Array.fill t.w 0 dims 0.0;
+      Array.fill t.g2 0 dims 0.0;
       let* () =
         List.fold_left
           (fun acc l ->
@@ -408,7 +389,7 @@ let restore t lines =
             | [ "w"; i; w; g2 ] -> (
                 match (int_of_string_opt i, Codec.float_of_hex w, Codec.float_of_hex g2)
                 with
-                | Some i, Some w, Some g2 when i >= 0 && i < t.dims ->
+                | Some i, Some w, Some g2 when i >= 0 && i < dims ->
                     t.w.(i) <- w;
                     t.g2.(i) <- g2;
                     Ok ()
@@ -422,17 +403,17 @@ let restore t lines =
             match words l with
             | [ "window"; n ] -> (
                 match int_of_string_opt n with
-                | Some n when n >= 0 && n <= t.window -> Ok (n, rest)
+                | Some n when n >= 0 && n <= window -> Ok (n, rest)
                 | _ -> fail "bad window count")
             | _ -> fail "bad window line")
         | [] -> fail "missing window section"
       in
       let* slines, rest = take wn "window" rest in
       let* () = if rest = [] then Ok () else fail "trailing lines" in
-      Array.fill t.win_pred 0 t.window 0.0;
-      Array.fill t.win_act 0 t.window 0.0;
+      Array.fill t.win_pred 0 window 0.0;
+      Array.fill t.win_act 0 window 0.0;
       t.win_n <- wn;
-      t.win_i <- wn mod t.window;
+      t.win_i <- wn mod window;
       let* _ =
         List.fold_left
           (fun acc l ->

@@ -1,6 +1,6 @@
 (** Online surrogate cost model: a feature-hashed linear regressor on
     log-makespan, trained from every exact evaluation the engine
-    performs and used to pre-rank candidate batches by predicted
+    performs and used to pre-rank candidate rounds by predicted
     makespan (ROADMAP item 3, following the graph-representation-
     learning mapping line of arXiv 2204.11981).
 
@@ -18,34 +18,15 @@
 
     The surrogate only ever {e orders} candidates; every verdict the
     search acts on still comes from the exact evaluator.  Reranking a
-    batch is therefore a quality heuristic, not an approximation: see
-    {!Descent.next_gated} and DESIGN.md §12 for the exact guarantees
-    (ranked-batch ≡ ranked-sequential bit-equality, and the
-    never-worse-final-best golden gate for skim mode). *)
+    round is therefore a quality heuristic, not an approximation: see
+    {!Descent.start} and DESIGN.md §12. *)
 
 type t
 
-val create : ?dims:int -> ?eta:float -> ?window:int -> ?skim:int -> Space.t -> t
+val create : Space.t -> t
 (** A fresh model for the space's (graph, machine) pair, weights all
-    zero.  [dims] (default 512) is the hashed feature-vector width,
-    [eta] (default 0.3) the base learning rate, [window] (default 64)
-    the size of the (predicted, actual) ring buffer behind
-    {!spearman}.  [skim] (default [None]) caps ranked batches to the
-    top-[skim] predicted candidates ({!Descent}); it is carried here so
-    checkpoints preserve the decision-relevant configuration.
-    @raise Invalid_argument if [dims < 8], [window < 2] or
-    [skim <= 0]. *)
-
-val skim : t -> int option
-
-val skim_active : t -> int option
-(** [skim], gated by warmup: [None] until the model has absorbed at
-    least [2 * window] observations.  Skimming on an untrained model
-    discards candidates essentially at random and can converge descent
-    prematurely; ranked-but-full batches cost nothing extra, so early
-    batches go unskimmed.  Deterministic in [trained], which
-    checkpoints carry — resume skims exactly where the uninterrupted
-    run would. *)
+    zero: 512 hashed features, base learning rate 0.3, and a 64-entry
+    (predicted, actual) ring buffer behind {!spearman}. *)
 
 val graph : t -> Graph.t
 
@@ -69,12 +50,8 @@ val rank : t -> Mapping.t array -> int array
     predicted makespan, ties broken by original index (stable).  Arrays
     of length [<= 1] are returned identity without counting a rerank. *)
 
-val note_skips : t -> int -> unit
-(** Record [n] candidates dropped by skim-mode batch truncation. *)
-
 val trained : t -> int
 val reranks : t -> int
-val skips : t -> int
 
 val spearman : t -> float
 (** Spearman rank correlation between predicted and actual
@@ -90,10 +67,14 @@ val features : t -> Mapping.t -> (int * float) list
 val save : t -> string list
 (** Checkpoint lines: configuration header (fingerprint-guarded),
     counters, reference incumbent, non-zero weight entries and the
-    observation window, floats in hex ([%h]) for bit-exact restore. *)
+    observation window, floats in hex ([%h]) for bit-exact restore.
+    The header's skim field is always [-] and the third counter always
+    0: skim mode is gone, and the layout stays so that envelopes
+    written before it went still restore. *)
 
 val restore : t -> string list -> (unit, string) result
 (** Inverse of {!save} into a freshly {!create}d model.  Fails if the
-    header disagrees with the model's configuration ([dims], [eta],
-    [window], [skim], graph or machine) — restoring weights into a
-    different schema would silently change every subsequent rank. *)
+    header disagrees with the model's configuration or its graph or
+    machine — restoring weights into a different schema would silently
+    change every subsequent rank — and, saying that skim mode is gone,
+    if the header carries a skim setting. *)

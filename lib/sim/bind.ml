@@ -419,12 +419,10 @@ let resolve bd ~fallback mapping =
       end
       else
         (* the patch put the planes back; the verdict is the full
-           resolve's, and so is its message *)
-        match Placement.resolve_with pl mapping with
-        | Error e ->
-            bd.error <- Some e;
-            failed
-        | Ok _ -> full bd ~fallback mapping
+           resolve's, and so is its message.  It resolves into the
+           binder's own planes, which a failure leaves as the bound
+           mapping's, so a refused neighbour builds no placement. *)
+        full bd ~fallback mapping
   end
 
 let tables bd = bd.tables

@@ -1034,9 +1034,9 @@ let simulate ?noise_sigma ?seed ?fallback ?iterations ?trace sc mapping =
   | Error e -> Error e
 
 (* ------------------------------------------------------------------ *)
-(* Quiet API: the evaluator's batch loop reads scalar outputs straight *)
-(* from the planes, so a steady-state candidate costs zero minor-heap  *)
-(* words end to end.                                                   *)
+(* Quiet API: the evaluator's run protocol reads scalar outputs       *)
+(* straight from the planes, so a steady-state candidate costs zero   *)
+(* minor-heap words end to end.                                       *)
 (* ------------------------------------------------------------------ *)
 
 let simulate_quiet sc mapping ~noise_sigma ~seed ~fallback ~iterations ~cutoff =

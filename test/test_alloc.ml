@@ -10,7 +10,7 @@
      walk their hops through per-link busy-until clocks;
 
    - the whole search: minor words per suggested candidate of a full
-     batched CCD run stays within the budget committed in
+     CCD run stays within the budget committed in
      golden/alloc_budget.txt, so allocation regressions anywhere in
      the suggest/build/evaluate cycle fail loudly instead of slowly
      eroding the steady state;
@@ -88,7 +88,7 @@ let quiet_steady_state_zero_alloc problem () =
         w trial
   done
 
-(* Budget gate: a full batched CCD search's minor-heap traffic per
+(* Budget gate: a full CCD search's minor-heap traffic per
    suggested candidate, measured over the second (steady-state) search
    on a process that has already run one.  The committed budget is
    generous against run-to-run jitter but small enough that an
@@ -115,7 +115,7 @@ let search_words_per_candidate () =
     Engine.run
       ~start:(Mapping.default_start g machine)
       ev
-      (Ccd.make ~batch:true ~rotations:2 ev)
+      (Ccd.make ~rotations:2 ev)
   in
   let suggested = (Evaluator.stats ev).Evaluator.s_suggested in
   Alcotest.(check bool) "searched" true (suggested > 0 && out.Engine.trials > 0);
@@ -126,7 +126,7 @@ let search_words_per_candidate () =
           (Engine.run
              ~start:(Mapping.default_start g machine)
              ev2
-             (Ccd.make ~batch:true ~rotations:2 ev2)))
+             (Ccd.make ~rotations:2 ev2)))
   in
   words /. float_of_int suggested
 
@@ -136,7 +136,7 @@ let test_search_alloc_budget () =
   let per_cand = search_words_per_candidate () in
   if per_cand > budget then
     Alcotest.failf
-      "batched CCD search allocates %.1f minor words per suggested candidate, over \
+      "CCD search allocates %.1f minor words per suggested candidate, over \
        the committed budget of %.1f (golden/alloc_budget.txt)"
       per_cand budget
 
@@ -485,6 +485,61 @@ let pennant_processor_flip () =
   in
   delta_bind_zero_alloc ~name:"Pennant" machine g m0 m1
 
+(* A neighbour the delta patch refuses because it overflows a memory:
+   the verdict and its message come from a full resolve into the
+   binder's own planes, which the failure leaves as the bound
+   mapping's, so the refused bind builds no placement.  On Maestro
+   lassen:4 a fresh placement's collection-shard plane alone is past
+   the minor heap's direct-allocation limit, so building one per
+   refused neighbour went straight to the major heap: the words counted
+   here are minor words plus those allocated directly in the major
+   heap. *)
+let test_refused_delta_bind_words () =
+  skip_unless_native ();
+  let machine, g = maestro_lassen () in
+  let m0 = Mapping.default_start g machine in
+  let overflows m =
+    match Placement.resolve machine g m with
+    | Error (Placement.Out_of_memory _) -> true
+    | _ -> false
+  in
+  (* the default start's collections moved into zero-copy memory one
+     by one, until the moves overflow it (the tenth, on this input) *)
+  let m1 =
+    let rec grow m = function
+      | [] -> Alcotest.fail "zero-copy memory never overflows"
+      | (c : Graph.collection) :: rest ->
+          let m = Mapping.set_mem m c.Graph.cid Kinds.Zero_copy in
+          if overflows m then m else grow m rest
+    in
+    grow m0 (Graph.collections g)
+  in
+  let sc = Exec.scratch (Exec.compile machine g) in
+  let refused () =
+    match Exec.bind sc ~fallback:false m1 with
+    | Error (Placement.Out_of_memory _) -> ()
+    | _ -> Alcotest.fail "the neighbour must overflow a memory"
+  in
+  (match Exec.bind sc ~fallback:false m0 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Placement.error_to_string e));
+  refused ();
+  let shards = Array.length (Bind.planes (Exec.binder sc)).Placement.mem in
+  let delta = Exec.delta_binds sc and full = Exec.full_binds sc in
+  for trial = 1 to 5 do
+    let mi0, pr0, ma0 = Gc.counters () in
+    refused ();
+    let mi1, pr1, ma1 = Gc.counters () in
+    let words = mi1 -. mi0 +. (ma1 -. ma0 -. (pr1 -. pr0)) in
+    if words >= float_of_int shards then
+      Alcotest.failf
+        "a refused delta bind allocated %.0f words (trial %d); a collection-shard plane \
+         holds %d"
+        words trial shards
+  done;
+  Alcotest.(check (pair int int)) "no bind succeeded" (delta, full)
+    (Exec.delta_binds sc, Exec.full_binds sc)
+
 let suite =
   [
     Alcotest.test_case "quiet steady state allocates zero minor words" `Quick
@@ -520,4 +575,6 @@ let suite =
       (mesh_memory_flip App.circuit);
     Alcotest.test_case "a delta bind allocates nothing (Pennant lassen:4)" `Quick
       pennant_processor_flip;
+    Alcotest.test_case "a refused delta bind builds no placement (Maestro lassen:4)" `Quick
+      test_refused_delta_bind_words;
   ]

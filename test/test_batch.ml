@@ -1,34 +1,23 @@
-(* A batch is a run of single proposals.
+(* Ranked rounds, the one thing a search's [batch] switch still decides.
 
-   [Engine.run] hands each candidate of a [Propose_batch] to the code
-   that handles a [Propose]: under the batch's bound, with the budget
-   checked and the seen-set consulted right before it, a checkpoint at
-   the same trial boundaries, and the batch ending at its first
-   acceptance.  So CCD proposing each task's neighbour set as one batch
-   ([~batch:true ~min_batch:1]) must decide exactly what CCD proposing
-   one candidate per step ([~batch:false]) decides, and so must a
-   ranked pair, which orders each set by a surrogate the engine trains.
+   With [batch] a search runs an online surrogate, and CD and CCD
+   propose each task's candidates best-predicted-first: the sweep
+   cursor builds the task's whole round against one incumbent, and the
+   engine receives it one candidate per step, like any other proposal
+   (test_engine pins the engine's delivery rules).  The checks here:
 
-   One property per app and pair runs on lassen:4, with the evaluators
-   built as [Driver.session] builds them (symmetry and dominance on, so
-   the seen-set answers re-proposed keys), under a random virtual-time
-   budget (sometimes none) and a random trial cap.  The two runs of a
-   pair must agree on trials, evaluations, suggestions, seen-set skips,
-   the best key and perf bits, and everything [Evaluator.save_state]
-   captures.  A separate batch loop that checked only the trial cap
-   between candidates, and asked the seen-set about a whole run of
-   candidates before evaluating it, fails every one of them, most under
-   any seed: it ran past budgets and evaluated duplicates the
-   sequential search skips.
-
-   A scripted strategy then pins each delivery rule on its own: the
-   batch ends at its first acceptance, the trial cap and the virtual
-   clock are checked before each candidate, the seen-set answers a
-   duplicate met earlier in the same batch, and a batch emits the
-   events (checkpoints included) of its candidates proposed one at a
-   time.  Two cases resume a batched search from a checkpoint written
-   between two candidates of one batch, and two last ones run a
-   portfolio batched and unbatched. *)
+   - a ranked round is a permutation of what the plain sweep proposes
+     for the same task, in the surrogate's order, with the same no-op
+     and dead-coordinate accounting (one property per app, lassen:4);
+   - an acceptance abandons the rest of the round;
+   - a checkpoint written between two candidates of one ranked round
+     resumes to the uninterrupted run, one case per app;
+   - a sweep line whose queue ends in the word [gated], which
+     envelopes written while ranked rounds could also be batched may
+     carry, decodes to the cursor of the line without it and resumes
+     to the same answer;
+   - [batch] changes nothing for a portfolio, whose members rank
+     nothing. *)
 
 let cases =
   [|
@@ -43,308 +32,139 @@ let problem (app : App.t) input =
   let machine = Presets.lassen ~nodes:4 in
   (machine, app.App.graph ~nodes:4 ~input)
 
-(* One CCD(5) search from the default start, its evaluator, seen-set
-   and (ranked) surrogate built as [Driver.session] builds them. *)
-let search (machine, g) ~batch ~ranked ~budget =
-  let ev = Evaluator.create ~symmetry:true ~dominance:true machine g in
-  let space = Evaluator.space ev in
-  let seen =
-    if Space.symmetry space then Some (Engine.seen_create (Space.canonicalize space))
-    else None
+(* The tasks a cursor has entered, and the candidates still queued in
+   its ranked round, read off its checkpoint line. *)
+let cursor_fields cur =
+  match String.split_on_char ' ' (Descent.encode cur) with
+  | "sweep" :: n :: rest -> (
+      let n = int_of_string n in
+      let entered = int_of_string (List.nth rest n) in
+      match List.filteri (fun i _ -> i >= n + 2) rest with
+      | "queue" :: k :: _ -> (entered, int_of_string k)
+      | _ -> (entered, 0))
+  | _ -> Alcotest.fail "not a sweep line"
+
+(* ---- a ranked round permutes the plain sweep -------------------------- *)
+
+(* Every candidate a cursor proposes with the incumbent held fixed (no
+   acceptance), tagged with the task it came from. *)
+let drain ?surrogate ev ~overlap ~profile ~incumbent =
+  let cur = Descent.start ?surrogate ev ~overlap ~profile in
+  let rec go acc =
+    match Descent.next cur ~incumbent with
+    | None -> List.rev acc
+    | Some m -> go ((fst (cursor_fields cur), m) :: acc)
   in
-  let sg = if ranked then Some (Surrogate.create space) else None in
-  let o =
-    Engine.run ~budget ?surrogate:sg ?seen ~start:(Mapping.default_start g machine) ev
-      (Ccd.make ~batch ~min_batch:1 ?surrogate:sg ev)
-  in
-  (o, ev)
+  go []
 
-let signature ((o : Engine.outcome), ev) =
-  ( o.Engine.trials,
-    Evaluator.evaluated ev,
-    Evaluator.suggested ev,
-    Evaluator.symmetry_skips ev,
-    Mapping.canonical_key o.Engine.best,
-    Int64.bits_of_float o.Engine.perf,
-    Evaluator.save_state ev )
-
-let pair_agrees p ~ranked ~budget =
-  let seq = signature (search p ~batch:false ~ranked ~budget) in
-  let bat = signature (search p ~batch:true ~ranked ~budget) in
-  let t_s, e_s, s_s, k_s, _, _, _ = seq and t_b, e_b, s_b, k_b, _, _, _ = bat in
-  if seq = bat then true
-  else
-    QCheck.Test.fail_reportf
-      "%s: sequential trials %d evaluated %d suggested %d skips %d, batched %d %d %d %d%s"
-      (if ranked then "ranked" else "plain")
-      t_s e_s s_s k_s t_b e_b s_b k_b
-      (if (t_s, e_s, s_s, k_s) = (t_b, e_b, s_b, k_b) then " (best or state differs)"
-       else "")
-
-(* (trial cap, virtual-time budget): the cap reaches past the first
-   rotations of every app, and the budget spans five orders of
-   magnitude, from one Circuit evaluation to most of a Maestro
-   search. *)
-let gen =
-  QCheck.Gen.(
-    pair (int_range 1 150)
-      (frequency [ (1, return None); (2, map (fun e -> Some (10.0 ** e)) (float_range (-3.0) 2.0)) ]))
-
-let print (cap, budget) =
-  Printf.sprintf "cap %d, budget %s" cap
-    (match budget with None -> "none" | Some b -> Printf.sprintf "%h" b)
-
-(* One property per app and pair, so every run covers all five apps
-   both ways and a failure names the app. *)
-let props =
-  List.concat_map
-    (fun ranked ->
-      Array.to_list
-        (Array.map
-           (fun ((app : App.t), input) ->
-             let p = lazy (problem app input) in
-             QCheck.Test.make ~count:2
-               ~name:
-                 (Printf.sprintf "batched CCD decides as sequential CCD%s (%s)"
-                    (if ranked then ", ranked" else "")
-                    app.App.app_name)
-               (QCheck.make ~print gen)
-               (fun (cap, budget) ->
-                 let budget = Budget.make ~max_trials:cap ?max_virtual:budget () in
-                 pair_agrees (Lazy.force p) ~ranked ~budget))
-           cases))
-    [ false; true ]
-
-(* ---- each delivery rule, on a scripted strategy -------------------------- *)
-
-(* A strategy that takes [steps] in order, then stops, and keeps the
-   [Propose_batch] contract: [receive] accepts exactly when the perf
-   beats the bound of the step being delivered.  It records every
-   verdict. *)
-let scripted steps =
-  let todo = ref steps and bound = ref infinity and got = ref [] in
-  let strat =
-    {
-      Engine.name = "scripted";
-      init = ignore;
-      step =
-        (fun _ ->
-          match !todo with
-          | [] -> Engine.Stop
-          | s :: rest ->
-              todo := rest;
-              (bound :=
-                 match s with
-                 | Engine.Propose_batch (_, b) -> b
-                 | Engine.Propose (_, h) -> Option.value h.Engine.bound ~default:infinity
-                 | _ -> !bound);
-              s);
-      receive =
-        (fun m perf ->
-          got := (m, perf) :: !got;
-          perf < !bound);
-      encode = (fun () -> []);
-    }
-  in
-  (strat, fun () -> List.rev !got)
-
-(* Noise off throughout, so a probe evaluator that makes the same
-   evaluations in the same order reads the values and the clock the
-   engine's evaluator will. *)
-let evaluator ?symmetry (machine, g) = Evaluator.create ~noise_sigma:0.0 ?symmetry machine g
-
-(* The start, its value and the first [n] of the start's neighbours
-   (CD's sweep order) that an evaluation bounded by the start's value
-   rejects only after running them, so each advances the clock. *)
-let losers ((machine, g) as p) n =
+let round_permutes_plain (machine, g) seed =
   let start = Mapping.default_start g machine in
-  let probe = evaluator p in
-  let p0 = Evaluator.evaluate probe start in
-  let sweep = Descent.start probe ~overlap:None ~profile:(Evaluator.profile_for probe start) in
-  let rec draw acc k =
-    if k = n then Array.of_list (List.rev acc)
-    else
-      match Descent.next sweep ~incumbent:start with
-      | None -> Alcotest.failf "fewer than %d costly losers among the start's neighbours" n
-      | Some m ->
-          let vt = Evaluator.virtual_time probe in
-          if Evaluator.evaluate ~bound:p0 probe m >= p0 && Evaluator.virtual_time probe > vt
-          then draw (m :: acc) (k + 1)
-          else draw acc k
+  let c0 = Overlap.of_graph g in
+  let overlap = if Overlap.is_empty c0 then None else Some c0 in
+  let ev_plain = Evaluator.create machine g and ev_ranked = Evaluator.create machine g in
+  let space = Evaluator.space ev_ranked in
+  let sg = Surrogate.create space in
+  (* a few observations, so that the ranking is not the identity *)
+  let rng = Rng.create seed in
+  for _ = 1 to 12 do
+    Surrogate.observe sg (Space.random_unconstrained space rng) (0.001 +. Rng.float rng 0.01)
+  done;
+  let profile = Evaluator.profile_for ev_plain start in
+  let plain = drain ev_plain ~overlap ~profile ~incumbent:start in
+  let ranked = drain ~surrogate:sg ev_ranked ~overlap ~profile ~incumbent:start in
+  let keyed l = List.sort compare (List.map (fun (t, m) -> (t, Mapping.canonical_key m)) l) in
+  let rec in_order = function
+    | (t, m) :: ((t', m') :: _ as rest) ->
+        (t < t' || (t = t' && Surrogate.predict sg m <= Surrogate.predict sg m'))
+        && in_order rest
+    | _ -> true
   in
-  (start, p0, draw [] 0)
+  if keyed plain <> keyed ranked then
+    QCheck.Test.fail_reportf "ranked rounds propose %d candidates, the plain sweep %d"
+      (List.length ranked) (List.length plain)
+  else if not (in_order ranked) then
+    QCheck.Test.fail_report "a ranked round is not in predicted order"
+  else if
+    Evaluator.noop_skips ev_plain <> Evaluator.noop_skips ev_ranked
+    || Evaluator.dead_coord_skips ev_plain <> Evaluator.dead_coord_skips ev_ranked
+  then QCheck.Test.fail_report "no-op or dead-coordinate counts differ"
+  else plain <> []
 
-let circuit () = problem App.circuit "n50w200"
+let permutation_props =
+  Array.to_list
+    (Array.map
+       (fun ((app : App.t), input) ->
+         let p = lazy (problem app input) in
+         QCheck.Test.make ~count:2
+           ~name:(Printf.sprintf "ranked rounds permute the plain sweep (%s)" app.App.app_name)
+           QCheck.small_nat
+           (fun seed -> round_permutes_plain (Lazy.force p) seed))
+       cases)
 
-let check_delivered what expected verdicts =
-  Alcotest.(check (list string))
-    what
-    (List.map Mapping.canonical_key expected)
-    (List.map (fun (m, _) -> Mapping.canonical_key m) (verdicts ()))
+(* ---- an acceptance abandons the round ---------------------------------- *)
 
-(* Four losers, slowest first: the batch's bound sits at the slowest
-   one's value, so the fastest, second in the batch, is accepted and
-   the third is never delivered; the next batch is. *)
-let test_ends_at_acceptance () =
-  let p = circuit () in
-  let start, _, s = losers p 4 in
-  let probe = evaluator p in
-  let by_value = Array.map (fun m -> (Evaluator.evaluate probe m, m)) s in
-  Array.stable_sort (fun (u, _) (v, _) -> Float.compare v u) by_value;
-  let bound, slowest = by_value.(0) and fastest, b = by_value.(3) in
-  if not (fastest < bound) then Alcotest.fail "the four losers tie";
-  let c = snd by_value.(1) and d = snd by_value.(2) in
-  let strat, verdicts =
-    scripted
-      [ Engine.Propose_batch ([| slowest; b; c |], bound); Engine.Propose_batch ([| d |], bound) ]
+let test_round_ends_at_acceptance () =
+  let machine, g = problem App.circuit "n50w200" in
+  let ev = Evaluator.create machine g in
+  let start = Mapping.default_start g machine in
+  let sg = Surrogate.create (Evaluator.space ev) in
+  let cur =
+    Descent.start ~surrogate:sg ev ~overlap:None ~profile:(Evaluator.profile_for ev start)
   in
-  let o = Engine.run ~start (evaluator p) strat in
-  check_delivered "candidates delivered" [ slowest; b; d ] verdicts;
-  Alcotest.(check (list bool))
-    "first batch's verdicts" [ false; true ]
-    (List.filteri (fun i _ -> i < 2) (List.map (fun (_, v) -> v < bound) (verdicts ())));
-  Alcotest.(check int) "trials: the start and three candidates" 4 o.Engine.trials;
-  Alcotest.(check int) "steps: two batches and the stop" 3 o.Engine.steps
+  let first = Option.get (Descent.next cur ~incumbent:start) in
+  let task, queued = cursor_fields cur in
+  Alcotest.(check bool) "the round holds more candidates" true (queued > 0);
+  Descent.abandon cur;
+  Alcotest.(check int) "abandoned: nothing queued" 0 (snd (cursor_fields cur));
+  ignore (Descent.next cur ~incumbent:first : Mapping.t option);
+  Alcotest.(check bool) "the next proposal opens a later task's round" true
+    (fst (cursor_fields cur) > task)
 
-let test_trial_cap_inside_batch () =
-  let p = circuit () in
-  let start, p0, s = losers p 5 in
-  let strat, verdicts = scripted [ Engine.Propose_batch (s, p0) ] in
-  let o = Engine.run ~budget:(Budget.make ~max_trials:3 ()) ~start (evaluator p) strat in
-  check_delivered "candidates delivered" [ s.(0); s.(1) ] verdicts;
-  Alcotest.(check int) "trials" 3 o.Engine.trials
-
-(* The cap lies between the clock after the first candidate and after
-   the second. *)
-let test_virtual_budget_inside_batch () =
-  let p = circuit () in
-  let start, p0, s = losers p 5 in
-  let probe = evaluator p in
-  ignore (Evaluator.evaluate probe start : float);
-  ignore (Evaluator.evaluate ~bound:p0 probe s.(0) : float);
-  let vt1 = Evaluator.virtual_time probe in
-  ignore (Evaluator.evaluate ~bound:p0 probe s.(1) : float);
-  let vt2 = Evaluator.virtual_time probe in
-  Alcotest.(check bool) "each evaluation advances the clock" true (vt1 < vt2);
-  let strat, verdicts = scripted [ Engine.Propose_batch (s, p0) ] in
-  let ev = evaluator p in
-  let budget = Budget.make ~max_virtual:((vt1 +. vt2) /. 2.0) () in
-  let o = Engine.run ~budget ~start ev strat in
-  check_delivered "candidates delivered" [ s.(0); s.(1) ] verdicts;
-  Alcotest.(check int) "trials" 3 o.Engine.trials;
-  Alcotest.(check int64) "clock" (Int64.bits_of_float vt2)
-    (Int64.bits_of_float (Evaluator.virtual_time ev))
-
-(* A loser twice in one batch: the first copy is evaluated, and its
-   seen-set entry answers the second. *)
-let test_seen_inside_batch () =
-  let p = circuit () in
-  let start, p0, s = losers p 1 in
-  let strat, verdicts = scripted [ Engine.Propose_batch ([| s.(0); s.(0) |], p0) ] in
-  let ev = evaluator ~symmetry:true p in
-  let seen = Engine.seen_create (Space.canonicalize (Evaluator.space ev)) in
-  let o = Engine.run ~seen ~start ev strat in
-  check_delivered "both copies delivered" [ s.(0); s.(0) ] verdicts;
-  Alcotest.(check int) "trials: the start and the first copy" 2 o.Engine.trials;
-  Alcotest.(check int) "seen-set answers" 1 (Evaluator.symmetry_skips ev)
-
-(* The same candidates (a duplicate last) as one batch and as one
-   [Propose] each, under the batch's bound, with a seen-set and a
-   checkpoint every two trials: the same events in the same order. *)
-let test_events_as_single_proposals () =
-  let p = circuit () in
-  let start, p0, s = losers p 4 in
-  let c = Array.append s [| s.(0) |] in
-  let run steps =
-    let path = Filename.temp_file "automap_batch" ".ckpt" in
-    Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    @@ fun () ->
-    let strat, _ = scripted steps in
-    let ev = evaluator ~symmetry:true p in
-    let seen = Engine.seen_create (Space.canonicalize (Evaluator.space ev)) in
-    let events = ref [] in
-    let on_event e =
-      let line =
-        match e with
-        | Engine.Eval { trial; mapping; perf; vt; accepted } ->
-            Printf.sprintf "eval %d %s %h %h %b" trial (Mapping.canonical_key mapping) perf vt
-              accepted
-        | Engine.Improve { trial; perf; _ } -> Printf.sprintf "improve %d %h" trial perf
-        | Engine.Phase_change { name } -> "phase " ^ name
-        | Engine.Checkpointed { trial; _ } -> Printf.sprintf "checkpoint %d" trial
-      in
-      events := line :: !events
-    in
-    let checkpoint = { Engine.every = 2; path } in
-    let o = Engine.run ~on_event ~checkpoint ~seen ~start ev strat in
-    (List.rev !events, o.Engine.trials, Evaluator.symmetry_skips ev, Evaluator.save_state ev)
-  in
-  let hint = { Engine.bound = Some p0; overhead = 0.0 } in
-  let events_b, trials_b, skips_b, state_b = run [ Engine.Propose_batch (c, p0) ] in
-  let events_s, trials_s, skips_s, state_s =
-    run (Array.to_list (Array.map (fun m -> Engine.Propose (m, hint)) c))
-  in
-  Alcotest.(check (list string)) "events" events_s events_b;
-  Alcotest.(check int) "trials" trials_s trials_b;
-  Alcotest.(check int) "seen-set answers" skips_s skips_b;
-  Alcotest.(check (list string)) "evaluator state" state_s state_b;
-  Alcotest.(check (list string))
-    "checkpoints between candidates"
-    [ "checkpoint 2"; "checkpoint 4" ]
-    (List.filter (fun l -> String.starts_with ~prefix:"checkpoint" l) events_b);
-  Alcotest.(check int) "the duplicate answered from the seen-set" 1 skips_b
-
-(* ---- resume from inside a batch ------------------------------------------ *)
+(* ---- resume from inside a ranked round ---------------------------------- *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* A batched search checkpointing every [every] trials, with the first
-   checkpoint that falls between two candidates of one batch kept
-   aside; resumed from it, the search must end where the uninterrupted
-   one did. *)
-let resume_inside_batch (app : App.t) input ~ranked ~every () =
+(* The envelope's strategy section, with [f] applied to its sweep line. *)
+let map_sweep_line f ckpt =
+  String.concat "\n"
+    (List.map
+       (fun l -> if String.starts_with ~prefix:"sweep " l then f l else l)
+       (String.split_on_char '\n' ckpt))
+
+(* A ranked search checkpointing every [every] trials, with the first
+   checkpoint whose sweep line carries a queue (one written between two
+   candidates of a ranked round) kept aside; resumed from it, with the
+   sweep line rewritten by [edit], the search must end where the
+   uninterrupted one did. *)
+let resume_inside_round ?(edit = Fun.id) (app : App.t) input ~every () =
   let machine, g = problem app input in
-  let cfg =
-    { Driver.default_cfg with batch = true; min_batch = 1; surrogate = ranked }
-  in
-  let path = Filename.temp_file "automap_batch" ".ckpt" in
+  let cfg = { Driver.default_cfg with batch = true } in
+  let path = Filename.temp_file "automap_ranked" ".ckpt" in
   Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
   @@ fun () ->
   let s = Result.get_ok (Driver.session cfg machine g) in
-  (* candidates of the current batch still to come, after a verdict *)
-  let left = ref 0 and inside = ref None in
-  let strat = s.Driver.strat in
-  let strat =
-    {
-      strat with
-      Engine.step =
-        (fun ctx ->
-          let st = strat.Engine.step ctx in
-          (left := match st with Engine.Propose_batch (c, _) -> Array.length c | _ -> 0);
-          st);
-      receive =
-        (fun m perf ->
-          let accepted = strat.Engine.receive m perf in
-          left := if accepted then 0 else !left - 1;
-          accepted);
-    }
-  in
+  let inside = ref None in
   let on_event = function
-    | Engine.Checkpointed { trial; path } when !inside = None && !left > 0 ->
-        inside := Some (trial, read_file path)
+    | Engine.Checkpointed { trial; path } when !inside = None ->
+        let ckpt = read_file path in
+        if Str_helpers.contains ckpt " queue " then inside := Some (trial, ckpt)
     | _ -> ()
   in
-  let full = Driver.search ~on_event ~checkpoint:{ Engine.every; path } { s with strat } in
+  let full = Driver.search ~on_event ~checkpoint:{ Engine.every; path } s in
   let state = Evaluator.save_state s.Driver.ev in
   let final = Driver.conclude s full in
   let trial, ckpt =
     match !inside with
     | Some c -> c
-    | None -> Alcotest.failf "%s: no checkpoint fell inside a batch" app.App.app_name
+    | None -> Alcotest.failf "%s: no checkpoint fell inside a ranked round" app.App.app_name
   in
-  let snapshot = Result.get_ok (Engine.snapshot_of_string ckpt) in
+  let snapshot = Result.get_ok (Engine.snapshot_of_string (map_sweep_line edit ckpt)) in
   Alcotest.(check int) "checkpoint trial" trial snapshot.Engine.s_trials;
-  let r = Result.get_ok (Driver.session ~snapshot cfg machine g) in
+  let r =
+    match Driver.session ~snapshot cfg machine g with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "%s: %s" app.App.app_name e
+  in
   let resumed = Driver.search r in
   let what = Printf.sprintf "%s resumed at trial %d" app.App.app_name trial in
   Alcotest.(check int) (what ^ ": trials") full.Engine.trials resumed.Engine.trials;
@@ -366,21 +186,85 @@ let resume_inside_batch (app : App.t) input ~ranked ~every () =
   Alcotest.(check (list int64))
     (what ^ ": final runs")
     (List.map Int64.bits_of_float (snd final))
-    (List.map Int64.bits_of_float (snd final'))
+    (List.map Int64.bits_of_float (snd final'));
+  snapshot
 
-(* A portfolio's members run to absolute virtual-time deadlines, and
-   a member proposing a whole neighbour set ran its batch past its
-   own: with CD/CCD members that batched, a batched portfolio on
-   Circuit n50w200 (seed 1, 0.05 s) suggested 127 candidates in
-   0.0652 virtual seconds against the unbatched 121 in 0.0574.  The
-   portfolio's members now propose one candidate a step, so both
-   searches must decide alike. *)
-let portfolio_batched_as_unbatched (app : App.t) input () =
-  let machine, g = problem app input in
-  let run batch =
-    Driver.run ~seed:1 ~budget:0.05 ~batch ~min_batch:1 ~surrogate:false Driver.Portfolio
+(* The same checkpoint with and without [gated] after its queue: the
+   strategies decoded from the two envelopes encode alike, and each
+   resumes to the uninterrupted run. *)
+let test_gated_queue_resumes () =
+  let machine, g = problem App.stencil "500x500" in
+  let plain = resume_inside_round App.stencil "500x500" ~every:5 () in
+  let gated = resume_inside_round ~edit:(fun l -> l ^ " gated") App.stencil "500x500" ~every:5 () in
+  Alcotest.(check bool) "the edited envelope says gated" true
+    (List.exists (fun l -> String.ends_with ~suffix:" gated" l) gated.Engine.s_strategy);
+  let decoded snapshot =
+    let s = Result.get_ok (Driver.session ~snapshot Driver.default_cfg machine g) in
+    s.Driver.strat.Engine.encode ()
+  in
+  Alcotest.(check (list string)) "the same cursor" (decoded plain) (decoded gated)
+
+(* golden/ranked_gated_envelope.txt was written by
+   [Driver.run ~seed:0 ~batch:true ~max_trials:40 ~checkpoint_every:5]
+   (CCD(5), Stencil 500x500, lassen:4) while ranked rounds under 24
+   candidates were proposed one at a time and marked [gated]: the first
+   checkpoint inside such a round, at trial 15.  Resumed, it must reach
+   that run's answer, which the code that wrote it also reached from
+   the envelope. *)
+let test_gated_envelope_resumes () =
+  let machine, g = problem App.stencil "500x500" in
+  let ckpt = In_channel.with_open_bin (Filename.concat "golden" "ranked_gated_envelope.txt") In_channel.input_all in
+  Alcotest.(check bool) "the envelope's queue ends in gated" true
+    (List.exists
+       (fun l -> String.starts_with ~prefix:"sweep " l && String.ends_with ~suffix:" gated" l)
+       (String.split_on_char '\n' ckpt));
+  let path = Filename.temp_file "automap_gated" ".ckpt" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc ckpt);
+  let run ?resume_from () =
+    Driver.run ~seed:0 ~batch:true ~max_trials:40 ?resume_from (Driver.Ccd { rotations = 5 })
       machine g
   in
+  let answer (r : Driver.result) =
+    Printf.sprintf "best %s perf %h search %h evaluated %d suggested %d"
+      (Mapping.canonical_key r.Driver.best) r.Driver.perf r.Driver.search_perf
+      r.Driver.evaluated r.Driver.suggested
+  in
+  let written =
+    "best DD|BB|CC|ZSSSSSZSSSSS perf 0x1.bafa5799aae0cp-14 search 0x1.bb61f6421748ep-14 \
+     evaluated 4 suggested 40"
+  in
+  Alcotest.(check string) "the uninterrupted run" written (answer (run ()));
+  Alcotest.(check string) "resumed from the envelope" written (answer (run ~resume_from:path ()))
+
+(* [batch] is the one switch for ranking: a strategy made without it
+   proposes in plain sweep order even when handed a model, so it
+   decides as the one made without a model. *)
+let test_batch_switches_ranking () =
+  let machine, g = problem App.pennant "320x90" in
+  let run ~batch ~model =
+    let ev = Evaluator.create machine g in
+    let sg = if model then Some (Surrogate.create (Evaluator.space ev)) else None in
+    let strat = Driver.make_strategy ~seed:0 ~batch ?surrogate:sg (Driver.Ccd { rotations = 5 }) ev in
+    let o =
+      Engine.run ~budget:(Budget.make ~max_trials:120 ()) ?surrogate:sg
+        ~start:(Mapping.default_start g machine) ev strat
+    in
+    (Mapping.canonical_key o.Engine.best, Int64.bits_of_float o.Engine.perf, Evaluator.save_state ev)
+  in
+  let plain = run ~batch:false ~model:false in
+  Alcotest.(check bool) "unbatched with a model = without" true
+    (run ~batch:false ~model:true = plain);
+  Alcotest.(check bool) "batched with a model ranks" false (run ~batch:true ~model:true = plain);
+  Alcotest.(check bool) "batched without a model = plain" true
+    (run ~batch:true ~model:false = plain)
+
+(* ---- batch does not reach a portfolio ----------------------------------- *)
+
+let portfolio_batched_as_unbatched (app : App.t) input () =
+  let machine, g = problem app input in
+  let run batch = Driver.run ~seed:1 ~budget:0.05 ~batch Driver.Portfolio machine g in
   let b = run true and u = run false in
   let name = app.App.app_name in
   Alcotest.(check int) (name ^ " suggested") u.Driver.suggested b.Driver.suggested;
@@ -402,24 +286,30 @@ let portfolio_batched_as_unbatched (app : App.t) input () =
     (Int64.bits_of_float u.Driver.perf)
     (Int64.bits_of_float b.Driver.perf)
 
+let resume_case (app : App.t) input ~every =
+  Alcotest.test_case
+    (Printf.sprintf "resume inside a ranked round: %s" (String.lowercase_ascii app.App.app_name))
+    `Quick
+    (fun () -> ignore (resume_inside_round app input ~every () : Engine.snapshot))
+
 let suite =
-  List.map QCheck_alcotest.to_alcotest props
+  List.map QCheck_alcotest.to_alcotest permutation_props
   @ [
-    Alcotest.test_case "a batch ends at its first acceptance" `Quick test_ends_at_acceptance;
-    Alcotest.test_case "the trial cap is checked before each candidate of a batch" `Quick
-      test_trial_cap_inside_batch;
-    Alcotest.test_case "a virtual-time budget is checked before each candidate of a batch"
-      `Quick test_virtual_budget_inside_batch;
-    Alcotest.test_case "the seen-set answers a duplicate inside a batch" `Quick
-      test_seen_inside_batch;
-    Alcotest.test_case "a batch emits the events of its candidates proposed one at a time"
-      `Quick test_events_as_single_proposals;
-    Alcotest.test_case "resume inside a batch: circuit" `Quick
-      (resume_inside_batch App.circuit "n50w200" ~ranked:false ~every:7);
-    Alcotest.test_case "resume inside a ranked batch: stencil" `Quick
-      (resume_inside_batch App.stencil "500x500" ~ranked:true ~every:5);
-    Alcotest.test_case "a batched portfolio decides as an unbatched one: circuit" `Quick
-      (portfolio_batched_as_unbatched App.circuit "n50w200");
-    Alcotest.test_case "a batched portfolio decides as an unbatched one: stencil" `Quick
-      (portfolio_batched_as_unbatched App.stencil "500x500");
-  ]
+      Alcotest.test_case "an acceptance abandons the ranked round" `Quick
+        test_round_ends_at_acceptance;
+      resume_case App.circuit "n50w200" ~every:7;
+      resume_case App.stencil "500x500" ~every:5;
+      resume_case App.pennant "320x90" ~every:5;
+      resume_case App.htr "8x8y9z" ~every:5;
+      resume_case App.maestro "lf4r16" ~every:5;
+      Alcotest.test_case "a queue ending in gated resumes as the line without it" `Quick
+        test_gated_queue_resumes;
+      Alcotest.test_case "an envelope with a gated queue resumes to its run's answer" `Quick
+        test_gated_envelope_resumes;
+      Alcotest.test_case "batch is the one switch for ranking" `Quick
+        test_batch_switches_ranking;
+      Alcotest.test_case "a batched portfolio decides as an unbatched one: circuit" `Quick
+        (portfolio_batched_as_unbatched App.circuit "n50w200");
+      Alcotest.test_case "a batched portfolio decides as an unbatched one: stencil" `Quick
+        (portfolio_batched_as_unbatched App.stencil "500x500");
+    ]

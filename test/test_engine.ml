@@ -167,6 +167,165 @@ let test_event_bus () =
     o.Engine.perf
     (List.fold_left (fun _ p -> p) nan improves)
 
+(* ---- delivery rules, on a scripted strategy ------------------------- *)
+
+(* A strategy that takes [steps] in order, then stops, accepting a
+   verdict exactly when it beats the bound of the proposal delivered.
+   It records every verdict. *)
+let scripted steps =
+  let todo = ref steps and bound = ref infinity and got = ref [] in
+  let strat =
+    {
+      Engine.name = "scripted";
+      init = ignore;
+      step =
+        (fun _ ->
+          match !todo with
+          | [] -> Engine.Stop
+          | s :: rest ->
+              todo := rest;
+              (match s with
+              | Engine.Propose (_, h) -> bound := Option.value h.Engine.bound ~default:infinity
+              | _ -> ());
+              s);
+      receive =
+        (fun m perf ->
+          got := (m, perf) :: !got;
+          perf < !bound);
+      encode = (fun () -> []);
+    }
+  in
+  (strat, fun () -> List.rev !got)
+
+(* Circuit n50w200 on lassen:4 with noise off, so a probe evaluator
+   that makes the same evaluations in the same order reads the values
+   and the clock the engine's evaluator will. *)
+let circuit () =
+  let machine = Presets.lassen ~nodes:4 in
+  (machine, App.circuit.App.graph ~nodes:4 ~input:"n50w200")
+
+let scripted_ev ?symmetry (machine, g) =
+  Evaluator.create ~noise_sigma:0.0 ?symmetry machine g
+
+(* The start, its value and the first [n] of the start's neighbours
+   (CD's sweep order) that an evaluation bounded by the start's value
+   rejects only after running them, so each advances the clock. *)
+let losers ((machine, g) as p) n =
+  let start = Mapping.default_start g machine in
+  let probe = scripted_ev p in
+  let p0 = Evaluator.evaluate probe start in
+  let sweep = Descent.start probe ~overlap:None ~profile:(Evaluator.profile_for probe start) in
+  let rec draw acc k =
+    if k = n then Array.of_list (List.rev acc)
+    else
+      match Descent.next sweep ~incumbent:start with
+      | None -> Alcotest.failf "fewer than %d costly losers among the start's neighbours" n
+      | Some m ->
+          let vt = Evaluator.virtual_time probe in
+          if Evaluator.evaluate ~bound:p0 probe m >= p0 && Evaluator.virtual_time probe > vt
+          then draw (m :: acc) (k + 1)
+          else draw acc k
+  in
+  (start, p0, draw [] 0)
+
+let proposals p0 ms =
+  List.map (fun m -> Engine.Propose (m, { Engine.bound = Some p0; overhead = 0.0 })) ms
+
+let check_delivered what expected verdicts =
+  Alcotest.(check (list string))
+    what
+    (List.map Mapping.canonical_key expected)
+    (List.map (fun (m, _) -> Mapping.canonical_key m) (verdicts ()))
+
+let test_trial_cap_per_proposal () =
+  let p = circuit () in
+  let start, p0, s = losers p 5 in
+  let strat, verdicts = scripted (proposals p0 (Array.to_list s)) in
+  let o = Engine.run ~budget:(Budget.make ~max_trials:3 ()) ~start (scripted_ev p) strat in
+  check_delivered "proposals delivered" [ s.(0); s.(1) ] verdicts;
+  Alcotest.(check int) "trials" 3 o.Engine.trials
+
+(* The cap lies between the clock after the first proposal and after
+   the second. *)
+let test_virtual_budget_per_proposal () =
+  let p = circuit () in
+  let start, p0, s = losers p 5 in
+  let probe = scripted_ev p in
+  ignore (Evaluator.evaluate probe start : float);
+  ignore (Evaluator.evaluate ~bound:p0 probe s.(0) : float);
+  let vt1 = Evaluator.virtual_time probe in
+  ignore (Evaluator.evaluate ~bound:p0 probe s.(1) : float);
+  let vt2 = Evaluator.virtual_time probe in
+  Alcotest.(check bool) "each evaluation advances the clock" true (vt1 < vt2);
+  let strat, verdicts = scripted (proposals p0 (Array.to_list s)) in
+  let ev = scripted_ev p in
+  let budget = Budget.make ~max_virtual:((vt1 +. vt2) /. 2.0) () in
+  let o = Engine.run ~budget ~start ev strat in
+  check_delivered "proposals delivered" [ s.(0); s.(1) ] verdicts;
+  Alcotest.(check int) "trials" 3 o.Engine.trials;
+  Alcotest.(check int64) "clock" (Int64.bits_of_float vt2)
+    (Int64.bits_of_float (Evaluator.virtual_time ev))
+
+(* A loser proposed twice: the first copy is evaluated, and its
+   seen-set entry answers the second. *)
+let test_seen_answers_duplicate () =
+  let p = circuit () in
+  let start, p0, s = losers p 1 in
+  let strat, verdicts = scripted (proposals p0 [ s.(0); s.(0) ]) in
+  let ev = scripted_ev ~symmetry:true p in
+  let seen = Engine.seen_create (Space.canonicalize (Evaluator.space ev)) in
+  let o = Engine.run ~seen ~start ev strat in
+  check_delivered "both copies delivered" [ s.(0); s.(0) ] verdicts;
+  Alcotest.(check int) "trials: the start and the first copy" 2 o.Engine.trials;
+  Alcotest.(check int) "seen-set answers" 1 (Evaluator.symmetry_skips ev)
+
+(* Four losers and the first again, with a seen-set and a checkpoint
+   every two trials: one Eval per evaluated proposal, in order, a
+   checkpoint right after trials 2 and 4, and nothing for the
+   duplicate the seen-set answers. *)
+let test_events_per_proposal () =
+  let p = circuit () in
+  let start, p0, s = losers p 4 in
+  let path = Filename.temp_file "automap_engine" ".ckpt" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  let strat, _ = scripted (proposals p0 (Array.to_list s @ [ s.(0) ])) in
+  let ev = scripted_ev ~symmetry:true p in
+  let seen = Engine.seen_create (Space.canonicalize (Evaluator.space ev)) in
+  let events = ref [] in
+  let key = Mapping.canonical_key in
+  let on_event e =
+    let line =
+      match e with
+      | Engine.Eval { trial; mapping; accepted; _ } ->
+          Printf.sprintf "eval %d %s %b" trial (key mapping) accepted
+      | Engine.Improve { trial; _ } -> Printf.sprintf "improve %d" trial
+      | Engine.Phase_change { name } -> "phase " ^ name
+      | Engine.Checkpointed { trial; _ } -> Printf.sprintf "checkpoint %d" trial
+    in
+    events := line :: !events
+  in
+  let checkpoint = { Engine.every = 2; path } in
+  let o = Engine.run ~on_event ~checkpoint ~seen ~start ev strat in
+  let eval i m = Printf.sprintf "eval %d %s false" i (key m) in
+  Alcotest.(check (list string))
+    "events"
+    [
+      Printf.sprintf "eval 1 %s true" (key start);
+      "improve 1";
+      eval 2 s.(0);
+      "checkpoint 2";
+      eval 3 s.(1);
+      eval 4 s.(2);
+      "checkpoint 4";
+      eval 5 s.(3);
+    ]
+    (List.rev !events);
+  Alcotest.(check int) "trials" 5 o.Engine.trials;
+  Alcotest.(check int) "the duplicate answered from the seen-set" 1
+    (Evaluator.symmetry_skips ev);
+  Alcotest.(check int) "checkpoints written" 2 o.Engine.checkpoints_written
+
 (* ---- checkpoint / resume ------------------------------------------- *)
 
 (* the strategies under test; portfolio gets a finite budget so its
@@ -462,6 +621,13 @@ let suite =
     Alcotest.test_case "equiv ccd on stencil" `Quick test_equiv_ccd_app;
     Alcotest.test_case "budget semantics" `Quick test_budget_semantics;
     Alcotest.test_case "event bus" `Quick test_event_bus;
+    Alcotest.test_case "the trial cap is checked before each proposal" `Quick
+      test_trial_cap_per_proposal;
+    Alcotest.test_case "a virtual-time budget is checked before each proposal" `Quick
+      test_virtual_budget_per_proposal;
+    Alcotest.test_case "the seen-set answers a re-proposed duplicate" `Quick
+      test_seen_answers_duplicate;
+    Alcotest.test_case "each proposal emits its own events" `Quick test_events_per_proposal;
     QCheck_alcotest.to_alcotest resume_prop;
     Alcotest.test_case "resume matrix" `Quick test_resume_matrix;
     Alcotest.test_case "driver resume" `Quick test_driver_resume;

@@ -8,7 +8,7 @@
    mapping, final perf bits, search best and trial count — not only the
    same search decisions.  Each case runs both chains at its own slice
    size, and the live chain also at 1-trial slices, which cut every
-   batch short.
+   ranked round short.
 
    The final protocol reads the profiles database, which the envelope
    chain rebuilds from checkpoint text at every slice; the htr case
@@ -39,8 +39,10 @@ let pp_answer ppf a =
 
 let answer_t = Alcotest.testable pp_answer ( = )
 
-(* Driver.run with every field of [cfg] passed explicitly; the trial
-   count and the search best come off the event bus. *)
+(* Driver.run with every field of [cfg] that decides anything passed
+   explicitly ([min_batch] decides nothing, and [Driver.run] takes
+   none); the trial count and the search best come off the event
+   bus. *)
 let unsliced (cfg : Slice.cfg) machine graph =
   let trials = ref 0 and search_best = ref None in
   let on_event = function
@@ -51,9 +53,7 @@ let unsliced (cfg : Slice.cfg) machine graph =
   let r =
     Driver.run ~runs:cfg.runs ?noise_sigma:cfg.noise_sigma ?iterations:cfg.iterations
       ~seed:cfg.seed ?budget:cfg.budget ?max_trials:cfg.max_trials
-      ~heft_seed:cfg.heft_seed ~batch:cfg.batch ~min_batch:cfg.min_batch
-      ~surrogate:cfg.surrogate ?surrogate_skim:cfg.surrogate_skim
-      ~symmetry:cfg.symmetry ~dominance:cfg.dominance ~final_top:cfg.final_top
+      ~heft_seed:cfg.heft_seed ~batch:cfg.batch ~symmetry:cfg.symmetry ~dominance:cfg.dominance ~final_top:cfg.final_top
       ~final_runs:cfg.final_runs ~on_event cfg.algo machine graph
   in
   {

@@ -1,28 +1,23 @@
-(* The surrogate contract (DESIGN.md §12), in three layers:
+(* The surrogate contract (DESIGN.md §12), in two layers:
 
    1. Model properties (qcheck, all five apps): feature extraction is
       total and stable on arbitrary — even invalid — mappings, [rank]
       always returns a permutation, and the checkpoint codec
       round-trips bit-exactly (save → restore → save is the identity,
-      and a restored model predicts bit-identically).
+      and a restored model predicts bit-identically).  The section's
+      layout keeps the fields skim mode filled, and a section written
+      in skim mode is refused.
 
-   2. Identity: CCD proposing surrogate-ranked *batches* is
-      decision-identical — same best, bit-equal perf, identical
-      evaluator counters, identical surrogate state — to CCD proposing
-      the same ranked candidates one at a time.  This is the ranked
-      analogue of the plain batch ≡ sequential property (test_batch),
-      valid for the same reason: common random numbers make each
-      candidate's result order-independent.
-
-   3. Never-worse golden gate: at the same trial budget, surrogate
-      reranking and top-K skimming must end with a final best no worse
-      than the exact batched CCD, on every app.  Reranking and
-      skimming change the *trajectory* (a different neighbour may be
-      accepted first), so this is an empirical quality gate, not an
-      identity — the bench (surrogaterate) holds the same line.
+   2. Never-worse golden gate: at the same trial budget, surrogate
+      ranking must end with a final best no worse than plain CCD, on
+      every app.  Ranking changes the *trajectory* (a different
+      neighbour may be accepted first), so this is an empirical quality
+      gate, not an identity — the bench (surrogaterate) holds the same
+      line.
 
    The driver cases below add that a fresh search runs a model only
-   where it ranks (batched), and that on resume the snapshot decides. *)
+   where it ranks (batched), and that on resume the snapshot decides.
+   test_batch checks what a ranked round proposes. *)
 
 let cases =
   [
@@ -87,7 +82,7 @@ let rank_is_permutation (app : App.t) input seed =
 
 let roundtrip_bit_exact (app : App.t) input seed =
   let _, _, space = space_of app input in
-  let sg = Surrogate.create ~window:16 ~skim:3 space in
+  let sg = Surrogate.create space in
   let rng = Rng.create (seed + 2) in
   Surrogate.note_incumbent sg (Space.random_unconstrained space rng);
   for _ = 1 to 25 do
@@ -96,7 +91,7 @@ let roundtrip_bit_exact (app : App.t) input seed =
       (0.001 +. Rng.float rng 0.01)
   done;
   let saved = Surrogate.save sg in
-  let sg2 = Surrogate.create ~window:16 ~skim:3 space in
+  let sg2 = Surrogate.create space in
   (match Surrogate.restore sg2 saved with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -111,134 +106,87 @@ let roundtrip_bit_exact (app : App.t) input seed =
   && Float.equal (Surrogate.spearman sg) (Surrogate.spearman sg2)
      || (Float.is_nan (Surrogate.spearman sg) && Float.is_nan (Surrogate.spearman sg2))
 
+(* A model for another graph, or for the same graph on another
+   machine, must refuse the section, and so must one whose header
+   disagrees with the fixed configuration. *)
 let test_restore_mismatch () =
   let _, _, space = space_of App.stencil "500x500" in
-  let sg = Surrogate.create space in
-  let saved = Surrogate.save sg in
-  (* different dims, different window, different skim: all must refuse *)
-  List.iter
-    (fun other ->
-      match Surrogate.restore other saved with
-      | Ok () -> Alcotest.fail "mismatched restore must fail"
-      | Error e ->
-          Alcotest.(check bool) "mentions mismatch" true
-            (Str_helpers.contains e "mismatch"))
-    [
-      Surrogate.create ~dims:256 space;
-      Surrogate.create ~window:8 space;
-      Surrogate.create ~skim:4 space;
-    ]
+  let saved = Surrogate.save (Surrogate.create space) in
+  let refuses what other lines =
+    match Surrogate.restore other lines with
+    | Ok () -> Alcotest.failf "%s: mismatched restore must fail" what
+    | Error e ->
+        Alcotest.(check bool) (what ^ ": mentions mismatch") true
+          (Str_helpers.contains e "mismatch")
+  in
+  let _, _, circuit = space_of App.circuit "n50w200" in
+  refuses "another graph" (Surrogate.create circuit) saved;
+  let g = App.stencil.App.graph ~nodes:1 ~input:"500x500" in
+  refuses "another machine" (Surrogate.create (Space.make g (Presets.lassen ~nodes:1))) saved;
+  let header = String.split_on_char ' ' (List.hd saved) in
+  let other_dims = String.concat " " (List.mapi (fun i w -> if i = 2 then "256" else w) header) in
+  refuses "other dims" (Surrogate.create space) (other_dims :: List.tl saved)
 
-let test_warmup_gates_skim () =
+(* The section keeps the layout skim mode wrote: [-] for no skim in the
+   header and a third counter of 0, so sections written while skim
+   mode existed restore.  One written with a skim setting is refused,
+   saying that skim mode is gone. *)
+let test_skim_layout () =
   let _, _, space = space_of App.stencil "500x500" in
-  let sg = Surrogate.create ~window:4 ~skim:2 space in
-  Alcotest.(check bool) "skim configured" true (Surrogate.skim sg = Some 2);
-  Alcotest.(check bool) "inactive untrained" true (Surrogate.skim_active sg = None);
+  let sg = Surrogate.create space in
   let rng = Rng.create 9 in
   for _ = 1 to 8 do
     Surrogate.observe sg (Space.random_unconstrained space rng) 0.002
   done;
-  Alcotest.(check bool) "active past 2*window" true
-    (Surrogate.skim_active sg = Some 2)
-
-(* ---- 2. ranked batch = ranked sequential ---------------------------- *)
-
-type counters = {
-  suggested : int;
-  evaluated : int;
-  cache_hits : int;
-  invalid : int;
-  oom : int;
-  noop : int;
-  dead : int;
-  vt_bits : int64;
-}
-
-let counters ev =
-  {
-    suggested = Evaluator.suggested ev;
-    evaluated = Evaluator.evaluated ev;
-    cache_hits = Evaluator.cache_hits ev;
-    invalid = Evaluator.invalid_count ev;
-    oom = Evaluator.oom_count ev;
-    noop = Evaluator.noop_skips ev;
-    dead = Evaluator.dead_coord_skips ev;
-    vt_bits = Int64.bits_of_float (Evaluator.virtual_time ev);
-  }
-
-let ranked_modes_identical (app : App.t) input ~skim ~max_trials =
-  let machine = machine_for app ~nodes:1 in
-  let g = app.App.graph ~nodes:1 ~input in
-  let start = Mapping.default_start g machine in
-  let run ~batch =
-    let ev = Evaluator.create ~runs:2 ~noise_sigma:0.0 ~seed:1 machine g in
-    let sg = Surrogate.create ~window:4 ?skim (Evaluator.space ev) in
-    let o =
-      Engine.run
-        ~budget:(Budget.make ~max_trials ())
-        ~surrogate:sg ~start ev
-        (Ccd.make ~batch ~surrogate:sg ~rotations:3 ev)
-    in
-    (o, ev, sg)
+  let saved = Surrogate.save sg in
+  (match saved with
+  | header :: counters :: _ -> (
+      Alcotest.(check string) "counters" "counters 8 0 0" counters;
+      match String.split_on_char ' ' header with
+      | [ "surrogate"; "1"; "512"; "64"; _; "-"; _; _ ] -> ()
+      | _ -> Alcotest.failf "unexpected header %S" header)
+  | _ -> Alcotest.fail "truncated section");
+  let with_skim =
+    List.mapi
+      (fun i l ->
+        if i <> 0 then l
+        else String.concat " " (List.mapi (fun j w -> if j = 5 then "12" else w) (String.split_on_char ' ' l)))
+      saved
   in
-  let o_b, ev_b, sg_b = run ~batch:true in
-  let o_s, ev_s, sg_s = run ~batch:false in
-  Mapping.equal o_b.Engine.best o_s.Engine.best
-  && Int64.bits_of_float o_b.Engine.perf = Int64.bits_of_float o_s.Engine.perf
-  && o_b.Engine.trials = o_s.Engine.trials
-  && counters ev_b = counters ev_s
-  && Surrogate.save sg_b = Surrogate.save sg_s
-  && Evaluator.save_state ev_b = Evaluator.save_state ev_s
+  match Surrogate.restore (Surrogate.create space) with_skim with
+  | Ok () -> Alcotest.fail "a skim section must be refused"
+  | Error e ->
+      Alcotest.(check bool) ("says skim mode is gone: " ^ e) true
+        (Str_helpers.contains e "skim mode is gone")
 
-let ranked_identity_props =
-  List.map
-    (fun ((app : App.t), input) ->
-      QCheck.Test.make ~count:4
-        ~name:
-          (Printf.sprintf "ranked batch = ranked sequential (%s)" app.App.app_name)
-        QCheck.(int_range 10 60)
-        (fun max_trials ->
-          (* odd budgets exercise mid-batch truncation; skim on half *)
-          let skim = if max_trials mod 2 = 0 then Some 3 else None in
-          ranked_modes_identical app input ~skim ~max_trials))
-    cases
-
-(* ---- 3. never-worse golden gate ------------------------------------- *)
+(* ---- 2. never-worse golden gate ------------------------------------- *)
 
 let never_worse (app : App.t) input =
   let machine = machine_for app ~nodes:1 in
   let g = app.App.graph ~nodes:1 ~input in
   let start = Mapping.default_start g machine in
   let max_trials = 120 in
-  let run surrogate =
+  let run ~rank =
     let ev = Evaluator.create ~runs:2 ~noise_sigma:0.0 ~seed:1 machine g in
-    let sg =
-      Option.map (fun skim -> Surrogate.create ~window:8 ?skim (Evaluator.space ev))
-        surrogate
-    in
+    let sg = if rank then Some (Surrogate.create (Evaluator.space ev)) else None in
     let o =
       Engine.run
         ~budget:(Budget.make ~max_trials ())
         ?surrogate:sg ~start ev
-        (Ccd.make ~batch:true ?surrogate:sg ~rotations:5 ev)
+        (Ccd.make ?surrogate:sg ~rotations:5 ev)
     in
     o.Engine.perf
   in
-  let exact = run None in
-  let rerank = run (Some None) in
-  let skim = run (Some (Some 4)) in
+  let exact = run ~rank:false in
+  let rerank = run ~rank:true in
   Alcotest.(check bool)
     (Printf.sprintf "%s: rerank never worse (%.6g vs exact %.6g)" app.App.app_name
        rerank exact)
-    true (rerank <= exact);
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: skim never worse (%.6g vs exact %.6g)" app.App.app_name skim
-       exact)
-    true (skim <= exact)
+    true (rerank <= exact)
 
 let test_never_worse () = List.iter (fun (app, input) -> never_worse app input) cases
 
-(* ---- 4. driver resume with a surrogate ------------------------------ *)
+(* ---- 3. driver resume with a surrogate ------------------------------ *)
 
 let test_driver_surrogate_resume () =
   let m = Presets.shepard ~nodes:1 in
@@ -249,7 +197,7 @@ let test_driver_surrogate_resume () =
     (fun () ->
       let run ?checkpoint ?resume_from ~max_trials () =
         Driver.run ~runs:2 ~final_runs:2 ~noise_sigma:0.0 ~seed:0 ~max_trials
-          ~batch:true ~surrogate:true ?checkpoint ~checkpoint_every:20
+          ~batch:true ?checkpoint ~checkpoint_every:20
           ?resume_from
           (Driver.Ccd { rotations = 5 })
           m g
@@ -273,8 +221,8 @@ let test_driver_surrogate_resume () =
 
 let test_driver_surrogate_free_checkpoint () =
   (* a checkpoint written without a surrogate resumes surrogate-free
-     even when the resuming run would default one on: the snapshot is
-     the decision record *)
+     even when the resuming run would rank: the snapshot is the
+     decision record *)
   let m = Presets.shepard ~nodes:1 in
   let g = App.stencil.App.graph ~nodes:1 ~input:"500x500" in
   let path = Filename.temp_file "automap_sgfree" ".ckpt" in
@@ -283,18 +231,17 @@ let test_driver_surrogate_free_checkpoint () =
     (fun () ->
       let full =
         Driver.run ~runs:2 ~final_runs:2 ~noise_sigma:0.0 ~seed:0 ~max_trials:40
-          ~batch:true ~surrogate:false
           (Driver.Ccd { rotations = 5 })
           m g
       in
       ignore
         (Driver.run ~runs:2 ~final_runs:2 ~noise_sigma:0.0 ~seed:0 ~max_trials:20
-           ~batch:true ~surrogate:false ~checkpoint:path ~checkpoint_every:20
+           ~checkpoint:path ~checkpoint_every:20
            (Driver.Ccd { rotations = 5 })
            m g);
       let resumed =
         Driver.run ~runs:2 ~final_runs:2 ~noise_sigma:0.0 ~seed:0 ~max_trials:40
-          ~batch:true ~surrogate:true ~resume_from:path
+          ~batch:true ~resume_from:path
           (Driver.Ccd { rotations = 5 })
           m g
       in
@@ -304,9 +251,9 @@ let test_driver_surrogate_free_checkpoint () =
       Alcotest.(check (float 0.0)) "same search perf" full.Driver.search_perf
         resumed.Driver.search_perf)
 
-let test_driver_skim_mismatch () =
-  (* resuming a surrogate checkpoint under a different skim config must
-     fail loudly, not silently change the decision sequence *)
+let test_driver_skim_refused () =
+  (* a checkpoint whose surrogate ranked in skim mode cannot resume:
+     its decisions read a truncation no search makes any more *)
   let m = Presets.shepard ~nodes:1 in
   let g = App.stencil.App.graph ~nodes:1 ~input:"500x500" in
   let path = Filename.temp_file "automap_skim" ".ckpt" in
@@ -315,24 +262,34 @@ let test_driver_skim_mismatch () =
     (fun () ->
       ignore
         (Driver.run ~runs:2 ~final_runs:2 ~noise_sigma:0.0 ~seed:0 ~max_trials:20
-           ~batch:true ~surrogate:true ~checkpoint:path ~checkpoint_every:20
+           ~batch:true ~checkpoint:path ~checkpoint_every:20
            (Driver.Ccd { rotations = 5 })
            m g);
+      let ckpt = In_channel.with_open_bin path In_channel.input_all in
+      let skim_header l =
+        match String.split_on_char ' ' l with
+        | [ "surrogate"; "1"; d; w; eta; "-"; gid; mid ] ->
+            String.concat " " [ "surrogate"; "1"; d; w; eta; "7"; gid; mid ]
+        | _ -> l
+      in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc
+            (String.concat "\n" (List.map skim_header (String.split_on_char '\n' ckpt))));
       match
         Driver.run ~runs:2 ~final_runs:2 ~noise_sigma:0.0 ~seed:0 ~max_trials:40
-          ~surrogate_skim:7 ~resume_from:path
+          ~batch:true ~resume_from:path
           (Driver.Ccd { rotations = 5 })
           m g
       with
-      | _ -> Alcotest.fail "skim-mismatched resume must raise"
+      | _ -> Alcotest.fail "a skim checkpoint must be refused"
       | exception Failure msg ->
-          Alcotest.(check bool) "mentions mismatch" true
-            (Str_helpers.contains msg "mismatch"))
+          Alcotest.(check bool) ("says skim mode is gone: " ^ msg) true
+            (Str_helpers.contains msg "skim mode is gone"))
 
-(* ---- 5. a surrogate exists only where it ranks ----------------------- *)
+(* ---- 4. a surrogate exists only where it ranks ----------------------- *)
 
-(* An unbatched search reads no model: asked for one, it trains none,
-   checkpoints none, and decides bit for bit as the run without one. *)
+(* An unbatched search reads no model: it trains none and checkpoints
+   none. *)
 let test_unbatched_trains_none () =
   List.iter
     (fun (algo, (app : App.t), input) ->
@@ -342,23 +299,15 @@ let test_unbatched_trains_none () =
       Fun.protect
         ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
         (fun () ->
-          let run ~surrogate ?checkpoint () =
-            Driver.run ~runs:2 ~final_runs:2 ~seed:0 ~max_trials:60 ~surrogate
-              ?checkpoint ~checkpoint_every:20 algo m g
+          let r =
+            Driver.run ~runs:2 ~final_runs:2 ~seed:0 ~max_trials:60 ~checkpoint:path
+              ~checkpoint_every:20 algo m g
           in
-          let asked = run ~surrogate:true ~checkpoint:path () in
-          let off = run ~surrogate:false () in
           let name = Driver.algo_name algo ^ " " ^ app.App.app_name in
-          Alcotest.(check int) (name ^ ": no observations") 0 asked.Driver.surrogate_trained;
-          (match Engine.load_snapshot path with
+          Alcotest.(check int) (name ^ ": no observations") 0 r.Driver.surrogate_trained;
+          match Engine.load_snapshot path with
           | Ok s -> Alcotest.(check (list string)) (name ^ ": no section") [] s.Engine.s_surrogate
-          | Error e -> Alcotest.fail e);
-          Alcotest.(check string) (name ^ ": same best mapping")
-            (Mapping.canonical_key off.Driver.best)
-            (Mapping.canonical_key asked.Driver.best);
-          Alcotest.(check int64) (name ^ ": same perf bits")
-            (Int64.bits_of_float off.Driver.perf)
-            (Int64.bits_of_float asked.Driver.perf)))
+          | Error e -> Alcotest.fail e))
     [
       (Driver.Ccd { rotations = 5 }, App.stencil, "500x500");
       (Driver.Ccd { rotations = 5 }, App.circuit, "n50w200");
@@ -390,20 +339,20 @@ let props =
             QCheck.small_nat
             (fun seed -> roundtrip_bit_exact app input seed))
         cases;
-      ranked_identity_props;
     ]
 
 let suite =
   List.map QCheck_alcotest.to_alcotest props
   @ [
       Alcotest.test_case "restore refuses config mismatch" `Quick test_restore_mismatch;
-      Alcotest.test_case "warmup gates skim" `Quick test_warmup_gates_skim;
+      Alcotest.test_case "the section keeps skim's fields; a skim section is refused" `Quick
+        test_skim_layout;
       Alcotest.test_case "never worse than exact (all apps)" `Quick test_never_worse;
       Alcotest.test_case "driver resume with surrogate" `Quick
         test_driver_surrogate_resume;
       Alcotest.test_case "surrogate-free checkpoint resumes free" `Quick
         test_driver_surrogate_free_checkpoint;
-      Alcotest.test_case "skim-mismatched resume fails" `Quick test_driver_skim_mismatch;
+      Alcotest.test_case "a skim checkpoint does not resume" `Quick test_driver_skim_refused;
       Alcotest.test_case "unbatched search trains no surrogate" `Quick
         test_unbatched_trains_none;
     ]

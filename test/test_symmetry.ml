@@ -285,22 +285,23 @@ let test_seen_roundtrip () =
 (* The engine hands the evaluator its seen-set key only when the
    canonicalizer returned the candidate itself.  A twin is memoized
    under its representative's key but must be measured and recorded
-   under its own, single proposals and batches alike.  Reference mode
+   under its own, in plain and in ranked sweeps alike.  Reference mode
    cuts nothing, so every measured candidate enters the database. *)
 let test_twins_keyed_as_themselves () =
   let machine = Presets.shepard ~nodes:2 in
   let g = clones_graph 4 in
   List.iter
-    (fun batch ->
+    (fun ranked ->
       let ev =
         Evaluator.create ~runs:2 ~noise_sigma:0.0 ~seed:0 ~reference:true
           ~symmetry:true ~dominance:true machine g
       in
       let space = Evaluator.space ev in
       let seen = Engine.seen_create (Space.canonicalize space) in
+      let sg = if ranked then Some (Surrogate.create space) else None in
       ignore
-        (Engine.run ~seen ~start:(Mapping.default_start g machine) ev
-           (Ccd.make ~batch ~rotations:2 ev));
+        (Engine.run ~seen ?surrogate:sg ~start:(Mapping.default_start g machine) ev
+           (Ccd.make ?surrogate:sg ~rotations:2 ev));
       let db = Evaluator.db ev in
       let entries = Profiles_db.top db (Profiles_db.size db) in
       let twins =

@@ -61,8 +61,7 @@ let cfg_gen =
     and* iterations = opt (int_range 1 10) in
     let* budget = opt (map Float.abs finite_float)
     and* max_trials = opt (int_range 1 100000) in
-    let* batch = bool and* min_batch = int_range 1 64 in
-    let* surrogate = bool and* surrogate_skim = opt (int_range 1 32) in
+    let* batch = bool in
     let* symmetry = bool and* dominance = bool in
     let* heft_seed = bool in
     let* final_top = int_range 1 10 and* final_runs = int_range 1 50 in
@@ -76,9 +75,7 @@ let cfg_gen =
         budget;
         max_trials;
         batch;
-        min_batch;
-        surrogate;
-        surrogate_skim;
+        min_batch = Slice.default_cfg.Slice.min_batch;
         symmetry;
         dominance;
         heft_seed;
@@ -265,7 +262,38 @@ let check_request_errors () =
   bad {|[1,2]|} "object";
   bad "{" "";
   let too_long = String.make 200 'a' in
-  bad (Printf.sprintf {|{"type":"map","id":"%s"}|} too_long) "128"
+  bad (Printf.sprintf {|{"type":"map","id":"%s"}|} too_long) "128";
+  (* numbers a search cannot run under, refused when the map is
+     submitted rather than answered as done or failed later *)
+  let map fields = Printf.sprintf {|{"type":"map","id":"j","app":"stencil",%s}|} fields in
+  bad (map {|"noise_sigma":1e999|}) "noise_sigma";
+  bad (map {|"noise_sigma":-0.1|}) "noise_sigma";
+  bad (map {|"max_trials":-1|}) "max_trials";
+  bad (map {|"budget":-1|}) "budget";
+  (* integer fields must be integral and fit an int *)
+  bad (map {|"seed":1e300|}) "seed";
+  bad (map {|"seed":-1e19|}) "seed";
+  bad (map {|"iterations":2.7|}) "iterations";
+  bad (map {|"max_trials":1e999|}) "max_trials";
+  bad (map {|"runs":7.5|}) "runs";
+  bad (map {|"final_top":1e300|}) "final_top";
+  bad (map {|"final_runs":2.5|}) "final_runs";
+  bad (map {|"nodes":2.5|}) "nodes";
+  bad {|{"type":"analyze","id":"a","app":"stencil","nodes":1e300}|} "nodes";
+  (* and what stays accepted: zero, an integral float, the largest
+     ints, an infinite budget (no cap) *)
+  List.iter
+    (fun fields ->
+      match Wire.request_of_string (map fields) with
+      | Ok (Wire.Map _) -> ()
+      | Ok _ -> Alcotest.failf "%s: parsed as the wrong request" fields
+      | Error e -> Alcotest.failf "%s: %s" fields e)
+    [
+      {|"noise_sigma":0,"budget":0,"max_trials":0|};
+      {|"seed":4.0,"iterations":3|};
+      {|"seed":-4611686018427387904|};
+      {|"budget":1e999|};
+    ]
 
 let check_error_response_round_trip () =
   let r = Wire.R_error { e_id = Some "j9"; message = "no such \"job\"" } in
