@@ -293,6 +293,7 @@ let int_field fields k =
   | None -> Ok None
   | Some f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 -> Ok (Some (int_of_float f))
   | Some f -> Error (Printf.sprintf "%s must be an integer (got %.17g)" k f)
+
 let str_def fields k d = match str_opt fields k with Some v -> v | None -> d
 
 let opt_field k f = function None -> [] | Some v -> [ (k, f v) ]
