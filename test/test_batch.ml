@@ -9,6 +9,9 @@
    - a ranked round is a permutation of what the plain sweep proposes
      for the same task, in the surrogate's order, with the same no-op
      and dead-coordinate accounting (one property per app, lassen:4);
+   - a random trial cap and virtual-time budget cut a ranked search
+     right after the trial that spends them, mid-round or not, leaving
+     it a prefix of the search that ran on (one property per app);
    - an acceptance abandons the rest of the round;
    - a checkpoint written between two candidates of one ranked round
      resumes to the uninterrupted run, one case per app;
@@ -99,6 +102,80 @@ let permutation_props =
            ~name:(Printf.sprintf "ranked rounds permute the plain sweep (%s)" app.App.app_name)
            QCheck.small_nat
            (fun seed -> round_permutes_plain (Lazy.force p) seed))
+       cases)
+
+(* ---- a budget cuts a ranked round between two proposals --------------- *)
+
+(* One ranked CCD(5) search as [Driver.session] builds it (symmetry and
+   dominance on, so the seen-set answers re-proposed keys), under a
+   trial cap and an optional virtual-time budget: the trials it
+   evaluated, and its evaluator's and surrogate's state after trial
+   [at] (at its end when [at] is none). *)
+let ranked_trials (machine, g) ~cap ~budget ~at =
+  let s =
+    Result.get_ok (Driver.session { Driver.default_cfg with batch = true; budget } machine g)
+  in
+  let sg = Option.get s.Driver.sg in
+  let state () = (Evaluator.save_state s.Driver.ev, Surrogate.save sg) in
+  let trials = ref [] and kept = ref None in
+  let on_event = function
+    | Engine.Eval { trial; mapping; perf; vt; accepted } ->
+        trials :=
+          (trial, Mapping.canonical_key mapping, Int64.bits_of_float perf, vt, accepted)
+          :: !trials;
+        if at = Some trial then kept := Some (state ())
+    | _ -> ()
+  in
+  ignore (Driver.search ~on_event ~max_trials:cap s : Engine.outcome);
+  (List.rev !trials, match !kept with Some st -> st | None -> state ())
+
+(* A ranked search under a random cap and virtual-time budget stops
+   after the first trial that spends the budget, wherever that falls in
+   a ranked round, and up to there it is the search with a larger cap
+   and no clock budget: the same trials in the same order, and the
+   evaluator and surrogate in the same state. *)
+let cut_is_prefix p (cap, budget) =
+  let b = Budget.make ~max_trials:cap ?max_virtual:budget () in
+  let spent (t, _, _, vt, _) = Budget.exhausted b ~trials:t ~vt ~wall:0.0 in
+  let cut, cut_state = ranked_trials p ~cap ~budget ~at:None in
+  let n = List.length cut in
+  let at = if spent (List.nth cut (n - 1)) then Some n else None in
+  let on, on_state = ranked_trials p ~cap:(cap + 25) ~budget:None ~at in
+  let expected =
+    match List.find_index spent on with Some i -> i + 1 | None -> List.length on
+  in
+  if n <> expected then
+    QCheck.Test.fail_reportf "cut after %d trials; the budget is spent after %d" n expected
+  else if cut <> List.filteri (fun i _ -> i < n) on then
+    QCheck.Test.fail_report "the cut search's trials are not the first ones of the longer search"
+  else if cut_state <> on_state then
+    QCheck.Test.fail_report "evaluator or surrogate state differs at the cut"
+  else true
+
+(* (trial cap, virtual-time budget): the cap reaches past the first
+   rotations of every app, and the budget spans five orders of
+   magnitude, from one Circuit evaluation to most of a Maestro
+   search. *)
+let budget_gen =
+  QCheck.Gen.(
+    pair (int_range 1 150)
+      (frequency [ (1, return None); (2, map (fun e -> Some (10.0 ** e)) (float_range (-3.0) 2.0)) ]))
+
+let print_budget (cap, budget) =
+  Printf.sprintf "cap %d, budget %s" cap
+    (match budget with None -> "none" | Some b -> Printf.sprintf "%h" b)
+
+let cut_props =
+  Array.to_list
+    (Array.map
+       (fun ((app : App.t), input) ->
+         let p = lazy (problem app input) in
+         QCheck.Test.make ~count:2
+           ~name:
+             (Printf.sprintf "a budget cuts a ranked search between proposals (%s)"
+                app.App.app_name)
+           (QCheck.make ~print:print_budget budget_gen)
+           (fun c -> cut_is_prefix (Lazy.force p) c))
        cases)
 
 (* ---- an acceptance abandons the round ---------------------------------- *)
@@ -293,7 +370,7 @@ let resume_case (app : App.t) input ~every =
     (fun () -> ignore (resume_inside_round app input ~every () : Engine.snapshot))
 
 let suite =
-  List.map QCheck_alcotest.to_alcotest permutation_props
+  List.map QCheck_alcotest.to_alcotest (permutation_props @ cut_props)
   @ [
       Alcotest.test_case "an acceptance abandons the ranked round" `Quick
         test_round_ends_at_acceptance;
