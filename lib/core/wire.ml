@@ -369,6 +369,16 @@ let max_runs = 1000
 let cfg_of_fields fields =
   let d = Slice.default_cfg in
   let ( let* ) = Result.bind in
+  (* Two older fields asked for searches that no longer exist: a
+     batched search without ranking, and skim mode.  Refuse them, since
+     running the request would answer with another search. *)
+  let* () =
+    match (field fields "surrogate", field fields "surrogate_skim") with
+    | Some (Bool false), _ ->
+        Error "surrogate: false is no longer supported (ranking follows batch)"
+    | _, Some _ -> Error "surrogate_skim is no longer supported: skim mode is gone"
+    | _ -> Ok ()
+  in
   let int_or k dv = Result.map (Option.value ~default:dv) (int_field fields k) in
   let bounded k dv =
     let* v = int_or k dv in

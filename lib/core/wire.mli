@@ -75,7 +75,9 @@ val request_of_json : json -> (request, string) result
     for; an integer field ([nodes], [runs], [iterations], [seed],
     [max_trials], [final_top], [final_runs]) that is not integral or
     does not fit an OCaml int; a [noise_sigma] that is negative or not
-    finite; and a negative [budget] or [max_trials].  Search config
+    finite; a negative [budget] or [max_trials]; and the fields of
+    searches that no longer exist, ["surrogate": false] (a batched
+    search without ranking) and any [surrogate_skim].  Search config
     fields absent from a [map] request take their {!Slice.default_cfg}
     values. *)
 

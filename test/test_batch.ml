@@ -211,9 +211,10 @@ let map_sweep_line f ckpt =
 (* A ranked search checkpointing every [every] trials, with the first
    checkpoint whose sweep line carries a queue (one written between two
    candidates of a ranked round) kept aside; resumed from it, with the
-   sweep line rewritten by [edit], the search must end where the
-   uninterrupted one did. *)
-let resume_inside_round ?(edit = Fun.id) (app : App.t) input ~every () =
+   sweep line rewritten by each of [edits], the search must end where
+   the uninterrupted one did.  Returns each resumed snapshot with the
+   cursor its strategy decoded to. *)
+let resume_inside_round ?(edits = [ Fun.id ]) (app : App.t) input ~every () =
   let machine, g = problem app input in
   let cfg = { Driver.default_cfg with batch = true } in
   let path = Filename.temp_file "automap_ranked" ".ckpt" in
@@ -235,51 +236,52 @@ let resume_inside_round ?(edit = Fun.id) (app : App.t) input ~every () =
     | Some c -> c
     | None -> Alcotest.failf "%s: no checkpoint fell inside a ranked round" app.App.app_name
   in
-  let snapshot = Result.get_ok (Engine.snapshot_of_string (map_sweep_line edit ckpt)) in
-  Alcotest.(check int) "checkpoint trial" trial snapshot.Engine.s_trials;
-  let r =
-    match Driver.session ~snapshot cfg machine g with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "%s: %s" app.App.app_name e
-  in
-  let resumed = Driver.search r in
-  let what = Printf.sprintf "%s resumed at trial %d" app.App.app_name trial in
-  Alcotest.(check int) (what ^ ": trials") full.Engine.trials resumed.Engine.trials;
-  Alcotest.(check string)
-    (what ^ ": best")
-    (Mapping.canonical_key full.Engine.best)
-    (Mapping.canonical_key resumed.Engine.best);
-  Alcotest.(check int64)
-    (what ^ ": perf")
-    (Int64.bits_of_float full.Engine.perf)
-    (Int64.bits_of_float resumed.Engine.perf);
-  Alcotest.(check (list string))
-    (what ^ ": evaluator state") state (Evaluator.save_state r.Driver.ev);
-  let final' = Driver.conclude r resumed in
-  Alcotest.(check string)
-    (what ^ ": final mapping")
-    (Mapping.canonical_key (fst final))
-    (Mapping.canonical_key (fst final'));
-  Alcotest.(check (list int64))
-    (what ^ ": final runs")
-    (List.map Int64.bits_of_float (snd final))
-    (List.map Int64.bits_of_float (snd final'));
-  snapshot
+  List.map
+    (fun edit ->
+      let snapshot = Result.get_ok (Engine.snapshot_of_string (map_sweep_line edit ckpt)) in
+      Alcotest.(check int) "checkpoint trial" trial snapshot.Engine.s_trials;
+      let r =
+        match Driver.session ~snapshot cfg machine g with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "%s: %s" app.App.app_name e
+      in
+      let cursor = r.Driver.strat.Engine.encode () in
+      let resumed = Driver.search r in
+      let what = Printf.sprintf "%s resumed at trial %d" app.App.app_name trial in
+      Alcotest.(check int) (what ^ ": trials") full.Engine.trials resumed.Engine.trials;
+      Alcotest.(check string)
+        (what ^ ": best")
+        (Mapping.canonical_key full.Engine.best)
+        (Mapping.canonical_key resumed.Engine.best);
+      Alcotest.(check int64)
+        (what ^ ": perf")
+        (Int64.bits_of_float full.Engine.perf)
+        (Int64.bits_of_float resumed.Engine.perf);
+      Alcotest.(check (list string))
+        (what ^ ": evaluator state") state (Evaluator.save_state r.Driver.ev);
+      let final' = Driver.conclude r resumed in
+      Alcotest.(check string)
+        (what ^ ": final mapping")
+        (Mapping.canonical_key (fst final))
+        (Mapping.canonical_key (fst final'));
+      Alcotest.(check (list int64))
+        (what ^ ": final runs")
+        (List.map Int64.bits_of_float (snd final))
+        (List.map Int64.bits_of_float (snd final'));
+      (snapshot, cursor))
+    edits
 
-(* The same checkpoint with and without [gated] after its queue: the
-   strategies decoded from the two envelopes encode alike, and each
-   resumes to the uninterrupted run. *)
-let test_gated_queue_resumes () =
-  let machine, g = problem App.stencil "500x500" in
-  let plain = resume_inside_round App.stencil "500x500" ~every:5 () in
-  let gated = resume_inside_round ~edit:(fun l -> l ^ " gated") App.stencil "500x500" ~every:5 () in
-  Alcotest.(check bool) "the edited envelope says gated" true
-    (List.exists (fun l -> String.ends_with ~suffix:" gated" l) gated.Engine.s_strategy);
-  let decoded snapshot =
-    let s = Result.get_ok (Driver.session ~snapshot Driver.default_cfg machine g) in
-    s.Driver.strat.Engine.encode ()
-  in
-  Alcotest.(check (list string)) "the same cursor" (decoded plain) (decoded gated)
+(* Envelopes written while short ranked rounds were proposed one at a
+   time end their queue in [gated]: the same checkpoint with that word
+   after its queue decodes to the same cursor, and resumes alike. *)
+let with_gated = [ Fun.id; (fun l -> l ^ " gated") ]
+
+let gated_as_plain = function
+  | [ (_, plain); (gated, cursor) ] ->
+      Alcotest.(check bool) "the edited envelope says gated" true
+        (List.exists (fun l -> String.ends_with ~suffix:" gated" l) gated.Engine.s_strategy);
+      Alcotest.(check (list string)) "the same cursor" plain cursor
+  | _ -> Alcotest.fail "two resumes expected"
 
 (* golden/ranked_gated_envelope.txt was written by
    [Driver.run ~seed:0 ~batch:true ~max_trials:40 ~checkpoint_every:5]
@@ -363,11 +365,11 @@ let portfolio_batched_as_unbatched (app : App.t) input () =
     (Int64.bits_of_float u.Driver.perf)
     (Int64.bits_of_float b.Driver.perf)
 
-let resume_case (app : App.t) input ~every =
+let resume_case ?edits ?(check = ignore) (app : App.t) input ~every =
   Alcotest.test_case
     (Printf.sprintf "resume inside a ranked round: %s" (String.lowercase_ascii app.App.app_name))
     `Quick
-    (fun () -> ignore (resume_inside_round app input ~every () : Engine.snapshot))
+    (fun () -> check (resume_inside_round ?edits app input ~every ()))
 
 let suite =
   List.map QCheck_alcotest.to_alcotest (permutation_props @ cut_props)
@@ -375,12 +377,10 @@ let suite =
       Alcotest.test_case "an acceptance abandons the ranked round" `Quick
         test_round_ends_at_acceptance;
       resume_case App.circuit "n50w200" ~every:7;
-      resume_case App.stencil "500x500" ~every:5;
+      resume_case ~edits:with_gated ~check:gated_as_plain App.stencil "500x500" ~every:5;
       resume_case App.pennant "320x90" ~every:5;
       resume_case App.htr "8x8y9z" ~every:5;
       resume_case App.maestro "lf4r16" ~every:5;
-      Alcotest.test_case "a queue ending in gated resumes as the line without it" `Quick
-        test_gated_queue_resumes;
       Alcotest.test_case "an envelope with a gated queue resumes to its run's answer" `Quick
         test_gated_envelope_resumes;
       Alcotest.test_case "batch is the one switch for ranking" `Quick

@@ -280,8 +280,15 @@ let check_request_errors () =
   bad (map {|"final_runs":2.5|}) "final_runs";
   bad (map {|"nodes":2.5|}) "nodes";
   bad {|{"type":"analyze","id":"a","app":"stencil","nodes":1e300}|} "nodes";
+  (* searches that no longer exist: a batched one without ranking, and
+     skim mode *)
+  bad (map {|"batch":true,"surrogate":false|}) "surrogate";
+  bad (map {|"surrogate":false|}) "surrogate";
+  bad (map {|"surrogate_skim":4|}) "surrogate_skim";
+  bad (map {|"batch":true,"surrogate":true,"surrogate_skim":4|}) "surrogate_skim";
   (* and what stays accepted: zero, an integral float, the largest
-     ints, an infinite budget (no cap) *)
+     ints, an infinite budget (no cap), and the one surrogate setting
+     that still holds *)
   List.iter
     (fun fields ->
       match Wire.request_of_string (map fields) with
@@ -293,6 +300,7 @@ let check_request_errors () =
       {|"seed":4.0,"iterations":3|};
       {|"seed":-4611686018427387904|};
       {|"budget":1e999|};
+      {|"batch":true,"surrogate":true|};
     ]
 
 let check_error_response_round_trip () =
