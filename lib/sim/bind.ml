@@ -144,7 +144,8 @@ let freeze b =
 
 type binder = {
   tables : t;
-  planes : Placement.planes;
+  mutable planes : Placement.planes;
+  mutable spare : Placement.planes;  (* what a full resolve writes *)
   ws : Placement.workspace;
   ok : (t, Placement.error) result;
   dtids : int array;
@@ -169,6 +170,7 @@ let binder lay =
   {
     tables = b;
     planes = Placement.planes pl;
+    spare = Placement.planes pl;
     ws = Placement.workspace pl;
     ok = Ok b;
     dtids = Array.make nt 0;
@@ -369,23 +371,19 @@ let bound bd ~fallback mapping =
   bd.tables.demotions <- bd.planes.Placement.demotions;
   rebound
 
+(* A full resolve writes the spare planes, which become the bound ones
+   only when it succeeds: a failure leaves the bound mapping's planes
+   untouched, so the next candidate can still patch them. *)
 let full bd ~fallback mapping =
-  let pl = bd.tables.lay.lplan in
-  match Placement.resolve_into ~fallback pl bd.planes mapping with
+  match Placement.resolve_into ~fallback bd.tables.lay.lplan bd.spare mapping with
   | Ok () ->
+      let p = bd.planes in
+      bd.planes <- bd.spare;
+      bd.spare <- p;
       bd.full_binds <- bd.full_binds + 1;
       bind_all bd mapping;
       bound bd ~fallback mapping
   | Error e ->
-      (match e with
-      | Placement.Out_of_memory _ when bd.has_bound ->
-          (* the failed resolve overwrote the planes: put the bound
-             mapping's back, so the next candidate can still patch
-             them *)
-          ignore
-            (Placement.resolve_into ~fallback:bd.bound_fallback pl bd.planes bd.bound
-              : (unit, Placement.error) result)
-      | _ -> ());
       bd.error <- Some e;
       failed
 
@@ -419,9 +417,8 @@ let resolve bd ~fallback mapping =
       end
       else
         (* the patch put the planes back; the verdict is the full
-           resolve's, and so is its message.  It resolves into the
-           binder's own planes, which a failure leaves as the bound
-           mapping's, so a refused neighbour builds no placement. *)
+           resolve's, and so is its message.  It writes the spare
+           planes, so a refused neighbour builds no placement. *)
         full bd ~fallback mapping
   end
 

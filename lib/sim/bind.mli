@@ -13,7 +13,8 @@
     restores them when the neighbour is invalid or overflows a memory)
     and rebinds only the table entries the changed coordinates can
     reach.  Such a delta bind allocates nothing; a full bind resolves
-    into the same planes.  Costs are computed here, over tables built
+    into a second set of planes, which it swaps in when the mapping
+    fits and leaves aside when it does not.  Costs are computed here, over tables built
     once per problem, bit for bit as {!Cost.task_duration} and
     {!Machine.copy_cost} compute them: a call into another module would
     return a boxed float. *)
@@ -92,6 +93,8 @@ val failed : int
 
 val tables : binder -> t
 val planes : binder -> Placement.planes
+(** The bound planes.  A full bind swaps in another set, so read them
+    again after each {!resolve}. *)
 
 val ok : binder -> (t, Placement.error) result
 (** [Ok (tables b)], allocated once. *)

@@ -18,9 +18,9 @@
     A placement is held as int planes ({!planes}): a processor id per
     task shard, a memory id per collection shard and the bytes charged
     to each memory.  {!resolve_with} fills fresh planes and wraps them
-    in an immutable {!t}; the simulator's bind owns one set of planes,
-    which a full resolve ({!resolve_into}) rewrites and a delta
-    ({!patch}) patches in place. *)
+    in an immutable {!t}; the simulator's bind owns two sets of
+    planes: the bound one, which a delta ({!patch}) patches in place,
+    and a spare one, which a full resolve ({!resolve_into}) rewrites. *)
 
 type error =
   | Invalid_mapping of string    (** violates §4.2 constraint (1) *)

@@ -487,10 +487,9 @@ let pennant_processor_flip () =
 
 (* A neighbour the delta patch refuses because it overflows a memory:
    the verdict and its message come from a full resolve into the
-   binder's own planes, which the failure leaves as the bound
-   mapping's, so the refused bind builds no placement.  On Maestro
-   lassen:4 a fresh placement's collection-shard plane alone is past
-   the minor heap's direct-allocation limit, so building one per
+   binder's spare planes, so the refused bind builds no placement.  On
+   Maestro lassen:4 a fresh placement's collection-shard plane alone is
+   past the minor heap's direct-allocation limit, so building one per
    refused neighbour went straight to the major heap: the words counted
    here are minor words plus those allocated directly in the major
    heap. *)
