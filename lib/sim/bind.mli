@@ -14,10 +14,10 @@
     and rebinds only the table entries the changed coordinates can
     reach.  Such a delta bind allocates nothing; a full bind resolves
     into a second set of planes, which it swaps in when the mapping
-    fits and leaves aside when it does not.  Costs are computed here, over tables built
-    once per problem, bit for bit as {!Cost.task_duration} and
-    {!Machine.copy_cost} compute them: a call into another module would
-    return a boxed float. *)
+    fits and leaves aside when it does not.  Costs are computed here,
+    over tables built once per problem, bit for bit as
+    {!Cost.task_duration} and {!Machine.copy_cost} compute them: a call
+    into another module would return a boxed float. *)
 
 val n_channel_classes : int
 (** Kind-level channel classes: host, cross-socket, PCIe, GPU peer,
